@@ -26,6 +26,7 @@ from seamkit.mesh import (
     IndexedMesh,
     MeshError,
     SeamEdgeSet,
+    content_lines,
     extract_uv_seams,
     load_obj,
     normalize,
@@ -92,10 +93,7 @@ CONFIG_DEFAULTS = {
 def parse_config(text: str) -> dict:
     values = dict(CONFIG_DEFAULTS)
     unknown = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(text):
         if "=" not in line:
             raise InputError(f"config line {line_no}: expected key=value")
         key, _, value = line.partition("=")
@@ -227,7 +225,7 @@ def cmd_evaluate(args) -> int:
         if not args.seams:
             raise InputError("evaluate needs a seam file or --from-uv")
         seams = _load_seams(args.seams)
-        metrics, atlas = metrics_mod.evaluate_with_atlas(mesh, seams)
+        metrics, atlas = metrics_mod.evaluate_with_atlas(norm, seams, normalize_input=False)
     payload = metrics.to_json()
     sys.stdout.write(payload)
     if args.json_out:
@@ -269,12 +267,14 @@ def cmd_unwrap(args) -> int:
         raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
     norm, _ = normalize(mesh)
     edges = _seam_edges_for(norm, args)
-    atlas = unwrap.unwrap_mesh(norm, edges)
+    if args.json_out:
+        metrics, atlas = metrics_mod.evaluate_edges(norm, edges)
+    else:
+        atlas = unwrap.unwrap_mesh(norm, edges)
     _write_atomic(args.obj_out, unwrap.atlas_to_obj(atlas))
     if args.svg:
         _write_atomic(args.svg, unwrap.atlas_to_svg(atlas))
     if args.json_out:
-        metrics, _ = metrics_mod.evaluate_edges(norm, edges)
         _write_atomic(args.json_out, metrics.to_json())
     return EXIT_OK
 

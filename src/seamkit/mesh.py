@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +48,11 @@ class IndexedMesh:
     ``vertices`` is (V, 3) float64, ``triangles`` (F, 3) int64.  ``uv_corners``
     is either None or (3F, 2): row ``3*f + k`` is the UV of corner ``k`` of
     face ``f``.  Edges are derived at construction: ``edges`` holds sorted
-    vertex pairs in lexicographic order, ``edge_faces[e]`` the incident face
-    ids, ``edge_lengths[e]`` the Euclidean length.
+    vertex pairs in lexicographic order and ``edge_lengths[e]`` the Euclidean
+    length.  ``face_edges[f, k]`` is the edge id of side ``k`` of face ``f``,
+    the side from corner ``k`` to corner ``(k + 1) % 3``; it is the one
+    incidence array that edge lookups, ``edge_faces``, UV seams and cutting
+    derive from.
     """
 
     vertices: np.ndarray
@@ -55,9 +60,9 @@ class IndexedMesh:
     uv_corners: np.ndarray | None = None
 
     edges: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_faces: tuple = field(init=False, repr=False, compare=False)
+    face_edges: np.ndarray = field(init=False, repr=False, compare=False)
     edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    _edge_ids: dict = field(init=False, repr=False, compare=False)
+    _edge_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -88,30 +93,17 @@ class IndexedMesh:
         self._build_edges()
 
     def _build_edges(self):
-        t = self.triangles
-        if len(t) == 0:
-            object.__setattr__(self, "edges", np.zeros((0, 2), dtype=np.int64))
-            object.__setattr__(self, "edge_faces", ())
-            object.__setattr__(self, "edge_lengths", np.zeros(0))
-            object.__setattr__(self, "_edge_ids", {})
-            return
-        pairs = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        faces_per_edge: list[list[int]] = [[] for _ in range(len(edges))]
-        for corner, e in enumerate(np.asarray(inverse).ravel()):
-            faces_per_edge[e].append(corner // 3)
+        edges, face_edges, keys = index_edges(self.triangles, self.n_vertices)
         lengths = np.linalg.norm(
             self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]], axis=1
         )
-        edge_ids = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
-        nonmanifold = sum(1 for fs in faces_per_edge if len(fs) > 2)
+        nonmanifold = int(np.count_nonzero(np.bincount(face_edges.ravel()) > 2))
         if nonmanifold:
             logger.warning("mesh has %d non-manifold edges", nonmanifold)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_faces", tuple(tuple(fs) for fs in faces_per_edge))
+        object.__setattr__(self, "face_edges", face_edges)
         object.__setattr__(self, "edge_lengths", lengths)
-        object.__setattr__(self, "_edge_ids", edge_ids)
+        object.__setattr__(self, "_edge_keys", keys)
 
     @property
     def n_vertices(self) -> int:
@@ -125,14 +117,34 @@ class IndexedMesh:
     def has_uvs(self) -> bool:
         return self.uv_corners is not None
 
+    @cached_property
+    def edge_faces(self) -> tuple:
+        """Incident face ids of each edge, ascending."""
+        side_edge = self.face_edges.ravel()
+        faces = (np.argsort(side_edge, kind="stable") // 3).tolist()
+        ends = np.cumsum(np.bincount(side_edge, minlength=len(self.edges))).tolist()
+        return tuple(tuple(faces[s:e]) for s, e in zip([0] + ends, ends))
+
     @property
     def nonmanifold_edges(self) -> tuple[int, ...]:
         """Edge ids with more than two incident triangles."""
-        return tuple(i for i, fs in enumerate(self.edge_faces) if len(fs) > 2)
+        counts = np.bincount(self.face_edges.ravel(), minlength=len(self.edges))
+        return tuple(np.flatnonzero(counts > 2).tolist())
+
+    def edge_ids(self, pairs) -> np.ndarray:
+        """Edge id of each vertex pair (either order); -1 where the pair is no edge."""
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        keys = pairs[:, 0] * self.n_vertices + pairs[:, 1]
+        ids = np.full(len(pairs), -1, dtype=np.int64)
+        pos = np.searchsorted(self._edge_keys, keys)
+        ok = (pairs[:, 0] >= 0) & (pairs[:, 1] < self.n_vertices) & (pos < len(self._edge_keys))
+        hit = np.flatnonzero(ok)[self._edge_keys[pos[ok]] == keys[ok]]
+        ids[hit] = pos[hit]
+        return ids
 
     def edge_id(self, a: int, b: int) -> int | None:
-        key = (a, b) if a < b else (b, a)
-        return self._edge_ids.get(key)
+        eid = int(self.edge_ids([(a, b)])[0])
+        return None if eid < 0 else eid
 
     def triangle_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -194,10 +206,7 @@ class SeamEdgeSet:
     @classmethod
     def from_text(cls, text: str) -> "SeamEdgeSet":
         edges = set()
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in content_lines(text):
             parts = line.split()
             if len(parts) != 2:
                 raise MeshError(f"seam edge line {line_no}: expected two indices")
@@ -216,8 +225,57 @@ class EdgeGraph:
     n: int
     adjacency: tuple  # adjacency[v] = ((neighbor, length), ...) sorted by neighbor
 
-    def neighbors(self, v: int):
-        return self.adjacency[v]
+
+# ---------------------------------------------------------------------------
+# Edge incidence
+
+
+def index_edges(triangles: np.ndarray, n_vertices: int):
+    """Unique undirected edges of a triangle array.
+
+    Returns ``(edges, face_edges, keys)``: the (E, 2) sorted vertex pairs in
+    lexicographic order, the (F, 3) edge id of each face side (side ``k`` runs
+    from corner ``k`` to corner ``(k + 1) % 3``), and the ascending search keys
+    ``a * n_vertices + b`` of the edges.
+    """
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, face_edges = np.unique(sides[:, 0] * n_vertices + sides[:, 1], return_inverse=True)
+    edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
+    return edges, face_edges.reshape(-1, 3), keys
+
+
+def matched_corners(triangles: np.ndarray, face_edges: np.ndarray):
+    """Every pair of face sides on one edge, with their corners matched by vertex.
+
+    Side ``s = 3f + k`` joins corner ``s`` to corner ``3f + (k + 1) % 3``.
+    Returns ``(edge, a, b)``, one row per pair of sides ``i < j`` of the same
+    edge (all pairs on a non-manifold edge): ``a[p]`` holds the two corners of
+    side ``i`` and ``b[p]`` the corners of side ``j`` at the same two vertices.
+    """
+    side_edge = face_edges.ravel()
+    order = np.argsort(side_edge, kind="stable")
+    count = np.bincount(side_edge)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
+    later = count[side_edge[order]] - rank - 1
+    first = np.repeat(np.arange(len(order)), later)
+    step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
+    i, j = order[first], order[first + step]
+    a = np.stack([i, i - i % 3 + (i + 1) % 3], axis=1)
+    b = np.stack([j, j - j % 3 + (j + 1) % 3], axis=1)
+    flip = triangles.ravel()[i] != triangles.ravel()[j]
+    b[flip] = b[flip, ::-1]
+    return side_edge[i], a, b
+
+
+def content_lines(text: str):
+    """Yield ``(line_no, line)`` for every non-blank line, ``#`` comments removed.
+
+    Line numbers are 1-based and count every line of ``text``.
+    """
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +314,29 @@ def load_obj(source) -> IndexedMesh:
     # face corners as (vertex_index, vt_index_or_None) with 1-based indices
     faces: list[tuple[list[tuple[int, int | None]], int]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(text):
         parts = line.split()
         tag = parts[0]
         if tag == "v":
             if len(parts) < 4:
                 raise ObjParseError("vertex record needs 3 coordinates", line_no)
             try:
-                vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError as exc:
                 raise ObjParseError(f"bad vertex coordinate: {exc}", line_no) from exc
+            if not all(map(math.isfinite, xyz)):
+                raise ObjParseError("non-finite vertex coordinate", line_no)
+            vertices.append(xyz)
         elif tag == "vt":
             if len(parts) < 3:
                 raise ObjParseError("texture record needs 2 coordinates", line_no)
             try:
-                texcoords.append((float(parts[1]), float(parts[2])))
+                st = (float(parts[1]), float(parts[2]))
             except ValueError as exc:
                 raise ObjParseError(f"bad texture coordinate: {exc}", line_no) from exc
+            if not all(map(math.isfinite, st)):
+                raise ObjParseError("non-finite texture coordinate", line_no)
+            texcoords.append(st)
         elif tag == "f":
             if len(parts) < 4:
                 raise ObjParseError("face record needs at least 3 corners", line_no)
@@ -382,27 +443,12 @@ def extract_uv_seams(mesh: IndexedMesh, tol: float = UV_SEAM_TOL) -> SeamEdgeSet
     """
     if not mesh.has_uvs:
         raise MissingUVError("extract_uv_seams requires per-corner UVs")
+    edge, a, b = matched_corners(mesh.triangles, mesh.face_edges)
     uv = mesh.uv_corners
-    tri = mesh.triangles
-    seams = set()
-    for e, faces in enumerate(mesh.edge_faces):
-        if len(faces) < 2:
-            continue
-        a, b = mesh.edges[e]
-        mismatch = False
-        for i in range(len(faces)):
-            for j in range(i + 1, len(faces)):
-                fa, fb = faces[i], faces[j]
-                for v in (a, b):
-                    ka = int(np.where(tri[fa] == v)[0][0])
-                    kb = int(np.where(tri[fb] == v)[0][0])
-                    if np.max(np.abs(uv[3 * fa + ka] - uv[3 * fb + kb])) > tol:
-                        mismatch = True
-            if mismatch:
-                break
-        if mismatch:
-            seams.add((int(a), int(b)))
-    return SeamEdgeSet(edges=frozenset(seams))
+    # a pair disagrees when either shared vertex differs by more than tol
+    disagree = (np.abs(uv[a] - uv[b]).max(axis=2) > tol).any(axis=1)
+    seams = mesh.edges[np.unique(edge[disagree])].tolist()
+    return SeamEdgeSet(edges=frozenset(map(tuple, seams)))
 
 
 # ---------------------------------------------------------------------------

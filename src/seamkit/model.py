@@ -73,10 +73,6 @@ class ModelConfig:
     def max_seq_len(self) -> int:
         return 6 * self.max_segments + 2
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
     def stage_layers(self) -> tuple[int, int, int, int]:
         """Layer counts (coord_pre, endpoint_pre, valley, endpoint_post).
 
@@ -121,9 +117,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
-
-    def n_parameters(self) -> int:
-        return sum(v.size for v in self.arrays.values())
 
     def trainable_names(self) -> list[str]:
         out = []
@@ -545,13 +538,3 @@ def load_checkpoint(data: bytes) -> ParameterStore:
                 f"{store.arrays[name].shape} != {template.arrays[name].shape}"
             )
     return store
-
-
-def write_checkpoint(path, params: ParameterStore) -> None:
-    with open(path, "wb") as fh:
-        fh.write(save_checkpoint(params))
-
-
-def read_checkpoint(path) -> ParameterStore:
-    with open(path, "rb") as fh:
-        return load_checkpoint(fh.read())

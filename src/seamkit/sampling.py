@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seamkit.mesh import DegenerateInputError, IndexedMesh
+from seamkit.mesh import DegenerateInputError, IndexedMesh, content_lines
 
 # Paper-scale cloud sizes; tests and the desk harness override these.
 DEFAULT_N_TOPO = 30_720
@@ -130,9 +130,5 @@ def write_xyz(points: np.ndarray) -> str:
 
 
 def read_xyz(text: str) -> np.ndarray:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append([float(p) for p in line.split()])
+    rows = [[float(p) for p in line.split()] for _, line in content_lines(text)]
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3)

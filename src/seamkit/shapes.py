@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from seamkit.mesh import IndexedMesh, SeamEdgeSet
+from seamkit.mesh import IndexedMesh
 
 
 def make_grid(nx: int = 8, ny: int = 8, width: float = 1.0, height: float = 1.0) -> IndexedMesh:
@@ -222,57 +222,6 @@ def make_l_extrusion(height: float = 1.0, side: float = 0.5) -> IndexedMesh:
         tris.append((a0, a1, b1))
         tris.append((a0, b1, b0))
     return IndexedMesh(vertices=np.array(verts, dtype=np.float64), triangles=np.array(tris))
-
-
-def l_extrusion_seam_edges(mesh: IndexedMesh) -> SeamEdgeSet:
-    """A clean unwrap cut for make_l_extrusion meshes.
-
-    Marks both cap boundaries plus one vertical edge at the (0, 0) corner,
-    which unrolls the wall strip and separates the two caps (3 islands).
-    """
-    y = mesh.vertices[:, 1]
-    y_lo, y_hi = y.min(), y.max()
-    tol = 1e-9 * max(1.0, abs(y_hi - y_lo))
-    edges = set()
-    for a, b in mesh.edges:
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        same_lo = abs(pa[1] - y_lo) < tol and abs(pb[1] - y_lo) < tol
-        same_hi = abs(pa[1] - y_hi) < tol and abs(pb[1] - y_hi) < tol
-        on_outline = _on_l_outline(pa, mesh) and _on_l_outline(pb, mesh)
-        if (same_lo or same_hi) and on_outline and _is_outline_edge(pa, pb, mesh):
-            edges.add((int(a), int(b)))
-        # one vertical generator at the (0, 0) lattice corner
-        vertical = (
-            abs(pa[0]) < tol
-            and abs(pa[2]) < tol
-            and abs(pb[0]) < tol
-            and abs(pb[2]) < tol
-        )
-        if vertical:
-            edges.add((int(a), int(b)))
-    return SeamEdgeSet(edges=frozenset(edges))
-
-
-def _on_l_outline(p, mesh: IndexedMesh) -> bool:
-    side = _l_side(mesh)
-    ix, iz = p[0] / side, p[2] / side
-    return any(abs(ix - ox) < 1e-9 and abs(iz - oz) < 1e-9 for ox, oz in _L_OUTLINE)
-
-
-def _is_outline_edge(pa, pb, mesh: IndexedMesh) -> bool:
-    side = _l_side(mesh)
-    a = (round(pa[0] / side), round(pa[2] / side))
-    b = (round(pb[0] / side), round(pb[2] / side))
-    m = len(_L_OUTLINE)
-    for e in range(m):
-        u, v = _L_OUTLINE[e], _L_OUTLINE[(e + 1) % m]
-        if (a == u and b == v) or (a == v and b == u):
-            return True
-    return False
-
-
-def _l_side(mesh: IndexedMesh) -> float:
-    return float(mesh.vertices[:, 0].max()) / 2.0
 
 
 def make_random_hull(n_points: int = 30, seed: int = 0, scale: float = 1.0) -> IndexedMesh:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from seamkit.mesh import content_lines
+
 N_BINS = 1024
 BOS = 1024
 EOS = 1025
@@ -234,10 +236,7 @@ def write_seam_text(seams: SeamSet) -> str:
 def read_seam_text(text: str) -> SeamSet:
     """Parse the seam text format; '#' comments and blank lines are skipped."""
     rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(text):
         parts = line.split()
         if len(parts) != 6:
             raise TokenizerError(f"seam line {line_no}: expected 6 floats")
@@ -258,10 +257,7 @@ def write_token_text(tokens: TokenSequence) -> str:
 
 def read_token_text(text: str) -> TokenSequence:
     vals = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(text):
         try:
             vals.append(int(line))
         except ValueError as exc:

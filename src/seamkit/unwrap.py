@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import logging
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components, dijkstra
 
-from seamkit.mesh import IndexedMesh, MeshError, SeamEdgeSet
+from seamkit.mesh import IndexedMesh, MeshError, SeamEdgeSet, index_edges, matched_corners
 
 logger = logging.getLogger(__name__)
 
@@ -41,22 +41,6 @@ class SolveError(UnwrapError):
     """Linear solve failed to reach the required residual."""
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class CutMesh:
     """Mesh split along seam edges.
@@ -65,6 +49,10 @@ class CutMesh:
     seam or boundary edges; ``orig_vertex`` maps every cut vertex back to its
     source.  ``face_island[f]`` is the connected component of the face
     adjacency graph restricted to non-seam edges.
+
+    Numbering is deterministic: islands are numbered in the order of their
+    lowest face, and cut vertices in the order of their first corner in
+    row-major order of ``triangles`` (corner ``3*f + k``).
     """
 
     vertices: np.ndarray
@@ -74,76 +62,37 @@ class CutMesh:
     n_islands: int
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on ``n`` nodes with links ``a[i] - b[i]``.
+
+    Components are numbered in the order of their lowest node.
+    """
+    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    return count, labels.astype(np.int64)
+
+
 def cut_mesh(mesh: IndexedMesh, seams: SeamEdgeSet) -> CutMesh:
     """Split the mesh along the given seam edges and label islands."""
-    seam_ids = set()
-    for a, b in seams.edges:
-        eid = mesh.edge_id(a, b)
-        if eid is None:
-            raise CutContractError(f"seam edge ({a}, {b}) is not a mesh edge")
-        seam_ids.add(eid)
+    pairs = np.array(list(seams.edges), dtype=np.int64).reshape(-1, 2)
+    seam_ids = mesh.edge_ids(pairs)
+    if (seam_ids < 0).any():
+        a, b = min(map(tuple, pairs[seam_ids < 0].tolist()))
+        raise CutContractError(f"seam edge ({a}, {b}) is not a mesh edge")
+    is_seam = np.zeros(len(mesh.edges), dtype=bool)
+    is_seam[seam_ids] = True
 
-    n_faces = mesh.n_triangles
-    tri = mesh.triangles
-
-    # face adjacency across non-seam edges (pairwise over incidences)
-    face_adj: list[list[int]] = [[] for _ in range(n_faces)]
-    for eid, faces in enumerate(mesh.edge_faces):
-        if eid in seam_ids or len(faces) < 2:
-            continue
-        for i in range(len(faces)):
-            for j in range(i + 1, len(faces)):
-                face_adj[faces[i]].append(faces[j])
-                face_adj[faces[j]].append(faces[i])
-
-    # islands by breadth-first search in ascending face order
-    face_island = np.full(n_faces, -1, dtype=np.int64)
-    n_islands = 0
-    for start in range(n_faces):
-        if face_island[start] != -1:
-            continue
-        queue = deque([start])
-        face_island[start] = n_islands
-        while queue:
-            f = queue.popleft()
-            for g in face_adj[f]:
-                if face_island[g] == -1:
-                    face_island[g] = n_islands
-                    queue.append(g)
-        n_islands += 1
-
-    # corner wedges: corners of a vertex merge across non-seam interior edges
-    slot_of = [
-        {int(tri[f, k]): k for k in range(3)} for f in range(n_faces)
-    ]
-    uf = _UnionFind(3 * n_faces)
-    for eid, faces in enumerate(mesh.edge_faces):
-        if eid in seam_ids or len(faces) < 2:
-            continue
-        a, b = (int(x) for x in mesh.edges[eid])
-        for i in range(len(faces)):
-            for j in range(i + 1, len(faces)):
-                fa, fb = faces[i], faces[j]
-                for v in (a, b):
-                    uf.union(3 * fa + slot_of[fa][v], 3 * fb + slot_of[fb][v])
-
-    wedge_id: dict[int, int] = {}
-    new_tri = np.empty_like(tri)
-    new_pos: list[np.ndarray] = []
-    new_orig: list[int] = []
-    for f in range(n_faces):
-        for k in range(3):
-            root = uf.find(3 * f + k)
-            if root not in wedge_id:
-                wedge_id[root] = len(new_pos)
-                new_pos.append(mesh.vertices[tri[f, k]])
-                new_orig.append(int(tri[f, k]))
-            new_tri[f, k] = wedge_id[root]
-
+    # faces join, and corners at the same vertex merge, across non-seam edges
+    edge, a, b = matched_corners(mesh.triangles, mesh.face_edges)
+    a, b = a[~is_seam[edge]], b[~is_seam[edge]]
+    n_islands, face_island = _components(mesh.n_triangles, a[:, 0] // 3, b[:, 0] // 3)
+    _, wedge = _components(3 * mesh.n_triangles, a.ravel(), b.ravel())
+    _, first_corner = np.unique(wedge, return_index=True)
+    orig = mesh.triangles.ravel()[first_corner]
     return CutMesh(
-        vertices=np.asarray(new_pos, dtype=np.float64).reshape(-1, 3),
-        triangles=new_tri,
-        orig_vertex=np.asarray(new_orig, dtype=np.int64),
+        vertices=mesh.vertices[orig],
+        triangles=wedge.reshape(-1, 3),
+        orig_vertex=orig,
         face_island=face_island,
         n_islands=n_islands,
     )
@@ -219,18 +168,17 @@ class IslandParam:
     residual: float
 
 
-def _bfs_farthest(adj: dict, starts) -> tuple[int, dict]:
-    dist = {s: 0 for s in starts}
-    queue = deque(starts)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    best = max(dist.values())
-    far = min(v for v, d in dist.items() if d == best)
-    return far, dist
+def _island_chi(cut: CutMesh) -> np.ndarray:
+    """Euler characteristic V - E + F of every island's submesh."""
+    vertex_island = np.empty(len(cut.vertices), dtype=np.int64)
+    vertex_island[cut.triangles] = cut.face_island[:, None]
+    edges, _, _ = index_edges(cut.triangles, len(cut.vertices))
+    n = cut.n_islands
+    return (
+        np.bincount(vertex_island, minlength=n)
+        - np.bincount(vertex_island[edges[:, 0]], minlength=n)
+        + np.bincount(cut.face_island, minlength=n)
+    )
 
 
 def parameterize_island(
@@ -244,189 +192,179 @@ def parameterize_island(
     distance, found by a double BFS sweep) are fixed to (0,0) and (1,0).
     Non-disk islands get a diagnostic flag and one extra pinned vertex.
     Raises DegenerateIslandError when no positive-area triangle remains.
+    This is ``unwrap_atlas``'s solver restricted to one island: each of its
+    connected components of non-excluded faces is pinned and solved apart.
     """
     faces = np.flatnonzero(cut.face_island == island)
     if len(faces) == 0:
         raise UnwrapError(f"island {island} has no faces")
-    tris = cut.triangles[faces]
-    verts = np.unique(tris)
-
-    # Euler characteristic of the island submesh decides disk-ness
-    edge_set = set()
-    for t in tris:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            edge_set.add((min(t[i], t[j]), max(t[i], t[j])))
-    chi = len(verts) - len(edge_set) + len(tris)
-    nondisk = chi != 1
-    if nondisk:
-        logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi)
-
-    if excluded is not None:
-        active = faces[~excluded[faces]]
-    else:
-        active = faces
+    chi = _island_chi(cut)
+    if chi[island] != 1:
+        logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi[island])
+    active = faces if excluded is None else faces[~excluded[faces]]
     if len(active) == 0:
         raise DegenerateIslandError(f"island {island} has only degenerate triangles")
-
-    uv_full = np.zeros((len(cut.vertices), 2))
-    residual = 0.0
-    pins_used: list[int] = []
-    for comp in _active_components(cut, active):
-        res, pins = _solve_component(cut, comp, nondisk, uv_full)
-        residual = max(residual, res)
-        pins_used.extend(pins)
-
+    uv, _, residuals, pins = _lscm(cut, active, chi != 1)
+    verts = np.unique(cut.triangles[faces])
     return IslandParam(
         vertex_ids=verts,
-        uv=uv_full[verts],
-        pins=tuple(pins_used),
-        nondisk=nondisk,
-        residual=residual,
+        uv=uv[verts],
+        pins=tuple(pins.tolist()),
+        nondisk=bool(chi[island] != 1),
+        residual=float(max(0.0, residuals.max())),
     )
 
 
-def _active_components(cut: CutMesh, active_faces: np.ndarray):
-    """Connected components of the active faces under shared cut edges."""
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for f in active_faces:
-        t = cut.triangles[f]
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = (min(t[i], t[j]), max(t[i], t[j]))
-            edge_faces.setdefault(key, []).append(int(f))
-    adj: dict[int, list[int]] = {int(f): [] for f in active_faces}
-    for fs in edge_faces.values():
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                adj[fs[i]].append(fs[j])
-                adj[fs[j]].append(fs[i])
-    seen = set()
-    for f in sorted(adj):
-        if f in seen:
-            continue
-        comp = [f]
-        seen.add(f)
-        queue = deque([f])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        yield np.asarray(sorted(comp))
+def _farthest(graph, sources: np.ndarray, node_comp: np.ndarray, comp_start: np.ndarray):
+    """Per component, the lowest node at the largest hop distance from ``sources``."""
+    dist = dijkstra(graph, directed=False, indices=sources, unweighted=True, min_only=True)
+    far = np.flatnonzero(dist == np.maximum.reduceat(dist, comp_start)[node_comp])
+    return far[np.unique(node_comp[far], return_index=True)[1]]
 
 
-def _solve_component(cut: CutMesh, faces: np.ndarray, nondisk: bool, uv_out: np.ndarray):
-    tris = cut.triangles[faces]
-    verts = np.unique(tris)
-    index = {int(v): i for i, v in enumerate(verts)}
-    nv = len(verts)
+def _pick_pins(node: np.ndarray, node_comp: np.ndarray, nondisk: np.ndarray) -> np.ndarray:
+    """(C, 3) pinned nodes per component, -1 where a component has only two.
 
-    # vertex adjacency for pin selection
-    adj: dict[int, set] = {int(v): set() for v in verts}
-    for t in tris:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            adj[int(t[i])].add(int(t[j]))
-            adj[int(t[j])].add(int(t[i]))
-    start = int(verts.min())
-    p0, _ = _bfs_farthest(adj, [start])
-    p1, _ = _bfs_farthest(adj, [p0])
-    if p1 == p0:  # single-vertex component cannot happen with a valid triangle
-        raise DegenerateIslandError("component has no extent")
-    pins = [(p0, (0.0, 0.0)), (p1, (1.0, 0.0))]
-    if nondisk:
-        extra, _ = _bfs_farthest(adj, [p0, p1])
-        if extra not in (p0, p1):
-            pins.append((extra, (0.5, 1.0)))
+    A BFS sweep from the component's lowest node finds p0, a second from p0
+    finds p1, and in non-disk components a third from both finds the extra
+    pin; every sweep breaks ties toward the lowest node.
+    """
+    n_nodes = len(node_comp)
+    graph = sp.coo_matrix(
+        (np.ones(node.size), (node.ravel(), node[:, [1, 2, 0]].ravel())),
+        shape=(n_nodes, n_nodes),
+    ).tocsr()
+    comp_start = np.searchsorted(node_comp, np.arange(len(nondisk)))
+    p0 = _farthest(graph, comp_start, node_comp, comp_start)
+    p1 = _farthest(graph, p0, node_comp, comp_start)
+    pins = np.stack([p0, p1, np.full(len(nondisk), -1)], axis=1)
+    if nondisk.any():
+        both = np.concatenate([p0[nondisk], p1[nondisk]])
+        pins[nondisk, 2] = _farthest(graph, both, node_comp, comp_start)[nondisk]
+    return pins
 
-    p3d = cut.vertices[tris]
-    E, a2, good = _local_frames(p3d)
-    areas = a2 / 2.0
-    rows_i: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    nrows = 0
-    pin_index = {index[v]: np.asarray(xy) for v, xy in pins}
-    free = [i for i in range(nv) if i not in pin_index]
-    free_col = {i: c for c, i in enumerate(free)}
-    nf = len(free)
-    b_rows: list[np.ndarray] = []
 
-    for f in range(len(faces)):
-        if not good[f] or areas[f] <= 0:
-            continue
-        w = 1.0 / np.sqrt(areas[f])
-        x1 = np.array([0.0, 0.0])
-        x2 = np.array([E[f, 0, 0], 0.0])
-        x3 = np.array([E[f, 0, 1], E[f, 1, 1]])
-        W = np.array(
-            [x3 - x2, x1 - x3, x2 - x1]
-        )  # per-corner complex weights (re, im)
-        rhs = np.zeros(2)
-        for k in range(3):
-            i = index[int(tris[f, k])]
-            wre, wim = w * W[k]
-            if i in pin_index:
-                u, v = pin_index[i]
-                rhs[0] -= wre * u - wim * v
-                rhs[1] -= wim * u + wre * v
-            else:
-                c = free_col[i]
-                # real row: wre * u - wim * v
-                rows_i.append(2 * nrows)
-                cols.append(c)
-                vals.append(wre)
-                rows_i.append(2 * nrows)
-                cols.append(nf + c)
-                vals.append(-wim)
-                # imaginary row: wim * u + wre * v
-                rows_i.append(2 * nrows + 1)
-                cols.append(c)
-                vals.append(wim)
-                rows_i.append(2 * nrows + 1)
-                cols.append(nf + c)
-                vals.append(wre)
-        b_rows.append(rhs)
-        nrows += 1
+def _solve_blocks(A, b: np.ndarray, col_comp: np.ndarray, n_comp: int):
+    """Least-squares solution of A x = b through one factorization of A^T A.
 
-    if nrows == 0:
-        raise DegenerateIslandError("no positive-area triangles in component")
-
-    uv = np.zeros((nv, 2))
-    for i, xy in pin_index.items():
-        uv[i] = xy
-
-    if nf > 0:
-        A = sp.coo_matrix(
-            (vals, (rows_i, cols)), shape=(2 * nrows, 2 * nf)
-        ).tocsr()
-        b = np.concatenate(b_rows)
-        K = (A.T @ A).tocsc()
-        rhs = A.T @ b
+    Returns ``(x, residual)`` with the relative normal-equation residual of
+    each block of columns; blocks above SOLVE_RESIDUAL_REL get one refinement
+    pass with the same factor.
+    """
+    K = (A.T @ A).tocsc()
+    rhs = A.T @ b
+    try:
         with np.errstate(all="ignore"):
-            x = spla.spsolve(K, rhs)
-        if not np.all(np.isfinite(x)):
-            raise SolveError("conformal system is singular")
-        res = np.linalg.norm(K @ x - rhs)
-        scale = max(np.linalg.norm(rhs), 1e-30)
-        if res > SOLVE_RESIDUAL_REL * scale:
-            # one refinement pass before giving up
-            x = x + spla.spsolve(K, rhs - K @ x)
-            res = np.linalg.norm(K @ x - rhs)
-            if res > SOLVE_RESIDUAL_REL * scale:
-                raise SolveError(
-                    f"normal-system residual {res / scale:.2e} above {SOLVE_RESIDUAL_REL}"
-                )
-        rel_res = res / scale
-        for i, c in free_col.items():
-            uv[i, 0] = x[c]
-            uv[i, 1] = x[nf + c]
-    else:
-        rel_res = 0.0
+            lu = spla.splu(K)
+            x = lu.solve(rhs)
+    except RuntimeError as exc:
+        raise SolveError("conformal system is singular") from exc
+    if not np.all(np.isfinite(x)):
+        raise SolveError("conformal system is singular")
 
-    for v, i in index.items():
-        uv_out[v] = uv[i]
-    return rel_res, [v for v, _ in pins]
+    def block_norm(r):
+        return np.sqrt(np.bincount(col_comp, weights=r * r, minlength=n_comp))
+
+    scale = np.maximum(block_norm(rhs), 1e-30)
+    res = block_norm(K @ x - rhs)
+    bad = res > SOLVE_RESIDUAL_REL * scale
+    if bad.any():
+        r = rhs - K @ x
+        r[~bad[col_comp]] = 0.0
+        x = x + lu.solve(r)
+        res = block_norm(K @ x - rhs)
+        worst = int(np.argmax(res / scale))
+        if res[worst] > SOLVE_RESIDUAL_REL * scale[worst]:
+            raise SolveError(
+                f"normal-system residual {res[worst] / scale[worst]:.2e} above {SOLVE_RESIDUAL_REL}"
+            )
+    return x, res / scale
+
+
+def _lscm(cut: CutMesh, faces: np.ndarray, nondisk_island: np.ndarray):
+    """Least-squares conformal maps of the given faces, solved as one system.
+
+    The faces split into connected components under shared cut edges,
+    numbered by their lowest face.  Each component has its own unknowns and
+    pins (see ``_pick_pins``; the extra pin goes to components of islands
+    flagged in ``nondisk_island``), so the normal equations are block
+    diagonal and one factorization solves them all.
+
+    Returns ``(uv, comp_island, comp_residual, pins)``: (V, 2) coordinates
+    for the cut vertices (a vertex in several components keeps the value of
+    the last one), the island and the relative residual of each component,
+    and the pinned vertices in component order.
+    """
+    n_vertices = len(cut.vertices)
+    tris = cut.triangles[faces]
+    _, face_edges, _ = index_edges(tris, n_vertices)
+    _, a, b = matched_corners(tris, face_edges)
+    n_comp, comp = _components(len(faces), a[:, 0] // 3, b[:, 0] // 3)
+    comp_island = cut.face_island[faces[np.unique(comp, return_index=True)[1]]]
+
+    # one node per (component, vertex), ordered by component, then vertex
+    keys, node = np.unique(comp[:, None] * n_vertices + tris, return_inverse=True)
+    node = node.reshape(-1, 3)
+    node_vertex = keys % n_vertices
+    node_comp = keys // n_vertices
+
+    pin_nodes = _pick_pins(node, node_comp, nondisk_island[comp_island])
+    pinned = np.zeros(len(keys), dtype=bool)
+    pinned[pin_nodes[pin_nodes >= 0]] = True
+    node_uv = np.zeros((len(keys), 2))
+    node_uv[pin_nodes[:, 1]] = (1.0, 0.0)
+    node_uv[pin_nodes[pin_nodes[:, 2] >= 0, 2]] = (0.5, 1.0)
+
+    # unknowns: per component, the u of its free nodes, then their v
+    free = ~pinned
+    n_free = np.bincount(node_comp[free], minlength=n_comp)
+    col_u = np.cumsum(free) - 1 + (np.cumsum(n_free) - n_free)[node_comp]
+    col_v = col_u + n_free[node_comp]
+    col_comp = np.empty(2 * int(n_free.sum()), dtype=np.int64)
+    col_comp[col_u[free]] = node_comp[free]
+    col_comp[col_v[free]] = node_comp[free]
+
+    # one complex equation per positive-area face, rows grouped by component
+    E, a2, good = _local_frames(cut.vertices[tris])
+    areas = a2 / 2.0
+    live = good & (areas > 0)
+    if (np.bincount(comp[live], minlength=n_comp) == 0).any():
+        raise DegenerateIslandError("no positive-area triangles in component")
+    eq_faces = np.flatnonzero(live)[np.argsort(comp[live], kind="stable")]
+    w = 1.0 / np.sqrt(areas[eq_faces])
+    e00, e01, e11 = E[eq_faces, 0, 0], E[eq_faces, 0, 1], E[eq_faces, 1, 1]
+    # per-corner complex weights (x3 - x2, x1 - x3, x2 - x1) in the local frame
+    wre = w[:, None] * np.stack([e01 - e00, 0.0 - e01, e00], axis=1)
+    wim = w[:, None] * np.stack([e11, 0.0 - e11, np.zeros_like(e11)], axis=1)
+    corner = node[eq_faces]
+    fixed = pinned[corner]
+    u, v = node_uv[corner, 0], node_uv[corner, 1]
+    # pinned corners move to the right-hand side: (re, im) rows per equation
+    b = -np.stack(
+        [np.where(fixed, wre * u - wim * v, 0.0).sum(axis=1),
+         np.where(fixed, wim * u + wre * v, 0.0).sum(axis=1)],
+        axis=1,
+    ).ravel()
+    row = np.broadcast_to(2 * np.arange(len(eq_faces))[:, None], corner.shape)[~fixed]
+    cu, cv = col_u[corner][~fixed], col_v[corner][~fixed]
+    A = sp.csr_matrix(
+        (
+            np.concatenate([wre[~fixed], -wim[~fixed], wim[~fixed], wre[~fixed]]),
+            (np.concatenate([row, row, row + 1, row + 1]), np.concatenate([cu, cv, cu, cv])),
+        ),
+        shape=(len(b), len(col_comp)),
+    )
+
+    residual = np.zeros(n_comp)
+    if len(col_comp):
+        x, residual = _solve_blocks(A, b, col_comp, n_comp)
+        node_uv[free, 0] = x[col_u[free]]
+        node_uv[free, 1] = x[col_v[free]]
+
+    uv = np.zeros((n_vertices, 2))
+    last = len(keys) - 1 - np.unique(node_vertex[::-1], return_index=True)[1]
+    uv[node_vertex[last]] = node_uv[last]
+    return uv, comp_island, residual, node_vertex[pin_nodes[pin_nodes >= 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +401,22 @@ class UVAtlas:
 
 def unwrap_atlas(cut: CutMesh) -> UVAtlas:
     """Parameterize every island and assemble deformation data."""
-    areas = 0.5 * np.linalg.norm(
-        np.cross(
-            cut.vertices[cut.triangles[:, 1]] - cut.vertices[cut.triangles[:, 0]],
-            cut.vertices[cut.triangles[:, 2]] - cut.vertices[cut.triangles[:, 0]],
-        ),
-        axis=1,
-    )
-    total = areas.sum()
-    excluded = areas < AREA_EXCLUDE_REL * max(total, np.finfo(float).tiny)
+    _, a2, _ = _local_frames(cut.vertices[cut.triangles])
+    areas = a2 / 2.0
+    excluded = areas < AREA_EXCLUDE_REL * max(areas.sum(), np.finfo(float).tiny)
 
+    chi = _island_chi(cut)
+    nondisk = np.flatnonzero(chi != 1)
+    for island in nondisk:
+        logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi[island])
+    empty = np.flatnonzero(np.bincount(cut.face_island[~excluded], minlength=cut.n_islands) == 0)
+    if len(empty):
+        raise DegenerateIslandError(f"island {empty[0]} has only degenerate triangles")
+    residuals = np.zeros(cut.n_islands)
     uv = np.zeros((len(cut.vertices), 2))
-    nondisk = []
-    residuals = []
-    for island in range(cut.n_islands):
-        param = parameterize_island(cut, island, excluded=excluded)
-        uv[param.vertex_ids] = param.uv
-        if param.nondisk:
-            nondisk.append(island)
-        residuals.append(param.residual)
+    if cut.n_islands:
+        uv, comp_island, comp_residual, _ = _lscm(cut, np.flatnonzero(~excluded), chi != 1)
+        np.maximum.at(residuals, comp_island, comp_residual)
 
     sigma = np.full((len(cut.triangles), 2), np.nan)
     live = ~excluded
@@ -497,8 +432,8 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
         sigma=sigma,
         area3d=areas,
         excluded=excluded,
-        nondisk_islands=tuple(nondisk),
-        residuals=tuple(residuals),
+        nondisk_islands=tuple(nondisk.tolist()),
+        residuals=tuple(residuals.tolist()),
     )
 
 

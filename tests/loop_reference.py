@@ -1,0 +1,333 @@
+"""Per-element loop implementations of the cut-and-unwrap core, kept as the reference.
+
+``seamkit`` computes edge incidence, UV seams, cuts, islands and the LSCM
+system with array operations and ``scipy.sparse.csgraph``.  These are the
+straightforward Python-loop versions of the same algorithms (breadth-first
+islands, a union-find over corners, per-edge corner scans, per-face LSCM
+assembly with one solve per connected component).  ``test_equivalence.py``
+requires the array code to reproduce their discrete outputs exactly and
+their UVs to a fixed tolerance.
+"""
+
+from collections import deque
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from seamkit.mesh import UV_SEAM_TOL, SeamEdgeSet
+from seamkit.unwrap import (
+    AREA_EXCLUDE_REL,
+    SOLVE_RESIDUAL_REL,
+    CutContractError,
+    CutMesh,
+    DegenerateIslandError,
+    IslandParam,
+    SolveError,
+    UnwrapError,
+    _local_frames,
+)
+
+
+def edge_faces(mesh):
+    """(edges, faces_per_edge): sorted vertex pairs and the incident faces of each."""
+    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    faces_per_edge = [[] for _ in range(len(edges))]
+    for corner, e in enumerate(np.asarray(inverse).ravel()):
+        faces_per_edge[e].append(corner // 3)
+    return edges, faces_per_edge
+
+
+def extract_uv_seams(mesh, tol=UV_SEAM_TOL):
+    uv = mesh.uv_corners
+    tri = mesh.triangles
+    edges, faces_per_edge = edge_faces(mesh)
+    seams = set()
+    for e, faces in enumerate(faces_per_edge):
+        if len(faces) < 2:
+            continue
+        a, b = edges[e]
+        mismatch = False
+        for i in range(len(faces)):
+            for j in range(i + 1, len(faces)):
+                fa, fb = faces[i], faces[j]
+                for v in (a, b):
+                    ka = int(np.where(tri[fa] == v)[0][0])
+                    kb = int(np.where(tri[fb] == v)[0][0])
+                    if np.max(np.abs(uv[3 * fa + ka] - uv[3 * fb + kb])) > tol:
+                        mismatch = True
+            if mismatch:
+                break
+        if mismatch:
+            seams.add((int(a), int(b)))
+    return SeamEdgeSet(edges=frozenset(seams))
+
+
+class UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def cut_mesh(mesh, seams):
+    edges, faces_per_edge = edge_faces(mesh)
+    edge_ids = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
+    seam_ids = set()
+    for a, b in seams.edges:
+        eid = edge_ids.get((a, b) if a < b else (b, a))
+        if eid is None:
+            raise CutContractError(f"seam edge ({a}, {b}) is not a mesh edge")
+        seam_ids.add(eid)
+
+    n_faces = mesh.n_triangles
+    tri = mesh.triangles
+
+    face_adj = [[] for _ in range(n_faces)]
+    for eid, faces in enumerate(faces_per_edge):
+        if eid in seam_ids or len(faces) < 2:
+            continue
+        for i in range(len(faces)):
+            for j in range(i + 1, len(faces)):
+                face_adj[faces[i]].append(faces[j])
+                face_adj[faces[j]].append(faces[i])
+
+    face_island = np.full(n_faces, -1, dtype=np.int64)
+    n_islands = 0
+    for start in range(n_faces):
+        if face_island[start] != -1:
+            continue
+        queue = deque([start])
+        face_island[start] = n_islands
+        while queue:
+            f = queue.popleft()
+            for g in face_adj[f]:
+                if face_island[g] == -1:
+                    face_island[g] = n_islands
+                    queue.append(g)
+        n_islands += 1
+
+    slot_of = [{int(tri[f, k]): k for k in range(3)} for f in range(n_faces)]
+    uf = UnionFind(3 * n_faces)
+    for eid, faces in enumerate(faces_per_edge):
+        if eid in seam_ids or len(faces) < 2:
+            continue
+        a, b = (int(x) for x in edges[eid])
+        for i in range(len(faces)):
+            for j in range(i + 1, len(faces)):
+                fa, fb = faces[i], faces[j]
+                for v in (a, b):
+                    uf.union(3 * fa + slot_of[fa][v], 3 * fb + slot_of[fb][v])
+
+    wedge_id = {}
+    new_tri = np.empty_like(tri)
+    new_pos = []
+    new_orig = []
+    for f in range(n_faces):
+        for k in range(3):
+            root = uf.find(3 * f + k)
+            if root not in wedge_id:
+                wedge_id[root] = len(new_pos)
+                new_pos.append(mesh.vertices[tri[f, k]])
+                new_orig.append(int(tri[f, k]))
+            new_tri[f, k] = wedge_id[root]
+
+    return CutMesh(
+        vertices=np.asarray(new_pos, dtype=np.float64).reshape(-1, 3),
+        triangles=new_tri,
+        orig_vertex=np.asarray(new_orig, dtype=np.int64),
+        face_island=face_island,
+        n_islands=n_islands,
+    )
+
+
+def _bfs_farthest(adj, starts):
+    dist = {s: 0 for s in starts}
+    queue = deque(starts)
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    best = max(dist.values())
+    return min(v for v, d in dist.items() if d == best)
+
+
+def parameterize_island(cut, island, excluded=None):
+    faces = np.flatnonzero(cut.face_island == island)
+    if len(faces) == 0:
+        raise UnwrapError(f"island {island} has no faces")
+    tris = cut.triangles[faces]
+    verts = np.unique(tris)
+
+    edge_set = set()
+    for t in tris:
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            edge_set.add((min(t[i], t[j]), max(t[i], t[j])))
+    chi = len(verts) - len(edge_set) + len(tris)
+    nondisk = chi != 1
+
+    active = faces[~excluded[faces]] if excluded is not None else faces
+    if len(active) == 0:
+        raise DegenerateIslandError(f"island {island} has only degenerate triangles")
+
+    uv_full = np.zeros((len(cut.vertices), 2))
+    residual = 0.0
+    pins_used = []
+    for comp in _active_components(cut, active):
+        res, pins = _solve_component(cut, comp, nondisk, uv_full)
+        residual = max(residual, res)
+        pins_used.extend(pins)
+
+    return IslandParam(
+        vertex_ids=verts,
+        uv=uv_full[verts],
+        pins=tuple(pins_used),
+        nondisk=nondisk,
+        residual=residual,
+    )
+
+
+def _active_components(cut, active_faces):
+    edge_faces_ = {}
+    for f in active_faces:
+        t = cut.triangles[f]
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            key = (min(t[i], t[j]), max(t[i], t[j]))
+            edge_faces_.setdefault(key, []).append(int(f))
+    adj = {int(f): [] for f in active_faces}
+    for fs in edge_faces_.values():
+        for i in range(len(fs)):
+            for j in range(i + 1, len(fs)):
+                adj[fs[i]].append(fs[j])
+                adj[fs[j]].append(fs[i])
+    seen = set()
+    for f in sorted(adj):
+        if f in seen:
+            continue
+        comp = [f]
+        seen.add(f)
+        queue = deque([f])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    queue.append(v)
+        yield np.asarray(sorted(comp))
+
+
+def _solve_component(cut, faces, nondisk, uv_out):
+    tris = cut.triangles[faces]
+    verts = np.unique(tris)
+    index = {int(v): i for i, v in enumerate(verts)}
+    nv = len(verts)
+
+    adj = {int(v): set() for v in verts}
+    for t in tris:
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            adj[int(t[i])].add(int(t[j]))
+            adj[int(t[j])].add(int(t[i]))
+    p0 = _bfs_farthest(adj, [int(verts.min())])
+    p1 = _bfs_farthest(adj, [p0])
+    pins = [(p0, (0.0, 0.0)), (p1, (1.0, 0.0))]
+    if nondisk:
+        extra = _bfs_farthest(adj, [p0, p1])
+        if extra not in (p0, p1):
+            pins.append((extra, (0.5, 1.0)))
+
+    E, a2, good = _local_frames(cut.vertices[tris])
+    areas = a2 / 2.0
+    rows_i, cols, vals = [], [], []
+    nrows = 0
+    pin_index = {index[v]: np.asarray(xy) for v, xy in pins}
+    free = [i for i in range(nv) if i not in pin_index]
+    free_col = {i: c for c, i in enumerate(free)}
+    nf = len(free)
+    b_rows = []
+
+    for f in range(len(faces)):
+        if not good[f] or areas[f] <= 0:
+            continue
+        w = 1.0 / np.sqrt(areas[f])
+        x1 = np.array([0.0, 0.0])
+        x2 = np.array([E[f, 0, 0], 0.0])
+        x3 = np.array([E[f, 0, 1], E[f, 1, 1]])
+        W = np.array([x3 - x2, x1 - x3, x2 - x1])
+        rhs = np.zeros(2)
+        for k in range(3):
+            i = index[int(tris[f, k])]
+            wre, wim = w * W[k]
+            if i in pin_index:
+                u, v = pin_index[i]
+                rhs[0] -= wre * u - wim * v
+                rhs[1] -= wim * u + wre * v
+            else:
+                c = free_col[i]
+                rows_i += [2 * nrows, 2 * nrows, 2 * nrows + 1, 2 * nrows + 1]
+                cols += [c, nf + c, c, nf + c]
+                vals += [wre, -wim, wim, wre]
+        b_rows.append(rhs)
+        nrows += 1
+
+    if nrows == 0:
+        raise DegenerateIslandError("no positive-area triangles in component")
+
+    uv = np.zeros((nv, 2))
+    for i, xy in pin_index.items():
+        uv[i] = xy
+
+    rel_res = 0.0
+    if nf > 0:
+        A = sp.coo_matrix((vals, (rows_i, cols)), shape=(2 * nrows, 2 * nf)).tocsr()
+        b = np.concatenate(b_rows)
+        K = (A.T @ A).tocsc()
+        rhs = A.T @ b
+        with np.errstate(all="ignore"):
+            x = spla.spsolve(K, rhs)
+        if not np.all(np.isfinite(x)):
+            raise SolveError("conformal system is singular")
+        res = np.linalg.norm(K @ x - rhs)
+        scale = max(np.linalg.norm(rhs), 1e-30)
+        if res > SOLVE_RESIDUAL_REL * scale:
+            x = x + spla.spsolve(K, rhs - K @ x)
+            res = np.linalg.norm(K @ x - rhs)
+            if res > SOLVE_RESIDUAL_REL * scale:
+                raise SolveError(f"normal-system residual {res / scale:.2e}")
+        rel_res = res / scale
+        for i, c in free_col.items():
+            uv[i, 0] = x[c]
+            uv[i, 1] = x[nf + c]
+
+    for v, i in index.items():
+        uv_out[v] = uv[i]
+    return rel_res, [v for v, _ in pins]
+
+
+def unwrap_uv(cut):
+    """(uv, excluded, nondisk_islands, residuals) as the per-island loop computes them."""
+    p = cut.vertices[cut.triangles]
+    areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    excluded = areas < AREA_EXCLUDE_REL * max(areas.sum(), np.finfo(float).tiny)
+    uv = np.zeros((len(cut.vertices), 2))
+    nondisk = []
+    residuals = []
+    for island in range(cut.n_islands):
+        param = parameterize_island(cut, island, excluded=excluded)
+        uv[param.vertex_ids] = param.uv
+        if param.nondisk:
+            nondisk.append(island)
+        residuals.append(param.residual)
+    return uv, excluded, tuple(nondisk), tuple(residuals)

@@ -177,6 +177,52 @@ def test_unwrap_writes_obj_with_uvs(cube_obj, tmp_path):
     assert atlas_mesh.has_uvs
 
 
+def _count_calls(monkeypatch, fn, *modules):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_unwrap_json_out_solves_once(cube_obj, tmp_path, monkeypatch):
+    from seamkit import metrics, unwrap
+
+    solves = _count_calls(monkeypatch, unwrap.unwrap_atlas, unwrap, metrics)
+    out = tmp_path / "atlas.obj"
+    js = tmp_path / "metrics.json"
+    args = ["unwrap", str(cube_obj), "--from-uv", "--obj-out", str(out), "--json-out", str(js)]
+    assert main(args) == 0
+    assert len(solves) == 1
+    assert json.loads(js.read_text())["fragments"] == 6
+    assert load_obj(out.read_text()).has_uvs
+
+
+def test_evaluate_normalizes_once(grid_obj, tmp_path, monkeypatch):
+    from seamkit import cli, metrics
+    from seamkit import mesh as mesh_mod
+
+    calls = _count_calls(monkeypatch, mesh_mod.normalize, cli, metrics)
+    seams = tmp_path / "empty.seams"
+    seams.write_text("# no segments\n")
+    assert main(["evaluate", str(grid_obj), str(seams)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("record", ["v nan 0 0", "v inf 0 1", "vt 0 -inf"])
+def test_evaluate_non_finite_obj_exit_2(tmp_path, capsys, record):
+    lines = ["v 0 0 0", record, "v 1 0 0", "v 0 1 0", "vt 0 0", "vt 1 0", "vt 0 1", "f 1/1 2/2 3/3"]
+    path = tmp_path / "bad.obj"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", str(path), "--from-uv"]) == 2
+    err = capsys.readouterr().err
+    assert "OBJ line 2: non-finite" in err
+
+
 def test_sample_points(grid_obj, tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n_topo = 128\nn_geom = 96\n")
