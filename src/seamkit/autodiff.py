@@ -3,7 +3,8 @@
 Just enough machinery for the seam generator: broadcast arithmetic, (batched)
 matmul, reshapes, gathers, reductions, softmax-family primitives, GELU, and
 the pooling ops the hourglass decoder needs.  Gradient correctness is pinned
-by finite-difference tests rather than by construction.
+by finite-difference tests rather than by construction.  An op whose inputs
+need no gradient returns a leaf, so inference builds no graph.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ class Tensor:
     def __init__(self, value, parents=(), vjps=(), requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self.vjps = vjps
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        # an op on inputs that need no gradient is a leaf: keeping its parents
+        # and VJP closures would only hold memory no backward pass reads
+        self.parents = parents if self.requires_grad else ()
+        self.vjps = vjps if self.requires_grad else ()
 
     @property
     def shape(self):
@@ -113,29 +116,34 @@ def scale(a, s: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """2D or batched-3D matrix product (batch dims must match exactly)."""
+    """Matrix product over the last two axes; leading (batch) axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
 
     def swap(x):
         return np.swapaxes(x, -1, -2)
 
+    x, w = a.value, b.value
+    if x.ndim > 2 and w.ndim == 2:
+        # one (rows, k) @ (k, m) product instead of one per batch entry
+        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+    else:
+        out = x @ w
     return Tensor(
-        a.value @ b.value,
+        out,
         parents=(a, b),
         vjps=(
-            lambda g: g @ swap(b.value),
-            lambda g: swap(a.value) @ g,
+            lambda g: _unbroadcast(g @ swap(b.value), a.value.shape),
+            lambda g: _unbroadcast(swap(a.value) @ g, b.value.shape),
         ),
     )
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    inverse = np.argsort(axes)
     return Tensor(
         np.transpose(a.value, axes),
         parents=(a,),
-        vjps=(lambda g: np.transpose(g, inverse),),
+        vjps=(lambda g: np.transpose(g, np.argsort(axes)),),
     )
 
 
@@ -147,18 +155,19 @@ def reshape(a, shape) -> Tensor:
     )
 
 
-def concat_rows(tensors) -> Tensor:
-    """Concatenate along axis 0."""
+def concat_rows(tensors, axis: int = 0) -> Tensor:
+    """Concatenate along ``axis`` (rows by default)."""
     ts = [as_tensor(t) for t in tensors]
-    sizes = [t.value.shape[0] for t in ts]
+    sizes = [t.value.shape[axis] for t in ts]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    lead = (slice(None),) * (axis % ts[0].value.ndim)
 
     def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[lo:hi]
+        index = lead + (slice(offsets[i], offsets[i + 1]),)
+        return lambda g: g[index]
 
     return Tensor(
-        np.concatenate([t.value for t in ts], axis=0),
+        np.concatenate([t.value for t in ts], axis=axis),
         parents=tuple(ts),
         vjps=tuple(make_vjp(i) for i in range(len(ts))),
     )
@@ -253,10 +262,9 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     z = a.value - a.value.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = z - lse
-    s = np.exp(out)
 
     def vjp(g):
-        return g - s * g.sum(axis=axis, keepdims=True)
+        return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
 
     return Tensor(out, parents=(a,), vjps=(vjp,))
 
@@ -288,39 +296,55 @@ def log_sigmoid(a) -> Tensor:
     return Tensor(out, parents=(a,), vjps=(vjp,))
 
 
-def mean_pool_causal(a, factor: int) -> Tensor:
+def mean_pool_causal(a, factor: int, start: int = 0) -> Tensor:
     """Shift right by (factor - 1) rows, zero-pad, mean-pool groups of `factor`.
 
-    Pooled row k therefore depends only on input rows <= k * factor, which
-    preserves autoregressive causality across the downsampling.
+    Rows are axis -2; leading axes are batch axes.  Pooled row k is the mean
+    of input rows k * factor - (factor - 1) .. k * factor (zero below row 0),
+    so it depends only on input rows <= k * factor, which preserves
+    autoregressive causality across the downsampling.  Of the
+    ceil(n / factor) pooled rows, rows ``start`` onward are returned: a
+    decoder that caches the earlier ones pools only the rows it lacks.
     """
     a = as_tensor(a)
-    n, d = a.value.shape
+    shape = a.value.shape
+    lead, n, d = shape[:-2], shape[-2], shape[-1]
     m = -(-n // factor)  # ceil
-    shifted = np.zeros((m * factor, d))
-    usable = min(n, m * factor - (factor - 1))
-    shifted[factor - 1 : factor - 1 + usable] = a.value[:usable]
-    out = shifted.reshape(m, factor, d).mean(axis=1)
+    lo = start * factor - (factor - 1)  # input row under the first pooled slot
+    hi = (m - 1) * factor + 1  # one past the last input row used
+    src = max(lo, 0)
+    window = np.zeros(lead + ((m - start) * factor, d))
+    window[..., src - lo :, :] = a.value[..., src:hi, :]
+    out = window.reshape(lead + (m - start, factor, d)).mean(axis=-2)
 
     def vjp(g):
-        spread = np.repeat(g / factor, factor, axis=0)
-        grad = np.zeros((n, d))
-        grad[:usable] = spread[factor - 1 : factor - 1 + usable]
+        spread = np.repeat(g / factor, factor, axis=-2)
+        grad = np.zeros(shape)
+        grad[..., src:hi, :] = spread[..., src - lo :, :]
         return grad
 
     return Tensor(out, parents=(a,), vjps=(vjp,))
 
 
-def repeat_upsample(a, factor: int, out_len: int) -> Tensor:
-    """Repeat each row `factor` times and truncate to out_len rows."""
+def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor:
+    """Repeat each row `factor` times and truncate to out_len rows.
+
+    Rows are axis -2; leading axes are batch axes.  Output row r is input row
+    r // factor; rows ``start`` .. out_len - 1 are returned.
+    """
     a = as_tensor(a)
-    m, d = a.value.shape
-    rep = np.repeat(a.value, factor, axis=0)[:out_len]
+    shape = a.value.shape
+    lead, m, d = shape[:-2], shape[-2], shape[-1]
+    first = start // factor  # input row of output row `start`
+    lo, hi = start - first * factor, out_len - first * factor
+    rep = np.repeat(a.value[..., first:, :], factor, axis=-2)[..., lo:hi, :]
 
     def vjp(g):
-        full = np.zeros((m * factor, d))
-        full[:out_len] = g
-        return full.reshape(m, factor, d).sum(axis=1)
+        full = np.zeros(lead + ((m - first) * factor, d))
+        full[..., lo:hi, :] = g
+        grad = np.zeros(shape)
+        grad[..., first:, :] = full.reshape(lead + (m - first, factor, d)).sum(axis=-2)
+        return grad
 
     return Tensor(rep, parents=(a,), vjps=(vjp,))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -90,6 +91,28 @@ CONFIG_DEFAULTS = {
 }
 
 
+# Allowed values, checked in this order (a range may name an earlier key):
+# key -> (test of the value against the whole config, the allowed range).
+CONFIG_RANGES = {
+    "l": (lambda v, c: v >= 1, ">= 1"),
+    "d": (lambda v, c: v >= 1, ">= 1"),
+    "layers": (lambda v, c: v >= 4, ">= 4"),
+    "heads": (lambda v, c: v >= 1 and c["d"] % v == 0, "a divisor of d"),
+    "max_segments": (lambda v, c: v >= 1, ">= 1"),
+    "model_seed": (lambda v, c: v >= 0, ">= 0"),
+    "n_topo": (lambda v, c: v >= c["l"], ">= l"),
+    "n_geom": (lambda v, c: v >= c["l"], ">= l"),
+    "n_candidates": (lambda v, c: v >= 1, ">= 1"),
+    "temperature": (lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
+    "top_p": (lambda v, c: 0 < v <= 1, "in (0, 1]"),
+    "beta": (lambda v, c: 0 < v < math.inf, "> 0 and finite"),
+    "lr": (lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
+    "steps": (lambda v, c: v >= 0, ">= 0"),
+    "mode": (lambda v, c: v in dpo_mod.PAIRING_MODES, "one of " + ", ".join(dpo_mod.PAIRING_MODES)),
+    "seed": (lambda v, c: v >= 0, ">= 0"),
+}
+
+
 def parse_config(text: str) -> dict:
     values = dict(CONFIG_DEFAULTS)
     unknown = []
@@ -118,6 +141,11 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
         cfg = parse_config(_read_file(path))
     if seed_override is not None:
         cfg["seed"] = seed_override
+    for key, (allowed, description) in CONFIG_RANGES.items():
+        if not allowed(cfg[key], cfg):
+            raise InputError(
+                f"config key {key} = {cfg[key]!r} is out of range: allowed {description}"
+            )
     return cfg
 
 
@@ -312,17 +340,17 @@ def cmd_sample(args) -> int:
         norm, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=cfg["seed"]
     )
     cond = model_mod.encode_condition(clouds, params)
-    outputs = []
-    timings = {"setup": time.perf_counter() - t0}
     t1 = time.perf_counter()
-    for i in range(cfg["n_candidates"]):
-        result = model_mod.sample(
-            cond,
-            params,
-            temperature=cfg["temperature"],
-            top_p=cfg["top_p"],
-            seed=cfg["seed"] + i,
-        )
+    results = model_mod.sample_batch(
+        cond,
+        params,
+        temperature=cfg["temperature"],
+        top_p=cfg["top_p"],
+        seeds=[cfg["seed"] + i for i in range(cfg["n_candidates"])],
+    )
+    t2 = time.perf_counter()
+    outputs = []
+    for i, result in enumerate(results):
         seams = tokenizer.decode(result.tokens)
         seam_path = os.path.join(args.out_dir, f"cand_{i}.seams")
         _write_atomic(seam_path, tokenizer.write_seam_text(seams))
@@ -330,8 +358,15 @@ def cmd_sample(args) -> int:
         json_path = os.path.join(args.out_dir, f"cand_{i}.json")
         _write_atomic(json_path, metrics.to_json())
         outputs.extend([seam_path, json_path])
-    timings["sample_and_evaluate"] = time.perf_counter() - t1
-    run_info = {"mesh": os.path.abspath(args.mesh), "seed": cfg["seed"]}
+    timings = {"encode": t1 - t0, "decode": t2 - t1, "metrics": time.perf_counter() - t2}
+    run_info = {
+        "mesh": os.path.abspath(args.mesh),
+        "seed": cfg["seed"],
+        "candidates": [
+            {"index": i, "n_steps": r.n_steps, "malformed": r.malformed}
+            for i, r in enumerate(results)
+        ],
+    }
     info_path = os.path.join(args.out_dir, "run.json")
     _write_atomic(info_path, json.dumps(run_info, sort_keys=True) + "\n")
     outputs.append(info_path)

@@ -187,7 +187,7 @@ def _dpo_loss_t(pairs, policy_tensors, config, ref_logprobs, beta: float):
             ad.sub(lp_pos, ad.Tensor(ref_pos)), ad.sub(lp_neg, ad.Tensor(ref_neg))
         )
         margins.append(float(margin.value))
-        terms.append(ad.scale(ad.log_sigmoid(ad.scale(margin, beta)), -1.0))
+        terms.append(dpo_margin_loss(margin, beta))
     total = terms[0]
     for t in terms[1:]:
         total = ad.add(total, t)

@@ -8,6 +8,21 @@ level) and then by 2 (endpoint level) with shift-right mean pooling, and
 upsamples back with nearest-repeat plus residual merges; both resamplings
 preserve causality.  Layers follow a repeating pattern of three causal
 self-attention layers then one cross-attention layer over the condition.
+
+Decoding is incremental.  Because of that causality a row of any level,
+once created, never changes, so a decode keeps each self-attention layer's
+keys and values and each level's output rows, and a new token computes only
+the rows it creates: one coordinate row per token; an endpoint row when
+token index n = 3k arrives (the mean of coordinate outputs 3k-2 .. 3k, zero
+below 0); a valley row when endpoint row k is even (the mean of endpoint
+rows k-1, k); and the endpoint-post row k together with its endpoint row.
+The logits of token n are ``head(post[n // 3] + coord[n])``.  Cross-attention
+projects the condition once per decode.  The teacher-forced forward pass is
+the same code run once over the whole sequence from an empty cache.
+``sample_batch`` decodes several candidates for one condition as one batch;
+each candidate draws from its own seeded generator, and its logits match a
+decode of it alone up to float rounding, so a batch gives the samples of one
+``sample`` call per seed.
 """
 
 from __future__ import annotations
@@ -188,30 +203,42 @@ def init_parameters(config: ModelConfig, role: str = "policy") -> ParameterStore
 
 
 def _layer_norm(x, g, b):
-    mu = ad.mean_axis(x, axis=1, keepdims=True)
+    mu = ad.mean_axis(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
-    var = ad.mean_axis(ad.power(centered, 2.0), axis=1, keepdims=True)
+    var = ad.mean_axis(ad.power(centered, 2.0), axis=-1, keepdims=True)
     inv = ad.power(ad.add(var, ad.Tensor(LN_EPS)), -0.5)
     return ad.add(ad.mul(ad.mul(centered, inv), g), b)
 
 
+def _swapped(ndim: int, i: int, j: int) -> tuple:
+    axes = list(range(ndim))
+    axes[i], axes[j] = axes[j], axes[i]
+    return tuple(axes)
+
+
 def _split_heads(x, n_heads: int):
-    n, d = x.value.shape
-    dh = d // n_heads
-    return ad.transpose(ad.reshape(x, (n, n_heads, dh)), (1, 0, 2))
+    """(..., n, d) -> (..., heads, n, d / heads)."""
+    *lead, n, d = x.value.shape
+    split = ad.reshape(x, (*lead, n, n_heads, d // n_heads))
+    return ad.transpose(split, _swapped(split.value.ndim, -3, -2))
 
 
 def _merge_heads(x):
-    h, n, dh = x.value.shape
-    return ad.reshape(ad.transpose(x, (1, 0, 2)), (n, h * dh))
+    *lead, h, n, dh = x.value.shape
+    return ad.reshape(ad.transpose(x, _swapped(x.value.ndim, -3, -2)), (*lead, n, h * dh))
 
 
-def _attention(q_in, kv_in, p, prefix: str, n_heads: int, mask: np.ndarray | None):
-    q = _split_heads(ad.matmul(q_in, p[f"{prefix}.wq"]), n_heads)
+def _project_kv(kv_in, p, prefix: str, n_heads: int):
     k = _split_heads(ad.matmul(kv_in, p[f"{prefix}.wk"]), n_heads)
     v = _split_heads(ad.matmul(kv_in, p[f"{prefix}.wv"]), n_heads)
+    return k, v
+
+
+def _attention(q_in, k, v, p, prefix: str, n_heads: int, mask: np.ndarray | None):
+    q = _split_heads(ad.matmul(q_in, p[f"{prefix}.wq"]), n_heads)
     dh = q.value.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    kt = ad.transpose(k, _swapped(k.value.ndim, -1, -2))
+    scores = ad.scale(ad.matmul(q, kt), 1.0 / np.sqrt(dh))
     if mask is not None:
         scores = ad.add(scores, ad.Tensor(mask))
     weights = ad.softmax(scores, axis=-1)
@@ -224,20 +251,24 @@ def _ff(x, p, prefix: str):
     return ad.add(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
 
-def _decoder_layer(x, cond, p, i: int, n_heads: int, causal_mask: np.ndarray):
+def _decoder_layer(x, state: _DecodeState, i: int, causal_mask: np.ndarray | None):
+    p = state.p
     normed = _layer_norm(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
-    if _is_cross_layer(i):
-        ctx = _layer_norm(cond, p[f"dec.{i}.lnctx.g"], p[f"dec.{i}.lnctx.b"])
-        att = _attention(normed, ctx, p, f"dec.{i}.attn", n_heads, mask=None)
-    else:
-        att = _attention(normed, normed, p, f"dec.{i}.attn", n_heads, mask=causal_mask)
+    k, v = state.keys_values(i, normed)
+    mask = None if _is_cross_layer(i) else causal_mask
+    att = _attention(normed, k, v, p, f"dec.{i}.attn", state.config.n_heads, mask)
     x = ad.add(x, att)
     ff = _ff(_layer_norm(x, p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"]), p, f"dec.{i}.ff")
     return ad.add(x, ff)
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    return np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, MASK_VALUE)
+def _causal_mask(n_new: int, n_total: int) -> np.ndarray | None:
+    """Additive mask of the last ``n_new`` of ``n_total`` rows over all of them;
+    None when no row has a later one to hide (a single new row)."""
+    if n_new == 1:
+        return None
+    visible = np.tri(n_new, n_total, n_total - n_new, dtype=bool)
+    return np.where(visible, 0.0, MASK_VALUE)
 
 
 def _canonical_cloud(points: np.ndarray) -> np.ndarray:
@@ -258,7 +289,8 @@ def _encode_branch(points: np.ndarray, p, branch: str, config: ModelConfig):
     queries = ad.gather_rows(feats, anchors)
     q_norm = _layer_norm(queries, p[f"enc.{branch}.attn.lnq.g"], p[f"enc.{branch}.attn.lnq.b"])
     kv_norm = _layer_norm(feats, p[f"enc.{branch}.attn.lnkv.g"], p[f"enc.{branch}.attn.lnkv.b"])
-    att = _attention(q_norm, kv_norm, p, f"enc.{branch}.attn", config.n_heads, mask=None)
+    k, v = _project_kv(kv_norm, p, f"enc.{branch}.attn", config.n_heads)
+    att = _attention(q_norm, k, v, p, f"enc.{branch}.attn", config.n_heads, mask=None)
     x = ad.add(queries, att)
     ff = _ff(_layer_norm(x, p[f"enc.{branch}.ff.ln.g"], p[f"enc.{branch}.ff.ln.b"]), p, f"enc.{branch}.ff")
     return ad.add(x, ff)
@@ -276,53 +308,104 @@ def encode_condition(clouds: ConditioningClouds, params: ParameterStore) -> np.n
     return _encode_condition_t(clouds, p, params.config).value
 
 
-def _decoder_logits_t(tokens: np.ndarray, cond, p, config: ModelConfig):
-    n = len(tokens)
-    if n < 1:
+class _DecodeState:
+    """Per-layer K/V caches and per-level output rows of one decode.
+
+    Rows carry any leading batch axes of the tokens.  Each call of
+    ``_decode_t`` appends the rows its new tokens create (the rules are in
+    the module docstring).  Self-attention layers append their new keys and
+    values; cross-attention layers project the condition once, here.
+    """
+
+    def __init__(self, cond, p, config: ModelConfig):
+        self.p = p
+        self.config = config
+        self.n_tokens = 0
+        self.rows: dict[str, ad.Tensor] = {}
+        self.kv: dict[int, tuple] = {}
+        cond = ad.add(cond, ad.slice_rows(p["embed.cond_pos"], 0, cond.value.shape[0]))
+        for i in range(config.n_layers):
+            if _is_cross_layer(i):
+                ctx = _layer_norm(cond, p[f"dec.{i}.lnctx.g"], p[f"dec.{i}.lnctx.b"])
+                self.kv[i] = _project_kv(ctx, p, f"dec.{i}.attn", config.n_heads)
+
+    def keys_values(self, i: int, normed):
+        """Keys and values layer i attends to: the condition's, or every row so far."""
+        if _is_cross_layer(i):
+            return self.kv[i]
+        k, v = _project_kv(normed, self.p, f"dec.{i}.attn", self.config.n_heads)
+        if i in self.kv:
+            k_old, v_old = self.kv[i]
+            k = ad.concat_rows([k_old, k], axis=-2)
+            v = ad.concat_rows([v_old, v], axis=-2)
+        self.kv[i] = (k, v)
+        return k, v
+
+    def run_level(self, level: str, x, layers):
+        """Run ``layers`` on the new rows ``x`` of ``level``; keep their outputs."""
+        old = self.rows.get(level)
+        n_new = x.value.shape[-2]
+        n_total = n_new + (0 if old is None else old.value.shape[-2])
+        mask = _causal_mask(n_new, n_total)
+        for i in layers:
+            x = _decoder_layer(x, self, i, mask)
+        self.rows[level] = x if old is None else ad.concat_rows([old, x], axis=-2)
+        return x
+
+    def keep_batch(self, batch_rows) -> None:
+        """Keep only these entries of the batch axis (a decode without gradients)."""
+        idx = np.asarray(batch_rows, dtype=np.int64)
+        self.rows = {k: ad.Tensor(t.value[idx]) for k, t in self.rows.items()}
+        self.kv = {
+            i: kv if _is_cross_layer(i) else tuple(ad.Tensor(t.value[idx]) for t in kv)
+            for i, kv in self.kv.items()
+        }
+
+
+def _decode_t(state: _DecodeState, tokens: np.ndarray):
+    """Append ``tokens`` (..., c) to the decode; next-token logits (..., c, vocab).
+
+    Position i of the result depends only on tokens <= i.  From a fresh state
+    this is the full teacher-forced forward pass.
+    """
+    config, p = state.config, state.p
+    n0 = state.n_tokens
+    n1 = n0 + tokens.shape[-1]
+    if tokens.size == 0:
         raise ModelError("prefix must contain at least BOS")
     if tokens.min() < 0 or tokens.max() >= config.vocab_size:
         raise ModelError("token id outside the vocabulary")
-    if n > config.max_seq_len:
-        raise ModelError(f"sequence length {n} exceeds cap {config.max_seq_len}")
+    if n1 > config.max_seq_len:
+        raise ModelError(f"sequence length {n1} exceeds cap {config.max_seq_len}")
+    state.n_tokens = n1
+    n_coord, n_ep_pre, n_valley, _ = config.stage_layers()
+    ep_pre = n_coord + n_ep_pre
+    valley = ep_pre + n_valley
+    cf, ef = config.coord_factor, config.endpoint_factor
 
     x = ad.add(
         ad.gather_rows(p["embed.token"], tokens),
-        ad.slice_rows(p["embed.pos"], 0, n),
+        ad.slice_rows(p["embed.pos"], n0, n1),
     )
-    cond = ad.add(cond, ad.slice_rows(p["embed.cond_pos"], 0, cond.value.shape[0]))
-    n_coord, n_ep_pre, n_valley, n_ep_post = config.stage_layers()
-    heads = config.n_heads
-    li = 0
+    coord = state.run_level("coord", x, range(n_coord))
+    k0, k1 = -(-n0 // cf), -(-n1 // cf)  # endpoint rows this call creates
+    if k1 > k0:
+        pooled = ad.mean_pool_causal(state.rows["coord"], cf, k0)
+        ep = state.run_level("endpoint", pooled, range(n_coord, ep_pre))
+        j0, j1 = -(-k0 // ef), -(-k1 // ef)
+        if j1 > j0:
+            pooled = ad.mean_pool_causal(state.rows["endpoint"], ef, j0)
+            state.run_level("valley", pooled, range(ep_pre, valley))
+        up = ad.repeat_upsample(state.rows["valley"], ef, k1, k0)
+        state.run_level("post", ad.add(up, ep), range(valley, config.n_layers))
 
-    mask0 = _causal_mask(n)
-    for _ in range(n_coord):
-        x = _decoder_layer(x, cond, p, li, heads, mask0)
-        li += 1
-
-    res_coord = x
-    x = ad.mean_pool_causal(x, config.coord_factor)
-    m1 = x.value.shape[0]
-    mask1 = _causal_mask(m1)
-    for _ in range(n_ep_pre):
-        x = _decoder_layer(x, cond, p, li, heads, mask1)
-        li += 1
-
-    res_ep = x
-    x = ad.mean_pool_causal(x, config.endpoint_factor)
-    m2 = x.value.shape[0]
-    mask2 = _causal_mask(m2)
-    for _ in range(n_valley):
-        x = _decoder_layer(x, cond, p, li, heads, mask2)
-        li += 1
-
-    x = ad.add(ad.repeat_upsample(x, config.endpoint_factor, m1), res_ep)
-    for _ in range(n_ep_post):
-        x = _decoder_layer(x, cond, p, li, heads, mask1)
-        li += 1
-
-    x = ad.add(ad.repeat_upsample(x, config.coord_factor, n), res_coord)
+    x = ad.add(ad.repeat_upsample(state.rows["post"], cf, n1, n0), coord)
     h = _layer_norm(x, p["head.ln.g"], p["head.ln.b"])
     return ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
+
+
+def _decoder_logits_t(tokens: np.ndarray, cond, p, config: ModelConfig):
+    return _decode_t(_DecodeState(cond, p, config), tokens)
 
 
 def decoder_logits(
@@ -395,6 +478,65 @@ def _sample_next(logits: np.ndarray, temperature: float, top_p: float, rng) -> i
     return int(keep[min(pick, len(keep) - 1)])
 
 
+def sample_batch(
+    cond: np.ndarray,
+    params: ParameterStore,
+    temperature: float = 1.0,
+    top_p: float = 1.0,
+    seeds=(0,),
+    max_segments: int | None = None,
+) -> list[SampleResult]:
+    """One sample per seed, decoded together as one batch; see ``sample``.
+
+    The candidates share the condition, so its cross-attention keys and
+    values are projected once.  Each decode step appends one token per
+    unfinished candidate to the per-level K/V caches (see ``_DecodeState``)
+    instead of re-running the prefix.  Candidate i draws from its own
+    ``default_rng(seeds[i])``, one draw per step when ``temperature > 0``;
+    its logits match a decode of it alone up to float rounding, so its
+    result is that of ``sample(..., seed=seeds[i])``.  A finished candidate
+    leaves the batch.
+    """
+    if temperature < 0:
+        raise ModelError("temperature must be >= 0")
+    if not (0 < top_p <= 1):
+        raise ModelError("top_p must be in (0, 1]")
+    config = params.config
+    cap_segments = config.max_segments if max_segments is None else max_segments
+    max_body = 6 * cap_segments
+    rngs = [np.random.default_rng(s) for s in seeds]
+    seqs = [[BOS] for _ in rngs]
+    malformed = [False] * len(rngs)
+    steps = [0] * len(rngs)
+    state = _DecodeState(ad.Tensor(cond), params.as_tensors(), config)
+    active = list(range(len(rngs)))
+    while active:
+        last = np.array([[seqs[i][-1]] for i in active], dtype=np.int64)
+        logits = _decode_t(state, last).value[:, -1]
+        still = []
+        for row, i in enumerate(active):
+            nxt = _sample_next(logits[row], temperature, top_p, rngs[i])
+            steps[i] += 1
+            if nxt not in (EOS, BOS, PAD):
+                seqs[i].append(nxt)
+            body = len(seqs[i]) - 1
+            if nxt in (BOS, PAD):
+                malformed[i] = True
+            elif nxt == EOS or body >= max_body:
+                malformed[i] = body % 6 != 0
+            else:
+                still.append(row)
+        if len(still) < len(active):
+            state.keep_batch(still)
+            active = [active[row] for row in still]
+    results = []
+    for seq, bad, n_steps in zip(seqs, malformed, steps):
+        body = seq[1 : 1 + 6 * ((len(seq) - 1) // 6)]
+        out = TokenSequence(tokens=np.asarray([BOS, *body, EOS], dtype=np.int64))
+        results.append(SampleResult(tokens=out, malformed=bad, n_steps=n_steps))
+    return results
+
+
 def sample(
     cond: np.ndarray,
     params: ParameterStore,
@@ -405,47 +547,15 @@ def sample(
 ) -> SampleResult:
     """Autoregressive sampling until EOS or the segment cap.
 
-    Deterministic given the seed.  If the decoder stops mid-segment (EOS or a
-    stray special token inside a coordinate block, or the cap is reached) the
-    sequence is repaired by truncating to the last complete segment and
-    flagged ``malformed``.
+    Deterministic given the seed: one ``default_rng(seed)`` serves every
+    draw.  If the decoder stops mid-segment (EOS or a stray special token
+    inside a coordinate block, or the cap is reached) the sequence is
+    repaired by truncating to the last complete segment and flagged
+    ``malformed``.  The decode is incremental: each step computes only the
+    rows its token creates at each hourglass level (``sample_batch`` with
+    one seed).
     """
-    if temperature < 0:
-        raise ModelError("temperature must be >= 0")
-    if not (0 < top_p <= 1):
-        raise ModelError("top_p must be in (0, 1]")
-    config = params.config
-    cap_segments = config.max_segments if max_segments is None else max_segments
-    max_body = 6 * cap_segments
-    rng = np.random.default_rng(seed)
-    p = params.as_tensors()
-    cond_t = ad.Tensor(cond)
-
-    tokens = [BOS]
-    malformed = False
-    steps = 0
-    while True:
-        logits = _decoder_logits_t(
-            np.asarray(tokens, dtype=np.int64), cond_t, p, config
-        ).value[-1]
-        nxt = _sample_next(logits, temperature, top_p, rng)
-        steps += 1
-        if nxt == EOS:
-            if (len(tokens) - 1) % 6 != 0:
-                malformed = True
-            break
-        if nxt in (BOS, PAD):
-            malformed = True
-            break
-        tokens.append(nxt)
-        if len(tokens) - 1 >= max_body:
-            if (len(tokens) - 1) % 6 != 0:
-                malformed = True
-            break
-    body = tokens[1:]
-    body = body[: 6 * (len(body) // 6)]
-    out = TokenSequence(tokens=np.asarray([BOS, *body, EOS], dtype=np.int64))
-    return SampleResult(tokens=out, malformed=malformed, n_steps=steps)
+    return sample_batch(cond, params, temperature, top_p, (seed,), max_segments)[0]
 
 
 # ---------------------------------------------------------------------------

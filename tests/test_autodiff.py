@@ -202,3 +202,40 @@ def test_grad_accumulation_over_shared_node():
     loss = ad.sum_all(ad.mul(y, y))  # d/dx (2x)^2 = 8x
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, 8 * x.value)
+
+
+def test_ops_on_non_grad_inputs_are_leaves():
+    rng = np.random.default_rng(9)
+    x, w = ad.Tensor(rng.normal(size=(2, 3, 4))), ad.Tensor(rng.normal(size=(4, 2)))
+    out = ad.gelu(ad.matmul(ad.add(x, x), w))
+    assert not out.requires_grad and out.parents == () and out.vjps == ()
+    tracked = ad.matmul(x, ad.parameter(w.value))
+    assert tracked.requires_grad and len(tracked.parents) == 2
+
+
+def test_batched_rows_and_start_rows():
+    # (batch, rows, d) inputs; a 2D weight's gradient sums over the batch
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(3, 7, 4))
+    w = rng.normal(size=(4, 2))
+    check_grad(lambda p: ad.sum_all(ad.power(ad.matmul(ad.Tensor(x), p), 2.0)), w)
+    check_grad(lambda p: ad.sum_all(ad.power(ad.concat_rows([p, p], axis=-2), 3.0)), x)
+    # rows `start` onward of pooling / upsampling are the tail of the full result
+    for factor, start in ((3, 1), (3, 2), (2, 3)):
+        pooled = ad.mean_pool_causal(ad.Tensor(x), factor).value
+        tail = ad.mean_pool_causal(ad.Tensor(x), factor, start).value
+        np.testing.assert_array_equal(tail, pooled[:, start:])
+        np.testing.assert_array_equal(
+            tail[1], ad.mean_pool_causal(ad.Tensor(x[1]), factor, start).value
+        )
+        out_len = 7 * factor - 1
+        up = ad.repeat_upsample(ad.Tensor(x), factor, out_len).value
+        up_tail = ad.repeat_upsample(ad.Tensor(x), factor, out_len, start).value
+        np.testing.assert_array_equal(up_tail, up[:, start:])
+        check_grad(
+            lambda p: ad.sum_all(ad.power(ad.mean_pool_causal(p, factor, start), 2.0)), x
+        )
+        check_grad(
+            lambda p: ad.sum_all(ad.power(ad.repeat_upsample(p, factor, out_len, start), 2.0)),
+            x,
+        )

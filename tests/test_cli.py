@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from seamkit.cli import main, parse_config, InputError
+from seamkit.cli import main, model_config_from, parse_config, InputError
 from seamkit.mesh import extract_uv_seams, load_obj, normalize, save_obj
 from seamkit.model import init_parameters, load_checkpoint, save_checkpoint
 from seamkit.projection import seam_edges_to_segments
@@ -14,6 +14,7 @@ from seamkit.shapes import grid_vertex, make_cube, make_grid
 from seamkit.tokenizer import (
     BOS,
     EOS,
+    PAD,
     canonicalize,
     encode,
     read_seam_text,
@@ -246,8 +247,12 @@ def test_sample_prefpairs_dpo_pipeline(cube_obj, tmp_path):
     assert len(seam_files) == 5 and len(json_files) == 5
     manifest = json.loads((out_dir / "manifest.json").read_text())
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
+    assert set(manifest["timings_s"]) == {"encode", "decode", "metrics"}
     for rel in manifest["outputs"]:
         assert os.path.exists(rel)
+    run = json.loads((out_dir / "run.json").read_text())
+    assert [c["index"] for c in run["candidates"]] == list(range(5))
+    assert all(c["n_steps"] >= 1 and isinstance(c["malformed"], bool) for c in run["candidates"])
     for jf in json_files:
         jsonschema.validate(json.loads(jf.read_text()), _schema("metrics.schema.json"))
 
@@ -307,6 +312,44 @@ def test_sample_prefpairs_dpo_pipeline(cube_obj, tmp_path):
         log_file = tmp_path / "trained.log.jsonl"
         lines = [json.loads(l) for l in log_file.read_text().splitlines()]
         assert len(lines) == 2
+
+
+def test_sample_records_malformed_candidates(cube_obj, tmp_path):
+    # a head bias that makes PAD the first token: every candidate stops at
+    # step 1 with a stray special token
+    params = init_parameters(model_config_from(parse_config(desk_config_text())))
+    params.arrays["head.b"][PAD] = 1e3
+    ckpt = tmp_path / "pad.ckpt"
+    ckpt.write_bytes(save_checkpoint(params))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text(n_candidates=2) + f"init_checkpoint = {ckpt}\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 0
+    run = json.loads((out_dir / "run.json").read_text())
+    assert run["candidates"] == [
+        {"index": 0, "n_steps": 1, "malformed": True},
+        {"index": 1, "n_steps": 1, "malformed": True},
+    ]
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"temperature": -1}, "temperature"),
+        ({"top_p": 0}, "top_p"),
+        ({"l": 32, "n_topo": 16}, "n_topo"),
+        ({"d": 64, "heads": 3}, "heads"),
+        ({"n_candidates": 0}, "n_candidates"),
+    ],
+)
+def test_config_value_out_of_range_exit_2(cube_obj, tmp_path, capsys, override, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text(**override))
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key} =" in err and "allowed" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_config_key_exit_2(grid_obj, tmp_path):

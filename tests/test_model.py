@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from seamkit import autodiff as ad
 from seamkit.model import (
     CheckpointError,
     ModelConfig,
     ModelError,
+    _decode_t,
+    _DecodeState,
     _sample_next,
     decoder_logits,
     encode_condition,
@@ -12,6 +15,7 @@ from seamkit.model import (
     load_checkpoint,
     nll_train_step,
     sample,
+    sample_batch,
     save_checkpoint,
     sequence_logprob,
 )
@@ -220,6 +224,39 @@ def test_sample_greedy_limit_and_determinism():
     assert a.tokens == b.tokens and a.n_steps == b.n_steps
     # repaired output always decodes
     decode(a.tokens)
+
+
+@pytest.mark.parametrize("config", [DESK_CONFIG, TINY_CONFIG], ids=["desk", "tiny"])
+def test_cached_step_logits_match_full_forward(config):
+    # one token per step through the K/V caches, every prefix length 1..97
+    # (every residue mod 6, so every pooling boundary of both levels)
+    rng = np.random.default_rng(14)
+    params = init_parameters(config)
+    cond = encode_condition(rand_clouds(rng, 40, config), params)
+    toks = rng.integers(0, 1024, size=97)
+    toks[0] = BOS
+    state = _DecodeState(ad.Tensor(cond), params.as_tensors(), config)
+    for n in range(1, len(toks) + 1):
+        step = _decode_t(state, toks[n - 1 : n]).value[-1]
+        full = decoder_logits(toks[:n], cond, params)[-1]
+        np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
+
+
+def test_sample_batch_matches_single_seed_samples():
+    rng = np.random.default_rng(15)
+    params = init_parameters(TINY_CONFIG)
+    cond = encode_condition(rand_clouds(rng, 16, TINY_CONFIG), params)
+    # EOS likely enough that the candidates stop at different steps
+    eos_params = params.copy()
+    eos_params.arrays["head.b"][EOS] = np.log(VOCAB_SIZE / 8)
+    seeds = [3, 4, 5, 6]
+    for p, temperature, top_p in ((params, 0.0, 1.0), (params, 1.0, 0.9), (eos_params, 1.0, 0.9)):
+        batch = sample_batch(cond, p, temperature, top_p, seeds, max_segments=4)
+        single = [sample(cond, p, temperature, top_p, s, max_segments=4) for s in seeds]
+        assert [(r.tokens, r.n_steps, r.malformed) for r in batch] == [
+            (r.tokens, r.n_steps, r.malformed) for r in single
+        ]
+    assert len({r.n_steps for r in batch}) > 1
 
 
 def test_sample_next_matches_softmax_frequencies():
