@@ -4,7 +4,8 @@ Just enough machinery for the seam generator: broadcast arithmetic, (batched)
 matmul, reshapes, gathers, reductions, softmax-family primitives, GELU, and
 the pooling ops the hourglass decoder needs.  Gradient correctness is pinned
 by finite-difference tests rather than by construction.  An op whose inputs
-need no gradient returns a leaf, so inference builds no graph.
+need no gradient returns a leaf, so inference builds no graph; ``backward``
+frees the graph as it goes.
 """
 
 from __future__ import annotations
@@ -350,7 +351,12 @@ def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad node reachable from loss."""
+    """Populate .grad on every requires_grad leaf reachable from loss.
+
+    The pass consumes the graph: each interior node gives up its gradient,
+    parents and VJPs once they have been passed on, so a graph is
+    differentiated once.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -368,7 +374,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = node.grad
         if g is None:
             continue
@@ -377,3 +384,8 @@ def backward(loss: Tensor) -> None:
                 continue
             pg = vjp(g)
             parent.grad = pg if parent.grad is None else parent.grad + pg
+        if node.parents:
+            # spent: dropping the links frees each activation once no VJP
+            # still to run holds it, so the pass releases the graph as it goes
+            node.grad = None
+            node.parents = node.vjps = ()

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -322,12 +323,26 @@ def cmd_sample_points(args) -> int:
 
 
 def _policy_store(cfg: dict) -> model_mod.ParameterStore:
-    if cfg["init_checkpoint"]:
-        try:
-            return model_mod.load_checkpoint(_read_file(cfg["init_checkpoint"], binary=True))
-        except model_mod.CheckpointError as exc:
-            raise InputError(f"{cfg['init_checkpoint']}: {exc}") from exc
-    return model_mod.init_parameters(model_config_from(cfg))
+    """The configured model; with ``init_checkpoint``, the checkpoint's.
+
+    A checkpoint brings its own ``tokens_per_branch``, so the cloud sizes are
+    checked against it here (``load_config`` checks them against ``l``).
+    """
+    path = cfg["init_checkpoint"]
+    if not path:
+        return model_mod.init_parameters(model_config_from(cfg))
+    try:
+        store = model_mod.load_checkpoint(_read_file(path, binary=True))
+    except model_mod.CheckpointError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    l = store.config.tokens_per_branch
+    for key in ("n_topo", "n_geom"):
+        if cfg[key] < l:
+            raise InputError(
+                f"config key {key} = {cfg[key]} is out of range: allowed >= "
+                f"tokens_per_branch = {l} of checkpoint {path}"
+            )
+    return store
 
 
 def cmd_sample(args) -> int:
@@ -430,38 +445,52 @@ def cmd_prefpairs(args) -> int:
     return EXIT_OK
 
 
-def _pairs_from_records(records, cand_dirs: dict, cfg: dict):
-    pairs = []
-    for rec in records:
-        cand_dir = cand_dirs[rec.mesh_path]
-        mesh = _load_mesh(rec.mesh_path)
-        norm, _ = normalize(mesh)
-        clouds = sampling.build_conditioning_clouds(
-            norm, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=rec.seed
-        )
-        pos = _load_seams(os.path.join(cand_dir, f"cand_{rec.positive_index}.seams"))
-        neg = _load_seams(os.path.join(cand_dir, f"cand_{rec.negative_index}.seams"))
-        pairs.append(
-            dpo_mod.PreferencePair(
-                condition=clouds,
-                positive=dpo_mod.ScoredSeams(seams=pos, metrics=rec.positive_metrics),
-                negative=dpo_mod.ScoredSeams(seams=neg, metrics=rec.negative_metrics),
-                mode=rec.mode,
+def _pairs_from_records(records, cand_dir: str, cfg: dict):
+    """Preference pairs of the records; each mesh is loaded once, each
+    ``(mesh, seed)`` condition and each candidate file is built once."""
+    meshes: dict = {}
+    clouds: dict = {}
+    seams: dict = {}
+
+    def condition(rec):
+        key = (rec.mesh_path, rec.seed)
+        if key not in clouds:
+            if rec.mesh_path not in meshes:
+                meshes[rec.mesh_path], _ = normalize(_load_mesh(rec.mesh_path))
+            clouds[key] = sampling.build_conditioning_clouds(
+                meshes[rec.mesh_path], n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=rec.seed
             )
+        return clouds[key]
+
+    def candidate(index, scored_metrics):
+        if index not in seams:
+            seams[index] = _load_seams(os.path.join(cand_dir, f"cand_{index}.seams"))
+        return dpo_mod.ScoredSeams(seams=seams[index], metrics=scored_metrics)
+
+    return [
+        dpo_mod.PreferencePair(
+            condition=condition(rec),
+            positive=candidate(rec.positive_index, rec.positive_metrics),
+            negative=candidate(rec.negative_index, rec.negative_metrics),
+            mode=rec.mode,
         )
-    return pairs
+        for rec in records
+    ]
 
 
 def cmd_dpo(args) -> int:
     cfg = load_config(args.config, args.seed)
-    records = dpo_mod.read_pair_records(_read_file(args.pairs))
+    try:
+        records = dpo_mod.read_pair_records(_read_file(args.pairs))
+    except dpo_mod.DPOError as exc:
+        raise InputError(f"{args.pairs}: {exc}") from exc
     policy = _policy_store(cfg)
     if cfg["steps"] == 0 or not records:
         _write_atomic(args.output, model_mod.save_checkpoint(policy))
         return EXIT_OK
+    t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
-    cand_dirs = {rec.mesh_path: cand_dir for rec in records}
-    pairs = _pairs_from_records(records, cand_dirs, cfg)
+    pairs = _pairs_from_records(records, cand_dir, cfg)
     reference = policy.copy(role="reference")
     dpo_config = dpo_mod.DPOConfig(
         beta=cfg["beta"],
@@ -469,27 +498,16 @@ def cmd_dpo(args) -> int:
         steps=cfg["steps"],
         pairing_mode=cfg["mode"],
     )
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     trained, history = dpo_mod.dpo_train(policy, reference, pairs, dpo_config)
-    train_time = time.perf_counter() - t0
+    timings = {"pairs": t1 - t0, "train": time.perf_counter() - t1}
     _write_atomic(args.output, model_mod.save_checkpoint(trained))
     log_path = os.path.splitext(args.output)[0] + ".log.jsonl"
-    log_text = "".join(
-        json.dumps({"step": h.step, "loss": h.loss, "accuracy": h.accuracy}) + "\n"
-        for h in history
-    )
-    _write_atomic(log_path, log_text)
+    _write_atomic(log_path, "".join(json.dumps(asdict(h)) + "\n" for h in history))
     manifest_path = os.path.splitext(args.output)[0] + ".manifest.json"
     _write_atomic(
         manifest_path,
-        _manifest(
-            "dpo",
-            [args.pairs],
-            [args.output, log_path],
-            cfg["seed"],
-            cfg,
-            {"train": train_time},
-        ),
+        _manifest("dpo", [args.pairs], [args.output, log_path], cfg["seed"], cfg, timings),
     )
     return EXIT_OK
 

@@ -5,6 +5,14 @@ gated metric (both distortion and island count in joint mode; one metric in
 the single-metric ablation modes).  The training objective is the standard
 pairwise logistic loss on scaled policy/reference log-ratio margins; at
 policy == reference it equals ln 2 exactly.
+
+The loss is computed per condition, not per pair.  Pairs are grouped by the
+content of their conditioning clouds (equal point arrays, whatever object
+holds them), and each group's token sequences are deduplicated: a positive
+shared by several pairs is scored once.  Each group encodes its condition
+once and scores its unique sequences in one teacher-forced decode, right-
+padded to a common length (``model._sequence_logprobs_t``).  The reference
+log-probabilities come from the same code path on a store without gradients.
 """
 
 from __future__ import annotations
@@ -18,13 +26,10 @@ import numpy as np
 from seamkit import autodiff as ad
 from seamkit.metrics import SeamMetrics
 from seamkit.model import (
-    ModelError,
     ParameterStore,
     TrainingError,
     _encode_condition_t,
-    _sequence_logprob_t,
-    _token_array,
-    sequence_logprob,
+    _sequence_logprobs_t,
 )
 from seamkit.sampling import ConditioningClouds
 from seamkit.tokenizer import SeamSet, TokenSequence, canonicalize, encode
@@ -150,48 +155,110 @@ def dpo_margin_loss(margins, beta: float):
     return ad.scale(ad.log_sigmoid(ad.scale(m, beta)), -1.0)
 
 
-def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, float]]:
-    out = []
-    for pair in pairs:
-        if pair.condition is None:
-            raise DPOError("preference pair carries no condition clouds")
-        from seamkit.model import encode_condition
+@dataclass(frozen=True)
+class _PairBatch:
+    """Pairs grouped by condition, each group's token sequences deduplicated.
 
-        cond = encode_condition(pair.condition, reference)
-        tp, tn = pair_tokens(pair)
-        out.append(
-            (
-                sequence_logprob(tp, cond, reference),
-                sequence_logprob(tn, cond, reference),
-            )
+    ``groups[g]`` is (condition clouds, unique token arrays); ``index[i]`` is
+    pair i's (group, positive sequence, negative sequence).
+    """
+
+    groups: list
+    index: list
+
+
+def _batch_pairs(pairs) -> _PairBatch:
+    """Group pairs by the content of their clouds, in order of first use.
+
+    Pairs whose clouds hold equal point arrays share a group even when they
+    carry distinct ``ConditioningClouds`` objects.
+    """
+    if isinstance(pairs, _PairBatch):
+        return pairs
+    groups: list = []
+    index: list = []
+    group_ids: dict = {}
+    seq_ids: list[dict] = []
+    for pair in pairs:
+        clouds = pair.condition
+        if clouds is None:
+            raise DPOError("preference pair carries no condition clouds")
+        key = tuple(
+            (pts.shape, np.ascontiguousarray(pts, dtype=np.float64).tobytes())
+            for pts in (clouds.topo_points, clouds.geom_points)
         )
+        g = group_ids.setdefault(key, len(groups))
+        if g == len(groups):
+            groups.append((clouds, []))
+            seq_ids.append({})
+        seqs = groups[g][1]
+        ids = []
+        for tokens in pair_tokens(pair):
+            i = seq_ids[g].setdefault(tokens.tokens.tobytes(), len(seqs))
+            if i == len(seqs):
+                seqs.append(tokens.tokens)
+            ids.append(i)
+        index.append((g, *ids))
+    return _PairBatch(groups=groups, index=index)
+
+
+def _group_logprobs_t(batch: _PairBatch, p, config) -> list[list]:
+    """Log-probability Tensors of every group's sequences: one condition
+    encoding and one padded decode per group."""
+    return [
+        _sequence_logprobs_t(seqs, _encode_condition_t(clouds, p, config), p, config)
+        for clouds, seqs in batch.groups
+    ]
+
+
+def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, float]]:
+    """Per pair, the reference log-probabilities of (positive, negative).
+
+    Runs the policy's code path on a store without gradients, so at policy ==
+    reference every margin is exactly 0.
+    """
+    batch = _batch_pairs(pairs)
+    lps = _group_logprobs_t(batch, reference.as_tensors(), reference.config)
+    return [(float(lps[g][i].value), float(lps[g][j].value)) for g, i, j in batch.index]
+
+
+def _log_ratios_t(pairs, policy_tensors, config, ref_logprobs) -> list[tuple]:
+    """Per pair, (log pi - log ref) of the positive and of the negative."""
+    batch = _batch_pairs(pairs)
+    lps = _group_logprobs_t(batch, policy_tensors, config)
+    out = []
+    for k, ((g, i, j), (ref_pos, ref_neg)) in enumerate(zip(batch.index, ref_logprobs)):
+        lp_pos, lp_neg = lps[g][i], lps[g][j]
+        if not (np.isfinite(lp_pos.value) and np.isfinite(lp_neg.value)):
+            raise DPOError(f"non-finite log-probability for pair {k}")
+        out.append((ad.sub(lp_pos, ad.Tensor(ref_pos)), ad.sub(lp_neg, ad.Tensor(ref_neg))))
     return out
 
 
-def _dpo_loss_t(pairs, policy_tensors, config, ref_logprobs, beta: float):
-    """Graph of the batch loss; returns (loss Tensor, margin floats)."""
+def _margin_loss_t(log_ratios, beta: float):
+    """Mean pairwise loss over per-pair log-ratios; returns (loss Tensor, margin floats)."""
     terms = []
     margins = []
-    cond_cache: dict[int, object] = {}  # pairs sharing clouds reuse the embedding
-    for pair, (ref_pos, ref_neg) in zip(pairs, ref_logprobs):
-        cond = cond_cache.get(id(pair.condition))
-        if cond is None:
-            cond = _encode_condition_t(pair.condition, policy_tensors, config)
-            cond_cache[id(pair.condition)] = cond
-        tp, tn = pair_tokens(pair)
-        lp_pos = _sequence_logprob_t(_token_array(tp), cond, policy_tensors, config)
-        lp_neg = _sequence_logprob_t(_token_array(tn), cond, policy_tensors, config)
-        if not (np.isfinite(lp_pos.value) and np.isfinite(lp_neg.value)):
-            raise DPOError(f"non-finite log-probability for pair {len(terms)}")
-        margin = ad.sub(
-            ad.sub(lp_pos, ad.Tensor(ref_pos)), ad.sub(lp_neg, ad.Tensor(ref_neg))
-        )
+    for chosen, rejected in log_ratios:
+        margin = ad.sub(chosen, rejected)
         margins.append(float(margin.value))
         terms.append(dpo_margin_loss(margin, beta))
     total = terms[0]
     for t in terms[1:]:
         total = ad.add(total, t)
     return ad.scale(total, 1.0 / len(terms)), margins
+
+
+def _dpo_loss_t(pairs, policy_tensors, config, ref_logprobs, beta: float):
+    """Graph of the batch loss; returns (loss Tensor, margin floats).
+
+    The pairs are grouped by condition content and each group's token
+    sequences are deduplicated (``_batch_pairs``): the encoder runs once per
+    group and the decoder once per group, over its unique sequences
+    right-padded to one batch.  Each sequence's log-probability sums its own
+    rows only, and the per-pair terms are summed in pair order.
+    """
+    return _margin_loss_t(_log_ratios_t(pairs, policy_tensors, config, ref_logprobs), beta)
 
 
 def dpo_loss(
@@ -216,9 +283,23 @@ def dpo_loss(
 
 @dataclass(frozen=True)
 class DPOStepLog:
+    """Diagnostics of one step, taken before its parameter update.
+
+    ``reward_chosen``/``reward_rejected`` are the pair means of the implicit
+    rewards beta * (log pi - log pi_ref) of the positives and the negatives;
+    ``margin_mean``/``margin_min`` summarize the per-pair reward margins
+    (chosen minus rejected reward); ``grad_norm`` is the L2 norm of the loss
+    gradient over all trainable parameters.
+    """
+
     step: int
     loss: float
     accuracy: float
+    reward_chosen: float
+    reward_rejected: float
+    margin_mean: float
+    margin_min: float
+    grad_norm: float
 
 
 def dpo_train(
@@ -229,26 +310,43 @@ def dpo_train(
 ) -> tuple[ParameterStore, list[DPOStepLog]]:
     """Run config.steps SGD steps on the preference objective.
 
-    The reference store is read-only throughout.  Logs loss and preference
-    accuracy (fraction of pairs with positive margin) per step.  Aborts when
-    the loss stays above divergence_factor * ln 2 for divergence_patience
-    consecutive steps.
+    The reference store is read-only throughout.  The pairs are grouped and
+    tokenized once (``_batch_pairs``).  Logs loss, preference accuracy
+    (fraction of pairs with positive margin) and the ``DPOStepLog`` reward
+    diagnostics per step.  Aborts when the loss stays above
+    divergence_factor * ln 2 for divergence_patience consecutive steps.
     """
     dataset = list(dataset)
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
-    refs = _reference_logprobs(dataset, reference)
+    batch = _batch_pairs(dataset)
+    refs = _reference_logprobs(batch, reference)
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):
         p = policy.as_tensors(trainable=True)
-        loss, margins = _dpo_loss_t(dataset, p, policy.config, refs, config.beta)
+        ratios = _log_ratios_t(batch, p, policy.config, refs)
+        loss, margins = _margin_loss_t(ratios, config.beta)
         value = float(loss.value)
         if not np.isfinite(value):
             raise TrainingError(f"non-finite DPO loss at step {step}")
-        accuracy = float(np.mean([m > 0 for m in margins]))
-        history.append(DPOStepLog(step=step, loss=value, accuracy=accuracy))
+        ad.backward(loss)
+        grads = [p[name].grad for name in policy.trainable_names()]
+        rewards = config.beta * np.array([[c.value, r.value] for c, r in ratios])
+        reward_margins = rewards[:, 0] - rewards[:, 1]
+        history.append(
+            DPOStepLog(
+                step=step,
+                loss=value,
+                accuracy=float(np.mean([m > 0 for m in margins])),
+                reward_chosen=float(rewards[:, 0].mean()),
+                reward_rejected=float(rewards[:, 1].mean()),
+                margin_mean=float(reward_margins.mean()),
+                margin_min=float(reward_margins.min()),
+                grad_norm=float(np.sqrt(sum(np.sum(g * g) for g in grads if g is not None))),
+            )
+        )
         if value > config.divergence_factor * LN2:
             bad_streak += 1
             if bad_streak >= config.divergence_patience:
@@ -258,10 +356,8 @@ def dpo_train(
                 )
         else:
             bad_streak = 0
-        ad.backward(loss)
         new = policy.copy()
-        for name in policy.trainable_names():
-            g = p[name].grad
+        for name, g in zip(policy.trainable_names(), grads):
             if g is not None:
                 new.arrays[name] = new.arrays[name] - config.learning_rate * g
         policy = new
@@ -305,6 +401,11 @@ class PairRecord:
     @classmethod
     def from_json(cls, line: str) -> "PairRecord":
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise TypeError(f"a record is a JSON object, not {type(d).__name__}")
+        mode = d.get("mode", "joint")
+        if mode not in PAIRING_MODES:
+            raise ValueError(f"mode must be one of {PAIRING_MODES}, got {mode!r}")
         return cls(
             mesh_path=d["mesh"],
             seed=int(d["seed"]),
@@ -312,7 +413,7 @@ class PairRecord:
             negative_index=int(d["negative_index"]),
             positive_metrics=SeamMetrics.from_dict(d["positive_metrics"]),
             negative_metrics=SeamMetrics.from_dict(d["negative_metrics"]),
-            mode=d.get("mode", "joint"),
+            mode=mode,
         )
 
 
@@ -321,9 +422,22 @@ def write_pair_records(records) -> str:
 
 
 def read_pair_records(text: str) -> list[PairRecord]:
+    """Parse pair records, one JSON object per non-blank line.
+
+    A line that is not JSON, lacks a key or holds a value of the wrong type
+    raises ``DPOError`` naming its 1-based line number.
+    """
     out = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             out.append(PairRecord.from_json(line))
+        except json.JSONDecodeError as exc:
+            raise DPOError(f"line {line_no}: not a JSON record ({exc})") from exc
+        except KeyError as exc:
+            raise DPOError(f"line {line_no}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DPOError(f"line {line_no}: malformed record ({exc})") from exc
     return out

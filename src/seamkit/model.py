@@ -28,7 +28,8 @@ decode of it alone up to float rounding, so a batch gives the samples of one
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -150,51 +151,62 @@ class ParameterStore:
         }
 
 
-def init_parameters(config: ModelConfig, role: str = "policy") -> ParameterStore:
-    rng = np.random.default_rng(config.seed)
+def _parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter, in the order they are created."""
     d = config.d_model
     h = config.ff_mult * d
-    std = 0.02
-    arrays: dict[str, np.ndarray] = {}
-
-    def w(name, *shape):
-        arrays[name] = rng.normal(0.0, std, size=shape)
+    shapes: dict[str, tuple] = {}
 
     def ln(name):
-        arrays[f"{name}.g"] = np.ones(d)
-        arrays[f"{name}.b"] = np.zeros(d)
+        shapes[f"{name}.g"] = (d,)
+        shapes[f"{name}.b"] = (d,)
 
-    w("embed.token", config.vocab_size, d)
-    w("embed.pos", config.max_seq_len, d)
+    shapes["embed.token"] = (config.vocab_size, d)
+    shapes["embed.pos"] = (config.max_seq_len, d)
     # cross-attention is permutation-invariant over its keys; positions on the
     # condition stream keep the topology-then-geometry order observable
-    w("embed.cond_pos", 2 * config.tokens_per_branch, d)
+    shapes["embed.cond_pos"] = (2 * config.tokens_per_branch, d)
     for br in ("topo", "geom"):
-        w(f"enc.{br}.point.w", 3, d)
-        arrays[f"enc.{br}.point.b"] = np.zeros(d)
+        shapes[f"enc.{br}.point.w"] = (3, d)
+        shapes[f"enc.{br}.point.b"] = (d,)
         ln(f"enc.{br}.attn.lnq")
         ln(f"enc.{br}.attn.lnkv")
         for nm in ("wq", "wk", "wv", "wo"):
-            w(f"enc.{br}.attn.{nm}", d, d)
+            shapes[f"enc.{br}.attn.{nm}"] = (d, d)
         ln(f"enc.{br}.ff.ln")
-        w(f"enc.{br}.ff.w1", d, h)
-        arrays[f"enc.{br}.ff.b1"] = np.zeros(h)
-        w(f"enc.{br}.ff.w2", h, d)
-        arrays[f"enc.{br}.ff.b2"] = np.zeros(d)
+        shapes[f"enc.{br}.ff.w1"] = (d, h)
+        shapes[f"enc.{br}.ff.b1"] = (h,)
+        shapes[f"enc.{br}.ff.w2"] = (h, d)
+        shapes[f"enc.{br}.ff.b2"] = (d,)
     for i in range(config.n_layers):
         ln(f"dec.{i}.ln1")
         for nm in ("wq", "wk", "wv", "wo"):
-            w(f"dec.{i}.attn.{nm}", d, d)
+            shapes[f"dec.{i}.attn.{nm}"] = (d, d)
         if _is_cross_layer(i):
             ln(f"dec.{i}.lnctx")
         ln(f"dec.{i}.ln2")
-        w(f"dec.{i}.ff.w1", d, h)
-        arrays[f"dec.{i}.ff.b1"] = np.zeros(h)
-        w(f"dec.{i}.ff.w2", h, d)
-        arrays[f"dec.{i}.ff.b2"] = np.zeros(d)
+        shapes[f"dec.{i}.ff.w1"] = (d, h)
+        shapes[f"dec.{i}.ff.b1"] = (h,)
+        shapes[f"dec.{i}.ff.w2"] = (h, d)
+        shapes[f"dec.{i}.ff.b2"] = (d,)
     ln("head.ln")
-    w("head.w", d, config.vocab_size)
-    arrays["head.b"] = np.zeros(config.vocab_size)
+    shapes["head.w"] = (d, config.vocab_size)
+    shapes["head.b"] = (config.vocab_size,)
+    return shapes
+
+
+def init_parameters(config: ModelConfig, role: str = "policy") -> ParameterStore:
+    """Layer-norm gains 1, biases 0, weights N(0, 0.02) drawn in creation order."""
+    rng = np.random.default_rng(config.seed)
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in _parameter_shapes(config).items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "g":
+            arrays[name] = np.ones(shape)
+        elif kind in ("b", "b1", "b2"):
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = rng.normal(0.0, 0.02, size=shape)
     return ParameterStore(arrays=arrays, config=config, role=role)
 
 
@@ -431,10 +443,31 @@ def _check_complete(t: np.ndarray) -> None:
         raise ModelError("sequence body must be coordinate tokens in groups of 6")
 
 
+def _sequence_logprobs_t(seqs, cond, p, config: ModelConfig) -> list:
+    """Teacher-forced log-probabilities of complete sequences under one condition.
+
+    The sequences are decoded as one ``(B, n_max)`` batch, right-padded with
+    PAD.  The decoder is causal, so padding never reaches a real position.
+    Each sequence's picked log-probabilities are summed over its own rows
+    only, so its value is that of a decode of it alone up to float rounding.
+    """
+    n_max = max(len(t) for t in seqs) - 1
+    inputs = np.full((len(seqs), n_max), PAD, dtype=np.int64)
+    targets = np.full((len(seqs), n_max), PAD, dtype=np.int64)
+    for b, t in enumerate(seqs):
+        inputs[b, : len(t) - 1] = t[:-1]
+        targets[b, : len(t) - 1] = t[1:]
+    logits = _decoder_logits_t(inputs, cond, p, config)
+    logp = ad.log_softmax(ad.reshape(logits, (-1, config.vocab_size)), axis=-1)
+    picked = ad.take_per_row(logp, targets.ravel())
+    return [
+        ad.sum_all(ad.slice_rows(picked, b * n_max, b * n_max + len(t) - 1))
+        for b, t in enumerate(seqs)
+    ]
+
+
 def _sequence_logprob_t(t: np.ndarray, cond, p, config: ModelConfig):
-    logits = _decoder_logits_t(t[:-1], cond, p, config)
-    logp = ad.log_softmax(logits, axis=-1)
-    return ad.sum_all(ad.take_per_row(logp, t[1:]))
+    return _sequence_logprobs_t([t], cond, p, config)[0]
 
 
 def sequence_logprob(tokens, cond: np.ndarray, params: ParameterStore) -> float:
@@ -621,30 +654,46 @@ def save_checkpoint(params: ParameterStore) -> bytes:
 
 
 def load_checkpoint(data: bytes) -> ParameterStore:
+    """Parse a ``save_checkpoint`` container.
+
+    Raises ``CheckpointError`` for a wrong magic; a header without its
+    terminating newline, not JSON or missing a field; unknown or invalid
+    config keys; parameter names or shapes that differ from the
+    configuration's; a truncated buffer; or bytes after the last buffer.
+    """
     if not data.startswith(_CKPT_MAGIC):
         raise CheckpointError("not a seamkit checkpoint")
     rest = data[len(_CKPT_MAGIC) :]
-    nl = rest.index(b"\n")
-    header = json.loads(rest[:nl].decode())
-    config = ModelConfig(**header["config"])
-    offset = nl + 1
-    arrays = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        raw = rest[offset : offset + 8 * size]
-        if len(raw) != 8 * size:
-            raise CheckpointError(f"truncated buffer for {spec['name']}")
-        arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        offset += 8 * size
-    store = ParameterStore(arrays=arrays, config=config, role=header["role"])
-    template = init_parameters(config)
-    if store.names() != template.names():
+    nl = rest.find(b"\n")
+    if nl < 0:
+        raise CheckpointError("header has no terminating newline")
+    try:
+        header = json.loads(rest[:nl].decode())
+        role, config_keys = str(header["role"]), dict(header["config"])
+        specs = [(str(a["name"]), tuple(int(n) for n in a["shape"])) for a in header["arrays"]]
+    except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed header: {exc!r}") from exc
+    unknown = sorted(set(config_keys) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise CheckpointError(f"unknown config keys: {', '.join(unknown)}")
+    try:
+        config = ModelConfig(**config_keys)
+    except (ModelError, TypeError) as exc:
+        raise CheckpointError(f"invalid config: {exc}") from exc
+    expected = _parameter_shapes(config)
+    if [name for name, _ in specs] != list(expected):
         raise CheckpointError("parameter names do not match the configuration")
-    for name in template.names():
-        if store.arrays[name].shape != template.arrays[name].shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: "
-                f"{store.arrays[name].shape} != {template.arrays[name].shape}"
-            )
-    return store
+    arrays = {}
+    offset = nl + 1
+    for name, shape in specs:
+        if shape != expected[name]:
+            raise CheckpointError(f"shape mismatch for {name}: {shape} != {expected[name]}")
+        size = 8 * math.prod(shape)
+        raw = rest[offset : offset + size]
+        if len(raw) != size:
+            raise CheckpointError(f"truncated buffer for {name}")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        offset += size
+    if offset != len(rest):
+        raise CheckpointError(f"{len(rest) - offset} trailing bytes after the last buffer")
+    return ParameterStore(arrays=arrays, config=config, role=role)

@@ -239,3 +239,13 @@ def test_batched_rows_and_start_rows():
             lambda p: ad.sum_all(ad.power(ad.repeat_upsample(p, factor, out_len, start), 2.0)),
             x,
         )
+
+
+def test_backward_releases_the_graph():
+    x = ad.parameter(np.array([2.0, 3.0]))
+    y = ad.mul(x, x)
+    loss = ad.sum_all(ad.add(y, x))
+    ad.backward(loss)
+    np.testing.assert_allclose(x.grad, 2 * x.value + 1)
+    for node in (y, loss):
+        assert node.grad is None and node.parents == () and node.vjps == ()

@@ -370,3 +370,109 @@ def test_console_entry_point_smoke(grid_obj, tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["fragments"] == 1
+
+
+def _dpo_inputs(tmp_path, meshes):
+    """Three random candidate seam files and the pair records of ``meshes``,
+    (mesh path, seed, pair count) triples; every pair prefers candidate 0."""
+    from seamkit.dpo import PairRecord, write_pair_records
+    from seamkit.metrics import SeamMetrics
+    from seamkit.tokenizer import SeamSet
+
+    rng = np.random.default_rng(0)
+    cand_dir = tmp_path / "cands"
+    cand_dir.mkdir()
+    for i in range(3):
+        seams = SeamSet(segments=rng.uniform(-0.5, 0.5, size=(i + 1, 2, 3)))
+        (cand_dir / f"cand_{i}.seams").write_text(write_seam_text(seams))
+    good = SeamMetrics(distortion=0.1, fragments=1, runtime_s=0.0, excluded_triangles=0)
+    bad = SeamMetrics(distortion=0.5, fragments=3, runtime_s=0.0, excluded_triangles=0)
+    records = [
+        PairRecord(str(mesh), seed, 0, 1 + k % 2, good, bad)
+        for mesh, seed, n_pairs in meshes
+        for k in range(n_pairs)
+    ]
+    pairs = cand_dir / "pairs.jsonl"
+    pairs.write_text(write_pair_records(records))
+    return pairs
+
+
+def test_dpo_builds_each_condition_once(grid_obj, cube_obj, tmp_path, monkeypatch):
+    from seamkit import cli, mesh as mesh_mod, sampling
+
+    loads = _count_calls(monkeypatch, mesh_mod.load_obj, cli)
+    clouds = _count_calls(monkeypatch, sampling.build_conditioning_clouds, sampling)
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 3), (cube_obj, 0, 2), (grid_obj, 1, 1)])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 2\nlr = 0.001\n")
+    ckpt = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(ckpt), "--config", str(cfg)]) == 0
+    assert (len(loads), len(clouds)) == (2, 3)
+
+    log = [json.loads(line) for line in (tmp_path / "out.log.jsonl").read_text().splitlines()]
+    keys = ["step", "loss", "accuracy", "reward_chosen", "reward_rejected"]
+    keys += ["margin_mean", "margin_min", "grad_norm"]
+    assert [list(entry) for entry in log] == [keys, keys]
+    assert log[0]["loss"] == pytest.approx(np.log(2.0), abs=1e-12) and log[0]["accuracy"] == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    jsonschema.validate(manifest, _schema("manifest.schema.json"))
+    assert set(manifest["timings_s"]) == {"pairs", "train"}
+
+
+def _checkpoint_with_header(blob, edit):
+    magic, header, rest = blob.split(b"\n", 2)
+    doc = json.loads(header)
+    edit(doc)
+    return magic + b"\n" + json.dumps(doc).encode() + b"\n" + rest
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob: b"SEAMKITCKPT1\ngarbage", "no terminating newline"),
+        (lambda blob: b"SEAMKITCKPT1\nnot json\n", "malformed header"),
+        (lambda blob: _checkpoint_with_header(blob, lambda d: d["config"].update(bogus=1)), "unknown config keys: bogus"),
+        (lambda blob: blob + b"\0\0", "2 trailing bytes"),
+    ],
+)
+def test_dpo_corrupt_checkpoint_exit_2(tmp_path, capsys, corrupt, message):
+    params = init_parameters(model_config_from(parse_config(desk_config_text())))
+    ckpt = tmp_path / "init.ckpt"
+    ckpt.write_bytes(corrupt(save_checkpoint(params)))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + f"steps = 0\ninit_checkpoint = {ckpt}\n")
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: " in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("not json", "line 2: not a JSON record"), ('{"seed": 0}', "line 2: missing key 'mesh'")],
+)
+def test_dpo_malformed_pair_record_exit_2(grid_obj, tmp_path, capsys, line, message):
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 1)])
+    pairs.write_text(pairs.read_text() + line + "\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    assert f"{pairs}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_tokens_per_branch_above_cloud_size_exit_2(cube_obj, tmp_path, capsys):
+    params = init_parameters(model_config_from(parse_config(desk_config_text(l=32))))
+    ckpt = tmp_path / "l32.ckpt"
+    ckpt.write_bytes(save_checkpoint(params))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text(l=8, n_topo=16) + f"init_checkpoint = {ckpt}\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config key n_topo = 16" in err and "tokens_per_branch = 32" in err
+    assert not out_dir.exists()

@@ -238,3 +238,174 @@ def test_pair_records_round_trip():
     text = write_pair_records([rec, rec])
     back = read_pair_records(text)
     assert back == [rec, rec]
+
+
+def two_condition_pairs(rng, config):
+    """Pairs over two conditions with shared positives, a negative shared
+    across conditions, distinct cloud objects holding equal arrays, a repeated
+    pair, and token sequences of 1 to 4 segments (so the batch is padded)."""
+    a, b = rand_clouds(rng, config), rand_clouds(rng, config)
+    a_copy = ConditioningClouds(
+        topo_points=a.topo_points.copy(), geom_points=a.geom_points.copy(), seed=0
+    )
+    pos_a = scored(rng, 0.1, 1, n_segments=3)
+    pos_b = scored(rng, 0.2, 1, n_segments=1)
+
+    def neg(n_segments):
+        return scored(rng, 5.0, 9, n_segments=n_segments)
+
+    shared_neg = neg(2)
+    return [
+        PreferencePair(condition=a, positive=pos_a, negative=shared_neg),
+        PreferencePair(condition=a_copy, positive=pos_a, negative=neg(4)),
+        PreferencePair(condition=b, positive=pos_b, negative=shared_neg),
+        PreferencePair(condition=a_copy, positive=pos_a, negative=shared_neg),
+        PreferencePair(condition=b, positive=pos_b, negative=neg(1)),
+    ]
+
+
+def per_pair_logprobs_t(pairs, p, config):
+    """(positive, negative) log-probabilities pair by pair: one encoding and
+    two unbatched decodes each."""
+    from seamkit import autodiff as ad
+    from seamkit.dpo import pair_tokens
+    from seamkit.model import _decoder_logits_t, _encode_condition_t
+
+    out = []
+    for pair in pairs:
+        cond = _encode_condition_t(pair.condition, p, config)
+        lps = []
+        for tokens in pair_tokens(pair):
+            t = tokens.tokens
+            logp = ad.log_softmax(_decoder_logits_t(t[:-1], cond, p, config), axis=-1)
+            lps.append(ad.sum_all(ad.take_per_row(logp, t[1:])))
+        out.append(tuple(lps))
+    return out
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_reference_logprobs_match_per_pair_loop(config):
+    from seamkit.dpo import _batch_pairs, _reference_logprobs
+
+    rng = np.random.default_rng(7)
+    params = init_parameters(config)
+    pairs = two_condition_pairs(rng, config)
+    batch = _batch_pairs(pairs)
+    assert [len(seqs) for _, seqs in batch.groups] == [3, 3]
+    got = _reference_logprobs(pairs, params)
+    expected = per_pair_logprobs_t(pairs, params.as_tensors(), config)
+    for (pos, neg), (lp_pos, lp_neg) in zip(got, expected):
+        assert pos == pytest.approx(float(lp_pos.value), rel=1e-12, abs=0)
+        assert neg == pytest.approx(float(lp_neg.value), rel=1e-12, abs=0)
+
+
+def test_dpo_gradients_match_per_pair_loss():
+    from seamkit import autodiff as ad
+    from seamkit.dpo import _dpo_loss_t, _reference_logprobs
+
+    rng = np.random.default_rng(8)
+    reference = init_parameters(TINY_CONFIG).copy(role="reference")
+    policy = reference.copy(role="policy")
+    for name in policy.trainable_names():
+        policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(
+            size=policy.arrays[name].shape
+        )
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    beta = 0.5
+
+    p = policy.as_tensors(trainable=True)
+    loss, margins = _dpo_loss_t(pairs, p, policy.config, _reference_logprobs(pairs, reference), beta)
+    ad.backward(loss)
+
+    refs = per_pair_logprobs_t(pairs, reference.as_tensors(), TINY_CONFIG)
+    q = policy.as_tensors(trainable=True)
+    terms = []
+    expected_margins = []
+    for (lp_pos, lp_neg), (ref_pos, ref_neg) in zip(per_pair_logprobs_t(pairs, q, TINY_CONFIG), refs):
+        margin = ad.sub(ad.sub(lp_pos, ref_pos), ad.sub(lp_neg, ref_neg))
+        expected_margins.append(float(margin.value))
+        terms.append(ad.scale(ad.log_sigmoid(ad.scale(margin, beta)), -1.0))
+    expected = terms[0]
+    for t in terms[1:]:
+        expected = ad.add(expected, t)
+    expected = ad.scale(expected, 1.0 / len(terms))
+    ad.backward(expected)
+
+    assert float(loss.value) == pytest.approx(float(expected.value), rel=1e-12, abs=0)
+    np.testing.assert_allclose(margins, expected_margins, rtol=1e-10, atol=0)
+    for name in policy.trainable_names():
+        g, g_ref = p[name].grad, q[name].grad
+        assert (g is None) == (g_ref is None), name
+        if g is not None:
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref)), name
+
+
+def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
+    from seamkit import dpo, model
+
+    calls = {"encode": 0, "decode": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dpo, "_encode_condition_t", counted("encode", dpo._encode_condition_t))
+    monkeypatch.setattr(model, "_decoder_logits_t", counted("decode", model._decoder_logits_t))
+    rng = np.random.default_rng(9)
+    policy = init_parameters(TINY_CONFIG)
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    dpo_train(policy, policy.copy(role="reference"), pairs, DPOConfig(learning_rate=1e-3, steps=2))
+    # the reference pass plus two steps, each over two conditions
+    assert calls == {"encode": 6, "decode": 6}
+
+
+def test_dpo_step_log_diagnostics():
+    from seamkit import autodiff as ad
+    from seamkit.dpo import _dpo_loss_t, _reference_logprobs
+
+    rng = np.random.default_rng(10)
+    reference = init_parameters(TINY_CONFIG).copy(role="reference")
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    config = DPOConfig(beta=0.5, learning_rate=0.05, steps=3)
+    trained, history = dpo_train(reference.copy(), reference, pairs, config)
+    first = history[0]
+    assert first.loss == pytest.approx(LN2, abs=1e-12) and first.accuracy == 0.0
+    assert (first.reward_chosen, first.reward_rejected) == (0.0, 0.0)
+    assert (first.margin_mean, first.margin_min) == (0.0, 0.0)
+    p = reference.as_tensors(trainable=True)
+    loss, _ = _dpo_loss_t(pairs, p, TINY_CONFIG, _reference_logprobs(pairs, reference), config.beta)
+    ad.backward(loss)
+    norm = np.sqrt(sum(np.sum(p[n].grad ** 2) for n in reference.trainable_names()))
+    assert first.grad_norm == pytest.approx(norm, rel=1e-12)
+    last = history[-1]
+    assert last.margin_mean == pytest.approx(last.reward_chosen - last.reward_rejected, rel=1e-9)
+    assert last.margin_min <= last.margin_mean
+    assert last.margin_mean > 0 and last.loss < LN2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("not json", "line 2: not a JSON record"),
+        ('{"seed": 0}', "line 2: missing key 'mesh'"),
+        ("[1, 2]", "line 2: malformed record"),
+    ],
+)
+def test_read_pair_records_names_the_bad_line(line, message):
+    rec = PairRecord(
+        mesh_path="m.obj",
+        seed=0,
+        positive_index=0,
+        negative_index=1,
+        positive_metrics=metrics(0.5, 3),
+        negative_metrics=metrics(1.5, 6),
+    )
+    text = write_pair_records([rec]) + line + "\n"
+    with pytest.raises(DPOError, match=message):
+        read_pair_records(text)
+    bad_mode = rec.to_json().replace('"joint"', '"bogus"')
+    with pytest.raises(DPOError, match="line 1: malformed record"):
+        read_pair_records(bad_mode)

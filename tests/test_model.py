@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from seamkit.model import (
     _decode_t,
     _DecodeState,
     _sample_next,
+    _sequence_logprob_t,
+    _sequence_logprobs_t,
     decoder_logits,
     encode_condition,
     init_parameters,
@@ -212,6 +216,27 @@ def test_sequence_logprob_normalization_and_replay():
         sequence_logprob(toks[:-1], cond, params)  # incomplete
 
 
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_batched_logprobs_match_per_sequence(config):
+    rng = np.random.default_rng(21)
+    params = init_parameters(config)
+    p = params.as_tensors()
+    cond = ad.Tensor(encode_condition(rand_clouds(rng, 16, config), params))
+    seqs = [complete_sequence(rng, n) for n in (3, 0, 1, 5, 2)]
+    seqs.append(seqs[0].copy())  # a duplicate scores like its twin
+    batched = [float(t.value) for t in _sequence_logprobs_t(seqs, cond, p, config)]
+    assert batched[-1] == batched[0]
+    for t, got in zip(seqs, batched):
+        lone = float(_sequence_logprob_t(t, cond, p, config).value)
+        assert got == pytest.approx(lone, rel=1e-12, abs=0)
+        # the same value from the unbatched (1-D) decode and a numpy log-softmax
+        logits = decoder_logits(t[:-1], cond.value, params)
+        z = logits - logits.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        direct = float(logp[np.arange(len(t) - 1), t[1:]].sum())
+        assert got == pytest.approx(direct, rel=1e-12, abs=0)
+
+
 def test_sample_greedy_limit_and_determinism():
     rng = np.random.default_rng(10)
     params = init_parameters(TINY_CONFIG)
@@ -360,3 +385,29 @@ def test_checkpoint_round_trip_and_validation():
     truncated = blob[: len(blob) - 100]
     with pytest.raises(CheckpointError):
         load_checkpoint(truncated)
+
+
+def _with_header(blob, edit):
+    magic, header, rest = blob.split(b"\n", 2)
+    doc = json.loads(header)
+    edit(doc)
+    return magic + b"\n" + json.dumps(doc).encode() + b"\n" + rest
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda blob: b"SEAMKITCKPT1\ngarbage", "no terminating newline"),
+        (lambda blob: b"SEAMKITCKPT1\nnot json\n", "malformed header"),
+        (lambda blob: _with_header(blob, lambda d: d.pop("arrays")), "malformed header"),
+        (lambda blob: _with_header(blob, lambda d: d["config"].update(bogus=1)), "unknown config keys: bogus"),
+        (lambda blob: _with_header(blob, lambda d: d["config"].update(n_heads=3)), "invalid config"),
+        (lambda blob: _with_header(blob, lambda d: d["arrays"].reverse()), "names do not match"),
+        (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape=[2, 2])), "shape mismatch"),
+        (lambda blob: blob + b"\0\0", "2 trailing bytes"),
+    ],
+)
+def test_corrupt_checkpoint_raises(corrupt, message):
+    blob = save_checkpoint(init_parameters(TINY_CONFIG))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(corrupt(blob))
