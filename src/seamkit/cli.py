@@ -92,6 +92,8 @@ CONFIG_DEFAULTS = {
 }
 
 
+_CLOUD_RANGE = ">= l (>= 1 with init_checkpoint)"
+
 # Allowed values, checked in this order (a range may name an earlier key):
 # key -> (test of the value against the whole config, the allowed range).
 CONFIG_RANGES = {
@@ -101,8 +103,9 @@ CONFIG_RANGES = {
     "heads": (lambda v, c: v >= 1 and c["d"] % v == 0, "a divisor of d"),
     "max_segments": (lambda v, c: v >= 1, ">= 1"),
     "model_seed": (lambda v, c: v >= 0, ">= 0"),
-    "n_topo": (lambda v, c: v >= c["l"], ">= l"),
-    "n_geom": (lambda v, c: v >= c["l"], ">= l"),
+    # with init_checkpoint, _policy_store checks them against the checkpoint's l
+    "n_topo": (lambda v, c: v >= (1 if c["init_checkpoint"] else c["l"]), _CLOUD_RANGE),
+    "n_geom": (lambda v, c: v >= (1 if c["init_checkpoint"] else c["l"]), _CLOUD_RANGE),
     "n_candidates": (lambda v, c: v >= 1, ">= 1"),
     "temperature": (lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
     "top_p": (lambda v, c: 0 < v <= 1, "in (0, 1]"),
@@ -114,8 +117,24 @@ CONFIG_RANGES = {
 }
 
 
-def parse_config(text: str) -> dict:
-    values = dict(CONFIG_DEFAULTS)
+# Config keys that a checkpoint fixes: key -> ModelConfig field.
+CHECKPOINT_KEYS = {
+    "l": "tokens_per_branch",
+    "d": "d_model",
+    "layers": "n_layers",
+    "heads": "n_heads",
+    "max_segments": "max_segments",
+}
+
+
+class Config(dict):
+    """Config values by key; ``file_keys`` are the keys the config file set."""
+
+    file_keys: frozenset = frozenset()
+
+
+def parse_config(text: str) -> Config:
+    values = Config(CONFIG_DEFAULTS)
     unknown = []
     for line_no, line in content_lines(text):
         if "=" not in line:
@@ -130,14 +149,15 @@ def parse_config(text: str) -> dict:
             values[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise InputError(f"config line {line_no}: {exc}") from exc
+        values.file_keys |= {key}
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
 
 
-def load_config(path: str | None, seed_override: int | None) -> dict:
+def load_config(path: str | None, seed_override: int | None) -> Config:
     if path is None:
-        cfg = dict(CONFIG_DEFAULTS)
+        cfg = Config(CONFIG_DEFAULTS)
     else:
         cfg = parse_config(_read_file(path))
     if seed_override is not None:
@@ -155,15 +175,9 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def model_config_from(cfg: dict) -> model_mod.ModelConfig:
-    return model_mod.ModelConfig(
-        tokens_per_branch=cfg["l"],
-        d_model=cfg["d"],
-        n_layers=cfg["layers"],
-        n_heads=cfg["heads"],
-        max_segments=cfg["max_segments"],
-        seed=cfg["model_seed"],
-    )
+def model_config_from(cfg: Config) -> model_mod.ModelConfig:
+    fields = {field: cfg[key] for key, field in CHECKPOINT_KEYS.items()}
+    return model_mod.ModelConfig(**fields, seed=cfg["model_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +336,13 @@ def cmd_sample_points(args) -> int:
     return EXIT_OK
 
 
-def _policy_store(cfg: dict) -> model_mod.ParameterStore:
+def _policy_store(cfg: Config) -> model_mod.ParameterStore:
     """The configured model; with ``init_checkpoint``, the checkpoint's.
 
     A checkpoint brings its own ``tokens_per_branch``, so the cloud sizes are
-    checked against it here (``load_config`` checks them against ``l``).
+    checked against it here (``load_config`` checks them against ``l`` only
+    without a checkpoint).  A ``CHECKPOINT_KEYS`` key that the config file
+    sets must equal the checkpoint's value.
     """
     path = cfg["init_checkpoint"]
     if not path:
@@ -341,6 +357,13 @@ def _policy_store(cfg: dict) -> model_mod.ParameterStore:
             raise InputError(
                 f"config key {key} = {cfg[key]} is out of range: allowed >= "
                 f"tokens_per_branch = {l} of checkpoint {path}"
+            )
+    for key, field in CHECKPOINT_KEYS.items():
+        value = getattr(store.config, field)
+        if key in cfg.file_keys and cfg[key] != value:
+            raise InputError(
+                f"config key {key} = {cfg[key]} differs from {field} = {value} "
+                f"of checkpoint {path}"
             )
     return store
 

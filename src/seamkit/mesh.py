@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -218,12 +219,41 @@ class SeamEdgeSet:
         return cls(edges=frozenset(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeGraph:
-    """Vertex-edge graph of a mesh: one node per vertex, one weighted arc per edge."""
+    """Vertex-edge graph of a mesh: one node per vertex, one weighted arc per edge.
 
-    n: int
-    adjacency: tuple  # adjacency[v] = ((neighbor, length), ...) sorted by neighbor
+    ``csr`` is the symmetric (n, n) CSR matrix of arc weights.  Row ``v``
+    holds the neighbours of ``v`` in ascending order,
+    ``csr.indices[csr.indptr[v]:csr.indptr[v + 1]]``, and their edge lengths
+    in the same slice of ``csr.data``; every undirected edge is stored once in
+    each of its two rows.  A zero-length edge (two coincident vertices) is an
+    explicitly stored 0, which ``scipy.sparse.csgraph`` reads as an arc.
+    ``projection.shortest_path`` takes the first qualifying entry of a row as
+    its lowest-index tie-break.
+    """
+
+    csr: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
+
+    @classmethod
+    def from_edges(cls, n: int, edges, weights) -> "EdgeGraph":
+        """Graph on ``n`` nodes with one arc per row of ``edges`` (E, 2).
+
+        The vertex pairs must be distinct undirected pairs without loops;
+        ``weights[e]`` is the length of edge ``e``.
+        """
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        weights = np.asarray(weights, dtype=np.float64)
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        data = np.concatenate([weights, weights])[order]
+        return cls(sp.csr_matrix((data, cols[order], indptr), shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +487,4 @@ def extract_uv_seams(mesh: IndexedMesh, tol: float = UV_SEAM_TOL) -> SeamEdgeSet
 
 def build_edge_graph(mesh: IndexedMesh) -> EdgeGraph:
     """One node per vertex, one undirected arc per mesh edge (Euclidean weight)."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_vertices)]
-    for (a, b), w in zip(mesh.edges, mesh.edge_lengths):
-        adj[int(a)].append((int(b), float(w)))
-        adj[int(b)].append((int(a), float(w)))
-    return EdgeGraph(
-        n=mesh.n_vertices,
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-    )
+    return EdgeGraph.from_edges(mesh.n_vertices, mesh.edges, mesh.edge_lengths)

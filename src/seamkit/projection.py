@@ -6,6 +6,7 @@ import heapq
 import logging
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from seamkit.mesh import EdgeGraph, IndexedMesh, MeshError, SeamEdgeSet, build_edge_graph
 from seamkit.tokenizer import SeamSet
@@ -32,52 +33,95 @@ def nearest_vertex(mesh: IndexedMesh, p) -> int:
 def shortest_path(graph: EdgeGraph, a: int, b: int) -> list[int]:
     """Minimal-total-length vertex path from a to b under edge weights.
 
-    Dijkstra with deterministic tie-breaking: the heap orders equal distances
-    by vertex index, and an equal-length relaxation is accepted only when it
-    lowers the predecessor index.  Raises UnreachableError when b cannot be
-    reached from a.
+    Deterministic tie-breaking, as in a heap Dijkstra that orders equal
+    distances by vertex index and accepts an equal-length relaxation only when
+    it lowers the predecessor index.  One ``scipy.sparse.csgraph.dijkstra``
+    call gives the distances ``dist`` from ``a``; the path then walks back
+    from ``b``, stepping from ``v`` to the lowest-index neighbour ``u`` with
+    ``dist[u] + w(u, v) == dist[v]`` (a tight arc) that such a heap settles
+    before ``v``: the heap's predecessor of ``v``.  The heap settles vertices
+    in order of distance, so a tight arc of positive weight, which has
+    ``dist[u] < dist[v]``, always qualifies.  A tight arc between two
+    vertices at the same distance (a zero-length edge between coincident
+    vertices, or a weight lost to rounding) qualifies only if the heap pops
+    ``u`` first inside that distance class; ``_settle_rank`` replays that pop
+    order on a small heap over only those vertices, so ordinary meshes never
+    build it.  Raises UnreachableError when b cannot be reached from a.
     """
     n = graph.n
     if not (0 <= a < n and 0 <= b < n):
         raise ProjectionError(f"vertex out of range: {a}, {b}")
     if a == b:
         return [a]
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    dist[a] = 0.0
-    heap = [(0.0, a)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == b:
-            break
-        for v, w in graph.adjacency[u]:
-            if done[v]:
-                continue
-            nd = d + w
-            if nd < dist[v] or (nd == dist[v] and u < pred[v]):
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
+    dist = dijkstra(graph.csr, directed=True, indices=a)
     if not np.isfinite(dist[b]):
         raise UnreachableError(f"no path from {a} to {b}")
+    indptr, indices, weights = graph.csr.indptr, graph.csr.indices, graph.csr.data
+    rank = None
     path = [b]
-    while path[-1] != a:
-        path.append(int(pred[path[-1]]))
+    for _ in range(n):  # a shortest path has fewer than n steps
+        v = path[-1]
+        if v == a:
+            break
+        for k in range(indptr[v], indptr[v + 1]):  # neighbours ascending
+            u = indices[k]
+            if dist[u] + weights[k] != dist[v]:
+                continue
+            if dist[u] == dist[v]:
+                if rank is None:
+                    rank = _settle_rank(graph, dist, a)
+                if rank[u] > rank[v]:
+                    continue
+            path.append(int(u))
+            break
+    if path[-1] != a:
+        raise ProjectionError(f"walk back from {b} did not reach {a}")
     path.reverse()
     return path
 
 
+def _settle_rank(graph: EdgeGraph, dist: np.ndarray, a: int) -> np.ndarray:
+    """Heap pop order of the vertices joined by tight equal-distance arcs.
+
+    When the heap reaches distance d, its entries at d are the vertices with a
+    tight arc from a lower distance (and ``a`` itself); popping one pushes its
+    tight neighbours at d.  Other vertices keep rank 0.
+    """
+    coo = graph.csr.tocoo()
+    rows, cols, w = coo.row, coo.col, coo.data
+    du, dv = dist[cols], dist[rows]
+    tight = du + w == dv
+    level = tight & (du == dv) & np.isfinite(dv)
+    entered = np.zeros(graph.n, dtype=bool)
+    entered[rows[tight & (du < dv)]] = True
+    entered[a] = True
+    neighbours: dict[int, list[int]] = {}
+    for v, u in zip(rows[level].tolist(), cols[level].tolist()):
+        neighbours.setdefault(v, []).append(u)
+    heap = sorted((dist[v], v) for v in neighbours if entered[v])
+    rank = np.zeros(graph.n, dtype=np.int64)
+    done: set[int] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        rank[v] = len(done)
+        for u in neighbours[v]:
+            if u not in done:
+                heapq.heappush(heap, (d, u))
+    return rank
+
+
 def path_length(graph: EdgeGraph, path: list[int]) -> float:
+    indptr, indices, weights = graph.csr.indptr, graph.csr.indices, graph.csr.data
     total = 0.0
     for u, v in zip(path, path[1:]):
-        w = dict(graph.adjacency[u]).get(v)
-        if w is None:
+        lo, hi = indptr[u], indptr[u + 1]
+        k = lo + int(np.searchsorted(indices[lo:hi], v))
+        if k == hi or indices[k] != v:
             raise ProjectionError(f"path step {u}->{v} is not a graph arc")
-        total += w
+        total += float(weights[k])
     return total
 
 
@@ -125,8 +169,4 @@ def seam_edges_to_segments(mesh: IndexedMesh, edge_set: SeamEdgeSet) -> SeamSet:
     """Each marked mesh edge becomes one seam segment with its endpoint coordinates."""
     if len(edge_set) == 0:
         return SeamSet.empty()
-    rows = [
-        np.stack([mesh.vertices[a], mesh.vertices[b]])
-        for a, b in edge_set.sorted_edges()
-    ]
-    return SeamSet(segments=np.stack(rows))
+    return SeamSet(segments=mesh.vertices[np.array(edge_set.sorted_edges())])

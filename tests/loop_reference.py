@@ -1,15 +1,18 @@
-"""Per-element loop implementations of the cut-and-unwrap core, kept as the reference.
+"""Per-element loop implementations of the geometry core, kept as the reference.
 
-``seamkit`` computes edge incidence, UV seams, cuts, islands and the LSCM
-system with array operations and ``scipy.sparse.csgraph``.  These are the
-straightforward Python-loop versions of the same algorithms (breadth-first
-islands, a union-find over corners, per-edge corner scans, per-face LSCM
-assembly with one solve per connected component).  ``test_equivalence.py``
+``seamkit`` computes edge incidence, UV seams, cuts, islands, the LSCM
+system and seam projection with array operations and ``scipy.sparse.csgraph``.
+These are the straightforward Python-loop versions of the same algorithms
+(breadth-first islands, a union-find over corners, per-edge corner scans,
+per-face LSCM assembly with one solve per connected component, a heapq
+Dijkstra over per-vertex adjacency tuples).  ``test_equivalence.py``
 requires the array code to reproduce their discrete outputs exactly and
 their UVs to a fixed tolerance.
 """
 
+import heapq
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +30,7 @@ from seamkit.unwrap import (
     UnwrapError,
     _local_frames,
 )
+from seamkit.projection import ProjectionError, UnreachableError, nearest_vertex
 
 
 def edge_faces(mesh):
@@ -331,3 +335,79 @@ def unwrap_uv(cut):
             nondisk.append(island)
         residuals.append(param.residual)
     return uv, excluded, tuple(nondisk), tuple(residuals)
+
+
+@dataclass(frozen=True)
+class AdjacencyGraph:
+    """Vertex-edge graph as per-vertex tuples: adjacency[v] = ((neighbor, length), ...)."""
+
+    n: int
+    adjacency: tuple
+
+
+def adjacency_graph(n, edges, weights):
+    """AdjacencyGraph on n nodes, one undirected arc per (a, b) row of edges."""
+    adj = [[] for _ in range(n)]
+    for (a, b), w in zip(edges, weights):
+        adj[int(a)].append((int(b), float(w)))
+        adj[int(b)].append((int(a), float(w)))
+    return AdjacencyGraph(n=n, adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def build_edge_graph(mesh):
+    return adjacency_graph(mesh.n_vertices, mesh.edges, mesh.edge_lengths)
+
+
+def shortest_path(graph, a, b):
+    """Heap Dijkstra: equal distances pop by vertex index, and an equal-length
+    relaxation is accepted only when it lowers the predecessor index."""
+    n = graph.n
+    if not (0 <= a < n and 0 <= b < n):
+        raise ProjectionError(f"vertex out of range: {a}, {b}")
+    if a == b:
+        return [a]
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    dist[a] = 0.0
+    heap = [(0.0, a)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == b:
+            break
+        for v, w in graph.adjacency[u]:
+            if done[v]:
+                continue
+            nd = d + w
+            if nd < dist[v] or (nd == dist[v] and u < pred[v]):
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    if not np.isfinite(dist[b]):
+        raise UnreachableError(f"no path from {a} to {b}")
+    path = [b]
+    while path[-1] != a:
+        path.append(int(pred[path[-1]]))
+    path.reverse()
+    return path
+
+
+def project_seams(mesh, seams):
+    """(edges, provenance) of the seam segments' shortest paths, per segment in order."""
+    graph = build_edge_graph(mesh)
+    edges = {}
+    for i, seg in enumerate(seams.segments):
+        va = nearest_vertex(mesh, seg[0])
+        vb = nearest_vertex(mesh, seg[1])
+        if va == vb:
+            continue
+        try:
+            path = shortest_path(graph, va, vb)
+        except UnreachableError:
+            continue
+        for u, v in zip(path, path[1:]):
+            edges.setdefault((min(u, v), max(u, v)), []).append(i)
+    return SeamEdgeSet(edges=frozenset(edges), provenance={k: tuple(v) for k, v in edges.items()})

@@ -68,6 +68,7 @@ def desk_config_text(**over):
 def test_config_parsing_and_unknown_keys():
     cfg = parse_config("l = 16\n# comment\nbeta=0.5\n\nmode = joint\n")
     assert cfg["l"] == 16 and cfg["beta"] == 0.5 and cfg["mode"] == "joint"
+    assert cfg.file_keys == {"l", "beta", "mode"}
     with pytest.raises(InputError) as err:
         parse_config("l = 16\nbogus = 1\nwat = 2\n")
     assert "bogus" in str(err.value) and "wat" in str(err.value)
@@ -475,4 +476,45 @@ def test_checkpoint_tokens_per_branch_above_cloud_size_exit_2(cube_obj, tmp_path
     assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config key n_topo = 16" in err and "tokens_per_branch = 32" in err
+    assert not out_dir.exists()
+
+
+def _desk_checkpoint(tmp_path):
+    """A checkpoint of the desk config: l = 8, d = 16, layers = 4, heads = 2, max_segments = 8."""
+    params = init_parameters(model_config_from(parse_config(desk_config_text())))
+    ckpt = tmp_path / "desk.ckpt"
+    ckpt.write_bytes(save_checkpoint(params))
+    return ckpt
+
+
+def test_checkpoint_clouds_checked_against_its_l_not_the_default(cube_obj, tmp_path):
+    # no l in the file: the default l = 32 must not bound n_topo, the checkpoint's l = 8 does
+    ckpt = _desk_checkpoint(tmp_path)
+    lines = desk_config_text(n_topo=16, n_geom=16, n_candidates=1).splitlines(keepends=True)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(x for x in lines if not x.startswith("l =")) + f"init_checkpoint = {ckpt}\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 0
+    assert (out_dir / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ({"l": 16}, "tokens_per_branch = 8"),
+        ({"d": 32}, "d_model = 16"),
+        ({"layers": 5}, "n_layers = 4"),
+        ({"heads": 4}, "n_heads = 2"),
+        ({"max_segments": 16}, "max_segments = 8"),
+    ],
+)
+def test_config_key_differing_from_checkpoint_exit_2(cube_obj, tmp_path, capsys, override, field):
+    ckpt = _desk_checkpoint(tmp_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text(**override) + f"init_checkpoint = {ckpt}\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    (key, value), = override.items()
+    assert f"config key {key} = {value} differs from {field} of checkpoint {ckpt}" in err
     assert not out_dir.exists()

@@ -1,17 +1,27 @@
-"""The array-native cut-and-unwrap core against the loop reference in loop_reference.py.
+"""The array-native geometry core against the loop reference in loop_reference.py.
 
-Discrete outputs (seam edge sets, islands, cut triangles and vertices, pins,
-non-disk flags) must match exactly.  UVs come from a different factorization
-order of the same normal equations, so they match to UV_ATOL.
+Discrete outputs (projected seam edges and their provenance, seam edge sets,
+islands, cut triangles and vertices, pins, non-disk flags) must match
+exactly.  UVs come from a different factorization order of the same normal
+equations, so they match to UV_ATOL.
 """
 
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seamkit.mesh import IndexedMesh, SeamEdgeSet, extract_uv_seams, normalize
-from seamkit.projection import project_seams
+from seamkit.mesh import (
+    EdgeGraph,
+    IndexedMesh,
+    SeamEdgeSet,
+    build_edge_graph,
+    extract_uv_seams,
+    normalize,
+)
+from seamkit.projection import UnreachableError, nearest_vertex, project_seams, shortest_path
 from seamkit.shapes import (
     grid_vertex,
     make_cube,
@@ -32,11 +42,14 @@ from tests.corpus import corpus_meshes, quad_cutout_loops
 UV_ATOL = 1e-9
 
 
+def _segments(n, seed):
+    """n uniform-random segments in the canonical cube."""
+    return SeamSet(segments=np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 2, 3)))
+
+
 def _random_segments(mesh, n, seed):
     """Project n uniform-random segments in the canonical cube onto the mesh."""
-    rng = np.random.default_rng(seed)
-    segs = rng.uniform(-0.5, 0.5, size=(n, 2, 3))
-    return project_seams(mesh, SeamSet(segments=segs))
+    return project_seams(mesh, _segments(n, seed))
 
 
 def _random_edges(mesh, frac, seed):
@@ -44,21 +57,23 @@ def _random_edges(mesh, frac, seed):
     return SeamEdgeSet(edges=frozenset(map(tuple, mesh.edges[take].tolist())))
 
 
+GENERATED = [
+    ("grid", make_grid(12, 10)),
+    ("perturbed_grid", make_perturbed_grid(10, 10, seed=3, amplitude=0.15)),
+    ("cube", make_cube(n=3, with_uv=True)),
+    ("cube_plain", make_cube(n=2, with_uv=False)),
+    ("cylinder", make_cylinder(24, 12)),
+    ("sphere", make_sphere(16, 32)),
+    ("tetrahedron", make_tetrahedron()),
+    ("l_extrusion", make_l_extrusion()),
+    ("hull", make_random_hull(200, seed=4)),
+]
+
+
 def _cases():
     """(name, normalized mesh, seam edges) for every generator and the corpus."""
-    meshes = [
-        ("grid", make_grid(12, 10)),
-        ("perturbed_grid", make_perturbed_grid(10, 10, seed=3, amplitude=0.15)),
-        ("cube", make_cube(n=3, with_uv=True)),
-        ("cube_plain", make_cube(n=2, with_uv=False)),
-        ("cylinder", make_cylinder(24, 12)),
-        ("sphere", make_sphere(16, 32)),
-        ("tetrahedron", make_tetrahedron()),
-        ("l_extrusion", make_l_extrusion()),
-        ("hull", make_random_hull(200, seed=4)),
-    ]
     cases = []
-    for name, mesh in meshes:
+    for name, mesh in GENERATED:
         norm, _ = normalize(mesh)
         cases.append((f"{name}-none", norm, SeamEdgeSet(edges=frozenset())))
         if norm.has_uvs:
@@ -176,3 +191,111 @@ def test_island_split_by_excluded_triangle_matches_loop_reference():
     param = parameterize_island(cut, 0, excluded=atlas.excluded)
     assert len(param.pins) == 4  # two active components, two pins each
     assert param.pins == ref.parameterize_island(cut, 0, excluded=atlas.excluded).pins
+
+
+# ---------------------------------------------------------------------------
+# Seam projection
+
+
+def _coincident_grid():
+    """A 6x6 grid cut along column i = 3 and zipped shut by zero-area slivers.
+
+    Each vertex on the cut has a coincident twin, used by the faces right of
+    the cut; the slivers join every vertex to its twin by a zero-length edge.
+    """
+    grid = make_grid(6, 6)
+    n = grid.n_vertices
+    column = [grid_vertex(6, 3, j) for j in range(7)]
+    twin = np.arange(n)
+    twin[column] = n + np.arange(7)
+    right = grid.vertices[grid.triangles].mean(axis=1)[:, 0] > 0.5
+    triangles = np.where(right[:, None], twin[grid.triangles], grid.triangles)
+    slivers = [
+        tri
+        for lo, hi in zip(column, column[1:])
+        for tri in ((lo, twin[lo], hi), (twin[lo], twin[hi], hi))
+    ]
+    return IndexedMesh(
+        vertices=np.vstack([grid.vertices, grid.vertices[column]]),
+        triangles=np.vstack([triangles, slivers]),
+    )
+
+
+def _two_grids():
+    """Two 4x4 grids side by side that share no vertex."""
+    grid = make_grid(4, 4)
+    return IndexedMesh(
+        vertices=np.vstack([grid.vertices, grid.vertices + [2.0, 0.0, 0.0]]),
+        triangles=np.vstack([grid.triangles, grid.triangles + grid.n_vertices]),
+    )
+
+
+def _assert_projection_equal(mesh, seams):
+    got = project_seams(mesh, seams)
+    want = ref.project_seams(mesh, seams)
+    assert got.edges == want.edges
+    assert got.provenance == want.provenance
+    return got
+
+
+PROJECTION_MESHES = GENERATED + [(f"corpus-{name}", mesh) for name, mesh, _ in corpus_meshes()]
+
+
+@pytest.mark.parametrize("name,mesh", PROJECTION_MESHES, ids=[m[0] for m in PROJECTION_MESHES])
+def test_project_seams_matches_heap_reference(name, mesh):
+    norm, _ = normalize(mesh)
+    out = _assert_projection_equal(norm, _segments(64, seed=100))
+    assert len(out) > 0
+
+
+def test_zero_length_edges_match_heap_reference():
+    mesh = _coincident_grid()
+    graph = build_edge_graph(mesh)
+    assert np.count_nonzero(graph.csr.data == 0.0) == 2 * 7
+    want = ref.build_edge_graph(mesh)
+    for a in range(graph.n):
+        for b in range(graph.n):
+            assert shortest_path(graph, a, b) == ref.shortest_path(want, a, b)
+    norm, _ = normalize(mesh)
+    _assert_projection_equal(norm, _segments(64, seed=7))
+
+
+def test_unreachable_segments_skipped_like_heap_reference(caplog):
+    mesh, _ = normalize(_two_grids())
+    seams = _segments(64, seed=8)
+    half = mesh.n_vertices // 2
+    ends = [
+        [nearest_vertex(mesh, p) >= half for p in seg] for seg in seams.segments
+    ]
+    crossing = sum(a != b for a, b in ends)
+    assert crossing > 0
+    with caplog.at_level(logging.WARNING, logger="seamkit.projection"):
+        _assert_projection_equal(mesh, seams)
+    assert sum("skipped" in r.message for r in caplog.records) == crossing
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """(n, edges, weights): a random graph, integer weights 0..3 so ties are exact."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
+    return n, edges, [float(w) for w in weights]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_weighted_graphs())
+def test_shortest_path_matches_heap_reference(graph_spec):
+    n, edges, weights = graph_spec
+    graph = EdgeGraph.from_edges(n, edges, weights)
+    want = ref.adjacency_graph(n, edges, weights)
+    for a in range(n):
+        for b in range(n):
+            try:
+                expected = ref.shortest_path(want, a, b)
+            except UnreachableError:
+                with pytest.raises(UnreachableError):
+                    shortest_path(graph, a, b)
+                continue
+            assert shortest_path(graph, a, b) == expected

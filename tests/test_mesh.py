@@ -232,11 +232,11 @@ def test_edge_graph_triangle_and_tetra():
     tri = load_obj(MINIMAL_OBJ)
     g = build_edge_graph(tri)
     assert g.n == 3
-    assert sum(len(a) for a in g.adjacency) == 2 * 3
+    assert g.csr.nnz == 2 * 3
     tet = make_tetrahedron()
     g = build_edge_graph(tet)
     assert g.n == 4
-    assert sum(len(a) for a in g.adjacency) == 2 * 6
+    assert g.csr.nnz == 2 * 6
 
 
 def test_edge_graph_matches_bruteforce_pairs():
@@ -248,15 +248,20 @@ def test_edge_graph_matches_bruteforce_pairs():
         for t in mesh.triangles:
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 pairs.add((min(t[i], t[j]), max(t[i], t[j])))
-        arcs = {
-            (min(v, n), max(v, n)) for v in range(g.n) for n, _ in g.adjacency[v]
-        }
+        coo = g.csr.tocoo()
+        entries = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+        arcs = {(min(v, n), max(v, n)) for v, n, _ in entries}
         assert arcs == pairs
+        for v, n, w in entries:
+            assert w == pytest.approx(
+                float(np.linalg.norm(mesh.vertices[v] - mesh.vertices[n]))
+            )
+        # each edge once in both rows, neighbours ascending within a row
+        assert g.csr.nnz == 2 * len(pairs)
+        assert (g.csr != g.csr.T).nnz == 0
         for v in range(g.n):
-            for n, w in g.adjacency[v]:
-                assert w == pytest.approx(
-                    float(np.linalg.norm(mesh.vertices[v] - mesh.vertices[n]))
-                )
+            row = g.csr.indices[g.csr.indptr[v] : g.csr.indptr[v + 1]]
+            assert np.all(np.diff(row) > 0)
 
 
 def test_grid_shape_helpers():

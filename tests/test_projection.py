@@ -48,41 +48,41 @@ def test_nearest_vertex_matches_bruteforce():
         assert nearest_vertex(mesh, p) == expected
 
 
+def _graph(n, arcs):
+    """EdgeGraph on n nodes from undirected (u, v, weight) arcs."""
+    arcs = dict(((min(u, v), max(u, v)), w) for u, v, w in arcs)
+    return EdgeGraph.from_edges(n, list(arcs), list(arcs.values()))
+
+
 def _random_connected_graph(rng, n):
     """Random connected graph with positive integer weights (exact float sums)."""
-    adj = [dict() for _ in range(n)]
+    arcs = []
     for v in range(1, n):  # spanning tree first
         u = int(rng.integers(0, v))
-        w = float(rng.integers(1, 10))
-        adj[u][v] = w
-        adj[v][u] = w
+        arcs.append((u, v, float(rng.integers(1, 10))))
     extra = int(rng.integers(0, 2 * n))
     for _ in range(extra):
         u, v = rng.integers(0, n, size=2)
         if u == v:
             continue
-        w = float(rng.integers(1, 10))
-        adj[int(u)][int(v)] = w
-        adj[int(v)][int(u)] = w
-    return EdgeGraph(
-        n=n, adjacency=tuple(tuple(sorted(d.items())) for d in adj)
-    )
+        arcs.append((int(u), int(v), float(rng.integers(1, 10))))
+    return _graph(n, arcs)
 
 
 def _floyd_warshall(graph):
     n = graph.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for u in range(n):
-        for v, w in graph.adjacency[u]:
-            dist[u, v] = min(dist[u, v], w)
+    coo = graph.csr.tocoo()
+    for u, v, w in zip(coo.row, coo.col, coo.data):
+        dist[u, v] = min(dist[u, v], w)
     for k in range(n):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return dist
 
 
 def test_shortest_path_trivial():
-    g = EdgeGraph(n=3, adjacency=(((1, 1.0), (2, 1.0)), ((0, 1.0), (2, 1.0)), ((0, 1.0), (1, 1.0))))
+    g = _graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     assert shortest_path(g, 0, 1) == [0, 1]
     assert shortest_path(g, 2, 2) == [2]
 
@@ -101,22 +101,14 @@ def test_shortest_path_matches_floyd_warshall():
 
 
 def test_shortest_path_unreachable():
-    g = EdgeGraph(n=4, adjacency=(((1, 1.0),), ((0, 1.0),), ((3, 1.0),), ((2, 1.0),)))
+    g = _graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(UnreachableError):
         shortest_path(g, 0, 3)
 
 
 def test_shortest_path_deterministic_tiebreak():
     # two equal-length routes 0-1-3 and 0-2-3: predecessor of 3 must be 1
-    g = EdgeGraph(
-        n=4,
-        adjacency=(
-            ((1, 1.0), (2, 1.0)),
-            ((0, 1.0), (3, 1.0)),
-            ((0, 1.0), (3, 1.0)),
-            ((1, 1.0), (2, 1.0)),
-        ),
-    )
+    g = _graph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
     assert shortest_path(g, 0, 3) == [0, 1, 3]
 
 
