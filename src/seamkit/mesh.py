@@ -148,10 +148,7 @@ class IndexedMesh:
         return None if eid < 0 else eid
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
-        )
+        return triangle_normals(self.vertices[self.triangles])[1]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -297,6 +294,13 @@ def matched_corners(triangles: np.ndarray, face_edges: np.ndarray):
     return side_edge[i], a, b
 
 
+def triangle_normals(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normals ``(p1 - p0) x (p2 - p0)`` of (F, 3, 3) triangle corner points, and
+    the triangle areas, half their lengths."""
+    normals = np.cross(points[:, 1] - points[:, 0], points[:, 2] - points[:, 0])
+    return normals, 0.5 * np.linalg.norm(normals, axis=1)
+
+
 def content_lines(text: str):
     """Yield ``(line_no, line)`` for every non-blank line, ``#`` comments removed.
 
@@ -332,88 +336,191 @@ def _read_text(source) -> str:
 def load_obj(source) -> IndexedMesh:
     """Parse an ASCII OBJ stream (path, text, bytes, or file object).
 
-    Supports ``v``, ``vt`` and ``f`` records with face forms ``v``, ``v/vt``,
-    ``v/vt/vn`` and ``v//vn``; polygons with more than three vertices are
-    fan-triangulated around the first vertex.  ``uv_corners`` is populated iff
-    every face corner supplies a ``vt`` reference.  Unknown record types are
-    ignored.
+    Supports ``v``, ``vt`` and ``f`` records with face corner forms ``v``,
+    ``v/vt``, ``v/vt/vn`` and ``v//vn``, mixed freely; the ``vn`` field is not
+    read.  Polygons with more than three corners are fan-triangulated around
+    the first corner.  ``uv_corners`` is populated iff every face corner
+    supplies a ``vt`` reference.  ``#`` starts a comment; blank lines and
+    unknown record types are ignored.
+
+    The errors are a contract, checked against the record-by-record parser
+    kept in the tests: a malformed record raises ``ObjParseError`` naming the
+    first such line; otherwise an out-of-range index raises ``ObjIndexError``
+    naming the first face that has one (at its first such corner, the vertex
+    before the texture index); otherwise a fan triangle with a repeated vertex
+    raises ``ObjParseError`` naming its face.  Line numbers are 1-based and
+    count every line of the text, as ``content_lines`` does.
+
+    The text is split once into records; each record type is then checked
+    and converted with array operations, and only a record a check rejected
+    is looked at on its own, to word the error.
     """
     text = _read_text(source)
-    vertices: list[tuple[float, float, float]] = []
-    texcoords: list[tuple[float, float]] = []
-    # face corners as (vertex_index, vt_index_or_None) with 1-based indices
-    faces: list[tuple[list[tuple[int, int | None]], int]] = []
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    tags = np.array([(line.split(None, 1) or ("",))[0] for line in lines], dtype=object)
+    lines = np.array(lines, dtype=object)
+    groups = {}
+    for tag in ("v", "vt", "f"):
+        rows = np.flatnonzero(tags == tag)
+        groups[tag] = (lines[rows].tolist(), rows + 1)
+    vertices = _coordinates(*groups["v"], "v", 3)
+    texcoords = _coordinates(*groups["vt"], "vt", 2)
+    faces = _face_corners(*groups["f"])
+    errors = [part for part in (vertices, texcoords, faces) if isinstance(part, ObjParseError)]
+    if errors:
+        raise min(errors, key=lambda exc: exc.line_no)
 
-    for line_no, line in content_lines(text):
-        parts = line.split()
-        tag = parts[0]
-        if tag == "v":
-            if len(parts) < 4:
-                raise ObjParseError("vertex record needs 3 coordinates", line_no)
-            try:
-                xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
-            except ValueError as exc:
-                raise ObjParseError(f"bad vertex coordinate: {exc}", line_no) from exc
-            if not all(map(math.isfinite, xyz)):
-                raise ObjParseError("non-finite vertex coordinate", line_no)
-            vertices.append(xyz)
-        elif tag == "vt":
-            if len(parts) < 3:
-                raise ObjParseError("texture record needs 2 coordinates", line_no)
-            try:
-                st = (float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise ObjParseError(f"bad texture coordinate: {exc}", line_no) from exc
-            if not all(map(math.isfinite, st)):
-                raise ObjParseError("non-finite texture coordinate", line_no)
-            texcoords.append(st)
-        elif tag == "f":
-            if len(parts) < 4:
-                raise ObjParseError("face record needs at least 3 corners", line_no)
-            corners: list[tuple[int, int | None]] = []
-            for ref in parts[1:]:
-                fields = ref.split("/")
-                if len(fields) > 3 or fields[0] == "":
-                    raise ObjParseError(f"bad face corner {ref!r}", line_no)
-                try:
-                    vi = int(fields[0])
-                    ti = None
-                    if len(fields) >= 2 and fields[1] != "":
-                        ti = int(fields[1])
-                except ValueError as exc:
-                    raise ObjParseError(f"bad face corner {ref!r}", line_no) from exc
-                corners.append((vi, ti))
-            faces.append((corners, line_no))
-        # vn, o, g, s, usemtl, mtllib ... are ignored
+    vertex, texture, has_uv, corner_line, n_corners = faces
+    bad_v = (vertex < 1) | (vertex > len(vertices))
+    bad_t = has_uv & ((texture < 1) | (texture > len(texcoords)))
+    if (bad_v | bad_t).any():
+        c = int(np.argmax(bad_v | bad_t))
+        if bad_v[c]:
+            raise ObjIndexError(f"vertex index {vertex[c]} out of range", int(corner_line[c]))
+        raise ObjIndexError(f"texture index {texture[c]} out of range", int(corner_line[c]))
+    vi, ti = vertex.astype(np.int64), texture.astype(np.int64)
 
-    all_have_uv = len(faces) > 0 and all(
-        ti is not None for corners, _ in faces for _, ti in corners
+    # fan (first, k, k + 1) of every face, in face order
+    n_fan = n_corners - 2
+    first = np.repeat(np.cumsum(n_corners) - n_corners, n_fan)
+    k = np.arange(len(first)) - np.repeat(np.cumsum(n_fan) - n_fan, n_fan)
+    fan = np.stack([first, first + k + 1, first + k + 2], axis=1)
+    triangles = vi[fan] - 1
+    repeated = (
+        (triangles[:, 0] == triangles[:, 1])
+        | (triangles[:, 1] == triangles[:, 2])
+        | (triangles[:, 0] == triangles[:, 2])
     )
-    tri_rows: list[tuple[int, int, int]] = []
-    uv_rows: list[tuple[float, float]] = []
-    for corners, line_no in faces:
-        resolved: list[tuple[int, int | None]] = []
-        for vi, ti in corners:
-            if not (1 <= vi <= len(vertices)):
-                raise ObjIndexError(f"vertex index {vi} out of range", line_no)
-            if ti is not None and not (1 <= ti <= len(texcoords)):
-                raise ObjIndexError(f"texture index {ti} out of range", line_no)
-            resolved.append((vi - 1, (ti - 1) if ti is not None else None))
-        for k in range(1, len(resolved) - 1):
-            fan = (resolved[0], resolved[k], resolved[k + 1])
-            tri_rows.append(tuple(vi for vi, _ in fan))
-            if all_have_uv:
-                uv_rows.extend(texcoords[ti] for _, ti in fan)
+    if repeated.any():
+        line_no = int(corner_line[fan[np.argmax(repeated), 0]])
+        raise ObjParseError("degenerate triangle (repeated vertex index)", line_no)
+    uv = None
+    if len(has_uv) and has_uv.all():
+        uv = texcoords[ti[fan].ravel() - 1]
+    return IndexedMesh(vertices=vertices, triangles=triangles, uv_corners=uv)
 
-    uv = np.asarray(uv_rows, dtype=np.float64).reshape(-1, 2) if all_have_uv else None
+
+def _record_error(line: str, line_no: int) -> ObjParseError | None:
+    """The error ``load_obj`` raises for one ``v``, ``vt`` or ``f`` record, or None."""
+    parts = line.split()
+    if parts[0] in ("v", "vt"):
+        width, noun = (3, "vertex") if parts[0] == "v" else (2, "texture")
+        if len(parts) < width + 1:
+            return ObjParseError(f"{noun} record needs {width} coordinates", line_no)
+        try:
+            values = [float(p) for p in parts[1 : width + 1]]
+        except ValueError as exc:
+            return ObjParseError(f"bad {noun} coordinate: {exc}", line_no)
+        if not all(map(math.isfinite, values)):
+            return ObjParseError(f"non-finite {noun} coordinate", line_no)
+        return None
+    if len(parts) < 4:
+        return ObjParseError("face record needs at least 3 corners", line_no)
+    for ref in parts[1:]:
+        fields = ref.split("/")
+        try:
+            if len(fields) > 3 or fields[0] == "":
+                raise ValueError(ref)
+            int(fields[0])
+            if len(fields) >= 2 and fields[1] != "":
+                int(fields[1])
+        except ValueError:
+            return ObjParseError(f"bad face corner {ref!r}", line_no)
+    return None
+
+
+def _first_error(lines: list, line_nos: np.ndarray) -> ObjParseError:
+    """The error of the first rejected record among ``lines``."""
+    for line, line_no in zip(lines, line_nos.tolist()):
+        error = _record_error(line, line_no)
+        if error is not None:
+            return error
+    raise AssertionError("no record of the group is malformed")
+
+
+def _record_tokens(lines: list, tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """The whitespace tokens of records that all start with ``tag``, as an object
+    array, and the index of each record's first token."""
+    tokens = np.array(" ".join(lines).split(), dtype=object)
+    starts = np.flatnonzero(tokens == tag)
+    if len(starts) != len(lines):  # a field equals the tag
+        counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+        starts = np.cumsum(counts) - counts
+    return tokens, starts
+
+
+def _coordinates(lines: list, line_nos: np.ndarray, tag: str, width: int):
+    """(n, width) coordinates of ``v`` or ``vt`` records, or the first record's error.
+
+    Fields past ``width`` are ignored.
+    """
+    tokens, starts = _record_tokens(lines, tag)
+    if (np.diff(starts, append=len(tokens)) > width).all():
+        try:
+            values = tokens[starts[:, None] + np.arange(1, width + 1)].astype(np.float64)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values
+    return _first_error(lines, line_nos)
+
+
+def _face_corners(lines: list, line_nos: np.ndarray):
+    """The corners of ``f`` records, or the first record's error.
+
+    Returns ``(vertex, texture, has_uv, corner_line, n_corners)``: per corner
+    in record order its vertex index and its texture index (0 where it has
+    none) as the integers the record wrote, whether it has a texture index,
+    and the line of its record; and the corner count of each record.  The
+    index arrays hold Python ints when an index does not fit in int64.
+    """
+    tokens, starts = _record_tokens(lines, "f")
+    n_corners = np.diff(starts, append=len(tokens)) - 1
+    if (n_corners < 3).any():
+        return _first_error(lines, line_nos)
+    corners = np.delete(tokens, starts).tolist()
+    n = len(corners)
+    # the corners' characters, one space after each
+    codes = np.frombuffer(
+        (" ".join(corners) + " ").encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    ).copy()
+    end = np.flatnonzero(codes == ord(" "))
+    lengths = np.diff(end, prepend=-1) - 1
+    slash = np.flatnonzero(codes == ord("/"))
+    owner = np.searchsorted(end, slash)
+    n_slash = np.bincount(owner, minlength=n)
+    first = np.searchsorted(owner, np.arange(n))
+    at = np.append(slash, -1)
+    s1 = np.where(n_slash >= 1, at[first], end)
+    s2 = np.where(n_slash >= 2, at[np.minimum(first + 1, len(slash))], end)
+    if (n_slash > 2).any() or (s1 == end - lengths).any():
+        return _first_error(lines, line_nos)
+    # with slashes as spaces, a corner splits into its nonempty fields
+    codes[slash] = ord(" ")
+    fields = np.array(
+        codes.tobytes().decode("utf-32-le", "surrogatepass").split(), dtype=object
+    )
+    has_uv = s2 > s1 + 1
+    n_fields = 1 + has_uv + (end > s2 + 1)
+    vertex_field = np.cumsum(n_fields) - n_fields
     try:
-        return IndexedMesh(
-            vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-            triangles=np.asarray(tri_rows, dtype=np.int64).reshape(-1, 3),
-            uv_corners=uv,
-        )
-    except MeshError as exc:
-        raise ObjParseError(str(exc), 0) from exc
+        vertex = _indices(fields[vertex_field])
+        uv_index = _indices(fields[vertex_field[has_uv] + 1])
+    except ValueError:
+        return _first_error(lines, line_nos)
+    texture = np.zeros(n, dtype=uv_index.dtype)
+    texture[has_uv] = uv_index
+    return vertex, texture, has_uv, np.repeat(line_nos, n_corners), n_corners
+
+
+def _indices(tokens: np.ndarray) -> np.ndarray:
+    """The integers of index tokens: int64 when they all fit, else Python ints."""
+    try:
+        return tokens.astype(np.int64)
+    except OverflowError:
+        return np.array([int(t) for t in tokens], dtype=object)
 
 
 def save_obj(mesh: IndexedMesh) -> str:

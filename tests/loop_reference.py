@@ -1,16 +1,18 @@
 """Per-element loop implementations of the geometry core, kept as the reference.
 
-``seamkit`` computes edge incidence, UV seams, cuts, islands, the LSCM
-system and seam projection with array operations and ``scipy.sparse.csgraph``.
-These are the straightforward Python-loop versions of the same algorithms
-(breadth-first islands, a union-find over corners, per-edge corner scans,
+``seamkit`` parses OBJ text and computes edge incidence, UV seams, cuts,
+islands, the LSCM system and seam projection with array operations and
+``scipy.sparse.csgraph``.  These are the straightforward Python-loop
+versions of the same algorithms (a record-by-record OBJ parser,
+breadth-first islands, a union-find over corners, per-edge corner scans,
 per-face LSCM assembly with one solve per connected component, a heapq
-Dijkstra over per-vertex adjacency tuples).  ``test_equivalence.py``
-requires the array code to reproduce their discrete outputs exactly and
-their UVs to a fixed tolerance.
+Dijkstra over per-vertex adjacency tuples).  ``test_equivalence.py`` and
+``test_obj.py`` require the array code to reproduce their discrete outputs
+exactly and their UVs to a fixed tolerance.
 """
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -18,7 +20,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from seamkit.mesh import UV_SEAM_TOL, SeamEdgeSet
+from seamkit.mesh import (
+    UV_SEAM_TOL,
+    IndexedMesh,
+    MeshError,
+    ObjIndexError,
+    ObjParseError,
+    SeamEdgeSet,
+    _read_text,
+    content_lines,
+)
 from seamkit.unwrap import (
     AREA_EXCLUDE_REL,
     SOLVE_RESIDUAL_REL,
@@ -31,6 +42,88 @@ from seamkit.unwrap import (
     _local_frames,
 )
 from seamkit.projection import ProjectionError, UnreachableError, nearest_vertex
+
+
+def load_obj(source) -> IndexedMesh:
+    """Parse an ASCII OBJ stream record by record (``seamkit.mesh.load_obj`` before
+    it parsed with array operations).  A degenerate face raises ``ObjParseError``
+    with line 0."""
+    text = _read_text(source)
+    vertices: list[tuple[float, float, float]] = []
+    texcoords: list[tuple[float, float]] = []
+    # face corners as (vertex_index, vt_index_or_None) with 1-based indices
+    faces: list[tuple[list[tuple[int, int | None]], int]] = []
+
+    for line_no, line in content_lines(text):
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) < 4:
+                raise ObjParseError("vertex record needs 3 coordinates", line_no)
+            try:
+                xyz = (float(parts[1]), float(parts[2]), float(parts[3]))
+            except ValueError as exc:
+                raise ObjParseError(f"bad vertex coordinate: {exc}", line_no) from exc
+            if not all(map(math.isfinite, xyz)):
+                raise ObjParseError("non-finite vertex coordinate", line_no)
+            vertices.append(xyz)
+        elif tag == "vt":
+            if len(parts) < 3:
+                raise ObjParseError("texture record needs 2 coordinates", line_no)
+            try:
+                st = (float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise ObjParseError(f"bad texture coordinate: {exc}", line_no) from exc
+            if not all(map(math.isfinite, st)):
+                raise ObjParseError("non-finite texture coordinate", line_no)
+            texcoords.append(st)
+        elif tag == "f":
+            if len(parts) < 4:
+                raise ObjParseError("face record needs at least 3 corners", line_no)
+            corners: list[tuple[int, int | None]] = []
+            for ref in parts[1:]:
+                fields = ref.split("/")
+                if len(fields) > 3 or fields[0] == "":
+                    raise ObjParseError(f"bad face corner {ref!r}", line_no)
+                try:
+                    vi = int(fields[0])
+                    ti = None
+                    if len(fields) >= 2 and fields[1] != "":
+                        ti = int(fields[1])
+                except ValueError as exc:
+                    raise ObjParseError(f"bad face corner {ref!r}", line_no) from exc
+                corners.append((vi, ti))
+            faces.append((corners, line_no))
+        # vn, o, g, s, usemtl, mtllib ... are ignored
+
+    all_have_uv = len(faces) > 0 and all(
+        ti is not None for corners, _ in faces for _, ti in corners
+    )
+    tri_rows: list[tuple[int, int, int]] = []
+    uv_rows: list[tuple[float, float]] = []
+    for corners, line_no in faces:
+        resolved: list[tuple[int, int | None]] = []
+        for vi, ti in corners:
+            if not (1 <= vi <= len(vertices)):
+                raise ObjIndexError(f"vertex index {vi} out of range", line_no)
+            if ti is not None and not (1 <= ti <= len(texcoords)):
+                raise ObjIndexError(f"texture index {ti} out of range", line_no)
+            resolved.append((vi - 1, (ti - 1) if ti is not None else None))
+        for k in range(1, len(resolved) - 1):
+            fan = (resolved[0], resolved[k], resolved[k + 1])
+            tri_rows.append(tuple(vi for vi, _ in fan))
+            if all_have_uv:
+                uv_rows.extend(texcoords[ti] for _, ti in fan)
+
+    uv = np.asarray(uv_rows, dtype=np.float64).reshape(-1, 2) if all_have_uv else None
+    try:
+        return IndexedMesh(
+            vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
+            triangles=np.asarray(tri_rows, dtype=np.int64).reshape(-1, 3),
+            uv_corners=uv,
+        )
+    except MeshError as exc:
+        raise ObjParseError(str(exc), 0) from exc
 
 
 def edge_faces(mesh):
@@ -252,8 +345,7 @@ def _solve_component(cut, faces, nondisk, uv_out):
         if extra not in (p0, p1):
             pins.append((extra, (0.5, 1.0)))
 
-    E, a2, good = _local_frames(cut.vertices[tris])
-    areas = a2 / 2.0
+    E, areas, good = _local_frames(cut.vertices[tris])
     rows_i, cols, vals = [], [], []
     nrows = 0
     pin_index = {index[v]: np.asarray(xy) for v, xy in pins}

@@ -225,6 +225,16 @@ def test_evaluate_non_finite_obj_exit_2(tmp_path, capsys, record):
     assert "OBJ line 2: non-finite" in err
 
 
+def test_evaluate_degenerate_face_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "degenerate.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 1 2\n")
+    seams = tmp_path / "empty.seams"
+    seams.write_text("")
+    assert main(["evaluate", str(path), str(seams)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: OBJ line 5: degenerate triangle" in err
+
+
 def test_sample_points(grid_obj, tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n_topo = 128\nn_geom = 96\n")

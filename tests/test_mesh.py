@@ -4,7 +4,6 @@ import pytest
 from seamkit.mesh import (
     DegenerateInputError,
     IndexedMesh,
-    MeshError,
     MissingUVError,
     ObjIndexError,
     ObjParseError,
@@ -80,8 +79,15 @@ def test_face_index_out_of_range():
 
 
 def test_degenerate_face_rejected():
-    with pytest.raises((MeshError, ObjParseError)):
-        load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n")
+    """The error names the first face whose fan repeats a vertex."""
+    for text, line_no in [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n", 4),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 1 2\n", 5),
+    ]:
+        with pytest.raises(ObjParseError) as err:
+            load_obj(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"OBJ line {line_no}: degenerate triangle (repeated vertex index)"
 
 
 def _random_mesh(rng):

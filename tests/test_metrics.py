@@ -35,9 +35,9 @@ def _atlas_from_pairs(tri_pairs):
     tris = np.asarray(tris)
     p = verts[tris]
     areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
-    from seamkit.unwrap import _jacobians
+    from seamkit.unwrap import _jacobians, _local_frames
 
-    J = _jacobians(p, uvs[tris])
+    J = _jacobians(_local_frames(p)[0], uvs[tris])
     sigma = np.linalg.svd(J, compute_uv=False)
     return UVAtlas(
         vertices=verts,
