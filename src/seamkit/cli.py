@@ -208,9 +208,10 @@ def _write_atomic(path: str, data) -> None:
 
 
 def _load_mesh(path: str) -> IndexedMesh:
-    text = _read_file(path)
+    # bytes are always parsed as OBJ content, never taken for a file name
+    data = _read_file(path, binary=True)
     try:
-        return load_obj(text)
+        return load_obj(data)
     except MeshError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

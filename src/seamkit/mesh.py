@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import logging
 import math
@@ -95,9 +96,7 @@ class IndexedMesh:
 
     def _build_edges(self):
         edges, face_edges, keys = index_edges(self.triangles, self.n_vertices)
-        lengths = np.linalg.norm(
-            self.vertices[edges[:, 0]] - self.vertices[edges[:, 1]], axis=1
-        )
+        lengths = _edge_lengths(self.vertices, edges)
         nonmanifold = int(np.count_nonzero(np.bincount(face_edges.ravel()) > 2))
         if nonmanifold:
             logger.warning("mesh has %d non-manifold edges", nonmanifold)
@@ -105,6 +104,17 @@ class IndexedMesh:
         object.__setattr__(self, "face_edges", face_edges)
         object.__setattr__(self, "edge_lengths", lengths)
         object.__setattr__(self, "_edge_keys", keys)
+
+    def _with_vertices(self, vertices: np.ndarray) -> "IndexedMesh":
+        """The same mesh with moved vertices, a (V, 3) float64 array.
+
+        The edge index is kept, since connectivity does not change; only the
+        edge lengths are recomputed.
+        """
+        moved = copy.copy(self)
+        object.__setattr__(moved, "vertices", vertices)
+        object.__setattr__(moved, "edge_lengths", _edge_lengths(vertices, self.edges))
+        return moved
 
     @property
     def n_vertices(self) -> int:
@@ -269,6 +279,11 @@ def index_edges(triangles: np.ndarray, n_vertices: int):
     keys, face_edges = np.unique(sides[:, 0] * n_vertices + sides[:, 1], return_inverse=True)
     edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
     return edges, face_edges.reshape(-1, 3), keys
+
+
+def _edge_lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Euclidean length of each (E, 2) vertex pair."""
+    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
 
 
 def matched_corners(triangles: np.ndarray, face_edges: np.ndarray):
@@ -550,6 +565,8 @@ def normalize(mesh: IndexedMesh) -> tuple[IndexedMesh, NormalizationTransform]:
     """Center the mesh and scale its longest bounding-box axis to length 1.
 
     Returns the transformed mesh and the recorded (invertible) transform.
+    The transformed mesh keeps the input's edge index (connectivity does not
+    change), with edge lengths recomputed from the moved vertices.
     Raises DegenerateInputError when the bounding box has zero extent.
     """
     if mesh.n_vertices == 0:
@@ -560,12 +577,7 @@ def normalize(mesh: IndexedMesh) -> tuple[IndexedMesh, NormalizationTransform]:
         raise DegenerateInputError("bounding box has zero extent")
     center = (lo + hi) / 2.0
     transform = NormalizationTransform(center=center, scale=1.0 / extent)
-    moved = IndexedMesh(
-        vertices=transform.apply(mesh.vertices),
-        triangles=mesh.triangles,
-        uv_corners=mesh.uv_corners,
-    )
-    return moved, transform
+    return mesh._with_vertices(transform.apply(mesh.vertices)), transform
 
 
 # ---------------------------------------------------------------------------

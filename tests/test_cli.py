@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -223,6 +224,27 @@ def test_evaluate_non_finite_obj_exit_2(tmp_path, capsys, record):
     assert main(["evaluate", str(path), "--from-uv"]) == 2
     err = capsys.readouterr().err
     assert "OBJ line 2: non-finite" in err
+
+
+def test_evaluate_nonmanifold_fan_warns_once(tmp_path, caplog):
+    path = tmp_path / "fan.obj"
+    path.write_text(
+        "v 0 0 0\nv 1 0 0\nv 0.5 1 0\nv 0.5 -1 0\nv 0.5 0 1\nf 1 2 3\nf 2 1 4\nf 1 2 5\n"
+    )
+    seams = tmp_path / "empty.seams"
+    seams.write_text("")
+    with caplog.at_level(logging.WARNING, logger="seamkit"):
+        assert main(["evaluate", str(path), str(seams)]) == 0
+    assert sum("non-manifold" in r.message for r in caplog.records) == 1
+
+
+def test_evaluate_obj_content_naming_a_file_is_not_a_path(tmp_path, monkeypatch):
+    # the OBJ's whole content is the name of another, valid OBJ file
+    (tmp_path / "tri.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    (tmp_path / "odd.obj").write_text("tri.obj")
+    (tmp_path / "empty.seams").write_text("")
+    monkeypatch.chdir(tmp_path)
+    assert main(["evaluate", "odd.obj", "empty.seams"]) == 2
 
 
 def test_evaluate_degenerate_face_names_file_and_line(tmp_path, capsys):

@@ -155,6 +155,18 @@ def test_normalize_idempotent():
         assert abs(tf2.scale - 1.0) <= 1e-12
 
 
+def test_normalize_keeps_edge_index():
+    mesh = make_cube(n=2, with_uv=True)
+    out, _ = normalize(IndexedMesh(mesh.vertices * 3.0 + 1.0, mesh.triangles, mesh.uv_corners))
+    rebuilt = IndexedMesh(out.vertices, out.triangles, out.uv_corners)
+    for name in (
+        "vertices", "triangles", "uv_corners", "edges", "face_edges", "edge_lengths", "_edge_keys"
+    ):
+        got, want = getattr(out, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_normalize_zero_extent():
     mesh = IndexedMesh(
         vertices=np.zeros((3, 3)), triangles=np.array([[0, 1, 2]])

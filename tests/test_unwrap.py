@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from seamkit.mesh import IndexedMesh, SeamEdgeSet, extract_uv_seams, load_obj, normalize
 from seamkit.shapes import (
@@ -11,9 +12,11 @@ from seamkit.shapes import (
     make_random_hull,
     make_sphere,
 )
+from seamkit import unwrap
 from seamkit.unwrap import (
     CutContractError,
     DegenerateTriangleError,
+    SolveError,
     atlas_to_obj,
     atlas_to_svg,
     cut_mesh,
@@ -255,6 +258,63 @@ def test_lscm_nondisk_island_flagged():
     terms = atlas.distortion_terms()[~atlas.excluded]
     assert np.isfinite(terms).all()
     assert terms.max() > 0
+
+
+def _block_system(seed=0, shapes=((7, 3), (5, 2))):
+    """A complex block-diagonal least-squares system: (A, c, col_comp)."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    A = sp.block_diag(blocks, format="csr")
+    c = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    col_comp = np.repeat(np.arange(len(shapes)), [cols for _, cols in shapes])
+    return A, c, col_comp
+
+
+def test_solve_blocks_matches_realified_system():
+    A, c, col_comp = _block_system()
+    z, res = unwrap._solve_blocks(A, c, col_comp, 2)
+    # the same problem in (Re z, Im z): [[Re, -Im], [Im, Re]] [x; y] = [Re c; Im c]
+    R = sp.bmat([[A.real, -A.imag], [A.imag, A.real]], format="csr")
+    n = A.shape[1]
+    x, res_real = unwrap._solve_blocks(
+        R, np.concatenate([c.real, c.imag]), np.concatenate([col_comp, col_comp]), 2
+    )
+    np.testing.assert_allclose(z, x[:n] + 1j * x[n:], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(z, np.linalg.lstsq(A.toarray(), c, rcond=None)[0], rtol=1e-12)
+    # both are relative residuals at rounding level
+    np.testing.assert_allclose(res, res_real, rtol=0, atol=1e-12)
+    assert res.shape == (2,) and res.max() <= 1e-12
+
+
+def test_solve_blocks_rank_deficient_block_raises():
+    A, c, col_comp = _block_system()
+    A = A.tolil()
+    A[:, 4] = 0  # the second block's first column
+    with pytest.raises(SolveError, match="singular"):
+        unwrap._solve_blocks(A.tocsr(), c, col_comp, 2)
+
+
+def test_solve_blocks_refines_once_then_raises(monkeypatch):
+    A, c, col_comp = _block_system(shapes=((40, 12), (30, 9)))
+    solves = []
+    splu = unwrap.spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(unwrap.spla, "splu", lambda K, **kw: CountingLU(splu(K, **kw)))
+    _, res = unwrap._solve_blocks(A, c, col_comp, 2)
+    assert len(solves) == 1 and res.min() > 0
+    solves.clear()
+    monkeypatch.setattr(unwrap, "SOLVE_RESIDUAL_REL", res.min() / 1e6)
+    with pytest.raises(SolveError, match=r"normal-system residual \d\.\d\de-\d+ above"):
+        unwrap._solve_blocks(A, c, col_comp, 2)
+    assert len(solves) == 2
 
 
 def test_layout_islands_do_not_overlap():
