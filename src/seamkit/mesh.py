@@ -336,9 +336,6 @@ def _read_text(source) -> str:
         with open(source, "r", encoding="utf-8", errors="replace") as fh:
             return fh.read()
     if isinstance(source, str):
-        if "\n" not in source and os.path.exists(source):
-            with open(source, "r", encoding="utf-8", errors="replace") as fh:
-                return fh.read()
         return source
     if isinstance(source, bytes):
         return source.decode("utf-8", errors="replace")
@@ -349,7 +346,10 @@ def _read_text(source) -> str:
 
 
 def load_obj(source) -> IndexedMesh:
-    """Parse an ASCII OBJ stream (path, text, bytes, or file object).
+    """Parse an ASCII OBJ stream: an ``os.PathLike`` path, text, bytes, or a file object.
+
+    A ``str`` is always OBJ text, never a file name: pass a ``pathlib.Path``
+    to read a file.
 
     Supports ``v``, ``vt`` and ``f`` records with face corner forms ``v``,
     ``v/vt``, ``v/vt/vn`` and ``v//vn``, mixed freely; the ``vn`` field is not

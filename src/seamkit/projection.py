@@ -22,12 +22,61 @@ class UnreachableError(ProjectionError):
     """The two path endpoints lie in different connected components."""
 
 
-def nearest_vertex(mesh: IndexedMesh, p) -> int:
-    """Index of the closest mesh vertex; ties break to the lowest index."""
-    if mesh.n_vertices == 0:
+# Rows of a snapping block times mesh vertices: at most 32 MB of float64.
+_SNAP_BLOCK_ENTRIES = 1 << 22
+
+
+def nearest_vertex(mesh: IndexedMesh, points):
+    """Index of the closest mesh vertex to each point; ties break to the lowest index.
+
+    ``points`` is one point (returns an ``int``) or an (n, 3) array (returns
+    an int64 array of n indices).  Non-finite coordinates raise
+    ProjectionError.
+
+    The answer is the vertex minimising ``((v - p) ** 2).sum()``, first index
+    among equal values: the per-point scan, bit for bit.  For a block of
+    points it is found in two passes.  One matrix product gives
+    ``q = |v|^2 - 2 v.p + |p|^2`` for every vertex and point; each ``q``
+    differs from the scan's value by less than ``64 * eps * (max|v|^2 +
+    |p|^2)`` (a few roundings of terms no larger than that, with room to
+    spare), so every vertex whose ``q`` exceeds the row minimum by more than
+    that slack (plus the smallest normal float, for underflow) is farther
+    than the row's argmin, and the true argmin is always kept.  Only the
+    kept vertices, usually one per point, are then compared by the scan's
+    own formula.  A row whose slack is not finite (squared coordinates that
+    overflow) keeps every vertex.  Blocks hold at most
+    ``_SNAP_BLOCK_ENTRIES`` point-vertex pairs.
+    """
+    verts = mesh.vertices
+    if len(verts) == 0:
         raise ProjectionError("empty mesh")
-    d2 = ((mesh.vertices - np.asarray(p, dtype=np.float64)) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    pts = np.asarray(points, dtype=np.float64)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 3)
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise ProjectionError(f"non-finite point {np.flatnonzero(bad)[0]}: {pts[bad][0].tolist()}")
+    v2 = (verts**2).sum(axis=1)
+    p2 = (pts**2).sum(axis=1)
+    slack = 64.0 * np.finfo(np.float64).eps * (v2.max() + p2) + np.finfo(np.float64).tiny
+    out = np.empty(len(pts), dtype=np.int64)
+    block = max(1, _SNAP_BLOCK_ENTRIES // len(verts))
+    for lo in range(0, len(pts), block):
+        pb = pts[lo : lo + block]
+        q = pb @ verts.T
+        q *= -2.0
+        q += v2
+        q += p2[lo : lo + block, None]
+        limit = q.min(axis=1) + slack[lo : lo + block]
+        keep = q <= limit[:, None]
+        keep[~np.isfinite(limit)] = True
+        rows, cols = np.nonzero(keep)
+        d2 = ((verts[cols] - pb[rows]) ** 2).sum(axis=1)
+        order = np.lexsort((cols, d2, rows))
+        by_row = rows[order]
+        first = order[np.r_[True, by_row[1:] != by_row[:-1]]]
+        out[lo + rows[first]] = cols[first]
+    return int(out[0]) if single else out
 
 
 def shortest_path(graph: EdgeGraph, a: int, b: int) -> list[int]:
@@ -140,10 +189,9 @@ def project_seams(
         raise ProjectionError("empty mesh")
     if graph is None:
         graph = build_edge_graph(mesh)
+    ends = nearest_vertex(mesh, seams.segments.reshape(-1, 3)).reshape(-1, 2).tolist()
     edges: dict[tuple[int, int], list[int]] = {}
-    for i, seg in enumerate(seams.segments):
-        va = nearest_vertex(mesh, seg[0])
-        vb = nearest_vertex(mesh, seg[1])
+    for i, (va, vb) in enumerate(ends):
         if va == vb:
             continue
         try:

@@ -8,6 +8,7 @@ is BOS, then six coordinate tokens per segment (y1 z1 x1 y2 z2 x2), then EOS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,7 +235,11 @@ def write_seam_text(seams: SeamSet) -> str:
 
 
 def read_seam_text(text: str) -> SeamSet:
-    """Parse the seam text format; '#' comments and blank lines are skipped."""
+    """Parse the seam text format; '#' comments and blank lines are skipped.
+
+    Each line holds six finite floats; a malformed line, or one with a NaN or
+    infinite coordinate, raises TokenizerError naming the line.
+    """
     rows = []
     for line_no, line in content_lines(text):
         parts = line.split()
@@ -244,6 +249,8 @@ def read_seam_text(text: str) -> SeamSet:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise TokenizerError(f"seam line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise TokenizerError(f"seam line {line_no}: non-finite coordinate")
         rows.append(vals)
     if not rows:
         return SeamSet.empty()

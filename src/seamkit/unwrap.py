@@ -40,10 +40,6 @@ class DegenerateIslandError(UnwrapError):
     """Island has no usable (positive-area) triangles."""
 
 
-class DegenerateTriangleError(UnwrapError):
-    """Triangle has zero 3D area; it is skipped in distortion sums."""
-
-
 class SolveError(UnwrapError):
     """Linear solve failed to reach the required residual."""
 
@@ -148,16 +144,31 @@ def _jacobians(E: np.ndarray, uv: np.ndarray) -> np.ndarray:
     return U @ inv
 
 
-def triangle_jacobian(p3d, p2d) -> tuple[float, float]:
-    """Singular values (descending) of one triangle's deformation gradient."""
-    p3d = np.asarray(p3d, dtype=np.float64).reshape(1, 3, 3)
-    p2d = np.asarray(p2d, dtype=np.float64).reshape(1, 3, 2)
-    E, _, good = _local_frames(p3d)
-    if not good[0]:
-        raise DegenerateTriangleError("triangle has zero 3D area")
-    J = _jacobians(E, p2d)
-    s = np.linalg.svd(J[0], compute_uv=False)
-    return float(s[0]), float(s[1])
+def _singular_values(J: np.ndarray) -> np.ndarray:
+    """Descending singular values of stacked 2x2 matrices ``J`` (..., 2, 2), in closed form.
+
+    For rows (a, b) and (c, d), with p = a^2 + b^2, q = c^2 + d^2 and
+    r = ac + bd, the eigenvalues of J J^T are (p + q)/2 +- hypot((p - q)/2, r),
+    so sigma1 = sqrt((p + q)/2 + hypot((p - q)/2, r)) and, from
+    sigma1 * sigma2 = |det J|, sigma2 = |ad - bc| / sigma1 (0 when sigma1 = 0,
+    and clamped to sigma1).  Only the larger eigenvalue is taken from the
+    square root, so sigma2 does not lose digits to cancellation.
+
+    Both are within a few ulps of sigma1 while the largest entry's magnitude
+    lies in [1e-153, 1e153]: there no square or sum of squares overflows, and
+    a product that underflows loses less than an ulp of sigma1^2 >= 1e-306.
+    The Jacobians of live triangles sit many orders of magnitude inside that
+    range, because ``AREA_EXCLUDE_REL`` removes the near-zero-area triangles.
+    """
+    a, b = J[..., 0, 0], J[..., 0, 1]
+    c, d = J[..., 1, 0], J[..., 1, 1]
+    p = a * a + b * b
+    q = c * c + d * d
+    s1 = np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, a * c + b * d))
+    det = np.abs(a * d - b * c)
+    s2 = np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0)
+    np.minimum(s2, s1, out=s2)  # rounding can lift det / sigma1 above an equal sigma1
+    return np.stack([s1, s2], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +456,7 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
     sigma = np.full((len(cut.triangles), 2), np.nan)
     if live.any():
         J = _jacobians(E[live], uv[cut.triangles[live]])
-        sigma[live] = np.linalg.svd(J, compute_uv=False)
+        sigma[live] = _singular_values(J)
     return UVAtlas(
         vertices=cut.vertices,
         triangles=cut.triangles,

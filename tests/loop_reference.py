@@ -3,12 +3,12 @@
 ``seamkit`` parses OBJ text and computes edge incidence, UV seams, cuts,
 islands, the LSCM system and seam projection with array operations and
 ``scipy.sparse.csgraph``.  These are the straightforward Python-loop
-versions of the same algorithms (a record-by-record OBJ parser,
-breadth-first islands, a union-find over corners, per-edge corner scans,
-per-face LSCM assembly with one solve per connected component, a heapq
-Dijkstra over per-vertex adjacency tuples).  ``test_equivalence.py`` and
-``test_obj.py`` require the array code to reproduce their discrete outputs
-exactly and their UVs to a fixed tolerance.
+versions of the same algorithms (a record-by-record OBJ parser, a scan of
+every vertex per snapped point, breadth-first islands, a union-find over
+corners, per-edge corner scans, per-face LSCM assembly with one solve per
+connected component, a heapq Dijkstra over per-vertex adjacency tuples).
+``test_equivalence.py`` and ``test_obj.py`` require the array code to
+reproduce their discrete outputs exactly and their UVs to a fixed tolerance.
 """
 
 import heapq
@@ -41,7 +41,7 @@ from seamkit.unwrap import (
     UnwrapError,
     _local_frames,
 )
-from seamkit.projection import ProjectionError, UnreachableError, nearest_vertex
+from seamkit.projection import ProjectionError, UnreachableError
 
 
 def load_obj(source) -> IndexedMesh:
@@ -485,6 +485,14 @@ def shortest_path(graph, a, b):
         path.append(int(pred[path[-1]]))
     path.reverse()
     return path
+
+
+def nearest_vertex(mesh: IndexedMesh, p) -> int:
+    """Closest mesh vertex to one point by a scan of every vertex; ties to the lowest index."""
+    if mesh.n_vertices == 0:
+        raise ProjectionError("empty mesh")
+    d2 = ((mesh.vertices - np.asarray(p, dtype=np.float64)) ** 2).sum(axis=1)
+    return int(np.argmin(d2))
 
 
 def project_seams(mesh, seams):

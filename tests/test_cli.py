@@ -108,7 +108,7 @@ def test_evaluate_from_uv_cube(cube_obj, tmp_path, capsys):
     assert payload["fragments"] == 6
     assert svg.read_text().startswith("<svg")
     # --from-uv seams equal extract_uv_seams output
-    mesh, _ = normalize(load_obj(str(cube_obj)))
+    mesh, _ = normalize(load_obj(cube_obj))
     assert len(extract_uv_seams(mesh)) > 0
 
 
@@ -145,7 +145,7 @@ def test_tokenize_empty_seam_file(tmp_path):
 
 
 def test_project_segment_along_edge(grid_obj, tmp_path):
-    mesh, tf = normalize(load_obj(str(grid_obj)))
+    mesh, tf = normalize(load_obj(grid_obj))
     a, b = grid_vertex(6, 2, 3), grid_vertex(6, 3, 3)
     seg = np.stack([mesh.vertices[a], mesh.vertices[b]])[None]
     seam_file = tmp_path / "seg.seams"
@@ -224,6 +224,14 @@ def test_evaluate_non_finite_obj_exit_2(tmp_path, capsys, record):
     assert main(["evaluate", str(path), "--from-uv"]) == 2
     err = capsys.readouterr().err
     assert "OBJ line 2: non-finite" in err
+
+
+@pytest.mark.parametrize("line", ["nan 0 0 1 1 0", "0 0 0 1 inf 0"])
+def test_evaluate_non_finite_seam_exit_2(grid_obj, tmp_path, capsys, line):
+    seams = tmp_path / "bad.seams"
+    seams.write_text(line + "\n")
+    assert main(["evaluate", str(grid_obj), str(seams)]) == 2
+    assert f"{seams}: seam line 1: non-finite coordinate" in capsys.readouterr().err
 
 
 def test_evaluate_nonmanifold_fan_warns_once(tmp_path, caplog):

@@ -21,6 +21,7 @@ from seamkit.mesh import (
     extract_uv_seams,
     normalize,
 )
+from seamkit import projection
 from seamkit.projection import UnreachableError, nearest_vertex, project_seams, shortest_path
 from seamkit.shapes import (
     grid_vertex,
@@ -272,6 +273,47 @@ def test_unreachable_segments_skipped_like_heap_reference(caplog):
     with caplog.at_level(logging.WARNING, logger="seamkit.projection"):
         _assert_projection_equal(mesh, seams)
     assert sum("skipped" in r.message for r in caplog.records) == crossing
+
+
+@st.composite
+def _snap_cases(draw):
+    """(vertices, points, block entries) with exact ties, duplicate vertices and far points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):  # lattice coordinates: equal distances are exactly equal
+        verts = rng.integers(-3, 4, size=(n, 3)).astype(float)
+    else:
+        verts = rng.uniform(-0.5, 0.5, size=(n, 3))
+    if draw(st.booleans()):
+        verts = np.vstack([verts, verts])  # every vertex duplicated
+    m = draw(st.integers(1, 30))
+    i, j = rng.integers(0, len(verts), size=(2, m))
+    mid = (verts[i] + verts[j]) / 2  # equidistant from vertices i and j
+    pts = np.concatenate(
+        [
+            rng.uniform(-1.0, 1.0, size=(m, 3)),
+            verts[i],
+            mid,
+            mid + rng.normal(size=(m, 3)) * 1e-15,
+            rng.normal(size=(m, 3)) * 1e6,  # far outside the mesh
+            rng.choice([-1.0, 1.0], size=(m, 3)) * 1e308,  # squared distances overflow
+        ]
+    )
+    entries = draw(st.sampled_from([1, 7, 5 * len(verts), projection._SNAP_BLOCK_ENTRIES]))
+    return verts, pts, entries
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_snap_cases())
+def test_nearest_vertex_batch_matches_per_point_scan(case):
+    verts, pts, entries = case
+    mesh = IndexedMesh(vertices=verts, triangles=np.zeros((0, 3), dtype=np.int64))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(projection, "_SNAP_BLOCK_ENTRIES", entries)  # 1 and 7: one row per block
+        got = nearest_vertex(mesh, pts)
+        want = [ref.nearest_vertex(mesh, p) for p in pts]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 @st.composite

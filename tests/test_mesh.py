@@ -67,6 +67,15 @@ f 1//1 2//1 3//1
     assert not mesh.has_uvs
 
 
+def test_str_source_is_text_even_when_it_names_a_file(tmp_path, monkeypatch):
+    (tmp_path / "tri.obj").write_text(MINIMAL_OBJ)
+    monkeypatch.chdir(tmp_path)
+    # one unknown record "tri.obj", not the file of that name
+    assert load_obj("tri.obj").n_vertices == 0
+    assert load_obj("/").n_vertices == 0
+    assert load_obj(tmp_path / "tri.obj").n_triangles == 1
+
+
 def test_parse_error_has_line_number():
     with pytest.raises(ObjParseError) as err:
         load_obj("v 0 0 0\nv bad 0 0\n")

@@ -41,11 +41,26 @@ def test_nearest_vertex_exact_and_tie():
 def test_nearest_vertex_matches_bruteforce():
     rng = np.random.default_rng(0)
     mesh = make_grid(6, 6)
-    for _ in range(500):
-        p = rng.uniform(-0.5, 1.5, size=3)
+    points = rng.uniform(-0.5, 1.5, size=(500, 3))
+    expected = []
+    for p in points:
         d = [float(np.linalg.norm(v - p)) for v in mesh.vertices]
-        expected = min(range(len(d)), key=lambda i: (d[i], i))
-        assert nearest_vertex(mesh, p) == expected
+        expected.append(min(range(len(d)), key=lambda i: (d[i], i)))
+        assert nearest_vertex(mesh, p) == expected[-1]
+    assert nearest_vertex(mesh, points).tolist() == expected
+    assert nearest_vertex(mesh, np.zeros((0, 3))).tolist() == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_vertex_rejects_non_finite_points(bad):
+    mesh = make_grid(3, 3)
+    with pytest.raises(ProjectionError, match="non-finite point 1"):
+        nearest_vertex(mesh, [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+    with pytest.raises(ProjectionError):
+        nearest_vertex(mesh, [0.0, bad, 0.0])
+    seg = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, bad]]])
+    with pytest.raises(ProjectionError):
+        project_seams(mesh, SeamSet(segments=seg))
 
 
 def _graph(n, arcs):

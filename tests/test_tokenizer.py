@@ -10,6 +10,7 @@ from seamkit.tokenizer import (
     MalformedSequenceError,
     NotCanonicalError,
     SeamSet,
+    TokenizerError,
     TokenSequence,
     canonicalize,
     decode,
@@ -201,6 +202,12 @@ def test_seam_text_round_trip():
     back = read_seam_text("# header comment\n" + text + "\n# trailing\n")
     assert np.abs(back.segments - seams.segments).max() < 1e-8
     assert encode(canonicalize(back)) == encode(seams)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_seam_text_rejects_non_finite_coordinates(value):
+    with pytest.raises(TokenizerError, match="seam line 2: non-finite coordinate"):
+        read_seam_text(f"0 0 0 1 1 0\n0 0 {value} 1 1 0\n")
 
 
 def test_token_text_round_trip():
