@@ -417,8 +417,22 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str, parse):
+    """``parse`` applied to the JSON object in ``path``; a file that is not
+    JSON, or lacks a key ``parse`` reads, raises ``InputError`` naming it."""
+    try:
+        return parse(json.loads(_read_file(path)))
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"{path}: malformed JSON record ({exc})") from exc
+
+
 def _read_candidates(cand_dir: str):
-    run_info = json.loads(_read_file(os.path.join(cand_dir, "run.json")))
+    """(mesh, seed) of the run and its candidates; ``prefpairs`` needs two."""
+    run_info = _read_json(
+        os.path.join(cand_dir, "run.json"), lambda d: (d["mesh"], int(d["seed"]))
+    )
     cands = []
     i = 0
     while True:
@@ -427,24 +441,26 @@ def _read_candidates(cand_dir: str):
         if not (os.path.exists(seam_path) and os.path.exists(json_path)):
             break
         seams = _load_seams(seam_path)
-        metrics = metrics_mod.SeamMetrics.from_dict(json.loads(_read_file(json_path)))
+        metrics = _read_json(json_path, metrics_mod.SeamMetrics.from_dict)
         cands.append(dpo_mod.ScoredSeams(seams=seams, metrics=metrics))
         i += 1
-    if not cands:
-        raise InputError(f"no cand_*.seams candidates under {cand_dir}")
+    if len(cands) < 2:
+        raise InputError(
+            f"{cand_dir}: {len(cands)} cand_*.seams/.json candidates; pairs need at least 2"
+        )
     return run_info, cands
 
 
 def cmd_prefpairs(args) -> int:
     cfg = load_config(args.config, args.seed)
     t0 = time.perf_counter()
-    run_info, cands = _read_candidates(args.candidates)
+    (mesh_path, seed), cands = _read_candidates(args.candidates)
     pairs = dpo_mod.build_pairs(cands, mode=cfg["mode"])
     by_id = {id(c): i for i, c in enumerate(cands)}
     records = [
         dpo_mod.PairRecord(
-            mesh_path=run_info["mesh"],
-            seed=int(run_info["seed"]),
+            mesh_path=mesh_path,
+            seed=seed,
             positive_index=by_id[id(p.positive)],
             negative_index=by_id[id(p.negative)],
             positive_metrics=p.positive.metrics,

@@ -6,13 +6,12 @@ the single-metric ablation modes).  The training objective is the standard
 pairwise logistic loss on scaled policy/reference log-ratio margins; at
 policy == reference it equals ln 2 exactly.
 
-The loss is computed per condition, not per pair.  Pairs are grouped by the
-content of their conditioning clouds (equal point arrays, whatever object
-holds them), and each group's token sequences are deduplicated: a positive
-shared by several pairs is scored once.  Each group encodes its condition
-once and scores its unique sequences in one teacher-forced decode, right-
-padded to a common length (``model._sequence_logprobs_t``).  The reference
-log-probabilities come from the same code path on a store without gradients.
+Pairs are scored on the one grouped path NLL pretraining also uses: each pair
+is an item (condition, (positive, negative)) of ``model._group_conditions``,
+so each condition is prepared once per ``dpo_train``, encoded once per pass,
+and its distinct sequences are scored in one right-padded decode.  The
+reference log-probabilities come from the same path on a store without
+gradients, and each step is one ``model._sgd_step``.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from seamkit.metrics import SeamMetrics
 from seamkit.model import (
     ParameterStore,
     TrainingError,
-    _encode_condition_t,
-    _sequence_logprobs_t,
+    _ConditionBatch,
+    _group_conditions,
+    _group_logprobs_t,
+    _sgd_step,
 )
 from seamkit.sampling import ConditioningClouds
 from seamkit.tokenizer import SeamSet, TokenSequence, canonicalize, encode
@@ -155,60 +157,17 @@ def dpo_margin_loss(margins, beta: float):
     return ad.scale(ad.log_sigmoid(ad.scale(m, beta)), -1.0)
 
 
-@dataclass(frozen=True)
-class _PairBatch:
-    """Pairs grouped by condition, each group's token sequences deduplicated.
-
-    ``groups[g]`` is (condition clouds, unique token arrays); ``index[i]`` is
-    pair i's (group, positive sequence, negative sequence).
-    """
-
-    groups: list
-    index: list
-
-
-def _batch_pairs(pairs) -> _PairBatch:
-    """Group pairs by the content of their clouds, in order of first use.
-
-    Pairs whose clouds hold equal point arrays share a group even when they
-    carry distinct ``ConditioningClouds`` objects.
-    """
-    if isinstance(pairs, _PairBatch):
+def _batch_pairs(pairs, config) -> _ConditionBatch:
+    """The pairs as (condition, (positive, negative)) items, grouped by
+    condition content (``model._group_conditions``); a batch passes through."""
+    if isinstance(pairs, _ConditionBatch):
         return pairs
-    groups: list = []
-    index: list = []
-    group_ids: dict = {}
-    seq_ids: list[dict] = []
+    items = []
     for pair in pairs:
-        clouds = pair.condition
-        if clouds is None:
+        if pair.condition is None:
             raise DPOError("preference pair carries no condition clouds")
-        key = tuple(
-            (pts.shape, np.ascontiguousarray(pts, dtype=np.float64).tobytes())
-            for pts in (clouds.topo_points, clouds.geom_points)
-        )
-        g = group_ids.setdefault(key, len(groups))
-        if g == len(groups):
-            groups.append((clouds, []))
-            seq_ids.append({})
-        seqs = groups[g][1]
-        ids = []
-        for tokens in pair_tokens(pair):
-            i = seq_ids[g].setdefault(tokens.tokens.tobytes(), len(seqs))
-            if i == len(seqs):
-                seqs.append(tokens.tokens)
-            ids.append(i)
-        index.append((g, *ids))
-    return _PairBatch(groups=groups, index=index)
-
-
-def _group_logprobs_t(batch: _PairBatch, p, config) -> list[list]:
-    """Log-probability Tensors of every group's sequences: one condition
-    encoding and one padded decode per group."""
-    return [
-        _sequence_logprobs_t(seqs, _encode_condition_t(clouds, p, config), p, config)
-        for clouds, seqs in batch.groups
-    ]
+        items.append((pair.condition, tuple(t.tokens for t in pair_tokens(pair))))
+    return _group_conditions(items, config)
 
 
 def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, float]]:
@@ -217,18 +176,18 @@ def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, f
     Runs the policy's code path on a store without gradients, so at policy ==
     reference every margin is exactly 0.
     """
-    batch = _batch_pairs(pairs)
+    batch = _batch_pairs(pairs, reference.config)
     lps = _group_logprobs_t(batch, reference.as_tensors(), reference.config)
-    return [(float(lps[g][i].value), float(lps[g][j].value)) for g, i, j in batch.index]
+    return [(float(lps[g][pos].value), float(lps[g][neg].value)) for g, pos, neg in batch.index]
 
 
 def _log_ratios_t(pairs, policy_tensors, config, ref_logprobs) -> list[tuple]:
     """Per pair, (log pi - log ref) of the positive and of the negative."""
-    batch = _batch_pairs(pairs)
+    batch = _batch_pairs(pairs, config)
     lps = _group_logprobs_t(batch, policy_tensors, config)
     out = []
-    for k, ((g, i, j), (ref_pos, ref_neg)) in enumerate(zip(batch.index, ref_logprobs)):
-        lp_pos, lp_neg = lps[g][i], lps[g][j]
+    for k, ((g, pos, neg), (ref_pos, ref_neg)) in enumerate(zip(batch.index, ref_logprobs)):
+        lp_pos, lp_neg = lps[g][pos], lps[g][neg]
         if not (np.isfinite(lp_pos.value) and np.isfinite(lp_neg.value)):
             raise DPOError(f"non-finite log-probability for pair {k}")
         out.append((ad.sub(lp_pos, ad.Tensor(ref_pos)), ad.sub(lp_neg, ad.Tensor(ref_neg))))
@@ -243,21 +202,12 @@ def _margin_loss_t(log_ratios, beta: float):
         margin = ad.sub(chosen, rejected)
         margins.append(float(margin.value))
         terms.append(dpo_margin_loss(margin, beta))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms)), margins
+    return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), margins
 
 
 def _dpo_loss_t(pairs, policy_tensors, config, ref_logprobs, beta: float):
-    """Graph of the batch loss; returns (loss Tensor, margin floats).
-
-    The pairs are grouped by condition content and each group's token
-    sequences are deduplicated (``_batch_pairs``): the encoder runs once per
-    group and the decoder once per group, over its unique sequences
-    right-padded to one batch.  Each sequence's log-probability sums its own
-    rows only, and the per-pair terms are summed in pair order.
-    """
+    """Graph of the batch loss on the grouped path; returns (loss Tensor,
+    margin floats).  The per-pair terms are summed in pair order."""
     return _margin_loss_t(_log_ratios_t(pairs, policy_tensors, config, ref_logprobs), beta)
 
 
@@ -271,9 +221,9 @@ def dpo_loss(
     pairs = list(pairs)
     if not pairs:
         raise DPOError("empty pair batch")
-    refs = _reference_logprobs(pairs, reference)
-    p = policy.as_tensors()
-    loss, _ = _dpo_loss_t(pairs, p, policy.config, refs, beta)
+    batch = _batch_pairs(pairs, policy.config)
+    refs = _reference_logprobs(batch, reference)
+    loss, _ = _dpo_loss_t(batch, policy.as_tensors(), policy.config, refs, beta)
     return float(loss.value)
 
 
@@ -310,8 +260,8 @@ def dpo_train(
 ) -> tuple[ParameterStore, list[DPOStepLog]]:
     """Run config.steps SGD steps on the preference objective.
 
-    The reference store is read-only throughout.  The pairs are grouped and
-    tokenized once (``_batch_pairs``).  Logs loss, preference accuracy
+    The reference store is read-only throughout.  The pairs are tokenized
+    and grouped, and their conditions prepared, once (``_batch_pairs``).  Logs loss, preference accuracy
     (fraction of pairs with positive margin) and the ``DPOStepLog`` reward
     diagnostics per step.  Aborts when the loss stays above
     divergence_factor * ln 2 for divergence_patience consecutive steps.
@@ -320,7 +270,7 @@ def dpo_train(
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
-    batch = _batch_pairs(dataset)
+    batch = _batch_pairs(dataset, policy.config)
     refs = _reference_logprobs(batch, reference)
     history: list[DPOStepLog] = []
     bad_streak = 0
@@ -356,11 +306,7 @@ def dpo_train(
                 )
         else:
             bad_streak = 0
-        new = policy.copy()
-        for name, g in zip(policy.trainable_names(), grads):
-            if g is not None:
-                new.arrays[name] = new.arrays[name] - config.learning_rate * g
-        policy = new
+        policy = _sgd_step(policy, p, config.learning_rate)
     return policy, history
 
 

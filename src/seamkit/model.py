@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -100,12 +101,6 @@ class ModelConfig:
         coord, ep, seg = (base + (1 if i < rem else 0) for i in range(3))
         ep_pre = (ep + 1) // 2
         return coord, ep_pre, seg, ep - ep_pre
-
-    @classmethod
-    def paper_scale(cls, **overrides) -> "ModelConfig":
-        args = dict(tokens_per_branch=3072, d_model=1024, n_layers=24, n_heads=16)
-        args.update(overrides)
-        return cls(**args)
 
 
 def _is_cross_layer(i: int) -> bool:
@@ -290,13 +285,22 @@ def _canonical_cloud(points: np.ndarray) -> np.ndarray:
     return pts[order]
 
 
-def _encode_branch(points: np.ndarray, p, branch: str, config: ModelConfig):
-    pts = _canonical_cloud(points)
-    if len(pts) < config.tokens_per_branch:
-        raise ModelError(
-            f"{branch} cloud has {len(pts)} points < tokens_per_branch={config.tokens_per_branch}"
-        )
-    anchors = fps_anchors(pts, config.tokens_per_branch)
+def _prepare_condition(clouds: ConditioningClouds, config: ModelConfig) -> tuple:
+    """Per branch (topology, then geometry), the canonical cloud and its FPS
+    anchor rows.  Both depend only on the clouds, so they are computed once
+    per condition, not once per encoder pass."""
+    prepared = []
+    for branch, points in (("topo", clouds.topo_points), ("geom", clouds.geom_points)):
+        pts = _canonical_cloud(points)
+        if len(pts) < config.tokens_per_branch:
+            raise ModelError(
+                f"{branch} cloud has {len(pts)} points < tokens_per_branch={config.tokens_per_branch}"
+            )
+        prepared.append((branch, pts, fps_anchors(pts, config.tokens_per_branch)))
+    return tuple(prepared)
+
+
+def _encode_branch(branch: str, pts: np.ndarray, anchors: np.ndarray, p, config: ModelConfig):
     feats = ad.add(ad.matmul(ad.Tensor(pts), p[f"enc.{branch}.point.w"]), p[f"enc.{branch}.point.b"])
     queries = ad.gather_rows(feats, anchors)
     q_norm = _layer_norm(queries, p[f"enc.{branch}.attn.lnq.g"], p[f"enc.{branch}.attn.lnq.b"])
@@ -308,16 +312,15 @@ def _encode_branch(points: np.ndarray, p, branch: str, config: ModelConfig):
     return ad.add(x, ff)
 
 
-def _encode_condition_t(clouds: ConditioningClouds, p, config: ModelConfig):
-    topo = _encode_branch(clouds.topo_points, p, "topo", config)
-    geom = _encode_branch(clouds.geom_points, p, "geom", config)
-    return ad.concat_rows([topo, geom])
+def _encode_condition_t(prepared: tuple, p, config: ModelConfig):
+    """Condition embedding of a ``_prepare_condition`` result."""
+    return ad.concat_rows([_encode_branch(*branch, p, config) for branch in prepared])
 
 
 def encode_condition(clouds: ConditioningClouds, params: ParameterStore) -> np.ndarray:
     """Condition embedding: (2 * tokens_per_branch, d_model)."""
-    p = params.as_tensors()
-    return _encode_condition_t(clouds, p, params.config).value
+    prepared = _prepare_condition(clouds, params.config)
+    return _encode_condition_t(prepared, params.as_tensors(), params.config).value
 
 
 class _DecodeState:
@@ -420,9 +423,7 @@ def _decoder_logits_t(tokens: np.ndarray, cond, p, config: ModelConfig):
     return _decode_t(_DecodeState(cond, p, config), tokens)
 
 
-def decoder_logits(
-    tokens, cond: np.ndarray, params: ParameterStore
-) -> np.ndarray:
+def decoder_logits(tokens, cond: np.ndarray, params: ParameterStore) -> np.ndarray:
     """Per-position next-token logits; position i depends only on tokens <= i."""
     t = _token_array(tokens)
     p = params.as_tensors()
@@ -466,16 +467,12 @@ def _sequence_logprobs_t(seqs, cond, p, config: ModelConfig) -> list:
     ]
 
 
-def _sequence_logprob_t(t: np.ndarray, cond, p, config: ModelConfig):
-    return _sequence_logprobs_t([t], cond, p, config)[0]
-
-
 def sequence_logprob(tokens, cond: np.ndarray, params: ParameterStore) -> float:
     """Log probability of a complete sequence under teacher forcing."""
     t = _token_array(tokens)
     _check_complete(t)
     p = params.as_tensors()
-    val = float(_sequence_logprob_t(t, ad.Tensor(cond), p, params.config).value)
+    val = float(_sequence_logprobs_t([t], ad.Tensor(cond), p, params.config)[0].value)
     if not np.isfinite(val):
         raise ModelError("non-finite sequence log-probability")
     return val
@@ -595,23 +592,77 @@ def sample(
 # Training
 
 
+@dataclass(frozen=True)
+class _ConditionBatch:
+    """``groups[g]`` is (prepared condition, {bytes: token array} of its
+    distinct sequences); ``index[i]`` is item i's (group, key of each of its
+    sequences)."""
+
+    groups: list
+    index: list
+
+
+def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
+    """Group (clouds, token arrays) items by the content of their clouds:
+    the one path on which NLL pretraining and DPO score sequences.
+
+    Items whose clouds hold equal point arrays share a group even when they
+    carry distinct ``ConditioningClouds`` objects; groups come in order of
+    first use.  Each group prepares its condition once
+    (``_prepare_condition``) and keeps each distinct sequence once; an item
+    repeated in ``items`` keeps one index entry per occurrence.
+    """
+    groups: list = []
+    index: list = []
+    group_ids: dict = {}
+    for clouds, seqs in items:
+        key = tuple(
+            (pts.shape, np.ascontiguousarray(pts, dtype=np.float64).tobytes())
+            for pts in (clouds.topo_points, clouds.geom_points)
+        )
+        g = group_ids.setdefault(key, len(groups))
+        if g == len(groups):
+            groups.append((_prepare_condition(clouds, config), {}))
+        keys = tuple(t.tobytes() for t in seqs)
+        groups[g][1].update(zip(keys, seqs))
+        index.append((g, *keys))
+    return _ConditionBatch(groups=groups, index=index)
+
+
+def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[dict]:
+    """Per group, {key: log-probability Tensor} of its sequences: one condition
+    encoding and one padded decode (``_sequence_logprobs_t``) per group."""
+    out = []
+    for prepared, seqs in batch.groups:
+        cond = _encode_condition_t(prepared, p, config)
+        out.append(dict(zip(seqs, _sequence_logprobs_t(list(seqs.values()), cond, p, config))))
+    return out
+
+
 def _batch_nll_t(batch, p, config: ModelConfig):
-    """Mean next-token NLL over all predicted positions in the batch."""
-    total = None
-    count = 0
-    for clouds, tokens in batch:
-        t = _token_array(tokens)
+    """Mean next-token NLL over all predicted positions of the (clouds,
+    tokens) examples, scored on the grouped path (``_group_conditions``)."""
+    seqs = [_token_array(tokens) for _, tokens in batch]
+    for t in seqs:
         _check_complete(t)
-        cond = _encode_condition_t(clouds, p, config)
-        lp = _sequence_logprob_t(t, cond, p, config)
-        total = lp if total is None else ad.add(total, lp)
-        count += len(t) - 1
-    return ad.scale(total, -1.0 / count)
+    grouped = _group_conditions([(c, (t,)) for (c, _), t in zip(batch, seqs)], config)
+    lps = _group_logprobs_t(grouped, p, config)
+    total = reduce(ad.add, (lps[g][k] for g, k in grouped.index))
+    return ad.scale(total, -1.0 / sum(len(t) - 1 for t in seqs))
 
 
-def nll_train_step(
-    batch, params: ParameterStore, lr: float
-) -> tuple[ParameterStore, float]:
+def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStore:
+    """A copy of ``params`` with every trainable array that has a gradient in
+    ``tensors`` moved to ``old - lr * grad``."""
+    new = params.copy()
+    for name in params.trainable_names():
+        g = tensors[name].grad
+        if g is not None:
+            new.arrays[name] = new.arrays[name] - lr * g
+    return new
+
+
+def nll_train_step(batch, params: ParameterStore, lr: float) -> tuple[ParameterStore, float]:
     """One SGD step on mean next-token NLL; returns (updated params, loss)."""
     if not batch:
         raise TrainingError("empty batch")
@@ -623,12 +674,7 @@ def nll_train_step(
     if lr == 0.0:
         return params.copy(), value
     ad.backward(loss)
-    new = params.copy()
-    for name in params.trainable_names():
-        g = p[name].grad
-        if g is not None:
-            new.arrays[name] = new.arrays[name] - lr * g
-    return new, value
+    return _sgd_step(params, p, lr), value
 
 
 # ---------------------------------------------------------------------------

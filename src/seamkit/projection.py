@@ -162,18 +162,6 @@ def _settle_rank(graph: EdgeGraph, dist: np.ndarray, a: int) -> np.ndarray:
     return rank
 
 
-def path_length(graph: EdgeGraph, path: list[int]) -> float:
-    indptr, indices, weights = graph.csr.indptr, graph.csr.indices, graph.csr.data
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        lo, hi = indptr[u], indptr[u + 1]
-        k = lo + int(np.searchsorted(indices[lo:hi], v))
-        if k == hi or indices[k] != v:
-            raise ProjectionError(f"path step {u}->{v} is not a graph arc")
-        total += float(weights[k])
-    return total
-
-
 def project_seams(
     mesh: IndexedMesh, seams: SeamSet, graph: EdgeGraph | None = None
 ) -> SeamEdgeSet:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seamkit.mesh import DegenerateInputError, IndexedMesh, content_lines
+from seamkit.mesh import DegenerateInputError, IndexedMesh
 
 # Paper-scale cloud sizes; tests and the desk harness override these.
 DEFAULT_N_TOPO = 30_720
@@ -127,8 +127,3 @@ def build_conditioning_clouds(
 def write_xyz(points: np.ndarray) -> str:
     """XYZ text export: one point per line."""
     return "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in np.asarray(points))
-
-
-def read_xyz(text: str) -> np.ndarray:
-    rows = [[float(p) for p in line.split()] for _, line in content_lines(text)]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)

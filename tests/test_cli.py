@@ -23,7 +23,7 @@ from seamkit.tokenizer import (
     write_seam_text,
 )
 
-from tests.util import DESK_CONFIG
+from tests.util import DESK_CONFIG, read_xyz
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -270,8 +270,6 @@ def test_sample_points(grid_obj, tmp_path):
     cfg.write_text("n_topo = 128\nn_geom = 96\n")
     prefix = tmp_path / "clouds"
     assert main(["sample-points", str(grid_obj), str(prefix), "--config", str(cfg), "--seed", "3"]) == 0
-    from seamkit.sampling import read_xyz
-
     topo = read_xyz((tmp_path / "clouds.topo.xyz").read_text())
     geom = read_xyz((tmp_path / "clouds.geom.xyz").read_text())
     assert topo.shape == (128, 3)
@@ -503,6 +501,43 @@ def test_dpo_malformed_pair_record_exit_2(grid_obj, tmp_path, capsys, line, mess
     out = tmp_path / "out.ckpt"
     assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
     assert f"{pairs}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _candidate_dir(tmp_path, n):
+    """A ``seamkit sample`` output directory with n scored candidates."""
+    from seamkit.metrics import SeamMetrics
+    from seamkit.tokenizer import SeamSet
+
+    cand_dir = tmp_path / "cands"
+    cand_dir.mkdir()
+    (cand_dir / "run.json").write_text(json.dumps({"mesh": "m.obj", "seed": 0}))
+    seams = write_seam_text(SeamSet(segments=np.array([[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]])))
+    for i in range(n):
+        (cand_dir / f"cand_{i}.seams").write_text(seams)
+        metrics = SeamMetrics(distortion=float(i), fragments=i + 1, runtime_s=0.0, excluded_triangles=0)
+        (cand_dir / f"cand_{i}.json").write_text(metrics.to_json())
+    return cand_dir
+
+
+@pytest.mark.parametrize(
+    "n, name, content, message",
+    [
+        (2, "run.json", "{mesh: 1}", "run.json: malformed JSON record"),
+        (2, "run.json", '{"mesh": "m.obj"}', "run.json: missing key 'seed'"),
+        (2, "cand_1.json", "not json", "cand_1.json: malformed JSON record"),
+        (2, "cand_1.json", '{"distortion": 1.0}', "cand_1.json: missing key 'fragments'"),
+        (1, None, None, "cands: 1 cand_*.seams/.json candidates"),
+    ],
+    ids=["run-not-json", "run-missing-key", "cand-not-json", "cand-missing-key", "one-candidate"],
+)
+def test_prefpairs_bad_candidate_dir_exit_2(tmp_path, capsys, n, name, content, message):
+    cand_dir = _candidate_dir(tmp_path, n)
+    if name is not None:
+        (cand_dir / name).write_text(content)
+    out = tmp_path / "pairs.jsonl"
+    assert main(["prefpairs", str(cand_dir), str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

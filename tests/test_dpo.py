@@ -269,11 +269,11 @@ def per_pair_logprobs_t(pairs, p, config):
     two unbatched decodes each."""
     from seamkit import autodiff as ad
     from seamkit.dpo import pair_tokens
-    from seamkit.model import _decoder_logits_t, _encode_condition_t
+    from seamkit.model import _decoder_logits_t, _encode_condition_t, _prepare_condition
 
     out = []
     for pair in pairs:
-        cond = _encode_condition_t(pair.condition, p, config)
+        cond = _encode_condition_t(_prepare_condition(pair.condition, config), p, config)
         lps = []
         for tokens in pair_tokens(pair):
             t = tokens.tokens
@@ -290,7 +290,7 @@ def test_reference_logprobs_match_per_pair_loop(config):
     rng = np.random.default_rng(7)
     params = init_parameters(config)
     pairs = two_condition_pairs(rng, config)
-    batch = _batch_pairs(pairs)
+    batch = _batch_pairs(pairs, config)
     assert [len(seqs) for _, seqs in batch.groups] == [3, 3]
     got = _reference_logprobs(pairs, params)
     expected = per_pair_logprobs_t(pairs, params.as_tensors(), config)
@@ -341,9 +341,9 @@ def test_dpo_gradients_match_per_pair_loss():
 
 
 def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
-    from seamkit import dpo, model
+    from seamkit import model
 
-    calls = {"encode": 0, "decode": 0}
+    calls = {"encode": 0, "decode": 0, "fps": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -352,14 +352,42 @@ def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(dpo, "_encode_condition_t", counted("encode", dpo._encode_condition_t))
+    monkeypatch.setattr(model, "_encode_condition_t", counted("encode", model._encode_condition_t))
     monkeypatch.setattr(model, "_decoder_logits_t", counted("decode", model._decoder_logits_t))
+    monkeypatch.setattr(model, "fps_anchors", counted("fps", model.fps_anchors))
     rng = np.random.default_rng(9)
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     dpo_train(policy, policy.copy(role="reference"), pairs, DPOConfig(learning_rate=1e-3, steps=2))
-    # the reference pass plus two steps, each over two conditions
-    assert calls == {"encode": 6, "decode": 6}
+    # the reference pass plus two steps, each over two conditions; each
+    # condition's two branches pick their FPS anchors once per dpo_train
+    assert calls == {"encode": 6, "decode": 6, "fps": 4}
+
+
+def test_frozen_encoder_branch_stays_frozen():
+    from dataclasses import replace
+
+    from seamkit.dpo import pair_tokens
+    from seamkit.model import nll_train_step
+
+    rng = np.random.default_rng(11)
+    config = replace(TINY_CONFIG, train_geom_encoder=False)
+    params = init_parameters(config)
+    pairs = make_pairs(rng, config, n_pairs=2)
+    nll_batch = [(pair.condition, pair_tokens(pair)[0]) for pair in pairs]
+    stepped, _ = nll_train_step(nll_batch, params, lr=0.1)
+    trained, _ = dpo_train(
+        params, params.copy(role="reference"), pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
+    )
+    for after in (stepped, trained):
+        for name in params.names():
+            if name.startswith("enc.geom."):
+                assert np.array_equal(after.arrays[name], params.arrays[name]), name
+        assert any(
+            not np.array_equal(after.arrays[name], params.arrays[name])
+            for name in params.names()
+            if name.startswith("enc.topo.")
+        )
 
 
 def test_dpo_step_log_diagnostics():

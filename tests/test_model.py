@@ -10,9 +10,13 @@ from seamkit.model import (
     ModelError,
     _decode_t,
     _DecodeState,
+    _batch_nll_t,
+    _check_complete,
+    _encode_condition_t,
+    _prepare_condition,
     _sample_next,
-    _sequence_logprob_t,
     _sequence_logprobs_t,
+    _token_array,
     decoder_logits,
     encode_condition,
     init_parameters,
@@ -56,7 +60,7 @@ def test_config_validation():
         ModelConfig(d_model=30, n_heads=4)
     with pytest.raises(ModelError):
         ModelConfig(n_layers=3)
-    paper = ModelConfig.paper_scale()
+    paper = ModelConfig(tokens_per_branch=3072, d_model=1024, n_layers=24, n_heads=16)
     assert paper.tokens_per_branch == 3072
     assert paper.d_model == 1024
     assert paper.n_layers == 24
@@ -227,7 +231,7 @@ def test_batched_logprobs_match_per_sequence(config):
     batched = [float(t.value) for t in _sequence_logprobs_t(seqs, cond, p, config)]
     assert batched[-1] == batched[0]
     for t, got in zip(seqs, batched):
-        lone = float(_sequence_logprob_t(t, cond, p, config).value)
+        lone = float(_sequence_logprobs_t([t], cond, p, config)[0].value)
         assert got == pytest.approx(lone, rel=1e-12, abs=0)
         # the same value from the unbatched (1-D) decode and a numpy log-softmax
         logits = decoder_logits(t[:-1], cond.value, params)
@@ -356,6 +360,69 @@ def test_nll_gradient_matches_finite_differences():
         rel = abs(grad.flat[i] - fd) / max(abs(fd), 1e-12)
         assert rel < 1e-4, f"{name}[{i}]: grad={grad.flat[i]}, fd={fd}"
         checked += 1
+
+
+def loop_batch_nll_t(batch, p, config):
+    """The per-example NLL that the grouped ``_batch_nll_t`` replaced: one
+    condition encoding and one decode per example."""
+    total = None
+    count = 0
+    for clouds, tokens in batch:
+        t = _token_array(tokens)
+        _check_complete(t)
+        cond = _encode_condition_t(_prepare_condition(clouds, config), p, config)
+        lp = _sequence_logprobs_t([t], cond, p, config)[0]
+        total = lp if total is None else ad.add(total, lp)
+        count += len(t) - 1
+    return ad.scale(total, -1.0 / count)
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
+    from seamkit import model
+
+    rng = np.random.default_rng(22)
+    params = init_parameters(config)
+    a, b = rand_clouds(rng, 16, config), rand_clouds(rng, 16, config)
+    a_copy = ConditioningClouds(
+        topo_points=a.topo_points.copy(), geom_points=a.geom_points.copy(), seed=0
+    )
+    s1, s2, s3 = (complete_sequence(rng, n) for n in (3, 1, 4))
+    # equal-content clouds in distinct objects, an exact duplicate example,
+    # a second condition, and a sequence shared across conditions
+    batch = [(a, s1), (a_copy, TokenSequence(tokens=s2)), (a, s1.copy()), (b, s3), (b, s2)]
+
+    p = params.as_tensors(trainable=True)
+    loss = _batch_nll_t(batch, p, config)
+    ad.backward(loss)
+    q = params.as_tensors(trainable=True)
+    expected = loop_batch_nll_t(batch, q, config)
+    ad.backward(expected)
+    assert float(loss.value) == pytest.approx(float(expected.value), rel=1e-12, abs=0)
+    for name in params.trainable_names():
+        g, g_ref = p[name].grad, q[name].grad
+        assert (g is None) == (g_ref is None), name
+        if g is not None:
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref)), name
+
+    calls = {"encode": 0, "decode": 0, "fps": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key, name in [
+        ("encode", "_encode_condition_t"),
+        ("decode", "_decoder_logits_t"),
+        ("fps", "fps_anchors"),
+    ]:
+        monkeypatch.setattr(model, name, counted(key, getattr(model, name)))
+    _batch_nll_t(batch, params.as_tensors(), config)
+    # two conditions: each prepared (two FPS branches), encoded and decoded once
+    assert calls == {"encode": 2, "decode": 2, "fps": 4}
 
 
 def test_overfit_single_mesh():

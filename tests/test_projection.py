@@ -8,7 +8,6 @@ from seamkit.projection import (
     ProjectionError,
     UnreachableError,
     nearest_vertex,
-    path_length,
     project_seams,
     seam_edges_to_segments,
     shortest_path,
@@ -94,6 +93,18 @@ def _floyd_warshall(graph):
     for k in range(n):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return dist
+
+
+def path_length(graph, path):
+    """Sum of the arc weights along a node path; every step must be an arc."""
+    indptr, indices, weights = graph.csr.indptr, graph.csr.indices, graph.csr.data
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        lo, hi = indptr[u], indptr[u + 1]
+        k = lo + int(np.searchsorted(indices[lo:hi], v))
+        assert k < hi and indices[k] == v, f"path step {u}->{v} is not a graph arc"
+        total += float(weights[k])
+    return total
 
 
 def test_shortest_path_trivial():

@@ -7,12 +7,13 @@ from seamkit.mesh import DegenerateInputError, IndexedMesh
 from seamkit.sampling import (
     build_conditioning_clouds,
     fps_anchors,
-    read_xyz,
     sample_surface,
     sample_topology,
     write_xyz,
 )
 from seamkit.shapes import make_grid, make_perturbed_grid
+
+from tests.util import read_xyz
 
 
 def single_triangle():

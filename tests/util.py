@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from seamkit.mesh import extract_uv_seams, normalize
+from seamkit.mesh import content_lines, extract_uv_seams, normalize
 from seamkit.model import ModelConfig, init_parameters
 from seamkit.projection import seam_edges_to_segments
 from seamkit.sampling import build_conditioning_clouds
@@ -27,6 +27,12 @@ def training_example(mesh, config, seed=0, seam_edges=None):
     n = max(2 * config.tokens_per_branch, 48)
     clouds = build_conditioning_clouds(norm, n_topo=n, n_geom=n, seed=seed)
     return clouds, tokens
+
+
+def read_xyz(text):
+    """Points of an XYZ text (``sampling.write_xyz``): one "x y z" row per line."""
+    rows = [[float(p) for p in line.split()] for _, line in content_lines(text)]
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def desk_params(config=None, seed=None):
