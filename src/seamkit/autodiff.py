@@ -1,11 +1,14 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for the seam generator: broadcast arithmetic, (batched)
-matmul, reshapes, gathers, reductions, softmax-family primitives, GELU, and
-the pooling ops the hourglass decoder needs.  Gradient correctness is pinned
-by finite-difference tests rather than by construction.  An op whose inputs
-need no gradient returns a leaf, so inference builds no graph; ``backward``
-frees the graph as it goes.
+matmul, reshapes, gathers, reductions, GELU, the pooling ops the hourglass
+decoder needs, and three fused ops with hand-written VJPs: ``layer_norm``,
+scaled-dot-product ``attention`` and ``log_softmax_pick``.  Each fused forward
+runs the numpy operations of the composed graph it replaces in the same
+order, so its values are bit-identical to that graph's, at one node instead
+of about ten.  Gradient correctness is pinned by finite-difference tests
+rather than by construction.  An op whose inputs need no gradient returns a
+leaf, so inference builds no graph; ``backward`` frees the graph as it goes.
 """
 
 from __future__ import annotations
@@ -125,18 +128,24 @@ def matmul(a, b) -> Tensor:
 
     x, w = a.value, b.value
     if x.ndim > 2 and w.ndim == 2:
-        # one (rows, k) @ (k, m) product instead of one per batch entry
-        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+        # every batch entry's rows against one weight: one flat (rows, k) @
+        # (k, m) GEMM per direction, not a product per batch entry and, for
+        # the weight gradient, a sum over the batch afterwards
+        def flat(t):
+            return t.reshape(-1, t.shape[-1])
+
+        out = (flat(x) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+        vjps = (
+            lambda g: (flat(g) @ w.T).reshape(x.shape),
+            lambda g: flat(x).T @ flat(g),
+        )
     else:
         out = x @ w
-    return Tensor(
-        out,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g @ swap(b.value), a.value.shape),
-            lambda g: _unbroadcast(swap(a.value) @ g, b.value.shape),
-        ),
-    )
+        vjps = (
+            lambda g: _unbroadcast(g @ swap(w), x.shape),
+            lambda g: _unbroadcast(swap(x) @ g, w.shape),
+        )
+    return Tensor(out, parents=(a, b), vjps=vjps)
 
 
 def transpose(a, axes) -> Tensor:
@@ -200,22 +209,6 @@ def gather_rows(table, indices) -> Tensor:
     return Tensor(table.value[idx], parents=(table,), vjps=(vjp,))
 
 
-def take_per_row(a, col_indices) -> Tensor:
-    """out[i] = a[i, col_indices[i]] for a 2D tensor."""
-    a = as_tensor(a)
-    idx = np.asarray(col_indices, dtype=np.int64)
-    n = a.value.shape[0]
-    rows = np.arange(n)
-    shape = a.value.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[rows, idx] = g
-        return out
-
-    return Tensor(a.value[rows, idx], parents=(a,), vjps=(vjp,))
-
-
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
     shape = a.value.shape
@@ -224,50 +217,83 @@ def sum_all(a) -> Tensor:
     )
 
 
-def mean_axis(a, axis: int, keepdims: bool = True) -> Tensor:
-    a = as_tensor(a)
-    n = a.value.shape[axis]
-    shape = a.value.shape
+def layer_norm(x, g, b, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * g + b over the last axis."""
+    x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
+    centered = x.value - x.value.mean(axis=-1, keepdims=True)
+    var = (centered**2.0).mean(axis=-1, keepdims=True)
+    inv = (var + eps) ** -0.5
+    xhat = centered * inv
+    out = xhat * g.value + b.value
 
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g / n, shape).copy()
+    def vjp_x(grad):
+        d = grad * g.value
+        return inv * (
+            d - d.mean(axis=-1, keepdims=True) - xhat * (d * xhat).mean(axis=-1, keepdims=True)
+        )
 
     return Tensor(
-        a.value.mean(axis=axis, keepdims=keepdims), parents=(a,), vjps=(vjp,)
+        out,
+        parents=(x, g, b),
+        vjps=(
+            vjp_x,
+            lambda grad: _unbroadcast(grad * xhat, g.value.shape),
+            lambda grad: _unbroadcast(grad, b.value.shape),
+        ),
     )
 
 
-def power(a, k: float) -> Tensor:
-    a = as_tensor(a)
+def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ k^T / sqrt(dh) + mask) @ v over split heads (..., n, dh).
+
+    Leading axes broadcast, so one condition's keys and values (heads, m,
+    dh) serve a batch of queries (B, heads, n, dh).  ``mask`` is additive,
+    over (query row, key row).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    factor = 1.0 / np.sqrt(q.value.shape[-1])
+    scores = (q.value @ np.swapaxes(k.value, -1, -2)) * factor
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+
+    shared = [None, None]  # (upstream gradient, its scaled softmax backward)
+
+    def dscores(g):
+        # backward hands the q and k VJPs the same g: compute this once for both
+        if shared[0] is not g:
+            dw = g @ np.swapaxes(v.value, -1, -2)
+            shared[:] = g, weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) * factor
+        return shared[1]
+
     return Tensor(
-        a.value**k, parents=(a,), vjps=(lambda g: g * k * a.value ** (k - 1),)
+        weights @ v.value,
+        parents=(q, k, v),
+        vjps=(
+            lambda g: _unbroadcast(dscores(g) @ k.value, q.value.shape),
+            lambda g: _unbroadcast(np.swapaxes(dscores(g), -1, -2) @ q.value, k.value.shape),
+            lambda g: _unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.value.shape),
+        ),
     )
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def log_softmax_pick(a, cols) -> Tensor:
+    """out[i] = log_softmax(a[i])[cols[i]] for a 2D tensor."""
     a = as_tensor(a)
-    z = a.value - a.value.max(axis=axis, keepdims=True)
+    idx = np.asarray(cols, dtype=np.int64)
+    rows = np.arange(a.value.shape[0])
+    z = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    lse = np.log(total)
 
     def vjp(g):
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
+        out = e * (-g[:, None] / total)
+        out[rows, idx] += g
+        return out
 
-    return Tensor(s, parents=(a,), vjps=(vjp,))
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    z = a.value - a.value.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
-
-    def vjp(g):
-        return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
-
-    return Tensor(out, parents=(a,), vjps=(vjp,))
+    return Tensor(z[rows, idx] - lse[:, 0], parents=(a,), vjps=(vjp,))
 
 
 def gelu(a) -> Tensor:

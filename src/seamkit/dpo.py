@@ -10,8 +10,10 @@ Pairs are scored on the one grouped path NLL pretraining also uses: each pair
 is an item (condition, (positive, negative)) of ``model._group_conditions``,
 so each condition is prepared once per ``dpo_train``, encoded once per pass,
 and its distinct sequences are scored in one right-padded decode.  The
-reference log-probabilities come from the same path on a store without
-gradients, and each step is one ``model._sgd_step``.
+reference log-probabilities are those of the same path under the reference
+store.  When that store is the starting policy (same config, bit-identical
+arrays), they are read off step 0's policy pass; otherwise one separate pass
+without gradients computes them.  Each step is one ``model._sgd_step``.
 """
 
 from __future__ import annotations
@@ -170,6 +172,11 @@ def _batch_pairs(pairs, config) -> _ConditionBatch:
     return _group_conditions(items, config)
 
 
+def _pair_logprobs(batch: _ConditionBatch, lps) -> list[tuple[float, float]]:
+    """Per pair, the (positive, negative) values of ``_group_logprobs_t`` output."""
+    return [(float(lps[g][pos].value), float(lps[g][neg].value)) for g, pos, neg in batch.index]
+
+
 def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, float]]:
     """Per pair, the reference log-probabilities of (positive, negative).
 
@@ -177,14 +184,24 @@ def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, f
     reference every margin is exactly 0.
     """
     batch = _batch_pairs(pairs, reference.config)
-    lps = _group_logprobs_t(batch, reference.as_tensors(), reference.config)
-    return [(float(lps[g][pos].value), float(lps[g][neg].value)) for g, pos, neg in batch.index]
+    return _pair_logprobs(batch, _group_logprobs_t(batch, reference.as_tensors(), reference.config))
 
 
-def _log_ratios_t(pairs, policy_tensors, config, ref_logprobs) -> list[tuple]:
-    """Per pair, (log pi - log ref) of the positive and of the negative."""
-    batch = _batch_pairs(pairs, config)
-    lps = _group_logprobs_t(batch, policy_tensors, config)
+def _same_store(a: ParameterStore, b: ParameterStore) -> bool:
+    """Whether two stores have the same config and bit-identical arrays."""
+    return (
+        a.config == b.config
+        and list(a.arrays) == list(b.arrays)
+        and all(
+            x.shape == b.arrays[k].shape and x.tobytes() == b.arrays[k].tobytes()
+            for k, x in a.arrays.items()
+        )
+    )
+
+
+def _log_ratios_t(batch: _ConditionBatch, lps, ref_logprobs) -> list[tuple]:
+    """Per pair, (log pi - log ref) of the positive and of the negative, from
+    the policy's ``_group_logprobs_t`` output ``lps``."""
     out = []
     for k, ((g, pos, neg), (ref_pos, ref_neg)) in enumerate(zip(batch.index, ref_logprobs)):
         lp_pos, lp_neg = lps[g][pos], lps[g][neg]
@@ -208,7 +225,9 @@ def _margin_loss_t(log_ratios, beta: float):
 def _dpo_loss_t(pairs, policy_tensors, config, ref_logprobs, beta: float):
     """Graph of the batch loss on the grouped path; returns (loss Tensor,
     margin floats).  The per-pair terms are summed in pair order."""
-    return _margin_loss_t(_log_ratios_t(pairs, policy_tensors, config, ref_logprobs), beta)
+    batch = _batch_pairs(pairs, config)
+    lps = _group_logprobs_t(batch, policy_tensors, config)
+    return _margin_loss_t(_log_ratios_t(batch, lps, ref_logprobs), beta)
 
 
 def dpo_loss(
@@ -261,22 +280,29 @@ def dpo_train(
     """Run config.steps SGD steps on the preference objective.
 
     The reference store is read-only throughout.  The pairs are tokenized
-    and grouped, and their conditions prepared, once (``_batch_pairs``).  Logs loss, preference accuracy
-    (fraction of pairs with positive margin) and the ``DPOStepLog`` reward
-    diagnostics per step.  Aborts when the loss stays above
-    divergence_factor * ln 2 for divergence_patience consecutive steps.
+    and grouped, and their conditions prepared, once (``_batch_pairs``).
+    When the reference has the policy's config and bit-identical arrays,
+    its log-probabilities are those of step 0's policy pass and no separate
+    reference pass runs; otherwise one pass over the reference store
+    computes them before step 0.  Logs loss, preference accuracy (fraction
+    of pairs with positive margin) and the ``DPOStepLog`` reward diagnostics
+    per step.  Aborts when the loss stays above divergence_factor * ln 2 for
+    divergence_patience consecutive steps.
     """
     dataset = list(dataset)
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
     batch = _batch_pairs(dataset, policy.config)
-    refs = _reference_logprobs(batch, reference)
+    refs = None if _same_store(policy, reference) else _reference_logprobs(batch, reference)
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):
         p = policy.as_tensors(trainable=True)
-        ratios = _log_ratios_t(batch, p, policy.config, refs)
+        lps = _group_logprobs_t(batch, p, policy.config)
+        if refs is None:
+            refs = _pair_logprobs(batch, lps)
+        ratios = _log_ratios_t(batch, lps, refs)
         loss, margins = _margin_loss_t(ratios, config.beta)
         value = float(loss.value)
         if not np.isfinite(value):

@@ -210,11 +210,7 @@ def init_parameters(config: ModelConfig, role: str = "policy") -> ParameterStore
 
 
 def _layer_norm(x, g, b):
-    mu = ad.mean_axis(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.mean_axis(ad.power(centered, 2.0), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, ad.Tensor(LN_EPS)), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv), g), b)
+    return ad.layer_norm(x, g, b, LN_EPS)
 
 
 def _swapped(ndim: int, i: int, j: int) -> tuple:
@@ -243,13 +239,7 @@ def _project_kv(kv_in, p, prefix: str, n_heads: int):
 
 def _attention(q_in, k, v, p, prefix: str, n_heads: int, mask: np.ndarray | None):
     q = _split_heads(ad.matmul(q_in, p[f"{prefix}.wq"]), n_heads)
-    dh = q.value.shape[-1]
-    kt = ad.transpose(k, _swapped(k.value.ndim, -1, -2))
-    scores = ad.scale(ad.matmul(q, kt), 1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, ad.Tensor(mask))
-    weights = ad.softmax(scores, axis=-1)
-    out = _merge_heads(ad.matmul(weights, v))
+    out = _merge_heads(ad.attention(q, k, v, mask))
     return ad.matmul(out, p[f"{prefix}.wo"])
 
 
@@ -459,8 +449,7 @@ def _sequence_logprobs_t(seqs, cond, p, config: ModelConfig) -> list:
         inputs[b, : len(t) - 1] = t[:-1]
         targets[b, : len(t) - 1] = t[1:]
     logits = _decoder_logits_t(inputs, cond, p, config)
-    logp = ad.log_softmax(ad.reshape(logits, (-1, config.vocab_size)), axis=-1)
-    picked = ad.take_per_row(logp, targets.ravel())
+    picked = ad.log_softmax_pick(ad.reshape(logits, (-1, config.vocab_size)), targets.ravel())
     return [
         ad.sum_all(ad.slice_rows(picked, b * n_max, b * n_max + len(t) - 1))
         for b, t in enumerate(seqs)
@@ -639,16 +628,25 @@ def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[di
     return out
 
 
-def _batch_nll_t(batch, p, config: ModelConfig):
-    """Mean next-token NLL over all predicted positions of the (clouds,
-    tokens) examples, scored on the grouped path (``_group_conditions``)."""
+def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
+    """(clouds, tokens) examples as one-sequence items of ``_group_conditions``;
+    a batch passes through, so a training loop can group its data once."""
+    if isinstance(batch, _ConditionBatch):
+        return batch
     seqs = [_token_array(tokens) for _, tokens in batch]
     for t in seqs:
         _check_complete(t)
-    grouped = _group_conditions([(c, (t,)) for (c, _), t in zip(batch, seqs)], config)
+    return _group_conditions([(c, (t,)) for (c, _), t in zip(batch, seqs)], config)
+
+
+def _batch_nll_t(batch, p, config: ModelConfig):
+    """Mean next-token NLL over all predicted positions of the (clouds,
+    tokens) examples or their ``_nll_batch``, scored on the grouped path."""
+    grouped = _nll_batch(batch, config)
     lps = _group_logprobs_t(grouped, p, config)
     total = reduce(ad.add, (lps[g][k] for g, k in grouped.index))
-    return ad.scale(total, -1.0 / sum(len(t) - 1 for t in seqs))
+    n_predicted = sum(len(grouped.groups[g][1][k]) - 1 for g, k in grouped.index)
+    return ad.scale(total, -1.0 / n_predicted)
 
 
 def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStore:
@@ -663,8 +661,12 @@ def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStor
 
 
 def nll_train_step(batch, params: ParameterStore, lr: float) -> tuple[ParameterStore, float]:
-    """One SGD step on mean next-token NLL; returns (updated params, loss)."""
-    if not batch:
+    """One SGD step on mean next-token NLL; returns (updated params, loss).
+
+    ``batch`` is a list of (clouds, tokens) examples or their ``_nll_batch``.
+    """
+    batch = _nll_batch(batch, params.config)
+    if not batch.index:
         raise TrainingError("empty batch")
     p = params.as_tensors(trainable=True)
     loss = _batch_nll_t(batch, p, params.config)

@@ -9,6 +9,13 @@ corners, per-edge corner scans, per-face LSCM assembly with one solve per
 connected component, a heapq Dijkstra over per-vertex adjacency tuples).
 ``test_equivalence.py`` and ``test_obj.py`` require the array code to
 reproduce their discrete outputs exactly and their UVs to a fixed tolerance.
+
+The last section keeps the composed ``autodiff`` graphs that the fused ops
+replaced: the softmax-family and reduction primitives, a matmul whose weight
+gradient is a batched product summed over the batch, and layer norm,
+attention and log-softmax-pick built from them (``COMPOSED_OPS``).
+``test_autodiff.py`` requires the fused ops to match their values bit for
+bit and their gradients to 1e-12.
 """
 
 import heapq
@@ -20,6 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from seamkit import autodiff as ad
+from seamkit.autodiff import Tensor, _unbroadcast, as_tensor
 from seamkit.mesh import (
     UV_SEAM_TOL,
     IndexedMesh,
@@ -511,3 +520,123 @@ def project_seams(mesh, seams):
         for u, v in zip(path, path[1:]):
             edges.setdefault((min(u, v), max(u, v)), []).append(i)
     return SeamEdgeSet(edges=frozenset(edges), provenance={k: tuple(v) for k, v in edges.items()})
+
+
+# ---------------------------------------------------------------------------
+# Composed autodiff ops
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading (batch) axes broadcast."""
+    a, b = as_tensor(a), as_tensor(b)
+
+    def swap(x):
+        return np.swapaxes(x, -1, -2)
+
+    x, w = a.value, b.value
+    if x.ndim > 2 and w.ndim == 2:
+        # one (rows, k) @ (k, m) product instead of one per batch entry
+        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+    else:
+        out = x @ w
+    return Tensor(
+        out,
+        parents=(a, b),
+        vjps=(
+            lambda g: _unbroadcast(g @ swap(b.value), a.value.shape),
+            lambda g: _unbroadcast(swap(a.value) @ g, b.value.shape),
+        ),
+    )
+
+
+def take_per_row(a, col_indices) -> Tensor:
+    """out[i] = a[i, col_indices[i]] for a 2D tensor."""
+    a = as_tensor(a)
+    idx = np.asarray(col_indices, dtype=np.int64)
+    n = a.value.shape[0]
+    rows = np.arange(n)
+    shape = a.value.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[rows, idx] = g
+        return out
+
+    return Tensor(a.value[rows, idx], parents=(a,), vjps=(vjp,))
+
+
+def mean_axis(a, axis: int, keepdims: bool = True) -> Tensor:
+    a = as_tensor(a)
+    n = a.value.shape[axis]
+    shape = a.value.shape
+
+    def vjp(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g / n, shape).copy()
+
+    return Tensor(
+        a.value.mean(axis=axis, keepdims=keepdims), parents=(a,), vjps=(vjp,)
+    )
+
+
+def power(a, k: float) -> Tensor:
+    a = as_tensor(a)
+    return Tensor(
+        a.value**k, parents=(a,), vjps=(lambda g: g * k * a.value ** (k - 1),)
+    )
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    a = as_tensor(a)
+    z = a.value - a.value.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+    return Tensor(s, parents=(a,), vjps=(vjp,))
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    a = as_tensor(a)
+    z = a.value - a.value.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    out = z - lse
+
+    def vjp(g):
+        return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
+
+    return Tensor(out, parents=(a,), vjps=(vjp,))
+
+
+def layer_norm(x, g, b, eps: float) -> Tensor:
+    mu = mean_axis(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = mean_axis(power(centered, 2.0), axis=-1, keepdims=True)
+    inv = power(ad.add(var, Tensor(eps)), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), g), b)
+
+
+def attention(q, k, v, mask=None) -> Tensor:
+    q, k = as_tensor(q), as_tensor(k)
+    axes = list(range(k.value.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    scores = ad.scale(matmul(q, ad.transpose(k, tuple(axes))), 1.0 / np.sqrt(q.value.shape[-1]))
+    if mask is not None:
+        scores = ad.add(scores, Tensor(mask))
+    return matmul(softmax(scores, axis=-1), v)
+
+
+def log_softmax_pick(a, cols) -> Tensor:
+    return take_per_row(log_softmax(a, axis=-1), cols)
+
+
+# name -> composed replacement of the ``autodiff`` op of that name
+COMPOSED_OPS = {
+    "matmul": matmul,
+    "layer_norm": layer_norm,
+    "attention": attention,
+    "log_softmax_pick": log_softmax_pick,
+}

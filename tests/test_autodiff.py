@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seamkit import autodiff as ad
+from tests import loop_reference as ref
 
 
 def central_diff(f, x, i, h=1e-6):
@@ -45,7 +46,7 @@ def test_add_mul_broadcast():
 
     def build_bias(p):
         y = ad.add(ad.Tensor(x), p)
-        return ad.sum_all(ad.power(y, 2.0))
+        return ad.sum_all(ref.power(y, 2.0))
 
     check_grad(build_bias, b)
 
@@ -56,7 +57,7 @@ def test_matmul_2d_and_batched():
     w = rng.normal(size=(4, 3))
 
     def build(p):
-        return ad.sum_all(ad.power(ad.matmul(ad.Tensor(a), p), 2.0))
+        return ad.sum_all(ref.power(ad.matmul(ad.Tensor(a), p), 2.0))
 
     check_grad(build, w)
 
@@ -64,7 +65,7 @@ def test_matmul_2d_and_batched():
     other = rng.normal(size=(2, 4, 3))
 
     def build_b(p):
-        return ad.sum_all(ad.power(ad.matmul(p, ad.Tensor(other)), 2.0))
+        return ad.sum_all(ref.power(ad.matmul(p, ad.Tensor(other)), 2.0))
 
     check_grad(build_b, batched)
 
@@ -77,7 +78,7 @@ def test_reshape_transpose_concat_slice():
         t = ad.transpose(ad.reshape(p, (2, 3, 4)), (1, 0, 2))
         flat = ad.reshape(t, (6, 4))
         joined = ad.concat_rows([flat, ad.slice_rows(flat, 0, 2)])
-        return ad.sum_all(ad.power(joined, 3.0))
+        return ad.sum_all(ref.power(joined, 3.0))
 
     check_grad(build, x)
 
@@ -89,8 +90,8 @@ def test_gather_and_take():
 
     def build(p):
         rows = ad.gather_rows(p, idx)
-        picked = ad.take_per_row(rows, np.array([0, 1, 2, 3, 0]))
-        return ad.sum_all(ad.power(picked, 2.0))
+        picked = ref.take_per_row(rows, np.array([0, 1, 2, 3, 0]))
+        return ad.sum_all(ref.power(picked, 2.0))
 
     check_grad(build, table)
 
@@ -101,10 +102,10 @@ def test_mean_axis_and_power():
     w = rng.normal(size=(5, 6))
 
     def build(p):
-        mu = ad.mean_axis(p, axis=1, keepdims=True)
+        mu = ref.mean_axis(p, axis=1, keepdims=True)
         centered = ad.sub(p, mu)
-        var = ad.mean_axis(ad.power(centered, 2.0), axis=1, keepdims=True)
-        inv = ad.power(ad.add(var, ad.Tensor(1e-5)), -0.5)
+        var = ref.mean_axis(ref.power(centered, 2.0), axis=1, keepdims=True)
+        inv = ref.power(ad.add(var, ad.Tensor(1e-5)), -0.5)
         return ad.sum_all(ad.mul(ad.mul(centered, inv), ad.Tensor(w)))
 
     check_grad(build, x, rtol=1e-5)
@@ -116,16 +117,16 @@ def test_softmax_and_log_softmax():
     w = rng.normal(size=(4, 9))
 
     def build_s(p):
-        return ad.sum_all(ad.mul(ad.softmax(p, axis=-1), ad.Tensor(w)))
+        return ad.sum_all(ad.mul(ref.softmax(p, axis=-1), ad.Tensor(w)))
 
     check_grad(build_s, x)
 
     def build_ls(p):
-        return ad.sum_all(ad.mul(ad.log_softmax(p, axis=-1), ad.Tensor(w)))
+        return ad.sum_all(ad.mul(ref.log_softmax(p, axis=-1), ad.Tensor(w)))
 
     check_grad(build_ls, x)
     # normalization: exp(log_softmax) sums to 1
-    ls = ad.log_softmax(ad.Tensor(x), axis=-1).value
+    ls = ref.log_softmax(ad.Tensor(x), axis=-1).value
     np.testing.assert_allclose(np.exp(ls).sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -155,14 +156,14 @@ def test_pool_and_upsample():
         x = rng.normal(size=(n, 3))
 
         def build_pool(p):
-            return ad.sum_all(ad.power(ad.mean_pool_causal(p, 3), 2.0))
+            return ad.sum_all(ref.power(ad.mean_pool_causal(p, 3), 2.0))
 
         check_grad(build_pool, x)
 
         def build_up(p):
             pooled = ad.mean_pool_causal(p, 2)
             up = ad.repeat_upsample(pooled, 2, n)
-            return ad.sum_all(ad.power(up, 2.0))
+            return ad.sum_all(ref.power(up, 2.0))
 
         check_grad(build_up, x)
 
@@ -218,8 +219,8 @@ def test_batched_rows_and_start_rows():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(3, 7, 4))
     w = rng.normal(size=(4, 2))
-    check_grad(lambda p: ad.sum_all(ad.power(ad.matmul(ad.Tensor(x), p), 2.0)), w)
-    check_grad(lambda p: ad.sum_all(ad.power(ad.concat_rows([p, p], axis=-2), 3.0)), x)
+    check_grad(lambda p: ad.sum_all(ref.power(ad.matmul(ad.Tensor(x), p), 2.0)), w)
+    check_grad(lambda p: ad.sum_all(ref.power(ad.concat_rows([p, p], axis=-2), 3.0)), x)
     # rows `start` onward of pooling / upsampling are the tail of the full result
     for factor, start in ((3, 1), (3, 2), (2, 3)):
         pooled = ad.mean_pool_causal(ad.Tensor(x), factor).value
@@ -233,10 +234,10 @@ def test_batched_rows_and_start_rows():
         up_tail = ad.repeat_upsample(ad.Tensor(x), factor, out_len, start).value
         np.testing.assert_array_equal(up_tail, up[:, start:])
         check_grad(
-            lambda p: ad.sum_all(ad.power(ad.mean_pool_causal(p, factor, start), 2.0)), x
+            lambda p: ad.sum_all(ref.power(ad.mean_pool_causal(p, factor, start), 2.0)), x
         )
         check_grad(
-            lambda p: ad.sum_all(ad.power(ad.repeat_upsample(p, factor, out_len, start), 2.0)),
+            lambda p: ad.sum_all(ref.power(ad.repeat_upsample(p, factor, out_len, start), 2.0)),
             x,
         )
 
@@ -249,3 +250,65 @@ def test_backward_releases_the_graph():
     np.testing.assert_allclose(x.grad, 2 * x.value + 1)
     for node in (y, loss):
         assert node.grad is None and node.parents == () and node.vjps == ()
+
+
+def weighted_sum(out, seed=20):
+    """sum(out * w) for a fixed random w, so every output element matters."""
+    w = np.random.default_rng(seed).normal(size=out.value.shape)
+    return ad.sum_all(ad.mul(out, ad.Tensor(w)))
+
+
+def fused_cases():
+    """(name, fused op, composed op, inputs, keyword args) of every fused op."""
+    from seamkit.model import _causal_mask
+
+    rng = np.random.default_rng(21)
+    d = 8
+    gain, bias = rng.normal(size=d), rng.normal(size=d)
+    return [
+        ("layer_norm 1 batch axis", ad.layer_norm, ref.layer_norm,
+         (rng.normal(size=(5, d)), gain, bias), {"eps": 1e-5}),
+        ("layer_norm 2 batch axes", ad.layer_norm, ref.layer_norm,
+         (rng.normal(size=(3, 4, d)), gain, bias), {"eps": 1e-5}),
+        ("attention causal", ad.attention, ref.attention,
+         tuple(rng.normal(size=(2, 2, n, 4)) for n in (3, 5, 5)), {"mask": _causal_mask(3, 5)}),
+        ("attention no mask", ad.attention, ref.attention,
+         tuple(rng.normal(size=(2, 2, n, 4)) for n in (3, 6, 6)), {"mask": None}),
+        ("attention shared keys", ad.attention, ref.attention,
+         (rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4))),
+         {"mask": None}),
+        ("log_softmax_pick", ad.log_softmax_pick, ref.log_softmax_pick,
+         (rng.normal(size=(6, 11)) * 3,), {"cols": np.array([4, 0, 4, 10, 4, 7])}),
+        ("matmul 3-D rows", ad.matmul, ref.matmul,
+         (rng.normal(size=(3, 7, 4)), rng.normal(size=(4, 5))), {}),
+        ("matmul 4-D rows", ad.matmul, ref.matmul,
+         (rng.normal(size=(2, 3, 7, 4)), rng.normal(size=(4, 5))), {}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(fused_cases())), ids=[c[0] for c in fused_cases()])
+def test_fused_ops_match_composed_references(case):
+    _, fused, composed, inputs, kwargs = fused_cases()[case]
+    got_in = [ad.parameter(x) for x in inputs]
+    ref_in = [ad.parameter(x) for x in inputs]
+    got, expected = fused(*got_in, **kwargs), composed(*ref_in, **kwargs)
+    np.testing.assert_array_equal(got.value, expected.value)
+    ad.backward(weighted_sum(got))
+    ad.backward(weighted_sum(expected))
+    for a, b in zip(got_in, ref_in):
+        assert a.grad.shape == b.grad.shape
+        assert np.max(np.abs(a.grad - b.grad)) <= 1e-12 * np.max(np.abs(b.grad))
+
+
+@pytest.mark.parametrize("case", range(len(fused_cases())), ids=[c[0] for c in fused_cases()])
+def test_fused_ops_match_finite_differences(case):
+    _, fused, _, inputs, kwargs = fused_cases()[case]
+    for i, x in enumerate(inputs):
+
+        def build(p):
+            args = [ad.Tensor(v) for v in inputs]
+            args[i] = p
+            return weighted_sum(fused(*args, **kwargs))
+
+        check_grad(build, x, rtol=1e-5)
+

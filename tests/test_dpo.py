@@ -21,6 +21,7 @@ from seamkit.model import init_parameters, save_checkpoint
 from seamkit.sampling import ConditioningClouds
 from seamkit.tokenizer import SeamSet, canonicalize
 
+from tests import loop_reference as ref
 from tests.util import TINY_CONFIG, DESK_CONFIG
 
 
@@ -277,8 +278,8 @@ def per_pair_logprobs_t(pairs, p, config):
         lps = []
         for tokens in pair_tokens(pair):
             t = tokens.tokens
-            logp = ad.log_softmax(_decoder_logits_t(t[:-1], cond, p, config), axis=-1)
-            lps.append(ad.sum_all(ad.take_per_row(logp, t[1:])))
+            logp = ref.log_softmax(_decoder_logits_t(t[:-1], cond, p, config), axis=-1)
+            lps.append(ad.sum_all(ref.take_per_row(logp, t[1:])))
         out.append(tuple(lps))
     return out
 
@@ -340,7 +341,8 @@ def test_dpo_gradients_match_per_pair_loss():
             assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref)), name
 
 
-def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
+def count_passes(monkeypatch):
+    """Counts of condition encodings, decodes and FPS anchor picks from now on."""
     from seamkit import model
 
     calls = {"encode": 0, "decode": 0, "fps": 0}
@@ -355,13 +357,80 @@ def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
     monkeypatch.setattr(model, "_encode_condition_t", counted("encode", model._encode_condition_t))
     monkeypatch.setattr(model, "_decoder_logits_t", counted("decode", model._decoder_logits_t))
     monkeypatch.setattr(model, "fps_anchors", counted("fps", model.fps_anchors))
+    return calls
+
+
+def composed_separate_pass_losses(policy, reference, pairs, config):
+    """Per-step losses of DPO with one reference pass before step 0 (whatever
+    the reference) on the composed ops of ``loop_reference``."""
+    from seamkit import autodiff as ad
+    from seamkit.dpo import _batch_pairs, _dpo_loss_t, _reference_logprobs
+    from seamkit.model import _sgd_step
+
+    losses = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in ref.COMPOSED_OPS.items():
+            mp.setattr(ad, name, fn)
+        batch = _batch_pairs(pairs, policy.config)
+        refs = _reference_logprobs(batch, reference)
+        for _ in range(config.steps):
+            p = policy.as_tensors(trainable=True)
+            loss, _ = _dpo_loss_t(batch, p, policy.config, refs, config.beta)
+            losses.append(float(loss.value))
+            ad.backward(loss)
+            policy = _sgd_step(policy, p, config.learning_rate)
+    return losses
+
+
+def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
+    calls = count_passes(monkeypatch)
     rng = np.random.default_rng(9)
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     dpo_train(policy, policy.copy(role="reference"), pairs, DPOConfig(learning_rate=1e-3, steps=2))
-    # the reference pass plus two steps, each over two conditions; each
-    # condition's two branches pick their FPS anchors once per dpo_train
+    # two steps, each over two conditions; the reference is the starting
+    # policy, so step 0's pass gives its log-probabilities; each condition's
+    # two branches pick their FPS anchors once per dpo_train
+    assert calls == {"encode": 4, "decode": 4, "fps": 4}
+
+
+def test_reference_off_the_policy_runs_its_own_pass(monkeypatch):
+    rng = np.random.default_rng(12)
+    policy = init_parameters(TINY_CONFIG)
+    reference = policy.copy(role="reference")
+    reference.arrays["head.b"] = reference.arrays["head.b"].copy()
+    reference.arrays["head.b"][5] += 1e-3
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    config = DPOConfig(beta=0.5, learning_rate=0.05, steps=2)
+    expected = composed_separate_pass_losses(policy, reference, pairs, config)
+    calls = count_passes(monkeypatch)
+    _, history = dpo_train(policy, reference, pairs, config)
+    # the reference pass plus two steps, each over two conditions
     assert calls == {"encode": 6, "decode": 6, "fps": 4}
+    assert history[0].loss != LN2
+    np.testing.assert_allclose([h.loss for h in history], expected, rtol=1e-12, atol=0)
+
+
+def test_dpo_train_matches_composed_ops():
+    from seamkit import autodiff as ad
+    from seamkit.dpo import _margin_loss_t
+
+    rng = np.random.default_rng(13)
+    policy = init_parameters(TINY_CONFIG)
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    config = DPOConfig(beta=0.5, learning_rate=0.05, steps=20)
+    _, history = dpo_train(policy, policy.copy(role="reference"), pairs, config)
+    losses = [h.loss for h in history]
+    # step 0: every margin is exactly 0, so the loss is the mean of ln 2 terms
+    first = history[0]
+    assert (first.margin_mean, first.margin_min, first.accuracy) == (0.0, 0.0, 0.0)
+    zero = ad.Tensor(0.0)
+    at_zero = float(_margin_loss_t([(zero, zero)] * len(pairs), config.beta)[0].value)
+    assert losses[0] == at_zero == pytest.approx(LN2, rel=1e-15)
+    expected = composed_separate_pass_losses(policy, policy.copy(role="reference"), pairs, config)
+    assert expected[0] == at_zero
+    np.testing.assert_allclose(losses, expected, rtol=1e-10, atol=0)
+    assert losses[-1] < 0.5 * LN2
 
 
 def test_frozen_encoder_branch_stays_frozen():

@@ -425,6 +425,43 @@ def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
     assert calls == {"encode": 2, "decode": 2, "fps": 4}
 
 
+def test_nll_steps_over_a_grouped_batch_match_raw_examples(monkeypatch):
+    from seamkit import model
+    from seamkit.model import _nll_batch
+
+    mesh = make_cube(n=1, with_uv=True)
+    clouds, tokens = training_example(mesh, TINY_CONFIG, seed=0)
+    short = TokenSequence(tokens=np.concatenate((tokens.tokens[:7], [EOS])))
+    # one condition; two distinct sequences, one of them repeated
+    raw = [(clouds, tokens), (clouds, short), (clouds, short)]
+    calls = {"fps": 0}
+    original = model.fps_anchors
+
+    def counted(*args, **kwargs):
+        calls["fps"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "fps_anchors", counted)
+
+    def three_steps(batch):
+        params, losses = init_parameters(TINY_CONFIG), []
+        for _ in range(3):
+            params, loss = nll_train_step(batch, params, lr=0.1)
+            losses.append(loss)
+        return params, losses
+
+    from_raw, raw_losses = three_steps(raw)
+    assert calls["fps"] == 6
+    calls["fps"] = 0
+    from_grouped, grouped_losses = three_steps(_nll_batch(raw, TINY_CONFIG))
+    assert calls["fps"] == 2
+    assert grouped_losses == raw_losses
+    for name in from_raw.names():
+        np.testing.assert_array_equal(from_grouped.arrays[name], from_raw.arrays[name])
+    with pytest.raises(model.TrainingError, match="empty batch"):
+        nll_train_step([], from_raw, lr=0.1)
+
+
 def test_overfit_single_mesh():
     mesh = make_cube(n=1, with_uv=True)
     clouds, tokens = training_example(mesh, DESK_CONFIG, seed=0)
