@@ -232,9 +232,15 @@ def _seam_edges_for(mesh_norm: IndexedMesh, args) -> SeamEdgeSet:
             raise InputError(f"--from-uv: {exc}") from exc
     if getattr(args, "edges", None):
         try:
-            return SeamEdgeSet.from_text(_read_file(args.edges))
+            edges = SeamEdgeSet.from_text(_read_file(args.edges))
         except MeshError as exc:
             raise InputError(f"{args.edges}: {exc}") from exc
+        pairs = edges.sorted_edges()
+        missing = np.flatnonzero(mesh_norm.edge_ids(pairs) < 0)
+        if len(missing):
+            a, b = pairs[missing[0]]
+            raise InputError(f"{args.edges}: pair {a} {b} is not an edge of the mesh")
+        return edges
     if getattr(args, "seams", None):
         seams = _load_seams(args.seams)
         return projection.project_seams(mesh_norm, seams)
@@ -531,13 +537,8 @@ def cmd_dpo(args) -> int:
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     pairs = _pairs_from_records(records, cand_dir, cfg)
-    reference = policy.copy(role="reference")
-    dpo_config = dpo_mod.DPOConfig(
-        beta=cfg["beta"],
-        learning_rate=cfg["lr"],
-        steps=cfg["steps"],
-        pairing_mode=cfg["mode"],
-    )
+    reference = policy.copy()
+    dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
     t1 = time.perf_counter()
     trained, history = dpo_mod.dpo_train(policy, reference, pairs, dpo_config)
     timings = {"pairs": t1 - t0, "train": time.perf_counter() - t1}

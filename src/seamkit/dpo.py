@@ -43,6 +43,8 @@ logger = logging.getLogger(__name__)
 LN2 = float(np.log(2.0))
 
 PAIRING_MODES = ("joint", "distortion-only", "density-only")
+DIVERGENCE_FACTOR = 10.0  # dpo_train aborts when the loss stays above
+DIVERGENCE_PATIENCE = 100  # DIVERGENCE_FACTOR * ln 2 for this many steps
 
 
 class DPOError(Exception):
@@ -51,7 +53,7 @@ class DPOError(Exception):
 
 @dataclass(frozen=True)
 class DPOConfig:
-    """Post-training hyperparameters.
+    """Post-training hyperparameters; each pair carries its own pairing mode.
 
     Defaults: beta 0.1; 2,500 steps at learning rate 1e-6 (full-scale
     settings; the desk harness overrides steps and learning rate).
@@ -60,15 +62,10 @@ class DPOConfig:
     beta: float = 0.1
     learning_rate: float = 1e-6
     steps: int = 2500
-    pairing_mode: str = "joint"
-    divergence_factor: float = 10.0
-    divergence_patience: int = 100
 
     def __post_init__(self):
         if self.beta <= 0:
             raise DPOError("beta must be positive")
-        if self.pairing_mode not in PAIRING_MODES:
-            raise DPOError(f"pairing_mode must be one of {PAIRING_MODES}")
 
 
 @dataclass(frozen=True)
@@ -115,28 +112,19 @@ def build_pairs(
     ``candidates`` is a sequence of ScoredSeams (or (SeamSet, SeamMetrics)
     tuples).  Zero pairs is a valid outcome and is logged.
     """
-    if mode not in PAIRING_MODES:
-        raise DPOError(f"pairing_mode must be one of {PAIRING_MODES}")
     scored = [
         c if isinstance(c, ScoredSeams) else ScoredSeams(seams=c[0], metrics=c[1])
         for c in candidates
     ]
     if len(scored) < 2:
         raise DPOError("need at least 2 candidates")
-    pairs = []
-    for i in range(len(scored)):
-        for j in range(len(scored)):
-            if i == j:
-                continue
-            if dominates(scored[i].metrics, scored[j].metrics, mode):
-                pairs.append(
-                    PreferencePair(
-                        condition=condition,
-                        positive=scored[i],
-                        negative=scored[j],
-                        mode=mode,
-                    )
-                )
+    # strict dominance is irreflexive, so no candidate is paired with itself
+    pairs = [
+        PreferencePair(condition=condition, positive=a, negative=b, mode=mode)
+        for a in scored
+        for b in scored
+        if dominates(a.metrics, b.metrics, mode)
+    ]
     if not pairs:
         logger.info("no dominated pairs among %d candidates (mode=%s)", len(scored), mode)
     return pairs
@@ -286,8 +274,8 @@ def dpo_train(
     reference pass runs; otherwise one pass over the reference store
     computes them before step 0.  Logs loss, preference accuracy (fraction
     of pairs with positive margin) and the ``DPOStepLog`` reward diagnostics
-    per step.  Aborts when the loss stays above divergence_factor * ln 2 for
-    divergence_patience consecutive steps.
+    per step.  Aborts when the loss stays above DIVERGENCE_FACTOR * ln 2 for
+    DIVERGENCE_PATIENCE consecutive steps.
     """
     dataset = list(dataset)
     if not dataset:
@@ -323,12 +311,12 @@ def dpo_train(
                 grad_norm=float(np.sqrt(sum(np.sum(g * g) for g in grads if g is not None))),
             )
         )
-        if value > config.divergence_factor * LN2:
+        if value > DIVERGENCE_FACTOR * LN2:
             bad_streak += 1
-            if bad_streak >= config.divergence_patience:
+            if bad_streak >= DIVERGENCE_PATIENCE:
                 raise TrainingError(
                     f"DPO diverged: loss {value:.3f} above "
-                    f"{config.divergence_factor} * ln2 for {bad_streak} steps"
+                    f"{DIVERGENCE_FACTOR} * ln2 for {bad_streak} steps"
                 )
         else:
             bad_streak = 0
@@ -378,7 +366,7 @@ class PairRecord:
         mode = d.get("mode", "joint")
         if mode not in PAIRING_MODES:
             raise ValueError(f"mode must be one of {PAIRING_MODES}, got {mode!r}")
-        return cls(
+        record = cls(
             mesh_path=d["mesh"],
             seed=int(d["seed"]),
             positive_index=int(d["positive_index"]),
@@ -387,6 +375,11 @@ class PairRecord:
             negative_metrics=SeamMetrics.from_dict(d["negative_metrics"]),
             mode=mode,
         )
+        if not dominates(record.positive_metrics, record.negative_metrics, mode):
+            raise ValueError(
+                f"positive metrics do not strictly dominate the negative's in mode {mode!r}"
+            )
+        return record
 
 
 def write_pair_records(records) -> str:
@@ -396,8 +389,9 @@ def write_pair_records(records) -> str:
 def read_pair_records(text: str) -> list[PairRecord]:
     """Parse pair records, one JSON object per non-blank line.
 
-    A line that is not JSON, lacks a key or holds a value of the wrong type
-    raises ``DPOError`` naming its 1-based line number.
+    A line that is not JSON, lacks a key, holds a value of the wrong type or
+    whose positive does not strictly dominate its negative in the record's
+    mode raises ``DPOError`` naming its 1-based line number.
     """
     out = []
     for line_no, line in enumerate(text.splitlines(), start=1):

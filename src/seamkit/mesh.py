@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import io
 import logging
 import math
 import os
@@ -339,14 +338,11 @@ def _read_text(source) -> str:
         return source
     if isinstance(source, bytes):
         return source.decode("utf-8", errors="replace")
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
     raise TypeError(f"unsupported OBJ source: {type(source)!r}")
 
 
 def load_obj(source) -> IndexedMesh:
-    """Parse an ASCII OBJ stream: an ``os.PathLike`` path, text, bytes, or a file object.
+    """Parse an ASCII OBJ: an ``os.PathLike`` path, text, or bytes.
 
     A ``str`` is always OBJ text, never a file name: pass a ``pathlib.Path``
     to read a file.
@@ -584,8 +580,9 @@ def normalize(mesh: IndexedMesh) -> tuple[IndexedMesh, NormalizationTransform]:
 # UV-derived seams
 
 
-def extract_uv_seams(mesh: IndexedMesh, tol: float = UV_SEAM_TOL) -> SeamEdgeSet:
-    """Interior edges whose incident triangles disagree on a shared corner UV.
+def extract_uv_seams(mesh: IndexedMesh) -> SeamEdgeSet:
+    """Interior edges whose incident triangles disagree on a shared corner UV
+    (by more than ``UV_SEAM_TOL`` in either coordinate).
 
     Boundary edges are excluded; non-manifold edges are checked over every
     incidence pair.  Requires ``uv_corners``.
@@ -594,8 +591,8 @@ def extract_uv_seams(mesh: IndexedMesh, tol: float = UV_SEAM_TOL) -> SeamEdgeSet
         raise MissingUVError("extract_uv_seams requires per-corner UVs")
     edge, a, b = matched_corners(mesh.triangles, mesh.face_edges)
     uv = mesh.uv_corners
-    # a pair disagrees when either shared vertex differs by more than tol
-    disagree = (np.abs(uv[a] - uv[b]).max(axis=2) > tol).any(axis=1)
+    # a pair disagrees when either shared vertex differs by more than the tolerance
+    disagree = (np.abs(uv[a] - uv[b]).max(axis=2) > UV_SEAM_TOL).any(axis=1)
     seams = mesh.edges[np.unique(edge[disagree])].tolist()
     return SeamEdgeSet(edges=frozenset(map(tuple, seams)))
 

@@ -40,6 +40,9 @@ from seamkit.tokenizer import BOS, EOS, PAD, VOCAB_SIZE, TokenSequence
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e30
+COORD_FACTOR = 3  # tokens per coordinate-level pooling window
+ENDPOINT_FACTOR = 2  # endpoint rows per valley row
+FF_MULT = 4  # feed-forward hidden width as a multiple of d_model
 
 
 class ModelError(Exception):
@@ -56,8 +59,9 @@ class TrainingError(ModelError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, encoder-branch freezing and the init seed.
 
+    Vocabulary, resampling and feed-forward sizes are module constants.
     Desk defaults keep every property test fast; the paper-scale values
     (tokens_per_branch=3072, d_model=1024, n_layers=24) are representable but
     not exercised by the test harness.
@@ -67,20 +71,12 @@ class ModelConfig:
     d_model: int = 64
     n_layers: int = 8
     n_heads: int = 2
-    vocab_size: int = VOCAB_SIZE
-    coord_factor: int = 3
-    endpoint_factor: int = 2
     max_segments: int = 512
-    ff_mult: int = 4
     train_topo_encoder: bool = True
     train_geom_encoder: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.coord_factor != 3 or self.endpoint_factor != 2:
-            raise ModelError("resampling factors are fixed at 3 (coordinate) and 2 (endpoint)")
-        if self.vocab_size != VOCAB_SIZE:
-            raise ModelError(f"vocabulary is fixed at {VOCAB_SIZE}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         if self.n_layers < 4:
@@ -110,21 +106,16 @@ def _is_cross_layer(i: int) -> bool:
 
 @dataclass
 class ParameterStore:
-    """Named float64 weight arrays with a role tag (policy or reference)."""
+    """Named float64 weight arrays and the config they were built for."""
 
     arrays: dict
     config: ModelConfig
-    role: str = "policy"
 
     def names(self) -> list[str]:
         return list(self.arrays)
 
-    def copy(self, role: str | None = None) -> "ParameterStore":
-        return ParameterStore(
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            config=self.config,
-            role=self.role if role is None else role,
-        )
+    def copy(self) -> "ParameterStore":
+        return ParameterStore(arrays={k: v.copy() for k, v in self.arrays.items()}, config=self.config)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -149,14 +140,14 @@ class ParameterStore:
 def _parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Name -> shape of every parameter, in the order they are created."""
     d = config.d_model
-    h = config.ff_mult * d
+    h = FF_MULT * d
     shapes: dict[str, tuple] = {}
 
     def ln(name):
         shapes[f"{name}.g"] = (d,)
         shapes[f"{name}.b"] = (d,)
 
-    shapes["embed.token"] = (config.vocab_size, d)
+    shapes["embed.token"] = (VOCAB_SIZE, d)
     shapes["embed.pos"] = (config.max_seq_len, d)
     # cross-attention is permutation-invariant over its keys; positions on the
     # condition stream keep the topology-then-geometry order observable
@@ -185,12 +176,12 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
         shapes[f"dec.{i}.ff.w2"] = (h, d)
         shapes[f"dec.{i}.ff.b2"] = (d,)
     ln("head.ln")
-    shapes["head.w"] = (d, config.vocab_size)
-    shapes["head.b"] = (config.vocab_size,)
+    shapes["head.w"] = (d, VOCAB_SIZE)
+    shapes["head.b"] = (VOCAB_SIZE,)
     return shapes
 
 
-def init_parameters(config: ModelConfig, role: str = "policy") -> ParameterStore:
+def init_parameters(config: ModelConfig) -> ParameterStore:
     """Layer-norm gains 1, biases 0, weights N(0, 0.02) drawn in creation order."""
     rng = np.random.default_rng(config.seed)
     arrays: dict[str, np.ndarray] = {}
@@ -202,7 +193,7 @@ def init_parameters(config: ModelConfig, role: str = "policy") -> ParameterStore
             arrays[name] = np.zeros(shape)
         else:
             arrays[name] = rng.normal(0.0, 0.02, size=shape)
-    return ParameterStore(arrays=arrays, config=config, role=role)
+    return ParameterStore(arrays=arrays, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +369,7 @@ def _decode_t(state: _DecodeState, tokens: np.ndarray):
     n1 = n0 + tokens.shape[-1]
     if tokens.size == 0:
         raise ModelError("prefix must contain at least BOS")
-    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
+    if tokens.min() < 0 or tokens.max() >= VOCAB_SIZE:
         raise ModelError("token id outside the vocabulary")
     if n1 > config.max_seq_len:
         raise ModelError(f"sequence length {n1} exceeds cap {config.max_seq_len}")
@@ -386,7 +377,7 @@ def _decode_t(state: _DecodeState, tokens: np.ndarray):
     n_coord, n_ep_pre, n_valley, _ = config.stage_layers()
     ep_pre = n_coord + n_ep_pre
     valley = ep_pre + n_valley
-    cf, ef = config.coord_factor, config.endpoint_factor
+    cf, ef = COORD_FACTOR, ENDPOINT_FACTOR
 
     x = ad.add(
         ad.gather_rows(p["embed.token"], tokens),
@@ -449,7 +440,7 @@ def _sequence_logprobs_t(seqs, cond, p, config: ModelConfig) -> list:
         inputs[b, : len(t) - 1] = t[:-1]
         targets[b, : len(t) - 1] = t[1:]
     logits = _decoder_logits_t(inputs, cond, p, config)
-    picked = ad.log_softmax_pick(ad.reshape(logits, (-1, config.vocab_size)), targets.ravel())
+    picked = ad.log_softmax_pick(ad.reshape(logits, (-1, VOCAB_SIZE)), targets.ravel())
     return [
         ad.sum_all(ad.slice_rows(picked, b * n_max, b * n_max + len(t) - 1))
         for b, t in enumerate(seqs)
@@ -686,9 +677,13 @@ _CKPT_MAGIC = b"SEAMKITCKPT1\n"
 
 
 def save_checkpoint(params: ParameterStore) -> bytes:
-    """Deterministic binary container: magic, JSON header, raw float64 buffers."""
+    """Deterministic binary container: magic, JSON header, raw float64 buffers.
+
+    The one-line JSON header has exactly the keys ``config`` (every
+    ``ModelConfig`` field) and ``arrays`` (``name`` and ``shape`` of each
+    parameter, in the order of the little-endian buffers that follow).
+    """
     header = {
-        "role": params.role,
         "config": asdict(params.config),
         "arrays": [
             {"name": k, "shape": list(v.shape)} for k, v in params.arrays.items()
@@ -705,9 +700,11 @@ def load_checkpoint(data: bytes) -> ParameterStore:
     """Parse a ``save_checkpoint`` container.
 
     Raises ``CheckpointError`` for a wrong magic; a header without its
-    terminating newline, not JSON or missing a field; unknown or invalid
-    config keys; parameter names or shapes that differ from the
-    configuration's; a truncated buffer; or bytes after the last buffer.
+    terminating newline, not JSON, or whose keys are not exactly ``config``
+    and ``arrays``; unknown or invalid config keys; parameter names or
+    shapes that differ from the configuration's; a truncated buffer; a
+    non-finite weight; or bytes after the last buffer.  An unknown header
+    or config key, such as one a former format carried, is named.
     """
     if not data.startswith(_CKPT_MAGIC):
         raise CheckpointError("not a seamkit checkpoint")
@@ -717,13 +714,16 @@ def load_checkpoint(data: bytes) -> ParameterStore:
         raise CheckpointError("header has no terminating newline")
     try:
         header = json.loads(rest[:nl].decode())
-        role, config_keys = str(header["role"]), dict(header["config"])
+        config_keys = dict(header["config"])
         specs = [(str(a["name"]), tuple(int(n) for n in a["shape"])) for a in header["arrays"]]
     except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {exc!r}") from exc
     unknown = sorted(set(config_keys) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise CheckpointError(f"unknown config keys: {', '.join(unknown)}")
+    unknown = sorted(set(header) - {"config", "arrays"})
+    if unknown:
+        raise CheckpointError(f"unknown header keys: {', '.join(unknown)}")
     try:
         config = ModelConfig(**config_keys)
     except (ModelError, TypeError) as exc:
@@ -741,7 +741,9 @@ def load_checkpoint(data: bytes) -> ParameterStore:
         if len(raw) != size:
             raise CheckpointError(f"truncated buffer for {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"non-finite weights in {name}")
         offset += size
     if offset != len(rest):
         raise CheckpointError(f"{len(rest) - offset} trailing bytes after the last buffer")
-    return ParameterStore(arrays=arrays, config=config, role=role)
+    return ParameterStore(arrays=arrays, config=config)

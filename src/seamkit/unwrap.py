@@ -26,6 +26,8 @@ logger = logging.getLogger(__name__)
 AREA_EXCLUDE_REL = 1e-12
 # Relative residual bound for the normal-equation solve.
 SOLVE_RESIDUAL_REL = 1e-8
+LAYOUT_GAP_REL = 0.05  # gap between laid-out islands / largest island extent
+SVG_WIDTH = 800.0  # SVG drawing width in user units, before a 1% margin
 
 
 class UnwrapError(MeshError):
@@ -480,7 +482,7 @@ def unwrap_mesh(mesh: IndexedMesh, seams: SeamEdgeSet) -> UVAtlas:
 # Exports
 
 
-def layout_uv(atlas: UVAtlas, gap_rel: float = 0.05) -> np.ndarray:
+def layout_uv(atlas: UVAtlas) -> np.ndarray:
     """Translate islands onto a shelf so they do not overlap (no rescaling).
 
     Translation preserves every triangle's deformation gradient, so metrics
@@ -496,7 +498,7 @@ def layout_uv(atlas: UVAtlas, gap_rel: float = 0.05) -> np.ndarray:
     if not boxes:
         return uv
     max_dim = max(max(hi - lo) for _, _, lo, hi in boxes)
-    gap = gap_rel * max(max_dim, 1e-12)
+    gap = LAYOUT_GAP_REL * max(max_dim, 1e-12)
     row_width = 4 * (max_dim + gap) + gap
     x = y = 0.0
     row_h = 0.0
@@ -533,7 +535,7 @@ def _ramp(t: float) -> str:
     return f"rgb({int(c[0])},{int(c[1])},{int(c[2])})"
 
 
-def atlas_to_svg(atlas: UVAtlas, width: float = 800.0) -> str:
+def atlas_to_svg(atlas: UVAtlas) -> str:
     """SVG atlas: islands side by side, per-triangle fill from the distortion term.
 
     The color ramp is clipped at the 95th percentile of the per-triangle
@@ -551,6 +553,7 @@ def atlas_to_svg(atlas: UVAtlas, width: float = 800.0) -> str:
     lo = uv.min(axis=0)
     hi = uv.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
+    width = SVG_WIDTH
     scale = width / span[0]
     height = span[1] * scale
     pad = 0.01 * width

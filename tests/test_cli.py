@@ -192,6 +192,30 @@ def _count_calls(monkeypatch, fn, *modules):
     return calls
 
 
+def test_unwrap_edges_file_matches_from_uv(cube_obj, tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(extract_uv_seams(normalize(load_obj(cube_obj.read_text()))[0]).to_text())
+    out, js = tmp_path / "atlas.obj", tmp_path / "metrics.json"
+    args = ["unwrap", str(cube_obj), "--edges", str(edges), "--obj-out", str(out), "--json-out", str(js)]
+    assert main(args) == 0
+    assert json.loads(js.read_text())["fragments"] == 6
+
+
+@pytest.mark.parametrize("pair", ["0 999", "0 -1"])
+@pytest.mark.parametrize("json_out", [False, True])
+def test_unwrap_edges_not_on_the_mesh_exit_2(grid_obj, tmp_path, capsys, pair, json_out):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"0 1\n{pair}\n")
+    out = tmp_path / "atlas.obj"
+    args = ["unwrap", str(grid_obj), "--edges", str(edges), "--obj-out", str(out)]
+    if json_out:
+        args += ["--json-out", str(tmp_path / "metrics.json")]
+    assert main(args) == 2
+    a, b = sorted(int(v) for v in pair.split())
+    assert f"{edges}: pair {a} {b} is not an edge of the mesh" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwrap_json_out_solves_once(cube_obj, tmp_path, monkeypatch):
     from seamkit import metrics, unwrap
 
@@ -472,6 +496,8 @@ def _checkpoint_with_header(blob, edit):
         (lambda blob: b"SEAMKITCKPT1\nnot json\n", "malformed header"),
         (lambda blob: _checkpoint_with_header(blob, lambda d: d["config"].update(bogus=1)), "unknown config keys: bogus"),
         (lambda blob: blob + b"\0\0", "2 trailing bytes"),
+        (lambda blob: _checkpoint_with_header(blob, lambda d: d.update(role="policy")), "unknown header keys: role"),
+        (lambda blob: blob[:-8] + np.float64(np.nan).tobytes(), "non-finite weights in head.b"),
     ],
 )
 def test_dpo_corrupt_checkpoint_exit_2(tmp_path, capsys, corrupt, message):
@@ -500,6 +526,21 @@ def test_dpo_malformed_pair_record_exit_2(grid_obj, tmp_path, capsys, line, mess
     cfg.write_text(desk_config_text() + "steps = 1\n")
     out = tmp_path / "out.ckpt"
     assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    assert f"{pairs}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dpo_pair_record_without_dominance_exit_2(grid_obj, tmp_path, capsys):
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
+    first, second = pairs.read_text().splitlines(keepends=True)
+    record = json.loads(second)
+    record["positive_metrics"]["fragments"] = record["negative_metrics"]["fragments"]
+    pairs.write_text(first + json.dumps(record) + "\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    message = "line 2: malformed record (positive metrics do not strictly dominate"
     assert f"{pairs}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -592,4 +633,32 @@ def test_config_key_differing_from_checkpoint_exit_2(cube_obj, tmp_path, capsys,
     err = capsys.readouterr().err
     (key, value), = override.items()
     assert f"config key {key} = {value} differs from {field} of checkpoint {ckpt}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d.update(role="policy")
+            or d["config"].update(vocab_size=1027, coord_factor=3, endpoint_factor=2, ff_mult=4),
+            "unknown config keys: coord_factor, endpoint_factor, ff_mult, vocab_size",
+        ),
+        (None, "non-finite weights in head.b"),
+    ],
+    ids=["former-header", "nan-weight"],
+)
+def test_sample_rejected_checkpoint_exit_2(cube_obj, tmp_path, capsys, edit, message):
+    ckpt = _desk_checkpoint(tmp_path)
+    blob = ckpt.read_bytes()
+    if edit is None:
+        blob = blob[:-8] + np.float64(np.nan).tobytes()
+    else:
+        blob = _checkpoint_with_header(blob, edit)
+    ckpt.write_bytes(blob)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + f"init_checkpoint = {ckpt}\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
+    assert f"{ckpt}: {message}" in capsys.readouterr().err
     assert not out_dir.exists()

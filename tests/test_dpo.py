@@ -50,8 +50,6 @@ def test_dominates_and_config_validation():
     assert dominates(metrics(2, 2), metrics(1, 3), "density-only")
     with pytest.raises(DPOError):
         DPOConfig(beta=0.0)
-    with pytest.raises(DPOError):
-        DPOConfig(pairing_mode="bogus")
 
 
 def test_build_pairs_trivial_cases():
@@ -67,6 +65,8 @@ def test_build_pairs_trivial_cases():
     assert build_pairs([c, d], "joint") == []
     with pytest.raises(DPOError):
         build_pairs([a], "joint")
+    with pytest.raises(DPOError, match="unknown pairing mode 'bogus'"):
+        build_pairs([a, b], "bogus")
 
 
 def test_pair_invariant_enforced():
@@ -144,7 +144,7 @@ def test_loss_is_ln2_at_policy_equals_reference():
 def test_dpo_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     policy = init_parameters(TINY_CONFIG)
-    reference = init_parameters(TINY_CONFIG).copy(role="reference")
+    reference = init_parameters(TINY_CONFIG).copy()
     # move the policy off the reference so margins are nonzero
     for name in policy.trainable_names():
         policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(
@@ -189,11 +189,11 @@ def test_dpo_gradient_matches_finite_differences():
 
 def test_dpo_train_single_pair_converges():
     rng = np.random.default_rng(5)
-    reference = init_parameters(TINY_CONFIG).copy(role="reference")
-    policy = reference.copy(role="policy")
+    reference = init_parameters(TINY_CONFIG).copy()
+    policy = reference.copy()
     ref_blob = save_checkpoint(reference)
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=1)
-    config = DPOConfig(beta=0.5, learning_rate=0.05, steps=300, pairing_mode="joint")
+    config = DPOConfig(beta=0.5, learning_rate=0.05, steps=300)
     trained, history = dpo_train(policy, reference, pairs, config)
     assert len(history) == 300
     final = dpo_loss(trained, reference, pairs, beta=config.beta)
@@ -205,7 +205,7 @@ def test_dpo_train_single_pair_converges():
 
 def test_dpo_first_step_increases_margin():
     rng = np.random.default_rng(6)
-    reference = init_parameters(TINY_CONFIG).copy(role="reference")
+    reference = init_parameters(TINY_CONFIG).copy()
     policy = reference.copy()
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=1)
     config = DPOConfig(beta=0.5, learning_rate=1e-3, steps=1)
@@ -220,7 +220,7 @@ def test_dpo_first_step_increases_margin():
 
 def test_dpo_train_empty_dataset_is_noop():
     policy = init_parameters(TINY_CONFIG)
-    reference = policy.copy(role="reference")
+    reference = policy.copy()
     trained, history = dpo_train(policy, reference, [], DPOConfig(steps=10))
     assert history == []
     assert save_checkpoint(trained) == save_checkpoint(policy)
@@ -305,8 +305,8 @@ def test_dpo_gradients_match_per_pair_loss():
     from seamkit.dpo import _dpo_loss_t, _reference_logprobs
 
     rng = np.random.default_rng(8)
-    reference = init_parameters(TINY_CONFIG).copy(role="reference")
-    policy = reference.copy(role="policy")
+    reference = init_parameters(TINY_CONFIG).copy()
+    policy = reference.copy()
     for name in policy.trainable_names():
         policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(
             size=policy.arrays[name].shape
@@ -387,7 +387,7 @@ def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
     rng = np.random.default_rng(9)
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
-    dpo_train(policy, policy.copy(role="reference"), pairs, DPOConfig(learning_rate=1e-3, steps=2))
+    dpo_train(policy, policy.copy(), pairs, DPOConfig(learning_rate=1e-3, steps=2))
     # two steps, each over two conditions; the reference is the starting
     # policy, so step 0's pass gives its log-probabilities; each condition's
     # two branches pick their FPS anchors once per dpo_train
@@ -397,7 +397,7 @@ def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
 def test_reference_off_the_policy_runs_its_own_pass(monkeypatch):
     rng = np.random.default_rng(12)
     policy = init_parameters(TINY_CONFIG)
-    reference = policy.copy(role="reference")
+    reference = policy.copy()
     reference.arrays["head.b"] = reference.arrays["head.b"].copy()
     reference.arrays["head.b"][5] += 1e-3
     pairs = two_condition_pairs(rng, TINY_CONFIG)
@@ -419,7 +419,7 @@ def test_dpo_train_matches_composed_ops():
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     config = DPOConfig(beta=0.5, learning_rate=0.05, steps=20)
-    _, history = dpo_train(policy, policy.copy(role="reference"), pairs, config)
+    _, history = dpo_train(policy, policy.copy(), pairs, config)
     losses = [h.loss for h in history]
     # step 0: every margin is exactly 0, so the loss is the mean of ln 2 terms
     first = history[0]
@@ -427,7 +427,7 @@ def test_dpo_train_matches_composed_ops():
     zero = ad.Tensor(0.0)
     at_zero = float(_margin_loss_t([(zero, zero)] * len(pairs), config.beta)[0].value)
     assert losses[0] == at_zero == pytest.approx(LN2, rel=1e-15)
-    expected = composed_separate_pass_losses(policy, policy.copy(role="reference"), pairs, config)
+    expected = composed_separate_pass_losses(policy, policy.copy(), pairs, config)
     assert expected[0] == at_zero
     np.testing.assert_allclose(losses, expected, rtol=1e-10, atol=0)
     assert losses[-1] < 0.5 * LN2
@@ -446,7 +446,7 @@ def test_frozen_encoder_branch_stays_frozen():
     nll_batch = [(pair.condition, pair_tokens(pair)[0]) for pair in pairs]
     stepped, _ = nll_train_step(nll_batch, params, lr=0.1)
     trained, _ = dpo_train(
-        params, params.copy(role="reference"), pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
+        params, params.copy(), pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
     )
     for after in (stepped, trained):
         for name in params.names():
@@ -464,7 +464,7 @@ def test_dpo_step_log_diagnostics():
     from seamkit.dpo import _dpo_loss_t, _reference_logprobs
 
     rng = np.random.default_rng(10)
-    reference = init_parameters(TINY_CONFIG).copy(role="reference")
+    reference = init_parameters(TINY_CONFIG).copy()
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     config = DPOConfig(beta=0.5, learning_rate=0.05, steps=3)
     trained, history = dpo_train(reference.copy(), reference, pairs, config)
@@ -506,3 +506,37 @@ def test_read_pair_records_names_the_bad_line(line, message):
     bad_mode = rec.to_json().replace('"joint"', '"bogus"')
     with pytest.raises(DPOError, match="line 1: malformed record"):
         read_pair_records(bad_mode)
+
+
+@pytest.mark.parametrize(
+    "mode, positive, negative",
+    [
+        ("joint", metrics(0.5, 3), metrics(1.5, 3)),
+        ("joint", metrics(1.5, 3), metrics(0.5, 6)),
+        ("distortion-only", metrics(1.5, 3), metrics(1.5, 6)),
+        ("density-only", metrics(0.5, 6), metrics(1.5, 6)),
+    ],
+)
+def test_read_pair_records_rejects_a_non_dominating_pair(mode, positive, negative):
+    good = PairRecord("m.obj", 0, 0, 1, metrics(0.5, 3), metrics(1.5, 6), mode=mode)
+    bad = PairRecord("m.obj", 0, 0, 2, positive, negative, mode=mode)
+    with pytest.raises(DPOError, match=f"line 2: malformed record .*in mode '{mode}'"):
+        read_pair_records(write_pair_records([good, bad]))
+
+
+def test_dpo_train_aborts_when_the_loss_stays_high(monkeypatch):
+    from seamkit import dpo
+    from seamkit.model import TrainingError
+
+    # the step-0 loss is ln 2, above 0.5 * ln 2, and stays there for a small step
+    monkeypatch.setattr(dpo, "DIVERGENCE_FACTOR", 0.5)
+    monkeypatch.setattr(dpo, "DIVERGENCE_PATIENCE", 2)
+    rng = np.random.default_rng(14)
+    policy = init_parameters(TINY_CONFIG)
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    config = DPOConfig(beta=0.5, learning_rate=1e-3, steps=5)
+    with pytest.raises(TrainingError, match=r"DPO diverged: .* above 0.5 \* ln2 for 2 steps"):
+        dpo_train(policy, policy.copy(), pairs, config)
+    # one step is within the patience
+    _, history = dpo_train(policy, policy.copy(), pairs, DPOConfig(beta=0.5, learning_rate=1e-3, steps=1))
+    assert [h.loss for h in history] == [pytest.approx(LN2, rel=1e-15)]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,10 +53,6 @@ def complete_sequence(rng, n_segments):
 
 
 def test_config_validation():
-    with pytest.raises(ModelError):
-        ModelConfig(coord_factor=2)
-    with pytest.raises(ModelError):
-        ModelConfig(endpoint_factor=3)
     with pytest.raises(ModelError):
         ModelConfig(d_model=30, n_heads=4)
     with pytest.raises(ModelError):
@@ -480,7 +477,6 @@ def test_checkpoint_round_trip_and_validation():
     blob = save_checkpoint(params)
     assert save_checkpoint(params) == blob  # deterministic bytes
     back = load_checkpoint(blob)
-    assert back.role == params.role
     assert back.config == params.config
     for name in params.names():
         np.testing.assert_array_equal(back.arrays[name], params.arrays[name])
@@ -509,9 +505,40 @@ def _with_header(blob, edit):
         (lambda blob: _with_header(blob, lambda d: d["arrays"].reverse()), "names do not match"),
         (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape=[2, 2])), "shape mismatch"),
         (lambda blob: blob + b"\0\0", "2 trailing bytes"),
+        (lambda blob: _with_header(blob, lambda d: d.update(role="policy")), "unknown header keys: role"),
+        (lambda blob: blob[:-8] + np.float64(np.nan).tobytes(), "non-finite weights in head.b"),
     ],
 )
 def test_corrupt_checkpoint_raises(corrupt, message):
     blob = save_checkpoint(init_parameters(TINY_CONFIG))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(corrupt(blob))
+
+
+def test_checkpoint_header_contract():
+    """The header holds exactly ``config`` (every ModelConfig field) and
+    ``arrays``; a header of the former format, with ``role`` and the fixed
+    model factors, is rejected naming the factors."""
+    params = init_parameters(TINY_CONFIG)
+    blob = save_checkpoint(params)
+    header = json.loads(blob.split(b"\n", 2)[1])
+    assert sorted(header) == ["arrays", "config"]
+    assert sorted(header["config"]) == sorted(f.name for f in fields(ModelConfig))
+    assert [f.name for f in fields(ModelConfig)] == [
+        "tokens_per_branch",
+        "d_model",
+        "n_layers",
+        "n_heads",
+        "max_segments",
+        "train_topo_encoder",
+        "train_geom_encoder",
+        "seed",
+    ]
+
+    def former(doc):
+        doc["role"] = "policy"
+        doc["config"].update(vocab_size=VOCAB_SIZE, coord_factor=3, endpoint_factor=2, ff_mult=4)
+
+    message = "unknown config keys: coord_factor, endpoint_factor, ff_mult, vocab_size"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(_with_header(blob, former))
