@@ -7,11 +7,18 @@ scaled-dot-product ``attention`` and ``log_softmax_pick``.  Each fused forward
 runs the numpy operations of the composed graph it replaces in the same
 order, so its values are bit-identical to that graph's, at one node instead
 of about ten.  Gradient correctness is pinned by finite-difference tests
-rather than by construction.  An op whose inputs need no gradient returns a
-leaf, so inference builds no graph; ``backward`` frees the graph as it goes.
+rather than by construction.
+
+An array in gives an array out: an op none of whose arguments is a
+``Tensor`` returns a bare ``ndarray`` with the same values, so code written
+once runs on Tensors for training and on plain arrays for inference, which
+then builds no graph and pays for no nodes.  An op on Tensors that need no
+gradient returns a leaf; ``backward`` frees the graph as it goes.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
@@ -78,55 +85,58 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
-        a.value + b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(g, b.value.shape),
-        ),
+def _value(x) -> np.ndarray:
+    """The float64 array of an op argument, Tensor or array-like."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(value, parents, vjps) -> Tensor | np.ndarray:
+    """An op's result: a bare array when no argument is a Tensor, else a
+    node over the arguments (an array argument becomes a leaf)."""
+    for p in parents:
+        if isinstance(p, Tensor):
+            return Tensor(value, parents=tuple(as_tensor(q) for q in parents), vjps=vjps)
+    return value
+
+
+def add(a, b) -> Tensor | np.ndarray:
+    x, y = _value(a), _value(b)
+    return _node(
+        x + y,
+        (a, b),
+        (lambda g: _unbroadcast(g, x.shape), lambda g: _unbroadcast(g, y.shape)),
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
-        a.value - b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(-g, b.value.shape),
-        ),
+def sub(a, b) -> Tensor | np.ndarray:
+    x, y = _value(a), _value(b)
+    return _node(
+        x - y,
+        (a, b),
+        (lambda g: _unbroadcast(g, x.shape), lambda g: _unbroadcast(-g, y.shape)),
     )
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
-        a.value * b.value,
-        parents=(a, b),
-        vjps=(
-            lambda g: _unbroadcast(g * b.value, a.value.shape),
-            lambda g: _unbroadcast(g * a.value, b.value.shape),
-        ),
+def mul(a, b) -> Tensor | np.ndarray:
+    x, y = _value(a), _value(b)
+    return _node(
+        x * y,
+        (a, b),
+        (lambda g: _unbroadcast(g * y, x.shape), lambda g: _unbroadcast(g * x, y.shape)),
     )
 
 
-def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.value * s, parents=(a,), vjps=(lambda g: g * s,))
+def scale(a, s: float) -> Tensor | np.ndarray:
+    return _node(_value(a) * s, (a,), (lambda g: g * s,))
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Tensor | np.ndarray:
     """Matrix product over the last two axes; leading (batch) axes broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
 
     def swap(x):
         return np.swapaxes(x, -1, -2)
 
-    x, w = a.value, b.value
+    x, w = _value(a), _value(b)
     if x.ndim > 2 and w.ndim == 2:
         # every batch entry's rows against one weight: one flat (rows, k) @
         # (k, m) GEMM per direction, not a product per batch entry and, for
@@ -145,114 +155,105 @@ def matmul(a, b) -> Tensor:
             lambda g: _unbroadcast(g @ swap(w), x.shape),
             lambda g: _unbroadcast(swap(x) @ g, w.shape),
         )
-    return Tensor(out, parents=(a, b), vjps=vjps)
+    return _node(out, (a, b), vjps)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(
-        np.transpose(a.value, axes),
-        parents=(a,),
-        vjps=(lambda g: np.transpose(g, np.argsort(axes)),),
+def transpose(a, axes) -> Tensor | np.ndarray:
+    return _node(
+        np.transpose(_value(a), axes), (a,), (lambda g: np.transpose(g, np.argsort(axes)),)
     )
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.value.shape
-    return Tensor(
-        a.value.reshape(shape), parents=(a,), vjps=(lambda g: g.reshape(old),)
-    )
+def reshape(a, shape) -> Tensor | np.ndarray:
+    x = _value(a)
+    return _node(x.reshape(shape), (a,), (lambda g: g.reshape(x.shape),))
 
 
-def concat_rows(tensors, axis: int = 0) -> Tensor:
+def concat_rows(tensors, axis: int = 0) -> Tensor | np.ndarray:
     """Concatenate along ``axis`` (rows by default)."""
-    ts = [as_tensor(t) for t in tensors]
-    sizes = [t.value.shape[axis] for t in ts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    lead = (slice(None),) * (axis % ts[0].value.ndim)
+    tensors = tuple(tensors)
+    values = [_value(t) for t in tensors]
+    offsets = list(accumulate((x.shape[axis] for x in values), initial=0))
+    lead = (slice(None),) * (axis % values[0].ndim)
 
     def make_vjp(i):
         index = lead + (slice(offsets[i], offsets[i + 1]),)
         return lambda g: g[index]
 
-    return Tensor(
-        np.concatenate([t.value for t in ts], axis=axis),
-        parents=tuple(ts),
-        vjps=tuple(make_vjp(i) for i in range(len(ts))),
+    return _node(
+        np.concatenate(values, axis=axis),
+        tensors,
+        tuple(make_vjp(i) for i in range(len(values))),
     )
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    shape = a.value.shape
+def slice_rows(a, start: int, stop: int) -> Tensor | np.ndarray:
+    x = _value(a)
 
     def vjp(g):
-        out = np.zeros(shape)
+        out = np.zeros(x.shape)
         out[start:stop] = g
         return out
 
-    return Tensor(a.value[start:stop], parents=(a,), vjps=(vjp,))
+    return _node(x[start:stop], (a,), (vjp,))
 
 
-def gather_rows(table, indices) -> Tensor:
+def gather_rows(table, indices) -> Tensor | np.ndarray:
     """Row lookup (embeddings); gradient scatters with accumulation."""
-    table = as_tensor(table)
+    x = _value(table)
     idx = np.asarray(indices, dtype=np.int64)
-    shape = table.value.shape
 
     def vjp(g):
-        out = np.zeros(shape)
+        out = np.zeros(x.shape)
         np.add.at(out, idx, g)
         return out
 
-    return Tensor(table.value[idx], parents=(table,), vjps=(vjp,))
+    return _node(x[idx], (table,), (vjp,))
 
 
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    shape = a.value.shape
-    return Tensor(
-        a.value.sum(), parents=(a,), vjps=(lambda g: np.broadcast_to(g, shape).copy(),)
-    )
+def sum_all(a) -> Tensor | np.ndarray:
+    x = _value(a)
+    return _node(np.asarray(x.sum()), (a,), (lambda g: np.broadcast_to(g, x.shape).copy(),))
 
 
-def layer_norm(x, g, b, eps: float) -> Tensor:
+def layer_norm(x, g, b, eps: float) -> Tensor | np.ndarray:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis."""
-    x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
-    centered = x.value - x.value.mean(axis=-1, keepdims=True)
-    var = (centered**2.0).mean(axis=-1, keepdims=True)
+    xv, gv, bv = _value(x), _value(g), _value(b)
+    n = xv.shape[-1]
+    # np.add.reduce(...) / n is what ndarray.mean computes, without its wrapper
+    centered = xv - np.add.reduce(xv, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered**2.0, axis=-1, keepdims=True) / n
     inv = (var + eps) ** -0.5
     xhat = centered * inv
-    out = xhat * g.value + b.value
+    out = xhat * gv + bv
 
     def vjp_x(grad):
-        d = grad * g.value
+        d = grad * gv
         return inv * (
             d - d.mean(axis=-1, keepdims=True) - xhat * (d * xhat).mean(axis=-1, keepdims=True)
         )
 
-    return Tensor(
+    return _node(
         out,
-        parents=(x, g, b),
-        vjps=(
+        (x, g, b),
+        (
             vjp_x,
-            lambda grad: _unbroadcast(grad * xhat, g.value.shape),
-            lambda grad: _unbroadcast(grad, b.value.shape),
+            lambda grad: _unbroadcast(grad * xhat, gv.shape),
+            lambda grad: _unbroadcast(grad, bv.shape),
         ),
     )
 
 
-def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
+def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor | np.ndarray:
     """softmax(q @ k^T / sqrt(dh) + mask) @ v over split heads (..., n, dh).
 
     Leading axes broadcast, so one condition's keys and values (heads, m,
     dh) serve a batch of queries (B, heads, n, dh).  ``mask`` is additive,
     over (query row, key row).
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    factor = 1.0 / np.sqrt(q.value.shape[-1])
-    scores = (q.value @ np.swapaxes(k.value, -1, -2)) * factor
+    qv, kv, vv = _value(q), _value(k), _value(v)
+    factor = 1.0 / np.sqrt(qv.shape[-1])
+    scores = (qv @ np.swapaxes(kv, -1, -2)) * factor
     if mask is not None:
         scores = scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -263,27 +264,27 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
     def dscores(g):
         # backward hands the q and k VJPs the same g: compute this once for both
         if shared[0] is not g:
-            dw = g @ np.swapaxes(v.value, -1, -2)
+            dw = g @ np.swapaxes(vv, -1, -2)
             shared[:] = g, weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) * factor
         return shared[1]
 
-    return Tensor(
-        weights @ v.value,
-        parents=(q, k, v),
-        vjps=(
-            lambda g: _unbroadcast(dscores(g) @ k.value, q.value.shape),
-            lambda g: _unbroadcast(np.swapaxes(dscores(g), -1, -2) @ q.value, k.value.shape),
-            lambda g: _unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.value.shape),
+    return _node(
+        weights @ vv,
+        (q, k, v),
+        (
+            lambda g: _unbroadcast(dscores(g) @ kv, qv.shape),
+            lambda g: _unbroadcast(np.swapaxes(dscores(g), -1, -2) @ qv, kv.shape),
+            lambda g: _unbroadcast(np.swapaxes(weights, -1, -2) @ g, vv.shape),
         ),
     )
 
 
-def log_softmax_pick(a, cols) -> Tensor:
+def log_softmax_pick(a, cols) -> Tensor | np.ndarray:
     """out[i] = log_softmax(a[i])[cols[i]] for a 2D tensor."""
-    a = as_tensor(a)
+    x = _value(a)
     idx = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(a.value.shape[0])
-    z = a.value - a.value.max(axis=-1, keepdims=True)
+    rows = np.arange(x.shape[0])
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
     lse = np.log(total)
@@ -293,12 +294,11 @@ def log_softmax_pick(a, cols) -> Tensor:
         out[rows, idx] += g
         return out
 
-    return Tensor(z[rows, idx] - lse[:, 0], parents=(a,), vjps=(vjp,))
+    return _node(z[rows, idx] - lse[:, 0], (a,), (vjp,))
 
 
-def gelu(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.value
+def gelu(a) -> Tensor | np.ndarray:
+    x = _value(a)
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf
 
@@ -306,12 +306,11 @@ def gelu(a) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         return g * (cdf + x * pdf)
 
-    return Tensor(out, parents=(a,), vjps=(vjp,))
+    return _node(out, (a,), (vjp,))
 
 
-def log_sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.value
+def log_sigmoid(a) -> Tensor | np.ndarray:
+    x = _value(a)
     # stable: log sigma(x) = -log1p(exp(-x)) for x >= 0, x - log1p(exp(x)) else
     with np.errstate(over="ignore"):
         out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
@@ -320,10 +319,10 @@ def log_sigmoid(a) -> Tensor:
     def vjp(g):
         return g * sig_neg
 
-    return Tensor(out, parents=(a,), vjps=(vjp,))
+    return _node(out, (a,), (vjp,))
 
 
-def mean_pool_causal(a, factor: int, start: int = 0) -> Tensor:
+def mean_pool_causal(a, factor: int, start: int = 0) -> Tensor | np.ndarray:
     """Shift right by (factor - 1) rows, zero-pad, mean-pool groups of `factor`.
 
     Rows are axis -2; leading axes are batch axes.  Pooled row k is the mean
@@ -333,15 +332,15 @@ def mean_pool_causal(a, factor: int, start: int = 0) -> Tensor:
     ceil(n / factor) pooled rows, rows ``start`` onward are returned: a
     decoder that caches the earlier ones pools only the rows it lacks.
     """
-    a = as_tensor(a)
-    shape = a.value.shape
+    x = _value(a)
+    shape = x.shape
     lead, n, d = shape[:-2], shape[-2], shape[-1]
     m = -(-n // factor)  # ceil
     lo = start * factor - (factor - 1)  # input row under the first pooled slot
     hi = (m - 1) * factor + 1  # one past the last input row used
     src = max(lo, 0)
     window = np.zeros(lead + ((m - start) * factor, d))
-    window[..., src - lo :, :] = a.value[..., src:hi, :]
+    window[..., src - lo :, :] = x[..., src:hi, :]
     out = window.reshape(lead + (m - start, factor, d)).mean(axis=-2)
 
     def vjp(g):
@@ -350,21 +349,21 @@ def mean_pool_causal(a, factor: int, start: int = 0) -> Tensor:
         grad[..., src:hi, :] = spread[..., src - lo :, :]
         return grad
 
-    return Tensor(out, parents=(a,), vjps=(vjp,))
+    return _node(out, (a,), (vjp,))
 
 
-def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor:
+def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor | np.ndarray:
     """Repeat each row `factor` times and truncate to out_len rows.
 
     Rows are axis -2; leading axes are batch axes.  Output row r is input row
     r // factor; rows ``start`` .. out_len - 1 are returned.
     """
-    a = as_tensor(a)
-    shape = a.value.shape
+    x = _value(a)
+    shape = x.shape
     lead, m, d = shape[:-2], shape[-2], shape[-1]
     first = start // factor  # input row of output row `start`
     lo, hi = start - first * factor, out_len - first * factor
-    rep = np.repeat(a.value[..., first:, :], factor, axis=-2)[..., lo:hi, :]
+    rep = np.repeat(x[..., first:, :], factor, axis=-2)[..., lo:hi, :]
 
     def vjp(g):
         full = np.zeros(lead + ((m - first) * factor, d))
@@ -373,7 +372,7 @@ def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor:
         grad[..., first:, :] = full.reshape(lead + (m - first, factor, d)).sum(axis=-2)
         return grad
 
-    return Tensor(rep, parents=(a,), vjps=(vjp,))
+    return _node(rep, (a,), (vjp,))
 
 
 def backward(loss: Tensor) -> None:

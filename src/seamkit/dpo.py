@@ -142,9 +142,9 @@ def pair_tokens(pair: PreferencePair) -> tuple[TokenSequence, TokenSequence]:
 
 
 def dpo_margin_loss(margins, beta: float):
-    """-log sigma(beta * margin), elementwise; margins may be a Tensor or array."""
-    m = margins if isinstance(margins, ad.Tensor) else ad.Tensor(np.asarray(margins, dtype=float))
-    return ad.scale(ad.log_sigmoid(ad.scale(m, beta)), -1.0)
+    """-log sigma(beta * margin), elementwise: a Tensor for Tensor margins,
+    an array for array-like ones."""
+    return ad.scale(ad.log_sigmoid(ad.scale(margins, beta)), -1.0)
 
 
 def _batch_pairs(pairs, config) -> _ConditionBatch:
@@ -162,17 +162,21 @@ def _batch_pairs(pairs, config) -> _ConditionBatch:
 
 def _pair_logprobs(batch: _ConditionBatch, lps) -> list[tuple[float, float]]:
     """Per pair, the (positive, negative) values of ``_group_logprobs_t`` output."""
-    return [(float(lps[g][pos].value), float(lps[g][neg].value)) for g, pos, neg in batch.index]
+    return [
+        (float(ad._value(lps[g][pos])), float(ad._value(lps[g][neg])))
+        for g, pos, neg in batch.index
+    ]
 
 
 def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, float]]:
     """Per pair, the reference log-probabilities of (positive, negative).
 
-    Runs the policy's code path on a store without gradients, so at policy ==
-    reference every margin is exactly 0.
+    Runs the policy's code path on the store's arrays, which builds no graph
+    and gives the Tensor path's values bit for bit, so at policy == reference
+    every margin is exactly 0.
     """
     batch = _batch_pairs(pairs, reference.config)
-    return _pair_logprobs(batch, _group_logprobs_t(batch, reference.as_tensors(), reference.config))
+    return _pair_logprobs(batch, _group_logprobs_t(batch, reference.arrays, reference.config))
 
 
 def _same_store(a: ParameterStore, b: ParameterStore) -> bool:
@@ -193,28 +197,30 @@ def _log_ratios_t(batch: _ConditionBatch, lps, ref_logprobs) -> list[tuple]:
     out = []
     for k, ((g, pos, neg), (ref_pos, ref_neg)) in enumerate(zip(batch.index, ref_logprobs)):
         lp_pos, lp_neg = lps[g][pos], lps[g][neg]
-        if not (np.isfinite(lp_pos.value) and np.isfinite(lp_neg.value)):
+        if not (np.isfinite(ad._value(lp_pos)) and np.isfinite(ad._value(lp_neg))):
             raise DPOError(f"non-finite log-probability for pair {k}")
-        out.append((ad.sub(lp_pos, ad.Tensor(ref_pos)), ad.sub(lp_neg, ad.Tensor(ref_neg))))
+        out.append((ad.sub(lp_pos, ref_pos), ad.sub(lp_neg, ref_neg)))
     return out
 
 
 def _margin_loss_t(log_ratios, beta: float):
-    """Mean pairwise loss over per-pair log-ratios; returns (loss Tensor, margin floats)."""
+    """Mean pairwise loss over per-pair log-ratios; returns (loss, margin
+    floats), the loss a Tensor when the log-ratios are."""
     terms = []
     margins = []
     for chosen, rejected in log_ratios:
         margin = ad.sub(chosen, rejected)
-        margins.append(float(margin.value))
+        margins.append(float(ad._value(margin)))
         terms.append(dpo_margin_loss(margin, beta))
     return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), margins
 
 
-def _dpo_loss_t(pairs, policy_tensors, config, ref_logprobs, beta: float):
-    """Graph of the batch loss on the grouped path; returns (loss Tensor,
-    margin floats).  The per-pair terms are summed in pair order."""
+def _dpo_loss_t(pairs, p, config, ref_logprobs, beta: float):
+    """The batch loss on the grouped path over parameters ``p`` (Tensors
+    give a graph, arrays a value); returns (loss, margin floats).  The
+    per-pair terms are summed in pair order."""
     batch = _batch_pairs(pairs, config)
-    lps = _group_logprobs_t(batch, policy_tensors, config)
+    lps = _group_logprobs_t(batch, p, config)
     return _margin_loss_t(_log_ratios_t(batch, lps, ref_logprobs), beta)
 
 
@@ -230,8 +236,8 @@ def dpo_loss(
         raise DPOError("empty pair batch")
     batch = _batch_pairs(pairs, policy.config)
     refs = _reference_logprobs(batch, reference)
-    loss, _ = _dpo_loss_t(batch, policy.as_tensors(), policy.config, refs, beta)
-    return float(loss.value)
+    loss, _ = _dpo_loss_t(batch, policy.arrays, policy.config, refs, beta)
+    return float(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +292,7 @@ def dpo_train(
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):
-        p = policy.as_tensors(trainable=True)
+        p = policy.as_tensors()
         lps = _group_logprobs_t(batch, p, policy.config)
         if refs is None:
             refs = _pair_logprobs(batch, lps)
@@ -375,6 +381,11 @@ class PairRecord:
             negative_metrics=SeamMetrics.from_dict(d["negative_metrics"]),
             mode=mode,
         )
+        if record.positive_index == record.negative_index:
+            raise ValueError(
+                f"positive_index and negative_index are both {record.positive_index}: "
+                "a pair needs two distinct candidates"
+            )
         if not dominates(record.positive_metrics, record.negative_metrics, mode):
             raise ValueError(
                 f"positive metrics do not strictly dominate the negative's in mode {mode!r}"
@@ -389,9 +400,10 @@ def write_pair_records(records) -> str:
 def read_pair_records(text: str) -> list[PairRecord]:
     """Parse pair records, one JSON object per non-blank line.
 
-    A line that is not JSON, lacks a key, holds a value of the wrong type or
-    whose positive does not strictly dominate its negative in the record's
-    mode raises ``DPOError`` naming its 1-based line number.
+    A line that is not JSON, lacks a key, holds a value of the wrong type,
+    names the same candidate as positive and negative, or whose positive
+    does not strictly dominate its negative in the record's mode raises
+    ``DPOError`` naming its 1-based line number.
     """
     out = []
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -23,6 +23,12 @@ the same code run once over the whole sequence from an empty cache.
 each candidate draws from its own seeded generator, and its logits match a
 decode of it alone up to float rounding, so a batch gives the samples of one
 ``sample`` call per seed.
+
+The forward code is written once over ``autodiff`` ops.  Training runs it on
+``ParameterStore.as_tensors()`` and differentiates the graph;
+inference (``encode_condition``, ``decoder_logits``, ``sequence_logprob``,
+``sample_batch``) runs it on ``params.arrays``, where every op returns a
+plain ndarray and no graph is built.
 """
 
 from __future__ import annotations
@@ -57,6 +63,18 @@ class TrainingError(ModelError):
     pass
 
 
+# Least value of each int field of ModelConfig; four layers hold the first
+# cross-attention layer.
+_CONFIG_MINIMUMS = {
+    "tokens_per_branch": 1,
+    "d_model": 1,
+    "n_layers": 4,
+    "n_heads": 1,
+    "max_segments": 1,
+    "seed": 0,
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters, encoder-branch freezing and the init seed.
@@ -64,7 +82,10 @@ class ModelConfig:
     Vocabulary, resampling and feed-forward sizes are module constants.
     Desk defaults keep every property test fast; the paper-scale values
     (tokens_per_branch=3072, d_model=1024, n_layers=24) are representable but
-    not exercised by the test harness.
+    not exercised by the test harness.  Integer fields must be ``int`` (not
+    ``bool``) and at least ``_CONFIG_MINIMUMS``; the encoder flags must be
+    ``bool``; ``n_heads`` must divide ``d_model``.  Anything else raises
+    ``ModelError``.
     """
 
     tokens_per_branch: int = 32
@@ -77,10 +98,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _CONFIG_MINIMUMS:  # the encoder flags
+                if not isinstance(value, bool):
+                    raise ModelError(f"{f.name} must be a bool, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{f.name} must be an int, got {value!r}")
+            elif value < _CONFIG_MINIMUMS[f.name]:
+                raise ModelError(f"{f.name} must be >= {_CONFIG_MINIMUMS[f.name]}, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
-        if self.n_layers < 4:
-            raise ModelError("need at least 4 layers (one cross-attention layer)")
 
     @property
     def max_seq_len(self) -> int:
@@ -130,8 +158,11 @@ class ParameterStore:
             out.append(name)
         return out
 
-    def as_tensors(self, trainable: bool = False) -> dict:
-        train = set(self.trainable_names()) if trainable else set()
+    def as_tensors(self) -> dict:
+        """Name -> ``autodiff.Tensor`` of every array, for a training graph;
+        ``trainable_names`` require gradients.  Inference and the DPO
+        reference pass run on ``arrays`` directly and build no graph."""
+        train = set(self.trainable_names())
         return {
             k: ad.Tensor(v, requires_grad=(k in train)) for k, v in self.arrays.items()
         }
@@ -197,7 +228,7 @@ def init_parameters(config: ModelConfig) -> ParameterStore:
 
 
 # ---------------------------------------------------------------------------
-# Forward building blocks (operate on autodiff Tensors)
+# Forward building blocks (on autodiff Tensors or plain arrays)
 
 
 def _layer_norm(x, g, b):
@@ -212,14 +243,14 @@ def _swapped(ndim: int, i: int, j: int) -> tuple:
 
 def _split_heads(x, n_heads: int):
     """(..., n, d) -> (..., heads, n, d / heads)."""
-    *lead, n, d = x.value.shape
+    *lead, n, d = x.shape
     split = ad.reshape(x, (*lead, n, n_heads, d // n_heads))
-    return ad.transpose(split, _swapped(split.value.ndim, -3, -2))
+    return ad.transpose(split, _swapped(len(split.shape), -3, -2))
 
 
 def _merge_heads(x):
-    *lead, h, n, dh = x.value.shape
-    return ad.reshape(ad.transpose(x, _swapped(x.value.ndim, -3, -2)), (*lead, n, h * dh))
+    *lead, h, n, dh = x.shape
+    return ad.reshape(ad.transpose(x, _swapped(len(x.shape), -3, -2)), (*lead, n, h * dh))
 
 
 def _project_kv(kv_in, p, prefix: str, n_heads: int):
@@ -282,7 +313,7 @@ def _prepare_condition(clouds: ConditioningClouds, config: ModelConfig) -> tuple
 
 
 def _encode_branch(branch: str, pts: np.ndarray, anchors: np.ndarray, p, config: ModelConfig):
-    feats = ad.add(ad.matmul(ad.Tensor(pts), p[f"enc.{branch}.point.w"]), p[f"enc.{branch}.point.b"])
+    feats = ad.add(ad.matmul(pts, p[f"enc.{branch}.point.w"]), p[f"enc.{branch}.point.b"])
     queries = ad.gather_rows(feats, anchors)
     q_norm = _layer_norm(queries, p[f"enc.{branch}.attn.lnq.g"], p[f"enc.{branch}.attn.lnq.b"])
     kv_norm = _layer_norm(feats, p[f"enc.{branch}.attn.lnkv.g"], p[f"enc.{branch}.attn.lnkv.b"])
@@ -301,7 +332,7 @@ def _encode_condition_t(prepared: tuple, p, config: ModelConfig):
 def encode_condition(clouds: ConditioningClouds, params: ParameterStore) -> np.ndarray:
     """Condition embedding: (2 * tokens_per_branch, d_model)."""
     prepared = _prepare_condition(clouds, params.config)
-    return _encode_condition_t(prepared, params.as_tensors(), params.config).value
+    return _encode_condition_t(prepared, params.arrays, params.config)
 
 
 class _DecodeState:
@@ -317,9 +348,9 @@ class _DecodeState:
         self.p = p
         self.config = config
         self.n_tokens = 0
-        self.rows: dict[str, ad.Tensor] = {}
+        self.rows: dict = {}
         self.kv: dict[int, tuple] = {}
-        cond = ad.add(cond, ad.slice_rows(p["embed.cond_pos"], 0, cond.value.shape[0]))
+        cond = ad.add(cond, ad.slice_rows(p["embed.cond_pos"], 0, cond.shape[0]))
         for i in range(config.n_layers):
             if _is_cross_layer(i):
                 ctx = _layer_norm(cond, p[f"dec.{i}.lnctx.g"], p[f"dec.{i}.lnctx.b"])
@@ -340,8 +371,8 @@ class _DecodeState:
     def run_level(self, level: str, x, layers):
         """Run ``layers`` on the new rows ``x`` of ``level``; keep their outputs."""
         old = self.rows.get(level)
-        n_new = x.value.shape[-2]
-        n_total = n_new + (0 if old is None else old.value.shape[-2])
+        n_new = x.shape[-2]
+        n_total = n_new + (0 if old is None else old.shape[-2])
         mask = _causal_mask(n_new, n_total)
         for i in layers:
             x = _decoder_layer(x, self, i, mask)
@@ -349,11 +380,11 @@ class _DecodeState:
         return x
 
     def keep_batch(self, batch_rows) -> None:
-        """Keep only these entries of the batch axis (a decode without gradients)."""
+        """Keep only these entries of the batch axis (a decode on plain arrays)."""
         idx = np.asarray(batch_rows, dtype=np.int64)
-        self.rows = {k: ad.Tensor(t.value[idx]) for k, t in self.rows.items()}
+        self.rows = {k: t[idx] for k, t in self.rows.items()}
         self.kv = {
-            i: kv if _is_cross_layer(i) else tuple(ad.Tensor(t.value[idx]) for t in kv)
+            i: kv if _is_cross_layer(i) else tuple(t[idx] for t in kv)
             for i, kv in self.kv.items()
         }
 
@@ -407,8 +438,7 @@ def _decoder_logits_t(tokens: np.ndarray, cond, p, config: ModelConfig):
 def decoder_logits(tokens, cond: np.ndarray, params: ParameterStore) -> np.ndarray:
     """Per-position next-token logits; position i depends only on tokens <= i."""
     t = _token_array(tokens)
-    p = params.as_tensors()
-    return _decoder_logits_t(t, ad.Tensor(cond), p, params.config).value
+    return _decoder_logits_t(t, np.asarray(cond, dtype=np.float64), params.arrays, params.config)
 
 
 def _token_array(tokens) -> np.ndarray:
@@ -451,8 +481,8 @@ def sequence_logprob(tokens, cond: np.ndarray, params: ParameterStore) -> float:
     """Log probability of a complete sequence under teacher forcing."""
     t = _token_array(tokens)
     _check_complete(t)
-    p = params.as_tensors()
-    val = float(_sequence_logprobs_t([t], ad.Tensor(cond), p, params.config)[0].value)
+    cond = np.asarray(cond, dtype=np.float64)
+    val = float(_sequence_logprobs_t([t], cond, params.arrays, params.config)[0])
     if not np.isfinite(val):
         raise ModelError("non-finite sequence log-probability")
     return val
@@ -471,21 +501,32 @@ class SampleResult:
     n_steps: int
 
 
-def _sample_next(logits: np.ndarray, temperature: float, top_p: float, rng) -> int:
+def _sample_rows(logits: np.ndarray, temperature: float, top_p: float, rngs) -> list[int]:
+    """One token per row of ``logits`` (B, vocab); row b draws ``rngs[b].random()``.
+
+    Nucleus (top-p) sampling on the value-sorted distribution: the smallest
+    prefix of the probabilities in descending order whose sum reaches
+    ``top_p`` is renormalized and sampled.  Equal probabilities rank by
+    token index, so the token at sorted position ``pick`` of value v is the
+    ``pick - #(p > v)``-th token of value v.  ``temperature`` ~ 0 is argmax.
+    """
     if temperature < 1e-12:
-        return int(np.argmax(logits))
-    z = (logits - logits.max()) / temperature
+        return [int(t) for t in np.argmax(logits, axis=1)]
+    z = (logits - logits.max(axis=1, keepdims=True)) / temperature
     probs = np.exp(z)
-    probs /= probs.sum()
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    cut = int(np.searchsorted(csum, top_p, side="left"))
-    keep = order[: cut + 1]
-    kept = probs[keep]
-    kept /= kept.sum()
-    u = rng.random()
-    pick = int(np.searchsorted(np.cumsum(kept), u, side="right"))
-    return int(keep[min(pick, len(keep) - 1)])
+    probs /= probs.sum(axis=1, keepdims=True)
+    desc = -np.sort(-probs, axis=1)
+    csum = np.cumsum(desc, axis=1)
+    out = []
+    for row, sorted_row, c, rng in zip(probs, desc, csum, rngs):
+        cut = int(np.searchsorted(c, top_p, side="left"))
+        kept = sorted_row[: cut + 1]
+        kept = kept / kept.sum()
+        u = rng.random()
+        pick = min(int(np.searchsorted(np.cumsum(kept), u, side="right")), len(kept) - 1)
+        v = sorted_row[pick]
+        out.append(int(np.flatnonzero(row == v)[pick - np.count_nonzero(row > v)]))
+    return out
 
 
 def sample_batch(
@@ -502,10 +543,11 @@ def sample_batch(
     values are projected once.  Each decode step appends one token per
     unfinished candidate to the per-level K/V caches (see ``_DecodeState``)
     instead of re-running the prefix.  Candidate i draws from its own
-    ``default_rng(seeds[i])``, one draw per step when ``temperature > 0``;
-    its logits match a decode of it alone up to float rounding, so its
-    result is that of ``sample(..., seed=seeds[i])``.  A finished candidate
-    leaves the batch.
+    ``default_rng(seeds[i])``, one draw per step when ``temperature > 0``
+    (one ``_sample_rows`` call per step serves every candidate); its logits
+    match a decode of it alone up to float rounding, so its result is that
+    of ``sample(..., seed=seeds[i])``.  A finished candidate leaves the
+    batch.  ``max_segments`` may not exceed ``config.max_segments``.
     """
     if temperature < 0:
         raise ModelError("temperature must be >= 0")
@@ -513,19 +555,23 @@ def sample_batch(
         raise ModelError("top_p must be in (0, 1]")
     config = params.config
     cap_segments = config.max_segments if max_segments is None else max_segments
+    if cap_segments > config.max_segments:
+        raise ModelError(
+            f"max_segments {cap_segments} exceeds the model's max_segments {config.max_segments}"
+        )
     max_body = 6 * cap_segments
     rngs = [np.random.default_rng(s) for s in seeds]
     seqs = [[BOS] for _ in rngs]
     malformed = [False] * len(rngs)
     steps = [0] * len(rngs)
-    state = _DecodeState(ad.Tensor(cond), params.as_tensors(), config)
+    state = _DecodeState(np.asarray(cond, dtype=np.float64), params.arrays, config)
     active = list(range(len(rngs)))
     while active:
         last = np.array([[seqs[i][-1]] for i in active], dtype=np.int64)
-        logits = _decode_t(state, last).value[:, -1]
+        logits = _decode_t(state, last)[:, -1]
+        drawn = _sample_rows(logits, temperature, top_p, [rngs[i] for i in active])
         still = []
-        for row, i in enumerate(active):
-            nxt = _sample_next(logits[row], temperature, top_p, rngs[i])
+        for row, (i, nxt) in enumerate(zip(active, drawn)):
             steps[i] += 1
             if nxt not in (EOS, BOS, PAD):
                 seqs[i].append(nxt)
@@ -610,8 +656,9 @@ def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
 
 
 def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[dict]:
-    """Per group, {key: log-probability Tensor} of its sequences: one condition
-    encoding and one padded decode (``_sequence_logprobs_t``) per group."""
+    """Per group, {key: log-probability} of its sequences (Tensors on Tensor
+    parameters, arrays on arrays): one condition encoding and one padded
+    decode (``_sequence_logprobs_t``) per group."""
     out = []
     for prepared, seqs in batch.groups:
         cond = _encode_condition_t(prepared, p, config)
@@ -659,7 +706,7 @@ def nll_train_step(batch, params: ParameterStore, lr: float) -> tuple[ParameterS
     batch = _nll_batch(batch, params.config)
     if not batch.index:
         raise TrainingError("empty batch")
-    p = params.as_tensors(trainable=True)
+    p = params.as_tensors()
     loss = _batch_nll_t(batch, p, params.config)
     value = float(loss.value)
     if not np.isfinite(value):

@@ -16,6 +16,10 @@ gradient is a batched product summed over the batch, and layer norm,
 attention and log-softmax-pick built from them (``COMPOSED_OPS``).
 ``test_autodiff.py`` requires the fused ops to match their values bit for
 bit and their gradients to 1e-12.
+
+``sample_next`` is the one-row top-p draw that ``model._sample_rows``
+replaced: a stable argsort of the probabilities per candidate per step.
+``test_model.py`` requires ``_sample_rows`` to draw the same tokens.
 """
 
 import heapq
@@ -640,3 +644,24 @@ COMPOSED_OPS = {
     "attention": attention,
     "log_softmax_pick": log_softmax_pick,
 }
+
+
+# ---------------------------------------------------------------------------
+# Per-row top-p sampling
+
+
+def sample_next(logits: np.ndarray, temperature: float, top_p: float, rng) -> int:
+    if temperature < 1e-12:
+        return int(np.argmax(logits))
+    z = (logits - logits.max()) / temperature
+    probs = np.exp(z)
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    csum = np.cumsum(probs[order])
+    cut = int(np.searchsorted(csum, top_p, side="left"))
+    keep = order[: cut + 1]
+    kept = probs[keep]
+    kept /= kept.sum()
+    u = rng.random()
+    pick = int(np.searchsorted(np.cumsum(kept), u, side="right"))
+    return int(keep[min(pick, len(keep) - 1)])

@@ -312,3 +312,48 @@ def test_fused_ops_match_finite_differences(case):
 
         check_grad(build, x, rtol=1e-5)
 
+
+def op_cases():
+    """(name, op over positional arguments, argument arrays) for every op."""
+    rng = np.random.default_rng(23)
+
+    def r(*shape):
+        return rng.normal(size=shape)
+
+    return [
+        ("add", ad.add, (r(2, 3), r(3))),
+        ("sub", ad.sub, (r(2, 3), r(2, 1))),
+        ("mul", ad.mul, (r(2, 3), r(3))),
+        ("scale", lambda a: ad.scale(a, 0.5), (r(2, 3),)),
+        ("matmul", ad.matmul, (r(2, 4, 3), r(3, 5))),
+        ("matmul-batched", ad.matmul, (r(2, 4, 3), r(2, 3, 5))),
+        ("transpose", lambda a: ad.transpose(a, (1, 0, 2)), (r(2, 4, 3),)),
+        ("reshape", lambda a: ad.reshape(a, (4, 6)), (r(2, 4, 3),)),
+        ("concat_rows", lambda a, b: ad.concat_rows([a, b], axis=-2), (r(2, 4, 3), r(2, 1, 3))),
+        ("slice_rows", lambda a: ad.slice_rows(a, 1, 3), (r(4, 3),)),
+        ("gather_rows", lambda a: ad.gather_rows(a, [0, 2, 0]), (r(4, 3),)),
+        ("sum_all", ad.sum_all, (r(2, 3),)),
+        ("layer_norm", lambda x, g, b: ad.layer_norm(x, g, b, 1e-5), (r(2, 4, 3), r(3), r(3))),
+        ("attention", ad.attention, (r(2, 4, 3), r(2, 5, 3), r(2, 5, 3))),
+        ("log_softmax_pick", lambda a: ad.log_softmax_pick(a, [1, 0, 2]), (r(3, 4),)),
+        ("gelu", ad.gelu, (r(2, 3),)),
+        ("log_sigmoid", ad.log_sigmoid, (r(2, 3) * 10,)),
+        ("mean_pool_causal", lambda a: ad.mean_pool_causal(a, 3, 1), (r(2, 7, 3),)),
+        ("repeat_upsample", lambda a: ad.repeat_upsample(a, 2, 5, 1), (r(2, 3, 3),)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(op_cases())), ids=[c[0] for c in op_cases()])
+def test_ops_return_arrays_for_arrays_and_tensors_for_any_tensor(case):
+    _, op, inputs = op_cases()[case]
+    bare = op(*inputs)
+    assert type(bare) is np.ndarray
+    for i in range(len(inputs)):
+        args = list(inputs)
+        args[i] = ad.parameter(inputs[i])
+        node = op(*args)
+        assert isinstance(node, ad.Tensor) and node.requires_grad
+        np.testing.assert_array_equal(node.value, bare)
+    leaf = op(*(ad.Tensor(x) for x in inputs))
+    assert isinstance(leaf, ad.Tensor) and not leaf.requires_grad and leaf.parents == ()
+    np.testing.assert_array_equal(leaf.value, bare)

@@ -545,6 +545,20 @@ def test_dpo_pair_record_without_dominance_exit_2(grid_obj, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dpo_pair_record_with_one_candidate_on_both_sides_exit_2(grid_obj, tmp_path, capsys):
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 1)])
+    record = json.loads(pairs.read_text())
+    record["negative_index"] = record["positive_index"]
+    pairs.write_text(pairs.read_text() + json.dumps(record) + "\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    message = "line 2: malformed record (positive_index and negative_index are both 0"
+    assert f"{pairs}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _candidate_dir(tmp_path, n):
     """A ``seamkit sample`` output directory with n scored candidates."""
     from seamkit.metrics import SeamMetrics
@@ -645,8 +659,13 @@ def test_config_key_differing_from_checkpoint_exit_2(cube_obj, tmp_path, capsys,
             "unknown config keys: coord_factor, endpoint_factor, ff_mult, vocab_size",
         ),
         (None, "non-finite weights in head.b"),
+        (lambda d: d["config"].update(n_heads=0), "invalid config: n_heads must be >= 1, got 0"),
+        (
+            lambda d: d["config"].update(train_topo_encoder="no"),
+            "invalid config: train_topo_encoder must be a bool, got 'no'",
+        ),
     ],
-    ids=["former-header", "nan-weight"],
+    ids=["former-header", "nan-weight", "zero-heads", "string-flag"],
 )
 def test_sample_rejected_checkpoint_exit_2(cube_obj, tmp_path, capsys, edit, message):
     ckpt = _desk_checkpoint(tmp_path)

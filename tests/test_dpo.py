@@ -109,12 +109,12 @@ def test_build_pairs_matches_bruteforce_oracle():
 
 def test_margin_loss_hand_values():
     # beta=1, margin = delta+ - delta- = 2 -> -log sigma(2)
-    val = float(dpo_margin_loss(np.array([2.0]), beta=1.0).value[0])
+    val = float(dpo_margin_loss(np.array([2.0]), beta=1.0)[0])
     assert val == pytest.approx(0.126928011, abs=1e-6)
-    assert float(dpo_margin_loss(np.array([0.0]), beta=1.0).value[0]) == pytest.approx(LN2, abs=1e-12)
+    assert float(dpo_margin_loss(np.array([0.0]), beta=1.0)[0]) == pytest.approx(LN2, abs=1e-12)
     # beta -> 0+ gives ln 2 from either side
     for m in (5.0, -5.0):
-        v = float(dpo_margin_loss(np.array([m]), beta=1e-9).value[0])
+        v = float(dpo_margin_loss(np.array([m]), beta=1e-9)[0])
         assert v == pytest.approx(LN2, abs=1e-8)
 
 
@@ -157,7 +157,7 @@ def test_dpo_gradient_matches_finite_differences():
     from seamkit.dpo import _dpo_loss_t, _reference_logprobs
 
     refs = _reference_logprobs(pairs, reference)
-    p = policy.as_tensors(trainable=True)
+    p = policy.as_tensors()
     loss, _ = _dpo_loss_t(pairs, p, policy.config, refs, beta)
     ad.backward(loss)
 
@@ -314,12 +314,12 @@ def test_dpo_gradients_match_per_pair_loss():
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     beta = 0.5
 
-    p = policy.as_tensors(trainable=True)
+    p = policy.as_tensors()
     loss, margins = _dpo_loss_t(pairs, p, policy.config, _reference_logprobs(pairs, reference), beta)
     ad.backward(loss)
 
     refs = per_pair_logprobs_t(pairs, reference.as_tensors(), TINY_CONFIG)
-    q = policy.as_tensors(trainable=True)
+    q = policy.as_tensors()
     terms = []
     expected_margins = []
     for (lp_pos, lp_neg), (ref_pos, ref_neg) in zip(per_pair_logprobs_t(pairs, q, TINY_CONFIG), refs):
@@ -374,7 +374,7 @@ def composed_separate_pass_losses(policy, reference, pairs, config):
         batch = _batch_pairs(pairs, policy.config)
         refs = _reference_logprobs(batch, reference)
         for _ in range(config.steps):
-            p = policy.as_tensors(trainable=True)
+            p = policy.as_tensors()
             loss, _ = _dpo_loss_t(batch, p, policy.config, refs, config.beta)
             losses.append(float(loss.value))
             ad.backward(loss)
@@ -472,7 +472,7 @@ def test_dpo_step_log_diagnostics():
     assert first.loss == pytest.approx(LN2, abs=1e-12) and first.accuracy == 0.0
     assert (first.reward_chosen, first.reward_rejected) == (0.0, 0.0)
     assert (first.margin_mean, first.margin_min) == (0.0, 0.0)
-    p = reference.as_tensors(trainable=True)
+    p = reference.as_tensors()
     loss, _ = _dpo_loss_t(pairs, p, TINY_CONFIG, _reference_logprobs(pairs, reference), config.beta)
     ad.backward(loss)
     norm = np.sqrt(sum(np.sum(p[n].grad ** 2) for n in reference.trainable_names()))
@@ -522,6 +522,13 @@ def test_read_pair_records_rejects_a_non_dominating_pair(mode, positive, negativ
     bad = PairRecord("m.obj", 0, 0, 2, positive, negative, mode=mode)
     with pytest.raises(DPOError, match=f"line 2: malformed record .*in mode '{mode}'"):
         read_pair_records(write_pair_records([good, bad]))
+
+
+def test_read_pair_records_rejects_one_candidate_on_both_sides():
+    good = PairRecord("m.obj", 0, 0, 1, metrics(0.5, 3), metrics(1.5, 6))
+    same = PairRecord("m.obj", 0, 2, 2, metrics(0.5, 3), metrics(1.5, 6))
+    with pytest.raises(DPOError, match="line 2: malformed record .*both 2"):
+        read_pair_records(write_pair_records([good, same]))
 
 
 def test_dpo_train_aborts_when_the_loss_stays_high(monkeypatch):

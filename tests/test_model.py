@@ -15,7 +15,7 @@ from seamkit.model import (
     _check_complete,
     _encode_condition_t,
     _prepare_condition,
-    _sample_next,
+    _sample_rows,
     _sequence_logprobs_t,
     _token_array,
     decoder_logits,
@@ -32,6 +32,7 @@ from seamkit.sampling import ConditioningClouds
 from seamkit.shapes import make_cube
 from seamkit.tokenizer import BOS, EOS, PAD, VOCAB_SIZE, TokenSequence, decode
 
+from tests import loop_reference as ref
 from tests.util import DESK_CONFIG, TINY_CONFIG, training_example
 
 
@@ -57,6 +58,24 @@ def test_config_validation():
         ModelConfig(d_model=30, n_heads=4)
     with pytest.raises(ModelError):
         ModelConfig(n_layers=3)
+    with pytest.raises(ModelError, match="n_heads must be >= 1, got 0"):
+        ModelConfig(n_heads=0)
+    for field, bad in (
+        ("tokens_per_branch", 8.0),
+        ("d_model", "64"),
+        ("n_layers", True),
+        ("max_segments", np.int64(8)),
+        ("seed", None),
+    ):
+        with pytest.raises(ModelError, match=f"{field} must be an int"):
+            ModelConfig(**{field: bad})
+    for field, low in (("tokens_per_branch", 0), ("d_model", 0), ("max_segments", 0), ("seed", -1)):
+        with pytest.raises(ModelError, match=f"{field} must be >= "):
+            ModelConfig(**{field: low})
+    for field in ("train_topo_encoder", "train_geom_encoder"):
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(ModelError, match=f"{field} must be a bool"):
+                ModelConfig(**{field: bad})
     paper = ModelConfig(tokens_per_branch=3072, d_model=1024, n_layers=24, n_heads=16)
     assert paper.tokens_per_branch == 3072
     assert paper.d_model == 1024
@@ -268,6 +287,73 @@ def test_cached_step_logits_match_full_forward(config):
         np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_array_path_matches_tensor_path(config):
+    # inference runs the model code on params.arrays; training on Tensors
+    rng = np.random.default_rng(16)
+    params = init_parameters(config)
+    p = params.as_tensors()
+    clouds = rand_clouds(rng, 40, config)
+    cond = encode_condition(clouds, params)
+    assert type(cond) is np.ndarray
+    graph_cond = _encode_condition_t(_prepare_condition(clouds, config), p, config)
+    np.testing.assert_array_equal(cond, graph_cond.value)
+    toks = rng.integers(0, 1024, size=(2, 37))
+    toks[:, 0] = BOS
+    plain = _DecodeState(cond, params.arrays, config)
+    graph = _DecodeState(ad.Tensor(cond), p, config)
+    for n in range(toks.shape[1]):
+        step = _decode_t(plain, toks[:, n : n + 1])
+        assert type(step) is np.ndarray
+        np.testing.assert_array_equal(step, _decode_t(graph, toks[:, n : n + 1]).value)
+    seqs = [complete_sequence(rng, n) for n in (3, 0, 5)]
+    got = _sequence_logprobs_t(seqs, cond, params.arrays, config)
+    want = _sequence_logprobs_t(seqs, ad.Tensor(cond), p, config)
+    np.testing.assert_array_equal(np.array(got), np.array([t.value for t in want]))
+
+
+def test_sample_rows_matches_per_row_reference():
+    # 10k random draws against the per-candidate stable-argsort sampler:
+    # batches of 1-5 rows, vocabularies of 2-1027 (log-uniform), tied
+    # probabilities, greedy and near-greedy temperatures, top_p down to 1e-9
+    rng = np.random.default_rng(17)
+    temperatures = (0.0, 1e-6, None)
+    top_ps = (1.0, 1e-9, None, None)
+    mismatches = 0
+    for case in range(10_000):
+        b = int(rng.integers(1, 6))
+        v = int(np.exp(rng.uniform(np.log(2), np.log(1028))))
+        if case % 3 == 0:
+            logits = rng.integers(-3, 3, size=(b, v)).astype(np.float64)  # many ties
+        elif case % 3 == 1:
+            logits = np.round(rng.normal(size=(b, v)) * 3.0, 1)
+        else:
+            logits = rng.normal(size=(b, v)) * rng.uniform(0.1, 5.0)
+        temperature = temperatures[case % 3]
+        if temperature is None:
+            temperature = float(rng.uniform(0.5, 1.7))
+        top_p = top_ps[(case // 3) % 4]
+        if top_p is None:
+            top_p = float(rng.uniform(1e-9, 1.0))
+        seeds = rng.integers(0, 2**31, size=b)
+        got = _sample_rows(logits, temperature, top_p, [np.random.default_rng(s) for s in seeds])
+        want = [
+            ref.sample_next(row, temperature, top_p, np.random.default_rng(s))
+            for row, s in zip(logits, seeds)
+        ]
+        mismatches += got != want
+    assert mismatches == 0
+
+
+def test_sample_batch_rejects_max_segments_above_the_model_cap():
+    params = init_parameters(TINY_CONFIG)
+    cond = encode_condition(rand_clouds(np.random.default_rng(18), 16, TINY_CONFIG), params)
+    cap = TINY_CONFIG.max_segments
+    with pytest.raises(ModelError, match=f"max_segments {cap + 1} exceeds the model's max_segments {cap}"):
+        sample_batch(cond, params, seeds=(0, 1), max_segments=cap + 1)
+    assert sample(cond, params, 0.0, 1.0, max_segments=cap).n_steps <= 6 * cap + 1
+
+
 def test_sample_batch_matches_single_seed_samples():
     rng = np.random.default_rng(15)
     params = init_parameters(TINY_CONFIG)
@@ -291,7 +377,7 @@ def test_sample_next_matches_softmax_frequencies():
     z = logits - logits.max()
     probs = np.exp(z) / np.exp(z).sum()
     n = 100_000
-    draws = np.array([_sample_next(logits, 1.0, 1.0, rng) for _ in range(n)])
+    draws = np.array([_sample_rows(logits[None], 1.0, 1.0, [rng])[0] for _ in range(n)])
     counts = np.bincount(draws, minlength=len(logits))
     mu = n * probs
     sigma = np.sqrt(n * probs * (1 - probs))
@@ -302,7 +388,7 @@ def test_sample_next_matches_softmax_frequencies():
 def test_sample_top_p_restricts_support():
     rng = np.random.default_rng(12)
     logits = np.array([10.0, 9.0, -5.0, -50.0])
-    seen = {_sample_next(logits, 1.0, 0.95, rng) for _ in range(200)}
+    seen = {_sample_rows(logits[None], 1.0, 0.95, [rng])[0] for _ in range(200)}
     assert seen <= {0, 1}
 
 
@@ -327,7 +413,7 @@ def test_nll_gradient_matches_finite_differences():
 
     from seamkit.model import _batch_nll_t
 
-    p = params.as_tensors(trainable=True)
+    p = params.as_tensors()
     loss = _batch_nll_t(batch, p, params.config)
     from seamkit import autodiff as ad
 
@@ -389,10 +475,10 @@ def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
     # a second condition, and a sequence shared across conditions
     batch = [(a, s1), (a_copy, TokenSequence(tokens=s2)), (a, s1.copy()), (b, s3), (b, s2)]
 
-    p = params.as_tensors(trainable=True)
+    p = params.as_tensors()
     loss = _batch_nll_t(batch, p, config)
     ad.backward(loss)
-    q = params.as_tensors(trainable=True)
+    q = params.as_tensors()
     expected = loop_batch_nll_t(batch, q, config)
     ad.backward(expected)
     assert float(loss.value) == pytest.approx(float(expected.value), rel=1e-12, abs=0)
@@ -502,6 +588,15 @@ def _with_header(blob, edit):
         (lambda blob: _with_header(blob, lambda d: d.pop("arrays")), "malformed header"),
         (lambda blob: _with_header(blob, lambda d: d["config"].update(bogus=1)), "unknown config keys: bogus"),
         (lambda blob: _with_header(blob, lambda d: d["config"].update(n_heads=3)), "invalid config"),
+        (lambda blob: _with_header(blob, lambda d: d["config"].update(n_heads=0)), "invalid config: n_heads"),
+        (
+            lambda blob: _with_header(blob, lambda d: d["config"].update(train_topo_encoder="no")),
+            "invalid config: train_topo_encoder must be a bool",
+        ),
+        (
+            lambda blob: _with_header(blob, lambda d: d["config"].update(tokens_per_branch=8.0)),
+            "invalid config: tokens_per_branch must be an int",
+        ),
         (lambda blob: _with_header(blob, lambda d: d["arrays"].reverse()), "names do not match"),
         (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape=[2, 2])), "shape mismatch"),
         (lambda blob: blob + b"\0\0", "2 trailing bytes"),
