@@ -46,74 +46,33 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 # Config files: plain-text key=value, no nesting, unknown keys are errors.
 
+# Every config key: key -> (type, default, test of the value against the
+# whole config, the allowed range).  Values are checked in this order, so a
+# test may read an earlier key.  The cloud sizes must also reach the model's
+# tokens_per_branch, which _policy_store checks once the model is known.
 CONFIG_KEYS = {
     # model dimensions
-    "l": int,
-    "d": int,
-    "layers": int,
-    "heads": int,
-    "max_segments": int,
-    "model_seed": int,
+    "l": (int, 32, lambda v, c: v >= 1, ">= 1"),
+    "d": (int, 64, lambda v, c: v >= 1, ">= 1"),
+    "layers": (int, 8, lambda v, c: v >= 4, ">= 4"),
+    "heads": (int, 2, lambda v, c: v >= 1 and c["d"] % v == 0, "a divisor of d"),
+    "max_segments": (int, 64, lambda v, c: v >= 1, ">= 1"),
+    "model_seed": (int, 0, lambda v, c: v >= 0, ">= 0"),
     # conditioning clouds
-    "n_topo": int,
-    "n_geom": int,
+    "n_topo": (int, sampling.DEFAULT_N_TOPO, lambda v, c: v >= 1, ">= 1"),
+    "n_geom": (int, sampling.DEFAULT_N_GEOM, lambda v, c: v >= 1, ">= 1"),
     # candidate sampling
-    "n_candidates": int,
-    "temperature": float,
-    "top_p": float,
+    "n_candidates": (int, 5, lambda v, c: v >= 1, ">= 1"),
+    "temperature": (float, 1.0, lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
+    "top_p": (float, 1.0, lambda v, c: 0 < v <= 1, "in (0, 1]"),
     # dpo
-    "beta": float,
-    "lr": float,
-    "steps": int,
-    "mode": str,
+    "beta": (float, 0.1, lambda v, c: 0 < v < math.inf, "> 0 and finite"),
+    "lr": (float, 1e-6, lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
+    "steps": (int, 2500, lambda v, c: v >= 0, ">= 0"),
+    "mode": (str, "joint", lambda v, c: v in dpo_mod.PAIRING_MODES, "one of " + ", ".join(dpo_mod.PAIRING_MODES)),
     # misc
-    "seed": int,
-    "init_checkpoint": str,
-}
-
-CONFIG_DEFAULTS = {
-    "l": 32,
-    "d": 64,
-    "layers": 8,
-    "heads": 2,
-    "max_segments": 64,
-    "model_seed": 0,
-    "n_topo": sampling.DEFAULT_N_TOPO,
-    "n_geom": sampling.DEFAULT_N_GEOM,
-    "n_candidates": 5,
-    "temperature": 1.0,
-    "top_p": 1.0,
-    "beta": 0.1,
-    "lr": 1e-6,
-    "steps": 2500,
-    "mode": "joint",
-    "seed": 0,
-    "init_checkpoint": "",
-}
-
-
-_CLOUD_RANGE = ">= l (>= 1 with init_checkpoint)"
-
-# Allowed values, checked in this order (a range may name an earlier key):
-# key -> (test of the value against the whole config, the allowed range).
-CONFIG_RANGES = {
-    "l": (lambda v, c: v >= 1, ">= 1"),
-    "d": (lambda v, c: v >= 1, ">= 1"),
-    "layers": (lambda v, c: v >= 4, ">= 4"),
-    "heads": (lambda v, c: v >= 1 and c["d"] % v == 0, "a divisor of d"),
-    "max_segments": (lambda v, c: v >= 1, ">= 1"),
-    "model_seed": (lambda v, c: v >= 0, ">= 0"),
-    # with init_checkpoint, _policy_store checks them against the checkpoint's l
-    "n_topo": (lambda v, c: v >= (1 if c["init_checkpoint"] else c["l"]), _CLOUD_RANGE),
-    "n_geom": (lambda v, c: v >= (1 if c["init_checkpoint"] else c["l"]), _CLOUD_RANGE),
-    "n_candidates": (lambda v, c: v >= 1, ">= 1"),
-    "temperature": (lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
-    "top_p": (lambda v, c: 0 < v <= 1, "in (0, 1]"),
-    "beta": (lambda v, c: 0 < v < math.inf, "> 0 and finite"),
-    "lr": (lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
-    "steps": (lambda v, c: v >= 0, ">= 0"),
-    "mode": (lambda v, c: v in dpo_mod.PAIRING_MODES, "one of " + ", ".join(dpo_mod.PAIRING_MODES)),
-    "seed": (lambda v, c: v >= 0, ">= 0"),
+    "seed": (int, 0, lambda v, c: v >= 0, ">= 0"),
+    "init_checkpoint": (str, "", lambda v, c: True, "any path"),
 }
 
 
@@ -134,7 +93,7 @@ class Config(dict):
 
 
 def parse_config(text: str) -> Config:
-    values = Config(CONFIG_DEFAULTS)
+    values = Config({key: default for key, (_, default, _, _) in CONFIG_KEYS.items()})
     unknown = []
     for line_no, line in content_lines(text):
         if "=" not in line:
@@ -146,7 +105,7 @@ def parse_config(text: str) -> Config:
             unknown.append(key)
             continue
         try:
-            values[key] = CONFIG_KEYS[key](value)
+            values[key] = CONFIG_KEYS[key][0](value)
         except ValueError as exc:
             raise InputError(f"config line {line_no}: {exc}") from exc
         values.file_keys |= {key}
@@ -156,13 +115,10 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path: str | None, seed_override: int | None) -> Config:
-    if path is None:
-        cfg = Config(CONFIG_DEFAULTS)
-    else:
-        cfg = parse_config(_read_file(path))
+    cfg = parse_config("" if path is None else _read_file(path))
     if seed_override is not None:
         cfg["seed"] = seed_override
-    for key, (allowed, description) in CONFIG_RANGES.items():
+    for key, (_, _, allowed, description) in CONFIG_KEYS.items():
         if not allowed(cfg[key], cfg):
             raise InputError(
                 f"config key {key} = {cfg[key]!r} is out of range: allowed {description}"
@@ -275,7 +231,7 @@ def cmd_evaluate(args) -> int:
         if not args.seams:
             raise InputError("evaluate needs a seam file or --from-uv")
         seams = _load_seams(args.seams)
-        metrics, atlas = metrics_mod.evaluate_with_atlas(norm, seams, normalize_input=False)
+        metrics, atlas = metrics_mod.evaluate_with_atlas(norm, seams)
     payload = metrics.to_json()
     sys.stdout.write(payload)
     if args.json_out:
@@ -346,31 +302,34 @@ def cmd_sample_points(args) -> int:
 def _policy_store(cfg: Config) -> model_mod.ParameterStore:
     """The configured model; with ``init_checkpoint``, the checkpoint's.
 
-    A checkpoint brings its own ``tokens_per_branch``, so the cloud sizes are
-    checked against it here (``load_config`` checks them against ``l`` only
-    without a checkpoint).  A ``CHECKPOINT_KEYS`` key that the config file
-    sets must equal the checkpoint's value.
+    The cloud sizes must reach the model's ``tokens_per_branch``: the
+    config's ``l`` (checked before a fresh model is allocated) or the
+    checkpoint's.  A ``CHECKPOINT_KEYS`` key that the config file sets
+    must equal the checkpoint's value.
     """
     path = cfg["init_checkpoint"]
-    if not path:
-        return model_mod.init_parameters(model_config_from(cfg))
-    try:
-        store = model_mod.load_checkpoint(_read_file(path, binary=True))
-    except model_mod.CheckpointError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    l = store.config.tokens_per_branch
+    if path:
+        try:
+            store = model_mod.load_checkpoint(_read_file(path, binary=True))
+        except model_mod.CheckpointError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+        config, source = store.config, f"of checkpoint {path}"
+    else:
+        config, source = model_config_from(cfg), "(config key l)"
+    l = config.tokens_per_branch
     for key in ("n_topo", "n_geom"):
         if cfg[key] < l:
             raise InputError(
                 f"config key {key} = {cfg[key]} is out of range: allowed >= "
-                f"tokens_per_branch = {l} of checkpoint {path}"
+                f"tokens_per_branch = {l} {source}"
             )
+    if not path:
+        return model_mod.init_parameters(config)
     for key, field in CHECKPOINT_KEYS.items():
-        value = getattr(store.config, field)
+        value = getattr(config, field)
         if key in cfg.file_keys and cfg[key] != value:
             raise InputError(
-                f"config key {key} = {cfg[key]} differs from {field} = {value} "
-                f"of checkpoint {path}"
+                f"config key {key} = {cfg[key]} differs from {field} = {value} {source}"
             )
     return store
 
@@ -399,7 +358,7 @@ def cmd_sample(args) -> int:
         seams = tokenizer.decode(result.tokens)
         seam_path = os.path.join(args.out_dir, f"cand_{i}.seams")
         _write_atomic(seam_path, tokenizer.write_seam_text(seams))
-        metrics = metrics_mod.evaluate(norm, seams, normalize_input=False)
+        metrics, _ = metrics_mod.evaluate_with_atlas(norm, seams)
         json_path = os.path.join(args.out_dir, f"cand_{i}.json")
         _write_atomic(json_path, metrics.to_json())
         outputs.extend([seam_path, json_path])
@@ -435,9 +394,11 @@ def _read_json(path: str, parse):
 
 
 def _read_candidates(cand_dir: str):
-    """(mesh, seed) of the run and its candidates; ``prefpairs`` needs two."""
+    """(mesh, seed) of the run and its candidates' metrics; each candidate's
+    seam file must parse, and ``prefpairs`` needs two candidates."""
     run_info = _read_json(
-        os.path.join(cand_dir, "run.json"), lambda d: (d["mesh"], int(d["seed"]))
+        os.path.join(cand_dir, "run.json"),
+        lambda d: (metrics_mod.json_field(d, "mesh", str), metrics_mod.json_field(d, "seed", int)),
     )
     cands = []
     i = 0
@@ -446,9 +407,8 @@ def _read_candidates(cand_dir: str):
         json_path = os.path.join(cand_dir, f"cand_{i}.json")
         if not (os.path.exists(seam_path) and os.path.exists(json_path)):
             break
-        seams = _load_seams(seam_path)
-        metrics = _read_json(json_path, metrics_mod.SeamMetrics.from_dict)
-        cands.append(dpo_mod.ScoredSeams(seams=seams, metrics=metrics))
+        _load_seams(seam_path)
+        cands.append(_read_json(json_path, metrics_mod.SeamMetrics.from_dict))
         i += 1
     if len(cands) < 2:
         raise InputError(
@@ -460,20 +420,18 @@ def _read_candidates(cand_dir: str):
 def cmd_prefpairs(args) -> int:
     cfg = load_config(args.config, args.seed)
     t0 = time.perf_counter()
-    (mesh_path, seed), cands = _read_candidates(args.candidates)
-    pairs = dpo_mod.build_pairs(cands, mode=cfg["mode"])
-    by_id = {id(c): i for i, c in enumerate(cands)}
+    (mesh_path, seed), metrics = _read_candidates(args.candidates)
     records = [
         dpo_mod.PairRecord(
             mesh_path=mesh_path,
             seed=seed,
-            positive_index=by_id[id(p.positive)],
-            negative_index=by_id[id(p.negative)],
-            positive_metrics=p.positive.metrics,
-            negative_metrics=p.negative.metrics,
+            positive_index=i,
+            negative_index=j,
+            positive_metrics=metrics[i],
+            negative_metrics=metrics[j],
             mode=cfg["mode"],
         )
-        for p in pairs
+        for i, j in dpo_mod.build_pairs(metrics, mode=cfg["mode"])
     ]
     _write_atomic(args.output, dpo_mod.write_pair_records(records))
     manifest_path = os.path.splitext(args.output)[0] + ".manifest.json"

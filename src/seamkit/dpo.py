@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from seamkit import autodiff as ad
-from seamkit.metrics import SeamMetrics
+from seamkit.metrics import SeamMetrics, json_field
 from seamkit.model import (
     ParameterStore,
     TrainingError,
@@ -104,29 +104,21 @@ def dominates(a: SeamMetrics, b: SeamMetrics, mode: str = "joint") -> bool:
     raise DPOError(f"unknown pairing mode {mode!r}")
 
 
-def build_pairs(
-    candidates, mode: str = "joint", condition: ConditioningClouds | None = None
-) -> list[PreferencePair]:
-    """All ordered pairs (i, j) where candidate i strictly dominates j.
+def build_pairs(metrics, mode: str = "joint") -> list[tuple[int, int]]:
+    """Every ordered index pair (i, j) where ``metrics[i]`` strictly dominates
+    ``metrics[j]`` in ``mode``, in row-major order.
 
-    ``candidates`` is a sequence of ScoredSeams (or (SeamSet, SeamMetrics)
-    tuples).  Zero pairs is a valid outcome and is logged.
+    ``metrics`` is a sequence of at least two ``SeamMetrics``.  Zero pairs is
+    a valid outcome and is logged.
     """
-    scored = [
-        c if isinstance(c, ScoredSeams) else ScoredSeams(seams=c[0], metrics=c[1])
-        for c in candidates
-    ]
-    if len(scored) < 2:
+    if len(metrics) < 2:
         raise DPOError("need at least 2 candidates")
     # strict dominance is irreflexive, so no candidate is paired with itself
     pairs = [
-        PreferencePair(condition=condition, positive=a, negative=b, mode=mode)
-        for a in scored
-        for b in scored
-        if dominates(a.metrics, b.metrics, mode)
+        (i, j) for i, a in enumerate(metrics) for j, b in enumerate(metrics) if dominates(a, b, mode)
     ]
     if not pairs:
-        logger.info("no dominated pairs among %d candidates (mode=%s)", len(scored), mode)
+        logger.info("no dominated pairs among %d candidates (mode=%s)", len(metrics), mode)
     return pairs
 
 
@@ -152,11 +144,7 @@ def _batch_pairs(pairs, config) -> _ConditionBatch:
     condition content (``model._group_conditions``); a batch passes through."""
     if isinstance(pairs, _ConditionBatch):
         return pairs
-    items = []
-    for pair in pairs:
-        if pair.condition is None:
-            raise DPOError("preference pair carries no condition clouds")
-        items.append((pair.condition, tuple(t.tokens for t in pair_tokens(pair))))
+    items = [(pair.condition, tuple(t.tokens for t in pair_tokens(pair))) for pair in pairs]
     return _group_conditions(items, config)
 
 
@@ -373,10 +361,10 @@ class PairRecord:
         if mode not in PAIRING_MODES:
             raise ValueError(f"mode must be one of {PAIRING_MODES}, got {mode!r}")
         record = cls(
-            mesh_path=d["mesh"],
-            seed=int(d["seed"]),
-            positive_index=int(d["positive_index"]),
-            negative_index=int(d["negative_index"]),
+            mesh_path=json_field(d, "mesh", str),
+            seed=json_field(d, "seed", int),
+            positive_index=json_field(d, "positive_index", int),
+            negative_index=json_field(d, "negative_index", int),
             positive_metrics=SeamMetrics.from_dict(d["positive_metrics"]),
             negative_metrics=SeamMetrics.from_dict(d["negative_metrics"]),
             mode=mode,
@@ -400,8 +388,10 @@ def write_pair_records(records) -> str:
 def read_pair_records(text: str) -> list[PairRecord]:
     """Parse pair records, one JSON object per non-blank line.
 
-    A line that is not JSON, lacks a key, holds a value of the wrong type,
-    names the same candidate as positive and negative, or whose positive
+    A line that is not JSON, lacks a key, holds a value of the wrong type
+    (``metrics.json_field``: ``mesh`` a string, ``seed`` and the indices
+    ints >= 0, the metrics as ``SeamMetrics.from_dict`` reads them), names
+    the same candidate as positive and negative, or whose positive
     does not strictly dominate its negative in the record's mode raises
     ``DPOError`` naming its 1-based line number.
     """

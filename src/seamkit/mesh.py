@@ -218,7 +218,7 @@ class SeamEdgeSet:
             if len(parts) != 2:
                 raise MeshError(f"seam edge line {line_no}: expected two indices")
             try:
-                a, b = int(parts[0]), int(parts[1])
+                a, b = int64(parts[0]), int64(parts[1])
             except ValueError as exc:
                 raise MeshError(f"seam edge line {line_no}: {exc}") from exc
             edges.add((min(a, b), max(a, b)))
@@ -324,6 +324,14 @@ def content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line
+
+
+def int64(text: str) -> int:
+    """``int(text)``, which must fit in int64; raises ValueError otherwise."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text} does not fit in int64")
+    return value
 
 
 # ---------------------------------------------------------------------------

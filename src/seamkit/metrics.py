@@ -1,14 +1,15 @@
-"""Seam quality evaluation: distortion, fragmentation, runtime."""
+"""Seam quality evaluation: distortion, island count, runtime."""
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from seamkit.mesh import IndexedMesh, SeamEdgeSet, build_edge_graph, normalize
+from seamkit.mesh import IndexedMesh, SeamEdgeSet
 from seamkit.projection import project_seams
 from seamkit.tokenizer import SeamSet
 from seamkit.unwrap import UVAtlas, cut_mesh, unwrap_atlas
@@ -49,11 +50,29 @@ class SeamMetrics:
     @classmethod
     def from_dict(cls, d: dict) -> "SeamMetrics":
         return cls(
-            distortion=float(d["distortion"]),
-            fragments=int(d["fragments"]),
-            runtime_s=float(d["runtime_s"]),
-            excluded_triangles=int(d["excluded_triangles"]),
+            distortion=json_field(d, "distortion", float),
+            fragments=json_field(d, "fragments", int),
+            runtime_s=json_field(d, "runtime_s", float),
+            excluded_triangles=json_field(d, "excluded_triangles", int),
         )
+
+
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def json_field(d: dict, key: str, kind: type):
+    """``d[key]`` of a parsed JSON object as ``kind`` (int >= 0, finite float
+    or str; a bool is no number): KeyError if missing, TypeError for another
+    type, ValueError out of range, each naming the key."""
+    value = d[key]
+    types, name = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{key} must be {name}, got {value!r}")
+    if kind is int and value < 0:
+        raise ValueError(f"{key} must be >= 0, got {value}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return kind(value)
 
 
 def distortion(atlas: UVAtlas) -> float:
@@ -69,18 +88,13 @@ def distortion(atlas: UVAtlas) -> float:
     return float(np.sum(areas * terms) / np.sum(areas))
 
 
-def fragmentation(atlas: UVAtlas) -> int:
-    """Number of UV islands."""
-    return int(atlas.island_count)
-
-
 def evaluate_edges(
     mesh: IndexedMesh, seam_edges: SeamEdgeSet, pre_seconds: float = 0.0
 ) -> tuple[SeamMetrics, UVAtlas]:
     """Cut along marked edges, parameterize, and measure.
 
-    ``pre_seconds`` is added to the reported runtime (used by evaluate() to
-    account for the projection stage).
+    ``pre_seconds`` is added to the reported runtime (``evaluate_with_atlas``
+    passes the projection stage's time).
     """
     t0 = time.perf_counter()
     try:
@@ -99,7 +113,7 @@ def evaluate_edges(
     return (
         SeamMetrics(
             distortion=dist,
-            fragments=fragmentation(atlas),
+            fragments=int(atlas.island_count),
             runtime_s=runtime,
             excluded_triangles=atlas.n_excluded,
         ),
@@ -107,32 +121,17 @@ def evaluate_edges(
     )
 
 
-def evaluate(
-    mesh: IndexedMesh, seams: SeamSet, normalize_input: bool = True
-) -> SeamMetrics:
-    """Full pipeline: normalize, project, cut, parameterize, measure.
+def evaluate_with_atlas(mesh: IndexedMesh, seams: SeamSet) -> tuple[SeamMetrics, UVAtlas]:
+    """Full pipeline on a normalized mesh: project, cut, parameterize, measure.
 
-    The mesh is first mapped into the canonical cube, so the metrics are
-    invariant to uniform rescaling of the input; seam segments are expected
-    in canonical-cube coordinates.  Runtime covers projection through
-    parameterization, excluding any file I/O.
+    ``mesh`` must already be in the canonical cube (``mesh.normalize``), as
+    must the seam segments; the metrics are then invariant to uniform
+    rescaling of the original input.  Runtime covers projection through
+    parameterization, excluding any file I/O and the normalization.
     """
-    metrics, _ = evaluate_with_atlas(mesh, seams, normalize_input=normalize_input)
-    return metrics
-
-
-def evaluate_with_atlas(
-    mesh: IndexedMesh, seams: SeamSet, normalize_input: bool = True
-) -> tuple[SeamMetrics, UVAtlas]:
-    if normalize_input:
-        try:
-            mesh, _ = normalize(mesh)
-        except Exception as exc:
-            raise StageError("normalize", exc) from exc
     t0 = time.perf_counter()
     try:
-        graph = build_edge_graph(mesh)
-        edges = project_seams(mesh, seams, graph=graph)
+        edges = project_seams(mesh, seams)
     except Exception as exc:
         raise StageError("project", exc) from exc
     project_time = time.perf_counter() - t0

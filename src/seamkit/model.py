@@ -535,7 +535,6 @@ def sample_batch(
     temperature: float = 1.0,
     top_p: float = 1.0,
     seeds=(0,),
-    max_segments: int | None = None,
 ) -> list[SampleResult]:
     """One sample per seed, decoded together as one batch; see ``sample``.
 
@@ -547,19 +546,14 @@ def sample_batch(
     (one ``_sample_rows`` call per step serves every candidate); its logits
     match a decode of it alone up to float rounding, so its result is that
     of ``sample(..., seed=seeds[i])``.  A finished candidate leaves the
-    batch.  ``max_segments`` may not exceed ``config.max_segments``.
+    batch.
     """
     if temperature < 0:
         raise ModelError("temperature must be >= 0")
     if not (0 < top_p <= 1):
         raise ModelError("top_p must be in (0, 1]")
     config = params.config
-    cap_segments = config.max_segments if max_segments is None else max_segments
-    if cap_segments > config.max_segments:
-        raise ModelError(
-            f"max_segments {cap_segments} exceeds the model's max_segments {config.max_segments}"
-        )
-    max_body = 6 * cap_segments
+    max_body = 6 * config.max_segments
     rngs = [np.random.default_rng(s) for s in seeds]
     seqs = [[BOS] for _ in rngs]
     malformed = [False] * len(rngs)
@@ -599,9 +593,9 @@ def sample(
     temperature: float = 1.0,
     top_p: float = 1.0,
     seed: int = 0,
-    max_segments: int | None = None,
 ) -> SampleResult:
-    """Autoregressive sampling until EOS or the segment cap.
+    """Autoregressive sampling until EOS or the model's segment cap,
+    ``config.max_segments``.
 
     Deterministic given the seed: one ``default_rng(seed)`` serves every
     draw.  If the decoder stops mid-segment (EOS or a stray special token
@@ -611,7 +605,7 @@ def sample(
     rows its token creates at each hourglass level (``sample_batch`` with
     one seed).
     """
-    return sample_batch(cond, params, temperature, top_p, (seed,), max_segments)[0]
+    return sample_batch(cond, params, temperature, top_p, (seed,))[0]
 
 
 # ---------------------------------------------------------------------------

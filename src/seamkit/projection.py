@@ -162,21 +162,19 @@ def _settle_rank(graph: EdgeGraph, dist: np.ndarray, a: int) -> np.ndarray:
     return rank
 
 
-def project_seams(
-    mesh: IndexedMesh, seams: SeamSet, graph: EdgeGraph | None = None
-) -> SeamEdgeSet:
+def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     """Mark mesh edges for every seam segment.
 
     Each segment's endpoints map to their nearest vertices; the shortest
-    edge path between them is marked.  Segments collapsing to one vertex add
+    edge path between them in the mesh's edge graph (``build_edge_graph``,
+    built once per call) is marked.  Segments collapsing to one vertex add
     nothing; segments across disconnected components are skipped with a
     logged diagnostic.  Provenance records contributing segment indices per
     edge.
     """
     if mesh.n_vertices == 0:
         raise ProjectionError("empty mesh")
-    if graph is None:
-        graph = build_edge_graph(mesh)
+    graph = build_edge_graph(mesh)
     ends = nearest_vertex(mesh, seams.segments.reshape(-1, 3)).reshape(-1, 2).tolist()
     edges: dict[tuple[int, int], list[int]] = {}
     for i, (va, vb) in enumerate(ends):

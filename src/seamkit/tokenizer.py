@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seamkit.mesh import content_lines
+from seamkit.mesh import content_lines, int64
 
 N_BINS = 1024
 BOS = 1024
@@ -266,7 +266,7 @@ def read_token_text(text: str) -> TokenSequence:
     vals = []
     for line_no, line in content_lines(text):
         try:
-            vals.append(int(line))
+            vals.append(int64(line))
         except ValueError as exc:
             raise TokenizerError(f"token line {line_no}: {exc}") from exc
     return TokenSequence(tokens=np.asarray(vals, dtype=np.int64))

@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from seamkit.dpo import ScoredSeams, build_pairs
+from seamkit.dpo import PreferencePair, ScoredSeams, build_pairs
 from seamkit.mesh import SeamEdgeSet, extract_uv_seams, normalize
 from seamkit.metrics import evaluate_edges
 from seamkit.projection import seam_edges_to_segments
@@ -175,8 +175,10 @@ def build_preference_corpus(n_cloud: int = 96, n_cutouts=(1, 2, 3)):
             neg_metrics, _ = evaluate_edges(norm, neg_edges)
             neg_seams = canonicalize(seam_edges_to_segments(norm, neg_edges))
             candidates.append(ScoredSeams(seams=neg_seams, metrics=neg_metrics))
-        mesh_pairs = build_pairs(candidates, mode="joint", condition=clouds)
-        pairs.extend(mesh_pairs)
+        pairs.extend(
+            PreferencePair(condition=clouds, positive=candidates[i], negative=candidates[j])
+            for i, j in build_pairs([c.metrics for c in candidates], mode="joint")
+        )
         train_examples.append((clouds, encode(pos_seams)))
         names.append(name)
     return pairs, train_examples, names

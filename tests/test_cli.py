@@ -230,10 +230,10 @@ def test_unwrap_json_out_solves_once(cube_obj, tmp_path, monkeypatch):
 
 
 def test_evaluate_normalizes_once(grid_obj, tmp_path, monkeypatch):
-    from seamkit import cli, metrics
+    from seamkit import cli
     from seamkit import mesh as mesh_mod
 
-    calls = _count_calls(monkeypatch, mesh_mod.normalize, cli, metrics)
+    calls = _count_calls(monkeypatch, mesh_mod.normalize, cli)
     seams = tmp_path / "empty.seams"
     seams.write_text("# no segments\n")
     assert main(["evaluate", str(grid_obj), str(seams)]) == 0
@@ -287,6 +287,25 @@ def test_evaluate_degenerate_face_names_file_and_line(tmp_path, capsys):
     assert main(["evaluate", str(path), str(seams)]) == 2
     err = capsys.readouterr().err
     assert f"{path}: OBJ line 5: degenerate triangle" in err
+
+
+def test_detokenize_token_beyond_int64_exit_2(tmp_path, capsys):
+    tokens = tmp_path / "big.tokens"
+    tokens.write_text("1024\n99999999999999999999\n")
+    out = tmp_path / "out.seams"
+    assert main(["detokenize", str(tokens), str(out)]) == 2
+    assert f"{tokens}: token line 2: 99999999999999999999 does not fit in int64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwrap_edge_index_beyond_int64_exit_2(grid_obj, tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n0 99999999999999999999\n")
+    out = tmp_path / "atlas.obj"
+    assert main(["unwrap", str(grid_obj), "--edges", str(edges), "--obj-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{edges}: seam edge line 2: 99999999999999999999 does not fit in int64" in err
+    assert not out.exists()
 
 
 def test_sample_points(grid_obj, tmp_path):
@@ -545,6 +564,46 @@ def test_dpo_pair_record_without_dominance_exit_2(grid_obj, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("mesh",), 0, "mesh must be a string, got 0"),
+        (("seed",), 2.7, "seed must be an integer, got 2.7"),
+        (("seed",), True, "seed must be an integer, got True"),
+        (("positive_index",), 0.9, "positive_index must be an integer, got 0.9"),
+        (("negative_index",), -1, "negative_index must be >= 0, got -1"),
+        (("positive_metrics", "fragments"), 1.5, "fragments must be an integer, got 1.5"),
+        (("positive_metrics", "distortion"), "nan", "distortion must be a number, got 'nan'"),
+        (("negative_metrics", "runtime_s"), float("inf"), "runtime_s must be finite, got inf"),
+    ],
+    ids=[
+        "mesh-int",
+        "seed-float",
+        "seed-bool",
+        "positive-index-float",
+        "negative-index-negative",
+        "fragments-float",
+        "distortion-string",
+        "runtime-infinite",
+    ],
+)
+def test_dpo_pair_record_value_of_wrong_type_exit_2(grid_obj, tmp_path, capsys, keys, value, message):
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
+    first, second = pairs.read_text().splitlines(keepends=True)
+    record = json.loads(second)
+    target = record
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    pairs.write_text(first + json.dumps(record) + "\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    assert f"{pairs}: line 2: malformed record ({message})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dpo_pair_record_with_one_candidate_on_both_sides_exit_2(grid_obj, tmp_path, capsys):
     pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 1)])
     record = json.loads(pairs.read_text())
@@ -583,8 +642,32 @@ def _candidate_dir(tmp_path, n):
         (2, "cand_1.json", "not json", "cand_1.json: malformed JSON record"),
         (2, "cand_1.json", '{"distortion": 1.0}', "cand_1.json: missing key 'fragments'"),
         (1, None, None, "cands: 1 cand_*.seams/.json candidates"),
+        (2, "run.json", '{"mesh": 0, "seed": 0}', "run.json: malformed JSON record (mesh must be a string"),
+        (2, "run.json", '{"mesh": "m.obj", "seed": 2.7}', "run.json: malformed JSON record (seed must be an integer"),
+        (
+            2,
+            "cand_1.json",
+            '{"distortion": 1.0, "fragments": 1.5, "runtime_s": 0.0, "excluded_triangles": 0}',
+            "cand_1.json: malformed JSON record (fragments must be an integer, got 1.5)",
+        ),
+        (
+            2,
+            "cand_1.json",
+            '{"distortion": "nan", "fragments": 2, "runtime_s": 0.0, "excluded_triangles": 0}',
+            "cand_1.json: malformed JSON record (distortion must be a number, got 'nan')",
+        ),
     ],
-    ids=["run-not-json", "run-missing-key", "cand-not-json", "cand-missing-key", "one-candidate"],
+    ids=[
+        "run-not-json",
+        "run-missing-key",
+        "cand-not-json",
+        "cand-missing-key",
+        "one-candidate",
+        "run-mesh-not-a-string",
+        "run-seed-not-an-int",
+        "cand-fragments-not-an-int",
+        "cand-distortion-a-string",
+    ],
 )
 def test_prefpairs_bad_candidate_dir_exit_2(tmp_path, capsys, n, name, content, message):
     cand_dir = _candidate_dir(tmp_path, n)
@@ -594,6 +677,19 @@ def test_prefpairs_bad_candidate_dir_exit_2(tmp_path, capsys, n, name, content, 
     assert main(["prefpairs", str(cand_dir), str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cloud_size_checked_only_where_a_model_is_built(grid_obj, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text(l=32, n_topo=16))
+    assert main(["sample-points", str(grid_obj), str(tmp_path / "c"), "--config", str(cfg)]) == 0
+    pairs = tmp_path / "pairs.jsonl"
+    assert main(["prefpairs", str(_candidate_dir(tmp_path, 2)), str(pairs), "--config", str(cfg)]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["sample", str(grid_obj), str(out_dir), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config key n_topo = 16 is out of range" in err and "tokens_per_branch = 32" in err
+    assert not out_dir.exists()
 
 
 def test_checkpoint_tokens_per_branch_above_cloud_size_exit_2(cube_obj, tmp_path, capsys):

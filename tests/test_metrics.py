@@ -3,21 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from seamkit.mesh import IndexedMesh, SeamEdgeSet
+from seamkit.mesh import IndexedMesh, SeamEdgeSet, normalize
 from seamkit.metrics import (
     SeamMetrics,
     StageError,
     UndefinedMetricError,
     distortion,
-    evaluate,
     evaluate_edges,
-    fragmentation,
+    evaluate_with_atlas,
 )
 from seamkit.shapes import grid_vertex, make_grid, make_sphere
 from seamkit.tokenizer import SeamSet
 from seamkit.unwrap import UVAtlas, unwrap_mesh
 
 from tests.test_unwrap import island_count_oracle, _random_seam_subset
+
+
+def evaluate(mesh, seams):
+    return evaluate_with_atlas(normalize(mesh)[0], seams)[0]
 
 
 def _atlas_from_pairs(tri_pairs):
@@ -95,21 +98,21 @@ def test_distortion_undefined_when_all_excluded():
 def test_fragmentation_trivial_and_oracle():
     sphere = make_sphere(6, 8)
     atlas = unwrap_mesh(sphere, SeamEdgeSet(edges=frozenset()))
-    assert fragmentation(atlas) == 1
+    assert atlas.island_count == 1
 
     two = IndexedMesh(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float),
         triangles=np.array([[0, 1, 2], [1, 3, 2]]),
     )
     atlas2 = unwrap_mesh(two, SeamEdgeSet(edges=frozenset({(1, 2)})))
-    assert fragmentation(atlas2) == 2
+    assert atlas2.island_count == 2
 
     rng = np.random.default_rng(0)
     for trial in range(15):
         mesh = make_sphere(int(rng.integers(3, 7)), int(rng.integers(4, 9)))
         seams = _random_seam_subset(mesh, rng, frac=float(rng.uniform(0.1, 0.5)))
         atlas = unwrap_mesh(mesh, seams)
-        assert fragmentation(atlas) == island_count_oracle(mesh, seams)
+        assert atlas.island_count == island_count_oracle(mesh, seams)
 
 
 def test_evaluate_grid_with_full_and_partial_seam():
@@ -125,8 +128,6 @@ def test_evaluate_grid_with_full_and_partial_seam():
         return SeamSet(segments=np.stack(rows))
 
     # normalize() maps the grid into the canonical cube; segments must follow.
-    from seamkit.mesh import normalize
-
     norm_mesh, tf = normalize(mesh)
 
     def to_canonical(seams):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -259,13 +259,14 @@ def test_batched_logprobs_match_per_sequence(config):
 
 def test_sample_greedy_limit_and_determinism():
     rng = np.random.default_rng(10)
-    params = init_parameters(TINY_CONFIG)
-    cond = encode_condition(rand_clouds(rng, 16, TINY_CONFIG), params)
-    greedy = sample(cond, params, temperature=0.0, top_p=1.0, seed=0, max_segments=4)
-    near0 = sample(cond, params, temperature=1e-9, top_p=1.0, seed=3, max_segments=4)
+    config = replace(TINY_CONFIG, max_segments=4)
+    params = init_parameters(config)
+    cond = encode_condition(rand_clouds(rng, 16, config), params)
+    greedy = sample(cond, params, temperature=0.0, top_p=1.0, seed=0)
+    near0 = sample(cond, params, temperature=1e-9, top_p=1.0, seed=3)
     assert greedy.tokens == near0.tokens
-    a = sample(cond, params, temperature=1.0, top_p=0.9, seed=42, max_segments=4)
-    b = sample(cond, params, temperature=1.0, top_p=0.9, seed=42, max_segments=4)
+    a = sample(cond, params, temperature=1.0, top_p=0.9, seed=42)
+    b = sample(cond, params, temperature=1.0, top_p=0.9, seed=42)
     assert a.tokens == b.tokens and a.n_steps == b.n_steps
     # repaired output always decodes
     decode(a.tokens)
@@ -345,26 +346,25 @@ def test_sample_rows_matches_per_row_reference():
     assert mismatches == 0
 
 
-def test_sample_batch_rejects_max_segments_above_the_model_cap():
+def test_sample_stays_within_the_model_segment_cap():
     params = init_parameters(TINY_CONFIG)
     cond = encode_condition(rand_clouds(np.random.default_rng(18), 16, TINY_CONFIG), params)
     cap = TINY_CONFIG.max_segments
-    with pytest.raises(ModelError, match=f"max_segments {cap + 1} exceeds the model's max_segments {cap}"):
-        sample_batch(cond, params, seeds=(0, 1), max_segments=cap + 1)
-    assert sample(cond, params, 0.0, 1.0, max_segments=cap).n_steps <= 6 * cap + 1
+    assert sample(cond, params, 0.0, 1.0).n_steps <= 6 * cap + 1
 
 
 def test_sample_batch_matches_single_seed_samples():
     rng = np.random.default_rng(15)
-    params = init_parameters(TINY_CONFIG)
-    cond = encode_condition(rand_clouds(rng, 16, TINY_CONFIG), params)
+    config = replace(TINY_CONFIG, max_segments=4)
+    params = init_parameters(config)
+    cond = encode_condition(rand_clouds(rng, 16, config), params)
     # EOS likely enough that the candidates stop at different steps
     eos_params = params.copy()
     eos_params.arrays["head.b"][EOS] = np.log(VOCAB_SIZE / 8)
     seeds = [3, 4, 5, 6]
     for p, temperature, top_p in ((params, 0.0, 1.0), (params, 1.0, 0.9), (eos_params, 1.0, 0.9)):
-        batch = sample_batch(cond, p, temperature, top_p, seeds, max_segments=4)
-        single = [sample(cond, p, temperature, top_p, s, max_segments=4) for s in seeds]
+        batch = sample_batch(cond, p, temperature, top_p, seeds)
+        single = [sample(cond, p, temperature, top_p, s) for s in seeds]
         assert [(r.tokens, r.n_steps, r.malformed) for r in batch] == [
             (r.tokens, r.n_steps, r.malformed) for r in single
         ]
