@@ -179,14 +179,22 @@ def _load_seams(path: str) -> tokenizer.SeamSet:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _one_seam_source(sources: dict) -> None:
+    """Reject arguments that give more than one seam source, naming them;
+    ``sources`` maps each source's name to its argument value."""
+    given = [name for name, value in sources.items() if value]
+    if len(given) > 1:
+        raise InputError(f"conflicting seam sources {' and '.join(given)}: pass only one")
+
+
 def _seam_edges_for(mesh_norm: IndexedMesh, args) -> SeamEdgeSet:
     """Resolve seam edges from --from-uv / --edges / a seam segment file."""
-    if getattr(args, "from_uv", False):
+    if args.from_uv:
         try:
             return extract_uv_seams(mesh_norm)
         except MeshError as exc:
             raise InputError(f"--from-uv: {exc}") from exc
-    if getattr(args, "edges", None):
+    if args.edges:
         try:
             edges = SeamEdgeSet.from_text(_read_file(args.edges))
         except MeshError as exc:
@@ -197,7 +205,7 @@ def _seam_edges_for(mesh_norm: IndexedMesh, args) -> SeamEdgeSet:
             a, b = pairs[missing[0]]
             raise InputError(f"{args.edges}: pair {a} {b} is not an edge of the mesh")
         return edges
-    if getattr(args, "seams", None):
+    if args.seams:
         seams = _load_seams(args.seams)
         return projection.project_seams(mesh_norm, seams)
     raise InputError("no seam source: pass a seam file, --edges, or --from-uv")
@@ -220,6 +228,7 @@ def _manifest(command: str, inputs, outputs, seed: int, cfg: dict, timings: dict
 
 
 def cmd_evaluate(args) -> int:
+    _one_seam_source({f"seam file {args.seams}": args.seams, "--from-uv": args.from_uv})
     mesh = _load_mesh(args.mesh)
     if args.from_uv and not mesh.has_uvs:
         raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
@@ -268,6 +277,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_unwrap(args) -> int:
+    _one_seam_source({"--from-uv": args.from_uv, "--edges": args.edges, "--seams": args.seams})
     mesh = _load_mesh(args.mesh)
     if args.from_uv and not mesh.has_uvs:
         raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
@@ -449,12 +459,13 @@ def cmd_prefpairs(args) -> int:
     return EXIT_OK
 
 
-def _pairs_from_records(records, cand_dir: str, cfg: dict):
-    """Preference pairs of the records; each mesh is loaded once, each
-    ``(mesh, seed)`` condition and each candidate file is built once."""
+def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
+    """The records as ``dpo_train`` items, (clouds, (chosen tokens, rejected
+    tokens)); each mesh is loaded once, each ``(mesh, seed)`` condition
+    built once, and each candidate file parsed and tokenized once."""
     meshes: dict = {}
     clouds: dict = {}
-    seams: dict = {}
+    tokens: dict = {}
 
     def condition(rec):
         key = (rec.mesh_path, rec.seed)
@@ -466,18 +477,14 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict):
             )
         return clouds[key]
 
-    def candidate(index, scored_metrics):
-        if index not in seams:
-            seams[index] = _load_seams(os.path.join(cand_dir, f"cand_{index}.seams"))
-        return dpo_mod.ScoredSeams(seams=seams[index], metrics=scored_metrics)
+    def candidate(index):
+        if index not in tokens:
+            seams = _load_seams(os.path.join(cand_dir, f"cand_{index}.seams"))
+            tokens[index] = tokenizer.encode(tokenizer.canonicalize(seams)).tokens
+        return tokens[index]
 
     return [
-        dpo_mod.PreferencePair(
-            condition=condition(rec),
-            positive=candidate(rec.positive_index, rec.positive_metrics),
-            negative=candidate(rec.negative_index, rec.negative_metrics),
-            mode=rec.mode,
-        )
+        (condition(rec), (candidate(rec.positive_index), candidate(rec.negative_index)))
         for rec in records
     ]
 

@@ -2,18 +2,16 @@
 
 A candidate is preferred to another only when it is strictly better on every
 gated metric (both distortion and island count in joint mode; one metric in
-the single-metric ablation modes).  The training objective is the standard
-pairwise logistic loss on scaled policy/reference log-ratio margins; at
-policy == reference it equals ln 2 exactly.
+the single-metric ablation modes).  ``PairRecord``, the stored pair, is the
+one place the pair rules are checked.
 
-Pairs are scored on the one grouped path NLL pretraining also uses: each pair
-is an item (condition, (positive, negative)) of ``model._group_conditions``,
-so each condition is prepared once per ``dpo_train``, encoded once per pass,
-and its distinct sequences are scored in one right-padded decode.  The
-reference log-probabilities are those of the same path under the reference
-store.  When that store is the starting policy (same config, bit-identical
-arrays), they are read off step 0's policy pass; otherwise one separate pass
-without gradients computes them.  Each step is one ``model._sgd_step``.
+Training sees no metrics: a pair is the item ``(clouds, (chosen_tokens,
+rejected_tokens))`` of ``model._group_conditions``, scored on the grouped
+path NLL pretraining also uses.  The objective is the standard pairwise
+logistic loss on scaled policy/reference log-ratio margins; at policy ==
+reference it equals ln 2 exactly.  The reference log-probabilities come
+from the same path under the reference store, read off step 0's policy
+pass when that store is the starting policy.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ from seamkit.model import (
     _group_logprobs_t,
     _sgd_step,
 )
-from seamkit.sampling import ConditioningClouds
-from seamkit.tokenizer import SeamSet, TokenSequence, canonicalize, encode
 
 logger = logging.getLogger(__name__)
 
@@ -66,31 +62,6 @@ class DPOConfig:
     def __post_init__(self):
         if self.beta <= 0:
             raise DPOError("beta must be positive")
-
-
-@dataclass(frozen=True)
-class ScoredSeams:
-    """A candidate seam set together with its evaluation record."""
-
-    seams: SeamSet
-    metrics: SeamMetrics
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    """Condition clouds plus a strictly-ordered (positive, negative) candidate pair."""
-
-    condition: ConditioningClouds
-    positive: ScoredSeams
-    negative: ScoredSeams
-    mode: str = "joint"
-
-    def __post_init__(self):
-        if not dominates(self.positive.metrics, self.negative.metrics, self.mode):
-            raise DPOError(
-                "positive candidate does not strictly dominate the negative "
-                f"in mode {self.mode!r}"
-            )
 
 
 def dominates(a: SeamMetrics, b: SeamMetrics, mode: str = "joint") -> bool:
@@ -126,44 +97,19 @@ def build_pairs(metrics, mode: str = "joint") -> list[tuple[int, int]]:
 # Loss
 
 
-def pair_tokens(pair: PreferencePair) -> tuple[TokenSequence, TokenSequence]:
-    return (
-        encode(canonicalize(pair.positive.seams)),
-        encode(canonicalize(pair.negative.seams)),
-    )
+def _pair_logprobs(batch: _ConditionBatch, lps) -> list[tuple]:
+    """Per pair, the (chosen, rejected) entries of ``_group_logprobs_t``
+    output ``lps``."""
+    return [(lps[g][chosen], lps[g][rejected]) for g, chosen, rejected in batch.index]
 
 
-def dpo_margin_loss(margins, beta: float):
-    """-log sigma(beta * margin), elementwise: a Tensor for Tensor margins,
-    an array for array-like ones."""
-    return ad.scale(ad.log_sigmoid(ad.scale(margins, beta)), -1.0)
-
-
-def _batch_pairs(pairs, config) -> _ConditionBatch:
-    """The pairs as (condition, (positive, negative)) items, grouped by
-    condition content (``model._group_conditions``); a batch passes through."""
-    if isinstance(pairs, _ConditionBatch):
-        return pairs
-    items = [(pair.condition, tuple(t.tokens for t in pair_tokens(pair))) for pair in pairs]
-    return _group_conditions(items, config)
-
-
-def _pair_logprobs(batch: _ConditionBatch, lps) -> list[tuple[float, float]]:
-    """Per pair, the (positive, negative) values of ``_group_logprobs_t`` output."""
-    return [
-        (float(ad._value(lps[g][pos])), float(ad._value(lps[g][neg])))
-        for g, pos, neg in batch.index
-    ]
-
-
-def _reference_logprobs(pairs, reference: ParameterStore) -> list[tuple[float, float]]:
-    """Per pair, the reference log-probabilities of (positive, negative).
+def _reference_logprobs(batch: _ConditionBatch, reference: ParameterStore) -> list[tuple]:
+    """Per pair, the reference log-probabilities (arrays) of (chosen, rejected).
 
     Runs the policy's code path on the store's arrays, which builds no graph
     and gives the Tensor path's values bit for bit, so at policy == reference
     every margin is exactly 0.
     """
-    batch = _batch_pairs(pairs, reference.config)
     return _pair_logprobs(batch, _group_logprobs_t(batch, reference.arrays, reference.config))
 
 
@@ -179,53 +125,25 @@ def _same_store(a: ParameterStore, b: ParameterStore) -> bool:
     )
 
 
-def _log_ratios_t(batch: _ConditionBatch, lps, ref_logprobs) -> list[tuple]:
-    """Per pair, (log pi - log ref) of the positive and of the negative, from
-    the policy's ``_group_logprobs_t`` output ``lps``."""
-    out = []
-    for k, ((g, pos, neg), (ref_pos, ref_neg)) in enumerate(zip(batch.index, ref_logprobs)):
-        lp_pos, lp_neg = lps[g][pos], lps[g][neg]
-        if not (np.isfinite(ad._value(lp_pos)) and np.isfinite(ad._value(lp_neg))):
+def _objective(logprobs, ref_logprobs, beta: float):
+    """Mean over pairs of -log sigma(beta * margin), where margin is
+    (log pi - log ref) of the chosen minus that of the rejected.
+
+    ``logprobs`` and ``ref_logprobs`` hold one (chosen, rejected) per pair;
+    the terms are summed in pair order.  Returns (loss, per-pair (chosen,
+    rejected) log-ratios, margin floats); loss and log-ratios are Tensors
+    when ``logprobs`` are.
+    """
+    ratios, margins, terms = [], [], []
+    for k, ((lp_c, lp_r), (ref_c, ref_r)) in enumerate(zip(logprobs, ref_logprobs)):
+        if not (np.isfinite(ad._value(lp_c)) and np.isfinite(ad._value(lp_r))):
             raise DPOError(f"non-finite log-probability for pair {k}")
-        out.append((ad.sub(lp_pos, ref_pos), ad.sub(lp_neg, ref_neg)))
-    return out
-
-
-def _margin_loss_t(log_ratios, beta: float):
-    """Mean pairwise loss over per-pair log-ratios; returns (loss, margin
-    floats), the loss a Tensor when the log-ratios are."""
-    terms = []
-    margins = []
-    for chosen, rejected in log_ratios:
+        chosen, rejected = ad.sub(lp_c, ref_c), ad.sub(lp_r, ref_r)
         margin = ad.sub(chosen, rejected)
+        ratios.append((chosen, rejected))
         margins.append(float(ad._value(margin)))
-        terms.append(dpo_margin_loss(margin, beta))
-    return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), margins
-
-
-def _dpo_loss_t(pairs, p, config, ref_logprobs, beta: float):
-    """The batch loss on the grouped path over parameters ``p`` (Tensors
-    give a graph, arrays a value); returns (loss, margin floats).  The
-    per-pair terms are summed in pair order."""
-    batch = _batch_pairs(pairs, config)
-    lps = _group_logprobs_t(batch, p, config)
-    return _margin_loss_t(_log_ratios_t(batch, lps, ref_logprobs), beta)
-
-
-def dpo_loss(
-    policy: ParameterStore,
-    reference: ParameterStore,
-    pairs,
-    beta: float,
-) -> float:
-    """Mean of -log sigma(beta * ((logpi - logref)+ - (logpi - logref)-))."""
-    pairs = list(pairs)
-    if not pairs:
-        raise DPOError("empty pair batch")
-    batch = _batch_pairs(pairs, policy.config)
-    refs = _reference_logprobs(batch, reference)
-    loss, _ = _dpo_loss_t(batch, policy.arrays, policy.config, refs, beta)
-    return float(loss)
+        terms.append(ad.scale(ad.log_sigmoid(ad.scale(margin, beta)), -1.0))
+    return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), ratios, margins
 
 
 # ---------------------------------------------------------------------------
@@ -261,31 +179,30 @@ def dpo_train(
 ) -> tuple[ParameterStore, list[DPOStepLog]]:
     """Run config.steps SGD steps on the preference objective.
 
-    The reference store is read-only throughout.  The pairs are tokenized
-    and grouped, and their conditions prepared, once (``_batch_pairs``).
-    When the reference has the policy's config and bit-identical arrays,
-    its log-probabilities are those of step 0's policy pass and no separate
-    reference pass runs; otherwise one pass over the reference store
-    computes them before step 0.  Logs loss, preference accuracy (fraction
-    of pairs with positive margin) and the ``DPOStepLog`` reward diagnostics
-    per step.  Aborts when the loss stays above DIVERGENCE_FACTOR * ln 2 for
-    DIVERGENCE_PATIENCE consecutive steps.
+    ``dataset`` is a list of ``(clouds, (chosen_tokens, rejected_tokens))``
+    items: ``ConditioningClouds`` and two complete int64 token arrays, the
+    chosen one preferred (``PairRecord`` checks why).  The items are grouped,
+    and their conditions prepared, once (``model._group_conditions``).  The
+    reference store is read-only.  When it has the policy's config and
+    bit-identical arrays, its log-probabilities are those of step 0's policy
+    pass; otherwise one pass over it computes them before step 0.  Logs loss,
+    preference accuracy (fraction of pairs with positive margin) and the
+    ``DPOStepLog`` reward diagnostics per step.  Aborts when the loss stays
+    above DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE consecutive steps.
     """
-    dataset = list(dataset)
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
-    batch = _batch_pairs(dataset, policy.config)
+    batch = _group_conditions(dataset, policy.config)
     refs = None if _same_store(policy, reference) else _reference_logprobs(batch, reference)
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):
         p = policy.as_tensors()
-        lps = _group_logprobs_t(batch, p, policy.config)
+        logprobs = _pair_logprobs(batch, _group_logprobs_t(batch, p, policy.config))
         if refs is None:
-            refs = _pair_logprobs(batch, lps)
-        ratios = _log_ratios_t(batch, lps, refs)
-        loss, margins = _margin_loss_t(ratios, config.beta)
+            refs = [(c.value, r.value) for c, r in logprobs]
+        loss, ratios, margins = _objective(logprobs, refs, config.beta)
         value = float(loss.value)
         if not np.isfinite(value):
             raise TrainingError(f"non-finite DPO loss at step {step}")
@@ -327,7 +244,10 @@ class PairRecord:
     """Stored description of one preference pair.
 
     Seam payloads live in separate seam text files (one per candidate);
-    records reference candidates by index.
+    records reference candidates by index.  Construction, and so reading,
+    raises ``ValueError`` unless the mode is one of ``PAIRING_MODES``, the
+    indices differ and the positive's metrics strictly dominate the
+    negative's in that mode.
     """
 
     mesh_path: str
@@ -337,6 +257,19 @@ class PairRecord:
     positive_metrics: SeamMetrics
     negative_metrics: SeamMetrics
     mode: str = "joint"
+
+    def __post_init__(self):
+        if self.mode not in PAIRING_MODES:
+            raise ValueError(f"mode must be one of {PAIRING_MODES}, got {self.mode!r}")
+        if self.positive_index == self.negative_index:
+            raise ValueError(
+                f"positive_index and negative_index are both {self.positive_index}: "
+                "a pair needs two distinct candidates"
+            )
+        if not dominates(self.positive_metrics, self.negative_metrics, self.mode):
+            raise ValueError(
+                f"positive metrics do not strictly dominate the negative's in mode {self.mode!r}"
+            )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -357,28 +290,15 @@ class PairRecord:
         d = json.loads(line)
         if not isinstance(d, dict):
             raise TypeError(f"a record is a JSON object, not {type(d).__name__}")
-        mode = d.get("mode", "joint")
-        if mode not in PAIRING_MODES:
-            raise ValueError(f"mode must be one of {PAIRING_MODES}, got {mode!r}")
-        record = cls(
+        return cls(
             mesh_path=json_field(d, "mesh", str),
             seed=json_field(d, "seed", int),
             positive_index=json_field(d, "positive_index", int),
             negative_index=json_field(d, "negative_index", int),
             positive_metrics=SeamMetrics.from_dict(d["positive_metrics"]),
             negative_metrics=SeamMetrics.from_dict(d["negative_metrics"]),
-            mode=mode,
+            mode=d.get("mode", "joint"),
         )
-        if record.positive_index == record.negative_index:
-            raise ValueError(
-                f"positive_index and negative_index are both {record.positive_index}: "
-                "a pair needs two distinct candidates"
-            )
-        if not dominates(record.positive_metrics, record.negative_metrics, mode):
-            raise ValueError(
-                f"positive metrics do not strictly dominate the negative's in mode {mode!r}"
-            )
-        return record
 
 
 def write_pair_records(records) -> str:
@@ -390,10 +310,9 @@ def read_pair_records(text: str) -> list[PairRecord]:
 
     A line that is not JSON, lacks a key, holds a value of the wrong type
     (``metrics.json_field``: ``mesh`` a string, ``seed`` and the indices
-    ints >= 0, the metrics as ``SeamMetrics.from_dict`` reads them), names
-    the same candidate as positive and negative, or whose positive
-    does not strictly dominate its negative in the record's mode raises
-    ``DPOError`` naming its 1-based line number.
+    ints >= 0, the metrics as ``SeamMetrics.from_dict`` reads them), or
+    breaks a ``PairRecord`` rule raises ``DPOError`` naming its 1-based line
+    number.
     """
     out = []
     for line_no, line in enumerate(text.splitlines(), start=1):

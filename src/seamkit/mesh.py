@@ -152,10 +152,6 @@ class IndexedMesh:
         ids[hit] = pos[hit]
         return ids
 
-    def edge_id(self, a: int, b: int) -> int | None:
-        eid = int(self.edge_ids([(a, b)])[0])
-        return None if eid < 0 else eid
-
     def triangle_areas(self) -> np.ndarray:
         return triangle_normals(self.vertices[self.triangles])[1]
 
@@ -176,9 +172,6 @@ class NormalizationTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return (np.asarray(points, dtype=np.float64) - self.center) * self.scale
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) / self.scale + self.center
 
 
 @dataclass(frozen=True)
@@ -568,7 +561,7 @@ def save_obj(mesh: IndexedMesh) -> str:
 def normalize(mesh: IndexedMesh) -> tuple[IndexedMesh, NormalizationTransform]:
     """Center the mesh and scale its longest bounding-box axis to length 1.
 
-    Returns the transformed mesh and the recorded (invertible) transform.
+    Returns the transformed mesh and the recorded transform.
     The transformed mesh keeps the input's edge index (connectivity does not
     change), with edge lengths recomputed from the moved vertices.
     Raises DegenerateInputError when the bounding box has zero extent.

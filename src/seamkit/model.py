@@ -630,12 +630,16 @@ def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
     carry distinct ``ConditioningClouds`` objects; groups come in order of
     first use.  Each group prepares its condition once
     (``_prepare_condition``) and keeps each distinct sequence once; an item
-    repeated in ``items`` keeps one index entry per occurrence.
+    repeated in ``items`` keeps one index entry per occurrence.  Every
+    sequence must be complete (BOS, 6-token segments, EOS), else
+    ``ModelError``.
     """
     groups: list = []
     index: list = []
     group_ids: dict = {}
     for clouds, seqs in items:
+        for t in seqs:
+            _check_complete(t)
         key = tuple(
             (pts.shape, np.ascontiguousarray(pts, dtype=np.float64).tobytes())
             for pts in (clouds.topo_points, clouds.geom_points)
@@ -665,10 +669,7 @@ def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
     a batch passes through, so a training loop can group its data once."""
     if isinstance(batch, _ConditionBatch):
         return batch
-    seqs = [_token_array(tokens) for _, tokens in batch]
-    for t in seqs:
-        _check_complete(t)
-    return _group_conditions([(c, (t,)) for (c, _), t in zip(batch, seqs)], config)
+    return _group_conditions([(c, (_token_array(t),)) for c, t in batch], config)
 
 
 def _batch_nll_t(batch, p, config: ModelConfig):

@@ -5,21 +5,16 @@ face-spanning-tree "cross" cut for the cube and the L-prism), so they unwrap
 with distortion near zero and one island.  Negative candidates instead cut
 small quad loops out of the surface: every cutout adds an island, and the
 leftover shell keeps its corners and curvature with no unrolling cuts, so it
-flattens with large distortion.  The joint strict-dominance rule therefore
-produces preference pairs deterministically.
+flattens with large distortion.  The joint strict-dominance rule would
+therefore pair them deterministically.
 """
 
 from collections import deque
 
 import numpy as np
 
-from seamkit.dpo import PreferencePair, ScoredSeams, build_pairs
-from seamkit.mesh import SeamEdgeSet, extract_uv_seams, normalize
-from seamkit.metrics import evaluate_edges
-from seamkit.projection import seam_edges_to_segments
-from seamkit.sampling import build_conditioning_clouds
+from seamkit.mesh import SeamEdgeSet, extract_uv_seams
 from seamkit.shapes import make_cube, make_cylinder, make_l_extrusion
-from seamkit.tokenizer import canonicalize, encode
 
 
 def _tri_edges(tri):
@@ -47,13 +42,14 @@ def quad_cutout_loops(mesh, k: int) -> SeamEdgeSet:
         boundary = t1 ^ t2
         if len(boundary) != 4:
             continue
-        if any(len(mesh.edge_faces[mesh.edge_id(*e)]) != 2 for e in boundary):
+        boundary_ids = mesh.edge_ids(sorted(boundary))
+        if any(len(mesh.edge_faces[eid]) != 2 for eid in boundary_ids):
             continue  # keep loops away from the surface boundary
         if edges & boundary:
             continue
         neighbors = set()
-        for e in boundary:
-            neighbors.update(mesh.edge_faces[mesh.edge_id(*e)])
+        for eid in boundary_ids:
+            neighbors.update(mesh.edge_faces[eid])
         if neighbors & used_faces:
             continue
         edges.update(boundary)
@@ -152,33 +148,3 @@ def corpus_meshes():
         ("cylinder_b", cyl_b, extract_uv_seams(cyl_b)),
         ("l_extrusion", ell, developable_cut_edges(ell)),
     ]
-
-
-def build_preference_corpus(n_cloud: int = 96, n_cutouts=(1, 2, 3)):
-    """Returns (pairs, train_examples, names).
-
-    pairs: strict-dominance PreferencePairs with real evaluated metrics.
-    train_examples: (clouds, artist token sequence) per mesh for pretraining.
-    """
-    pairs = []
-    train_examples = []
-    names = []
-    for name, mesh, artist_edges in corpus_meshes():
-        norm, _ = normalize(mesh)
-        clouds = build_conditioning_clouds(norm, n_topo=n_cloud, n_geom=n_cloud, seed=17)
-        candidates = []
-        pos_metrics, _ = evaluate_edges(norm, artist_edges)
-        pos_seams = canonicalize(seam_edges_to_segments(norm, artist_edges))
-        candidates.append(ScoredSeams(seams=pos_seams, metrics=pos_metrics))
-        for k in n_cutouts:
-            neg_edges = quad_cutout_loops(norm, k)
-            neg_metrics, _ = evaluate_edges(norm, neg_edges)
-            neg_seams = canonicalize(seam_edges_to_segments(norm, neg_edges))
-            candidates.append(ScoredSeams(seams=neg_seams, metrics=neg_metrics))
-        pairs.extend(
-            PreferencePair(condition=clouds, positive=candidates[i], negative=candidates[j])
-            for i, j in build_pairs([c.metrics for c in candidates], mode="joint")
-        )
-        train_examples.append((clouds, encode(pos_seams)))
-        names.append(name)
-    return pairs, train_examples, names

@@ -99,6 +99,16 @@ def test_evaluate_from_uv_requires_vt(grid_obj):
     assert main(["evaluate", str(grid_obj), "--from-uv"]) == 2
 
 
+def test_evaluate_seam_file_and_from_uv_exit_2(cube_obj, tmp_path, capsys):
+    seams = tmp_path / "empty.seams"
+    seams.write_text("")
+    out = tmp_path / "metrics.json"
+    assert main(["evaluate", str(cube_obj), str(seams), "--from-uv", "--json-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: conflicting seam sources seam file {seams} and --from-uv" in err
+    assert not out.exists()
+
+
 def test_evaluate_from_uv_cube(cube_obj, tmp_path, capsys):
     svg = tmp_path / "atlas.svg"
     code = main(["evaluate", str(cube_obj), "--from-uv", "--svg", str(svg)])
@@ -178,6 +188,28 @@ def test_unwrap_writes_obj_with_uvs(cube_obj, tmp_path):
     assert code == 0
     atlas_mesh = load_obj(out.read_text())
     assert atlas_mesh.has_uvs
+
+
+@pytest.mark.parametrize(
+    "sources, named",
+    [
+        (["--from-uv", "--edges", "E"], "--from-uv and --edges"),
+        (["--edges", "E", "--seams", "S"], "--edges and --seams"),
+        (["--seams", "S", "--from-uv"], "--from-uv and --seams"),
+        (["--seams", "S", "--edges", "E", "--from-uv"], "--from-uv and --edges and --seams"),
+    ],
+)
+def test_unwrap_two_seam_sources_exit_2(cube_obj, tmp_path, capsys, sources, named):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(extract_uv_seams(normalize(load_obj(cube_obj.read_text()))[0]).to_text())
+    seams = tmp_path / "empty.seams"
+    seams.write_text("")
+    files = {"E": str(edges), "S": str(seams)}
+    out = tmp_path / "atlas.obj"
+    argv = ["unwrap", str(cube_obj), *(files.get(a, a) for a in sources), "--obj-out", str(out)]
+    assert main(argv) == 2
+    assert f"error: conflicting seam sources {named}: pass only one" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _count_calls(monkeypatch, fn, *modules):
@@ -499,6 +531,45 @@ def test_dpo_builds_each_condition_once(grid_obj, cube_obj, tmp_path, monkeypatc
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
     assert set(manifest["timings_s"]) == {"pairs", "train"}
+
+
+def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path, monkeypatch):
+    from seamkit import cli, sampling, tokenizer
+    from seamkit.dpo import DPOConfig, dpo_train
+
+    parsed = []
+    load_seams = cli._load_seams
+
+    def counted_load(path):
+        parsed.append(path)
+        return load_seams(path)
+
+    monkeypatch.setattr(cli, "_load_seams", counted_load)
+    encodes = _count_calls(monkeypatch, tokenizer.encode, tokenizer)
+    # five records over two conditions, all sharing candidates 0, 1 and 2
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 3), (grid_obj, 1, 2)])
+    cfg_text = desk_config_text() + "steps = 2\nlr = 0.01\nbeta = 0.5\n"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(cfg_text)
+    ckpt = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(ckpt), "--config", str(cfg)]) == 0
+    cand_dir = pairs.parent
+    assert sorted(parsed) == [os.path.join(cand_dir, f"cand_{i}.seams") for i in range(3)]
+    assert len(encodes) == 3
+
+    # the same run on hand-built (clouds, (chosen, rejected)) items
+    monkeypatch.undo()
+    norm, _ = normalize(load_obj(grid_obj.read_bytes()))
+    clouds = [sampling.build_conditioning_clouds(norm, n_topo=64, n_geom=64, seed=s) for s in (0, 1)]
+    tokens = [
+        encode(canonicalize(read_seam_text((cand_dir / f"cand_{i}.seams").read_text()))).tokens
+        for i in range(3)
+    ]
+    items = [(clouds[0], (tokens[0], tokens[1 + k % 2])) for k in range(3)]
+    items += [(clouds[1], (tokens[0], tokens[1 + k % 2])) for k in range(2)]
+    policy = init_parameters(model_config_from(parse_config(cfg_text)))
+    trained, _ = dpo_train(policy, policy.copy(), items, DPOConfig(beta=0.5, learning_rate=0.01, steps=2))
+    assert save_checkpoint(trained) == ckpt.read_bytes()
 
 
 def _checkpoint_with_header(blob, edit):

@@ -1,25 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
+from seamkit import autodiff as ad
 from seamkit.dpo import (
     DPOConfig,
     DPOError,
     LN2,
-    PreferencePair,
-    ScoredSeams,
+    _objective,
+    _pair_logprobs,
+    _reference_logprobs,
     build_pairs,
     dominates,
-    dpo_loss,
-    dpo_margin_loss,
     dpo_train,
     read_pair_records,
     write_pair_records,
     PairRecord,
 )
 from seamkit.metrics import SeamMetrics
-from seamkit.model import init_parameters, save_checkpoint
+from seamkit.model import _group_conditions, _group_logprobs_t, init_parameters, save_checkpoint
 from seamkit.sampling import ConditioningClouds
-from seamkit.tokenizer import SeamSet, canonicalize
+from seamkit.tokenizer import SeamSet, canonicalize, encode
 
 from tests import loop_reference as ref
 from tests.util import TINY_CONFIG, DESK_CONFIG
@@ -29,9 +31,10 @@ def metrics(d, f):
     return SeamMetrics(distortion=d, fragments=f, runtime_s=0.0, excluded_triangles=0)
 
 
-def scored(rng, d, f, n_segments=2):
-    seams = canonicalize(SeamSet(segments=rng.uniform(-0.5, 0.5, size=(n_segments, 2, 3))))
-    return ScoredSeams(seams=seams, metrics=metrics(d, f))
+def seam_tokens(rng, n_segments=2):
+    """The token array of a random seam set of ``n_segments`` segments."""
+    seams = SeamSet(segments=rng.uniform(-0.5, 0.5, size=(n_segments, 2, 3)))
+    return encode(canonicalize(seams)).tokens
 
 
 def rand_clouds(rng, config):
@@ -53,43 +56,42 @@ def test_dominates_and_config_validation():
 
 
 def test_build_pairs_trivial_cases():
-    rng = np.random.default_rng(0)
-    a = scored(rng, 1, 2)
-    b = scored(rng, 2, 3)
-    assert build_pairs([a.metrics, b.metrics], "joint") == [(0, 1)]
+    a = metrics(1, 2)
+    b = metrics(2, 3)
+    assert build_pairs([a, b], "joint") == [(0, 1)]
     # non-dominated in joint mode
-    c = scored(rng, 1, 3)
-    d = scored(rng, 2, 2)
-    assert build_pairs([c.metrics, d.metrics], "joint") == []
+    c = metrics(1, 3)
+    d = metrics(2, 2)
+    assert build_pairs([c, d], "joint") == []
     with pytest.raises(DPOError):
-        build_pairs([a.metrics], "joint")
+        build_pairs([a], "joint")
     with pytest.raises(DPOError, match="unknown pairing mode 'bogus'"):
-        build_pairs([a.metrics, b.metrics], "bogus")
+        build_pairs([a, b], "bogus")
 
 
 def test_pair_invariant_enforced():
-    rng = np.random.default_rng(1)
-    good = scored(rng, 1, 1)
-    bad = scored(rng, 2, 2)
-    with pytest.raises(DPOError):
-        PreferencePair(condition=None, positive=bad, negative=good, mode="joint")
+    good, bad = metrics(1, 1), metrics(2, 2)
+    PairRecord("m.obj", 0, 0, 1, good, bad, mode="joint")
+    with pytest.raises(ValueError, match="do not strictly dominate the negative's in mode 'joint'"):
+        PairRecord("m.obj", 0, 0, 1, bad, good, mode="joint")
+    with pytest.raises(ValueError, match="are both 0: a pair needs two distinct candidates"):
+        PairRecord("m.obj", 0, 0, 0, good, bad, mode="joint")
+    with pytest.raises(ValueError, match="mode must be one of .*, got 'bogus'"):
+        PairRecord("m.obj", 0, 0, 1, good, bad, mode="bogus")
 
 
 def test_build_pairs_matches_bruteforce_oracle():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        cands = [
-            scored(rng, float(rng.uniform(0, 5)), int(rng.integers(1, 6)))
-            for _ in range(5)
-        ]
+        cands = [metrics(float(rng.uniform(0, 5)), int(rng.integers(1, 6))) for _ in range(5)]
         for mode in ("joint", "distortion-only", "density-only"):
-            got = build_pairs([c.metrics for c in cands], mode)
+            got = build_pairs(cands, mode)
             expected = []
             for i in range(5):
                 for j in range(5):
                     if i == j:
                         continue
-                    mi, mj = cands[i].metrics, cands[j].metrics
+                    mi, mj = cands[i], cands[j]
                     if mode == "joint":
                         ok = mi.distortion < mj.distortion and mi.fragments < mj.fragments
                     elif mode == "distortion-only":
@@ -103,28 +105,50 @@ def test_build_pairs_matches_bruteforce_oracle():
             assert not any((b, a) in got for a, b in got)
 
 
+def margin_loss(margin, beta):
+    """The objective of one pair whose reward margin is ``margin``: log-ratios
+    (margin, 0), from log-probabilities (margin, 0) over a zero reference."""
+    loss, _, margins = _objective([(np.array(margin), np.array(0.0))], [(0.0, 0.0)], beta)
+    assert margins == [margin]
+    return float(loss)
+
+
 def test_margin_loss_hand_values():
     # beta=1, margin = delta+ - delta- = 2 -> -log sigma(2)
-    val = float(dpo_margin_loss(np.array([2.0]), beta=1.0)[0])
+    val = margin_loss(2.0, beta=1.0)
     assert val == pytest.approx(0.126928011, abs=1e-6)
-    assert float(dpo_margin_loss(np.array([0.0]), beta=1.0)[0]) == pytest.approx(LN2, abs=1e-12)
+    assert margin_loss(0.0, beta=1.0) == pytest.approx(LN2, abs=1e-12)
     # beta -> 0+ gives ln 2 from either side
     for m in (5.0, -5.0):
-        v = float(dpo_margin_loss(np.array([m]), beta=1e-9)[0])
+        v = margin_loss(m, beta=1e-9)
         assert v == pytest.approx(LN2, abs=1e-8)
 
 
-def make_pairs(rng, config, n_pairs, cloud=None):
+def make_pairs(rng, config, n_pairs):
+    """``dpo_train`` items: (clouds, (chosen tokens, rejected tokens))."""
     pairs = []
     for _ in range(n_pairs):
-        cond = cloud if cloud is not None else rand_clouds(rng, config)
-        pos = scored(rng, float(rng.uniform(0, 1)), int(rng.integers(1, 3)))
-        neg = ScoredSeams(
-            seams=canonicalize(SeamSet(segments=rng.uniform(-0.5, 0.5, size=(3, 2, 3)))),
-            metrics=metrics(pos.metrics.distortion + 1.0, pos.metrics.fragments + 1),
-        )
-        pairs.append(PreferencePair(condition=cond, positive=pos, negative=neg))
+        cond = rand_clouds(rng, config)
+        pairs.append((cond, (seam_tokens(rng, int(rng.integers(1, 3))), seam_tokens(rng, 3))))
     return pairs
+
+
+def dpo_loss_t(pairs, p, config, refs, beta):
+    """The batch objective of the items over parameters ``p`` (Tensors give
+    a graph, arrays a value); returns (loss, margin floats)."""
+    batch = _group_conditions(pairs, config)
+    loss, _, margins = _objective(_pair_logprobs(batch, _group_logprobs_t(batch, p, config)), refs, beta)
+    return loss, margins
+
+
+def reference_logprobs(pairs, reference):
+    return _reference_logprobs(_group_conditions(pairs, reference.config), reference)
+
+
+def dpo_loss(policy, reference, pairs, beta):
+    """The objective's value at ``policy`` against ``reference``."""
+    loss, _ = dpo_loss_t(pairs, policy.arrays, policy.config, reference_logprobs(pairs, reference), beta)
+    return float(loss)
 
 
 def test_loss_is_ln2_at_policy_equals_reference():
@@ -149,12 +173,9 @@ def test_dpo_gradient_matches_finite_differences():
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=2)
     beta = 0.5
 
-    from seamkit import autodiff as ad
-    from seamkit.dpo import _dpo_loss_t, _reference_logprobs
-
-    refs = _reference_logprobs(pairs, reference)
+    refs = reference_logprobs(pairs, reference)
     p = policy.as_tensors()
-    loss, _ = _dpo_loss_t(pairs, p, policy.config, refs, beta)
+    loss, _ = dpo_loss_t(pairs, p, policy.config, refs, beta)
     ad.backward(loss)
 
     names = policy.trainable_names()
@@ -174,7 +195,7 @@ def test_dpo_gradient_matches_finite_differences():
             trial.arrays[name] = trial.arrays[name].copy()
             trial.arrays[name].flat[i] += delta
             pt = trial.as_tensors()
-            l, _ = _dpo_loss_t(pairs, pt, trial.config, refs, beta)
+            l, _ = dpo_loss_t(pairs, pt, trial.config, refs, beta)
             return float(l.value)
 
         fd = (loss_at(h) - loss_at(-h)) / (2 * h)
@@ -207,10 +228,8 @@ def test_dpo_first_step_increases_margin():
     config = DPOConfig(beta=0.5, learning_rate=1e-3, steps=1)
     trained, history = dpo_train(policy, reference, pairs, config)
     assert history[0].loss == pytest.approx(LN2, abs=1e-9)
-    from seamkit.dpo import _reference_logprobs, _dpo_loss_t
-
-    refs = _reference_logprobs(pairs, reference)
-    _, margins = _dpo_loss_t(pairs, trained.as_tensors(), trained.config, refs, config.beta)
+    refs = reference_logprobs(pairs, reference)
+    _, margins = dpo_loss_t(pairs, trained.as_tensors(), trained.config, refs, config.beta)
     assert margins[0] > 0
 
 
@@ -220,6 +239,16 @@ def test_dpo_train_empty_dataset_is_noop():
     trained, history = dpo_train(policy, reference, [], DPOConfig(steps=10))
     assert history == []
     assert save_checkpoint(trained) == save_checkpoint(policy)
+
+
+def test_dpo_train_rejects_an_incomplete_sequence():
+    from seamkit.model import ModelError
+
+    rng = np.random.default_rng(15)
+    policy = init_parameters(TINY_CONFIG)
+    (clouds, (chosen, rejected)), = make_pairs(rng, TINY_CONFIG, n_pairs=1)
+    with pytest.raises(ModelError, match="must start with BOS and end with EOS"):
+        dpo_train(policy, policy.copy(), [(clouds, (chosen, rejected[:-1]))], DPOConfig(steps=1))
 
 
 def test_pair_records_round_trip():
@@ -245,35 +274,28 @@ def two_condition_pairs(rng, config):
     a_copy = ConditioningClouds(
         topo_points=a.topo_points.copy(), geom_points=a.geom_points.copy(), seed=0
     )
-    pos_a = scored(rng, 0.1, 1, n_segments=3)
-    pos_b = scored(rng, 0.2, 1, n_segments=1)
-
-    def neg(n_segments):
-        return scored(rng, 5.0, 9, n_segments=n_segments)
-
-    shared_neg = neg(2)
+    pos_a = seam_tokens(rng, 3)
+    pos_b = seam_tokens(rng, 1)
+    shared_neg = seam_tokens(rng, 2)
     return [
-        PreferencePair(condition=a, positive=pos_a, negative=shared_neg),
-        PreferencePair(condition=a_copy, positive=pos_a, negative=neg(4)),
-        PreferencePair(condition=b, positive=pos_b, negative=shared_neg),
-        PreferencePair(condition=a_copy, positive=pos_a, negative=shared_neg),
-        PreferencePair(condition=b, positive=pos_b, negative=neg(1)),
+        (a, (pos_a, shared_neg)),
+        (a_copy, (pos_a, seam_tokens(rng, 4))),
+        (b, (pos_b, shared_neg)),
+        (a_copy, (pos_a, shared_neg)),
+        (b, (pos_b, seam_tokens(rng, 1))),
     ]
 
 
 def per_pair_logprobs_t(pairs, p, config):
     """(positive, negative) log-probabilities pair by pair: one encoding and
     two unbatched decodes each."""
-    from seamkit import autodiff as ad
-    from seamkit.dpo import pair_tokens
     from seamkit.model import _decoder_logits_t, _encode_condition_t, _prepare_condition
 
     out = []
-    for pair in pairs:
-        cond = _encode_condition_t(_prepare_condition(pair.condition, config), p, config)
+    for clouds, seqs in pairs:
+        cond = _encode_condition_t(_prepare_condition(clouds, config), p, config)
         lps = []
-        for tokens in pair_tokens(pair):
-            t = tokens.tokens
+        for t in seqs:
             logp = ref.log_softmax(_decoder_logits_t(t[:-1], cond, p, config), axis=-1)
             lps.append(ad.sum_all(ref.take_per_row(logp, t[1:])))
         out.append(tuple(lps))
@@ -282,14 +304,12 @@ def per_pair_logprobs_t(pairs, p, config):
 
 @pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
 def test_reference_logprobs_match_per_pair_loop(config):
-    from seamkit.dpo import _batch_pairs, _reference_logprobs
-
     rng = np.random.default_rng(7)
     params = init_parameters(config)
     pairs = two_condition_pairs(rng, config)
-    batch = _batch_pairs(pairs, config)
+    batch = _group_conditions(pairs, config)
     assert [len(seqs) for _, seqs in batch.groups] == [3, 3]
-    got = _reference_logprobs(pairs, params)
+    got = _reference_logprobs(batch, params)
     expected = per_pair_logprobs_t(pairs, params.as_tensors(), config)
     for (pos, neg), (lp_pos, lp_neg) in zip(got, expected):
         assert pos == pytest.approx(float(lp_pos.value), rel=1e-12, abs=0)
@@ -297,9 +317,6 @@ def test_reference_logprobs_match_per_pair_loop(config):
 
 
 def test_dpo_gradients_match_per_pair_loss():
-    from seamkit import autodiff as ad
-    from seamkit.dpo import _dpo_loss_t, _reference_logprobs
-
     rng = np.random.default_rng(8)
     reference = init_parameters(TINY_CONFIG).copy()
     policy = reference.copy()
@@ -311,7 +328,7 @@ def test_dpo_gradients_match_per_pair_loss():
     beta = 0.5
 
     p = policy.as_tensors()
-    loss, margins = _dpo_loss_t(pairs, p, policy.config, _reference_logprobs(pairs, reference), beta)
+    loss, margins = dpo_loss_t(pairs, p, policy.config, reference_logprobs(pairs, reference), beta)
     ad.backward(loss)
 
     refs = per_pair_logprobs_t(pairs, reference.as_tensors(), TINY_CONFIG)
@@ -359,19 +376,18 @@ def count_passes(monkeypatch):
 def composed_separate_pass_losses(policy, reference, pairs, config):
     """Per-step losses of DPO with one reference pass before step 0 (whatever
     the reference) on the composed ops of ``loop_reference``."""
-    from seamkit import autodiff as ad
-    from seamkit.dpo import _batch_pairs, _dpo_loss_t, _reference_logprobs
     from seamkit.model import _sgd_step
 
     losses = []
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in ref.COMPOSED_OPS.items():
             mp.setattr(ad, name, fn)
-        batch = _batch_pairs(pairs, policy.config)
+        batch = _group_conditions(pairs, policy.config)
         refs = _reference_logprobs(batch, reference)
         for _ in range(config.steps):
             p = policy.as_tensors()
-            loss, _ = _dpo_loss_t(batch, p, policy.config, refs, config.beta)
+            lps = _group_logprobs_t(batch, p, policy.config)
+            loss, _, _ = _objective(_pair_logprobs(batch, lps), refs, config.beta)
             losses.append(float(loss.value))
             ad.backward(loss)
             policy = _sgd_step(policy, p, config.learning_rate)
@@ -408,9 +424,6 @@ def test_reference_off_the_policy_runs_its_own_pass(monkeypatch):
 
 
 def test_dpo_train_matches_composed_ops():
-    from seamkit import autodiff as ad
-    from seamkit.dpo import _margin_loss_t
-
     rng = np.random.default_rng(13)
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
@@ -421,7 +434,7 @@ def test_dpo_train_matches_composed_ops():
     first = history[0]
     assert (first.margin_mean, first.margin_min, first.accuracy) == (0.0, 0.0, 0.0)
     zero = ad.Tensor(0.0)
-    at_zero = float(_margin_loss_t([(zero, zero)] * len(pairs), config.beta)[0].value)
+    at_zero = float(_objective([(zero, zero)] * len(pairs), [(0.0, 0.0)] * len(pairs), config.beta)[0].value)
     assert losses[0] == at_zero == pytest.approx(LN2, rel=1e-15)
     expected = composed_separate_pass_losses(policy, policy.copy(), pairs, config)
     assert expected[0] == at_zero
@@ -432,14 +445,13 @@ def test_dpo_train_matches_composed_ops():
 def test_frozen_encoder_branch_stays_frozen():
     from dataclasses import replace
 
-    from seamkit.dpo import pair_tokens
     from seamkit.model import nll_train_step
 
     rng = np.random.default_rng(11)
     config = replace(TINY_CONFIG, train_geom_encoder=False)
     params = init_parameters(config)
     pairs = make_pairs(rng, config, n_pairs=2)
-    nll_batch = [(pair.condition, pair_tokens(pair)[0]) for pair in pairs]
+    nll_batch = [(clouds, chosen) for clouds, (chosen, _) in pairs]
     stepped, _ = nll_train_step(nll_batch, params, lr=0.1)
     trained, _ = dpo_train(
         params, params.copy(), pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
@@ -456,9 +468,6 @@ def test_frozen_encoder_branch_stays_frozen():
 
 
 def test_dpo_step_log_diagnostics():
-    from seamkit import autodiff as ad
-    from seamkit.dpo import _dpo_loss_t, _reference_logprobs
-
     rng = np.random.default_rng(10)
     reference = init_parameters(TINY_CONFIG).copy()
     pairs = two_condition_pairs(rng, TINY_CONFIG)
@@ -469,7 +478,7 @@ def test_dpo_step_log_diagnostics():
     assert (first.reward_chosen, first.reward_rejected) == (0.0, 0.0)
     assert (first.margin_mean, first.margin_min) == (0.0, 0.0)
     p = reference.as_tensors()
-    loss, _ = _dpo_loss_t(pairs, p, TINY_CONFIG, _reference_logprobs(pairs, reference), config.beta)
+    loss, _ = dpo_loss_t(pairs, p, TINY_CONFIG, reference_logprobs(pairs, reference), config.beta)
     ad.backward(loss)
     norm = np.sqrt(sum(np.sum(p[n].grad ** 2) for n in reference.trainable_names()))
     assert first.grad_norm == pytest.approx(norm, rel=1e-12)
@@ -504,6 +513,14 @@ def test_read_pair_records_names_the_bad_line(line, message):
         read_pair_records(bad_mode)
 
 
+def edited_record(record, **changes):
+    """The JSON line of ``record`` with keys replaced: a line that no
+    ``PairRecord`` construction could write."""
+    d = json.loads(record.to_json())
+    d.update(changes)
+    return json.dumps(d) + "\n"
+
+
 @pytest.mark.parametrize(
     "mode, positive, negative",
     [
@@ -515,16 +532,20 @@ def test_read_pair_records_names_the_bad_line(line, message):
 )
 def test_read_pair_records_rejects_a_non_dominating_pair(mode, positive, negative):
     good = PairRecord("m.obj", 0, 0, 1, metrics(0.5, 3), metrics(1.5, 6), mode=mode)
-    bad = PairRecord("m.obj", 0, 0, 2, positive, negative, mode=mode)
+    bad = edited_record(
+        PairRecord("m.obj", 0, 0, 2, metrics(0.5, 3), metrics(1.5, 6), mode=mode),
+        positive_metrics=positive.to_dict(),
+        negative_metrics=negative.to_dict(),
+    )
     with pytest.raises(DPOError, match=f"line 2: malformed record .*in mode '{mode}'"):
-        read_pair_records(write_pair_records([good, bad]))
+        read_pair_records(write_pair_records([good]) + bad)
 
 
 def test_read_pair_records_rejects_one_candidate_on_both_sides():
     good = PairRecord("m.obj", 0, 0, 1, metrics(0.5, 3), metrics(1.5, 6))
-    same = PairRecord("m.obj", 0, 2, 2, metrics(0.5, 3), metrics(1.5, 6))
+    same = edited_record(PairRecord("m.obj", 0, 2, 3, metrics(0.5, 3), metrics(1.5, 6)), negative_index=2)
     with pytest.raises(DPOError, match="line 2: malformed record .*both 2"):
-        read_pair_records(write_pair_records([good, same]))
+        read_pair_records(write_pair_records([good]) + same)
 
 
 def test_dpo_train_aborts_when_the_loss_stays_high(monkeypatch):

@@ -169,8 +169,9 @@ def test_nonmanifold_fan_matches_loop_reference(caplog):
     with caplog.at_level(logging.WARNING, logger="seamkit.mesh"):
         mesh = _fan_mesh()
     assert "1 non-manifold edges" in caplog.text
-    assert mesh.nonmanifold_edges == (mesh.edge_id(0, 1),)
-    assert mesh.edge_faces[mesh.edge_id(0, 1)] == (0, 1, 2)
+    (fan_edge,) = mesh.edge_ids([(0, 1)]).tolist()
+    assert mesh.nonmanifold_edges == (fan_edge,)
+    assert mesh.edge_faces[fan_edge] == (0, 1, 2)
     seams = extract_uv_seams(mesh)
     assert seams.edges == ref.extract_uv_seams(mesh).edges == {(0, 1)}
     for cut_seams in (SeamEdgeSet(edges=frozenset()), seams):

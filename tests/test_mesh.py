@@ -150,7 +150,9 @@ def test_normalize_inverse_composition():
     for _ in range(20):
         mesh = make_random_hull(20, seed=int(rng.integers(1 << 30)), scale=rng.uniform(0.1, 50))
         out, tf = normalize(mesh)
-        back = tf.invert(out.vertices)
+        # the recorded transform is the one applied, and its fields undo it
+        np.testing.assert_array_equal(out.vertices, tf.apply(mesh.vertices))
+        back = out.vertices / tf.scale + tf.center
         scale = np.abs(mesh.vertices).max()
         assert np.abs(back - mesh.vertices).max() <= 1e-12 * max(scale, 1.0)
 
