@@ -153,7 +153,11 @@ def _write_atomic(path: str, data) -> None:
     os.makedirs(directory, exist_ok=True)
     mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seamkit-tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates 0600; give the file the mode a plain open() would
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -177,6 +181,17 @@ def _load_seams(path: str) -> tokenizer.SeamSet:
         return tokenizer.read_seam_text(_read_file(path))
     except tokenizer.TokenizerError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _seam_tokens(path: str) -> tokenizer.TokenSequence:
+    """``encode`` of a seam file; a coordinate outside the cube raises
+    InputError naming the file and the seam line that holds it."""
+    seams = _load_seams(path)
+    try:
+        return tokenizer.encode(seams)
+    except tokenizer.CoordinateRangeError as exc:
+        lines = list(content_lines(_read_file(path)))  # segment k is on content line k
+        raise InputError(f"{path}: seam line {lines[exc.index // 6][0]}: {exc}") from exc
 
 
 def _one_seam_source(sources: dict) -> None:
@@ -251,8 +266,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    seams = _load_seams(args.input)
-    tokens = tokenizer.encode(tokenizer.canonicalize(seams))
+    tokens = _seam_tokens(args.input)
     _write_atomic(args.output, tokenizer.write_token_text(tokens))
     return EXIT_OK
 
@@ -479,8 +493,7 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
 
     def candidate(index):
         if index not in tokens:
-            seams = _load_seams(os.path.join(cand_dir, f"cand_{index}.seams"))
-            tokens[index] = tokenizer.encode(tokenizer.canonicalize(seams)).tokens
+            tokens[index] = _seam_tokens(os.path.join(cand_dir, f"cand_{index}.seams")).tokens
         return tokens[index]
 
     return [
@@ -537,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tokenize", help="seam text file -> token file")
+    p = sub.add_parser("tokenize", help="seam text file, segments in any order -> tokens of its canonical form")
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=cmd_tokenize)

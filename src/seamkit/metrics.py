@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -88,14 +88,9 @@ def distortion(atlas: UVAtlas) -> float:
     return float(np.sum(areas * terms) / np.sum(areas))
 
 
-def evaluate_edges(
-    mesh: IndexedMesh, seam_edges: SeamEdgeSet, pre_seconds: float = 0.0
-) -> tuple[SeamMetrics, UVAtlas]:
-    """Cut along marked edges, parameterize, and measure.
-
-    ``pre_seconds`` is added to the reported runtime (``evaluate_with_atlas``
-    passes the projection stage's time).
-    """
+def evaluate_edges(mesh: IndexedMesh, seam_edges: SeamEdgeSet) -> tuple[SeamMetrics, UVAtlas]:
+    """Cut along marked edges, parameterize, and measure; runtime covers the
+    cut through the measurement."""
     t0 = time.perf_counter()
     try:
         cut = cut_mesh(mesh, seam_edges)
@@ -109,12 +104,11 @@ def evaluate_edges(
         dist = distortion(atlas)
     except Exception as exc:
         raise StageError("metrics", exc) from exc
-    runtime = pre_seconds + (time.perf_counter() - t0)
     return (
         SeamMetrics(
             distortion=dist,
             fragments=int(atlas.island_count),
-            runtime_s=runtime,
+            runtime_s=time.perf_counter() - t0,
             excluded_triangles=atlas.n_excluded,
         ),
         atlas,
@@ -134,5 +128,5 @@ def evaluate_with_atlas(mesh: IndexedMesh, seams: SeamSet) -> tuple[SeamMetrics,
         edges = project_seams(mesh, seams)
     except Exception as exc:
         raise StageError("project", exc) from exc
-    project_time = time.perf_counter() - t0
-    return evaluate_edges(mesh, edges, pre_seconds=project_time)
+    metrics, atlas = evaluate_edges(mesh, edges)
+    return replace(metrics, runtime_s=time.perf_counter() - t0), atlas

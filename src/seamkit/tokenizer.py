@@ -2,8 +2,9 @@
 
 Coordinates live in the canonical cube [-0.5, 0.5]^3 and quantize into 1024
 bins.  Ordering is everywhere the yzx scheme (compare y, then z, then x) on
-quantized integers, so sorting is reproducible bit-for-bit.  A token sequence
-is BOS, then six coordinate tokens per segment (y1 z1 x1 y2 z2 x2), then EOS.
+quantized integers, so sorting is reproducible bit-for-bit.  ``encode`` takes
+any seam set and tokenizes its canonical form (``canonicalize``): BOS, then six
+coordinate tokens per segment (y1 z1 x1 y2 z2 x2), then EOS.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ class TokenizerError(Exception):
 
 
 class CoordinateRangeError(TokenizerError):
-    """Coordinate lies outside the canonical cube beyond tolerance."""
+    """Coordinate lies outside the canonical cube beyond tolerance, or is not
+    finite; ``index`` is its row-major position in the input."""
 
-
-class NotCanonicalError(TokenizerError):
-    """encode() was handed a seam set that is not in canonical form."""
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class MalformedSequenceError(TokenizerError):
@@ -98,13 +100,15 @@ def quantize(coords) -> np.ndarray:
     """Map canonical-cube coordinates to bin indices in [0, 1023].
 
     bin = clamp(floor((c + 0.5) * 1024), 0, 1023).  Coordinates within
-    CUBE_TOL outside the cube are clamped; farther out raises
-    CoordinateRangeError.
+    CUBE_TOL outside the cube are clamped; one farther out, NaN or infinite
+    raises CoordinateRangeError naming the first such, in row-major order.
     """
     c = np.asarray(coords, dtype=np.float64)
-    if np.any(np.abs(c) > 0.5 + CUBE_TOL):
-        bad = float(c.flat[int(np.argmax(np.abs(c)))])
-        raise CoordinateRangeError(f"coordinate {bad!r} outside [-0.5, 0.5]")
+    outside = ~(np.abs(c) <= 0.5 + CUBE_TOL)
+    if outside.any():
+        index = int(np.argmax(outside))
+        bad = float(c.flat[index])
+        raise CoordinateRangeError(f"coordinate {bad!r} outside [-0.5, 0.5]", index)
     bins = np.floor((c + 0.5) * N_BINS).astype(np.int64)
     return np.clip(bins, 0, N_BINS - 1)
 
@@ -125,62 +129,37 @@ def canonicalize(seams: SeamSet) -> SeamSet:
     """Return the canonical form of a seam set.
 
     Within each segment, endpoints are ordered ascending by their quantized
-    yzx key (float yzx breaks exact key ties); segments are sorted by
-    (first key, second key); segments whose endpoints share a bin triple are
-    dropped; duplicates on the quantized lattice are removed.  The result is
-    invariant under any permutation of input segments and endpoint order.
+    yzx key (float yzx breaks exact key ties); segments whose endpoints share
+    a bin triple are dropped; the rest are stably sorted by (first key,
+    second key, first float yzx, second float yzx), and of the segments that
+    share both keys only the first is kept.  The result is invariant under any
+    permutation of input segments and endpoint order.
     """
     if len(seams) == 0:
         return SeamSet.empty()
-    seg = seams.segments.copy()
-    keys = _yzx_keys(seg)
-
-    rows = []
-    for i in range(len(seg)):
-        k0, k1 = tuple(keys[i, 0]), tuple(keys[i, 1])
-        f0 = tuple(seg[i, 0, [1, 2, 0]])
-        f1 = tuple(seg[i, 1, [1, 2, 0]])
-        if (k1, f1) < (k0, f0):
-            k0, k1, f0, f1 = k1, k0, f1, f0
-            seg[i] = seg[i, ::-1]
-        if k0 == k1:
-            continue  # zero-length on the quantized lattice
-        rows.append((k0, k1, f0, f1, i))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-
-    kept = []
-    last_key = None
-    for k0, k1, _f0, _f1, i in rows:
-        if (k0, k1) == last_key:
-            continue  # duplicate segment on the lattice
-        last_key = (k0, k1)
-        kept.append(seg[i])
-    if not kept:
-        return SeamSet.empty()
-    return SeamSet(segments=np.stack(kept))
-
-
-def _check_canonical(seams: SeamSet) -> None:
-    keys = _yzx_keys(seams.segments)
-    prev = None
-    for i in range(len(seams)):
-        k0, k1 = tuple(keys[i, 0]), tuple(keys[i, 1])
-        if k0 >= k1:
-            raise NotCanonicalError(
-                f"segment {i}: endpoints not ascending (or zero-length) under yzx keys"
-            )
-        if prev is not None and (k0, k1) <= prev:
-            raise NotCanonicalError(f"segment {i}: segments not strictly sorted")
-        prev = (k0, k1)
+    seg = seams.segments
+    # per endpoint (key y, key z, key x, y, z, x), compared lexicographically
+    ends = np.concatenate((_yzx_keys(seg), seg[:, :, [1, 2, 0]]), axis=2)
+    differ = ends[:, 0] != ends[:, 1]
+    rows, col = np.arange(len(seg)), np.argmax(differ, axis=1)
+    swap = (ends[rows, 1, col] < ends[rows, 0, col])[:, None, None]
+    live = differ[:, :3].any(axis=1)  # zero-length on the lattice is dropped
+    seg = np.where(swap, seg[:, ::-1], seg)[live]
+    ends = np.where(swap, ends[:, ::-1], ends)[live]
+    # sort columns: first key, second key, first float yzx, second float yzx
+    cols = np.concatenate((ends[:, :, :3].reshape(-1, 6), ends[:, :, 3:].reshape(-1, 6)), axis=1)
+    order = np.lexsort(cols.T[::-1])
+    lattice = cols[order, :6]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (lattice[1:] != lattice[:-1]).any(axis=1)  # first of each duplicate run
+    return SeamSet(segments=seg[order[keep]])
 
 
 def encode(seams: SeamSet) -> TokenSequence:
-    """Tokenize a canonical seam set: BOS, 6 tokens per segment, EOS."""
-    _check_canonical(seams)
-    keys = _yzx_keys(seams.segments)  # already (y, z, x) per endpoint
-    body = keys.reshape(-1)
-    tokens = np.concatenate(([BOS], body, [EOS])).astype(np.int64)
-    return TokenSequence(tokens=tokens)
+    """Tokenize the canonical form of any seam set: BOS, 6 tokens per
+    segment, EOS.  ``encode(s) == encode(canonicalize(s))`` for every ``s``."""
+    body = _yzx_keys(canonicalize(seams).segments).reshape(-1)
+    return TokenSequence(tokens=np.concatenate(([BOS], body, [EOS])))
 
 
 def decode(tokens: TokenSequence) -> SeamSet:
@@ -193,30 +172,20 @@ def decode(tokens: TokenSequence) -> SeamSet:
     t = tokens.tokens
     if len(t) == 0 or t[0] != BOS:
         raise MalformedSequenceError("expected BOS", 0)
-    body = []
-    end = None
-    for pos in range(1, len(t)):
-        tok = int(t[pos])
-        if tok == EOS:
-            if len(body) % 6 != 0:
-                raise MalformedSequenceError(
-                    f"EOS after {len(body)} coordinate tokens (not a multiple of 6)",
-                    pos,
-                )
-            end = pos
-            break
-        if tok >= N_BINS:
-            raise MalformedSequenceError(f"unexpected special token {tok}", pos)
-        body.append(tok)
-    if end is None:
+    special = np.flatnonzero(t[1:] >= N_BINS)
+    if len(special) == 0:
         raise MalformedSequenceError("missing EOS", len(t))
-    for pos in range(end + 1, len(t)):
-        if t[pos] != PAD:
-            raise MalformedSequenceError("non-PAD token after EOS", pos)
-
-    if not body:
+    end = int(special[0]) + 1
+    if t[end] != EOS:
+        raise MalformedSequenceError(f"unexpected special token {int(t[end])}", end)
+    if (end - 1) % 6 != 0:
+        raise MalformedSequenceError(f"EOS after {end - 1} coordinate tokens (not a multiple of 6)", end)
+    trailing = np.flatnonzero(t[end + 1 :] != PAD)
+    if len(trailing):
+        raise MalformedSequenceError("non-PAD token after EOS", end + 1 + int(trailing[0]))
+    if end == 1:
         return SeamSet.empty()
-    yzx = np.asarray(body, dtype=np.int64).reshape(-1, 2, 3)
+    yzx = t[1:end].reshape(-1, 2, 3)
     xyz_bins = yzx[:, :, [2, 0, 1]]  # back to (x, y, z) storage order
     return canonicalize(SeamSet(segments=dequantize(xyz_bins)))
 
@@ -252,8 +221,6 @@ def read_seam_text(text: str) -> SeamSet:
         if not all(map(math.isfinite, vals)):
             raise TokenizerError(f"seam line {line_no}: non-finite coordinate")
         rows.append(vals)
-    if not rows:
-        return SeamSet.empty()
     return SeamSet(segments=np.asarray(rows).reshape(-1, 2, 3))
 
 

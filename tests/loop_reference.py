@@ -20,6 +20,11 @@ bit and their gradients to 1e-12.
 ``sample_next`` is the one-row top-p draw that ``model._sample_rows``
 replaced: a stable argsort of the probabilities per candidate per step.
 ``test_model.py`` requires ``_sample_rows`` to draw the same tokens.
+
+``canonicalize`` and ``decode`` are the per-segment and per-token loop
+versions of the tokenizer's canonical order and sequence-layout check.
+``test_tokenizer.py`` requires the array versions to return byte-identical
+segments, and the same ``MalformedSequenceError`` message and position.
 """
 
 import heapq
@@ -55,6 +60,17 @@ from seamkit.unwrap import (
     _local_frames,
 )
 from seamkit.projection import ProjectionError, UnreachableError
+from seamkit.tokenizer import (
+    BOS,
+    EOS,
+    N_BINS,
+    PAD,
+    MalformedSequenceError,
+    SeamSet,
+    TokenSequence,
+    _yzx_keys,
+    dequantize,
+)
 
 
 def load_obj(source) -> IndexedMesh:
@@ -665,3 +681,84 @@ def sample_next(logits: np.ndarray, temperature: float, top_p: float, rng) -> in
     u = rng.random()
     pick = int(np.searchsorted(np.cumsum(kept), u, side="right"))
     return int(keep[min(pick, len(keep) - 1)])
+
+
+# ---------------------------------------------------------------------------
+# Seam-set canonical order and token-sequence decoding
+
+
+def canonicalize(seams: SeamSet) -> SeamSet:
+    """Return the canonical form of a seam set.
+
+    Within each segment, endpoints are ordered ascending by their quantized
+    yzx key (float yzx breaks exact key ties); segments are sorted by
+    (first key, second key); segments whose endpoints share a bin triple are
+    dropped; duplicates on the quantized lattice are removed.  The result is
+    invariant under any permutation of input segments and endpoint order.
+    """
+    if len(seams) == 0:
+        return SeamSet.empty()
+    seg = seams.segments.copy()
+    keys = _yzx_keys(seg)
+
+    rows = []
+    for i in range(len(seg)):
+        k0, k1 = tuple(keys[i, 0]), tuple(keys[i, 1])
+        f0 = tuple(seg[i, 0, [1, 2, 0]])
+        f1 = tuple(seg[i, 1, [1, 2, 0]])
+        if (k1, f1) < (k0, f0):
+            k0, k1, f0, f1 = k1, k0, f1, f0
+            seg[i] = seg[i, ::-1]
+        if k0 == k1:
+            continue  # zero-length on the quantized lattice
+        rows.append((k0, k1, f0, f1, i))
+    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+
+    kept = []
+    last_key = None
+    for k0, k1, _f0, _f1, i in rows:
+        if (k0, k1) == last_key:
+            continue  # duplicate segment on the lattice
+        last_key = (k0, k1)
+        kept.append(seg[i])
+    if not kept:
+        return SeamSet.empty()
+    return SeamSet(segments=np.stack(kept))
+
+
+def decode(tokens: TokenSequence) -> SeamSet:
+    """Invert encode: canonical seam set with endpoints at bin centers.
+
+    Raises MalformedSequenceError (with the offending position) for a missing
+    BOS, an EOS cutting a segment short, coordinate tokens >= 1024, a missing
+    EOS, or non-PAD trailing tokens.
+    """
+    t = tokens.tokens
+    if len(t) == 0 or t[0] != BOS:
+        raise MalformedSequenceError("expected BOS", 0)
+    body = []
+    end = None
+    for pos in range(1, len(t)):
+        tok = int(t[pos])
+        if tok == EOS:
+            if len(body) % 6 != 0:
+                raise MalformedSequenceError(
+                    f"EOS after {len(body)} coordinate tokens (not a multiple of 6)",
+                    pos,
+                )
+            end = pos
+            break
+        if tok >= N_BINS:
+            raise MalformedSequenceError(f"unexpected special token {tok}", pos)
+        body.append(tok)
+    if end is None:
+        raise MalformedSequenceError("missing EOS", len(t))
+    for pos in range(end + 1, len(t)):
+        if t[pos] != PAD:
+            raise MalformedSequenceError("non-PAD token after EOS", pos)
+
+    if not body:
+        return SeamSet.empty()
+    yzx = np.asarray(body, dtype=np.int64).reshape(-1, 2, 3)
+    xyz_bins = yzx[:, :, [2, 0, 1]]  # back to (x, y, z) storage order
+    return canonicalize(SeamSet(segments=dequantize(xyz_bins)))

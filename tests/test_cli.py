@@ -154,6 +154,33 @@ def test_tokenize_empty_seam_file(tmp_path):
     assert read_token_text(tok.read_text()).tokens.tolist() == [BOS, EOS]
 
 
+def _far_seam_text():
+    # the 0.7 is the third content line's, on the file's fifth line
+    return "# far\n0 0 0 0.1 0.1 0.1\n\n0.2 0 0 0.3 0 0\n0 0.1 0.2 0.3 0.7 0\n"
+
+
+def test_tokenize_coordinate_outside_cube_names_file_and_line(tmp_path, capsys):
+    far = tmp_path / "far.seams"
+    far.write_text(_far_seam_text())
+    out = tmp_path / "out.tokens"
+    assert main(["tokenize", str(far), str(out)]) == 2
+    assert f"error: {far}: seam line 5: coordinate 0.7 outside [-0.5, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_file_mode_follows_umask(tmp_path, umask):
+    seam_file = tmp_path / "in.seams"
+    seam_file.write_text("0 0 0 0.1 0.1 0.1\n")
+    out = tmp_path / "out.tokens"
+    old = os.umask(umask)
+    try:
+        assert main(["tokenize", str(seam_file), str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_project_segment_along_edge(grid_obj, tmp_path):
     mesh, tf = normalize(load_obj(grid_obj))
     a, b = grid_vertex(6, 2, 3), grid_vertex(6, 3, 3)
@@ -562,7 +589,7 @@ def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path,
     norm, _ = normalize(load_obj(grid_obj.read_bytes()))
     clouds = [sampling.build_conditioning_clouds(norm, n_topo=64, n_geom=64, seed=s) for s in (0, 1)]
     tokens = [
-        encode(canonicalize(read_seam_text((cand_dir / f"cand_{i}.seams").read_text()))).tokens
+        encode(read_seam_text((cand_dir / f"cand_{i}.seams").read_text())).tokens
         for i in range(3)
     ]
     items = [(clouds[0], (tokens[0], tokens[1 + k % 2])) for k in range(3)]
@@ -617,6 +644,18 @@ def test_dpo_malformed_pair_record_exit_2(grid_obj, tmp_path, capsys, line, mess
     out = tmp_path / "out.ckpt"
     assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
     assert f"{pairs}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dpo_candidate_coordinate_outside_cube_names_file_and_line(grid_obj, tmp_path, capsys):
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 1)])
+    far = pairs.parent / "cand_1.seams"
+    far.write_text(_far_seam_text())
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    assert f"error: {far}: seam line 5: coordinate 0.7 outside [-0.5, 0.5]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamkit.tokenizer import (
     BOS,
     EOS,
     HALF_BIN,
+    N_BINS,
     PAD,
     CoordinateRangeError,
     MalformedSequenceError,
-    NotCanonicalError,
     SeamSet,
     TokenizerError,
     TokenSequence,
@@ -22,6 +24,7 @@ from seamkit.tokenizer import (
     write_seam_text,
     write_token_text,
 )
+from tests import loop_reference as ref
 
 
 def random_seam_set(rng, n=None) -> SeamSet:
@@ -55,6 +58,11 @@ def test_quantize_clamp_and_range_error():
     assert quantize(-0.5 - 5e-10) == 0
     with pytest.raises(CoordinateRangeError):
         quantize(0.5 + 1e-6)
+    # NaN and inf are outside the cube too; the first offending one is named
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(CoordinateRangeError, match="outside") as err:
+            quantize([0.1, bad, 0.7])
+        assert err.value.index == 1 and str(bad) in str(err.value)
 
 
 def test_canonicalize_swaps_endpoints():
@@ -146,15 +154,15 @@ def test_encode_token_order_is_yzx():
     ]
 
 
-def test_encode_rejects_non_canonical():
-    hi = [0.4, 0.4, 0.4]
-    lo = [-0.4, -0.4, -0.4]
-    with pytest.raises(NotCanonicalError):
-        encode(SeamSet(segments=np.array([[hi, lo]])))
-    a = [[-0.4, -0.4, -0.4], [-0.3, -0.3, -0.3]]
-    b = [[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]
-    with pytest.raises(NotCanonicalError):
-        encode(SeamSet(segments=np.array([b, a])))  # unsorted segments
+def test_encode_is_encode_of_canonical_form():
+    rng = np.random.default_rng(7)
+    base = random_seam_set(rng, 30)
+    expected = encode(canonicalize(base))
+    for _ in range(10):
+        segs = base.segments[rng.permutation(len(base))].copy()
+        flips = rng.integers(0, 2, size=len(segs)).astype(bool)
+        segs[flips] = segs[flips][:, ::-1]
+        assert encode(SeamSet(segments=segs)) == expected
 
 
 def test_decode_trivial_and_errors():
@@ -214,3 +222,77 @@ def test_token_text_round_trip():
     rng = np.random.default_rng(6)
     toks = encode(canonicalize(random_seam_set(rng, 9)))
     assert read_token_text(write_token_text(toks)) == toks
+
+
+def test_every_bin_survives_the_seam_text_round_trip():
+    # each axis of each endpoint takes all 1024 bin centres
+    bins = np.arange(N_BINS)[:, None, None]
+    expected = np.broadcast_to(np.concatenate([bins, bins[::-1]], axis=1), (N_BINS, 2, 3))
+    back = read_seam_text(write_seam_text(SeamSet(segments=dequantize(expected))))
+    np.testing.assert_array_equal(quantize(back.segments), expected)
+
+
+# Equivalence with the per-segment and per-token loop versions in loop_reference.
+
+_coordinates = st.one_of(
+    st.floats(-0.5, 0.5),
+    st.sampled_from(np.linspace(-0.5, 0.5, 6).tolist()),  # a coarse lattice: ties, duplicates, zero-length segments
+    st.builds(  # bin edges, jittered by 1e-7 either way
+        lambda k, d: min(max(k / N_BINS - 0.5 + d, -0.5), 0.5),
+        st.integers(0, N_BINS),
+        st.sampled_from([-1e-7, 0.0, 1e-7]),
+    ),
+)
+
+
+@st.composite
+def _seam_sets(draw):
+    """Segments between points of a small pool, so endpoints, segments and
+    flipped segments repeat; near twins of pool points (one axis moved by
+    1e-7) share their bins but not their floats."""
+    points = draw(st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=1, max_size=8))
+    twins = draw(st.lists(st.tuples(st.sampled_from(points), st.integers(0, 2), st.sampled_from([-1e-7, 1e-7]))))
+    for point, axis, d in twins:
+        twin = list(point)
+        twin[axis] = min(max(twin[axis] + d, -0.5), 0.5)
+        points.append(tuple(twin))
+    index = st.integers(0, len(points) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=24))
+    return SeamSet(segments=np.array([[points[a], points[b]] for a, b in pairs]).reshape(-1, 2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seam_sets())
+def test_canonicalize_matches_loop_reference(seams):
+    got, expected = canonicalize(seams), ref.canonicalize(seams)
+    assert got.segments.shape == expected.segments.shape
+    assert got.segments.tobytes() == expected.segments.tobytes()
+
+
+@st.composite
+def _token_strings(draw):
+    """Either arbitrary strings over coordinate and special tokens, or a
+    well-formed layout (sometimes with a body cut short) with one token
+    possibly inserted."""
+    token = st.one_of(st.integers(0, N_BINS - 1), st.sampled_from([BOS, EOS, PAD]))
+    if draw(st.booleans()):
+        return draw(st.lists(token, max_size=30))
+    n = 6 * draw(st.integers(0, 4)) + draw(st.sampled_from([0, 0, 0, 1, 5]))
+    body = draw(st.lists(st.integers(0, N_BINS - 1), min_size=n, max_size=n))
+    tokens = [BOS, *body, EOS] + [PAD] * draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(token))
+    return tokens
+
+
+def _decode_outcome(decode_fn, tokens):
+    try:
+        return decode_fn(TokenSequence(tokens=tokens)).segments.tobytes()
+    except MalformedSequenceError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=500, deadline=None)
+@given(_token_strings())
+def test_decode_matches_loop_reference(tokens):
+    assert _decode_outcome(decode, tokens) == _decode_outcome(ref.decode, tokens)
