@@ -419,7 +419,8 @@ def _read_json(path: str, parse):
 
 def _read_candidates(cand_dir: str):
     """(mesh, seed) of the run and its candidates' metrics; each candidate's
-    seam file must parse, and ``prefpairs`` needs two candidates."""
+    seam file must tokenize, as ``seamkit dpo`` will tokenize it, and
+    ``prefpairs`` needs two candidates."""
     run_info = _read_json(
         os.path.join(cand_dir, "run.json"),
         lambda d: (metrics_mod.json_field(d, "mesh", str), metrics_mod.json_field(d, "seed", int)),
@@ -431,7 +432,7 @@ def _read_candidates(cand_dir: str):
         json_path = os.path.join(cand_dir, f"cand_{i}.json")
         if not (os.path.exists(seam_path) and os.path.exists(json_path)):
             break
-        _load_seams(seam_path)
+        _seam_tokens(seam_path)
         cands.append(_read_json(json_path, metrics_mod.SeamMetrics.from_dict))
         i += 1
     if len(cands) < 2:

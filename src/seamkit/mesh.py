@@ -201,7 +201,9 @@ class SeamEdgeSet:
         return sorted(self.edges)
 
     def to_text(self) -> str:
-        return "".join(f"{a} {b}\n" for a, b in self.sorted_edges())
+        """One edge per line, ``%d %d`` (smaller vertex index first), in
+        ascending order."""
+        return format_records("%d %d\n", np.reshape(self.sorted_edges(), (-1, 2)))
 
     @classmethod
     def from_text(cls, text: str) -> "SeamEdgeSet":
@@ -317,6 +319,18 @@ def content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line
+
+
+def format_records(line: str, rows) -> str:
+    """``line % tuple(row)`` for every row of the 2-D array ``rows``, concatenated.
+
+    ``line`` holds one ``%`` conversion per column; the whole text is one
+    ``%``-format of ``line`` repeated once per row, over ``rows.tolist()``.
+    Floats become Python floats first, so ``%.9g`` gives the same text as
+    ``f"{x:.9g}"`` on the array element.
+    """
+    rows = np.asarray(rows)
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def int64(text: str) -> int:
@@ -536,22 +550,40 @@ def _indices(tokens: np.ndarray) -> np.ndarray:
 
 
 def save_obj(mesh: IndexedMesh) -> str:
-    """Serialize to OBJ text with 9 significant digits per coordinate."""
-    out = []
-    for x, y, z in mesh.vertices:
-        out.append(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-    if mesh.has_uvs:
-        for u, v in mesh.uv_corners:
-            out.append(f"vt {u:.9g} {v:.9g}\n")
-        for f, (a, b, c) in enumerate(mesh.triangles):
-            base = 3 * f
-            out.append(
-                f"f {a + 1}/{base + 1} {b + 1}/{base + 2} {c + 1}/{base + 3}\n"
-            )
+    """Serialize to OBJ text, coordinates at 9 significant digits (``%.9g``).
+
+    With UVs the texture coordinates are corner-indexed: one ``vt`` line per
+    row of ``uv_corners`` and faces ``f v/t``, where corner ``k`` of face
+    ``f`` refers to ``vt`` number ``3f + k + 1``.  Without UVs faces are
+    ``f v``.  See ``obj_text`` for the line formats.
+    """
+    if not mesh.has_uvs:
+        return obj_text(mesh.vertices, mesh.triangles)
+    corners = np.arange(3 * mesh.n_triangles).reshape(-1, 3)
+    return obj_text(mesh.vertices, mesh.triangles, mesh.uv_corners, corners)
+
+
+def obj_text(vertices, triangles, texcoords=None, texture_index=None) -> str:
+    """OBJ text of (V, 3) vertices and (F, 3) 0-based triangles.
+
+    Lines come in the order ``v``, ``vt``, ``f``, one record each::
+
+        v %.9g %.9g %.9g
+        vt %.9g %.9g          (one per row of texcoords)
+        f %d/%d %d/%d %d/%d   (vertex/texture, 1-based), or
+        f %d %d %d            (without texcoords)
+
+    ``texture_index[f, k]`` is the 0-based row of ``texcoords`` that corner
+    ``k`` of face ``f`` refers to.
+    """
+    parts = [format_records("v %.9g %.9g %.9g\n", vertices)]
+    if texcoords is None:
+        parts.append(format_records("f %d %d %d\n", triangles + 1))
     else:
-        for a, b, c in mesh.triangles:
-            out.append(f"f {a + 1} {b + 1} {c + 1}\n")
-    return "".join(out)
+        parts.append(format_records("vt %.9g %.9g\n", texcoords))
+        corners = np.stack([triangles + 1, texture_index + 1], axis=2)
+        parts.append(format_records("f %d/%d %d/%d %d/%d\n", corners.reshape(-1, 6)))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seamkit.mesh import DegenerateInputError, IndexedMesh
+from seamkit.mesh import DegenerateInputError, IndexedMesh, format_records
 
 # Paper-scale cloud sizes; tests and the desk harness override these.
 DEFAULT_N_TOPO = 30_720
@@ -125,5 +125,5 @@ def build_conditioning_clouds(
 
 
 def write_xyz(points: np.ndarray) -> str:
-    """XYZ text export: one point per line."""
-    return "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in np.asarray(points))
+    """XYZ text export: one point per line, ``%.9g %.9g %.9g``."""
+    return format_records("%.9g %.9g %.9g\n", np.asarray(points))

@@ -1,4 +1,13 @@
-"""Synthetic test meshes: grids, cubes, cylinders, spheres, L-extrusions."""
+"""Synthetic test meshes: grids, cubes, cylinders, spheres, L-extrusions.
+
+The vertex, triangle and UV order of every generator is a contract, not an
+implementation detail: the ``perfbench`` seed-0 references and the meshes
+of ``tests/corpus.py`` pin seams, fragments and tokens to vertex and face
+numbers.  The generators are built with array operations and must give the
+same arrays, bit for bit, as the per-element loops kept in
+``tests/loop_reference.py``.  Every generator checks its sizes first and
+raises ``ValueError`` naming the argument.
+"""
 
 from __future__ import annotations
 
@@ -7,22 +16,51 @@ import numpy as np
 from seamkit.mesh import IndexedMesh
 
 
+# the corners 0..3 of a quad, split into triangles (0, 1, 2) and (0, 2, 3)
+_QUAD_SPLIT = [0, 1, 2, 0, 2, 3]
+
+
+def _check_sizes(**sizes) -> None:
+    """Raise ValueError unless every ``name=(value, least)`` has ``value >= least``."""
+    for name, (value, least) in sizes.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the angles ``2 pi i / n`` for i < n.
+
+    One scalar call per angle: numpy may evaluate an array by another path
+    than a scalar, and the coordinates are fixed to the scalar values.
+    """
+    angles = [2 * np.pi * i / n for i in range(n)]
+    return np.array([np.cos(t) for t in angles]), np.array([np.sin(t) for t in angles])
+
+
+def _lattice_triangles(g: np.ndarray) -> np.ndarray:
+    """The corner values ``g[r, c, ...]`` of each triangle of the lattice ``g``.
+
+    Cell (r, c) is the quad (r, c), (r, c+1), (r+1, c+1), (r+1, c), split
+    into two triangles; cells in C order, one row per triangle corner.
+    """
+    quads = np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1]], axis=2)
+    return quads[:, :, _QUAD_SPLIT].reshape((-1,) + g.shape[2:])
+
+
 def make_grid(nx: int = 8, ny: int = 8, width: float = 1.0, height: float = 1.0) -> IndexedMesh:
-    """Planar (nx x ny)-cell grid in the z=0 plane."""
+    """Planar (nx x ny)-cell grid in the z=0 plane.
+
+    Vertex (i, j) is ``j * (nx + 1) + i``; cell (i, j), rows j outermost,
+    gives triangles (v00, v10, v11) and (v00, v11, v01).
+    """
+    _check_sizes(nx=(nx, 1), ny=(ny, 1))
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    # index (i, j) -> j * (nx + 1) + i
-    verts = [(xs[i], ys[j], 0.0) for j in range(ny + 1) for i in range(nx + 1)]
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00 = j * (nx + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (nx + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return IndexedMesh(vertices=np.array(verts), triangles=np.array(tris))
+    verts = np.stack(
+        [np.tile(xs, ny + 1), np.repeat(ys, nx + 1), np.zeros((ny + 1) * (nx + 1))], axis=1
+    )
+    ids = np.arange((ny + 1) * (nx + 1)).reshape(ny + 1, nx + 1)
+    return IndexedMesh(vertices=verts, triangles=_lattice_triangles(ids).reshape(-1, 3))
 
 
 def grid_vertex(nx: int, i: int, j: int) -> int:
@@ -60,45 +98,39 @@ def make_cube(n: int = 1, with_uv: bool = True, side: float = 1.0) -> IndexedMes
     """Watertight axis-aligned cube, each face an n x n grid.
 
     With ``with_uv`` every face gets its own UV island (six islands in a
-    row), so all face-border edges are UV seams.
+    row), so all face-border edges are UV seams.  Face points that round to
+    the same point of the (2n+1)^3 lattice are welded into one vertex,
+    numbered in the order of first use (faces in ``_CUBE_FACES`` order, then
+    grid point (a, b) with a outermost).
     """
-    weld: dict[tuple[int, int, int], int] = {}
-    verts: list[np.ndarray] = []
-    tris: list[tuple[int, int, int]] = []
-    uvs: list[tuple[float, float]] = []
+    _check_sizes(n=(n, 1))
+    nrm, ud, vd = (np.array(axis)[:, None, None] for axis in zip(*_CUBE_FACES))
+    s = np.arange(n + 1) / n
+    # points[f, a, b]: grid point (a, b) of face f
+    points = side * (
+        0.5 * nrm + (s - 0.5)[:, None, None] * ud + (s - 0.5)[:, None] * vd
+    )
+    keys = np.rint(points * 2 * n / side).astype(np.int64).reshape(-1, 3)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    ids = number[inverse.reshape(-1)].reshape(6, n + 1, n + 1)
 
-    def vertex_at(p: np.ndarray) -> int:
-        key = tuple(int(round(c * 2 * n / side)) for c in p)
-        if key not in weld:
-            weld[key] = len(verts)
-            verts.append(p)
-        return weld[key]
+    def triangles_of(g):
+        # the corners (a, b), (a+1, b), (a+1, b+1), (a, b+1) of each quad of every face
+        quads = np.stack([g[:, :-1, :-1], g[:, 1:, :-1], g[:, 1:, 1:], g[:, :-1, 1:]], axis=3)
+        return quads[:, :, :, _QUAD_SPLIT].reshape((-1,) + g.shape[3:])
 
-    for fi, (nrm, ud, vd) in enumerate(_CUBE_FACES):
-        corner_ids = np.empty((n + 1, n + 1), dtype=np.int64)
-        for a in range(n + 1):
-            for b in range(n + 1):
-                su, sv = a / n, b / n
-                p = side * (0.5 * nrm + (su - 0.5) * ud + (sv - 0.5) * vd)
-                corner_ids[a, b] = vertex_at(p)
-        for a in range(n):
-            for b in range(n):
-                quad = (
-                    (corner_ids[a, b], (a, b)),
-                    (corner_ids[a + 1, b], (a + 1, b)),
-                    (corner_ids[a + 1, b + 1], (a + 1, b + 1)),
-                    (corner_ids[a, b + 1], (a, b + 1)),
-                )
-                for t in ((0, 1, 2), (0, 2, 3)):
-                    tris.append(tuple(quad[k][0] for k in t))
-                    if with_uv:
-                        for k in t:
-                            ga, gb = quad[k][1]
-                            uvs.append((fi + ga / n, gb / n))
+    uvs = None
+    if with_uv:
+        # face f's island: u = f + a / n, v = b / n
+        u = np.arange(6)[:, None] + s
+        uvs = triangles_of(np.stack(np.broadcast_arrays(u[:, :, None], s), axis=-1))
     return IndexedMesh(
-        vertices=np.array(verts),
-        triangles=np.array(tris),
-        uv_corners=np.array(uvs) if with_uv else None,
+        vertices=points.reshape(-1, 3)[first[order]],
+        triangles=triangles_of(ids).reshape(-1, 3),
+        uv_corners=uvs,
     )
 
 
@@ -111,75 +143,58 @@ def make_cylinder(
 ) -> IndexedMesh:
     """Open tube around the y axis (no caps), welded around the circumference.
 
-    UVs implement the analytic isometric unroll, cut along the theta=0
-    generator line, so the UV seams are exactly that vertical edge column.
+    Vertex (k, i), ring k from the bottom and angle ``2 pi i / n_theta``, is
+    ``k * n_theta + i``.  UVs implement the analytic isometric unroll, cut
+    along the theta=0 generator line, so the UV seams are exactly that
+    vertical edge column.
     """
-    verts = []
-    for k in range(n_z + 1):
-        y = height * (k / n_z) - height / 2
-        for i in range(n_theta):
-            th = 2 * np.pi * i / n_theta
-            verts.append((radius * np.cos(th), y, radius * np.sin(th)))
-
-    def vid(k: int, i: int) -> int:
-        return k * n_theta + (i % n_theta)
-
-    circumference = 2 * np.pi * radius
-    tris = []
-    uvs = []
-    for k in range(n_z):
-        for i in range(n_theta):
-            quad_ids = (vid(k, i), vid(k, i + 1), vid(k + 1, i + 1), vid(k + 1, i))
-            # unwrapped u uses the unwrapped theta index (i + 1 may equal n_theta)
-            quad_uv = (
-                (i * circumference / n_theta, height * k / n_z),
-                ((i + 1) * circumference / n_theta, height * k / n_z),
-                ((i + 1) * circumference / n_theta, height * (k + 1) / n_z),
-                (i * circumference / n_theta, height * (k + 1) / n_z),
-            )
-            for t in ((0, 1, 2), (0, 2, 3)):
-                tris.append(tuple(quad_ids[j] for j in t))
-                if with_uv:
-                    uvs.extend(quad_uv[j] for j in t)
+    _check_sizes(n_theta=(n_theta, 3), n_z=(n_z, 1))
+    cos_t, sin_t = _unit_circle(n_theta)
+    y = height * (np.arange(n_z + 1) / n_z) - height / 2
+    shape = (n_z + 1, n_theta)
+    verts = np.stack(
+        [
+            np.broadcast_to(radius * cos_t, shape),
+            np.broadcast_to(y[:, None], shape),
+            np.broadcast_to(radius * sin_t, shape),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    # column n_theta repeats column 0: the tube closes on itself
+    ids = np.arange(n_z + 1)[:, None] * n_theta + np.arange(n_theta + 1) % n_theta
+    uvs = None
+    if with_uv:
+        # unwrapped u uses the unwrapped theta index (i + 1 may equal n_theta)
+        u = np.arange(n_theta + 1) * (2 * np.pi * radius) / n_theta
+        v = height * np.arange(n_z + 1) / n_z
+        uvs = _lattice_triangles(np.stack(np.broadcast_arrays(u, v[:, None]), axis=-1))
     return IndexedMesh(
-        vertices=np.array(verts),
-        triangles=np.array(tris),
-        uv_corners=np.array(uvs) if with_uv else None,
+        vertices=verts, triangles=_lattice_triangles(ids).reshape(-1, 3), uv_corners=uvs
     )
 
 
 def make_sphere(n_lat: int = 8, n_lon: int = 12, radius: float = 0.5) -> IndexedMesh:
-    """Closed UV sphere with welded poles."""
-    verts = [(0.0, radius, 0.0)]
-    for k in range(1, n_lat):
-        phi = np.pi * k / n_lat
-        for i in range(n_lon):
-            th = 2 * np.pi * i / n_lon
-            verts.append(
-                (
-                    radius * np.sin(phi) * np.cos(th),
-                    radius * np.cos(phi),
-                    radius * np.sin(phi) * np.sin(th),
-                )
-            )
-    verts.append((0.0, -radius, 0.0))
+    """Closed UV sphere with welded poles.
+
+    Vertex 0 is the north pole (+y), the last vertex the south pole, and
+    vertex ``1 + (k - 1) * n_lon + i`` is point i of ring k, 0 < k < n_lat.
+    Triangles: the north fan, the bands between rings, the south fan.
+    """
+    _check_sizes(n_lat=(n_lat, 2), n_lon=(n_lon, 3))
+    cos_t, sin_t = _unit_circle(n_lon)
+    phi = [np.pi * k / n_lat for k in range(1, n_lat)]
+    ring_radius = radius * np.array([np.sin(p) for p in phi])[:, None]
+    ring_y = radius * np.array([np.cos(p) for p in phi])[:, None]
+    rings = np.stack(
+        [ring_radius * cos_t, np.repeat(ring_y, n_lon, axis=1), ring_radius * sin_t], axis=-1
+    ).reshape(-1, 3)
+    verts = np.concatenate([[(0.0, radius, 0.0)], rings, [(0.0, -radius, 0.0)]])
     south = len(verts) - 1
-
-    def ring(k: int, i: int) -> int:
-        return 1 + (k - 1) * n_lon + (i % n_lon)
-
-    tris = []
-    for i in range(n_lon):
-        tris.append((0, ring(1, i + 1), ring(1, i)))
-    for k in range(1, n_lat - 1):
-        for i in range(n_lon):
-            a, b = ring(k, i), ring(k, i + 1)
-            c, d = ring(k + 1, i + 1), ring(k + 1, i)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    for i in range(n_lon):
-        tris.append((south, ring(n_lat - 1, i), ring(n_lat - 1, i + 1)))
-    return IndexedMesh(vertices=np.array(verts), triangles=np.array(tris))
+    ring = 1 + np.arange(n_lat - 1)[:, None] * n_lon + np.arange(n_lon + 1) % n_lon
+    north_fan = np.stack([np.zeros(n_lon, np.int64), ring[0, 1:], ring[0, :-1]], axis=1)
+    south_fan = np.stack([np.full(n_lon, south), ring[-1, :-1], ring[-1, 1:]], axis=1)
+    bands = _lattice_triangles(ring).reshape(-1, 3)
+    return IndexedMesh(vertices=verts, triangles=np.concatenate([north_fan, bands, south_fan]))
 
 
 def make_tetrahedron(scale: float = 1.0) -> IndexedMesh:
@@ -232,6 +247,5 @@ def make_random_hull(n_points: int = 30, seed: int = 0, scale: float = 1.0) -> I
     pts = rng.normal(size=(n_points, 3)) * scale
     hull = ConvexHull(pts)
     used = np.unique(hull.simplices)
-    remap = {int(o): i for i, o in enumerate(used)}
-    tris = np.array([[remap[int(v)] for v in s] for s in hull.simplices])
-    return IndexedMesh(vertices=pts[used], triangles=tris)
+    # renumber the hull's points in ascending order of their input index
+    return IndexedMesh(vertices=pts[used], triangles=np.searchsorted(used, hull.simplices))

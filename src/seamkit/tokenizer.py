@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seamkit.mesh import content_lines, int64
+from seamkit.mesh import content_lines, format_records, int64
 
 N_BINS = 1024
 BOS = 1024
@@ -195,12 +195,9 @@ def decode(tokens: TokenSequence) -> SeamSet:
 
 
 def write_seam_text(seams: SeamSet) -> str:
-    """One segment per line: x1 y1 z1 x2 y2 z2 (canonical-cube coordinates)."""
-    lines = []
-    for seg in seams.segments:
-        vals = " ".join(f"{v:.9g}" for v in seg.reshape(-1))
-        lines.append(vals + "\n")
-    return "".join(lines)
+    """One segment per line, ``%.9g %.9g %.9g %.9g %.9g %.9g``: x1 y1 z1 x2 y2 z2
+    in canonical-cube coordinates, in the set's segment order."""
+    return format_records("%.9g %.9g %.9g %.9g %.9g %.9g\n", seams.segments.reshape(-1, 6))
 
 
 def read_seam_text(text: str) -> SeamSet:
@@ -225,8 +222,8 @@ def read_seam_text(text: str) -> SeamSet:
 
 
 def write_token_text(tokens: TokenSequence) -> str:
-    """One integer per line."""
-    return "".join(f"{int(t)}\n" for t in tokens.tokens)
+    """One integer per line, ``%d``."""
+    return format_records("%d\n", tokens.tokens.reshape(-1, 1))
 
 
 def read_token_text(text: str) -> TokenSequence:

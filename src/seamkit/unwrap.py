@@ -14,8 +14,10 @@ from seamkit.mesh import (
     IndexedMesh,
     MeshError,
     SeamEdgeSet,
+    format_records,
     index_edges,
     matched_corners,
+    obj_text,
     triangle_normals,
 )
 
@@ -515,31 +517,35 @@ def layout_uv(atlas: UVAtlas) -> np.ndarray:
 
 
 def atlas_to_obj(atlas: UVAtlas) -> str:
-    """OBJ export (v + vt + f v/vt) with islands laid out side by side."""
-    uv = layout_uv(atlas)
-    lines = []
-    for x, y, z in atlas.vertices:
-        lines.append(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-    for u, v in uv:
-        lines.append(f"vt {u:.9g} {v:.9g}\n")
-    for a, b, c in atlas.triangles:
-        lines.append(f"f {a + 1}/{a + 1} {b + 1}/{b + 1} {c + 1}/{c + 1}\n")
-    return "".join(lines)
+    """OBJ export with islands laid out side by side (``layout_uv``).
+
+    The texture coordinates are vertex-indexed: one ``vt`` line per cut-mesh
+    vertex, and faces ``f v/v``, each corner's ``vt`` number equal to its
+    vertex number.  Coordinates are written with ``%.9g``; see
+    ``mesh.obj_text`` for the line formats.
+    """
+    return obj_text(atlas.vertices, atlas.triangles, layout_uv(atlas), atlas.triangles)
 
 
-def _ramp(t: float) -> str:
-    """Light-to-bright-yellow color ramp; brighter means more distortion."""
+def _ramp(t: np.ndarray) -> np.ndarray:
+    """Light-to-bright-yellow color ramp; brighter means more distortion.
+
+    Each value of ``t``, clipped to [0, 1], gives one row of integer-valued
+    RGB channels (truncated toward zero), an (n, 3) float array.
+    """
     lo = np.array([255.0, 252.0, 224.0])
     hi = np.array([255.0, 196.0, 0.0])
-    c = lo + (hi - lo) * min(max(t, 0.0), 1.0)
-    return f"rgb({int(c[0])},{int(c[1])},{int(c[2])})"
+    return np.trunc(lo + (hi - lo) * np.clip(t, 0.0, 1.0)[:, None])
 
 
 def atlas_to_svg(atlas: UVAtlas) -> str:
     """SVG atlas: islands side by side, per-triangle fill from the distortion term.
 
     The color ramp is clipped at the 95th percentile of the per-triangle
-    terms, so a few extreme triangles do not wash out the rest.
+    terms, so a few extreme triangles do not wash out the rest; excluded
+    triangles are grey, ``rgb(200,200,200)``.  Each triangle is one line,
+    ``<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="rgb(%d,%d,%d)" .../>``,
+    in triangle order, with the v axis flipped so that v points up the page.
     """
     uv = layout_uv(atlas)
     terms = atlas.distortion_terms()
@@ -558,24 +564,20 @@ def atlas_to_svg(atlas: UVAtlas) -> str:
     height = span[1] * scale
     pad = 0.01 * width
 
-    parts = [
+    header = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + 2 * pad:.1f}" '
         f'height="{height + 2 * pad:.1f}" viewBox="0 0 {width + 2 * pad:.1f} {height + 2 * pad:.1f}">\n'
-    ]
-    parts.append('<rect width="100%" height="100%" fill="white"/>\n')
-    for f, (a, b, c) in enumerate(atlas.triangles):
-        pts = []
-        for v in (a, b, c):
-            x = (uv[v, 0] - lo[0]) * scale + pad
-            y = height - (uv[v, 1] - lo[1]) * scale + pad  # flip v axis
-            pts.append(f"{x:.2f},{y:.2f}")
-        if atlas.excluded[f]:
-            fill = "rgb(200,200,200)"
-        else:
-            fill = _ramp(terms[f] / p95)
-        parts.append(
-            f'<polygon points="{" ".join(pts)}" fill="{fill}" '
-            'stroke="rgb(120,120,120)" stroke-width="0.3"/>\n'
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
+        '<rect width="100%" height="100%" fill="white"/>\n'
+    )
+    x = (uv[:, 0] - lo[0]) * scale + pad
+    y = height - (uv[:, 1] - lo[1]) * scale + pad  # flip v axis
+    points = np.stack([x, y], axis=1)[atlas.triangles].reshape(-1, 6)
+    fill = np.empty((len(points), 3))
+    fill[atlas.excluded] = 200.0  # grey
+    fill[live] = _ramp(terms[live] / p95)
+    polygons = format_records(
+        '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="rgb(%d,%d,%d)" '
+        'stroke="rgb(120,120,120)" stroke-width="0.3"/>\n',
+        np.concatenate([points, fill], axis=1),
+    )
+    return header + polygons + "</svg>\n"

@@ -25,6 +25,12 @@ replaced: a stable argsort of the probabilities per candidate per step.
 versions of the tokenizer's canonical order and sequence-layout check.
 ``test_tokenizer.py`` requires the array versions to return byte-identical
 segments, and the same ``MalformedSequenceError`` message and position.
+
+The last section keeps the per-element ``shapes`` generators and the
+per-line text writers (OBJ, atlas OBJ and SVG, seam, seam-edge, token and
+XYZ text) that array-built lattices and ``mesh.format_records`` replaced.
+``test_writers.py`` requires the array versions to give the same text bytes
+and the same vertex, triangle and UV arrays, bit for bit.
 """
 
 import heapq
@@ -54,12 +60,16 @@ from seamkit.unwrap import (
     CutContractError,
     CutMesh,
     DegenerateIslandError,
+    SVG_WIDTH,
     IslandParam,
     SolveError,
     UnwrapError,
+    UVAtlas,
     _local_frames,
+    layout_uv,
 )
 from seamkit.projection import ProjectionError, UnreachableError
+from seamkit.shapes import _CUBE_FACES
 from seamkit.tokenizer import (
     BOS,
     EOS,
@@ -762,3 +772,273 @@ def decode(tokens: TokenSequence) -> SeamSet:
     yzx = np.asarray(body, dtype=np.int64).reshape(-1, 2, 3)
     xyz_bins = yzx[:, :, [2, 0, 1]]  # back to (x, y, z) storage order
     return canonicalize(SeamSet(segments=dequantize(xyz_bins)))
+
+
+# ---------------------------------------------------------------------------
+# Synthetic meshes and text writers
+
+
+def make_grid(nx: int = 8, ny: int = 8, width: float = 1.0, height: float = 1.0) -> IndexedMesh:
+    """Planar (nx x ny)-cell grid in the z=0 plane."""
+    xs = np.linspace(0.0, width, nx + 1)
+    ys = np.linspace(0.0, height, ny + 1)
+    # index (i, j) -> j * (nx + 1) + i
+    verts = [(xs[i], ys[j], 0.0) for j in range(ny + 1) for i in range(nx + 1)]
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v00 = j * (nx + 1) + i
+            v10 = v00 + 1
+            v01 = v00 + (nx + 1)
+            v11 = v01 + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return IndexedMesh(vertices=np.array(verts), triangles=np.array(tris))
+
+
+def make_cube(n: int = 1, with_uv: bool = True, side: float = 1.0) -> IndexedMesh:
+    """Watertight axis-aligned cube, each face an n x n grid.
+
+    With ``with_uv`` every face gets its own UV island (six islands in a
+    row), so all face-border edges are UV seams.
+    """
+    weld: dict[tuple[int, int, int], int] = {}
+    verts: list[np.ndarray] = []
+    tris: list[tuple[int, int, int]] = []
+    uvs: list[tuple[float, float]] = []
+
+    def vertex_at(p: np.ndarray) -> int:
+        key = tuple(int(round(c * 2 * n / side)) for c in p)
+        if key not in weld:
+            weld[key] = len(verts)
+            verts.append(p)
+        return weld[key]
+
+    for fi, (nrm, ud, vd) in enumerate(_CUBE_FACES):
+        corner_ids = np.empty((n + 1, n + 1), dtype=np.int64)
+        for a in range(n + 1):
+            for b in range(n + 1):
+                su, sv = a / n, b / n
+                p = side * (0.5 * nrm + (su - 0.5) * ud + (sv - 0.5) * vd)
+                corner_ids[a, b] = vertex_at(p)
+        for a in range(n):
+            for b in range(n):
+                quad = (
+                    (corner_ids[a, b], (a, b)),
+                    (corner_ids[a + 1, b], (a + 1, b)),
+                    (corner_ids[a + 1, b + 1], (a + 1, b + 1)),
+                    (corner_ids[a, b + 1], (a, b + 1)),
+                )
+                for t in ((0, 1, 2), (0, 2, 3)):
+                    tris.append(tuple(quad[k][0] for k in t))
+                    if with_uv:
+                        for k in t:
+                            ga, gb = quad[k][1]
+                            uvs.append((fi + ga / n, gb / n))
+    return IndexedMesh(
+        vertices=np.array(verts),
+        triangles=np.array(tris),
+        uv_corners=np.array(uvs) if with_uv else None,
+    )
+
+
+def make_cylinder(
+    n_theta: int = 16,
+    n_z: int = 16,
+    radius: float = 0.25,
+    height: float = 1.0,
+    with_uv: bool = True,
+) -> IndexedMesh:
+    """Open tube around the y axis (no caps), welded around the circumference.
+
+    UVs implement the analytic isometric unroll, cut along the theta=0
+    generator line, so the UV seams are exactly that vertical edge column.
+    """
+    verts = []
+    for k in range(n_z + 1):
+        y = height * (k / n_z) - height / 2
+        for i in range(n_theta):
+            th = 2 * np.pi * i / n_theta
+            verts.append((radius * np.cos(th), y, radius * np.sin(th)))
+
+    def vid(k: int, i: int) -> int:
+        return k * n_theta + (i % n_theta)
+
+    circumference = 2 * np.pi * radius
+    tris = []
+    uvs = []
+    for k in range(n_z):
+        for i in range(n_theta):
+            quad_ids = (vid(k, i), vid(k, i + 1), vid(k + 1, i + 1), vid(k + 1, i))
+            # unwrapped u uses the unwrapped theta index (i + 1 may equal n_theta)
+            quad_uv = (
+                (i * circumference / n_theta, height * k / n_z),
+                ((i + 1) * circumference / n_theta, height * k / n_z),
+                ((i + 1) * circumference / n_theta, height * (k + 1) / n_z),
+                (i * circumference / n_theta, height * (k + 1) / n_z),
+            )
+            for t in ((0, 1, 2), (0, 2, 3)):
+                tris.append(tuple(quad_ids[j] for j in t))
+                if with_uv:
+                    uvs.extend(quad_uv[j] for j in t)
+    return IndexedMesh(
+        vertices=np.array(verts),
+        triangles=np.array(tris),
+        uv_corners=np.array(uvs) if with_uv else None,
+    )
+
+
+def make_sphere(n_lat: int = 8, n_lon: int = 12, radius: float = 0.5) -> IndexedMesh:
+    """Closed UV sphere with welded poles."""
+    verts = [(0.0, radius, 0.0)]
+    for k in range(1, n_lat):
+        phi = np.pi * k / n_lat
+        for i in range(n_lon):
+            th = 2 * np.pi * i / n_lon
+            verts.append(
+                (
+                    radius * np.sin(phi) * np.cos(th),
+                    radius * np.cos(phi),
+                    radius * np.sin(phi) * np.sin(th),
+                )
+            )
+    verts.append((0.0, -radius, 0.0))
+    south = len(verts) - 1
+
+    def ring(k: int, i: int) -> int:
+        return 1 + (k - 1) * n_lon + (i % n_lon)
+
+    tris = []
+    for i in range(n_lon):
+        tris.append((0, ring(1, i + 1), ring(1, i)))
+    for k in range(1, n_lat - 1):
+        for i in range(n_lon):
+            a, b = ring(k, i), ring(k, i + 1)
+            c, d = ring(k + 1, i + 1), ring(k + 1, i)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    for i in range(n_lon):
+        tris.append((south, ring(n_lat - 1, i), ring(n_lat - 1, i + 1)))
+    return IndexedMesh(vertices=np.array(verts), triangles=np.array(tris))
+
+
+def make_random_hull(n_points: int = 30, seed: int = 0, scale: float = 1.0) -> IndexedMesh:
+    """Closed triangulated surface: convex hull of random points."""
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n_points, 3)) * scale
+    hull = ConvexHull(pts)
+    used = np.unique(hull.simplices)
+    remap = {int(o): i for i, o in enumerate(used)}
+    tris = np.array([[remap[int(v)] for v in s] for s in hull.simplices])
+    return IndexedMesh(vertices=pts[used], triangles=tris)
+
+
+def save_obj(mesh: IndexedMesh) -> str:
+    """Serialize to OBJ text with 9 significant digits per coordinate."""
+    out = []
+    for x, y, z in mesh.vertices:
+        out.append(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+    if mesh.has_uvs:
+        for u, v in mesh.uv_corners:
+            out.append(f"vt {u:.9g} {v:.9g}\n")
+        for f, (a, b, c) in enumerate(mesh.triangles):
+            base = 3 * f
+            out.append(
+                f"f {a + 1}/{base + 1} {b + 1}/{base + 2} {c + 1}/{base + 3}\n"
+            )
+    else:
+        for a, b, c in mesh.triangles:
+            out.append(f"f {a + 1} {b + 1} {c + 1}\n")
+    return "".join(out)
+
+
+def seam_edge_text(edges: SeamEdgeSet) -> str:
+    return "".join(f"{a} {b}\n" for a, b in edges.sorted_edges())
+
+
+def atlas_to_obj(atlas: UVAtlas) -> str:
+    """OBJ export (v + vt + f v/vt) with islands laid out side by side."""
+    uv = layout_uv(atlas)
+    lines = []
+    for x, y, z in atlas.vertices:
+        lines.append(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+    for u, v in uv:
+        lines.append(f"vt {u:.9g} {v:.9g}\n")
+    for a, b, c in atlas.triangles:
+        lines.append(f"f {a + 1}/{a + 1} {b + 1}/{b + 1} {c + 1}/{c + 1}\n")
+    return "".join(lines)
+
+
+def _ramp(t: float) -> str:
+    """Light-to-bright-yellow color ramp; brighter means more distortion."""
+    lo = np.array([255.0, 252.0, 224.0])
+    hi = np.array([255.0, 196.0, 0.0])
+    c = lo + (hi - lo) * min(max(t, 0.0), 1.0)
+    return f"rgb({int(c[0])},{int(c[1])},{int(c[2])})"
+
+
+def atlas_to_svg(atlas: UVAtlas) -> str:
+    """SVG atlas: islands side by side, per-triangle fill from the distortion term.
+
+    The color ramp is clipped at the 95th percentile of the per-triangle
+    terms, so a few extreme triangles do not wash out the rest.
+    """
+    uv = layout_uv(atlas)
+    terms = atlas.distortion_terms()
+    live = ~atlas.excluded
+    if live.any():
+        p95 = float(np.percentile(terms[live], 95))
+    else:
+        p95 = 1.0
+    p95 = max(p95, 1e-30)
+
+    lo = uv.min(axis=0)
+    hi = uv.max(axis=0)
+    span = np.maximum(hi - lo, 1e-12)
+    width = SVG_WIDTH
+    scale = width / span[0]
+    height = span[1] * scale
+    pad = 0.01 * width
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + 2 * pad:.1f}" '
+        f'height="{height + 2 * pad:.1f}" viewBox="0 0 {width + 2 * pad:.1f} {height + 2 * pad:.1f}">\n'
+    ]
+    parts.append('<rect width="100%" height="100%" fill="white"/>\n')
+    for f, (a, b, c) in enumerate(atlas.triangles):
+        pts = []
+        for v in (a, b, c):
+            x = (uv[v, 0] - lo[0]) * scale + pad
+            y = height - (uv[v, 1] - lo[1]) * scale + pad  # flip v axis
+            pts.append(f"{x:.2f},{y:.2f}")
+        if atlas.excluded[f]:
+            fill = "rgb(200,200,200)"
+        else:
+            fill = _ramp(terms[f] / p95)
+        parts.append(
+            f'<polygon points="{" ".join(pts)}" fill="{fill}" '
+            'stroke="rgb(120,120,120)" stroke-width="0.3"/>\n'
+        )
+    parts.append("</svg>\n")
+    return "".join(parts)
+
+
+def write_seam_text(seams: SeamSet) -> str:
+    """One segment per line: x1 y1 z1 x2 y2 z2 (canonical-cube coordinates)."""
+    lines = []
+    for seg in seams.segments:
+        vals = " ".join(f"{v:.9g}" for v in seg.reshape(-1))
+        lines.append(vals + "\n")
+    return "".join(lines)
+
+
+def write_token_text(tokens: TokenSequence) -> str:
+    """One integer per line."""
+    return "".join(f"{int(t)}\n" for t in tokens.tokens)
+
+
+def write_xyz(points: np.ndarray) -> str:
+    """XYZ text export: one point per line."""
+    return "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in np.asarray(points))

@@ -789,6 +789,16 @@ def test_prefpairs_bad_candidate_dir_exit_2(tmp_path, capsys, n, name, content, 
     assert not out.exists()
 
 
+def test_prefpairs_candidate_coordinate_outside_cube_names_file_and_line(tmp_path, capsys):
+    cand_dir = _candidate_dir(tmp_path, 2)
+    far = cand_dir / "cand_0.seams"
+    far.write_text("0 0 0 0.1 0.1 0.7\n")
+    out = tmp_path / "pairs.jsonl"
+    assert main(["prefpairs", str(cand_dir), str(out)]) == 2
+    assert f"error: {far}: seam line 1: coordinate 0.7 outside [-0.5, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cloud_size_checked_only_where_a_model_is_built(grid_obj, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(desk_config_text(l=32, n_topo=16))

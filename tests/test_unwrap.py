@@ -1,3 +1,4 @@
+import xml.etree.ElementTree as ET
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -29,6 +30,8 @@ from seamkit.unwrap import (
     unwrap_atlas,
     unwrap_mesh,
 )
+
+from tests.util import sliver_grid_atlas
 
 
 class UnionFindOracle:
@@ -411,3 +414,52 @@ def test_atlas_svg_export():
     svg = atlas_to_svg(atlas)
     assert svg.startswith("<svg")
     assert svg.count("<polygon") == mesh.n_triangles
+
+
+def _svg_polygons(svg):
+    root = ET.fromstring(svg)
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    return root.findall("{http://www.w3.org/2000/svg}polygon")
+
+
+def _uv_atlas(mesh):
+    return unwrap_mesh(mesh, extract_uv_seams(mesh))
+
+
+# atlases for the export tests, built when a test asks for one
+_EXPORT_ATLASES = {
+    "cube": lambda: _uv_atlas(make_cube(n=2)),
+    "cylinder": lambda: _uv_atlas(make_cylinder(12, 4)),
+    # a cut from the north pole partway down one meridian
+    "sphere": lambda: unwrap_mesh(
+        make_sphere(6, 8), SeamEdgeSet(edges=frozenset({(0, 1), (1, 9), (9, 17)}))
+    ),
+    "sliver-grid": sliver_grid_atlas,
+}
+
+
+@pytest.mark.parametrize("name", ["cube", "cylinder", "sliver-grid"])
+def test_atlas_svg_is_xml_with_one_polygon_per_triangle(name):
+    atlas = _EXPORT_ATLASES[name]()
+    polygons = _svg_polygons(atlas_to_svg(atlas))
+    assert len(polygons) == len(atlas.triangles)
+    for polygon in polygons:
+        assert len(polygon.get("points").split()) == 3
+
+
+def test_atlas_svg_excluded_triangles_are_grey():
+    atlas = sliver_grid_atlas()
+    fills = [polygon.get("fill") for polygon in _svg_polygons(atlas_to_svg(atlas))]
+    grey = [fill == "rgb(200,200,200)" for fill in fills]
+    assert grey == atlas.excluded.tolist()
+
+
+@pytest.mark.parametrize("name", ["cube", "sphere", "sliver-grid"])
+def test_atlas_obj_round_trip(name):
+    atlas = _EXPORT_ATLASES[name]()
+    back = load_obj(atlas_to_obj(atlas))
+    np.testing.assert_array_equal(back.triangles, atlas.triangles)
+    # 9 significant digits: a relative error of at most 5e-9 (plus parsing)
+    np.testing.assert_allclose(back.vertices, atlas.vertices, rtol=6e-9, atol=0)
+    expected_uv = layout_uv(atlas)[atlas.triangles].reshape(-1, 2)
+    np.testing.assert_allclose(back.uv_corners, expected_uv, rtol=6e-9, atol=0)
