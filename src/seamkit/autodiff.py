@@ -360,8 +360,12 @@ def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor | np
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
-    The pass consumes the graph: each interior node gives up its gradient,
-    parents and VJPs once they have been passed on, so a graph is
+    A leaf's gradient is added to the ``.grad`` it already holds, so
+    gradients accumulate over backward passes on several graphs that share
+    leaves: training builds and differentiates one condition group's graph
+    at a time, and peak memory is set by the largest group, not the
+    dataset.  The pass consumes the graph: each interior node gives up its
+    gradient, parents and VJPs once they have been passed on, so a graph is
     differentiated once.
     """
     order: list[Tensor] = []

@@ -503,10 +503,32 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
     ]
 
 
+def _check_record_metrics(records, line_nos, pairs_path: str, cand_dir: str) -> None:
+    """Each record's positive and negative metrics must equal the
+    ``cand_i.json`` of their candidate, where that file exists (each is read
+    once); else ``InputError`` naming the pairs file line and the file."""
+    evaluated: dict = {}
+    for rec, line_no in zip(records, line_nos):
+        for side, index, recorded in (
+            ("positive", rec.positive_index, rec.positive_metrics),
+            ("negative", rec.negative_index, rec.negative_metrics),
+        ):
+            path = os.path.join(cand_dir, f"cand_{index}.json")
+            if path not in evaluated:
+                evaluated[path] = (
+                    _read_json(path, metrics_mod.SeamMetrics.from_dict) if os.path.exists(path) else None
+                )
+            if evaluated[path] not in (None, recorded):
+                raise InputError(
+                    f"{pairs_path}: line {line_no}: {side} metrics differ from those in {path}"
+                )
+
+
 def cmd_dpo(args) -> int:
     cfg = load_config(args.config, args.seed)
+    text = _read_file(args.pairs)
     try:
-        records = dpo_mod.read_pair_records(_read_file(args.pairs))
+        records = dpo_mod.read_pair_records(text)
     except dpo_mod.DPOError as exc:
         raise InputError(f"{args.pairs}: {exc}") from exc
     policy = _policy_store(cfg)
@@ -515,6 +537,8 @@ def cmd_dpo(args) -> int:
         return EXIT_OK
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
+    line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
+    _check_record_metrics(records, line_nos, args.pairs, cand_dir)
     pairs = _pairs_from_records(records, cand_dir, cfg)
     reference = policy.copy()
     dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -28,6 +30,7 @@ from seamkit.metrics import SeamMetrics, json_field
 from seamkit.model import (
     ParameterStore,
     TrainingError,
+    _backward_per_group,
     _ConditionBatch,
     _group_conditions,
     _group_logprobs_t,
@@ -52,7 +55,10 @@ class DPOConfig:
     """Post-training hyperparameters; each pair carries its own pairing mode.
 
     Defaults: beta 0.1; 2,500 steps at learning rate 1e-6 (full-scale
-    settings; the desk harness overrides steps and learning rate).
+    settings; the desk harness overrides steps and learning rate).  The
+    ranges are those of the CLI settings: beta finite and > 0, the learning
+    rate finite and >= 0, steps an int >= 0; anything else raises
+    ``DPOError`` naming the field.
     """
 
     beta: float = 0.1
@@ -60,8 +66,12 @@ class DPOConfig:
     steps: int = 2500
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DPOError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise DPOError(f"beta must be > 0 and finite, got {self.beta!r}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise DPOError(f"learning_rate must be >= 0 and finite, got {self.learning_rate!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 0:
+            raise DPOError(f"steps must be an int >= 0, got {self.steps!r}")
 
 
 def dominates(a: SeamMetrics, b: SeamMetrics, mode: str = "joint") -> bool:
@@ -125,25 +135,53 @@ def _same_store(a: ParameterStore, b: ParameterStore) -> bool:
     )
 
 
-def _objective(logprobs, ref_logprobs, beta: float):
-    """Mean over pairs of -log sigma(beta * margin), where margin is
-    (log pi - log ref) of the chosen minus that of the rejected.
+def _pair_term(k: int, logprobs, ref_logprobs, beta: float) -> tuple:
+    """-log sigma(beta * margin) of pair ``k``, where margin is (log pi - log
+    ref) of the chosen minus that of the rejected.
 
-    ``logprobs`` and ``ref_logprobs`` hold one (chosen, rejected) per pair;
-    the terms are summed in pair order.  Returns (loss, per-pair (chosen,
-    rejected) log-ratios, margin floats); loss and log-ratios are Tensors
-    when ``logprobs`` are.
+    ``logprobs`` and ``ref_logprobs`` are the pair's (chosen, rejected).
+    Returns (term, chosen log-ratio, rejected log-ratio, margin): the term a
+    Tensor when ``logprobs`` are, the rest floats.
     """
-    ratios, margins, terms = [], [], []
-    for k, ((lp_c, lp_r), (ref_c, ref_r)) in enumerate(zip(logprobs, ref_logprobs)):
-        if not (np.isfinite(ad._value(lp_c)) and np.isfinite(ad._value(lp_r))):
-            raise DPOError(f"non-finite log-probability for pair {k}")
-        chosen, rejected = ad.sub(lp_c, ref_c), ad.sub(lp_r, ref_r)
-        margin = ad.sub(chosen, rejected)
-        ratios.append((chosen, rejected))
-        margins.append(float(ad._value(margin)))
-        terms.append(ad.scale(ad.log_sigmoid(ad.scale(margin, beta)), -1.0))
-    return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), ratios, margins
+    (lp_c, lp_r), (ref_c, ref_r) = logprobs, ref_logprobs
+    if not (np.isfinite(ad._value(lp_c)) and np.isfinite(ad._value(lp_r))):
+        raise DPOError(f"non-finite log-probability for pair {k}")
+    chosen, rejected = ad.sub(lp_c, ref_c), ad.sub(lp_r, ref_r)
+    margin = ad.sub(chosen, rejected)
+    term = ad.scale(ad.log_sigmoid(ad.scale(margin, beta)), -1.0)
+    return term, *(float(ad._value(x)) for x in (chosen, rejected, margin))
+
+
+def _policy_pass(batch: _ConditionBatch, policy: ParameterStore, refs, beta: float) -> tuple:
+    """One forward and backward pass of the objective, the mean over pairs of
+    ``_pair_term``, one condition group at a time
+    (``model._backward_per_group``): a group's share is the sum of its
+    pairs' terms over the number of pairs.
+
+    ``refs`` holds each pair's reference (chosen, rejected)
+    log-probabilities, or is None when the reference is the policy itself;
+    the pass then fills them in from its own values, so every margin is
+    exactly 0.  Returns (parameter tensors holding the gradient, refs, per
+    pair (term, chosen log-ratio, rejected log-ratio, margin) floats).
+    """
+    n_pairs = len(batch.index)
+    own_refs = refs is None
+    refs = [None] * n_pairs if own_refs else refs
+    values: list = [None] * n_pairs
+
+    def share(items, logprobs):
+        terms = []
+        for k in items:
+            _, chosen, rejected = batch.index[k]
+            lps = (logprobs[chosen], logprobs[rejected])
+            if own_refs:
+                refs[k] = (lps[0].value, lps[1].value)
+            term, *ratios_and_margin = _pair_term(k, lps, refs[k], beta)
+            terms.append(term)
+            values[k] = (float(term.value), *ratios_and_margin)
+        return ad.scale(reduce(ad.add, terms), 1.0 / n_pairs)
+
+    return _backward_per_group(batch, policy, share), refs, values
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +223,14 @@ def dpo_train(
     and their conditions prepared, once (``model._group_conditions``).  The
     reference store is read-only.  When it has the policy's config and
     bit-identical arrays, its log-probabilities are those of step 0's policy
-    pass; otherwise one pass over it computes them before step 0.  Logs loss,
+    pass; otherwise one pass over it computes them before step 0.  Each step
+    runs forward and backward once per condition group and accumulates the
+    gradients before its one update (``_policy_pass``), so peak memory is
+    set by the largest condition group, not by the dataset.  Logs loss,
     preference accuracy (fraction of pairs with positive margin) and the
-    ``DPOStepLog`` reward diagnostics per step.  Aborts when the loss stays
-    above DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE consecutive steps.
+    ``DPOStepLog`` reward diagnostics per step, each computed from per-pair
+    floats in pair order.  Aborts when the loss stays above
+    DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE consecutive steps.
     """
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
@@ -198,23 +240,18 @@ def dpo_train(
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):
-        p = policy.as_tensors()
-        logprobs = _pair_logprobs(batch, _group_logprobs_t(batch, p, policy.config))
-        if refs is None:
-            refs = [(c.value, r.value) for c, r in logprobs]
-        loss, ratios, margins = _objective(logprobs, refs, config.beta)
-        value = float(loss.value)
+        p, refs, values = _policy_pass(batch, policy, refs, config.beta)
+        value = reduce(operator.add, (term for term, *_ in values)) * (1.0 / len(values))
         if not np.isfinite(value):
             raise TrainingError(f"non-finite DPO loss at step {step}")
-        ad.backward(loss)
         grads = [p[name].grad for name in policy.trainable_names()]
-        rewards = config.beta * np.array([[c.value, r.value] for c, r in ratios])
+        rewards = config.beta * np.array([[chosen, rejected] for _, chosen, rejected, _ in values])
         reward_margins = rewards[:, 0] - rewards[:, 1]
         history.append(
             DPOStepLog(
                 step=step,
                 loss=value,
-                accuracy=float(np.mean([m > 0 for m in margins])),
+                accuracy=float(np.mean([margin > 0 for *_, margin in values])),
                 reward_chosen=float(rewards[:, 0].mean()),
                 reward_rejected=float(rewards[:, 1].mean()),
                 margin_mean=float(reward_margins.mean()),
@@ -305,6 +342,12 @@ def write_pair_records(records) -> str:
     return "".join(r.to_json() + "\n" for r in records)
 
 
+def record_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of every non-blank line: the
+    lines ``read_pair_records`` parses, in order."""
+    return [(n, line.strip()) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
 def read_pair_records(text: str) -> list[PairRecord]:
     """Parse pair records, one JSON object per non-blank line.
 
@@ -315,10 +358,7 @@ def read_pair_records(text: str) -> list[PairRecord]:
     number.
     """
     out = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, line in record_lines(text):
         try:
             out.append(PairRecord.from_json(line))
         except json.JSONDecodeError as exc:

@@ -25,7 +25,8 @@ decode of it alone up to float rounding, so a batch gives the samples of one
 ``sample`` call per seed.
 
 The forward code is written once over ``autodiff`` ops.  Training runs it on
-``ParameterStore.as_tensors()`` and differentiates the graph;
+``ParameterStore.as_tensors()`` and differentiates the graph one condition
+group at a time (``_backward_per_group``), accumulating the gradients;
 inference (``encode_condition``, ``decoder_logits``, ``sequence_logprob``,
 ``sample_batch``) runs it on ``params.arrays``, where every op returns a
 plain ndarray and no graph is built.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
 
@@ -653,15 +655,41 @@ def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
     return _ConditionBatch(groups=groups, index=index)
 
 
-def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[dict]:
-    """Per group, {key: log-probability} of its sequences (Tensors on Tensor
+def _condition_logprobs_t(prepared: tuple, seqs: dict, p, config: ModelConfig) -> dict:
+    """{key: log-probability} of one group's sequences (Tensors on Tensor
     parameters, arrays on arrays): one condition encoding and one padded
-    decode (``_sequence_logprobs_t``) per group."""
-    out = []
-    for prepared, seqs in batch.groups:
-        cond = _encode_condition_t(prepared, p, config)
-        out.append(dict(zip(seqs, _sequence_logprobs_t(list(seqs.values()), cond, p, config))))
-    return out
+    decode (``_sequence_logprobs_t``)."""
+    cond = _encode_condition_t(prepared, p, config)
+    return dict(zip(seqs, _sequence_logprobs_t(list(seqs.values()), cond, p, config)))
+
+
+def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[dict]:
+    """Per group, ``_condition_logprobs_t`` of its sequences."""
+    return [_condition_logprobs_t(prepared, seqs, p, config) for prepared, seqs in batch.groups]
+
+
+def _backward_per_group(batch: _ConditionBatch, params: ParameterStore, share) -> dict:
+    """Gradient of an objective that is a sum of per-group shares, built and
+    differentiated one condition group at a time; returns
+    ``params.as_tensors()``, whose ``.grad`` hold the gradient.
+
+    For each group in turn, its condition is encoded and its sequences
+    scored (``_condition_logprobs_t``); ``share(items, logprobs)`` returns
+    the group's Tensor share of the objective, given the positions in
+    ``batch.index`` of the group's items and the group's {key:
+    log-probability}; ``autodiff.backward`` then runs on that share.  Leaf
+    gradients accumulate over the passes, so peak memory is set by the
+    largest condition group, not by the batch.  ``share`` must keep only
+    plain floats or arrays past its call, so that each group's graph is
+    freed before the next one is built.
+    """
+    p = params.as_tensors()
+    members: list[list[int]] = [[] for _ in batch.groups]
+    for i, (g, *_) in enumerate(batch.index):
+        members[g].append(i)
+    for (prepared, seqs), items in zip(batch.groups, members):
+        ad.backward(share(items, _condition_logprobs_t(prepared, seqs, p, params.config)))
+    return p
 
 
 def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
@@ -670,16 +698,6 @@ def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
     if isinstance(batch, _ConditionBatch):
         return batch
     return _group_conditions([(c, (_token_array(t),)) for c, t in batch], config)
-
-
-def _batch_nll_t(batch, p, config: ModelConfig):
-    """Mean next-token NLL over all predicted positions of the (clouds,
-    tokens) examples or their ``_nll_batch``, scored on the grouped path."""
-    grouped = _nll_batch(batch, config)
-    lps = _group_logprobs_t(grouped, p, config)
-    total = reduce(ad.add, (lps[g][k] for g, k in grouped.index))
-    n_predicted = sum(len(grouped.groups[g][1][k]) - 1 for g, k in grouped.index)
-    return ad.scale(total, -1.0 / n_predicted)
 
 
 def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStore:
@@ -697,18 +715,31 @@ def nll_train_step(batch, params: ParameterStore, lr: float) -> tuple[ParameterS
     """One SGD step on mean next-token NLL; returns (updated params, loss).
 
     ``batch`` is a list of (clouds, tokens) examples or their ``_nll_batch``.
+    The loss is minus the sum of the examples' log-probabilities over the
+    number of predicted positions, so it splits exactly by condition group:
+    gradients accumulate over one backward pass per group
+    (``_backward_per_group``), and peak memory is set by the largest
+    condition group, not by the batch.  The returned loss is summed from
+    the per-example floats in example order.
     """
     batch = _nll_batch(batch, params.config)
     if not batch.index:
         raise TrainingError("empty batch")
-    p = params.as_tensors()
-    loss = _batch_nll_t(batch, p, params.config)
-    value = float(loss.value)
+    n_predicted = sum(len(batch.groups[g][1][k]) - 1 for g, k in batch.index)
+    item_logprobs = [0.0] * len(batch.index)
+
+    def share(items, logprobs):
+        lps = [logprobs[batch.index[i][1]] for i in items]
+        for i, lp in zip(items, lps):
+            item_logprobs[i] = float(lp.value)
+        return ad.scale(reduce(ad.add, lps), -1.0 / n_predicted)
+
+    p = _backward_per_group(batch, params, share)
+    value = reduce(operator.add, item_logprobs) * (-1.0 / n_predicted)
     if not np.isfinite(value):
         raise TrainingError(f"non-finite NLL loss {value!r}")
     if lr == 0.0:
         return params.copy(), value
-    ad.backward(loss)
     return _sgd_step(params, p, lr), value
 
 

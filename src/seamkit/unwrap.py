@@ -488,31 +488,39 @@ def layout_uv(atlas: UVAtlas) -> np.ndarray:
     """Translate islands onto a shelf so they do not overlap (no rescaling).
 
     Translation preserves every triangle's deformation gradient, so metrics
-    recomputed from the laid-out UVs match the solver output.
+    recomputed from the laid-out UVs match the solver output.  Each island's
+    bounding box comes from one pass over the faces sorted by island; each
+    cut vertex lies in one island (a wedge never crosses a seam) and moves
+    with it.
     """
     uv = atlas.uv.copy()
-    boxes = []
-    for island in range(atlas.island_count):
-        verts = np.unique(atlas.triangles[atlas.face_island == island])
-        lo = uv[verts].min(axis=0)
-        hi = uv[verts].max(axis=0)
-        boxes.append((island, verts, lo, hi))
-    if not boxes:
+    if atlas.island_count == 0:
         return uv
-    max_dim = max(max(hi - lo) for _, _, lo, hi in boxes)
+    order = np.argsort(atlas.face_island, kind="stable")
+    corners = atlas.uv[atlas.triangles[order].ravel()]  # island by island
+    starts = 3 * np.searchsorted(atlas.face_island[order], np.arange(atlas.island_count))
+    lo = np.minimum.reduceat(corners, starts)
+    hi = np.maximum.reduceat(corners, starts)
+    size = (hi - lo).tolist()
+    max_dim = max(max(wh) for wh in size)
     gap = LAYOUT_GAP_REL * max(max_dim, 1e-12)
     row_width = 4 * (max_dim + gap) + gap
+    offset = []
     x = y = 0.0
     row_h = 0.0
-    for island, verts, lo, hi in boxes:
-        w, h = hi - lo
+    for w, h in size:
         if x > 0 and x + w > row_width:
             x = 0.0
             y += row_h + gap
             row_h = 0.0
-        uv[verts] = uv[verts] - lo + [x, y]
+        offset.append((x, y))
         x += w + gap
         row_h = max(row_h, h)
+    offset = np.array(offset)
+    island_of = np.full(len(uv), -1)
+    island_of[atlas.triangles] = atlas.face_island[:, None]
+    verts = np.flatnonzero(island_of >= 0)
+    uv[verts] = uv[verts] - lo[island_of[verts]] + offset[island_of[verts]]
     return uv
 
 

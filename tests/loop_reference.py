@@ -17,6 +17,12 @@ attention and log-softmax-pick built from them (``COMPOSED_OPS``).
 ``test_autodiff.py`` requires the fused ops to match their values bit for
 bit and their gradients to 1e-12.
 
+``dpo_objective`` and ``batch_nll_t`` are the training objectives as one
+graph over every condition group, which ``dpo_train`` and ``nll_train_step``
+replaced by one backward pass per group with accumulated gradients.
+``test_dpo.py`` and ``test_model.py`` require the accumulated gradients to
+match this graph's to 1e-10 of their largest entry.
+
 ``sample_next`` is the one-row top-p draw that ``model._sample_rows``
 replaced: a stable argsort of the probabilities per candidate per step.
 ``test_model.py`` requires ``_sample_rows`` to draw the same tokens.
@@ -30,13 +36,16 @@ The last section keeps the per-element ``shapes`` generators and the
 per-line text writers (OBJ, atlas OBJ and SVG, seam, seam-edge, token and
 XYZ text) that array-built lattices and ``mesh.format_records`` replaced.
 ``test_writers.py`` requires the array versions to give the same text bytes
-and the same vertex, triangle and UV arrays, bit for bit.
+and the same vertex, triangle and UV arrays, bit for bit.  ``layout_uv``,
+the per-island face scan of the island shelf layout, is kept there too;
+``test_unwrap.py`` requires the array version to lay out identical UVs.
 """
 
 import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,10 +73,12 @@ from seamkit.unwrap import (
     IslandParam,
     SolveError,
     UnwrapError,
+    LAYOUT_GAP_REL,
     UVAtlas,
     _local_frames,
-    layout_uv,
 )
+from seamkit.dpo import DPOError
+from seamkit.model import _group_logprobs_t, _nll_batch
 from seamkit.projection import ProjectionError, UnreachableError
 from seamkit.shapes import _CUBE_FACES
 from seamkit.tokenizer import (
@@ -673,6 +684,42 @@ COMPOSED_OPS = {
 
 
 # ---------------------------------------------------------------------------
+# One-graph training objectives
+
+
+def dpo_objective(logprobs, ref_logprobs, beta: float):
+    """Mean over pairs of -log sigma(beta * margin), where margin is
+    (log pi - log ref) of the chosen minus that of the rejected.
+
+    ``logprobs`` and ``ref_logprobs`` hold one (chosen, rejected) per pair;
+    the terms are summed in pair order.  Returns (loss, per-pair (chosen,
+    rejected) log-ratios, margin floats); loss and log-ratios are Tensors
+    when ``logprobs`` are.
+    """
+    ratios, margins, terms = [], [], []
+    for k, ((lp_c, lp_r), (ref_c, ref_r)) in enumerate(zip(logprobs, ref_logprobs)):
+        if not (np.isfinite(ad._value(lp_c)) and np.isfinite(ad._value(lp_r))):
+            raise DPOError(f"non-finite log-probability for pair {k}")
+        chosen, rejected = ad.sub(lp_c, ref_c), ad.sub(lp_r, ref_r)
+        margin = ad.sub(chosen, rejected)
+        ratios.append((chosen, rejected))
+        margins.append(float(ad._value(margin)))
+        terms.append(ad.scale(ad.log_sigmoid(ad.scale(margin, beta)), -1.0))
+    return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), ratios, margins
+
+
+def batch_nll_t(batch, p, config):
+    """Mean next-token NLL over all predicted positions of the (clouds,
+    tokens) examples or their ``_nll_batch``, as one expression over every
+    condition group."""
+    grouped = _nll_batch(batch, config)
+    lps = _group_logprobs_t(grouped, p, config)
+    total = reduce(ad.add, (lps[g][k] for g, k in grouped.index))
+    n_predicted = sum(len(grouped.groups[g][1][k]) - 1 for g, k in grouped.index)
+    return ad.scale(total, -1.0 / n_predicted)
+
+
+# ---------------------------------------------------------------------------
 # Per-row top-p sampling
 
 
@@ -956,6 +1003,34 @@ def save_obj(mesh: IndexedMesh) -> str:
 
 def seam_edge_text(edges: SeamEdgeSet) -> str:
     return "".join(f"{a} {b}\n" for a, b in edges.sorted_edges())
+
+
+def layout_uv(atlas: UVAtlas) -> np.ndarray:
+    """Translate islands onto a shelf so they do not overlap (no rescaling)."""
+    uv = atlas.uv.copy()
+    boxes = []
+    for island in range(atlas.island_count):
+        verts = np.unique(atlas.triangles[atlas.face_island == island])
+        lo = uv[verts].min(axis=0)
+        hi = uv[verts].max(axis=0)
+        boxes.append((island, verts, lo, hi))
+    if not boxes:
+        return uv
+    max_dim = max(max(hi - lo) for _, _, lo, hi in boxes)
+    gap = LAYOUT_GAP_REL * max(max_dim, 1e-12)
+    row_width = 4 * (max_dim + gap) + gap
+    x = y = 0.0
+    row_h = 0.0
+    for island, verts, lo, hi in boxes:
+        w, h = hi - lo
+        if x > 0 and x + w > row_width:
+            x = 0.0
+            y += row_h + gap
+            row_h = 0.0
+        uv[verts] = uv[verts] - lo + [x, y]
+        x += w + gap
+        row_h = max(row_h, h)
+    return uv
 
 
 def atlas_to_obj(atlas: UVAtlas) -> str:

@@ -599,6 +599,45 @@ def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path,
     assert save_checkpoint(trained) == ckpt.read_bytes()
 
 
+def _sampled_pairs(cube_obj, tmp_path):
+    """A config with one DPO step, and the pairs file that ``prefpairs``
+    writes beside the candidates ``sample`` (seed 0, four pairs) wrote."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\nlr = 0.001\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg), "--seed", "0"]) == 0
+    pairs = out_dir / "pairs.jsonl"
+    assert main(["prefpairs", str(out_dir), str(pairs), "--config", str(cfg)]) == 0
+    assert pairs.read_text().strip()
+    return cfg, pairs
+
+
+def test_dpo_on_unedited_prefpairs_output_exit_0(cube_obj, tmp_path):
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "side, key, delta", [("positive", "excluded_triangles", 1), ("negative", "runtime_s", 0.5)]
+)
+def test_dpo_record_metrics_differing_from_candidate_file_exit_2(cube_obj, tmp_path, capsys, side, key, delta):
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    lines = pairs.read_text().splitlines(keepends=True)
+    record = json.loads(lines[-1])
+    # an edit that keeps the pair valid: neither key is gated by dominance
+    record[f"{side}_metrics"][key] += delta
+    # a blank line before the edited record, which still counts as a line
+    pairs.write_text("".join(lines[:-1]) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    cand_json = os.path.join(os.path.dirname(os.path.abspath(pairs)), f"cand_{record[f'{side}_index']}.json")
+    message = f"{pairs}: line {len(lines) + 1}: {side} metrics differ from those in {cand_json}"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _checkpoint_with_header(blob, edit):
     magic, header, rest = blob.split(b"\n", 2)
     doc = json.loads(header)

@@ -8,7 +8,6 @@ from seamkit.dpo import (
     DPOConfig,
     DPOError,
     LN2,
-    _objective,
     _pair_logprobs,
     _reference_logprobs,
     build_pairs,
@@ -24,7 +23,8 @@ from seamkit.sampling import ConditioningClouds
 from seamkit.tokenizer import SeamSet, canonicalize, encode
 
 from tests import loop_reference as ref
-from tests.util import TINY_CONFIG, DESK_CONFIG
+from tests.loop_reference import dpo_objective as _objective
+from tests.util import TINY_CONFIG, DESK_CONFIG, stepped_gradients, traced_peak
 
 
 def metrics(d, f):
@@ -53,6 +53,42 @@ def test_dominates_and_config_validation():
     assert dominates(metrics(2, 2), metrics(1, 3), "density-only")
     with pytest.raises(DPOError):
         DPOConfig(beta=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"beta": -1.0}, "beta"),
+        ({"beta": float("inf")}, "beta"),
+        ({"beta": float("nan")}, "beta"),
+        ({"learning_rate": -1e-3}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"steps": -3}, "steps"),
+        ({"steps": 2.0}, "steps"),
+        ({"steps": True}, "steps"),
+        ({"steps": -3, "learning_rate": float("nan")}, "learning_rate"),
+    ],
+    ids=[
+        "beta-negative",
+        "beta-inf",
+        "beta-nan",
+        "lr-negative",
+        "lr-nan",
+        "lr-inf",
+        "steps-negative",
+        "steps-float",
+        "steps-bool",
+        "lr-checked-before-steps",
+    ],
+)
+def test_dpo_config_rejects_values_outside_the_cli_ranges(kwargs, field):
+    with pytest.raises(DPOError, match=f"^{field} must be"):
+        DPOConfig(**kwargs)
+
+
+def test_dpo_config_accepts_the_range_edges():
+    DPOConfig(beta=1e-300, learning_rate=0.0, steps=0)
 
 
 def test_build_pairs_trivial_cases():
@@ -564,3 +600,73 @@ def test_dpo_train_aborts_when_the_loss_stays_high(monkeypatch):
     # one step is within the patience
     _, history = dpo_train(policy, policy.copy(), pairs, DPOConfig(beta=0.5, learning_rate=1e-3, steps=1))
     assert [h.loss for h in history] == [pytest.approx(LN2, rel=1e-15)]
+
+
+def three_condition_pairs(rng, config):
+    """Pairs over three conditions: one item repeated, and one candidate the
+    rejected side of two pairs under different conditions."""
+    a, b, c = (rand_clouds(rng, config) for _ in range(3))
+    shared = seam_tokens(rng, 2)
+    repeated = (a, (seam_tokens(rng, 1), shared))
+    return [
+        repeated,
+        (b, (seam_tokens(rng, 3), shared)),
+        (c, (seam_tokens(rng, 2), seam_tokens(rng, 4))),
+        repeated,
+        (a, (seam_tokens(rng, 2), seam_tokens(rng, 3))),
+    ]
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_accumulated_dpo_gradients_match_one_graph(config, monkeypatch):
+    from seamkit import dpo
+
+    rng = np.random.default_rng(14)
+    reference = init_parameters(config)
+    policy = reference.copy()
+    for name in policy.trainable_names():
+        policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(size=policy.arrays[name].shape)
+    pairs = three_condition_pairs(rng, config)
+    beta = 0.5
+
+    batch = _group_conditions(pairs, config)
+    assert len(batch.groups) == 3
+    q = policy.as_tensors()
+    lps = _pair_logprobs(batch, _group_logprobs_t(batch, q, config))
+    loss, _, margins = _objective(lps, _reference_logprobs(batch, reference), beta)
+    ad.backward(loss)
+
+    seen = stepped_gradients(monkeypatch, dpo)
+    _, history = dpo_train(policy, reference, pairs, DPOConfig(beta=beta, learning_rate=0.1, steps=1))
+    (grads,) = seen
+    # the logged loss sums the per-pair terms in pair order, as the one graph does
+    assert history[0].loss == float(loss.value)
+    assert history[0].accuracy == np.mean([m > 0 for m in margins]) > 0
+    assert history[0].margin_min == pytest.approx(beta * min(margins), rel=1e-9)
+    for name in policy.trainable_names():
+        g, g_ref = grads[name], q[name].grad
+        assert (g is None) == (g_ref is None), name
+        if g is not None:
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref)), name
+
+
+def distinct_condition_pairs(n_conditions):
+    """One pair (3 and 4 segments) under each of ``n_conditions`` conditions."""
+    rng = np.random.default_rng(15)
+    return [
+        (rand_clouds(rng, TINY_CONFIG), (seam_tokens(rng, 3), seam_tokens(rng, 4)))
+        for _ in range(n_conditions)
+    ]
+
+
+def test_dpo_step_peak_memory_is_set_by_one_condition_group():
+    policy = init_parameters(TINY_CONFIG)
+    config = DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
+
+    def peak(n_conditions):
+        pairs = distinct_condition_pairs(n_conditions)
+        return traced_peak(lambda: dpo_train(policy, policy, pairs, config))
+
+    one, eight = peak(1), peak(8)
+    # one graph over all eight conditions would peak near 7x the one-condition step
+    assert eight < 1.5 * one, (one, eight)

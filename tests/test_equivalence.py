@@ -35,7 +35,13 @@ from seamkit.shapes import (
     make_tetrahedron,
 )
 from seamkit.tokenizer import SeamSet
-from seamkit.unwrap import SOLVE_RESIDUAL_REL, cut_mesh, parameterize_island, unwrap_atlas
+from seamkit.unwrap import (
+    SOLVE_RESIDUAL_REL,
+    cut_mesh,
+    layout_uv,
+    parameterize_island,
+    unwrap_atlas,
+)
 
 from tests import loop_reference as ref
 from tests.corpus import corpus_meshes, quad_cutout_loops
@@ -149,6 +155,20 @@ def test_cut_and_unwrap_match_loop_reference(name, mesh, seams):
     cut = cut_mesh(mesh, seams)
     _assert_cut_equal(cut, ref.cut_mesh(mesh, seams))
     _assert_unwrap_equal(cut)
+
+
+LAYOUT_CASES = CASES + [
+    ("sphere-150-islands", normalize(make_sphere(32, 64))[0], None),
+    ("split-island", _split_island_mesh(), SeamEdgeSet(edges=frozenset())),
+]
+
+
+@pytest.mark.parametrize("name,mesh,seams", LAYOUT_CASES, ids=[c[0] for c in LAYOUT_CASES])
+def test_layout_matches_loop_reference(name, mesh, seams):
+    if seams is None:  # 64 random segments cut this sphere into 150 islands
+        seams = project_seams(mesh, _segments(64, seed=0))
+    atlas = unwrap_atlas(cut_mesh(mesh, seams))
+    np.testing.assert_array_equal(layout_uv(atlas), ref.layout_uv(atlas))
 
 
 def test_island_pins_match_loop_reference():

@@ -11,7 +11,6 @@ from seamkit.model import (
     ModelError,
     _decode_t,
     _DecodeState,
-    _batch_nll_t,
     _check_complete,
     _encode_condition_t,
     _prepare_condition,
@@ -33,7 +32,7 @@ from seamkit.shapes import make_cube
 from seamkit.tokenizer import BOS, EOS, PAD, VOCAB_SIZE, TokenSequence, decode
 
 from tests import loop_reference as ref
-from tests.util import DESK_CONFIG, TINY_CONFIG, training_example
+from tests.util import DESK_CONFIG, TINY_CONFIG, stepped_gradients, traced_peak, training_example
 
 
 def rand_clouds(rng, n, config):
@@ -411,10 +410,8 @@ def test_nll_gradient_matches_finite_differences():
     params = init_parameters(TINY_CONFIG)
     batch = [(clouds, tokens)]
 
-    from seamkit.model import _batch_nll_t
-
     p = params.as_tensors()
-    loss = _batch_nll_t(batch, p, params.config)
+    loss = ref.batch_nll_t(batch, p, params.config)
     from seamkit import autodiff as ad
 
     ad.backward(loss)
@@ -437,7 +434,7 @@ def test_nll_gradient_matches_finite_differences():
             trial.arrays[name] = trial.arrays[name].copy()
             trial.arrays[name].flat[i] += delta
             pt = trial.as_tensors()
-            return float(_batch_nll_t(batch, pt, trial.config).value)
+            return float(ref.batch_nll_t(batch, pt, trial.config).value)
 
         fd = (loss_at(h) - loss_at(-h)) / (2 * h)
         rel = abs(grad.flat[i] - fd) / max(abs(fd), 1e-12)
@@ -446,7 +443,7 @@ def test_nll_gradient_matches_finite_differences():
 
 
 def loop_batch_nll_t(batch, p, config):
-    """The per-example NLL that the grouped ``_batch_nll_t`` replaced: one
+    """The per-example NLL that the grouped ``batch_nll_t`` replaced: one
     condition encoding and one decode per example."""
     total = None
     count = 0
@@ -476,7 +473,7 @@ def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
     batch = [(a, s1), (a_copy, TokenSequence(tokens=s2)), (a, s1.copy()), (b, s3), (b, s2)]
 
     p = params.as_tensors()
-    loss = _batch_nll_t(batch, p, config)
+    loss = ref.batch_nll_t(batch, p, config)
     ad.backward(loss)
     q = params.as_tensors()
     expected = loop_batch_nll_t(batch, q, config)
@@ -503,7 +500,7 @@ def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
         ("fps", "fps_anchors"),
     ]:
         monkeypatch.setattr(model, name, counted(key, getattr(model, name)))
-    _batch_nll_t(batch, params.as_tensors(), config)
+    ref.batch_nll_t(batch, params.as_tensors(), config)
     # two conditions: each prepared (two FPS branches), encoded and decoded once
     assert calls == {"encode": 2, "decode": 2, "fps": 4}
 
@@ -543,6 +540,51 @@ def test_nll_steps_over_a_grouped_batch_match_raw_examples(monkeypatch):
         np.testing.assert_array_equal(from_grouped.arrays[name], from_raw.arrays[name])
     with pytest.raises(model.TrainingError, match="empty batch"):
         nll_train_step([], from_raw, lr=0.1)
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_accumulated_nll_gradients_match_one_graph(config, monkeypatch):
+    from seamkit import model
+
+    rng = np.random.default_rng(23)
+    params = init_parameters(config)
+    a, b, c = (rand_clouds(rng, 16, config) for _ in range(3))
+    s1, s2, s3, s4 = (complete_sequence(rng, n) for n in (3, 1, 4, 2))
+    # three conditions, a repeated example, a sequence under two conditions
+    batch = [(a, s1), (b, s2), (c, s3), (a, s1), (c, s2), (b, s4)]
+    q = params.as_tensors()
+    expected = ref.batch_nll_t(batch, q, config)
+    ad.backward(expected)
+
+    seen = stepped_gradients(monkeypatch, model)
+    _, loss = nll_train_step(batch, params, lr=0.1)
+    (grads,) = seen
+    # the loss sums the per-example log-probabilities in example order
+    assert loss == float(expected.value)
+    for name in params.trainable_names():
+        g, g_ref = grads[name], q[name].grad
+        assert (g is None) == (g_ref is None), name
+        if g is not None:
+            assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref)), name
+
+
+def test_nll_step_peak_memory_is_set_by_one_condition_group():
+    from seamkit.model import _nll_batch
+
+    params = init_parameters(TINY_CONFIG)
+
+    def peak(n_conditions):
+        rng = np.random.default_rng(24)
+        examples = [
+            (rand_clouds(rng, 16, TINY_CONFIG), complete_sequence(rng, 4))
+            for _ in range(n_conditions)
+        ]
+        batch = _nll_batch(examples, TINY_CONFIG)
+        return traced_peak(lambda: nll_train_step(batch, params, lr=0.1))
+
+    one, eight = peak(1), peak(8)
+    # one graph over all eight conditions would peak near 7x the one-condition step
+    assert eight < 1.5 * one, (one, eight)
 
 
 def test_overfit_single_mesh():

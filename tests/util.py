@@ -1,5 +1,7 @@
 """Shared helpers for the test modules."""
 
+import tracemalloc
+
 import numpy as np
 
 from seamkit.mesh import IndexedMesh, SeamEdgeSet, content_lines, extract_uv_seams, normalize
@@ -53,3 +55,29 @@ def sliver_grid_atlas():
     atlas = unwrap_mesh(mesh, SeamEdgeSet(edges=frozenset()))
     assert atlas.excluded.tolist() == [False] * grid.n_triangles + [True]
     return atlas
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs,
+    above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def stepped_gradients(monkeypatch, module):
+    """Gradients ``module._sgd_step`` is handed from now on, one dict of
+    trainable name -> gradient per step."""
+    seen = []
+    sgd_step = module._sgd_step
+
+    def capture(params, tensors, lr):
+        seen.append({name: tensors[name].grad for name in params.trainable_names()})
+        return sgd_step(params, tensors, lr)
+
+    monkeypatch.setattr(module, "_sgd_step", capture)
+    return seen
