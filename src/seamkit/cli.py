@@ -167,13 +167,18 @@ def _write_atomic(path: str, data) -> None:
         raise
 
 
-def _load_mesh(path: str) -> IndexedMesh:
+def _load_normalized(path: str) -> IndexedMesh:
+    """The OBJ mesh at ``path``, normalized; InputError naming the file when
+    it does not parse, has no extent or has no faces."""
     # bytes are always parsed as OBJ content, never taken for a file name
     data = _read_file(path, binary=True)
     try:
-        return load_obj(data)
+        mesh, _ = normalize(load_obj(data))
     except MeshError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if mesh.n_triangles == 0:
+        raise InputError(f"{path}: mesh has no faces")
+    return mesh
 
 
 def _load_seams(path: str) -> tokenizer.SeamSet:
@@ -244,10 +249,9 @@ def _manifest(command: str, inputs, outputs, seed: int, cfg: dict, timings: dict
 
 def cmd_evaluate(args) -> int:
     _one_seam_source({f"seam file {args.seams}": args.seams, "--from-uv": args.from_uv})
-    mesh = _load_mesh(args.mesh)
-    if args.from_uv and not mesh.has_uvs:
+    norm = _load_normalized(args.mesh)
+    if args.from_uv and not norm.has_uvs:
         raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
-    norm, _ = normalize(mesh)
     if args.from_uv:
         edges = extract_uv_seams(norm)
         metrics, atlas = metrics_mod.evaluate_edges(norm, edges)
@@ -282,8 +286,7 @@ def cmd_detokenize(args) -> int:
 
 
 def cmd_project(args) -> int:
-    mesh = _load_mesh(args.mesh)
-    norm, _ = normalize(mesh)
+    norm = _load_normalized(args.mesh)
     seams = _load_seams(args.seams)
     edges = projection.project_seams(norm, seams)
     _write_atomic(args.output, edges.to_text())
@@ -292,10 +295,9 @@ def cmd_project(args) -> int:
 
 def cmd_unwrap(args) -> int:
     _one_seam_source({"--from-uv": args.from_uv, "--edges": args.edges, "--seams": args.seams})
-    mesh = _load_mesh(args.mesh)
-    if args.from_uv and not mesh.has_uvs:
+    norm = _load_normalized(args.mesh)
+    if args.from_uv and not norm.has_uvs:
         raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
-    norm, _ = normalize(mesh)
     edges = _seam_edges_for(norm, args)
     if args.json_out:
         metrics, atlas = metrics_mod.evaluate_edges(norm, edges)
@@ -311,8 +313,7 @@ def cmd_unwrap(args) -> int:
 
 def cmd_sample_points(args) -> int:
     cfg = load_config(args.config, args.seed)
-    mesh = _load_mesh(args.mesh)
-    norm, _ = normalize(mesh)
+    norm = _load_normalized(args.mesh)
     clouds = sampling.build_conditioning_clouds(
         norm, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=cfg["seed"]
     )
@@ -360,8 +361,7 @@ def _policy_store(cfg: Config) -> model_mod.ParameterStore:
 
 def cmd_sample(args) -> int:
     cfg = load_config(args.config, args.seed)
-    mesh = _load_mesh(args.mesh)
-    norm, _ = normalize(mesh)
+    norm = _load_normalized(args.mesh)
     t0 = time.perf_counter()
     params = _policy_store(cfg)
     clouds = sampling.build_conditioning_clouds(
@@ -486,7 +486,7 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
         key = (rec.mesh_path, rec.seed)
         if key not in clouds:
             if rec.mesh_path not in meshes:
-                meshes[rec.mesh_path], _ = normalize(_load_mesh(rec.mesh_path))
+                meshes[rec.mesh_path] = _load_normalized(rec.mesh_path)
             clouds[key] = sampling.build_conditioning_clouds(
                 meshes[rec.mesh_path], n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=rec.seed
             )

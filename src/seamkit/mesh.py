@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import io
 import logging
 import math
 import os
@@ -345,15 +346,22 @@ def int64(text: str) -> int:
 # OBJ I/O
 
 
-def _read_text(source) -> str:
+def _read_source(source) -> str | bytes:
+    """The OBJ content of a source: a path's bytes, or the text or bytes given."""
     if isinstance(source, os.PathLike):
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
+        with open(source, "rb") as fh:
             return fh.read()
-    if isinstance(source, str):
+    if isinstance(source, (str, bytes)):
         return source
-    if isinstance(source, bytes):
-        return source.decode("utf-8", errors="replace")
     raise TypeError(f"unsupported OBJ source: {type(source)!r}")
+
+
+def _read_text(source) -> str:
+    """The OBJ text of a source; bytes are decoded as UTF-8, bad bytes replaced."""
+    content = _read_source(source)
+    if isinstance(content, bytes):
+        return content.decode("utf-8", errors="replace")
+    return content
 
 
 def load_obj(source) -> IndexedMesh:
@@ -377,11 +385,30 @@ def load_obj(source) -> IndexedMesh:
     raises ``ObjParseError`` naming its face.  Line numbers are 1-based and
     count every line of the text, as ``content_lines`` does.
 
-    The text is split once into records; each record type is then checked
-    and converted with array operations, and only a record a check rejected
-    is looked at on its own, to word the error.
+    Two parsers share this contract.  Plain text is parsed from its bytes by
+    ``_load_plain_obj``, with one ``np.loadtxt`` per record type.  Plain
+    means: printable ASCII and ``\\n`` only, no ``#``, no line that starts
+    with a space, ``v`` and ``vt`` records whose first 3 or 2 fields parse
+    as finite floats, and faces that are all ``f a b c`` or all
+    ``f a/b c/d e/f`` with single spaces, unsigned decimal indices in range
+    and three distinct vertices.  ``obj_text``, and so ``save_obj``, writes
+    nothing else.  Every other text, and every text with an error, goes to
+    ``_parse_obj_text``, which is the one place an ``ObjParseError`` is
+    worded.  Where the plain parser returns a mesh, the general one returns
+    the same arrays, bit for bit.
     """
-    text = _read_text(source)
+    content = _read_source(source)
+    mesh = _load_plain_obj(content)
+    if mesh is not None:
+        return mesh
+    return _parse_obj_text(_read_text(content))
+
+
+def _parse_obj_text(text: str) -> IndexedMesh:
+    """``load_obj`` of any text: the text is split once into records; each
+    record type is then checked and converted with array operations, and
+    only a record a check rejected is looked at on its own, to word the
+    error."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
@@ -426,6 +453,123 @@ def load_obj(source) -> IndexedMesh:
     if len(has_uv) and has_uv.all():
         uv = texcoords[ti[fan].ravel() - 1]
     return IndexedMesh(vertices=vertices, triangles=triangles, uv_corners=uv)
+
+
+# the bytes of plain OBJ text: printable ASCII but "#", and "\n"
+_PLAIN_BYTES = bytes([ord("\n")] + [b for b in range(32, 127) if b != ord("#")])
+# a face record's tag and corner slashes become spaces, leaving its index fields
+_FACE_FIELDS = bytes.maketrans(b"f/", b"  ")
+_CORNER_SEPARATORS = np.array([ord(c) for c in " / / /"], dtype=np.uint8)
+
+
+def _load_plain_obj(content: str | bytes) -> IndexedMesh | None:
+    """The mesh of plain OBJ text (see ``load_obj``), or None.
+
+    None means the text is not plain, or the general parser would raise on
+    it; the caller then runs that parser.  Lines are found from the ``\\n``
+    bytes and typed by their first three bytes, and each record type is read
+    by one ``np.loadtxt``, whose float parser rounds as ``float`` does.
+    """
+    if isinstance(content, str):
+        if not content.isascii():
+            return None
+        content = content.encode("ascii")
+    if content.translate(None, _PLAIN_BYTES):
+        return None
+    if not content.endswith(b"\n"):
+        content += b"\n"
+    buf = np.frombuffer(content, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    b0, b1, b2 = (buf[np.minimum(starts + k, len(buf) - 1)] for k in range(3))
+    v_, t_, f_, space = (ord(c) for c in "vtf ")
+    length = ends - starts
+    bare_tag = ((b0 == v_) | (b0 == f_)) & (length == 1) | (b0 == v_) & (b1 == t_) & (length == 2)
+    if (b0 == space).any() or bare_tag.any():  # not plain, or an error
+        return None
+    groups = [
+        _plain_group(content, starts, ends, rows)
+        for rows in (
+            (b0 == v_) & (b1 == space),
+            (b0 == v_) & (b1 == t_) & (b2 == space),
+            (b0 == f_) & (b1 == space),
+        )
+    ]
+    vertices = _plain_table(groups[0], (1, 2, 3), np.float64)
+    texcoords = _plain_table(groups[1], (1, 2), np.float64)
+    faces = _plain_faces(groups[2])
+    if vertices is None or texcoords is None or faces is None:
+        return None
+    if not (np.isfinite(vertices).all() and np.isfinite(texcoords).all()):
+        return None
+    vertex, texture = faces
+    if vertex.size and not (vertex.min() >= 1 and vertex.max() <= len(vertices)):
+        return None
+    if texture is not None and not (texture.min() >= 1 and texture.max() <= len(texcoords)):
+        return None
+    triangles = vertex - 1
+    if (
+        (triangles[:, 0] == triangles[:, 1])
+        | (triangles[:, 1] == triangles[:, 2])
+        | (triangles[:, 0] == triangles[:, 2])
+    ).any():
+        return None
+    uv = None if texture is None else texcoords[texture.ravel() - 1]
+    return IndexedMesh(vertices=vertices, triangles=triangles, uv_corners=uv)
+
+
+def _plain_group(content: bytes, starts, ends, rows: np.ndarray) -> bytes:
+    """The lines of ``content`` where ``rows`` is set, each with its ``\\n``."""
+    rows = np.flatnonzero(rows)
+    if len(rows) == 0:
+        return b""
+    if rows[-1] - rows[0] == len(rows) - 1:  # one run of lines
+        return content[starts[rows[0]] : ends[rows[-1]] + 1]
+    keep = np.zeros(len(starts), dtype=bool)
+    keep[rows] = True
+    return np.frombuffer(content, np.uint8)[np.repeat(keep, ends - starts + 1)].tobytes()
+
+
+def _plain_table(group: bytes, columns: tuple | None, dtype) -> np.ndarray | None:
+    """The given whitespace-separated columns (all when None) of every line of
+    ``group``, one row per line; None where a line has too few columns, or
+    other than the first line's when all are read, or a field does not
+    convert."""
+    if not group:
+        return np.zeros((0, len(columns)), dtype=dtype)
+    try:
+        return np.loadtxt(
+            io.StringIO(group.decode("ascii")),
+            dtype=dtype,
+            comments=None,
+            usecols=columns,
+            ndmin=2,
+        )
+    except (ValueError, OverflowError):
+        return None
+
+
+def _plain_faces(group: bytes):
+    """``(vertex, texture)`` (F, 3) 1-based indices of ``f`` records that are all
+    ``f a b c`` (texture None) or all ``f a/b c/d e/f``, or None."""
+    if not group:
+        return np.zeros((0, 3), dtype=np.int64), None
+    # the tag, digits and separators only, and a digit after every separator
+    if group.translate(None, b"f0123456789 /\n") or group.count(b"f") != group.count(b"\n"):
+        return None
+    g = np.frombuffer(group, np.uint8)
+    sep = np.flatnonzero((g == ord(" ")) | (g == ord("/")))
+    after = g[sep + 1]
+    if not ((after >= ord("0")) & (after <= ord("9"))).all():
+        return None
+    fields = _plain_table(group.translate(_FACE_FIELDS), None, np.int64)
+    if fields is None:
+        return None
+    if fields.shape[1] == 3 and b"/" not in group:
+        return fields, None
+    if fields.shape[1] == 6 and (g[sep].reshape(-1, 6) == _CORNER_SEPARATORS).all():
+        return fields[:, 0::2], fields[:, 1::2]
+    return None
 
 
 def _record_error(line: str, line_no: int) -> ObjParseError | None:

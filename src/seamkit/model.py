@@ -769,15 +769,23 @@ def save_checkpoint(params: ParameterStore) -> bytes:
     return _CKPT_MAGIC + blob + buffers
 
 
+def _header_shape(value) -> tuple:
+    """A checkpoint header's shape entry, a list of JSON integers (not booleans)."""
+    if not isinstance(value, list) or any(type(n) is not int for n in value):
+        raise ValueError(f"shape {value!r} is not a list of integers")
+    return tuple(value)
+
+
 def load_checkpoint(data: bytes) -> ParameterStore:
     """Parse a ``save_checkpoint`` container.
 
     Raises ``CheckpointError`` for a wrong magic; a header without its
     terminating newline, not JSON, or whose keys are not exactly ``config``
-    and ``arrays``; unknown or invalid config keys; parameter names or
-    shapes that differ from the configuration's; a truncated buffer; a
-    non-finite weight; or bytes after the last buffer.  An unknown header
-    or config key, such as one a former format carried, is named.
+    and ``arrays``; unknown or invalid config keys; a shape that is not a
+    list of integers; parameter names or shapes that differ from the
+    configuration's; a truncated buffer; a non-finite weight; or bytes after
+    the last buffer.  An unknown header or config key, such as one a former
+    format carried, is named.
     """
     if not data.startswith(_CKPT_MAGIC):
         raise CheckpointError("not a seamkit checkpoint")
@@ -788,7 +796,7 @@ def load_checkpoint(data: bytes) -> ParameterStore:
     try:
         header = json.loads(rest[:nl].decode())
         config_keys = dict(header["config"])
-        specs = [(str(a["name"]), tuple(int(n) for n in a["shape"])) for a in header["arrays"]]
+        specs = [(str(a["name"]), _header_shape(a["shape"])) for a in header["arrays"]]
     except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {exc!r}") from exc
     unknown = sorted(set(config_keys) - {f.name for f in fields(ModelConfig)})

@@ -348,6 +348,33 @@ def test_evaluate_degenerate_face_names_file_and_line(tmp_path, capsys):
     assert f"{path}: OBJ line 5: degenerate triangle" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n", "mesh has no faces"),
+        ("", "mesh has no vertices"),
+        ("v 0 0 0\nv 0 0 0\nv 0 0 0\nf 1 2 3\n", "bounding box has zero extent"),
+    ],
+    ids=["no-faces", "empty", "zero-extent"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "project", "unwrap", "sample-points"])
+def test_mesh_without_faces_or_extent_names_the_file_exit_2(tmp_path, capsys, text, message, command):
+    mesh = tmp_path / "bad.obj"
+    mesh.write_text(text)
+    seams = tmp_path / "one.seams"
+    seams.write_text("0 0 0 0.1 0 0\n")
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", str(mesh), str(seams)],
+        "project": ["project", str(mesh), str(seams), str(out)],
+        "unwrap": ["unwrap", str(mesh), "--seams", str(seams), "--obj-out", str(out)],
+        "sample-points": ["sample-points", str(mesh), str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {mesh}: {message}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.topo.xyz").exists()
+
+
 def test_detokenize_token_beyond_int64_exit_2(tmp_path, capsys):
     tokens = tmp_path / "big.tokens"
     tokens.write_text("1024\n99999999999999999999\n")
@@ -654,6 +681,7 @@ def _checkpoint_with_header(blob, edit):
         (lambda blob: blob + b"\0\0", "2 trailing bytes"),
         (lambda blob: _checkpoint_with_header(blob, lambda d: d.update(role="policy")), "unknown header keys: role"),
         (lambda blob: blob[:-8] + np.float64(np.nan).tobytes(), "non-finite weights in head.b"),
+        (lambda blob: blob.replace(b"[16,1027]", b"[16e1027]", 1), "not a list of integers"),
     ],
 )
 def test_dpo_corrupt_checkpoint_exit_2(tmp_path, capsys, corrupt, message):
@@ -935,4 +963,17 @@ def test_sample_rejected_checkpoint_exit_2(cube_obj, tmp_path, capsys, edit, mes
     out_dir = tmp_path / "cands"
     assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
     assert f"{ckpt}: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sample_checkpoint_with_an_infinite_shape_entry_exit_2(cube_obj, tmp_path, capsys):
+    # one byte of the header edited: the shape [16,1027] becomes [16e1027], JSON's infinity
+    ckpt = _desk_checkpoint(tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"[16,1027]", b"[16e1027]", 1))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + f"init_checkpoint = {ckpt}\n")
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: malformed header" in err and "not a list of integers" in err
     assert not out_dir.exists()

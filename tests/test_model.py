@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seamkit import autodiff as ad
 from seamkit.model import (
@@ -641,6 +643,11 @@ def _with_header(blob, edit):
         ),
         (lambda blob: _with_header(blob, lambda d: d["arrays"].reverse()), "names do not match"),
         (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape=[2, 2])), "shape mismatch"),
+        # a one-byte edit that makes a shape entry the float infinity
+        (lambda blob: blob.replace(b"[16,1027]", b"[16e1027]", 1), "not a list of integers"),
+        (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape=[1027, 16.5])), "not a list of integers"),
+        (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape=[1027, True])), "not a list of integers"),
+        (lambda blob: _with_header(blob, lambda d: d["arrays"][0].update(shape="1027")), "not a list of integers"),
         (lambda blob: blob + b"\0\0", "2 trailing bytes"),
         (lambda blob: _with_header(blob, lambda d: d.update(role="policy")), "unknown header keys: role"),
         (lambda blob: blob[:-8] + np.float64(np.nan).tobytes(), "non-finite weights in head.b"),
@@ -650,6 +657,32 @@ def test_corrupt_checkpoint_raises(corrupt, message):
     blob = save_checkpoint(init_parameters(TINY_CONFIG))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(corrupt(blob))
+
+
+_TINY_BLOB = save_checkpoint(init_parameters(TINY_CONFIG))
+_HEADER_END = _TINY_BLOB.index(b"\n", len(b"SEAMKITCKPT1\n")) + 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, _HEADER_END - 1), st.integers(0, 255))
+# the one edit found by a sweep of every position and byte: "[16e1027]" is infinite
+@example(_TINY_BLOB.index(b"[16,1027]") + 3, ord("e"))
+def test_any_one_byte_header_edit_loads_or_raises_checkpoint_error(position, value):
+    """An edit may leave a valid checkpoint (say, another seed); nothing but
+    ``CheckpointError`` may come out of one that is not."""
+    edited = bytearray(_TINY_BLOB)
+    edited[position] = value
+    try:
+        load_checkpoint(bytes(edited))
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, len(_TINY_BLOB) - 1))
+def test_any_truncation_raises_checkpoint_error(length):
+    with pytest.raises(CheckpointError):
+        load_checkpoint(_TINY_BLOB[:length])
 
 
 def test_checkpoint_header_contract():

@@ -11,12 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seamkit import mesh as mesh_mod
+from seamkit import shapes
 from seamkit.mesh import (
     IndexedMesh,
     ObjIndexError,
     ObjParseError,
+    _load_plain_obj,
+    _parse_obj_text,
     content_lines,
     load_obj,
+    obj_text,
     save_obj,
 )
 
@@ -56,6 +61,10 @@ def _assert_matches_reference(text):
     if isinstance(want[0], type):
         assert got == want
         return
+    _assert_same_arrays(got, want)
+
+
+def _assert_same_arrays(got, want):
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
         if w is not None:
@@ -347,3 +356,128 @@ def test_save_obj_round_trip(mesh):
     text = save_obj(once)
     assert save_obj(load_obj(text)) == text
     _assert_matches_reference(text)
+
+
+# ---------------------------------------------------------------------------
+# The plain parser: obj_text output is read from its bytes, with the general
+# parser's arrays; everything else is left to the general parser
+
+
+def _assert_plain_matches_general(text):
+    """The plain parser's mesh, where it gives one, has the general parser's arrays."""
+    plain = _load_plain_obj(text)
+    if plain is not None:
+        _assert_same_arrays(_outcome(lambda _: plain, text), _outcome(_parse_obj_text, text))
+    return plain
+
+
+@st.composite
+def _obj_text_meshes(draw):
+    """``obj_text`` of a random mesh: no UVs, corner-indexed or vertex-indexed ``vt``."""
+    n = draw(st.integers(3, 9))
+    coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    vertices = np.array(draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    triangles = np.array(
+        draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]), min_size=0, max_size=8)),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    uvs = draw(st.sampled_from(["none", "corner", "vertex"]))
+    if uvs == "none":
+        return obj_text(vertices, triangles)
+    if uvs == "corner":
+        texture_index = np.arange(3 * len(triangles)).reshape(-1, 3)
+    else:
+        texture_index = triangles
+    rows = 3 * len(triangles) if uvs == "corner" else n
+    texcoords = np.array(draw(st.lists(coordinate, min_size=2 * rows, max_size=2 * rows)))
+    return obj_text(vertices, triangles, texcoords.reshape(-1, 2), texture_index)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_obj_text_meshes(), st.data())
+def test_obj_text_takes_the_plain_parser(text, data):
+    assert _assert_plain_matches_general(text) is not None
+    _assert_matches_reference(text)
+    # one or two tokens replaced: the plain parser declines or still agrees
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        choices = _CORRUPT_COORDINATE if tokens[0] in ("v", "vt") else _CORRUPT_CORNER
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(choices))
+        lines[i] = " ".join(tokens) + "\n"
+    corrupted = "".join(lines)
+    _assert_plain_matches_general(corrupted)
+    _assert_matches_reference(corrupted)
+
+
+# texts one step away from plain; each is left to the general parser
+NOT_PLAIN = {
+    "v/vt/vn corners read as v/vt": TRIANGLE + "v 1 1 0\n" + UVS + "vt 1 1\nf 1/1/2 3/4 4\n",
+    "two corners, one with a slash": TRIANGLE + UVS + "f 1/2 3\n",
+    "letter in a face": TRIANGLE + "f 1 2f3\n",
+    "v//vn": TRIANGLE + "f 1//1 2//1 3//1\n",
+    "mixed corner forms": TRIANGLE + UVS + "f 1/1 2/2 3/3\nf 1 2 3\n",
+    "quad": TRIANGLE + "v 1 1 0\nf 1 2 4 3\n",
+    "two spaces in a face": TRIANGLE + "f 1  2 3\n",
+    "trailing space in a face": TRIANGLE + "f 1 2 3 \n",
+    "signed index": TRIANGLE + "f +1 2 3\n",
+    "leading space": " " + TRIANGLE + "f 1 2 3\n",
+    "tab": TRIANGLE.replace(" ", "\t", 1) + "f 1 2 3\n",
+    "comment": TRIANGLE + "f 1 2 3 # face\n",
+    "CRLF": (TRIANGLE + "f 1 2 3\n").replace("\n", "\r\n"),
+    "vertical tab": TRIANGLE + "f 1 2 3\x0b\n",
+    "non-ASCII": "o \xe9\n" + TRIANGLE + "f 1 2 3\n",
+    "underscore in a coordinate": TRIANGLE + "v 1_0 0 0\nf 1 2 4\n",
+    "bare tag": TRIANGLE + "vt\nf 1 2 3\n",
+    "index 0": TRIANGLE + "f 0 1 2\n",
+    "texture index out of range": TRIANGLE + UVS + "f 1/1 2/2 3/4\n",
+    "repeated vertex": TRIANGLE + "f 1 2 1\n",
+    "non-finite vt": TRIANGLE + "vt inf 0\nf 1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_PLAIN))
+def test_near_plain_text_is_left_to_the_general_parser(name):
+    text = NOT_PLAIN[name]
+    assert _load_plain_obj(text) is None
+    assert _load_plain_obj(text.encode("utf-8")) is None
+    _assert_matches_reference(text)
+
+
+PLAIN = {
+    "blank lines and unknown records": "o thing\n\n" + TRIANGLE + "vn 0 0 1\ns off\nf 1 2 3\n",
+    "interleaved records": "v 0 0 0\nvt 0 0\nv 1 0 0\nvt 1 0\nf 1/1 2/2 3/3\nv 0 1 0\nvt 0 1\n",
+    "extra coordinate fields and spaces": "v 0 0 0 1\nv  1 0 0 \nv 0 1 0\nf 1 2 3\n",
+    "no final newline": TRIANGLE + "f 1 2 3",
+    "vt without texture indices": TRIANGLE + UVS + "f 1 2 3\n",
+    "no faces": TRIANGLE,
+    "empty text": "",
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN))
+def test_plain_text_forms(name):
+    text = PLAIN[name]
+    assert _assert_plain_matches_general(text) is not None
+    _assert_matches_reference(text)
+
+
+BENCHMARK_MESHES = {
+    "cylinder 128x128": lambda: shapes.make_cylinder(128, 128),
+    "sphere 64x128": lambda: shapes.make_sphere(64, 128),
+    "sphere 32x64": lambda: shapes.make_sphere(32, 64),
+    "cylinder 64x32 without UVs": lambda: shapes.make_cylinder(64, 32, with_uv=False),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_MESHES))
+def test_benchmark_meshes_take_the_plain_parser(name, tmp_path):
+    text = save_obj(BENCHMARK_MESHES[name]())
+    path = tmp_path / "mesh.obj"
+    path.write_text(text)
+    for source in (text, text.encode("ascii"), path):
+        assert _load_plain_obj(mesh_mod._read_source(source)) is not None
+    assert _assert_plain_matches_general(text) is not None
