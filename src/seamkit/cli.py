@@ -141,10 +141,12 @@ def model_config_from(cfg: Config) -> model_mod.ModelConfig:
 
 
 def _read_file(path: str, binary: bool = False):
+    """The bytes of ``path``, or its text decoded as UTF-8; a file that cannot
+    be read or decoded raises ``InputError`` naming it."""
     try:
-        with open(path, "rb" if binary else "r") as fh:
+        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

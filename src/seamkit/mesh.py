@@ -346,29 +346,11 @@ def int64(text: str) -> int:
 # OBJ I/O
 
 
-def _read_source(source) -> str | bytes:
-    """The OBJ content of a source: a path's bytes, or the text or bytes given."""
-    if isinstance(source, os.PathLike):
-        with open(source, "rb") as fh:
-            return fh.read()
-    if isinstance(source, (str, bytes)):
-        return source
-    raise TypeError(f"unsupported OBJ source: {type(source)!r}")
-
-
-def _read_text(source) -> str:
-    """The OBJ text of a source; bytes are decoded as UTF-8, bad bytes replaced."""
-    content = _read_source(source)
-    if isinstance(content, bytes):
-        return content.decode("utf-8", errors="replace")
-    return content
-
-
 def load_obj(source) -> IndexedMesh:
     """Parse an ASCII OBJ: an ``os.PathLike`` path, text, or bytes.
 
     A ``str`` is always OBJ text, never a file name: pass a ``pathlib.Path``
-    to read a file.
+    to read a file.  Bytes are decoded as UTF-8, bad bytes replaced.
 
     Supports ``v``, ``vt`` and ``f`` records with face corner forms ``v``,
     ``v/vt``, ``v/vt/vn`` and ``v//vn``, mixed freely; the ``vn`` field is not
@@ -385,47 +367,41 @@ def load_obj(source) -> IndexedMesh:
     raises ``ObjParseError`` naming its face.  Line numbers are 1-based and
     count every line of the text, as ``content_lines`` does.
 
-    Two parsers share this contract.  Plain text is parsed from its bytes by
-    ``_load_plain_obj``, with one ``np.loadtxt`` per record type.  Plain
-    means: printable ASCII and ``\\n`` only, no ``#``, no line that starts
-    with a space, ``v`` and ``vt`` records whose first 3 or 2 fields parse
-    as finite floats, and faces that are all ``f a b c`` or all
-    ``f a/b c/d e/f`` with single spaces, unsigned decimal indices in range
-    and three distinct vertices.  ``obj_text``, and so ``save_obj``, writes
-    nothing else.  Every other text, and every text with an error, goes to
-    ``_parse_obj_text``, which is the one place an ``ObjParseError`` is
-    worded.  Where the plain parser returns a mesh, the general one returns
-    the same arrays, bit for bit.
+    One pipeline reads every text: lines are tagged from the bytes, and the
+    records of each type are converted together, ``v`` and ``vt`` by one
+    ``np.loadtxt`` and faces of every corner form by one ``np.fromstring``.
+    A record type the array code rejects (for a control or non-ASCII
+    character, a sign or ``_`` in a face, an index of 10**18 or more, or any
+    malformed record) is read one record at a time by ``_read_record``, the
+    one place an ``ObjParseError`` is worded.  ``obj_text`` output of finite
+    arrays never is.
     """
-    content = _read_source(source)
-    mesh = _load_plain_obj(content)
-    if mesh is not None:
-        return mesh
-    return _parse_obj_text(_read_text(content))
+    vertices, triangles, uv = _mesh_arrays(source)
+    return IndexedMesh(vertices=vertices, triangles=triangles, uv_corners=uv)
 
 
-def _parse_obj_text(text: str) -> IndexedMesh:
-    """``load_obj`` of any text: the text is split once into records; each
-    record type is then checked and converted with array operations, and
-    only a record a check rejected is looked at on its own, to word the
-    error."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    tags = np.array([(line.split(None, 1) or ("",))[0] for line in lines], dtype=object)
-    lines = np.array(lines, dtype=object)
-    groups = {}
-    for tag in ("v", "vt", "f"):
-        rows = np.flatnonzero(tags == tag)
-        groups[tag] = (lines[rows].tolist(), rows + 1)
-    vertices = _coordinates(*groups["v"], "v", 3)
-    texcoords = _coordinates(*groups["vt"], "vt", 2)
-    faces = _face_corners(*groups["f"])
-    errors = [part for part in (vertices, texcoords, faces) if isinstance(part, ObjParseError)]
+def _mesh_arrays(source):
+    """``(vertices, triangles, uv_corners)`` of ``load_obj``, with its checks;
+    their temporaries are freed on return, before the mesh is built."""
+    data = _obj_bytes(source)
+    tags, begin, cut, odd = _record_lines(data)
+    groups = []
+    for code, tag in enumerate(_TAGS):
+        rows = np.flatnonzero(tags == code)
+        text = _record_text(data, begin[rows], cut[rows])
+        values = None
+        if len(rows) and not odd[rows].any():
+            if tag == "f":
+                values = _face_corners(text, len(rows))
+            else:
+                values = _coordinates(text, len(rows), _WIDTH[tag])
+        groups.append(_read_group(text, rows + 1, tag) if values is None else values)
+    errors = [group for group in groups if isinstance(group, ObjParseError)]
     if errors:
         raise min(errors, key=lambda exc: exc.line_no)
 
-    vertex, texture, has_uv, corner_line, n_corners = faces
+    vertices, texcoords, (vertex, texture, has_uv, n_corners) = groups
+    corner_line = np.repeat(rows + 1, n_corners)  # rows of the last tag, "f"
     bad_v = (vertex < 1) | (vertex > len(vertices))
     bad_t = has_uv & ((texture < 1) | (texture > len(texcoords)))
     if (bad_v | bad_t).any():
@@ -433,7 +409,7 @@ def _parse_obj_text(text: str) -> IndexedMesh:
         if bad_v[c]:
             raise ObjIndexError(f"vertex index {vertex[c]} out of range", int(corner_line[c]))
         raise ObjIndexError(f"texture index {texture[c]} out of range", int(corner_line[c]))
-    vi, ti = vertex.astype(np.int64), texture.astype(np.int64)
+    vi, ti = vertex.astype(np.int64, copy=False), texture.astype(np.int64, copy=False)
 
     # fan (first, k, k + 1) of every face, in face order
     n_fan = n_corners - 2
@@ -452,128 +428,175 @@ def _parse_obj_text(text: str) -> IndexedMesh:
     uv = None
     if len(has_uv) and has_uv.all():
         uv = texcoords[ti[fan].ravel() - 1]
-    return IndexedMesh(vertices=vertices, triangles=triangles, uv_corners=uv)
+    return vertices, triangles, uv
 
 
-# the bytes of plain OBJ text: printable ASCII but "#", and "\n"
-_PLAIN_BYTES = bytes([ord("\n")] + [b for b in range(32, 127) if b != ord("#")])
-# a face record's tag and corner slashes become spaces, leaving its index fields
-_FACE_FIELDS = bytes.maketrans(b"f/", b"  ")
-_CORNER_SEPARATORS = np.array([ord(c) for c in " / / /"], dtype=np.uint8)
+_TAGS = ("v", "vt", "f")
+_WIDTH = {"v": 3, "vt": 2}
+# str.splitlines' line breaks in ASCII, besides "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _load_plain_obj(content: str | bytes) -> IndexedMesh | None:
-    """The mesh of plain OBJ text (see ``load_obj``), or None.
-
-    None means the text is not plain, or the general parser would raise on
-    it; the caller then runs that parser.  Lines are found from the ``\\n``
-    bytes and typed by their first three bytes, and each record type is read
-    by one ``np.loadtxt``, whose float parser rounds as ``float`` does.
-    """
-    if isinstance(content, str):
-        if not content.isascii():
-            return None
-        content = content.encode("ascii")
-    if content.translate(None, _PLAIN_BYTES):
-        return None
-    if not content.endswith(b"\n"):
-        content += b"\n"
-    buf = np.frombuffer(content, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    b0, b1, b2 = (buf[np.minimum(starts + k, len(buf) - 1)] for k in range(3))
-    v_, t_, f_, space = (ord(c) for c in "vtf ")
-    length = ends - starts
-    bare_tag = ((b0 == v_) | (b0 == f_)) & (length == 1) | (b0 == v_) & (b1 == t_) & (length == 2)
-    if (b0 == space).any() or bare_tag.any():  # not plain, or an error
-        return None
-    groups = [
-        _plain_group(content, starts, ends, rows)
-        for rows in (
-            (b0 == v_) & (b1 == space),
-            (b0 == v_) & (b1 == t_) & (b2 == space),
-            (b0 == f_) & (b1 == space),
-        )
-    ]
-    vertices = _plain_table(groups[0], (1, 2, 3), np.float64)
-    texcoords = _plain_table(groups[1], (1, 2), np.float64)
-    faces = _plain_faces(groups[2])
-    if vertices is None or texcoords is None or faces is None:
-        return None
-    if not (np.isfinite(vertices).all() and np.isfinite(texcoords).all()):
-        return None
-    vertex, texture = faces
-    if vertex.size and not (vertex.min() >= 1 and vertex.max() <= len(vertices)):
-        return None
-    if texture is not None and not (texture.min() >= 1 and texture.max() <= len(texcoords)):
-        return None
-    triangles = vertex - 1
-    if (
-        (triangles[:, 0] == triangles[:, 1])
-        | (triangles[:, 1] == triangles[:, 2])
-        | (triangles[:, 0] == triangles[:, 2])
-    ).any():
-        return None
-    uv = None if texture is None else texcoords[texture.ravel() - 1]
-    return IndexedMesh(vertices=vertices, triangles=triangles, uv_corners=uv)
+def _obj_bytes(source) -> bytes:
+    """The OBJ text of a source as UTF-8 bytes, ``\\n`` its one line break
+    and last byte; text with another line break or a non-ASCII character is
+    joined from ``str.splitlines``, which keeps its line numbers."""
+    if isinstance(source, os.PathLike):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    elif not isinstance(source, (str, bytes)):
+        raise TypeError(f"unsupported OBJ source: {type(source)!r}")
+    breaks = _OTHER_BREAKS if isinstance(source, str) else _OTHER_BREAKS.encode()
+    if source.isascii() and not any(b in source for b in breaks):
+        data = source if isinstance(source, bytes) else source.encode("ascii")
+    else:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8", errors="replace")
+        data = "\n".join(source.splitlines()).encode("utf-8", "surrogatepass")
+    return data if data.endswith(b"\n") else data + b"\n"
 
 
-def _plain_group(content: bytes, starts, ends, rows: np.ndarray) -> bytes:
-    """The lines of ``content`` where ``rows`` is set, each with its ``\\n``."""
-    rows = np.flatnonzero(rows)
-    if len(rows) == 0:
+def _record_lines(data: bytes):
+    """Per line of ``data``: the index in ``_TAGS`` of its first word or -1,
+    the bounds ``begin:cut`` of its record (past leading blanks, up to its
+    ``\\n`` or first ``#``), and whether it is odd, with a control byte other
+    than tab or a non-ASCII byte before its cut.  Odd lines are tagged by
+    ``str.split``, which knows the blanks of Unicode."""
+    buf = np.frombuffer(data, np.uint8)
+    low = np.flatnonzero(buf < ord(" "))  # line breaks, tabs and other control bytes
+    ends = low[buf[low] == ord("\n")]
+    cut = ends.copy()
+    if b"#" in data:
+        hashes = np.flatnonzero(buf == ord("#"))
+        np.minimum.at(cut, np.searchsorted(ends, hashes), hashes)
+
+    begin = np.concatenate([[0], ends[:-1] + 1])
+    b = buf[begin]
+    lead = np.flatnonzero((b == ord(" ")) | (b == ord("\t")))
+    while len(lead):
+        begin[lead] += 1
+        b = buf[begin[lead]]
+        lead = lead[(b == ord(" ")) | (b == ord("\t"))]
+    # the first three bytes of each record; a word ends at a blank, "\n" or "#"
+    b0, b1, b2 = (buf.take(begin + k, mode="clip") for k in range(3))
+    end1, end2 = ((b <= ord(" ")) | (b == ord("#")) for b in (b1, b2))
+    tags = np.full(len(ends), -1, dtype=np.int8)
+    tags[(b0 == ord("v")) & end1] = 0
+    tags[(b0 == ord("v")) & (b1 == ord("t")) & end2] = 1
+    tags[(b0 == ord("f")) & end1] = 2
+
+    odd = np.zeros(len(ends), dtype=bool)
+    at = low[(buf[low] != ord("\n")) & (buf[low] != ord("\t"))]
+    if len(at) or not data.isascii():
+        at = np.union1d(at, np.flatnonzero(buf > 127))
+        line = np.searchsorted(ends, at)
+        odd[line[at < cut[line]]] = True
+        for i in np.flatnonzero(odd).tolist():
+            words = data[begin[i] : cut[i]].decode("utf-8", "surrogatepass").split(None, 1)
+            tags[i] = _TAGS.index(words[0]) if words and words[0] in _TAGS else -1
+    return tags, begin, cut, odd
+
+
+def _record_text(data: bytes, begin: np.ndarray, cut: np.ndarray) -> bytes:
+    """The records ``data[begin[i]:cut[i]]``, joined by ``\\n``; a run of
+    whole adjacent lines is one slice of ``data``."""
+    if len(begin) == 0:
         return b""
-    if rows[-1] - rows[0] == len(rows) - 1:  # one run of lines
-        return content[starts[rows[0]] : ends[rows[-1]] + 1]
-    keep = np.zeros(len(starts), dtype=bool)
-    keep[rows] = True
-    return np.frombuffer(content, np.uint8)[np.repeat(keep, ends - starts + 1)].tobytes()
+    split = np.flatnonzero(begin[1:] != cut[:-1] + 1) + 1
+    runs = zip(
+        begin[np.concatenate([[0], split])].tolist(),
+        cut[np.append(split - 1, len(cut) - 1)].tolist(),
+    )
+    return b"\n".join(data[a:b] for a, b in runs)
 
 
-def _plain_table(group: bytes, columns: tuple | None, dtype) -> np.ndarray | None:
-    """The given whitespace-separated columns (all when None) of every line of
-    ``group``, one row per line; None where a line has too few columns, or
-    other than the first line's when all are read, or a field does not
-    convert."""
-    if not group:
-        return np.zeros((0, len(columns)), dtype=dtype)
+def _coordinates(text: bytes, n_records: int, width: int) -> np.ndarray | None:
+    """(n, width) coordinates of ``v`` or ``vt`` records, fields past ``width``
+    ignored; None where a record is short or a coordinate does not read as a
+    finite float."""
     try:
-        return np.loadtxt(
-            io.StringIO(group.decode("ascii")),
-            dtype=dtype,
-            comments=None,
-            usecols=columns,
-            ndmin=2,
+        values = np.loadtxt(
+            io.BytesIO(text), comments=None, usecols=range(1, width + 1), ndmin=2
         )
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
+    if len(values) != n_records or not np.isfinite(values).all():
+        return None
+    return values
 
 
-def _plain_faces(group: bytes):
-    """``(vertex, texture)`` (F, 3) 1-based indices of ``f`` records that are all
-    ``f a b c`` (texture None) or all ``f a/b c/d e/f``, or None."""
-    if not group:
-        return np.zeros((0, 3), dtype=np.int64), None
-    # the tag, digits and separators only, and a digit after every separator
-    if group.translate(None, b"f0123456789 /\n") or group.count(b"f") != group.count(b"\n"):
+def _face_corners(text: bytes, n_records: int):
+    """``(vertex, texture, has_uv, n_corners)`` of ``f`` records, or None.
+
+    Per corner: its int64 vertex and texture index (0 where it has none) and
+    whether it has a texture index; per record: its corner count.  One or two
+    slashes and then a digit after a number continue its corner.  None where
+    a byte is not the tag, a digit, slash or blank, an index reaches 10**18,
+    a slash follows no digit, a corner has over three fields, or a record
+    under three corners.
+    """
+    text += b"\n\n"  # so that the two bytes after every number exist
+    if text.translate(None, b"f0123456789/ \t\n") or text.count(b"f") != n_records:
         return None
-    g = np.frombuffer(group, np.uint8)
-    sep = np.flatnonzero((g == ord(" ")) | (g == ord("/")))
-    after = g[sep + 1]
-    if not ((after >= ord("0")) & (after <= ord("9"))).all():
+    buf = np.frombuffer(text, np.uint8)
+    blanked = text.translate(bytes.maketrans(b"f/", b"  "))  # the indices alone
+    digit = np.frombuffer(blanked, np.uint8) > ord(" ")
+    end = np.flatnonzero(digit[:-1] > digit[1:]) + 1  # the byte after each number
+    if len(end) == 0:
         return None
-    fields = _plain_table(group.translate(_FACE_FIELDS), None, np.int64)
-    if fields is None:
+    values = np.fromstring(blanked, dtype=np.int64, sep=" ")
+    if len(values) != len(end) or values.max() >= 10**18:  # it may have overflowed
         return None
-    if fields.shape[1] == 3 and b"/" not in group:
-        return fields, None
-    if fields.shape[1] == 6 and (g[sep].reshape(-1, 6) == _CORNER_SEPARATORS).all():
-        return fields[:, 0::2], fields[:, 1::2]
-    return None
+    # without a slash every number is the vertex index of a corner
+    vertex, texture, has_uv = values, np.zeros_like(values), np.zeros(len(values), dtype=bool)
+    if b"/" in text:
+        slash = ord("/")
+        one = buf[end] == slash
+        runs = one.view(np.int8) + (one & (buf[end + 1] == slash))  # slashes after each number
+        joined = buf[end + runs] >= ord("0")  # the next number is in the same corner
+        opens = np.flatnonzero(np.concatenate([[True], ~joined[:-1]]))  # the vertex indices
+        slashes = np.concatenate([[0], np.cumsum(runs)])
+        if (
+            slashes[-1] != text.count(b"/")  # a slash not among the two after a digit
+            or (np.diff(slashes[np.append(opens, len(end))]) > 2).any()  # four fields
+        ):
+            return None
+        # the texture index is the number after the one slash that follows the vertex index
+        has_uv = (runs[opens] == 1) & joined[opens]
+        vertex, texture, end = values[opens], texture[opens], end[opens]
+        texture[has_uv] = values[opens[has_uv] + 1]
+    record = np.flatnonzero(buf == ord("f"))
+    n_corners = np.diff(np.searchsorted(end, record), append=len(end))
+    if (n_corners < 3).any():
+        return None
+    return vertex, texture, has_uv, n_corners
 
 
-def _record_error(line: str, line_no: int) -> ObjParseError | None:
-    """The error ``load_obj`` raises for one ``v``, ``vt`` or ``f`` record, or None."""
+def _read_group(text: bytes, line_nos: np.ndarray, tag: str):
+    """The records of one tag read one at a time, as the array converters
+    return them (face indices as Python ints), or the first record's error."""
+    lines = text.decode("utf-8", "surrogatepass").split("\n")
+    records = [_read_record(line, n) for line, n in zip(lines, line_nos.tolist())]
+    errors = [record for record in records if isinstance(record, ObjParseError)]
+    if errors:
+        return errors[0]
+    if tag != "f":
+        return np.array(records, dtype=np.float64).reshape(-1, _WIDTH[tag])
+    corners = [corner for record in records for corner in record]
+    vertex = np.array([v for v, _ in corners], dtype=object)
+    texture = np.array([t or 0 for _, t in corners], dtype=object)
+    has_uv = np.array([t is not None for _, t in corners], dtype=bool)
+    return vertex, texture, has_uv, np.array([len(r) for r in records], dtype=np.int64)
+
+
+def _read_record(line: str, line_no: int):
+    """The values of one ``v``, ``vt`` or ``f`` record, or the ``ObjParseError``
+    ``load_obj`` raises for it.
+
+    ``v`` and ``vt`` give their first 3 or 2 coordinates as floats, ``f`` the
+    ``(vertex, texture)`` integers of each corner, texture None where the
+    corner has none.
+    """
     parts = line.split()
     if parts[0] in ("v", "vt"):
         width, noun = (3, "vertex") if parts[0] == "v" else (2, "texture")
@@ -585,112 +608,20 @@ def _record_error(line: str, line_no: int) -> ObjParseError | None:
             return ObjParseError(f"bad {noun} coordinate: {exc}", line_no)
         if not all(map(math.isfinite, values)):
             return ObjParseError(f"non-finite {noun} coordinate", line_no)
-        return None
+        return values
     if len(parts) < 4:
         return ObjParseError("face record needs at least 3 corners", line_no)
+    corners = []
     for ref in parts[1:]:
         fields = ref.split("/")
         try:
             if len(fields) > 3 or fields[0] == "":
                 raise ValueError(ref)
-            int(fields[0])
-            if len(fields) >= 2 and fields[1] != "":
-                int(fields[1])
+            texture = int(fields[1]) if len(fields) >= 2 and fields[1] != "" else None
+            corners.append((int(fields[0]), texture))
         except ValueError:
             return ObjParseError(f"bad face corner {ref!r}", line_no)
-    return None
-
-
-def _first_error(lines: list, line_nos: np.ndarray) -> ObjParseError:
-    """The error of the first rejected record among ``lines``."""
-    for line, line_no in zip(lines, line_nos.tolist()):
-        error = _record_error(line, line_no)
-        if error is not None:
-            return error
-    raise AssertionError("no record of the group is malformed")
-
-
-def _record_tokens(lines: list, tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """The whitespace tokens of records that all start with ``tag``, as an object
-    array, and the index of each record's first token."""
-    tokens = np.array(" ".join(lines).split(), dtype=object)
-    starts = np.flatnonzero(tokens == tag)
-    if len(starts) != len(lines):  # a field equals the tag
-        counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-        starts = np.cumsum(counts) - counts
-    return tokens, starts
-
-
-def _coordinates(lines: list, line_nos: np.ndarray, tag: str, width: int):
-    """(n, width) coordinates of ``v`` or ``vt`` records, or the first record's error.
-
-    Fields past ``width`` are ignored.
-    """
-    tokens, starts = _record_tokens(lines, tag)
-    if (np.diff(starts, append=len(tokens)) > width).all():
-        try:
-            values = tokens[starts[:, None] + np.arange(1, width + 1)].astype(np.float64)
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values
-    return _first_error(lines, line_nos)
-
-
-def _face_corners(lines: list, line_nos: np.ndarray):
-    """The corners of ``f`` records, or the first record's error.
-
-    Returns ``(vertex, texture, has_uv, corner_line, n_corners)``: per corner
-    in record order its vertex index and its texture index (0 where it has
-    none) as the integers the record wrote, whether it has a texture index,
-    and the line of its record; and the corner count of each record.  The
-    index arrays hold Python ints when an index does not fit in int64.
-    """
-    tokens, starts = _record_tokens(lines, "f")
-    n_corners = np.diff(starts, append=len(tokens)) - 1
-    if (n_corners < 3).any():
-        return _first_error(lines, line_nos)
-    corners = np.delete(tokens, starts).tolist()
-    n = len(corners)
-    # the corners' characters, one space after each
-    codes = np.frombuffer(
-        (" ".join(corners) + " ").encode("utf-32-le", "surrogatepass"), dtype=np.uint32
-    ).copy()
-    end = np.flatnonzero(codes == ord(" "))
-    lengths = np.diff(end, prepend=-1) - 1
-    slash = np.flatnonzero(codes == ord("/"))
-    owner = np.searchsorted(end, slash)
-    n_slash = np.bincount(owner, minlength=n)
-    first = np.searchsorted(owner, np.arange(n))
-    at = np.append(slash, -1)
-    s1 = np.where(n_slash >= 1, at[first], end)
-    s2 = np.where(n_slash >= 2, at[np.minimum(first + 1, len(slash))], end)
-    if (n_slash > 2).any() or (s1 == end - lengths).any():
-        return _first_error(lines, line_nos)
-    # with slashes as spaces, a corner splits into its nonempty fields
-    codes[slash] = ord(" ")
-    fields = np.array(
-        codes.tobytes().decode("utf-32-le", "surrogatepass").split(), dtype=object
-    )
-    has_uv = s2 > s1 + 1
-    n_fields = 1 + has_uv + (end > s2 + 1)
-    vertex_field = np.cumsum(n_fields) - n_fields
-    try:
-        vertex = _indices(fields[vertex_field])
-        uv_index = _indices(fields[vertex_field[has_uv] + 1])
-    except ValueError:
-        return _first_error(lines, line_nos)
-    texture = np.zeros(n, dtype=uv_index.dtype)
-    texture[has_uv] = uv_index
-    return vertex, texture, has_uv, np.repeat(line_nos, n_corners), n_corners
-
-
-def _indices(tokens: np.ndarray) -> np.ndarray:
-    """The integers of index tokens: int64 when they all fit, else Python ints."""
-    try:
-        return tokens.astype(np.int64)
-    except OverflowError:
-        return np.array([int(t) for t in tokens], dtype=object)
+    return corners
 
 
 def save_obj(mesh: IndexedMesh) -> str:

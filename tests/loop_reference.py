@@ -43,6 +43,7 @@ the per-island face scan of the island shelf layout, is kept there too;
 
 import heapq
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -60,7 +61,6 @@ from seamkit.mesh import (
     ObjIndexError,
     ObjParseError,
     SeamEdgeSet,
-    _read_text,
     content_lines,
 )
 from seamkit.unwrap import (
@@ -97,8 +97,12 @@ from seamkit.tokenizer import (
 def load_obj(source) -> IndexedMesh:
     """Parse an ASCII OBJ stream record by record (``seamkit.mesh.load_obj`` before
     it parsed with array operations).  A degenerate face raises ``ObjParseError``
-    with line 0."""
-    text = _read_text(source)
+    with line 0.  ``source`` is text, bytes (decoded as UTF-8, bad bytes
+    replaced) or an ``os.PathLike`` path to such bytes."""
+    if isinstance(source, os.PathLike):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    text = source.decode("utf-8", errors="replace") if isinstance(source, bytes) else source
     vertices: list[tuple[float, float, float]] = []
     texcoords: list[tuple[float, float]] = []
     # face corners as (vertex_index, vt_index_or_None) with 1-based indices

@@ -384,6 +384,24 @@ def test_detokenize_token_beyond_int64_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["seams", "tokens", "config", "edges", "pairs"])
+def test_text_file_not_utf8_names_the_file_exit_2(grid_obj, tmp_path, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(b"0 1\n\xff\n")
+    out = tmp_path / "out"
+    argv = {
+        "seams": ["tokenize", str(bad), str(out)],
+        "tokens": ["detokenize", str(bad), str(out)],
+        "config": ["sample-points", str(grid_obj), str(out), "--config", str(bad)],
+        "edges": ["unwrap", str(grid_obj), "--edges", str(bad), "--obj-out", str(out)],
+        "pairs": ["dpo", str(bad), str(out)],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 def test_unwrap_edge_index_beyond_int64_exit_2(grid_obj, tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("0 1\n0 99999999999999999999\n")

@@ -6,6 +6,8 @@ is deliberate: a degenerate face names its own line, where the reference
 reports line 0.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,8 @@ from seamkit.mesh import (
     IndexedMesh,
     ObjIndexError,
     ObjParseError,
-    _load_plain_obj,
-    _parse_obj_text,
     content_lines,
+    format_records,
     load_obj,
     obj_text,
     save_obj,
@@ -42,6 +43,8 @@ def _outcome(parse, text):
 
 def _degenerate_line(text):
     """Line of the first face whose fan repeats a vertex, read record by record."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
     for line_no, line in content_lines(text):
         parts = line.split()
         if parts[0] == "f":
@@ -98,8 +101,22 @@ ERRORS = {
         "face record needs at least 3 corners",
         4,
     ),
+    "bare f": (TRIANGLE + "f\n", ObjParseError, "face record needs at least 3 corners", 4),
+    "bare f, blanks and a comment": (
+        TRIANGLE + "f \t # c\n",
+        ObjParseError,
+        "face record needs at least 3 corners",
+        4,
+    ),
+    "tag before a comment": (
+        TRIANGLE + "vt#uv\n",
+        ObjParseError,
+        "texture record needs 2 coordinates",
+        4,
+    ),
     "corner /1": (TRIANGLE + "f /1 2 3\n", ObjParseError, "bad face corner '/1'", 4),
     "corner 1/2/3/4": (TRIANGLE + "f 1/2/3/4 2 3\n", ObjParseError, "bad face corner '1/2/3/4'", 4),
+    "corner 1///2": (TRIANGLE + "f 1///2 2 3\n", ObjParseError, "bad face corner '1///2'", 4),
     "corner a/1": (TRIANGLE + UVS + "f 1/1 a/1 3/3\n", ObjParseError, "bad face corner 'a/1'", 7),
     "corner 2/x": (TRIANGLE + UVS + "f 1/1 2/x 3/3\n", ObjParseError, "bad face corner '2/x'", 7),
     "corner 1.5": (TRIANGLE + "f 1.5 2 3\n", ObjParseError, "bad face corner '1.5'", 4),
@@ -211,6 +228,7 @@ ACCEPTED = {
         [[0, 1, 2]],
         True,
     ),
+    "leading blanks": ("  \tv 0 0 0\n\t\tv 1 0 0\n \t v 0 1 0\n\t f 1 2 3\n", [[0, 1, 2]], False),
     "extra fields equal to the tag": (
         "v 0 0 0 v\nv 1 0 0\nv 0 1 0\n" + UVS + "vt 1 1 vt\nf 1/1 2/2 3/3\n",
         [[0, 1, 2]],
@@ -359,16 +377,16 @@ def test_save_obj_round_trip(mesh):
 
 
 # ---------------------------------------------------------------------------
-# The plain parser: obj_text output is read from its bytes, with the general
-# parser's arrays; everything else is left to the general parser
+# obj_text output is read by the array converters alone, with the reference's
+# arrays; texts one step away from it parse like the reference too.  There is
+# one parser: the "plain"/"general" test names below are kept so that their
+# test IDs stay stable, and name the inputs, not a parser fork.
 
 
-def _assert_plain_matches_general(text):
-    """The plain parser's mesh, where it gives one, has the general parser's arrays."""
-    plain = _load_plain_obj(text)
-    if plain is not None:
-        _assert_same_arrays(_outcome(lambda _: plain, text), _outcome(_parse_obj_text, text))
-    return plain
+def _assert_plain(source):
+    """``load_obj`` reads ``source`` without the per-record reader."""
+    with mock.patch.object(mesh_mod, "_read_record", side_effect=AssertionError("not plain")):
+        return load_obj(source)
 
 
 @st.composite
@@ -396,9 +414,9 @@ def _obj_text_meshes(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_obj_text_meshes(), st.data())
 def test_obj_text_takes_the_plain_parser(text, data):
-    assert _assert_plain_matches_general(text) is not None
+    _assert_plain(text)
     _assert_matches_reference(text)
-    # one or two tokens replaced: the plain parser declines or still agrees
+    # one or two tokens replaced
     lines = text.splitlines(keepends=True)
     if not lines:
         return
@@ -408,12 +426,10 @@ def test_obj_text_takes_the_plain_parser(text, data):
         choices = _CORRUPT_COORDINATE if tokens[0] in ("v", "vt") else _CORRUPT_CORNER
         tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(choices))
         lines[i] = " ".join(tokens) + "\n"
-    corrupted = "".join(lines)
-    _assert_plain_matches_general(corrupted)
-    _assert_matches_reference(corrupted)
+    _assert_matches_reference("".join(lines))
 
 
-# texts one step away from plain; each is left to the general parser
+# texts one step away from plain, as text and as bytes
 NOT_PLAIN = {
     "v/vt/vn corners read as v/vt": TRIANGLE + "v 1 1 0\n" + UVS + "vt 1 1\nf 1/1/2 3/4 4\n",
     "two corners, one with a slash": TRIANGLE + UVS + "f 1/2 3\n",
@@ -432,6 +448,8 @@ NOT_PLAIN = {
     "non-ASCII": "o \xe9\n" + TRIANGLE + "f 1 2 3\n",
     "underscore in a coordinate": TRIANGLE + "v 1_0 0 0\nf 1 2 4\n",
     "bare tag": TRIANGLE + "vt\nf 1 2 3\n",
+    "bare f": TRIANGLE + "f\n",
+    "bare f, blanks and a comment": TRIANGLE + "f \t # c\n",
     "index 0": TRIANGLE + "f 0 1 2\n",
     "texture index out of range": TRIANGLE + UVS + "f 1/1 2/2 3/4\n",
     "repeated vertex": TRIANGLE + "f 1 2 1\n",
@@ -442,9 +460,8 @@ NOT_PLAIN = {
 @pytest.mark.parametrize("name", list(NOT_PLAIN))
 def test_near_plain_text_is_left_to_the_general_parser(name):
     text = NOT_PLAIN[name]
-    assert _load_plain_obj(text) is None
-    assert _load_plain_obj(text.encode("utf-8")) is None
     _assert_matches_reference(text)
+    _assert_matches_reference(text.encode("utf-8"))
 
 
 PLAIN = {
@@ -461,7 +478,7 @@ PLAIN = {
 @pytest.mark.parametrize("name", list(PLAIN))
 def test_plain_text_forms(name):
     text = PLAIN[name]
-    assert _assert_plain_matches_general(text) is not None
+    _assert_plain(text)
     _assert_matches_reference(text)
 
 
@@ -478,6 +495,76 @@ def test_benchmark_meshes_take_the_plain_parser(name, tmp_path):
     text = save_obj(BENCHMARK_MESHES[name]())
     path = tmp_path / "mesh.obj"
     path.write_text(text)
+    want = _outcome(ref.load_obj, text)
     for source in (text, text.encode("ascii"), path):
-        assert _load_plain_obj(mesh_mod._read_source(source)) is not None
-    assert _assert_plain_matches_general(text) is not None
+        _assert_same_arrays(_outcome(_assert_plain, source), want)
+
+
+# ---------------------------------------------------------------------------
+# Texts at size, in the layouts exporters write
+
+
+def _blender_text(mesh):
+    """A Blender-style export: CRLF, a header comment, ``o``/``usemtl``/``s``
+    records, one ``vn`` and ``f v/vt/vn`` faces."""
+    corners = np.arange(1, 3 * mesh.n_triangles + 1).reshape(-1, 3)
+    faces = np.stack([mesh.triangles + 1, corners], axis=2).reshape(-1, 6)
+    return (
+        "# Blender 4.1.0\r\n# www.blender.org\r\nmtllib mesh.mtl\r\no Cylinder\r\n"
+        + format_records("v %.6f %.6f %.6f\r\n", mesh.vertices)
+        + "vn -0.0000 -1.0000 -0.0000\r\n"
+        + format_records("vt %.6f %.6f\r\n", mesh.uv_corners)
+        + "s 0\r\nusemtl Material\r\n"
+        + format_records("f %d/%d/1 %d/%d/1 %d/%d/1\r\n", faces)
+    )
+
+
+def _tri_quad_text(n):
+    """An (n x n)-cell grid, alternate cells as quads and as two triangles."""
+    g = np.arange((n + 1) * (n + 1)).reshape(n + 1, n + 1) + 1
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vertices = np.stack([np.tile(xs, n + 1), np.repeat(xs, n + 1), np.zeros((n + 1) ** 2)], axis=1)
+    quads = np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1]], axis=2).reshape(-1, 4)
+    return (
+        format_records("v %.9g %.9g %.9g\n", vertices)
+        + format_records("f %d %d %d %d\n", quads[0::2])
+        + format_records("f %d %d %d\nf %d %d %d\n", quads[1::2][:, [0, 1, 2, 0, 2, 3]])
+    )
+
+
+def _vn_text(mesh):
+    """``f v//vn`` faces, one normal per face."""
+    normals = np.repeat(np.arange(1, mesh.n_triangles + 1), 3).reshape(-1, 3)
+    faces = np.stack([mesh.triangles + 1, normals], axis=2).reshape(-1, 6)
+    return (
+        format_records("v %.9g %.9g %.9g\n", mesh.vertices)
+        + format_records("vn 0 0 %d\n", np.ones((mesh.n_triangles, 1), dtype=np.int64))
+        + format_records("f %d//%d %d//%d %d//%d\n", faces)
+    )
+
+
+def _interleaved_text(mesh):
+    """A ``v``, three ``vt`` and an ``f`` record in turn, each with a trailing
+    comment, so that no record type is one run of whole lines."""
+    v = [f"v {x!r} {y!r} {z!r} # vertex" for x, y, z in mesh.vertices.tolist()]
+    lines = []
+    for f, (a, b, c) in enumerate((mesh.triangles + 1).tolist()):
+        lines += v[f : f + 1]
+        lines += [f"vt {s!r} {t!r}# uv" for s, t in mesh.uv_corners[3 * f : 3 * f + 3].tolist()]
+        lines.append(f"f {a}/{3 * f + 1} {b}/{3 * f + 2} {c}/{3 * f + 3} # face {f}")
+    return "\n".join(lines + v[mesh.n_triangles :]) + "\n"
+
+
+LARGE_TEXTS = {
+    "Blender-style cylinder 128x128": lambda: _blender_text(shapes.make_cylinder(128, 128)),
+    "tri+quad mix": lambda: _tri_quad_text(141),
+    "v//vn sphere": lambda: _vn_text(shapes.make_sphere(32, 64)),
+    "interleaved records with comments": lambda: _interleaved_text(shapes.make_cylinder(24, 16)),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_TEXTS))
+def test_large_text_parses_like_reference(name):
+    text = LARGE_TEXTS[name]()
+    _assert_matches_reference(text)
+    _assert_same_arrays(_outcome(load_obj, text.encode("ascii")), _outcome(load_obj, text))
