@@ -14,6 +14,13 @@ An array in gives an array out: an op none of whose arguments is a
 once runs on Tensors for training and on plain arrays for inference, which
 then builds no graph and pays for no nodes.  An op on Tensors that need no
 gradient returns a leaf; ``backward`` frees the graph as it goes.
+
+A ``Tensor`` is a handle: its forward ``value`` and its graph ``Vertex``.
+The vertex holds what ``backward`` reads (gradient, parent vertices, VJP
+closures) and no forward value, so an activation lives only as long as the
+model code holds its handle, unless a VJP saved it.  An op's VJPs capture
+shapes and the arrays their formulas read, never an input only for its
+shape: ``add`` keeps two shapes, ``gelu`` keeps its input.
 """
 
 from __future__ import annotations
@@ -27,13 +34,13 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-class Tensor:
-    """Node in the computation graph."""
+class Vertex:
+    """A Tensor's place in the computation graph: its gradient, its parents'
+    vertices and one VJP closure per parent, but no forward value."""
 
-    __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
+    __slots__ = ("grad", "parents", "vjps", "requires_grad")
 
-    def __init__(self, value, parents=(), vjps=(), requires_grad=False):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, parents=(), vjps=(), requires_grad=False):
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         # an op on inputs that need no gradient is a leaf: keeping its parents
@@ -41,9 +48,28 @@ class Tensor:
         self.parents = parents if self.requires_grad else ()
         self.vjps = vjps if self.requires_grad else ()
 
+
+class Tensor:
+    """Handle on a forward value and its graph vertex.  ``parents`` are
+    Tensors; the vertex links to their vertices, not to their values."""
+
+    __slots__ = ("value", "vertex")
+
+    def __init__(self, value, parents=(), vjps=(), requires_grad=False):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.vertex = Vertex(tuple(p.vertex for p in parents), vjps, requires_grad)
+
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def grad(self):
+        return self.vertex.grad
+
+    @property
+    def requires_grad(self):
+        return self.vertex.requires_grad
 
 
 def as_tensor(x) -> Tensor:
@@ -83,19 +109,17 @@ def _node(value, parents, vjps) -> Tensor | np.ndarray:
 
 def add(a, b) -> Tensor | np.ndarray:
     x, y = _value(a), _value(b)
+    xs, ys = x.shape, y.shape
     return _node(
-        x + y,
-        (a, b),
-        (lambda g: _unbroadcast(g, x.shape), lambda g: _unbroadcast(g, y.shape)),
+        x + y, (a, b), (lambda g: _unbroadcast(g, xs), lambda g: _unbroadcast(g, ys))
     )
 
 
 def sub(a, b) -> Tensor | np.ndarray:
     x, y = _value(a), _value(b)
+    xs, ys = x.shape, y.shape
     return _node(
-        x - y,
-        (a, b),
-        (lambda g: _unbroadcast(g, x.shape), lambda g: _unbroadcast(-g, y.shape)),
+        x - y, (a, b), (lambda g: _unbroadcast(g, xs), lambda g: _unbroadcast(-g, ys))
     )
 
 
@@ -148,7 +172,8 @@ def transpose(a, axes) -> Tensor | np.ndarray:
 
 def reshape(a, shape) -> Tensor | np.ndarray:
     x = _value(a)
-    return _node(x.reshape(shape), (a,), (lambda g: g.reshape(x.shape),))
+    xs = x.shape
+    return _node(x.reshape(shape), (a,), (lambda g: g.reshape(xs),))
 
 
 def concat_rows(tensors, axis: int = 0) -> Tensor | np.ndarray:
@@ -171,9 +196,10 @@ def concat_rows(tensors, axis: int = 0) -> Tensor | np.ndarray:
 
 def slice_rows(a, start: int, stop: int) -> Tensor | np.ndarray:
     x = _value(a)
+    xs = x.shape
 
     def vjp(g):
-        out = np.zeros(x.shape)
+        out = np.zeros(xs)
         out[start:stop] = g
         return out
 
@@ -183,10 +209,11 @@ def slice_rows(a, start: int, stop: int) -> Tensor | np.ndarray:
 def gather_rows(table, indices) -> Tensor | np.ndarray:
     """Row lookup (embeddings); gradient scatters with accumulation."""
     x = _value(table)
+    xs = x.shape
     idx = np.asarray(indices, dtype=np.int64)
 
     def vjp(g):
-        out = np.zeros(x.shape)
+        out = np.zeros(xs)
         np.add.at(out, idx, g)
         return out
 
@@ -195,12 +222,14 @@ def gather_rows(table, indices) -> Tensor | np.ndarray:
 
 def sum_all(a) -> Tensor | np.ndarray:
     x = _value(a)
-    return _node(np.asarray(x.sum()), (a,), (lambda g: np.broadcast_to(g, x.shape).copy(),))
+    xs = x.shape
+    return _node(np.asarray(x.sum()), (a,), (lambda g: np.broadcast_to(g, xs).copy(),))
 
 
 def layer_norm(x, g, b, eps: float) -> Tensor | np.ndarray:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis."""
     xv, gv, bv = _value(x), _value(g), _value(b)
+    bs = bv.shape
     n = xv.shape[-1]
     # np.add.reduce(...) / n is what ndarray.mean computes, without its wrapper
     centered = xv - np.add.reduce(xv, axis=-1, keepdims=True) / n
@@ -221,7 +250,7 @@ def layer_norm(x, g, b, eps: float) -> Tensor | np.ndarray:
         (
             vjp_x,
             lambda grad: _unbroadcast(grad * xhat, gv.shape),
-            lambda grad: _unbroadcast(grad, bv.shape),
+            lambda grad: _unbroadcast(grad, bs),
         ),
     )
 
@@ -360,17 +389,20 @@ def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor | np
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
-    A leaf's gradient is added to the ``.grad`` it already holds, so
-    gradients accumulate over backward passes on several graphs that share
-    leaves: training builds and differentiates one condition group's graph
-    at a time, and peak memory is set by the largest group, not the
-    dataset.  The pass consumes the graph: each interior node gives up its
-    gradient, parents and VJPs once they have been passed on, so a graph is
-    differentiated once.
+    The pass walks vertices only: it reads ``loss.value`` for the seed
+    gradient's shape and no other forward value, so the activations still
+    alive are those the VJPs saved.  A leaf's gradient is added to the
+    ``.grad`` it already holds, so gradients accumulate over backward passes
+    on several graphs that share leaves: training builds and differentiates
+    one condition group's graph at a time, and peak memory is set by the
+    largest group, not the dataset.  The pass consumes the graph: each
+    interior vertex gives up its gradient, parents and VJPs once they have
+    been passed on, so a graph is differentiated once.
     """
-    order: list[Tensor] = []
+    root = loss.vertex
+    order: list[Vertex] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Vertex, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -384,7 +416,7 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.value)
+    root.grad = np.ones_like(loss.value)
     while order:
         node = order.pop()
         g = node.grad
@@ -396,7 +428,7 @@ def backward(loss: Tensor) -> None:
             pg = vjp(g)
             parent.grad = pg if parent.grad is None else parent.grad + pg
         if node.parents:
-            # spent: dropping the links frees each activation once no VJP
+            # spent: dropping the links frees each saved array once no VJP
             # still to run holds it, so the pass releases the graph as it goes
             node.grad = None
             node.parents = node.vjps = ()

@@ -542,10 +542,10 @@ def cmd_dpo(args) -> int:
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
     _check_record_metrics(records, line_nos, args.pairs, cand_dir)
     pairs = _pairs_from_records(records, cand_dir, cfg)
-    reference = policy.copy()
     dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
     t1 = time.perf_counter()
-    trained, history = dpo_mod.dpo_train(policy, reference, pairs, dpo_config)
+    # the starting policy is the reference: dpo_train only reads it, so no copy
+    trained, history = dpo_mod.dpo_train(policy, policy, pairs, dpo_config)
     timings = {"pairs": t1 - t0, "train": time.perf_counter() - t1}
     _write_atomic(args.output, model_mod.save_checkpoint(trained))
     log_path = os.path.splitext(args.output)[0] + ".log.jsonl"

@@ -125,7 +125,7 @@ def _reference_logprobs(batch: _ConditionBatch, reference: ParameterStore) -> li
 
 def _same_store(a: ParameterStore, b: ParameterStore) -> bool:
     """Whether two stores have the same config and bit-identical arrays."""
-    return (
+    return a is b or (
         a.config == b.config
         and list(a.arrays) == list(b.arrays)
         and all(
@@ -220,17 +220,19 @@ def dpo_train(
     ``dataset`` is a list of ``(clouds, (chosen_tokens, rejected_tokens))``
     items: ``ConditioningClouds`` and two complete int64 token arrays, the
     chosen one preferred (``PairRecord`` checks why).  The items are grouped,
-    and their conditions prepared, once (``model._group_conditions``).  The
-    reference store is read-only.  When it has the policy's config and
-    bit-identical arrays, its log-probabilities are those of step 0's policy
-    pass; otherwise one pass over it computes them before step 0.  Each step
-    runs forward and backward once per condition group and accumulates the
-    gradients before its one update (``_policy_pass``), so peak memory is
-    set by the largest condition group, not by the dataset.  Logs loss,
-    preference accuracy (fraction of pairs with positive margin) and the
-    ``DPOStepLog`` reward diagnostics per step, each computed from per-pair
-    floats in pair order.  Aborts when the loss stays above
-    DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE consecutive steps.
+    and their conditions prepared, once (``model._group_conditions``).  Both
+    stores are read-only, so the reference may be the policy object itself,
+    which saves a copy of every array.  When the reference is the policy, or
+    has its config and bit-identical arrays, its log-probabilities are those
+    of step 0's policy pass; otherwise one pass over it computes them before
+    step 0.  Each step runs forward and backward once per condition group
+    and accumulates the gradients before its one update (``_policy_pass``),
+    so peak memory is set by the largest condition group, not by the
+    dataset.  Logs loss, preference accuracy (fraction of pairs with
+    positive margin) and the ``DPOStepLog`` reward diagnostics per step,
+    each computed from per-pair floats in pair order.  Aborts when the loss
+    stays above DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE
+    consecutive steps.
     """
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
@@ -269,6 +271,7 @@ def dpo_train(
         else:
             bad_streak = 0
         policy = _sgd_step(policy, p, config.learning_rate)
+        del p, grads  # spent: free this step's gradients before the next pass
     return policy, history
 
 

@@ -702,13 +702,14 @@ def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
 
 def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStore:
     """A copy of ``params`` with every trainable array that has a gradient in
-    ``tensors`` moved to ``old - lr * grad``."""
-    new = params.copy()
-    for name in params.trainable_names():
-        g = tensors[name].grad
-        if g is not None:
-            new.arrays[name] = new.arrays[name] - lr * g
-    return new
+    ``tensors`` moved to ``old - lr * grad``; only the other arrays are
+    copied as they are."""
+    trainable = set(params.trainable_names())
+    arrays = {}
+    for name, old in params.arrays.items():
+        g = tensors[name].grad if name in trainable else None
+        arrays[name] = old.copy() if g is None else old - lr * g
+    return ParameterStore(arrays=arrays, config=params.config)
 
 
 def nll_train_step(batch, params: ParameterStore, lr: float) -> tuple[ParameterStore, float]:

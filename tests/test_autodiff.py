@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -209,9 +211,9 @@ def test_ops_on_non_grad_inputs_are_leaves():
     rng = np.random.default_rng(9)
     x, w = ad.Tensor(rng.normal(size=(2, 3, 4))), ad.Tensor(rng.normal(size=(4, 2)))
     out = ad.gelu(ad.matmul(ad.add(x, x), w))
-    assert not out.requires_grad and out.parents == () and out.vjps == ()
+    assert not out.requires_grad and out.vertex.parents == () and out.vertex.vjps == ()
     tracked = ad.matmul(x, ad.parameter(w.value))
-    assert tracked.requires_grad and len(tracked.parents) == 2
+    assert tracked.requires_grad and len(tracked.vertex.parents) == 2
 
 
 def test_batched_rows_and_start_rows():
@@ -249,7 +251,24 @@ def test_backward_releases_the_graph():
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, 2 * x.value + 1)
     for node in (y, loss):
-        assert node.grad is None and node.parents == () and node.vjps == ()
+        assert node.grad is None and node.vertex.parents == () and node.vertex.vjps == ()
+
+
+def test_graph_keeps_only_the_arrays_its_vjps_read():
+    rng = np.random.default_rng(11)
+    x, w, b = (ad.parameter(rng.normal(size=s)) for s in ((5, 4), (4, 3), (3,)))
+    h = ad.matmul(x, w)
+    y = ad.add(h, b)
+    out = ad.gelu(y)
+    loss = ad.sum_all(out)
+    product, pre_act, act = (weakref.ref(t.value) for t in (h, y, out))
+    del h, y, out
+    # add keeps only shapes and sum_all its input's shape; gelu keeps its input
+    assert product() is None and act() is None
+    assert pre_act() is not None
+    ad.backward(loss)
+    assert all(ref() is None for ref in (product, pre_act, act))
+    assert all(p.grad is not None for p in (x, w, b))
 
 
 def weighted_sum(out, seed=20):
@@ -355,5 +374,5 @@ def test_ops_return_arrays_for_arrays_and_tensors_for_any_tensor(case):
         assert isinstance(node, ad.Tensor) and node.requires_grad
         np.testing.assert_array_equal(node.value, bare)
     leaf = op(*(ad.Tensor(x) for x in inputs))
-    assert isinstance(leaf, ad.Tensor) and not leaf.requires_grad and leaf.parents == ()
+    assert isinstance(leaf, ad.Tensor) and not leaf.requires_grad and leaf.vertex.parents == ()
     np.testing.assert_array_equal(leaf.value, bare)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -670,3 +671,18 @@ def test_dpo_step_peak_memory_is_set_by_one_condition_group():
     one, eight = peak(1), peak(8)
     # one graph over all eight conditions would peak near 7x the one-condition step
     assert eight < 1.5 * one, (one, eight)
+
+
+def test_dpo_train_reads_the_policy_as_its_own_reference():
+    rng = np.random.default_rng(16)
+    policy = init_parameters(DESK_CONFIG)
+    before = policy.copy()
+    pairs = three_condition_pairs(rng, DESK_CONFIG)
+    config = DPOConfig(beta=0.5, learning_rate=0.1, steps=2)
+    trained, history = dpo_train(policy, policy, pairs, config)
+    # both stores are read-only, so the CLI passes the policy uncopied
+    assert save_checkpoint(policy) == save_checkpoint(before)
+    trained_copy, history_copy = dpo_train(policy, policy.copy(), pairs, config)
+    # the log lines the CLI writes
+    assert [json.dumps(asdict(h)) for h in history] == [json.dumps(asdict(h)) for h in history_copy]
+    assert save_checkpoint(trained) == save_checkpoint(trained_copy) != save_checkpoint(before)

@@ -59,14 +59,23 @@ def sliver_grid_atlas():
 
 def traced_peak(fn) -> int:
     """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs,
-    above what was allocated when it started."""
-    tracemalloc.start()
+    above what was allocated when it started.
+
+    Under an outer session (``python -X tracemalloc``, ``PYTHONTRACEMALLOC``
+    or a caller's ``tracemalloc.start()``) starting again is a no-op that
+    keeps the earlier peak, so the peak is reset here, and only a session
+    started here is stopped."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
 
 
 def stepped_gradients(monkeypatch, module):
