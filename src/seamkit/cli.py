@@ -9,14 +9,16 @@ produce multiple artifacts also emit a manifest.json.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -151,22 +153,26 @@ def _read_file(path: str, binary: bool = False):
 
 
 def _write_atomic(path: str, data) -> None:
+    """Write ``data`` (str or bytes) through a temp file beside ``path``; a path
+    that cannot be written raises ``InputError`` naming it, leaving no temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seamkit-tmp-")
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
-        # mkstemp creates 0600; give the file the mode a plain open() would
-        os.chmod(tmp, 0o666 & ~umask)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seamkit-tmp-")
         with os.fdopen(fd, mode) as fh:
+            # mkstemp creates 0600; give the file the mode a plain open() would
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # gone once renamed
             os.unlink(tmp)
-        raise
 
 
 def _load_normalized(path: str) -> IndexedMesh:
@@ -300,11 +306,7 @@ def cmd_unwrap(args) -> int:
     norm = _load_normalized(args.mesh)
     if args.from_uv and not norm.has_uvs:
         raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
-    edges = _seam_edges_for(norm, args)
-    if args.json_out:
-        metrics, atlas = metrics_mod.evaluate_edges(norm, edges)
-    else:
-        atlas = unwrap.unwrap_mesh(norm, edges)
+    metrics, atlas = metrics_mod.evaluate_edges(norm, _seam_edges_for(norm, args))
     _write_atomic(args.obj_out, unwrap.atlas_to_obj(atlas))
     if args.svg:
         _write_atomic(args.svg, unwrap.atlas_to_svg(atlas))
@@ -379,6 +381,11 @@ def cmd_sample(args) -> int:
         seeds=[cfg["seed"] + i for i in range(cfg["n_candidates"])],
     )
     t2 = time.perf_counter()
+    # an earlier run's candidates beyond this run's count would be paired too
+    for path in glob.glob(os.path.join(glob.escape(args.out_dir), "cand_*")):
+        stale = re.fullmatch(r"cand_(\d+)\.(seams|json)", os.path.basename(path))
+        if stale and int(stale[1]) >= len(results):
+            os.remove(path)
     outputs = []
     for i, result in enumerate(results):
         seams = tokenizer.decode(result.tokens)
@@ -508,7 +515,8 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
 def _check_record_metrics(records, line_nos, pairs_path: str, cand_dir: str) -> None:
     """Each record's positive and negative metrics must equal the
     ``cand_i.json`` of their candidate, where that file exists (each is read
-    once); else ``InputError`` naming the pairs file line and the file."""
+    once); else ``InputError`` naming the pairs file line and the file.  Not
+    compared: ``runtime_s``, a wall-clock timing that a re-run changes."""
     evaluated: dict = {}
     for rec, line_no in zip(records, line_nos):
         for side, index, recorded in (
@@ -520,7 +528,8 @@ def _check_record_metrics(records, line_nos, pairs_path: str, cand_dir: str) -> 
                 evaluated[path] = (
                     _read_json(path, metrics_mod.SeamMetrics.from_dict) if os.path.exists(path) else None
                 )
-            if evaluated[path] not in (None, recorded):
+            found = evaluated[path]
+            if found is not None and replace(found, runtime_s=recorded.runtime_s) != recorded:
                 raise InputError(
                     f"{pairs_path}: line {line_no}: {side} metrics differ from those in {path}"
                 )

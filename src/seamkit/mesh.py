@@ -96,14 +96,12 @@ class IndexedMesh:
 
     def _build_edges(self):
         edges, face_edges, keys = index_edges(self.triangles, self.n_vertices)
-        lengths = _edge_lengths(self.vertices, edges)
-        nonmanifold = int(np.count_nonzero(np.bincount(face_edges.ravel()) > 2))
-        if nonmanifold:
-            logger.warning("mesh has %d non-manifold edges", nonmanifold)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "face_edges", face_edges)
-        object.__setattr__(self, "edge_lengths", lengths)
+        object.__setattr__(self, "edge_lengths", _edge_lengths(self.vertices, edges))
         object.__setattr__(self, "_edge_keys", keys)
+        if nonmanifold := len(self.nonmanifold_edges):
+            logger.warning("mesh has %d non-manifold edges", nonmanifold)
 
     def _with_vertices(self, vertices: np.ndarray) -> "IndexedMesh":
         """The same mesh with moved vertices, a (V, 3) float64 array.
@@ -219,43 +217,6 @@ class SeamEdgeSet:
                 raise MeshError(f"seam edge line {line_no}: {exc}") from exc
             edges.add((min(a, b), max(a, b)))
         return cls(edges=frozenset(edges))
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeGraph:
-    """Vertex-edge graph of a mesh: one node per vertex, one weighted arc per edge.
-
-    ``csr`` is the symmetric (n, n) CSR matrix of arc weights.  Row ``v``
-    holds the neighbours of ``v`` in ascending order,
-    ``csr.indices[csr.indptr[v]:csr.indptr[v + 1]]``, and their edge lengths
-    in the same slice of ``csr.data``; every undirected edge is stored once in
-    each of its two rows.  A zero-length edge (two coincident vertices) is an
-    explicitly stored 0, which ``scipy.sparse.csgraph`` reads as an arc.
-    ``projection.shortest_path`` takes the first qualifying entry of a row as
-    its lowest-index tie-break.
-    """
-
-    csr: sp.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @classmethod
-    def from_edges(cls, n: int, edges, weights) -> "EdgeGraph":
-        """Graph on ``n`` nodes with one arc per row of ``edges`` (E, 2).
-
-        The vertex pairs must be distinct undirected pairs without loops;
-        ``weights[e]`` is the length of edge ``e``.
-        """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(weights, dtype=np.float64)
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        data = np.concatenate([weights, weights])[order]
-        return cls(sp.csr_matrix((data, cols[order], indptr), shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +670,15 @@ def extract_uv_seams(mesh: IndexedMesh) -> SeamEdgeSet:
 # Edge graph
 
 
-def build_edge_graph(mesh: IndexedMesh) -> EdgeGraph:
-    """One node per vertex, one undirected arc per mesh edge (Euclidean weight)."""
-    return EdgeGraph.from_edges(mesh.n_vertices, mesh.edges, mesh.edge_lengths)
+def build_edge_graph(mesh: IndexedMesh) -> sp.csr_matrix:
+    """Vertex-edge graph as a symmetric (V, V) CSR matrix of edge lengths.
+
+    Each edge is stored in both of its rows.  Row ``v`` holds the neighbours
+    of ``v`` in ascending order, ``indices[indptr[v]:indptr[v + 1]]``, the
+    order ``projection.shortest_path`` reads as its lowest-index tie-break,
+    and their lengths in the same slice of ``data``.  A zero-length edge (two
+    coincident vertices) is an explicitly stored 0, which
+    ``scipy.sparse.csgraph`` reads as an arc.
+    """
+    (a, b), w, n = mesh.edges.T, mesh.edge_lengths, mesh.n_vertices
+    return sp.csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(n, n))

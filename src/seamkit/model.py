@@ -27,9 +27,9 @@ decode of it alone up to float rounding, so a batch gives the samples of one
 The forward code is written once over ``autodiff`` ops.  Training runs it on
 ``ParameterStore.as_tensors()`` and differentiates the graph one condition
 group at a time (``_backward_per_group``), accumulating the gradients;
-inference (``encode_condition``, ``decoder_logits``, ``sequence_logprob``,
-``sample_batch``) runs it on ``params.arrays``, where every op returns a
-plain ndarray and no graph is built.
+inference (``encode_condition``, ``sequence_logprob``, ``sample_batch``)
+runs it on ``params.arrays``, where every op returns a plain ndarray and no
+graph is built.
 """
 
 from __future__ import annotations
@@ -141,14 +141,8 @@ class ParameterStore:
     arrays: dict
     config: ModelConfig
 
-    def names(self) -> list[str]:
-        return list(self.arrays)
-
     def copy(self) -> "ParameterStore":
         return ParameterStore(arrays={k: v.copy() for k, v in self.arrays.items()}, config=self.config)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
 
     def trainable_names(self) -> list[str]:
         out = []
@@ -435,12 +429,6 @@ def _decode_t(state: _DecodeState, tokens: np.ndarray):
 
 def _decoder_logits_t(tokens: np.ndarray, cond, p, config: ModelConfig):
     return _decode_t(_DecodeState(cond, p, config), tokens)
-
-
-def decoder_logits(tokens, cond: np.ndarray, params: ParameterStore) -> np.ndarray:
-    """Per-position next-token logits; position i depends only on tokens <= i."""
-    t = _token_array(tokens)
-    return _decoder_logits_t(t, np.asarray(cond, dtype=np.float64), params.arrays, params.config)
 
 
 def _token_array(tokens) -> np.ndarray:

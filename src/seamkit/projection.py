@@ -6,9 +6,10 @@ import heapq
 import logging
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from seamkit.mesh import EdgeGraph, IndexedMesh, MeshError, SeamEdgeSet, build_edge_graph
+from seamkit.mesh import IndexedMesh, MeshError, SeamEdgeSet, build_edge_graph
 from seamkit.tokenizer import SeamSet
 
 logger = logging.getLogger(__name__)
@@ -29,9 +30,8 @@ _SNAP_BLOCK_ENTRIES = 1 << 22
 def nearest_vertex(mesh: IndexedMesh, points):
     """Index of the closest mesh vertex to each point; ties break to the lowest index.
 
-    ``points`` is one point (returns an ``int``) or an (n, 3) array (returns
-    an int64 array of n indices).  Non-finite coordinates raise
-    ProjectionError.
+    ``points`` is an (n, 3) array; the result is an int64 array of n
+    indices.  Non-finite coordinates raise ProjectionError.
 
     The answer is the vertex minimising ``((v - p) ** 2).sum()``, first index
     among equal values: the per-point scan, bit for bit.  For a block of
@@ -50,9 +50,7 @@ def nearest_vertex(mesh: IndexedMesh, points):
     verts = mesh.vertices
     if len(verts) == 0:
         raise ProjectionError("empty mesh")
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
         raise ProjectionError(f"non-finite point {np.flatnonzero(bad)[0]}: {pts[bad][0].tolist()}")
@@ -76,11 +74,11 @@ def nearest_vertex(mesh: IndexedMesh, points):
         by_row = rows[order]
         first = order[np.r_[True, by_row[1:] != by_row[:-1]]]
         out[lo + rows[first]] = cols[first]
-    return int(out[0]) if single else out
+    return out
 
 
-def shortest_path(graph: EdgeGraph, a: int, b: int) -> list[int]:
-    """Minimal-total-length vertex path from a to b under edge weights.
+def shortest_path(graph: sp.csr_matrix, a: int, b: int) -> list[int]:
+    """Minimal-total-length vertex path from a to b in a ``build_edge_graph`` matrix.
 
     Deterministic tie-breaking, as in a heap Dijkstra that orders equal
     distances by vertex index and accepts an equal-length relaxation only when
@@ -97,15 +95,15 @@ def shortest_path(graph: EdgeGraph, a: int, b: int) -> list[int]:
     order on a small heap over only those vertices, so ordinary meshes never
     build it.  Raises UnreachableError when b cannot be reached from a.
     """
-    n = graph.n
+    n = graph.shape[0]
     if not (0 <= a < n and 0 <= b < n):
         raise ProjectionError(f"vertex out of range: {a}, {b}")
     if a == b:
         return [a]
-    dist = dijkstra(graph.csr, directed=True, indices=a)
+    dist = dijkstra(graph, directed=True, indices=a)
     if not np.isfinite(dist[b]):
         raise UnreachableError(f"no path from {a} to {b}")
-    indptr, indices, weights = graph.csr.indptr, graph.csr.indices, graph.csr.data
+    indptr, indices, weights = graph.indptr, graph.indices, graph.data
     rank = None
     path = [b]
     for _ in range(n):  # a shortest path has fewer than n steps
@@ -129,26 +127,26 @@ def shortest_path(graph: EdgeGraph, a: int, b: int) -> list[int]:
     return path
 
 
-def _settle_rank(graph: EdgeGraph, dist: np.ndarray, a: int) -> np.ndarray:
+def _settle_rank(graph: sp.csr_matrix, dist: np.ndarray, a: int) -> np.ndarray:
     """Heap pop order of the vertices joined by tight equal-distance arcs.
 
     When the heap reaches distance d, its entries at d are the vertices with a
     tight arc from a lower distance (and ``a`` itself); popping one pushes its
     tight neighbours at d.  Other vertices keep rank 0.
     """
-    coo = graph.csr.tocoo()
+    coo = graph.tocoo()
     rows, cols, w = coo.row, coo.col, coo.data
     du, dv = dist[cols], dist[rows]
     tight = du + w == dv
     level = tight & (du == dv) & np.isfinite(dv)
-    entered = np.zeros(graph.n, dtype=bool)
+    entered = np.zeros(graph.shape[0], dtype=bool)
     entered[rows[tight & (du < dv)]] = True
     entered[a] = True
     neighbours: dict[int, list[int]] = {}
     for v, u in zip(rows[level].tolist(), cols[level].tolist()):
         neighbours.setdefault(v, []).append(u)
     heap = sorted((dist[v], v) for v in neighbours if entered[v])
-    rank = np.zeros(graph.n, dtype=np.int64)
+    rank = np.zeros(graph.shape[0], dtype=np.int64)
     done: set[int] = set()
     while heap:
         d, v = heapq.heappop(heap)
@@ -172,8 +170,6 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     logged diagnostic.  Provenance records contributing segment indices per
     edge.
     """
-    if mesh.n_vertices == 0:
-        raise ProjectionError("empty mesh")
     graph = build_edge_graph(mesh)
     ends = nearest_vertex(mesh, seams.segments.reshape(-1, 3)).reshape(-1, 2).tolist()
     edges: dict[tuple[int, int], list[int]] = {}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +54,13 @@ def sample_topology(mesh: IndexedMesh, n: int, seed: int) -> np.ndarray:
 
     All vertices come first; the remaining n - |V| points are drawn on edges
     chosen proportionally to length, uniformly along each chosen edge.  When
-    n < |V| the vertices are subsampled by FPS and a warning is issued.
+    n < |V| the vertices are subsampled by FPS (``build_conditioning_clouds``
+    records this as ``topo_truncated``).
     """
     if n < 1:
         raise ValueError("n must be positive")
     verts = mesh.vertices
     if n < len(verts):
-        warnings.warn(
-            f"topology sample truncated: n={n} < vertex count {len(verts)}; "
-            "subsampling vertices by FPS",
-            stacklevel=2,
-        )
         return verts[fps_anchors(verts, n)].copy()
     extra = n - len(verts)
     points = [verts]
@@ -113,14 +108,11 @@ def build_conditioning_clouds(
     seed: int = 0,
 ) -> ConditioningClouds:
     """Build both clouds; the geometry stream uses seed + 1."""
-    truncated = n_topo < mesh.n_vertices
-    with warnings.catch_warnings():
-        if truncated:
-            warnings.simplefilter("ignore")
-        topo = sample_topology(mesh, n_topo, seed)
-    geom = sample_surface(mesh, n_geom, seed + 1)
     return ConditioningClouds(
-        topo_points=topo, geom_points=geom, seed=seed, topo_truncated=truncated
+        topo_points=sample_topology(mesh, n_topo, seed),
+        geom_points=sample_surface(mesh, n_geom, seed + 1),
+        seed=seed,
+        topo_truncated=n_topo < mesh.n_vertices,
     )
 
 

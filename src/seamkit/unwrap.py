@@ -475,11 +475,6 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
     )
 
 
-def unwrap_mesh(mesh: IndexedMesh, seams: SeamEdgeSet) -> UVAtlas:
-    """cut_mesh + unwrap_atlas in one step."""
-    return unwrap_atlas(cut_mesh(mesh, seams))
-
-
 # ---------------------------------------------------------------------------
 # Exports
 

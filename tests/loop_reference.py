@@ -39,6 +39,12 @@ XYZ text) that array-built lattices and ``mesh.format_records`` replaced.
 and the same vertex, triangle and UV arrays, bit for bit.  ``layout_uv``,
 the per-island face scan of the island shelf layout, is kept there too;
 ``test_unwrap.py`` requires the array version to lay out identical UVs.
+
+``csr_graph`` is the hand-built CSR edge graph (lexsort and bincount) that
+``mesh.build_edge_graph`` replaced by scipy's COO constructor;
+``test_equivalence.py`` requires the same ``indptr``, ``indices`` and
+``data`` arrays, dtypes and explicit zeros included.  The shortest-path
+tests build their arbitrary graphs with it.
 """
 
 import heapq
@@ -502,6 +508,24 @@ def adjacency_graph(n, edges, weights):
 
 def build_edge_graph(mesh):
     return adjacency_graph(mesh.n_vertices, mesh.edges, mesh.edge_lengths)
+
+
+def csr_graph(n, edges, weights):
+    """Symmetric (n, n) CSR matrix with one arc per row of ``edges`` (E, 2),
+    built by hand: a lexsort of the arcs by (row, column) and a bincount of
+    the rows.
+
+    The vertex pairs must be distinct undirected pairs without loops;
+    ``weights[e]`` is the length of edge ``e``.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    data = np.concatenate([weights, weights])[order]
+    return sp.csr_matrix((data, cols[order], indptr), shape=(n, n))
 
 
 def shortest_path(graph, a, b):

@@ -665,13 +665,14 @@ def test_dpo_on_unedited_prefpairs_output_exit_0(cube_obj, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "side, key, delta", [("positive", "excluded_triangles", 1), ("negative", "runtime_s", 0.5)]
+    "side, key, delta", [("positive", "excluded_triangles", 1), ("negative", "distortion", 0.5)]
 )
 def test_dpo_record_metrics_differing_from_candidate_file_exit_2(cube_obj, tmp_path, capsys, side, key, delta):
     cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
     lines = pairs.read_text().splitlines(keepends=True)
     record = json.loads(lines[-1])
-    # an edit that keeps the pair valid: neither key is gated by dominance
+    # an edit that keeps the pair valid: dominance does not gate
+    # excluded_triangles, and a worse negative distortion keeps it dominated
     record[f"{side}_metrics"][key] += delta
     # a blank line before the edited record, which still counts as a line
     pairs.write_text("".join(lines[:-1]) + "\n" + json.dumps(record) + "\n")
@@ -681,6 +682,57 @@ def test_dpo_record_metrics_differing_from_candidate_file_exit_2(cube_obj, tmp_p
     message = f"{pairs}: line {len(lines) + 1}: {side} metrics differ from those in {cand_json}"
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dpo_candidate_files_differing_only_in_runtime_exit_0(cube_obj, tmp_path):
+    # a re-run of the same `seamkit sample` writes the same candidates with new timings
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    for path in pairs.parent.glob("cand_*.json"):
+        doc = json.loads(path.read_text())
+        doc["runtime_s"] += 0.5
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 0
+    assert out.exists()
+
+
+def test_sample_removes_candidates_an_earlier_run_left(cube_obj, tmp_path):
+    out_dir = tmp_path / "cands"
+    for seed, n in ((1, 6), (2, 3)):
+        cfg = tmp_path / f"cfg{seed}.txt"
+        cfg.write_text(desk_config_text(n_candidates=n))
+        assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg), "--seed", str(seed)]) == 0
+    names = sorted(p.name for p in out_dir.glob("cand_*"))
+    assert names == sorted(f"cand_{i}.{ext}" for i in range(3) for ext in ("json", "seams"))
+    pairs = tmp_path / "pairs.jsonl"
+    assert main(["prefpairs", str(out_dir), str(pairs), "--config", str(cfg)]) == 0
+    from seamkit.dpo import read_pair_records
+
+    for rec in read_pair_records(pairs.read_text()):
+        assert rec.positive_index < 3 and rec.negative_index < 3
+
+
+@pytest.mark.parametrize("command", ["tokenize", "evaluate", "unwrap"])
+def test_unwritable_output_path_named_exit_2(grid_obj, tmp_path, capsys, command):
+    seams = tmp_path / "in.seams"
+    seams.write_text("0 0 0 0.1 0.1 0.1\n")
+    taken = tmp_path / "taken"
+    taken.mkdir()  # a directory where the output file is due
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a file where the output's directory is due
+    out, argv = {
+        "tokenize": (taken, ["tokenize", str(seams), str(taken)]),
+        "evaluate": (taken, ["evaluate", str(grid_obj), str(seams), "--json-out", str(taken)]),
+        "unwrap": (
+            blocker / "x.obj",
+            ["unwrap", str(grid_obj), "--seams", str(seams), "--obj-out", str(blocker / "x.obj")],
+        ),
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: " in err
+    assert ".seamkit-tmp-" not in err
+    assert not list(tmp_path.rglob(".seamkit-tmp-*"))
 
 
 def _checkpoint_with_header(blob, edit):

@@ -494,12 +494,12 @@ def test_frozen_encoder_branch_stays_frozen():
         params, params.copy(), pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
     )
     for after in (stepped, trained):
-        for name in params.names():
+        for name in params.arrays:
             if name.startswith("enc.geom."):
                 assert np.array_equal(after.arrays[name], params.arrays[name]), name
         assert any(
             not np.array_equal(after.arrays[name], params.arrays[name])
-            for name in params.names()
+            for name in params.arrays
             if name.startswith("enc.topo.")
         )
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamkit.mesh import (
-    EdgeGraph,
     IndexedMesh,
     SeamEdgeSet,
     build_edge_graph,
@@ -270,13 +269,28 @@ def test_project_seams_matches_heap_reference(name, mesh):
     assert len(out) > 0
 
 
+@pytest.mark.parametrize("name,mesh", GENERATED, ids=[m[0] for m in GENERATED])
+def test_edge_graph_matches_hand_built_csr(name, mesh):
+    # one end of every 7th edge moved onto the other: zero-length edges
+    verts = mesh.vertices.copy()
+    verts[mesh.edges[::7, 1]] = verts[mesh.edges[::7, 0]]
+    moved = IndexedMesh(vertices=verts, triangles=mesh.triangles)
+    assert np.count_nonzero(moved.edge_lengths == 0.0) > 0
+    for m in (mesh, moved):
+        got = build_edge_graph(m)
+        want = ref.csr_graph(m.n_vertices, m.edges, m.edge_lengths)
+        for key in ("indptr", "indices", "data"):  # explicit zeros are entries of data
+            assert getattr(got, key).dtype == getattr(want, key).dtype, key
+            np.testing.assert_array_equal(getattr(got, key), getattr(want, key), err_msg=key)
+
+
 def test_zero_length_edges_match_heap_reference():
     mesh = _coincident_grid()
     graph = build_edge_graph(mesh)
-    assert np.count_nonzero(graph.csr.data == 0.0) == 2 * 7
+    assert np.count_nonzero(graph.data == 0.0) == 2 * 7
     want = ref.build_edge_graph(mesh)
-    for a in range(graph.n):
-        for b in range(graph.n):
+    for a in range(graph.shape[0]):
+        for b in range(graph.shape[0]):
             assert shortest_path(graph, a, b) == ref.shortest_path(want, a, b)
     norm, _ = normalize(mesh)
     _assert_projection_equal(norm, _segments(64, seed=7))
@@ -287,7 +301,7 @@ def test_unreachable_segments_skipped_like_heap_reference(caplog):
     seams = _segments(64, seed=8)
     half = mesh.n_vertices // 2
     ends = [
-        [nearest_vertex(mesh, p) >= half for p in seg] for seg in seams.segments
+        [nearest_vertex(mesh, [p])[0] >= half for p in seg] for seg in seams.segments
     ]
     crossing = sum(a != b for a, b in ends)
     assert crossing > 0
@@ -351,7 +365,7 @@ def _weighted_graphs(draw):
 @given(_weighted_graphs())
 def test_shortest_path_matches_heap_reference(graph_spec):
     n, edges, weights = graph_spec
-    graph = EdgeGraph.from_edges(n, edges, weights)
+    graph = ref.csr_graph(n, edges, weights)
     want = ref.adjacency_graph(n, edges, weights)
     for a in range(n):
         for b in range(n):

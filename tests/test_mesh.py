@@ -260,12 +260,12 @@ def test_uv_seams_invariant_under_face_permutation():
 def test_edge_graph_triangle_and_tetra():
     tri = load_obj(MINIMAL_OBJ)
     g = build_edge_graph(tri)
-    assert g.n == 3
-    assert g.csr.nnz == 2 * 3
+    assert g.shape[0] == 3
+    assert g.nnz == 2 * 3
     tet = make_tetrahedron()
     g = build_edge_graph(tet)
-    assert g.n == 4
-    assert g.csr.nnz == 2 * 6
+    assert g.shape[0] == 4
+    assert g.nnz == 2 * 6
 
 
 def test_edge_graph_matches_bruteforce_pairs():
@@ -277,7 +277,7 @@ def test_edge_graph_matches_bruteforce_pairs():
         for t in mesh.triangles:
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 pairs.add((min(t[i], t[j]), max(t[i], t[j])))
-        coo = g.csr.tocoo()
+        coo = g.tocoo()
         entries = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
         arcs = {(min(v, n), max(v, n)) for v, n, _ in entries}
         assert arcs == pairs
@@ -286,10 +286,10 @@ def test_edge_graph_matches_bruteforce_pairs():
                 float(np.linalg.norm(mesh.vertices[v] - mesh.vertices[n]))
             )
         # each edge once in both rows, neighbours ascending within a row
-        assert g.csr.nnz == 2 * len(pairs)
-        assert (g.csr != g.csr.T).nnz == 0
-        for v in range(g.n):
-            row = g.csr.indices[g.csr.indptr[v] : g.csr.indptr[v + 1]]
+        assert g.nnz == 2 * len(pairs)
+        assert (g != g.T).nnz == 0
+        for v in range(g.shape[0]):
+            row = g.indices[g.indptr[v] : g.indptr[v + 1]]
             assert np.all(np.diff(row) > 0)
 
 

@@ -14,7 +14,7 @@ from seamkit.metrics import (
 )
 from seamkit.shapes import grid_vertex, make_grid, make_sphere
 from seamkit.tokenizer import SeamSet
-from seamkit.unwrap import UVAtlas, unwrap_mesh
+from seamkit.unwrap import UVAtlas, cut_mesh, unwrap_atlas
 
 from tests.test_unwrap import island_count_oracle, _random_seam_subset
 
@@ -97,21 +97,21 @@ def test_distortion_undefined_when_all_excluded():
 
 def test_fragmentation_trivial_and_oracle():
     sphere = make_sphere(6, 8)
-    atlas = unwrap_mesh(sphere, SeamEdgeSet(edges=frozenset()))
+    atlas = unwrap_atlas(cut_mesh(sphere, SeamEdgeSet(edges=frozenset())))
     assert atlas.island_count == 1
 
     two = IndexedMesh(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float),
         triangles=np.array([[0, 1, 2], [1, 3, 2]]),
     )
-    atlas2 = unwrap_mesh(two, SeamEdgeSet(edges=frozenset({(1, 2)})))
+    atlas2 = unwrap_atlas(cut_mesh(two, SeamEdgeSet(edges=frozenset({(1, 2)}))))
     assert atlas2.island_count == 2
 
     rng = np.random.default_rng(0)
     for trial in range(15):
         mesh = make_sphere(int(rng.integers(3, 7)), int(rng.integers(4, 9)))
         seams = _random_seam_subset(mesh, rng, frac=float(rng.uniform(0.1, 0.5)))
-        atlas = unwrap_mesh(mesh, seams)
+        atlas = unwrap_atlas(cut_mesh(mesh, seams))
         assert atlas.island_count == island_count_oracle(mesh, seams)
 
 

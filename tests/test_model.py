@@ -12,6 +12,7 @@ from seamkit.model import (
     ModelConfig,
     ModelError,
     _decode_t,
+    _decoder_logits_t,
     _DecodeState,
     _check_complete,
     _encode_condition_t,
@@ -19,7 +20,6 @@ from seamkit.model import (
     _sample_rows,
     _sequence_logprobs_t,
     _token_array,
-    decoder_logits,
     encode_condition,
     init_parameters,
     load_checkpoint,
@@ -154,10 +154,10 @@ def test_decoder_logits_shape_and_range_check():
     params = init_parameters(TINY_CONFIG)
     cond = encode_condition(rand_clouds(rng, 16, TINY_CONFIG), params)
     toks = complete_sequence(rng, 2)
-    logits = decoder_logits(toks, cond, params)
+    logits = _decoder_logits_t(toks, cond, params.arrays, params.config)
     assert logits.shape == (len(toks), VOCAB_SIZE)
     with pytest.raises(ModelError):
-        decoder_logits(np.array([BOS, 2000]), cond, params)
+        _decoder_logits_t(np.array([BOS, 2000]), cond, params.arrays, params.config)
 
 
 def test_hourglass_causality_desk_config():
@@ -167,11 +167,11 @@ def test_hourglass_causality_desk_config():
     for n in range(2, 33):
         toks = rng.integers(0, 1024, size=n)
         toks[0] = BOS
-        base = decoder_logits(toks, cond, params)
+        base = _decoder_logits_t(toks, cond, params.arrays, params.config)
         for j in range(n):
             mod = toks.copy()
             mod[j] = (mod[j] + 1 + rng.integers(0, 1022)) % 1024
-            out = decoder_logits(mod, cond, params)
+            out = _decoder_logits_t(mod, cond, params.arrays, params.config)
             np.testing.assert_array_equal(out[:j], base[:j])
 
 
@@ -181,10 +181,10 @@ def test_pad_count_does_not_change_real_logits():
     cond = encode_condition(rand_clouds(rng, 40, DESK_CONFIG), params)
     toks = rng.integers(0, 1024, size=13)
     toks[0] = BOS
-    base = decoder_logits(toks, cond, params)
+    base = _decoder_logits_t(toks, cond, params.arrays, params.config)
     for k in range(1, 6):
         padded = np.concatenate([toks, [PAD] * k])
-        out = decoder_logits(padded, cond, params)
+        out = _decoder_logits_t(padded, cond, params.arrays, params.config)
         # bit-exactness across different sequence lengths is not attainable
         # (BLAS reassociates sums per shape); the fixed-shape causality test
         # above covers the exact no-leakage guarantee
@@ -196,13 +196,13 @@ def test_condition_sensitivity():
     params = init_parameters(TINY_CONFIG)
     cond = encode_condition(rand_clouds(rng, 16, TINY_CONFIG), params)
     toks = complete_sequence(rng, 1)
-    a = decoder_logits(toks, cond, params)
-    b = decoder_logits(toks, np.zeros_like(cond), params)
+    a = _decoder_logits_t(toks, cond, params.arrays, params.config)
+    b = _decoder_logits_t(toks, np.zeros_like(cond), params.arrays, params.config)
     assert not np.allclose(a, b)
     # swapping the branch halves changes logits too
     l = TINY_CONFIG.tokens_per_branch
     swapped = np.concatenate([cond[l:], cond[:l]])
-    c = decoder_logits(toks, swapped, params)
+    c = _decoder_logits_t(toks, swapped, params.arrays, params.config)
     assert not np.allclose(a, c)
 
 
@@ -222,14 +222,14 @@ def test_sequence_logprob_normalization_and_replay():
     params = init_parameters(TINY_CONFIG)
     cond = encode_condition(rand_clouds(rng, 16, TINY_CONFIG), params)
     toks = complete_sequence(rng, 2)
-    logits = decoder_logits(toks[:-1], cond, params)
+    logits = _decoder_logits_t(toks[:-1], cond, params.arrays, params.config)
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     # teacher-forced logprob equals the stepwise replay along the same path
     total = 0.0
     for i in range(len(toks) - 1):
-        step_logits = decoder_logits(toks[: i + 1], cond, params)[-1]
+        step_logits = _decoder_logits_t(toks[: i + 1], cond, params.arrays, params.config)[-1]
         zs = step_logits - step_logits.max()
         total += zs[toks[i + 1]] - np.log(np.exp(zs).sum())
     assert sequence_logprob(toks, cond, params) == pytest.approx(total, abs=1e-9)
@@ -251,7 +251,7 @@ def test_batched_logprobs_match_per_sequence(config):
         lone = float(_sequence_logprobs_t([t], cond, p, config)[0].value)
         assert got == pytest.approx(lone, rel=1e-12, abs=0)
         # the same value from the unbatched (1-D) decode and a numpy log-softmax
-        logits = decoder_logits(t[:-1], cond.value, params)
+        logits = _decoder_logits_t(t[:-1], cond.value, params.arrays, params.config)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         direct = float(logp[np.arange(len(t) - 1), t[1:]].sum())
@@ -285,7 +285,7 @@ def test_cached_step_logits_match_full_forward(config):
     state = _DecodeState(ad.Tensor(cond), params.as_tensors(), config)
     for n in range(1, len(toks) + 1):
         step = _decode_t(state, toks[n - 1 : n]).value[-1]
-        full = decoder_logits(toks[:n], cond, params)[-1]
+        full = _decoder_logits_t(toks[:n], cond, params.arrays, params.config)[-1]
         np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
 
 
@@ -399,7 +399,7 @@ def test_nll_train_step_zero_lr_and_descent():
     params = init_parameters(DESK_CONFIG)
     batch = [(clouds, tokens)]
     same, loss0 = nll_train_step(batch, params, lr=0.0)
-    for name in params.names():
+    for name in params.arrays:
         np.testing.assert_array_equal(same.arrays[name], params.arrays[name])
     stepped, _ = nll_train_step(batch, params, lr=0.1)
     _, loss1 = nll_train_step(batch, stepped, lr=0.0)
@@ -538,7 +538,7 @@ def test_nll_steps_over_a_grouped_batch_match_raw_examples(monkeypatch):
     from_grouped, grouped_losses = three_steps(_nll_batch(raw, TINY_CONFIG))
     assert calls["fps"] == 2
     assert grouped_losses == raw_losses
-    for name in from_raw.names():
+    for name in from_raw.arrays:
         np.testing.assert_array_equal(from_grouped.arrays[name], from_raw.arrays[name])
     with pytest.raises(model.TrainingError, match="empty batch"):
         nll_train_step([], from_raw, lr=0.1)
@@ -608,7 +608,7 @@ def test_checkpoint_round_trip_and_validation():
     assert save_checkpoint(params) == blob  # deterministic bytes
     back = load_checkpoint(blob)
     assert back.config == params.config
-    for name in params.names():
+    for name in params.arrays:
         np.testing.assert_array_equal(back.arrays[name], params.arrays[name])
     with pytest.raises(CheckpointError):
         load_checkpoint(b"garbage")

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from seamkit.mesh import EdgeGraph, IndexedMesh, build_edge_graph
+from seamkit.mesh import IndexedMesh, build_edge_graph
 from seamkit.projection import (
     ProjectionError,
     UnreachableError,
@@ -15,18 +15,20 @@ from seamkit.projection import (
 from seamkit.shapes import grid_vertex, make_grid
 from seamkit.tokenizer import SeamSet
 
+from tests import loop_reference as ref
+
 
 def test_nearest_vertex_exact_and_tie():
     mesh = make_grid(3, 3)
     for v in (0, 7, 11):
-        assert nearest_vertex(mesh, mesh.vertices[v]) == v
+        assert nearest_vertex(mesh, [mesh.vertices[v]])[0] == v
     # equidistant between vertex 2 and 5: tie resolves to the lower index
     verts = np.array([[0, 0, 0], [9, 9, 9], [1, 0, 0], [9, 9, 8], [9, 8, 9], [-1, 0, 0]], dtype=float)
     mesh2 = IndexedMesh(vertices=verts, triangles=np.array([[0, 1, 2], [3, 4, 5]]))
-    assert nearest_vertex(mesh2, [0.0, 0.0, 0.0]) == 0
-    assert nearest_vertex(mesh2, [0.0, 0.5, 0.0]) == 0
+    assert nearest_vertex(mesh2, [[0.0, 0.0, 0.0]])[0] == 0
+    assert nearest_vertex(mesh2, [[0.0, 0.5, 0.0]])[0] == 0
     # midpoint of vertices 2 and 5
-    assert nearest_vertex(mesh2, [0.0, 0.0, 0.0]) == 0
+    assert nearest_vertex(mesh2, [[0.0, 0.0, 0.0]])[0] == 0
     mesh3 = IndexedMesh(
         vertices=np.array(
             [[5, 5, 5], [6, 6, 6], [1, 0, 0], [7, 7, 7], [8, 8, 8], [-1, 0, 0]],
@@ -34,7 +36,7 @@ def test_nearest_vertex_exact_and_tie():
         ),
         triangles=np.array([[0, 1, 2], [3, 4, 5]]),
     )
-    assert nearest_vertex(mesh3, [0.0, 0.0, 0.0]) == 2  # 2 and 5 tie, 2 wins
+    assert nearest_vertex(mesh3, [[0.0, 0.0, 0.0]])[0] == 2  # 2 and 5 tie, 2 wins
 
 
 def test_nearest_vertex_matches_bruteforce():
@@ -45,7 +47,7 @@ def test_nearest_vertex_matches_bruteforce():
     for p in points:
         d = [float(np.linalg.norm(v - p)) for v in mesh.vertices]
         expected.append(min(range(len(d)), key=lambda i: (d[i], i)))
-        assert nearest_vertex(mesh, p) == expected[-1]
+        assert nearest_vertex(mesh, [p])[0] == expected[-1]
     assert nearest_vertex(mesh, points).tolist() == expected
     assert nearest_vertex(mesh, np.zeros((0, 3))).tolist() == []
 
@@ -56,16 +58,16 @@ def test_nearest_vertex_rejects_non_finite_points(bad):
     with pytest.raises(ProjectionError, match="non-finite point 1"):
         nearest_vertex(mesh, [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
     with pytest.raises(ProjectionError):
-        nearest_vertex(mesh, [0.0, bad, 0.0])
+        nearest_vertex(mesh, [[0.0, bad, 0.0]])
     seg = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, bad]]])
     with pytest.raises(ProjectionError):
         project_seams(mesh, SeamSet(segments=seg))
 
 
 def _graph(n, arcs):
-    """EdgeGraph on n nodes from undirected (u, v, weight) arcs."""
+    """CSR edge graph on n nodes from undirected (u, v, weight) arcs."""
     arcs = dict(((min(u, v), max(u, v)), w) for u, v, w in arcs)
-    return EdgeGraph.from_edges(n, list(arcs), list(arcs.values()))
+    return ref.csr_graph(n, list(arcs), list(arcs.values()))
 
 
 def _random_connected_graph(rng, n):
@@ -84,10 +86,10 @@ def _random_connected_graph(rng, n):
 
 
 def _floyd_warshall(graph):
-    n = graph.n
+    n = graph.shape[0]
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    coo = graph.csr.tocoo()
+    coo = graph.tocoo()
     for u, v, w in zip(coo.row, coo.col, coo.data):
         dist[u, v] = min(dist[u, v], w)
     for k in range(n):
@@ -97,7 +99,7 @@ def _floyd_warshall(graph):
 
 def path_length(graph, path):
     """Sum of the arc weights along a node path; every step must be an arc."""
-    indptr, indices, weights = graph.csr.indptr, graph.csr.indices, graph.csr.data
+    indptr, indices, weights = graph.indptr, graph.indices, graph.data
     total = 0.0
     for u, v in zip(path, path[1:]):
         lo, hi = indptr[u], indptr[u + 1]

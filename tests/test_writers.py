@@ -28,7 +28,7 @@ from seamkit.tokenizer import (
     write_seam_text,
     write_token_text,
 )
-from seamkit.unwrap import atlas_to_obj, atlas_to_svg, unwrap_mesh
+from seamkit.unwrap import atlas_to_obj, atlas_to_svg, cut_mesh, unwrap_atlas
 
 from tests import loop_reference as ref
 from tests.util import sliver_grid_atlas
@@ -181,12 +181,12 @@ def test_write_token_text_matches_loop_reference(tokens):
 
 
 def _uv_atlas(mesh):
-    return unwrap_mesh(mesh, extract_uv_seams(mesh))
+    return unwrap_atlas(cut_mesh(mesh, extract_uv_seams(mesh)))
 
 
 def _every_kth_edge_atlas(mesh, k):
     seams = frozenset(map(tuple, mesh.edges[::k].tolist()))
-    return unwrap_mesh(mesh, SeamEdgeSet(edges=seams))
+    return unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(edges=seams)))
 
 
 # atlases built when a test first asks for one

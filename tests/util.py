@@ -10,7 +10,7 @@ from seamkit.projection import seam_edges_to_segments
 from seamkit.sampling import build_conditioning_clouds
 from seamkit.shapes import grid_vertex, make_grid
 from seamkit.tokenizer import canonicalize, encode
-from seamkit.unwrap import unwrap_mesh
+from seamkit.unwrap import cut_mesh, unwrap_atlas
 
 DESK_CONFIG = ModelConfig(
     tokens_per_branch=32, d_model=64, n_layers=8, n_heads=2, max_segments=64, seed=0
@@ -52,7 +52,7 @@ def sliver_grid_atlas():
     grid = make_grid(3, 3)
     sliver = [grid_vertex(3, 0, 0), grid_vertex(3, 1, 0), grid_vertex(3, 2, 0)]
     mesh = IndexedMesh(vertices=grid.vertices, triangles=np.vstack([grid.triangles, [sliver]]))
-    atlas = unwrap_mesh(mesh, SeamEdgeSet(edges=frozenset()))
+    atlas = unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(edges=frozenset())))
     assert atlas.excluded.tolist() == [False] * grid.n_triangles + [True]
     return atlas
 
