@@ -190,21 +190,19 @@ def _load_normalized(path: str) -> IndexedMesh:
 
 
 def _load_seams(path: str) -> tokenizer.SeamSet:
+    """The seam file at ``path``; InputError naming the file, and the seam
+    line that holds it for a coordinate outside the canonical cube (the
+    rule, ``CUBE_TOL`` included, that ``tokenizer.encode`` applies)."""
+    text = _read_file(path)
     try:
-        return tokenizer.read_seam_text(_read_file(path))
+        seams = tokenizer.read_seam_text(text)
+        tokenizer.quantize(seams.segments)  # raises for a coordinate outside the cube
+    except tokenizer.CoordinateRangeError as exc:
+        lines = list(content_lines(text))  # segment k is on content line k
+        raise InputError(f"{path}: seam line {lines[exc.index // 6][0]}: {exc}") from exc
     except tokenizer.TokenizerError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _seam_tokens(path: str) -> tokenizer.TokenSequence:
-    """``encode`` of a seam file; a coordinate outside the cube raises
-    InputError naming the file and the seam line that holds it."""
-    seams = _load_seams(path)
-    try:
-        return tokenizer.encode(seams)
-    except tokenizer.CoordinateRangeError as exc:
-        lines = list(content_lines(_read_file(path)))  # segment k is on content line k
-        raise InputError(f"{path}: seam line {lines[exc.index // 6][0]}: {exc}") from exc
+    return seams
 
 
 def _one_seam_source(sources: dict) -> None:
@@ -278,7 +276,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    tokens = _seam_tokens(args.input)
+    tokens = tokenizer.encode(_load_seams(args.input))
     _write_atomic(args.output, tokenizer.write_token_text(tokens))
     return EXIT_OK
 
@@ -441,7 +439,7 @@ def _read_candidates(cand_dir: str):
         json_path = os.path.join(cand_dir, f"cand_{i}.json")
         if not (os.path.exists(seam_path) and os.path.exists(json_path)):
             break
-        _seam_tokens(seam_path)
+        _load_seams(seam_path)
         cands.append(_read_json(json_path, metrics_mod.SeamMetrics.from_dict))
         i += 1
     if len(cands) < 2:
@@ -503,7 +501,8 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
 
     def candidate(index):
         if index not in tokens:
-            tokens[index] = _seam_tokens(os.path.join(cand_dir, f"cand_{index}.seams")).tokens
+            seams = _load_seams(os.path.join(cand_dir, f"cand_{index}.seams"))
+            tokens[index] = tokenizer.encode(seams).tokens
         return tokens[index]
 
     return [

@@ -77,30 +77,57 @@ def nearest_vertex(mesh: IndexedMesh, points):
     return out
 
 
-def shortest_path(graph: sp.csr_matrix, a: int, b: int) -> list[int]:
+# Radius of ``shortest_path``'s first search, as a multiple of the lower bound
+# on the distance.  Over 512 uniform-random segments (8 seeds of 64), the
+# shortest edge path between the snapped endpoints is longer than their
+# straight-line distance by a median factor of 1.22 on the normalized
+# sphere 32x64 and 1.31 on the cylinder 64x32, and by 1.43 and 1.55 at the
+# 90th percentile.  Of the factors 1.2-3 tried, 1.6 projected these sets
+# fastest: a smaller radius falls back to the unbounded search more often,
+# a larger one settles more vertices than the path needs.
+_REACH = 1.6
+
+
+def shortest_path(graph: sp.csr_matrix, a: int, b: int, bound: float = 0.0) -> list[int]:
     """Minimal-total-length vertex path from a to b in a ``build_edge_graph`` matrix.
+
+    ``bound`` is a lower bound on the a-b distance, such as the Euclidean
+    distance between the two vertices (every weight is a Euclidean edge
+    length, so no path is shorter).  It changes only how much of the graph is
+    searched, never the result.  A first ``dijkstra`` call stops at radius
+    ``_REACH * bound``; if it leaves b unreached, or ``bound`` is not
+    positive, one unbounded call runs, and only that call raises
+    UnreachableError.  Dijkstra settles vertices in order of distance, so a
+    search stopped at radius r gives every vertex no farther than r the
+    unbounded search's distance, the same float by the same relaxations, and
+    leaves the others at infinity.  What follows reads only vertices no
+    farther than b, since a tight arc into ``v`` comes from a vertex no
+    farther than ``v``; so a search that reaches b gives the same path.
 
     Deterministic tie-breaking, as in a heap Dijkstra that orders equal
     distances by vertex index and accepts an equal-length relaxation only when
-    it lowers the predecessor index.  One ``scipy.sparse.csgraph.dijkstra``
-    call gives the distances ``dist`` from ``a``; the path then walks back
-    from ``b``, stepping from ``v`` to the lowest-index neighbour ``u`` with
-    ``dist[u] + w(u, v) == dist[v]`` (a tight arc) that such a heap settles
-    before ``v``: the heap's predecessor of ``v``.  The heap settles vertices
-    in order of distance, so a tight arc of positive weight, which has
-    ``dist[u] < dist[v]``, always qualifies.  A tight arc between two
+    it lowers the predecessor index.  The search gives the distances ``dist``
+    from ``a``; the path then walks back from ``b``, stepping from ``v`` to
+    the lowest-index neighbour ``u`` with ``dist[u] + w(u, v) == dist[v]`` (a
+    tight arc) that such a heap settles before ``v``: the heap's predecessor
+    of ``v``.  The heap settles vertices in order of distance, so a tight arc
+    of positive weight, which has ``dist[u] < dist[v]``, always qualifies.  A tight arc between two
     vertices at the same distance (a zero-length edge between coincident
     vertices, or a weight lost to rounding) qualifies only if the heap pops
     ``u`` first inside that distance class; ``_settle_rank`` replays that pop
     order on a small heap over only those vertices, so ordinary meshes never
-    build it.  Raises UnreachableError when b cannot be reached from a.
+    build it.
     """
     n = graph.shape[0]
     if not (0 <= a < n and 0 <= b < n):
         raise ProjectionError(f"vertex out of range: {a}, {b}")
     if a == b:
         return [a]
-    dist = dijkstra(graph, directed=True, indices=a)
+    dist = None
+    if bound > 0:
+        dist = dijkstra(graph, directed=True, indices=a, limit=_REACH * bound)
+    if dist is None or not np.isfinite(dist[b]):
+        dist = dijkstra(graph, directed=True, indices=a)
     if not np.isfinite(dist[b]):
         raise UnreachableError(f"no path from {a} to {b}")
     indptr, indices, weights = graph.indptr, graph.indices, graph.data
@@ -163,21 +190,34 @@ def _settle_rank(graph: sp.csr_matrix, dist: np.ndarray, a: int) -> np.ndarray:
 def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     """Mark mesh edges for every seam segment.
 
-    Each segment's endpoints map to their nearest vertices; the shortest
-    edge path between them in the mesh's edge graph (``build_edge_graph``,
-    built once per call) is marked.  Segments collapsing to one vertex add
-    nothing; segments across disconnected components are skipped with a
-    logged diagnostic.  Provenance records contributing segment indices per
-    edge.
+    Each segment's endpoints map to their nearest vertices among those with
+    at least one edge (a vertex no face uses ends no path; indices stay the
+    mesh's own); the shortest edge path between them in the mesh's edge
+    graph (``build_edge_graph``, built once per call) is marked.  Segments
+    collapsing to one vertex add nothing; segments across disconnected
+    components are skipped with a logged diagnostic.  Provenance records
+    contributing segment indices per edge.
+
+    Each ``shortest_path`` call gets the straight-line distance between its
+    two vertices as the lower bound on their distance (all segments' in one
+    array op), so its first search settles only the vertices within
+    ``_REACH`` times that distance, not the whole mesh.  The edges and
+    provenance are the same as without the bound; the time follows the
+    segment's length.  The normalized 128x128 cylinder's 128 UV-seam edges,
+    as segments, project in 31 ms instead of 259 ms (medians of 7, 2-vCPU
+    Xeon VM).
     """
     graph = build_edge_graph(mesh)
-    ends = nearest_vertex(mesh, seams.segments.reshape(-1, 3)).reshape(-1, 2).tolist()
+    linked = np.flatnonzero(np.diff(graph.indptr))
+    snap = IndexedMesh(vertices=mesh.vertices[linked], triangles=np.empty((0, 3), np.int64))
+    ends = linked[nearest_vertex(snap, seams.segments.reshape(-1, 3))].reshape(-1, 2)
+    bounds = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
     edges: dict[tuple[int, int], list[int]] = {}
-    for i, (va, vb) in enumerate(ends):
+    for i, ((va, vb), bound) in enumerate(zip(ends.tolist(), bounds.tolist())):
         if va == vb:
             continue
         try:
-            path = shortest_path(graph, va, vb)
+            path = shortest_path(graph, va, vb, bound)
         except UnreachableError:
             logger.warning(
                 "segment %d skipped: vertices %d and %d are in different components",

@@ -574,12 +574,15 @@ def nearest_vertex(mesh: IndexedMesh, p) -> int:
 
 
 def project_seams(mesh, seams):
-    """(edges, provenance) of the seam segments' shortest paths, per segment in order."""
+    """(edges, provenance) of the seam segments' shortest paths, per segment in
+    order; endpoints snap only to vertices with at least one edge."""
     graph = build_edge_graph(mesh)
+    linked = np.flatnonzero([len(nbrs) > 0 for nbrs in graph.adjacency])
+    snap = IndexedMesh(vertices=mesh.vertices[linked], triangles=np.zeros((0, 3), dtype=np.int64))
     edges = {}
     for i, seg in enumerate(seams.segments):
-        va = nearest_vertex(mesh, seg[0])
-        vb = nearest_vertex(mesh, seg[1])
+        va = int(linked[nearest_vertex(snap, seg[0])])
+        vb = int(linked[nearest_vertex(snap, seg[1])])
         if va == vb:
             continue
         try:

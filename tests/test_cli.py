@@ -168,6 +168,24 @@ def test_tokenize_coordinate_outside_cube_names_file_and_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "project", "unwrap"])
+def test_seam_coordinate_outside_cube_names_file_and_line(grid_obj, tmp_path, capsys, command):
+    far = tmp_path / "far.seams"
+    far.write_text(_far_seam_text())
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", str(grid_obj), str(far), "--json-out", str(out)],
+        "project": ["project", str(grid_obj), str(far), str(out)],
+        "unwrap": ["unwrap", str(grid_obj), "--seams", str(far), "--obj-out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {far}: seam line 5: coordinate 0.7 outside [-0.5, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+    # within CUBE_TOL of the cube, as the tokenizer clamps it
+    far.write_text("0 0 0 0.1 0.1 0.1\n-0.5000000001 0 0 0.5000000001 0 0\n")
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_output_file_mode_follows_umask(tmp_path, umask):
     seam_file = tmp_path / "in.seams"

@@ -10,7 +10,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seamkit.mesh import (
@@ -352,12 +352,13 @@ def test_nearest_vertex_batch_matches_per_point_scan(case):
 
 
 @st.composite
-def _weighted_graphs(draw):
-    """(n, edges, weights): a random graph, integer weights 0..3 so ties are exact."""
+def _weighted_graphs(draw, lengths=st.integers(0, 3)):
+    """(n, edges, weights): a random graph, integer weights 0..3 (or drawn from
+    ``lengths``) so ties are exact."""
     n = draw(st.integers(2, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True))
-    weights = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
+    weights = draw(st.lists(lengths, min_size=len(edges), max_size=len(edges)))
     return n, edges, [float(w) for w in weights]
 
 
@@ -376,3 +377,30 @@ def test_shortest_path_matches_heap_reference(graph_spec):
                     shortest_path(graph, a, b)
                 continue
             assert shortest_path(graph, a, b) == expected
+
+
+# length 10: longer than twice the first search's radius for a bound of 1 or 2
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_weighted_graphs(lengths=st.sampled_from([0, 1, 2, 3, 10])))
+@example((3, [(0, 2), (1, 2)], [10.0, 1.0]))  # a-c 10, c-b 1: radii 1 and 2 reach only a
+def test_bounded_shortest_path_matches_heap_reference(graph_spec):
+    n, edges, weights = graph_spec
+    graph = ref.csr_graph(n, edges, weights)
+    want = ref.adjacency_graph(n, edges, weights)
+    length = {}
+    for (u, v), w in zip(edges, weights):
+        length[u, v] = length[v, u] = w
+    total = sum(weights)
+    for a in range(n):
+        for b in range(n):
+            try:
+                expected = ref.shortest_path(want, a, b)
+            except UnreachableError:
+                for bound in (0.0, 1.0, total + 1.0):
+                    with pytest.raises(UnreachableError):
+                        shortest_path(graph, a, b, bound)
+                continue
+            d = sum(length[u, v] for u, v in zip(expected, expected[1:]))
+            # zero, below, equal to and above the distance, and above every path
+            for bound in (0.0, d / 2, d, 1.5 * d, total + 1.0):
+                assert shortest_path(graph, a, b, bound) == expected, (a, b, bound)

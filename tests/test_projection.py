@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from seamkit.mesh import IndexedMesh, build_edge_graph
+from seamkit.mesh import IndexedMesh, build_edge_graph, extract_uv_seams, load_obj, normalize
 from seamkit.projection import (
     ProjectionError,
     UnreachableError,
@@ -12,7 +12,7 @@ from seamkit.projection import (
     seam_edges_to_segments,
     shortest_path,
 )
-from seamkit.shapes import grid_vertex, make_grid
+from seamkit.shapes import grid_vertex, make_cylinder, make_grid
 from seamkit.tokenizer import SeamSet
 
 from tests import loop_reference as ref
@@ -197,6 +197,34 @@ def test_project_skips_cross_component_segment(caplog):
         out = project_seams(mesh, seams)
     assert len(out) == 0
     assert any("skipped" in r.message for r in caplog.records)
+
+
+def test_project_ignores_vertices_no_face_uses(caplog):
+    # a two-triangle quad and one loose vertex just above its centre
+    text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 0.01\nf 1 2 3\nf 1 3 4\n"
+    mesh = load_obj(text)
+    assert mesh.n_vertices == 5
+    loose = mesh.vertices[4]
+    # the loose point is equidistant from the four corners: it snaps to corner 0
+    seams = SeamSet(segments=np.array([[mesh.vertices[0], loose], [mesh.vertices[1], loose]]))
+    with caplog.at_level(logging.WARNING, logger="seamkit.projection"):
+        out = project_seams(mesh, seams)
+    assert not caplog.records
+    assert out.sorted_edges() == [(0, 1)]
+    assert out.provenance == {(0, 1): (1,)}
+    # vertex numbering is the mesh's own: a point near corner 2 marks the diagonal
+    out = project_seams(mesh, SeamSet(segments=np.array([[mesh.vertices[0], [0.9, 0.9, 0.01]]])))
+    assert out.sorted_edges() == [(0, 2)]
+    assert ref.project_seams(mesh, seams).provenance == {(0, 1): (1,)}
+
+
+def test_project_uv_seam_segments_of_a_fine_cylinder():
+    mesh, _ = normalize(make_cylinder(128, 128))
+    edges = extract_uv_seams(mesh)
+    assert len(edges) == 128
+    out = project_seams(mesh, seam_edges_to_segments(mesh, edges))
+    assert out.edges == edges.edges
+    assert all(len(v) == 1 for v in out.provenance.values())
 
 
 def test_project_marked_edges_are_mesh_edges():

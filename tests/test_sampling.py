@@ -46,7 +46,7 @@ def test_topology_single_positive_edge():
     assert (interior[:, 0] > 0).all() and (interior[:, 0] < 1).all()
 
 
-def test_topology_truncation_warns_and_fps():
+def test_topology_truncation_keeps_fps_subsample():
     mesh = make_grid(4, 4)
     pts = sample_topology(mesh, 5, seed=0)
     expected = mesh.vertices[fps_anchors(mesh.vertices, 5)]
