@@ -11,9 +11,12 @@ rather than by construction.
 
 An array in gives an array out: an op none of whose arguments is a
 ``Tensor`` returns a bare ``ndarray`` with the same values, so code written
-once runs on Tensors for training and on plain arrays for inference, which
-then builds no graph and pays for no nodes.  An op on Tensors that need no
-gradient returns a leaf; ``backward`` frees the graph as it goes.
+once runs on Tensors for training and on plain arrays for inference.  On
+that array path an op computes its forward value and returns it before it
+builds any VJP closure or ``Vertex``, and a float64 ``ndarray`` argument is
+used as it is, unconverted, so inference pays only for the numpy calls.  An
+op on Tensors that need no gradient returns a leaf; ``backward`` frees the
+graph as it goes.
 
 A ``Tensor`` is a handle: its forward ``value`` and its graph ``Vertex``.
 The vertex holds what ``backward`` reads (gradient, parent vertices, VJP
@@ -93,93 +96,127 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _value(x) -> np.ndarray:
-    """The float64 array of an op argument, Tensor or array-like."""
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    """The float64 array of an op argument, Tensor or array-like; a float64
+    ndarray is returned as it is."""
+    if isinstance(x, Tensor):
+        return x.value
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    return np.asarray(x, dtype=np.float64)
 
 
-def _node(value, parents, vjps) -> Tensor | np.ndarray:
-    """An op's result: a bare array when no argument is a Tensor, else a
-    node over the arguments (an array argument becomes a leaf)."""
-    for p in parents:
-        if isinstance(p, Tensor):
-            return Tensor(value, parents=tuple(as_tensor(q) for q in parents), vjps=vjps)
-    return value
+def _plain(*args) -> bool:
+    """Whether no op argument is a Tensor.  Such an op returns its bare value
+    before it builds any VJP closure or node."""
+    for a in args:
+        if isinstance(a, Tensor):
+            return False
+    return True
+
+
+def _node(value, parents, vjps) -> Tensor:
+    """An op's result node over its arguments (an array argument becomes a leaf)."""
+    return Tensor(value, parents=tuple(as_tensor(q) for q in parents), vjps=vjps)
 
 
 def add(a, b) -> Tensor | np.ndarray:
     x, y = _value(a), _value(b)
+    out = x + y
+    if _plain(a, b):
+        return out
     xs, ys = x.shape, y.shape
-    return _node(
-        x + y, (a, b), (lambda g: _unbroadcast(g, xs), lambda g: _unbroadcast(g, ys))
-    )
+    return _node(out, (a, b), (lambda g: _unbroadcast(g, xs), lambda g: _unbroadcast(g, ys)))
 
 
 def sub(a, b) -> Tensor | np.ndarray:
     x, y = _value(a), _value(b)
+    out = x - y
+    if _plain(a, b):
+        return out
     xs, ys = x.shape, y.shape
-    return _node(
-        x - y, (a, b), (lambda g: _unbroadcast(g, xs), lambda g: _unbroadcast(-g, ys))
-    )
+    return _node(out, (a, b), (lambda g: _unbroadcast(g, xs), lambda g: _unbroadcast(-g, ys)))
 
 
 def mul(a, b) -> Tensor | np.ndarray:
     x, y = _value(a), _value(b)
+    out = x * y
+    if _plain(a, b):
+        return out
     return _node(
-        x * y,
+        out,
         (a, b),
         (lambda g: _unbroadcast(g * y, x.shape), lambda g: _unbroadcast(g * x, y.shape)),
     )
 
 
 def scale(a, s: float) -> Tensor | np.ndarray:
-    return _node(_value(a) * s, (a,), (lambda g: g * s,))
+    out = _value(a) * s
+    if _plain(a):
+        return out
+    return _node(out, (a,), (lambda g: g * s,))
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def _flat(t: np.ndarray) -> np.ndarray:
+    return t.reshape(-1, t.shape[-1])
 
 
 def matmul(a, b) -> Tensor | np.ndarray:
     """Matrix product over the last two axes; leading (batch) axes broadcast."""
-
-    def swap(x):
-        return np.swapaxes(x, -1, -2)
-
     x, w = _value(a), _value(b)
-    if x.ndim > 2 and w.ndim == 2:
-        # every batch entry's rows against one weight: one flat (rows, k) @
-        # (k, m) GEMM per direction, not a product per batch entry and, for
-        # the weight gradient, a sum over the batch afterwards
-        def flat(t):
-            return t.reshape(-1, t.shape[-1])
-
-        out = (flat(x) @ w).reshape(x.shape[:-1] + w.shape[-1:])
-        vjps = (
-            lambda g: (flat(g) @ w.T).reshape(x.shape),
-            lambda g: flat(x).T @ flat(g),
-        )
+    # every batch entry's rows against one weight: one flat (rows, k) @
+    # (k, m) GEMM per direction, not a product per batch entry and, for
+    # the weight gradient, a sum over the batch afterwards
+    batch_rows = x.ndim > 2 and w.ndim == 2
+    if batch_rows:
+        out = (_flat(x) @ w).reshape(x.shape[:-1] + w.shape[-1:])
     else:
         out = x @ w
+    if _plain(a, b):
+        return out
+    if batch_rows:
         vjps = (
-            lambda g: _unbroadcast(g @ swap(w), x.shape),
-            lambda g: _unbroadcast(swap(x) @ g, w.shape),
+            lambda g: (_flat(g) @ w.T).reshape(x.shape),
+            lambda g: _flat(x).T @ _flat(g),
+        )
+    else:
+        vjps = (
+            lambda g: _unbroadcast(g @ _swap(w), x.shape),
+            lambda g: _unbroadcast(_swap(x) @ g, w.shape),
         )
     return _node(out, (a, b), vjps)
 
 
 def transpose(a, axes) -> Tensor | np.ndarray:
-    return _node(
-        np.transpose(_value(a), axes), (a,), (lambda g: np.transpose(g, np.argsort(axes)),)
-    )
+    out = np.transpose(_value(a), axes)
+    if _plain(a):
+        return out
+    return _node(out, (a,), (lambda g: np.transpose(g, np.argsort(axes)),))
 
 
 def reshape(a, shape) -> Tensor | np.ndarray:
     x = _value(a)
+    out = x.reshape(shape)
+    if _plain(a):
+        return out
     xs = x.shape
-    return _node(x.reshape(shape), (a,), (lambda g: g.reshape(xs),))
+    return _node(out, (a,), (lambda g: g.reshape(xs),))
 
 
 def concat_rows(tensors, axis: int = 0) -> Tensor | np.ndarray:
     """Concatenate along ``axis`` (rows by default)."""
     tensors = tuple(tensors)
     values = [_value(t) for t in tensors]
+    out = np.concatenate(values, axis=axis)
+    if _plain(*tensors):
+        return out
     offsets = list(accumulate((x.shape[axis] for x in values), initial=0))
     lead = (slice(None),) * (axis % values[0].ndim)
 
@@ -187,15 +224,13 @@ def concat_rows(tensors, axis: int = 0) -> Tensor | np.ndarray:
         index = lead + (slice(offsets[i], offsets[i + 1]),)
         return lambda g: g[index]
 
-    return _node(
-        np.concatenate(values, axis=axis),
-        tensors,
-        tuple(make_vjp(i) for i in range(len(values))),
-    )
+    return _node(out, tensors, tuple(make_vjp(i) for i in range(len(values))))
 
 
 def slice_rows(a, start: int, stop: int) -> Tensor | np.ndarray:
     x = _value(a)
+    if _plain(a):
+        return x[start:stop]
     xs = x.shape
 
     def vjp(g):
@@ -209,8 +244,10 @@ def slice_rows(a, start: int, stop: int) -> Tensor | np.ndarray:
 def gather_rows(table, indices) -> Tensor | np.ndarray:
     """Row lookup (embeddings); gradient scatters with accumulation."""
     x = _value(table)
-    xs = x.shape
     idx = np.asarray(indices, dtype=np.int64)
+    if _plain(table):
+        return x[idx]
+    xs = x.shape
 
     def vjp(g):
         out = np.zeros(xs)
@@ -222,8 +259,11 @@ def gather_rows(table, indices) -> Tensor | np.ndarray:
 
 def sum_all(a) -> Tensor | np.ndarray:
     x = _value(a)
+    out = np.asarray(x.sum())
+    if _plain(a):
+        return out
     xs = x.shape
-    return _node(np.asarray(x.sum()), (a,), (lambda g: np.broadcast_to(g, xs).copy(),))
+    return _node(out, (a,), (lambda g: np.broadcast_to(g, xs).copy(),))
 
 
 def layer_norm(x, g, b, eps: float) -> Tensor | np.ndarray:
@@ -237,6 +277,8 @@ def layer_norm(x, g, b, eps: float) -> Tensor | np.ndarray:
     inv = (var + eps) ** -0.5
     xhat = centered * inv
     out = xhat * gv + bv
+    if _plain(x, g, b):
+        return out
 
     def vjp_x(grad):
         d = grad * gv
@@ -269,6 +311,9 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor | np.ndarray:
         scores = scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
+    out = weights @ vv
+    if _plain(q, k, v):
+        return out
 
     shared = [None, None]  # (upstream gradient, its scaled softmax backward)
 
@@ -280,7 +325,7 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor | np.ndarray:
         return shared[1]
 
     return _node(
-        weights @ vv,
+        out,
         (q, k, v),
         (
             lambda g: _unbroadcast(dscores(g) @ kv, qv.shape),
@@ -299,19 +344,24 @@ def log_softmax_pick(a, cols) -> Tensor | np.ndarray:
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
     lse = np.log(total)
-
-    def vjp(g):
-        out = e * (-g[:, None] / total)
-        out[rows, idx] += g
+    out = z[rows, idx] - lse[:, 0]
+    if _plain(a):
         return out
 
-    return _node(z[rows, idx] - lse[:, 0], (a,), (vjp,))
+    def vjp(g):
+        grad = e * (-g[:, None] / total)
+        grad[rows, idx] += g
+        return grad
+
+    return _node(out, (a,), (vjp,))
 
 
 def gelu(a) -> Tensor | np.ndarray:
     x = _value(a)
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf
+    if _plain(a):
+        return out
 
     def vjp(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
@@ -325,6 +375,8 @@ def log_sigmoid(a) -> Tensor | np.ndarray:
     # stable: log sigma(x) = -log1p(exp(-x)) for x >= 0, x - log1p(exp(x)) else
     with np.errstate(over="ignore"):
         out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+    if _plain(a):
+        return out
     sig_neg = 1.0 / (1.0 + np.exp(np.clip(x, -500, 500)))  # sigma(-x)
 
     def vjp(g):
@@ -353,6 +405,8 @@ def mean_pool_causal(a, factor: int, start: int = 0) -> Tensor | np.ndarray:
     window = np.zeros(lead + ((m - start) * factor, d))
     window[..., src - lo :, :] = x[..., src:hi, :]
     out = window.reshape(lead + (m - start, factor, d)).mean(axis=-2)
+    if _plain(a):
+        return out
 
     def vjp(g):
         spread = np.repeat(g / factor, factor, axis=-2)
@@ -375,6 +429,8 @@ def repeat_upsample(a, factor: int, out_len: int, start: int = 0) -> Tensor | np
     first = start // factor  # input row of output row `start`
     lo, hi = start - first * factor, out_len - first * factor
     rep = np.repeat(x[..., first:, :], factor, axis=-2)[..., lo:hi, :]
+    if _plain(a):
+        return rep
 
     def vjp(g):
         full = np.zeros(lead + ((m - first) * factor, d))

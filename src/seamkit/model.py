@@ -17,8 +17,11 @@ token index n = 3k arrives (the mean of coordinate outputs 3k-2 .. 3k, zero
 below 0); a valley row when endpoint row k is even (the mean of endpoint
 rows k-1, k); and the endpoint-post row k together with its endpoint row.
 The logits of token n are ``head(post[n // 3] + coord[n])``.  Cross-attention
-projects the condition once per decode.  The teacher-forced forward pass is
-the same code run once over the whole sequence from an empty cache.
+projects the condition once per decode.  On plain arrays the kept rows live
+in buffers sized once to ``config.max_seq_len``, which a step writes in place
+(``_DecodeState``); on Tensors they are concatenated.  The teacher-forced
+forward pass is the same code run once over the whole sequence from an
+empty cache.
 ``sample_batch`` decodes several candidates for one condition as one batch;
 each candidate draws from its own seeded generator, and its logits match a
 decode of it alone up to float rounding, so a batch gives the samples of one
@@ -28,8 +31,8 @@ The forward code is written once over ``autodiff`` ops.  Training runs it on
 ``ParameterStore.as_tensors()`` and differentiates the graph one condition
 group at a time (``_backward_per_group``), accumulating the gradients;
 inference (``encode_condition``, ``sequence_logprob``, ``sample_batch``)
-runs it on ``params.arrays``, where every op returns a plain ndarray and no
-graph is built.
+runs it on ``params.arrays``, where every op returns a plain ndarray before
+any graph bookkeeping, and a decode appends no row by concatenation.
 """
 
 from __future__ import annotations
@@ -266,10 +269,10 @@ def _ff(x, p, prefix: str):
     return ad.add(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
 
-def _decoder_layer(x, state: _DecodeState, i: int, causal_mask: np.ndarray | None):
+def _decoder_layer(x, state: _DecodeState, i: int, causal_mask: np.ndarray | None, cap: int):
     p = state.p
     normed = _layer_norm(x, p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
-    k, v = state.keys_values(i, normed)
+    k, v = state.keys_values(i, normed, cap)
     mask = None if _is_cross_layer(i) else causal_mask
     att = _attention(normed, k, v, p, f"dec.{i}.attn", state.config.n_heads, mask)
     x = ad.add(x, att)
@@ -331,6 +334,23 @@ def encode_condition(clouds: ConditioningClouds, params: ParameterStore) -> np.n
     return _encode_condition_t(prepared, params.arrays, params.config)
 
 
+def _levels(config: ModelConfig) -> dict[str, tuple[range, int]]:
+    """Per hourglass level, its decoder layers and its row count at
+    ``config.max_seq_len`` tokens: L coordinate rows, ceil(L/3) endpoint
+    and post rows, ceil(L/6) valley rows."""
+    n_coord, n_ep_pre, n_valley, _ = config.stage_layers()
+    ep_pre = n_coord + n_ep_pre
+    valley = ep_pre + n_valley
+    n = config.max_seq_len
+    n_ep = -(-n // COORD_FACTOR)
+    return {
+        "coord": (range(n_coord), n),
+        "endpoint": (range(n_coord, ep_pre), n_ep),
+        "valley": (range(ep_pre, valley), -(-n_ep // ENDPOINT_FACTOR)),
+        "post": (range(valley, config.n_layers), n_ep),
+    }
+
+
 class _DecodeState:
     """Per-layer K/V caches and per-level output rows of one decode.
 
@@ -338,51 +358,76 @@ class _DecodeState:
     ``_decode_t`` appends the rows its new tokens create (the rules are in
     the module docstring).  Self-attention layers append their new keys and
     values; cross-attention layers project the condition once, here.
+
+    ``rows`` maps a level, or a self-attention layer's ``(i, "k")`` and
+    ``(i, "v")``, to every row so far.  On Tensors each append is an
+    ``autodiff.concat_rows`` node, so a training graph spans the decode.  On
+    plain arrays each entry has a buffer, allocated at its first append with
+    ``np.empty`` to its level's row count at ``config.max_seq_len``
+    (``_levels``): an append writes the new rows in place, and ``rows`` holds
+    the view of the filled rows ``[..., :n, :]`` that attention, pooling
+    and upsampling read.  No step copies the prefix.
     """
 
     def __init__(self, cond, p, config: ModelConfig):
         self.p = p
         self.config = config
+        self.levels = _levels(config)
         self.n_tokens = 0
         self.rows: dict = {}
-        self.kv: dict[int, tuple] = {}
         cond = ad.add(cond, ad.slice_rows(p["embed.cond_pos"], 0, cond.shape[0]))
+        self.buffers: dict | None = None if isinstance(cond, ad.Tensor) else {}
+        self.cross: dict[int, tuple] = {}
         for i in range(config.n_layers):
             if _is_cross_layer(i):
                 ctx = _layer_norm(cond, p[f"dec.{i}.lnctx.g"], p[f"dec.{i}.lnctx.b"])
-                self.kv[i] = _project_kv(ctx, p, f"dec.{i}.attn", config.n_heads)
+                self.cross[i] = _project_kv(ctx, p, f"dec.{i}.attn", config.n_heads)
 
-    def keys_values(self, i: int, normed):
+    def append(self, key, new, cap: int):
+        """Every row of ``key`` after appending ``new`` along axis -2."""
+        old = self.rows.get(key)
+        if self.buffers is None:
+            self.rows[key] = new if old is None else ad.concat_rows([old, new], axis=-2)
+            return self.rows[key]
+        n0 = 0 if old is None else old.shape[-2]
+        n1 = n0 + new.shape[-2]
+        buf = self.buffers.get(key)
+        if buf is None:
+            buf = self.buffers[key] = np.empty(new.shape[:-2] + (cap, new.shape[-1]))
+        buf[..., n0:n1, :] = new
+        self.rows[key] = buf[..., :n1, :]
+        return self.rows[key]
+
+    def keys_values(self, i: int, normed, cap: int):
         """Keys and values layer i attends to: the condition's, or every row so far."""
         if _is_cross_layer(i):
-            return self.kv[i]
+            return self.cross[i]
         k, v = _project_kv(normed, self.p, f"dec.{i}.attn", self.config.n_heads)
-        if i in self.kv:
-            k_old, v_old = self.kv[i]
-            k = ad.concat_rows([k_old, k], axis=-2)
-            v = ad.concat_rows([v_old, v], axis=-2)
-        self.kv[i] = (k, v)
-        return k, v
+        return self.append((i, "k"), k, cap), self.append((i, "v"), v, cap)
 
-    def run_level(self, level: str, x, layers):
-        """Run ``layers`` on the new rows ``x`` of ``level``; keep their outputs."""
+    def run_level(self, level: str, x):
+        """Run the level's layers on its new rows ``x``; keep their outputs."""
+        layers, cap = self.levels[level]
         old = self.rows.get(level)
         n_new = x.shape[-2]
         n_total = n_new + (0 if old is None else old.shape[-2])
         mask = _causal_mask(n_new, n_total)
         for i in layers:
-            x = _decoder_layer(x, self, i, mask)
-        self.rows[level] = x if old is None else ad.concat_rows([old, x], axis=-2)
+            x = _decoder_layer(x, self, i, mask, cap)
+        self.append(level, x, cap)
         return x
 
     def keep_batch(self, batch_rows) -> None:
-        """Keep only these entries of the batch axis (a decode on plain arrays)."""
+        """Keep only these entries of the batch axis (a decode on plain
+        arrays): each buffer is replaced by one that holds the filled rows of
+        the kept entries."""
         idx = np.asarray(batch_rows, dtype=np.int64)
-        self.rows = {k: t[idx] for k, t in self.rows.items()}
-        self.kv = {
-            i: kv if _is_cross_layer(i) else tuple(t[idx] for t in kv)
-            for i, kv in self.kv.items()
-        }
+        for key, filled in self.rows.items():
+            n = filled.shape[-2]
+            buf = np.empty((len(idx),) + self.buffers[key].shape[1:])
+            buf[..., :n, :] = filled[idx]
+            self.buffers[key] = buf
+            self.rows[key] = buf[..., :n, :]
 
 
 def _decode_t(state: _DecodeState, tokens: np.ndarray):
@@ -401,26 +446,23 @@ def _decode_t(state: _DecodeState, tokens: np.ndarray):
     if n1 > config.max_seq_len:
         raise ModelError(f"sequence length {n1} exceeds cap {config.max_seq_len}")
     state.n_tokens = n1
-    n_coord, n_ep_pre, n_valley, _ = config.stage_layers()
-    ep_pre = n_coord + n_ep_pre
-    valley = ep_pre + n_valley
     cf, ef = COORD_FACTOR, ENDPOINT_FACTOR
 
     x = ad.add(
         ad.gather_rows(p["embed.token"], tokens),
         ad.slice_rows(p["embed.pos"], n0, n1),
     )
-    coord = state.run_level("coord", x, range(n_coord))
+    coord = state.run_level("coord", x)
     k0, k1 = -(-n0 // cf), -(-n1 // cf)  # endpoint rows this call creates
     if k1 > k0:
         pooled = ad.mean_pool_causal(state.rows["coord"], cf, k0)
-        ep = state.run_level("endpoint", pooled, range(n_coord, ep_pre))
+        ep = state.run_level("endpoint", pooled)
         j0, j1 = -(-k0 // ef), -(-k1 // ef)
         if j1 > j0:
             pooled = ad.mean_pool_causal(state.rows["endpoint"], ef, j0)
-            state.run_level("valley", pooled, range(ep_pre, valley))
+            state.run_level("valley", pooled)
         up = ad.repeat_upsample(state.rows["valley"], ef, k1, k0)
-        state.run_level("post", ad.add(up, ep), range(valley, config.n_layers))
+        state.run_level("post", ad.add(up, ep))
 
     x = ad.add(ad.repeat_upsample(state.rows["post"], cf, n1, n0), coord)
     h = _layer_norm(x, p["head.ln.g"], p["head.ln.b"])
@@ -529,14 +571,15 @@ def sample_batch(
     """One sample per seed, decoded together as one batch; see ``sample``.
 
     The candidates share the condition, so its cross-attention keys and
-    values are projected once.  Each decode step appends one token per
-    unfinished candidate to the per-level K/V caches (see ``_DecodeState``)
-    instead of re-running the prefix.  Candidate i draws from its own
-    ``default_rng(seeds[i])``, one draw per step when ``temperature > 0``
-    (one ``_sample_rows`` call per step serves every candidate); its logits
-    match a decode of it alone up to float rounding, so its result is that
-    of ``sample(..., seed=seeds[i])``.  A finished candidate leaves the
-    batch.
+    values are projected once.  Each decode step writes the rows of one token
+    per unfinished candidate into the decode's preallocated K/V and level-row
+    buffers (see ``_DecodeState``) instead of re-running or copying the
+    prefix.  Candidate i draws from its own ``default_rng(seeds[i])``, one
+    draw per step when ``temperature > 0`` (one ``_sample_rows`` call per
+    step serves every candidate); its logits match a decode of it alone up
+    to float rounding, so its result is that of ``sample(..., seed=seeds[i])``.
+    A finished candidate leaves the batch: ``_DecodeState.keep_batch`` copies
+    the filled rows of the others.
     """
     if temperature < 0:
         raise ModelError("temperature must be >= 0")

@@ -3,9 +3,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamkit import autodiff as ad
 from seamkit.dpo import (
+    PAIRING_MODES,
     DPOConfig,
     DPOError,
     LN2,
@@ -301,6 +304,43 @@ def test_pair_records_round_trip():
     text = write_pair_records([rec, rec])
     back = read_pair_records(text)
     assert back == [rec, rec]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_count = st.integers(0, 2**40)
+
+
+@st.composite
+def _pair_records(draw):
+    """A readable record in any pairing mode: the positive's metrics are
+    strictly lower in what the mode compares, and drawn freely otherwise."""
+    mode = draw(st.sampled_from(PAIRING_MODES))
+    d = sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
+    f = sorted(draw(st.lists(_count, min_size=2, max_size=2, unique=True)))
+    if mode == "density-only":
+        d = draw(st.permutations(d))
+    if mode == "distortion-only":
+        f = draw(st.permutations(f))
+    pos, neg = draw(st.lists(_count, min_size=2, max_size=2, unique=True))
+    positive, negative = (
+        SeamMetrics(distortion=d[i], fragments=f[i], runtime_s=draw(_finite), excluded_triangles=draw(_count))
+        for i in (0, 1)
+    )
+    return PairRecord(
+        mesh_path=draw(st.text()),
+        seed=draw(_count),
+        positive_index=pos,
+        negative_index=neg,
+        positive_metrics=positive,
+        negative_metrics=negative,
+        mode=mode,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_pair_records(), max_size=5))
+def test_pair_records_property_round_trip(records):
+    assert read_pair_records(write_pair_records(records)) == records
 
 
 def two_condition_pairs(rng, config):

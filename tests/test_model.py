@@ -273,18 +273,27 @@ def test_sample_greedy_limit_and_determinism():
     decode(a.tokens)
 
 
-@pytest.mark.parametrize("config", [DESK_CONFIG, TINY_CONFIG], ids=["desk", "tiny"])
-def test_cached_step_logits_match_full_forward(config):
-    # one token per step through the K/V caches, every prefix length 1..97
-    # (every residue mod 6, so every pooling boundary of both levels)
+@pytest.mark.parametrize(
+    "config, on_arrays",
+    [(DESK_CONFIG, False), (TINY_CONFIG, False), (DESK_CONFIG, True), (TINY_CONFIG, True)],
+    ids=["desk", "tiny", "desk-arrays", "tiny-arrays"],
+)
+def test_cached_step_logits_match_full_forward(config, on_arrays):
+    # one token per step through the K/V caches (concatenated Tensors, or
+    # the preallocated buffers of a decode on arrays), every prefix length
+    # 1..97 (every residue mod 6, so every pooling boundary of both levels)
     rng = np.random.default_rng(14)
     params = init_parameters(config)
     cond = encode_condition(rand_clouds(rng, 40, config), params)
     toks = rng.integers(0, 1024, size=97)
     toks[0] = BOS
-    state = _DecodeState(ad.Tensor(cond), params.as_tensors(), config)
+    if on_arrays:
+        state = _DecodeState(cond, params.arrays, config)
+    else:
+        state = _DecodeState(ad.Tensor(cond), params.as_tensors(), config)
     for n in range(1, len(toks) + 1):
-        step = _decode_t(state, toks[n - 1 : n]).value[-1]
+        step = _decode_t(state, toks[n - 1 : n])
+        step = (step if on_arrays else step.value)[-1]
         full = _decoder_logits_t(toks[:n], cond, params.arrays, params.config)[-1]
         np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
 
@@ -354,22 +363,69 @@ def test_sample_stays_within_the_model_segment_cap():
     assert sample(cond, params, 0.0, 1.0).n_steps <= 6 * cap + 1
 
 
+def eos_biased(params):
+    """A copy of ``params`` whose head makes EOS likely enough that
+    candidates stop at different steps."""
+    out = params.copy()
+    out.arrays["head.b"][EOS] = np.log(VOCAB_SIZE / 8)
+    return out
+
+
+def assert_batch_matches_single_seeds(cond, p, temperature, top_p, seeds):
+    batch = sample_batch(cond, p, temperature, top_p, seeds)
+    single = [sample(cond, p, temperature, top_p, s) for s in seeds]
+    assert [(r.tokens, r.n_steps, r.malformed) for r in batch] == [
+        (r.tokens, r.n_steps, r.malformed) for r in single
+    ]
+    return [r.n_steps for r in batch]
+
+
 def test_sample_batch_matches_single_seed_samples():
     rng = np.random.default_rng(15)
     config = replace(TINY_CONFIG, max_segments=4)
     params = init_parameters(config)
     cond = encode_condition(rand_clouds(rng, 16, config), params)
-    # EOS likely enough that the candidates stop at different steps
-    eos_params = params.copy()
-    eos_params.arrays["head.b"][EOS] = np.log(VOCAB_SIZE / 8)
     seeds = [3, 4, 5, 6]
-    for p, temperature, top_p in ((params, 0.0, 1.0), (params, 1.0, 0.9), (eos_params, 1.0, 0.9)):
-        batch = sample_batch(cond, p, temperature, top_p, seeds)
-        single = [sample(cond, p, temperature, top_p, s) for s in seeds]
-        assert [(r.tokens, r.n_steps, r.malformed) for r in batch] == [
-            (r.tokens, r.n_steps, r.malformed) for r in single
-        ]
-    assert len({r.n_steps for r in batch}) > 1
+    for p, temperature, top_p in ((params, 0.0, 1.0), (params, 1.0, 0.9), (eos_biased(params), 1.0, 0.9)):
+        steps = assert_batch_matches_single_seeds(cond, p, temperature, top_p, seeds)
+    assert len(set(steps)) > 1
+    # the desk model (max_segments=64): keep_batch drops candidates from the
+    # decode buffers of every level at three or more different steps, and
+    # others decode on after one drop at step 7 or later (the token of step
+    # 7, index 6, creates the second valley row)
+    params = init_parameters(DESK_CONFIG)
+    cond = encode_condition(rand_clouds(rng, 40, DESK_CONFIG), params)
+    steps = sorted(set(assert_batch_matches_single_seeds(cond, eos_biased(params), 1.0, 0.9, range(8))))
+    assert len(steps) >= 3 and steps[-2] >= 7
+
+
+def test_array_sample_concatenates_no_rows_and_builds_no_graph(monkeypatch):
+    # a decode on plain arrays writes its rows into preallocated buffers and
+    # its ops return before any graph bookkeeping
+    counts = {"concat_rows": 0, "Vertex": 0}
+    concat_rows, vertex_init = ad.concat_rows, ad.Vertex.__init__
+
+    def counted_concat_rows(*args, **kwargs):
+        counts["concat_rows"] += 1
+        return concat_rows(*args, **kwargs)
+
+    def counted_vertex_init(self, *args, **kwargs):
+        counts["Vertex"] += 1
+        vertex_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "concat_rows", counted_concat_rows)
+    monkeypatch.setattr(ad.Vertex, "__init__", counted_vertex_init)
+    params = init_parameters(DESK_CONFIG)
+    cond = encode_condition(rand_clouds(np.random.default_rng(19), 40, DESK_CONFIG), params)
+    counts.update(concat_rows=0, Vertex=0)  # the encoder concatenates its two branches
+    results = sample_batch(cond, eos_biased(params), 1.0, 0.9, range(5))
+    assert max(r.n_steps for r in results) > 1
+    assert counts == {"concat_rows": 0, "Vertex": 0}
+    # the counters see a Tensor decode, which concatenates and builds nodes
+    state = _DecodeState(ad.Tensor(cond), params.as_tensors(), DESK_CONFIG)
+    for token in (BOS, 0):
+        _decode_t(state, np.array([token]))
+    assert counts["concat_rows"] > 0 and counts["Vertex"] > 0
 
 
 def test_sample_next_matches_softmax_frequencies():

@@ -269,6 +269,15 @@ def test_canonicalize_matches_loop_reference(seams):
     assert got.segments.tobytes() == expected.segments.tobytes()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_seam_sets())
+def test_encode_decode_round_trip(seams):
+    # decode gives bin centers of the canonical set; encoding them again
+    # reproduces the tokens
+    tokens = encode(seams).tokens
+    assert np.array_equal(encode(decode(encode(seams))).tokens, tokens)
+
+
 @st.composite
 def _token_strings(draw):
     """Either arbitrary strings over coordinate and special tokens, or a
