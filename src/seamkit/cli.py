@@ -2,8 +2,9 @@
 
 Subcommands: evaluate, tokenize, detokenize, project, unwrap, sample,
 prefpairs, dpo, sample-points.  Exit codes: 0 ok, 2 input error, 3 pipeline
-error.  All outputs are written atomically (temp file + rename); runs that
-produce multiple artifacts also emit a manifest.json.
+error.  All outputs are written atomically (temp file + rename); sample,
+prefpairs and dpo runs (every one, zero steps included) also emit a
+manifest.json.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ def _write_atomic(path: str, data) -> None:
 
 def _load_normalized(path: str) -> IndexedMesh:
     """The OBJ mesh at ``path``, normalized; InputError naming the file when
-    it does not parse, has no extent or has no faces."""
+    it does not parse, has no extent, has no faces or has zero surface area
+    (every triangle degenerate)."""
     # bytes are always parsed as OBJ content, never taken for a file name
     data = _read_file(path, binary=True)
     try:
@@ -186,6 +188,8 @@ def _load_normalized(path: str) -> IndexedMesh:
         raise InputError(f"{path}: {exc}") from exc
     if mesh.n_triangles == 0:
         raise InputError(f"{path}: mesh has no faces")
+    if mesh.triangle_areas().sum() <= 0:
+        raise InputError(f"{path}: mesh has zero total surface area")
     return mesh
 
 
@@ -542,9 +546,6 @@ def cmd_dpo(args) -> int:
     except dpo_mod.DPOError as exc:
         raise InputError(f"{args.pairs}: {exc}") from exc
     policy = _policy_store(cfg)
-    if cfg["steps"] == 0 or not records:
-        _write_atomic(args.output, model_mod.save_checkpoint(policy))
-        return EXIT_OK
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]

@@ -11,7 +11,7 @@ path NLL pretraining also uses.  The objective is the standard pairwise
 logistic loss on scaled policy/reference log-ratio margins; at policy ==
 reference it equals ln 2 exactly.  The reference log-probabilities come
 from the same path under the reference store, read off step 0's policy
-pass when that store is the starting policy.
+pass when the reference is the policy object itself.
 """
 
 from __future__ import annotations
@@ -123,18 +123,6 @@ def _reference_logprobs(batch: _ConditionBatch, reference: ParameterStore) -> li
     return _pair_logprobs(batch, _group_logprobs_t(batch, reference.arrays, reference.config))
 
 
-def _same_store(a: ParameterStore, b: ParameterStore) -> bool:
-    """Whether two stores have the same config and bit-identical arrays."""
-    return a is b or (
-        a.config == b.config
-        and list(a.arrays) == list(b.arrays)
-        and all(
-            x.shape == b.arrays[k].shape and x.tobytes() == b.arrays[k].tobytes()
-            for k, x in a.arrays.items()
-        )
-    )
-
-
 def _pair_term(k: int, logprobs, ref_logprobs, beta: float) -> tuple:
     """-log sigma(beta * margin) of pair ``k``, where margin is (log pi - log
     ref) of the chosen minus that of the rejected.
@@ -196,7 +184,7 @@ class DPOStepLog:
     rewards beta * (log pi - log pi_ref) of the positives and the negatives;
     ``margin_mean``/``margin_min`` summarize the per-pair reward margins
     (chosen minus rejected reward); ``grad_norm`` is the L2 norm of the loss
-    gradient over all trainable parameters.
+    gradient over every parameter array.
     """
 
     step: int
@@ -215,30 +203,31 @@ def dpo_train(
     dataset,
     config: DPOConfig,
 ) -> tuple[ParameterStore, list[DPOStepLog]]:
-    """Run config.steps SGD steps on the preference objective.
+    """Run config.steps SGD steps on the preference objective, each moving
+    every parameter array (``model._sgd_step``).
 
     ``dataset`` is a list of ``(clouds, (chosen_tokens, rejected_tokens))``
     items: ``ConditioningClouds`` and two complete int64 token arrays, the
     chosen one preferred (``PairRecord`` checks why).  The items are grouped,
     and their conditions prepared, once (``model._group_conditions``).  Both
     stores are read-only, so the reference may be the policy object itself,
-    which saves a copy of every array.  When the reference is the policy, or
-    has its config and bit-identical arrays, its log-probabilities are those
-    of step 0's policy pass; otherwise one pass over it computes them before
-    step 0.  Each step runs forward and backward once per condition group
-    and accumulates the gradients before its one update (``_policy_pass``),
-    so peak memory is set by the largest condition group, not by the
-    dataset.  Logs loss, preference accuracy (fraction of pairs with
-    positive margin) and the ``DPOStepLog`` reward diagnostics per step,
-    each computed from per-pair floats in pair order.  Aborts when the loss
-    stays above DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE
-    consecutive steps.
+    which saves a copy of every array.  When it is, the reference
+    log-probabilities are those of step 0's policy pass; any other store
+    gets one pass of its own before step 0 (``_reference_logprobs``, which
+    gives the policy pass's values bit for bit).  Each step runs forward and
+    backward once per condition group and accumulates the gradients before
+    its one update (``_policy_pass``), so peak memory is set by the largest
+    condition group, not by the dataset.  Logs loss, preference accuracy
+    (fraction of pairs with positive margin) and the ``DPOStepLog`` reward
+    diagnostics per step, each computed from per-pair floats in pair order.
+    Aborts when the loss stays above DIVERGENCE_FACTOR * ln 2 for
+    DIVERGENCE_PATIENCE consecutive steps.
     """
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
     batch = _group_conditions(dataset, policy.config)
-    refs = None if _same_store(policy, reference) else _reference_logprobs(batch, reference)
+    refs = None if reference is policy else _reference_logprobs(batch, reference)
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):
@@ -246,7 +235,7 @@ def dpo_train(
         value = reduce(operator.add, (term for term, *_ in values)) * (1.0 / len(values))
         if not np.isfinite(value):
             raise TrainingError(f"non-finite DPO loss at step {step}")
-        grads = [p[name].grad for name in policy.trainable_names()]
+        grads = [t.grad for t in p.values()]
         rewards = config.beta * np.array([[chosen, rejected] for _, chosen, rejected, _ in values])
         reward_margins = rewards[:, 0] - rewards[:, 1]
         history.append(

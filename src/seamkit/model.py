@@ -82,15 +82,15 @@ _CONFIG_MINIMUMS = {
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters, encoder-branch freezing and the init seed.
+    """Architecture hyperparameters and the init seed.
 
     Vocabulary, resampling and feed-forward sizes are module constants.
     Desk defaults keep every property test fast; the paper-scale values
     (tokens_per_branch=3072, d_model=1024, n_layers=24) are representable but
-    not exercised by the test harness.  Integer fields must be ``int`` (not
-    ``bool``) and at least ``_CONFIG_MINIMUMS``; the encoder flags must be
-    ``bool``; ``n_heads`` must divide ``d_model``.  Anything else raises
-    ``ModelError``.
+    not exercised by the test harness.  Every field must be an ``int`` (not
+    a ``bool``) of at least ``_CONFIG_MINIMUMS``, and ``n_heads`` must
+    divide ``d_model``.  Anything else raises ``ModelError``.  Training
+    moves every parameter.
     """
 
     tokens_per_branch: int = 32
@@ -98,17 +98,12 @@ class ModelConfig:
     n_layers: int = 8
     n_heads: int = 2
     max_segments: int = 512
-    train_topo_encoder: bool = True
-    train_geom_encoder: bool = True
     seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name not in _CONFIG_MINIMUMS:  # the encoder flags
-                if not isinstance(value, bool):
-                    raise ModelError(f"{f.name} must be a bool, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ModelError(f"{f.name} must be an int, got {value!r}")
             elif value < _CONFIG_MINIMUMS[f.name]:
                 raise ModelError(f"{f.name} must be >= {_CONFIG_MINIMUMS[f.name]}, got {value}")
@@ -147,24 +142,11 @@ class ParameterStore:
     def copy(self) -> "ParameterStore":
         return ParameterStore(arrays={k: v.copy() for k, v in self.arrays.items()}, config=self.config)
 
-    def trainable_names(self) -> list[str]:
-        out = []
-        for name in self.arrays:
-            if name.startswith("enc.topo.") and not self.config.train_topo_encoder:
-                continue
-            if name.startswith("enc.geom.") and not self.config.train_geom_encoder:
-                continue
-            out.append(name)
-        return out
-
     def as_tensors(self) -> dict:
-        """Name -> ``autodiff.Tensor`` of every array, for a training graph;
-        ``trainable_names`` require gradients.  Inference and the DPO
+        """Name -> ``autodiff.parameter`` of every array, for a training
+        graph: each one requires a gradient.  Inference and the DPO
         reference pass run on ``arrays`` directly and build no graph."""
-        train = set(self.trainable_names())
-        return {
-            k: ad.Tensor(v, requires_grad=(k in train)) for k, v in self.arrays.items()
-        }
+        return {k: ad.parameter(v) for k, v in self.arrays.items()}
 
 
 def _parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -732,13 +714,12 @@ def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
 
 
 def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStore:
-    """A copy of ``params`` with every trainable array that has a gradient in
-    ``tensors`` moved to ``old - lr * grad``; only the other arrays are
-    copied as they are."""
-    trainable = set(params.trainable_names())
+    """A copy of ``params`` with every array that has a gradient in
+    ``tensors`` moved to ``old - lr * grad``; an array that no path reached
+    is copied as it is."""
     arrays = {}
     for name, old in params.arrays.items():
-        g = tensors[name].grad if name in trainable else None
+        g = tensors[name].grad
         arrays[name] = old.copy() if g is None else old - lr * g
     return ParameterStore(arrays=arrays, config=params.config)
 

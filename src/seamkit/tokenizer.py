@@ -227,10 +227,17 @@ def write_token_text(tokens: TokenSequence) -> str:
 
 
 def read_token_text(text: str) -> TokenSequence:
+    """One token id per content line; a line that is not an int64, or holds
+    an id outside the vocabulary, raises ``TokenizerError`` naming it."""
     vals = []
     for line_no, line in content_lines(text):
         try:
-            vals.append(int64(line))
+            value = int64(line)
         except ValueError as exc:
             raise TokenizerError(f"token line {line_no}: {exc}") from exc
+        if not 0 <= value < VOCAB_SIZE:
+            raise TokenizerError(
+                f"token line {line_no}: token id {value} outside [0, {VOCAB_SIZE - 1}]"
+            )
+        vals.append(value)
     return TokenSequence(tokens=np.asarray(vals, dtype=np.int64))

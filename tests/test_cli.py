@@ -372,8 +372,10 @@ def test_evaluate_degenerate_face_names_file_and_line(tmp_path, capsys):
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\n", "mesh has no faces"),
         ("", "mesh has no vertices"),
         ("v 0 0 0\nv 0 0 0\nv 0 0 0\nf 1 2 3\n", "bounding box has zero extent"),
+        # two triangles on one line: an extent, but no area to sample or unwrap
+        ("v 0 0 0\nv 1 0 0\nv 2 0 0\nv 3 0 0\nf 1 2 3\nf 2 3 4\n", "mesh has zero total surface area"),
     ],
-    ids=["no-faces", "empty", "zero-extent"],
+    ids=["no-faces", "empty", "zero-extent", "zero-area"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "project", "unwrap", "sample-points"])
 def test_mesh_without_faces_or_extent_names_the_file_exit_2(tmp_path, capsys, text, message, command):
@@ -393,12 +395,20 @@ def test_mesh_without_faces_or_extent_names_the_file_exit_2(tmp_path, capsys, te
     assert not out.exists() and not (tmp_path / "out.topo.xyz").exists()
 
 
-def test_detokenize_token_beyond_int64_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1024\n99999999999999999999\n", "token line 2: 99999999999999999999 does not fit in int64"),
+        ("1024\n1\n2\n3\n99999\n1025\n", "token line 5: token id 99999 outside [0, 1026]"),
+    ],
+    ids=["beyond-int64", "outside-vocabulary"],
+)
+def test_detokenize_token_beyond_int64_exit_2(tmp_path, capsys, text, message):
     tokens = tmp_path / "big.tokens"
-    tokens.write_text("1024\n99999999999999999999\n")
+    tokens.write_text(text)
     out = tmp_path / "out.seams"
     assert main(["detokenize", str(tokens), str(out)]) == 2
-    assert f"{tokens}: token line 2: 99999999999999999999 does not fit in int64" in capsys.readouterr().err
+    assert f"error: {tokens}: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -486,7 +496,8 @@ def test_sample_prefpairs_dpo_pipeline(cube_obj, tmp_path):
     cfg2 = tmp_path / "cfg2.txt"
     cfg2.write_text(desk_config_text() + f"steps = 0\ninit_checkpoint = {ckpt_in}\n")
     ckpt_out = tmp_path / "out.ckpt"
-    assert main(["dpo", str(pairs_file), str(ckpt_out), "--config", str(cfg2)]) == 0
+    argv = ["dpo", str(pairs_file), str(ckpt_out), "--candidates", str(out_dir), "--config", str(cfg2)]
+    assert main(argv) == 0
     assert ckpt_out.read_bytes() == ckpt_in.read_bytes()
 
     # a couple of real dpo steps if any pairs were found
@@ -621,6 +632,25 @@ def test_dpo_builds_each_condition_once(grid_obj, cube_obj, tmp_path, monkeypatc
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
     assert set(manifest["timings_s"]) == {"pairs", "train"}
+
+
+def test_dpo_zero_steps_after_a_trained_run_leaves_no_stale_artifacts(grid_obj, tmp_path):
+    from seamkit.cli import config_hash
+
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
+    ckpt = tmp_path / "out.ckpt"
+    for steps in (2, 0):
+        cfg = tmp_path / f"cfg{steps}.txt"
+        cfg.write_text(desk_config_text() + f"steps = {steps}\nlr = 0.001\n")
+        assert main(["dpo", str(pairs), str(ckpt), "--config", str(cfg)]) == 0
+    # the second run's own log and manifest replace the first run's
+    assert (tmp_path / "out.log.jsonl").read_text() == ""
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    jsonschema.validate(manifest, _schema("manifest.schema.json"))
+    config = parse_config(cfg.read_text())
+    assert manifest["config_hash"] == config_hash(config)
+    # zero steps write the starting policy
+    assert ckpt.read_bytes() == save_checkpoint(init_parameters(model_config_from(config)))
 
 
 def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path, monkeypatch):
@@ -1033,7 +1063,7 @@ def test_config_key_differing_from_checkpoint_exit_2(cube_obj, tmp_path, capsys,
         (lambda d: d["config"].update(n_heads=0), "invalid config: n_heads must be >= 1, got 0"),
         (
             lambda d: d["config"].update(train_topo_encoder="no"),
-            "invalid config: train_topo_encoder must be a bool, got 'no'",
+            "unknown config keys: train_topo_encoder",
         ),
     ],
     ids=["former-header", "nan-weight", "zero-heads", "string-flag"],

@@ -206,7 +206,7 @@ def test_dpo_gradient_matches_finite_differences():
     policy = init_parameters(TINY_CONFIG)
     reference = init_parameters(TINY_CONFIG).copy()
     # move the policy off the reference so margins are nonzero
-    for name in policy.trainable_names():
+    for name in policy.arrays:
         policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(
             size=policy.arrays[name].shape
         )
@@ -218,7 +218,7 @@ def test_dpo_gradient_matches_finite_differences():
     loss, _ = dpo_loss_t(pairs, p, policy.config, refs, beta)
     ad.backward(loss)
 
-    names = policy.trainable_names()
+    names = list(policy.arrays)
     checked = 0
     h = 1e-4
     while checked < 20:
@@ -397,7 +397,7 @@ def test_dpo_gradients_match_per_pair_loss():
     rng = np.random.default_rng(8)
     reference = init_parameters(TINY_CONFIG).copy()
     policy = reference.copy()
-    for name in policy.trainable_names():
+    for name in policy.arrays:
         policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(
             size=policy.arrays[name].shape
         )
@@ -424,7 +424,7 @@ def test_dpo_gradients_match_per_pair_loss():
 
     assert float(loss.value) == pytest.approx(float(expected.value), rel=1e-12, abs=0)
     np.testing.assert_allclose(margins, expected_margins, rtol=1e-10, atol=0)
-    for name in policy.trainable_names():
+    for name in policy.arrays:
         g, g_ref = p[name].grad, q[name].grad
         assert (g is None) == (g_ref is None), name
         if g is not None:
@@ -476,9 +476,9 @@ def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
     rng = np.random.default_rng(9)
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
-    dpo_train(policy, policy.copy(), pairs, DPOConfig(learning_rate=1e-3, steps=2))
-    # two steps, each over two conditions; the reference is the starting
-    # policy, so step 0's pass gives its log-probabilities; each condition's
+    dpo_train(policy, policy, pairs, DPOConfig(learning_rate=1e-3, steps=2))
+    # two steps, each over two conditions; the reference is the policy
+    # object, so step 0's pass gives its log-probabilities; each condition's
     # two branches pick their FPS anchors once per dpo_train
     assert calls == {"encode": 4, "decode": 4, "fps": 4}
 
@@ -519,29 +519,19 @@ def test_dpo_train_matches_composed_ops():
     assert losses[-1] < 0.5 * LN2
 
 
-def test_frozen_encoder_branch_stays_frozen():
-    from dataclasses import replace
-
+def test_every_parameter_trains():
     from seamkit.model import nll_train_step
 
     rng = np.random.default_rng(11)
-    config = replace(TINY_CONFIG, train_geom_encoder=False)
-    params = init_parameters(config)
-    pairs = make_pairs(rng, config, n_pairs=2)
+    params = init_parameters(TINY_CONFIG)
+    pairs = make_pairs(rng, TINY_CONFIG, n_pairs=2)
     nll_batch = [(clouds, chosen) for clouds, (chosen, _) in pairs]
     stepped, _ = nll_train_step(nll_batch, params, lr=0.1)
-    trained, _ = dpo_train(
-        params, params.copy(), pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1)
-    )
+    trained, _ = dpo_train(params, params, pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1))
     for after in (stepped, trained):
-        for name in params.arrays:
-            if name.startswith("enc.geom."):
-                assert np.array_equal(after.arrays[name], params.arrays[name]), name
-        assert any(
-            not np.array_equal(after.arrays[name], params.arrays[name])
-            for name in params.arrays
-            if name.startswith("enc.topo.")
-        )
+        assert list(after.arrays) == list(params.arrays)
+        for name, start in params.arrays.items():
+            assert not np.array_equal(after.arrays[name], start), name
 
 
 def test_dpo_step_log_diagnostics():
@@ -557,7 +547,7 @@ def test_dpo_step_log_diagnostics():
     p = reference.as_tensors()
     loss, _ = dpo_loss_t(pairs, p, TINY_CONFIG, reference_logprobs(pairs, reference), config.beta)
     ad.backward(loss)
-    norm = np.sqrt(sum(np.sum(p[n].grad ** 2) for n in reference.trainable_names()))
+    norm = np.sqrt(sum(np.sum(p[n].grad ** 2) for n in reference.arrays))
     assert first.grad_norm == pytest.approx(norm, rel=1e-12)
     last = history[-1]
     assert last.margin_mean == pytest.approx(last.reward_chosen - last.reward_rejected, rel=1e-9)
@@ -665,7 +655,7 @@ def test_accumulated_dpo_gradients_match_one_graph(config, monkeypatch):
     rng = np.random.default_rng(14)
     reference = init_parameters(config)
     policy = reference.copy()
-    for name in policy.trainable_names():
+    for name in policy.arrays:
         policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(size=policy.arrays[name].shape)
     pairs = three_condition_pairs(rng, config)
     beta = 0.5
@@ -684,7 +674,7 @@ def test_accumulated_dpo_gradients_match_one_graph(config, monkeypatch):
     assert history[0].loss == float(loss.value)
     assert history[0].accuracy == np.mean([m > 0 for m in margins]) > 0
     assert history[0].margin_min == pytest.approx(beta * min(margins), rel=1e-9)
-    for name in policy.trainable_names():
+    for name in policy.arrays:
         g, g_ref = grads[name], q[name].grad
         assert (g is None) == (g_ref is None), name
         if g is not None:

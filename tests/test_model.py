@@ -73,10 +73,6 @@ def test_config_validation():
     for field, low in (("tokens_per_branch", 0), ("d_model", 0), ("max_segments", 0), ("seed", -1)):
         with pytest.raises(ModelError, match=f"{field} must be >= "):
             ModelConfig(**{field: low})
-    for field in ("train_topo_encoder", "train_geom_encoder"):
-        for bad in ("no", 0, 1, None):
-            with pytest.raises(ModelError, match=f"{field} must be a bool"):
-                ModelConfig(**{field: bad})
     paper = ModelConfig(tokens_per_branch=3072, d_model=1024, n_layers=24, n_heads=16)
     assert paper.tokens_per_branch == 3072
     assert paper.d_model == 1024
@@ -475,7 +471,7 @@ def test_nll_gradient_matches_finite_differences():
     ad.backward(loss)
 
     rng = np.random.default_rng(13)
-    names = params.trainable_names()
+    names = list(params.arrays)
     checked = 0
     h = 1e-4
     while checked < 20:
@@ -537,7 +533,7 @@ def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
     expected = loop_batch_nll_t(batch, q, config)
     ad.backward(expected)
     assert float(loss.value) == pytest.approx(float(expected.value), rel=1e-12, abs=0)
-    for name in params.trainable_names():
+    for name in params.arrays:
         g, g_ref = p[name].grad, q[name].grad
         assert (g is None) == (g_ref is None), name
         if g is not None:
@@ -619,7 +615,7 @@ def test_accumulated_nll_gradients_match_one_graph(config, monkeypatch):
     (grads,) = seen
     # the loss sums the per-example log-probabilities in example order
     assert loss == float(expected.value)
-    for name in params.trainable_names():
+    for name in params.arrays:
         g, g_ref = grads[name], q[name].grad
         assert (g is None) == (g_ref is None), name
         if g is not None:
@@ -691,7 +687,7 @@ def _with_header(blob, edit):
         (lambda blob: _with_header(blob, lambda d: d["config"].update(n_heads=0)), "invalid config: n_heads"),
         (
             lambda blob: _with_header(blob, lambda d: d["config"].update(train_topo_encoder="no")),
-            "invalid config: train_topo_encoder must be a bool",
+            "unknown config keys: train_topo_encoder",
         ),
         (
             lambda blob: _with_header(blob, lambda d: d["config"].update(tokens_per_branch=8.0)),
@@ -743,8 +739,8 @@ def test_any_truncation_raises_checkpoint_error(length):
 
 def test_checkpoint_header_contract():
     """The header holds exactly ``config`` (every ModelConfig field) and
-    ``arrays``; a header of the former format, with ``role`` and the fixed
-    model factors, is rejected naming the factors."""
+    ``arrays``; a header of a former format, with ``role``, the fixed model
+    factors and the encoder-freeze flags, is rejected naming those keys."""
     params = init_parameters(TINY_CONFIG)
     blob = save_checkpoint(params)
     header = json.loads(blob.split(b"\n", 2)[1])
@@ -756,15 +752,17 @@ def test_checkpoint_header_contract():
         "n_layers",
         "n_heads",
         "max_segments",
-        "train_topo_encoder",
-        "train_geom_encoder",
         "seed",
     ]
 
     def former(doc):
         doc["role"] = "policy"
         doc["config"].update(vocab_size=VOCAB_SIZE, coord_factor=3, endpoint_factor=2, ff_mult=4)
+        doc["config"].update(train_topo_encoder=True, train_geom_encoder=True)
 
-    message = "unknown config keys: coord_factor, endpoint_factor, ff_mult, vocab_size"
+    message = (
+        "unknown config keys: coord_factor, endpoint_factor, ff_mult, "
+        "train_geom_encoder, train_topo_encoder, vocab_size"
+    )
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(_with_header(blob, former))

@@ -80,12 +80,12 @@ def traced_peak(fn) -> int:
 
 def stepped_gradients(monkeypatch, module):
     """Gradients ``module._sgd_step`` is handed from now on, one dict of
-    trainable name -> gradient per step."""
+    parameter name -> gradient per step."""
     seen = []
     sgd_step = module._sgd_step
 
     def capture(params, tensors, lr):
-        seen.append({name: tensors[name].grad for name in params.trainable_names()})
+        seen.append({name: tensors[name].grad for name in params.arrays})
         return sgd_step(params, tensors, lr)
 
     monkeypatch.setattr(module, "_sgd_step", capture)
