@@ -23,7 +23,11 @@ The vertex holds what ``backward`` reads (gradient, parent vertices, VJP
 closures) and no forward value, so an activation lives only as long as the
 model code holds its handle, unless a VJP saved it.  An op's VJPs capture
 shapes and the arrays their formulas read, never an input only for its
-shape: ``add`` keeps two shapes, ``gelu`` keeps its input.
+shape: ``add`` keeps two shapes, ``gelu`` keeps only its slope, computed
+in the forward pass once the array path has returned.  ``backward`` runs
+each VJP once, so a VJP may overwrite an array that only it holds:
+``gelu``'s slope and ``log_softmax_pick``'s exponentials are multiplied
+in place into the gradient they return, with no second array of their size.
 """
 
 from __future__ import annotations
@@ -341,15 +345,16 @@ def log_softmax_pick(a, cols) -> Tensor | np.ndarray:
     idx = np.asarray(cols, dtype=np.int64)
     rows = np.arange(x.shape[0])
     z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    picked = z[rows, idx]
+    e = np.exp(z, out=z)  # z's picks are taken: one array of x's size, not two
     total = e.sum(axis=-1, keepdims=True)
     lse = np.log(total)
-    out = z[rows, idx] - lse[:, 0]
+    out = picked - lse[:, 0]
     if _plain(a):
         return out
 
     def vjp(g):
-        grad = e * (-g[:, None] / total)
+        grad = np.multiply(e, -g[:, None] / total, out=e)
         grad[rows, idx] += g
         return grad
 
@@ -362,12 +367,8 @@ def gelu(a) -> Tensor | np.ndarray:
     out = x * cdf
     if _plain(a):
         return out
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return g * (cdf + x * pdf)
-
-    return _node(out, (a,), (vjp,))
+    slope = cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+    return _node(out, (a,), (lambda g: np.multiply(g, slope, out=slope),))
 
 
 def log_sigmoid(a) -> Tensor | np.ndarray:

@@ -545,7 +545,9 @@ def cmd_dpo(args) -> int:
         records = dpo_mod.read_pair_records(text)
     except dpo_mod.DPOError as exc:
         raise InputError(f"{args.pairs}: {exc}") from exc
-    policy = _policy_store(cfg)
+    # the policy and its reference, one read-only store: dpo_train never
+    # modifies it, so no copy
+    stores = [_policy_store(cfg)] * 2
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
@@ -553,8 +555,8 @@ def cmd_dpo(args) -> int:
     pairs = _pairs_from_records(records, cand_dir, cfg)
     dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
     t1 = time.perf_counter()
-    # the starting policy is the reference: dpo_train only reads it, so no copy
-    trained, history = dpo_mod.dpo_train(policy, policy, pairs, dpo_config)
+    # popped into the call, the store keeps no name here and is freed after step 0
+    trained, history = dpo_mod.dpo_train(stores.pop(), stores.pop(), pairs, dpo_config)
     timings = {"pairs": t1 - t0, "train": time.perf_counter() - t1}
     _write_atomic(args.output, model_mod.save_checkpoint(trained))
     log_path = os.path.splitext(args.output)[0] + ".log.jsonl"

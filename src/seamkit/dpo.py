@@ -214,7 +214,12 @@ def dpo_train(
     which saves a copy of every array.  When it is, the reference
     log-probabilities are those of step 0's policy pass; any other store
     gets one pass of its own before step 0 (``_reference_logprobs``, which
-    gives the policy pass's values bit for bit).  Each step runs forward and
+    gives the policy pass's values bit for bit).  The reference is dropped
+    once its log-probabilities are read and the starting policy at step 0's
+    update, so when the caller keeps no name for them either (as ``seamkit
+    dpo`` does; CPython 3.11 and later move a call's arguments to the
+    callee) the starting store is released after step 0 and later steps
+    hold one parameter store.  Each step runs forward and
     backward once per condition group and accumulates the gradients before
     its one update (``_policy_pass``), so peak memory is set by the largest
     condition group, not by the dataset.  Logs loss, preference accuracy
@@ -228,6 +233,7 @@ def dpo_train(
         return policy.copy(), []
     batch = _group_conditions(dataset, policy.config)
     refs = None if reference is policy else _reference_logprobs(batch, reference)
+    del reference  # read: from here on only `policy` names a store
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):

@@ -776,10 +776,9 @@ def save_checkpoint(params: ParameterStore) -> bytes:
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    buffers = b"".join(
-        np.ascontiguousarray(v, dtype="<f8").tobytes() for v in params.arrays.values()
-    )
-    return _CKPT_MAGIC + blob + buffers
+    # one join reads every array's buffer in place: no per-array byte copies
+    buffers = (np.ascontiguousarray(v, dtype="<f8") for v in params.arrays.values())
+    return b"".join([_CKPT_MAGIC, blob, *buffers])
 
 
 def _header_shape(value) -> tuple:

@@ -293,6 +293,7 @@ def _solve_blocks(A, c: np.ndarray, col_comp: np.ndarray, n_comp: int):
     AH = A.conj().T
     K = (AH @ A).tocsc()
     rhs = AH @ c
+    del AH  # spent: only K and the right-hand side reach the factorization
     try:
         with np.errstate(all="ignore"):
             lu = spla.splu(
@@ -323,29 +324,18 @@ def _solve_blocks(A, c: np.ndarray, col_comp: np.ndarray, n_comp: int):
     return z, res / scale
 
 
-def _lscm(
+def _lscm_system(
     cut: CutMesh, faces: np.ndarray, face_edges: np.ndarray, nondisk_island: np.ndarray, frames
 ):
-    """Least-squares conformal maps of the given faces, solved as one system.
+    """The complex least-squares system of ``_lscm`` and the node data its
+    solution is read back through.
 
-    ``face_edges`` and ``frames`` are the faces' rows of ``index_edges`` of
-    the cut mesh and of ``_local_frames``.  The faces split into connected
-    components under shared cut edges, numbered by their lowest face.  Each
-    component has its own unknowns and pins (see ``_pick_pins``; the extra
-    pin goes to components of islands flagged in ``nondisk_island``), so the
-    normal equations are block diagonal and one factorization solves them all.
-
-    LSCM is a complex least-squares problem in z = u + iv (Levy et al. 2002):
-    each positive-area face contributes one complex equation
-    sum_k W_k z_k = 0, with W = w * ((x3 - x2) + i (y3 - y2), ...) from its
-    corners' local-frame coordinates and w = 1 / sqrt(area).  There is one
-    complex unknown per free node; the pins are fixed at z = 0 and z = 1 (and
-    0.5 + i for the extra pin), and their terms move to the right-hand side.
-
-    Returns ``(uv, comp_island, comp_residual, pins)``: (V, 2) coordinates
-    for the cut vertices (a vertex in several components keeps the value of
-    the last one), the island and the relative residual of each component,
-    and the pinned vertices in component order.
+    Returns ``(A, c, col_comp, free, node_z, node_vertex, comp_island,
+    pins)``: the system A z = c over the free nodes, the component of each
+    unknown, the free-node mask, every node's z (the pins' values set), each
+    node's cut vertex, each component's island, and the pinned vertices in
+    component order.  Kept apart from the solve, so the assembly's
+    temporaries are freed before the factorization runs.
     """
     n_vertices = len(cut.vertices)
     tris = cut.triangles[faces]
@@ -387,16 +377,50 @@ def _lscm(
     c = -np.where(fixed, W * node_z[corner], 0.0).sum(axis=1)
     row = np.broadcast_to(np.arange(len(eq_faces))[:, None], corner.shape)[~fixed]
     A = sp.csr_matrix((W[~fixed], (row, col[corner][~fixed])), shape=(len(c), len(col_comp)))
+    pins = node_vertex[pin_nodes[pin_nodes >= 0]]
+    return A, c, col_comp, free, node_z, node_vertex, comp_island, pins
 
-    residual = np.zeros(n_comp)
+
+def _lscm(
+    cut: CutMesh, faces: np.ndarray, face_edges: np.ndarray, nondisk_island: np.ndarray, frames
+):
+    """Least-squares conformal maps of the given faces, solved as one system.
+
+    ``face_edges`` and ``frames`` are the faces' rows of ``index_edges`` of
+    the cut mesh and of ``_local_frames``.  The faces split into connected
+    components under shared cut edges, numbered by their lowest face.  Each
+    component has its own unknowns and pins (see ``_pick_pins``; the extra
+    pin goes to components of islands flagged in ``nondisk_island``), so the
+    normal equations are block diagonal and one factorization solves them all.
+
+    LSCM is a complex least-squares problem in z = u + iv (Levy et al. 2002):
+    each positive-area face contributes one complex equation
+    sum_k W_k z_k = 0, with W = w * ((x3 - x2) + i (y3 - y2), ...) from its
+    corners' local-frame coordinates and w = 1 / sqrt(area).  There is one
+    complex unknown per free node; the pins are fixed at z = 0 and z = 1 (and
+    0.5 + i for the extra pin), and their terms move to the right-hand side.
+    ``_lscm_system`` assembles it; ``face_edges`` and ``frames`` are dropped
+    here before the factorization, so rows a caller hands over unnamed are
+    freed by then.
+
+    Returns ``(uv, comp_island, comp_residual, pins)``: (V, 2) coordinates
+    for the cut vertices (a vertex in several components keeps the value of
+    the last one), the island and the relative residual of each component,
+    and the pinned vertices in component order.
+    """
+    A, c, col_comp, free, node_z, node_vertex, comp_island, pins = _lscm_system(
+        cut, faces, face_edges, nondisk_island, frames
+    )
+    del face_edges, frames
+    residual = np.zeros(len(comp_island))
     if len(col_comp):
-        node_z[free], residual = _solve_blocks(A, c, col_comp, n_comp)
+        node_z[free], residual = _solve_blocks(A, c, col_comp, len(comp_island))
 
-    uv = np.zeros((n_vertices, 2))
-    last = len(keys) - 1 - np.unique(node_vertex[::-1], return_index=True)[1]
+    uv = np.zeros((len(cut.vertices), 2))
+    last = len(node_vertex) - 1 - np.unique(node_vertex[::-1], return_index=True)[1]
     uv[node_vertex[last], 0] = node_z[last].real
     uv[node_vertex[last], 1] = node_z[last].imag
-    return uv, comp_island, residual, node_vertex[pin_nodes[pin_nodes >= 0]]
+    return uv, comp_island, residual, pins
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +477,10 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
     uv = np.zeros((len(cut.vertices), 2))
     if cut.n_islands:
         faces = np.flatnonzero(live)
-        frames = (E[live], areas[live], good[live])
-        uv, comp_island, comp_residual, _ = _lscm(cut, faces, face_edges[faces], chi != 1, frames)
+        # handed over unnamed, so _lscm frees these rows before its solve
+        uv, comp_island, comp_residual, _ = _lscm(
+            cut, faces, face_edges[faces], chi != 1, (E[live], areas[live], good[live])
+        )
         np.maximum.at(residuals, comp_island, comp_residual)
 
     sigma = np.full((len(cut.triangles), 2), np.nan)

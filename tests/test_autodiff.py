@@ -5,6 +5,7 @@ import pytest
 
 from seamkit import autodiff as ad
 from tests import loop_reference as ref
+from tests.util import traced_peak
 
 
 def central_diff(f, x, i, h=1e-6):
@@ -263,12 +264,22 @@ def test_graph_keeps_only_the_arrays_its_vjps_read():
     loss = ad.sum_all(out)
     product, pre_act, act = (weakref.ref(t.value) for t in (h, y, out))
     del h, y, out
-    # add keeps only shapes and sum_all its input's shape; gelu keeps its input
+    # add keeps only shapes and sum_all its input's shape; gelu keeps only its slope
     assert product() is None and act() is None
-    assert pre_act() is not None
+    assert pre_act() is None
     ad.backward(loss)
     assert all(ref() is None for ref in (product, pre_act, act))
     assert all(p.grad is not None for p in (x, w, b))
+
+
+def test_log_softmax_pick_backward_writes_into_its_exponentials():
+    rng = np.random.default_rng(12)
+    rows, cols = 512, 1027
+    logits = ad.parameter(rng.normal(size=(rows, cols)))
+    loss = ad.sum_all(ad.log_softmax_pick(logits, rng.integers(0, cols, size=rows)))
+    # the VJP's saved exponentials become the gradient: no second (512, 1027) array
+    assert traced_peak(lambda: ad.backward(loss)) < rows * cols * 8
+    assert logits.grad.shape == (rows, cols)
 
 
 def weighted_sum(out, seed=20):

@@ -23,7 +23,7 @@ from seamkit.tokenizer import (
     write_seam_text,
 )
 
-from tests.util import DESK_CONFIG, read_xyz
+from tests.util import DESK_CONFIG, HANDS_OVER_ARGUMENTS, read_xyz, stores_alive_per_pass
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -403,7 +403,7 @@ def test_mesh_without_faces_or_extent_names_the_file_exit_2(tmp_path, capsys, te
     ],
     ids=["beyond-int64", "outside-vocabulary"],
 )
-def test_detokenize_token_beyond_int64_exit_2(tmp_path, capsys, text, message):
+def test_detokenize_token_beyond_int64_or_vocabulary_exit_2(tmp_path, capsys, text, message):
     tokens = tmp_path / "big.tokens"
     tokens.write_text(text)
     out = tmp_path / "out.seams"
@@ -651,6 +651,21 @@ def test_dpo_zero_steps_after_a_trained_run_leaves_no_stale_artifacts(grid_obj, 
     assert manifest["config_hash"] == config_hash(config)
     # zero steps write the starting policy
     assert ckpt.read_bytes() == save_checkpoint(init_parameters(model_config_from(config)))
+
+
+@HANDS_OVER_ARGUMENTS
+def test_dpo_frees_the_starting_store_after_step_0(grid_obj, tmp_path, monkeypatch):
+    from seamkit import cli
+
+    track, alive = stores_alive_per_pass(monkeypatch)
+    policy_store = cli._policy_store
+    monkeypatch.setattr(cli, "_policy_store", lambda cfg: track(policy_store(cfg)))
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 3\nlr = 0.001\n")
+    assert main(["dpo", str(pairs), str(tmp_path / "out.ckpt"), "--config", str(cfg)]) == 0
+    # step 0 reads the store as policy and reference; no later step holds it
+    assert alive == [[True], [False], [False]]
 
 
 def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path, monkeypatch):

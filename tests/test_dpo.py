@@ -28,7 +28,14 @@ from seamkit.tokenizer import SeamSet, canonicalize, encode
 
 from tests import loop_reference as ref
 from tests.loop_reference import dpo_objective as _objective
-from tests.util import TINY_CONFIG, DESK_CONFIG, stepped_gradients, traced_peak
+from tests.util import (
+    DESK_CONFIG,
+    HANDS_OVER_ARGUMENTS,
+    TINY_CONFIG,
+    stepped_gradients,
+    stores_alive_per_pass,
+    traced_peak,
+)
 
 
 def metrics(d, f):
@@ -701,6 +708,27 @@ def test_dpo_step_peak_memory_is_set_by_one_condition_group():
     one, eight = peak(1), peak(8)
     # one graph over all eight conditions would peak near 7x the one-condition step
     assert eight < 1.5 * one, (one, eight)
+
+
+@HANDS_OVER_ARGUMENTS
+def test_dpo_train_frees_a_starting_store_its_caller_does_not_hold(monkeypatch):
+    track, alive = stores_alive_per_pass(monkeypatch)
+    pairs = distinct_condition_pairs(2)
+    config = DPOConfig(beta=0.5, learning_rate=0.1, steps=3)
+    stores = [track(init_parameters(TINY_CONFIG))] * 2
+    dpo_train(stores.pop(), stores.pop(), pairs, config)
+    # step 0 reads the one store as policy and reference; no later step holds it
+    assert alive == [[True], [False], [False]]
+
+    monkeypatch.undo()
+    track, alive = stores_alive_per_pass(monkeypatch)
+
+    def fresh():
+        return track(init_parameters(TINY_CONFIG))
+
+    dpo_train(fresh(), fresh(), pairs, config)
+    # a separate reference is released once its log-probabilities are read
+    assert alive == [[True, False], [False, False], [False, False]]
 
 
 def test_dpo_train_reads_the_policy_as_its_own_reference():

@@ -1,8 +1,11 @@
 """Shared helpers for the test modules."""
 
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
+import pytest
 
 from seamkit.mesh import IndexedMesh, SeamEdgeSet, content_lines, extract_uv_seams, normalize
 from seamkit.model import ModelConfig, init_parameters
@@ -76,6 +79,36 @@ def traced_peak(fn) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+# CPython 3.11 moves a Python function's arguments into the callee's frame;
+# before, the caller's stack holds them until the call returns
+HANDS_OVER_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the caller holds a call's arguments until it returns"
+)
+
+
+def stores_alive_per_pass(monkeypatch):
+    """(track, alive): ``track(store)`` returns the store after taking weak
+    references to it and its arrays; from now on each ``dpo._policy_pass``
+    call appends to ``alive`` whether each tracked store, or any of its
+    arrays, is still alive when the pass starts."""
+    from seamkit import dpo
+
+    tracked: list = []
+    alive: list = []
+    policy_pass = dpo._policy_pass
+
+    def watched(*args):
+        alive.append([any(ref() is not None for ref in refs) for refs in tracked])
+        return policy_pass(*args)
+
+    def track(store):
+        tracked.append([weakref.ref(store), *map(weakref.ref, store.arrays.values())])
+        return store
+
+    monkeypatch.setattr(dpo, "_policy_pass", watched)
+    return track, alive
 
 
 def stepped_gradients(monkeypatch, module):
