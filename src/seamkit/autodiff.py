@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough machinery for the seam generator: broadcast arithmetic, (batched)
-matmul, reshapes, gathers, reductions, GELU, the pooling ops the hourglass
-decoder needs, and three fused ops with hand-written VJPs: ``layer_norm``,
-scaled-dot-product ``attention`` and ``log_softmax_pick``.  Each fused forward
+matmul, reshapes, gathers, reductions, GELU, rsqrt, the pooling ops the
+hourglass decoder needs, and three fused ops with hand-written VJPs:
+``layer_norm``, scaled-dot-product ``attention`` and ``log_softmax_pick``.  Each fused forward
 runs the numpy operations of the composed graph it replaces in the same
 order, so its values are bit-identical to that graph's, at one node instead
 of about ten.  Gradient correctness is pinned by finite-difference tests
@@ -310,11 +310,15 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor | np.ndarray:
     """
     qv, kv, vv = _value(q), _value(k), _value(v)
     factor = 1.0 / np.sqrt(qv.shape[-1])
-    scores = (qv @ np.swapaxes(kv, -1, -2)) * factor
+    # the softmax runs in place in the one scores array, in the composed
+    # graph's order of operations, so its values are those bit for bit
+    weights = qv @ np.swapaxes(kv, -1, -2)
+    weights *= factor
     if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     out = weights @ vv
     if _plain(q, k, v):
         return out
@@ -324,8 +328,11 @@ def attention(q, k, v, mask: np.ndarray | None = None) -> Tensor | np.ndarray:
     def dscores(g):
         # backward hands the q and k VJPs the same g: compute this once for both
         if shared[0] is not g:
-            dw = g @ np.swapaxes(vv, -1, -2)
-            shared[:] = g, weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) * factor
+            ds = g @ np.swapaxes(vv, -1, -2)
+            ds -= (ds * weights).sum(axis=-1, keepdims=True)
+            ds *= weights
+            ds *= factor
+            shared[:] = g, ds
         return shared[1]
 
     return _node(
@@ -369,6 +376,14 @@ def gelu(a) -> Tensor | np.ndarray:
         return out
     slope = cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
     return _node(out, (a,), (lambda g: np.multiply(g, slope, out=slope),))
+
+
+def rsqrt(a) -> Tensor | np.ndarray:
+    """x ** -0.5 elementwise, as ``layer_norm`` computes its inverse deviation."""
+    out = _value(a) ** -0.5
+    if _plain(a):
+        return out
+    return _node(out, (a,), (lambda g: g * (-0.5 * out**3),))
 
 
 def log_sigmoid(a) -> Tensor | np.ndarray:

@@ -10,6 +10,7 @@ manifest.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import hashlib
 import json
@@ -573,7 +574,12 @@ def cmd_dpo(args) -> int:
 # Entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  Parsing reads it and puts
+    every value into a new namespace, so ``main`` calls share nothing
+    through it; each subcommand's ``func`` is the ``cmd_*`` function bound
+    when it was built."""
     parser = argparse.ArgumentParser(
         prog="seamkit",
         description="Mesh seam tokenization, projection, unwrapping, and evaluation.",
@@ -647,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except metrics_mod.StageError as exc:

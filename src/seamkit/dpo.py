@@ -208,13 +208,15 @@ def dpo_train(
 
     ``dataset`` is a list of ``(clouds, (chosen_tokens, rejected_tokens))``
     items: ``ConditioningClouds`` and two complete int64 token arrays, the
-    chosen one preferred (``PairRecord`` checks why).  The items are grouped,
-    and their conditions prepared, once (``model._group_conditions``).  Both
-    stores are read-only, so the reference may be the policy object itself,
-    which saves a copy of every array.  When it is, the reference
+    chosen one preferred (``PairRecord`` checks why).  The items are grouped
+    and checked once, up front (``model._group_conditions``); each condition
+    is prepared at its first pass, so a run of zero steps prepares none.
+    Both stores are read-only, so the reference may be the policy object
+    itself, which saves a copy of every array.  When it is, the reference
     log-probabilities are those of step 0's policy pass; any other store
     gets one pass of its own before step 0 (``_reference_logprobs``, which
-    gives the policy pass's values bit for bit).  The reference is dropped
+    gives the policy pass's values bit for bit), and none when there are no
+    steps.  The reference is dropped
     once its log-probabilities are read and the starting policy at step 0's
     update, so when the caller keeps no name for them either (as ``seamkit
     dpo`` does; CPython 3.11 and later move a call's arguments to the
@@ -227,12 +229,21 @@ def dpo_train(
     diagnostics per step, each computed from per-pair floats in pair order.
     Aborts when the loss stays above DIVERGENCE_FACTOR * ln 2 for
     DIVERGENCE_PATIENCE consecutive steps.
+
+    The log and the trained store are reproducible byte for byte only at a
+    fixed BLAS thread count: the thread count changes the summation order
+    inside matrix products, and so the last bits of every float.  The
+    2-step desk run on the benchmark's seed-0 ``dpo`` inputs writes
+    different ``.log.jsonl`` bytes under ``OPENBLAS_NUM_THREADS=1`` and
+    ``=2``; their final losses are 3e-16 apart.
     """
     if not dataset:
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
     batch = _group_conditions(dataset, policy.config)
-    refs = None if reference is policy else _reference_logprobs(batch, reference)
+    # a run with no steps reads no reference log-probabilities
+    own_pass = reference is not policy and config.steps > 0
+    refs = _reference_logprobs(batch, reference) if own_pass else None
     del reference  # read: from here on only `policy` names a store
     history: list[DPOStepLog] = []
     bad_streak = 0

@@ -3,11 +3,20 @@
 Two point-cloud encoder branches (topology and geometry) with identical
 architectures but separate parameters produce ``tokens_per_branch`` latent
 tokens each; their concatenation conditions an hourglass transformer decoder
-over the seam token vocabulary.  The decoder downsamples by 3 (coordinate
-level) and then by 2 (endpoint level) with shift-right mean pooling, and
-upsamples back with nearest-repeat plus residual merges; both resamplings
-preserve causality.  Layers follow a repeating pattern of three causal
-self-attention layers then one cross-attention layer over the condition.
+over the seam token vocabulary.
+
+In a branch the cloud's FPS anchors attend to all its points.  The point
+embedding is affine in xyz and feeds the key/value layer norm directly, so
+every key and value is a fixed affine map of the point's [x y z 1] row
+scaled by its inverse deviation, and the attention runs over those (N, 4)
+rows with no per-point key or value formed (``_encode_branch`` gives the
+identity; a change to that embedding must revisit it).
+
+The decoder downsamples by 3 (coordinate level) and then by 2 (endpoint
+level) with shift-right mean pooling, and upsamples back with
+nearest-repeat plus residual merges; both resamplings preserve causality.
+Layers follow a repeating pattern of three causal self-attention layers
+then one cross-attention layer over the condition.
 
 Decoding is incremental.  Because of that causality a row of any level,
 once created, never changes, so a decode keeps each self-attention layer's
@@ -40,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -279,9 +288,10 @@ def _canonical_cloud(points: np.ndarray) -> np.ndarray:
 
 
 def _prepare_condition(clouds: ConditioningClouds, config: ModelConfig) -> tuple:
-    """Per branch (topology, then geometry), the canonical cloud and its FPS
-    anchor rows.  Both depend only on the clouds, so they are computed once
-    per condition, not once per encoder pass."""
+    """Per branch (topology, then geometry), the homogeneous coordinates
+    ``[x y z 1]`` of the canonical cloud (``_encode_branch``'s basis) and its
+    FPS anchor rows.  Both depend only on the clouds, so they are computed
+    once per condition, not once per encoder pass."""
     prepared = []
     for branch, points in (("topo", clouds.topo_points), ("geom", clouds.geom_points)):
         pts = _canonical_cloud(points)
@@ -289,17 +299,53 @@ def _prepare_condition(clouds: ConditioningClouds, config: ModelConfig) -> tuple
             raise ModelError(
                 f"{branch} cloud has {len(pts)} points < tokens_per_branch={config.tokens_per_branch}"
             )
-        prepared.append((branch, pts, fps_anchors(pts, config.tokens_per_branch)))
+        basis = np.column_stack([pts, np.ones(len(pts))])
+        prepared.append((branch, basis, fps_anchors(pts, config.tokens_per_branch)))
     return tuple(prepared)
 
 
-def _encode_branch(branch: str, pts: np.ndarray, anchors: np.ndarray, p, config: ModelConfig):
-    feats = ad.add(ad.matmul(pts, p[f"enc.{branch}.point.w"]), p[f"enc.{branch}.point.b"])
-    queries = ad.gather_rows(feats, anchors)
-    q_norm = _layer_norm(queries, p[f"enc.{branch}.attn.lnq.g"], p[f"enc.{branch}.attn.lnq.b"])
-    kv_norm = _layer_norm(feats, p[f"enc.{branch}.attn.lnkv.g"], p[f"enc.{branch}.attn.lnkv.b"])
-    k, v = _project_kv(kv_norm, p, f"enc.{branch}.attn", config.n_heads)
-    att = _attention(q_norm, k, v, p, f"enc.{branch}.attn", config.n_heads, mask=None)
+def _encode_branch(branch: str, basis: np.ndarray, anchors: np.ndarray, p, config: ModelConfig):
+    """One encoder branch: the cloud's FPS anchors attend to all its points,
+    then a feed-forward block.
+
+    The anchor rows are embedded, layer-normed and projected to queries.  The
+    keys and values are those of the composed encoder (embed every point,
+    layer-norm, project by ``wk`` and ``wv``), but no per-point key or value
+    is formed.  A point's embedding is affine in its xyz, f = x A with x =
+    [x y z 1] and A = [``point.w``; ``point.b``], so with Ac = A minus its
+    row means and G = Ac Ac^T / d, the point's layer norm is r (x Ac) g + beta
+    with r = (x G x^T + eps)^-1/2.  Its key is therefore r x (Ac g wk) + beta
+    wk and its value r x (Ac g wv) + beta wv: per head, the keys and values
+    are the (N, 4) rows r x, which all heads share, times a 4-column
+    projection.  Attention runs on those rows, with each query mapped
+    through its head's key projection.  The beta wk term adds one constant to
+    all of a query's scores, which softmax removes, and the beta wv term is
+    added once to the output, since the weights sum to 1.  This holds only
+    while the point embedding is affine in xyz and feeds the key/value layer
+    norm directly; a change to that embedding must revisit it.
+    """
+    pre = f"enc.{branch}.attn"
+    d, n_heads = config.d_model, config.n_heads
+    embed = ad.concat_rows(
+        [p[f"enc.{branch}.point.w"], ad.reshape(p[f"enc.{branch}.point.b"], (1, d))]
+    )
+    queries = ad.matmul(basis[anchors], embed)
+    q_norm = _layer_norm(queries, p[f"{pre}.lnq.g"], p[f"{pre}.lnq.b"])
+    q = _split_heads(ad.matmul(q_norm, p[f"{pre}.wq"]), n_heads)
+
+    centered = ad.sub(embed, ad.matmul(embed, np.full((d, 1), 1.0 / d)))  # Ac
+    gram = ad.scale(ad.matmul(centered, ad.transpose(centered, (1, 0))), 1.0 / d)
+    width = basis.shape[1]
+    var = ad.matmul(ad.mul(ad.matmul(basis, gram), basis), np.ones((width, 1)))  # x G x^T
+    rows = ad.mul(basis, ad.rsqrt(ad.add(var, LN_EPS)))  # r x
+    gained = ad.mul(centered, p[f"{pre}.lnkv.g"])
+    # attention scales scores by the key width it sees, 4, not the head width
+    key_proj = ad.scale(ad.matmul(gained, p[f"{pre}.wk"]), math.sqrt(width * n_heads / d))
+    value_proj = _split_heads(ad.matmul(gained, p[f"{pre}.wv"]), n_heads)
+    q_rows = ad.matmul(q, ad.transpose(_split_heads(key_proj, n_heads), (0, 2, 1)))
+    mixed = ad.matmul(ad.attention(q_rows, rows, rows), value_proj)
+    value_bias = ad.matmul(ad.reshape(p[f"{pre}.lnkv.b"], (1, d)), p[f"{pre}.wv"])
+    att = ad.matmul(ad.add(_merge_heads(mixed), value_bias), p[f"{pre}.wo"])
     x = ad.add(queries, att)
     ff = _ff(_layer_norm(x, p[f"enc.{branch}.ff.ln.g"], p[f"enc.{branch}.ff.ln.b"]), p, f"enc.{branch}.ff")
     return ad.add(x, ff)
@@ -629,12 +675,21 @@ def sample(
 
 @dataclass(frozen=True)
 class _ConditionBatch:
-    """``groups[g]`` is (prepared condition, {bytes: token array} of its
-    distinct sequences); ``index[i]`` is item i's (group, key of each of its
-    sequences)."""
+    """``groups[g]`` is (clouds, {bytes: token array} of its distinct
+    sequences); ``index[i]`` is item i's (group, key of each of its
+    sequences).  ``prepared`` holds each group's ``_prepare_condition``
+    from its first use on (``condition``)."""
 
     groups: list
     index: list
+    config: ModelConfig
+    prepared: dict = field(default_factory=dict)
+
+    def condition(self, g: int) -> tuple:
+        """Group g's prepared condition, computed at its first use."""
+        if g not in self.prepared:
+            self.prepared[g] = _prepare_condition(self.groups[g][0], self.config)
+        return self.prepared[g]
 
 
 def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
@@ -643,11 +698,11 @@ def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
 
     Items whose clouds hold equal point arrays share a group even when they
     carry distinct ``ConditioningClouds`` objects; groups come in order of
-    first use.  Each group prepares its condition once
-    (``_prepare_condition``) and keeps each distinct sequence once; an item
-    repeated in ``items`` keeps one index entry per occurrence.  Every
-    sequence must be complete (BOS, 6-token segments, EOS), else
-    ``ModelError``.
+    first use.  Each group keeps each distinct sequence once and prepares
+    its condition once, at its first pass (``_ConditionBatch.condition``),
+    so a run that scores nothing prepares nothing; an item repeated in
+    ``items`` keeps one index entry per occurrence.  Every sequence must be
+    complete (BOS, 6-token segments, EOS), else ``ModelError``.
     """
     groups: list = []
     index: list = []
@@ -661,11 +716,11 @@ def _group_conditions(items, config: ModelConfig) -> _ConditionBatch:
         )
         g = group_ids.setdefault(key, len(groups))
         if g == len(groups):
-            groups.append((_prepare_condition(clouds, config), {}))
+            groups.append((clouds, {}))
         keys = tuple(t.tobytes() for t in seqs)
         groups[g][1].update(zip(keys, seqs))
         index.append((g, *keys))
-    return _ConditionBatch(groups=groups, index=index)
+    return _ConditionBatch(groups=groups, index=index, config=config)
 
 
 def _condition_logprobs_t(prepared: tuple, seqs: dict, p, config: ModelConfig) -> dict:
@@ -678,7 +733,10 @@ def _condition_logprobs_t(prepared: tuple, seqs: dict, p, config: ModelConfig) -
 
 def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[dict]:
     """Per group, ``_condition_logprobs_t`` of its sequences."""
-    return [_condition_logprobs_t(prepared, seqs, p, config) for prepared, seqs in batch.groups]
+    return [
+        _condition_logprobs_t(batch.condition(g), seqs, p, config)
+        for g, (_, seqs) in enumerate(batch.groups)
+    ]
 
 
 def _backward_per_group(batch: _ConditionBatch, params: ParameterStore, share) -> dict:
@@ -700,8 +758,9 @@ def _backward_per_group(batch: _ConditionBatch, params: ParameterStore, share) -
     members: list[list[int]] = [[] for _ in batch.groups]
     for i, (g, *_) in enumerate(batch.index):
         members[g].append(i)
-    for (prepared, seqs), items in zip(batch.groups, members):
-        ad.backward(share(items, _condition_logprobs_t(prepared, seqs, p, params.config)))
+    for g, ((_, seqs), items) in enumerate(zip(batch.groups, members)):
+        logprobs = _condition_logprobs_t(batch.condition(g), seqs, p, params.config)
+        ad.backward(share(items, logprobs))
     return p
 
 

@@ -293,7 +293,9 @@ def _solve_blocks(A, c: np.ndarray, col_comp: np.ndarray, n_comp: int):
     AH = A.conj().T
     K = (AH @ A).tocsc()
     rhs = AH @ c
-    del AH  # spent: only K and the right-hand side reach the factorization
+    # spent: only K and the right-hand side reach the factorization, so A is
+    # freed before it when the caller holds no name for it
+    del A, AH
     try:
         with np.errstate(all="ignore"):
             lu = spla.splu(
@@ -400,8 +402,9 @@ def _lscm(
     complex unknown per free node; the pins are fixed at z = 0 and z = 1 (and
     0.5 + i for the extra pin), and their terms move to the right-hand side.
     ``_lscm_system`` assembles it; ``face_edges`` and ``frames`` are dropped
-    here before the factorization, so rows a caller hands over unnamed are
-    freed by then.
+    here, and A is handed to ``_solve_blocks`` with no name left here, so
+    rows a caller hands over unnamed, and A, are freed before the
+    factorization.
 
     Returns ``(uv, comp_island, comp_residual, pins)``: (V, 2) coordinates
     for the cut vertices (a vertex in several components keeps the value of
@@ -414,7 +417,9 @@ def _lscm(
     del face_edges, frames
     residual = np.zeros(len(comp_island))
     if len(col_comp):
-        node_z[free], residual = _solve_blocks(A, c, col_comp, len(comp_island))
+        system = [A]  # popped into the call, so no name here holds A during the solve
+        del A
+        node_z[free], residual = _solve_blocks(system.pop(), c, col_comp, len(comp_island))
 
     uv = np.zeros((len(cut.vertices), 2))
     last = len(node_vertex) - 1 - np.unique(node_vertex[::-1], return_index=True)[1]
@@ -467,6 +472,7 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
 
     edges, face_edges, _ = index_edges(cut.triangles, len(cut.vertices))
     chi = _island_chi(cut, edges)
+    del edges  # spent: the solve reads only the live faces' edge rows
     nondisk = np.flatnonzero(chi != 1)
     for island in nondisk:
         logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi[island])
@@ -477,9 +483,12 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
     uv = np.zeros((len(cut.vertices), 2))
     if cut.n_islands:
         faces = np.flatnonzero(live)
-        # handed over unnamed, so _lscm frees these rows before its solve
+        # the live rows go over with no name left here, and the full index
+        # is dropped, so _lscm frees both before its solve
+        rows = [face_edges[faces]]
+        del face_edges
         uv, comp_island, comp_residual, _ = _lscm(
-            cut, faces, face_edges[faces], chi != 1, (E[live], areas[live], good[live])
+            cut, faces, rows.pop(), chi != 1, (E[live], areas[live], good[live])
         )
         np.maximum.at(residuals, comp_island, comp_residual)
 

@@ -17,6 +17,12 @@ attention and log-softmax-pick built from them (``COMPOSED_OPS``).
 ``test_autodiff.py`` requires the fused ops to match their values bit for
 bit and their gradients to 1e-12.
 
+``encode_branch`` is the point encoder branch that ``model._encode_branch``
+factored through a 4-column basis: it layer-norms every point's embedding
+and projects it to a key and a value.  ``test_equivalence.py`` requires the
+factored encoder's values, and the gradients of every encoder parameter and
+of the condition positions, to match it to 1e-12 of their largest entry.
+
 ``dpo_objective`` and ``batch_nll_t`` are the training objectives as one
 graph over every condition group, which ``dpo_train`` and ``nll_train_step``
 replaced by one backward pass per group with accumulated gradients.
@@ -84,7 +90,14 @@ from seamkit.unwrap import (
     _local_frames,
 )
 from seamkit.dpo import DPOError
-from seamkit.model import _group_logprobs_t, _nll_batch
+from seamkit.model import (
+    _attention,
+    _ff,
+    _group_logprobs_t,
+    _layer_norm,
+    _nll_batch,
+    _project_kv,
+)
 from seamkit.projection import ProjectionError, UnreachableError
 from seamkit.shapes import _CUBE_FACES
 from seamkit.tokenizer import (
@@ -712,6 +725,32 @@ COMPOSED_OPS = {
     "attention": attention,
     "log_softmax_pick": log_softmax_pick,
 }
+
+
+# ---------------------------------------------------------------------------
+# Composed point encoder
+
+
+def encode_branch(branch: str, basis: np.ndarray, anchors: np.ndarray, p, config):
+    """The encoder branch before its factoring: every point is embedded,
+    layer-normed and projected to a key and a value.  ``basis`` is
+    ``_prepare_condition``'s [x y z 1] rows; its first three columns are the
+    canonical cloud."""
+    pts = basis[:, :3]
+    feats = ad.add(ad.matmul(pts, p[f"enc.{branch}.point.w"]), p[f"enc.{branch}.point.b"])
+    queries = ad.gather_rows(feats, anchors)
+    q_norm = _layer_norm(queries, p[f"enc.{branch}.attn.lnq.g"], p[f"enc.{branch}.attn.lnq.b"])
+    kv_norm = _layer_norm(feats, p[f"enc.{branch}.attn.lnkv.g"], p[f"enc.{branch}.attn.lnkv.b"])
+    k, v = _project_kv(kv_norm, p, f"enc.{branch}.attn", config.n_heads)
+    att = _attention(q_norm, k, v, p, f"enc.{branch}.attn", config.n_heads, mask=None)
+    x = ad.add(queries, att)
+    ff = _ff(_layer_norm(x, p[f"enc.{branch}.ff.ln.g"], p[f"enc.{branch}.ff.ln.b"]), p, f"enc.{branch}.ff")
+    return ad.add(x, ff)
+
+
+def encode_condition_t(prepared: tuple, p, config):
+    """``model._encode_condition_t`` over the composed branches."""
+    return ad.concat_rows([encode_branch(*branch, p, config) for branch in prepared])
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,19 @@ def test_gelu_and_log_sigmoid():
     assert big.value[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_rsqrt():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(1e-3, 4.0, size=(5, 4))
+    w = rng.normal(size=x.shape)
+
+    def build(p):
+        return ad.sum_all(ad.mul(ad.rsqrt(p), ad.Tensor(w)))
+
+    check_grad(build, x, n_checks=20)
+    # the inverse deviation layer_norm computes, bit for bit
+    np.testing.assert_array_equal(ad.rsqrt(x), x**-0.5)
+
+
 def test_pool_and_upsample():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 5, 7, 12):
@@ -367,6 +380,7 @@ def op_cases():
         ("attention", ad.attention, (r(2, 4, 3), r(2, 5, 3), r(2, 5, 3))),
         ("log_softmax_pick", lambda a: ad.log_softmax_pick(a, [1, 0, 2]), (r(3, 4),)),
         ("gelu", ad.gelu, (r(2, 3),)),
+        ("rsqrt", ad.rsqrt, (r(2, 3) ** 2,)),
         ("log_sigmoid", ad.log_sigmoid, (r(2, 3) * 10,)),
         ("mean_pool_causal", lambda a: ad.mean_pool_causal(a, 3, 1), (r(2, 7, 3),)),
         ("repeat_upsample", lambda a: ad.repeat_upsample(a, 2, 5, 1), (r(2, 3, 3),)),

@@ -146,6 +146,44 @@ def test_tokenize_detokenize_round_trip(tmp_path):
     assert np.abs(back.segments - seams.segments).max() <= 1 / 2048 + 1e-9
 
 
+def test_main_builds_its_parser_once_and_shares_no_parsed_state(grid_obj, tmp_path, capsys, monkeypatch):
+    from seamkit import cli
+
+    parser = cli.build_parser()
+    parsed = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse_args(argv)) or parsed[-1])
+    seams = tmp_path / "empty.seams"
+    seams.write_text("# no segments\n")
+    out = tmp_path / "metrics.json"
+    tokens = tmp_path / "empty.tokens"
+    evaluate = ["evaluate", str(grid_obj), str(seams), "--json-out", str(out)]
+    assert main(evaluate + ["--from-uv"]) == 2  # two seam sources: an input error
+    assert main(["tokenize", str(seams), str(tokens)]) == 0
+    assert main(evaluate) == 0
+    assert json.loads(out.read_text())["fragments"] == 1
+    assert cli.build_parser() is parser
+    first, second, third = parsed
+    assert vars(first) == {
+        "command": "evaluate",
+        "mesh": str(grid_obj),
+        "seams": str(seams),
+        "from_uv": True,
+        "json_out": str(out),
+        "svg": None,
+        "func": cli.cmd_evaluate,
+    }
+    # the tokenize call sees none of the evaluate call's values, and the
+    # later evaluate call has its own defaults back
+    assert vars(second) == {
+        "command": "tokenize",
+        "input": str(seams),
+        "output": str(tokens),
+        "func": cli.cmd_tokenize,
+    }
+    assert third.from_uv is False and third.func is cli.cmd_evaluate
+
+
 def test_tokenize_empty_seam_file(tmp_path):
     seam_file = tmp_path / "empty.seams"
     seam_file.write_text("# nothing\n")

@@ -507,6 +507,30 @@ def test_reference_off_the_policy_runs_its_own_pass(monkeypatch):
     np.testing.assert_allclose([h.loss for h in history], expected, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("separate_reference", [False, True], ids=["policy reference", "own reference"])
+def test_conditions_are_prepared_at_their_first_pass(monkeypatch, separate_reference):
+    from seamkit import model
+
+    rng = np.random.default_rng(14)
+    policy = init_parameters(TINY_CONFIG)
+    reference = policy.copy() if separate_reference else policy
+    pairs = two_condition_pairs(rng, TINY_CONFIG)
+    prepared = []
+    original = model._prepare_condition
+
+    def counted(clouds, config):
+        prepared.append(clouds)
+        return original(clouds, config)
+
+    monkeypatch.setattr(model, "_prepare_condition", counted)
+    # a zero-step run scores nothing, under either reference
+    dpo_train(policy, reference, pairs, DPOConfig(steps=0))
+    assert prepared == []
+    dpo_train(policy, reference, pairs, DPOConfig(learning_rate=1e-3, steps=2))
+    # two conditions, each prepared once over the reference pass and both steps
+    assert len(prepared) == 2
+
+
 def test_dpo_train_matches_composed_ops():
     rng = np.random.default_rng(13)
     policy = init_parameters(TINY_CONFIG)

@@ -1,9 +1,12 @@
-"""The array-native geometry core against the loop reference in loop_reference.py.
+"""The array-native geometry core, and the factored point encoder, against
+the references in loop_reference.py.
 
 Discrete outputs (projected seam edges and their provenance, seam edge sets,
 islands, cut triangles and vertices, pins, non-disk flags) must match
 exactly.  UVs come from a different factorization order of the same normal
-equations, so they match to UV_ATOL.
+equations, so they match to UV_ATOL.  The encoder's values and gradients
+come from a different order of the same arithmetic, so they match to
+ENCODER_RTOL of their largest entry.
 """
 
 import logging
@@ -20,7 +23,14 @@ from seamkit.mesh import (
     extract_uv_seams,
     normalize,
 )
+from seamkit import autodiff as ad
 from seamkit import projection
+from seamkit.model import (
+    _encode_condition_t,
+    _prepare_condition,
+    _sequence_logprobs_t,
+    init_parameters,
+)
 from seamkit.projection import UnreachableError, nearest_vertex, project_seams, shortest_path
 from seamkit.shapes import (
     grid_vertex,
@@ -33,7 +43,8 @@ from seamkit.shapes import (
     make_sphere,
     make_tetrahedron,
 )
-from seamkit.tokenizer import SeamSet
+from seamkit.sampling import ConditioningClouds
+from seamkit.tokenizer import BOS, EOS, SeamSet
 from seamkit.unwrap import (
     SOLVE_RESIDUAL_REL,
     cut_mesh,
@@ -44,8 +55,10 @@ from seamkit.unwrap import (
 
 from tests import loop_reference as ref
 from tests.corpus import corpus_meshes, quad_cutout_loops
+from tests.util import TINY_CONFIG
 
 UV_ATOL = 1e-9
+ENCODER_RTOL = 1e-12
 
 
 def _segments(n, seed):
@@ -404,3 +417,82 @@ def test_bounded_shortest_path_matches_heap_reference(graph_spec):
             # zero, below, equal to and above the distance, and above every path
             for bound in (0.0, d / 2, d, 1.5 * d, total + 1.0):
                 assert shortest_path(graph, a, b, bound) == expected, (a, b, bound)
+
+
+# ---------------------------------------------------------------------------
+# Factored point encoder
+
+
+def _cloud(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "random":
+        return rng.uniform(-0.5, 0.5, size=(n, 3))
+    if kind == "identical":
+        return np.tile(rng.uniform(-0.5, 0.5, size=3), (n, 1))
+    if kind == "collinear":
+        return rng.uniform(-0.5, 0.5, size=3) + rng.uniform(-1, 1, size=(n, 1)) * rng.normal(size=3)
+    # a plane through the origin
+    return rng.uniform(-0.5, 0.5, size=(n, 2)) @ rng.normal(size=(2, 3))
+
+
+_CLOUD_KINDS = ("random", "identical", "collinear", "plane")
+
+
+@st.composite
+def _encoder_cases(draw):
+    """(clouds, seed of the parameter perturbation): each branch's cloud is of
+    a drawn kind and has tokens_per_branch or more points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = TINY_CONFIG.tokens_per_branch
+    topo, geom = (
+        _cloud(draw(st.sampled_from(_CLOUD_KINDS)), draw(st.integers(k, 3 * k)), rng)
+        for _ in range(2)
+    )
+    return ConditioningClouds(topo_points=topo, geom_points=geom, seed=0), draw(st.integers(0, 99))
+
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _smallest_case(kind: str, seed: int) -> tuple:
+    """Both clouds of one kind with exactly tokens_per_branch points."""
+    rng = np.random.default_rng(seed)
+    k = TINY_CONFIG.tokens_per_branch
+    return ConditioningClouds(topo_points=_cloud(kind, k, rng), geom_points=_cloud(kind, k, rng), seed=0), seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_encoder_cases())
+@example(_smallest_case("random", 0))
+@example(_smallest_case("identical", 1))
+@example(_smallest_case("collinear", 2))
+@example(_smallest_case("plane", 3))
+def test_factored_encoder_matches_composed_reference(case):
+    clouds, seed = case
+    config = TINY_CONFIG
+    # every parameter moved off its init, so the layer-norm gains and biases
+    # (beta of the key/value layer norm included) are not 1 and 0
+    params = init_parameters(config)
+    rng = np.random.default_rng(seed)
+    for value in params.arrays.values():
+        value += rng.normal(0.0, 0.3, size=value.shape)
+    prepared = _prepare_condition(clouds, config)
+    want = ref.encode_condition_t(prepared, params.arrays, config)
+    got = _encode_condition_t(prepared, params.arrays, config)
+    assert _max_abs(got - want) <= ENCODER_RTOL * _max_abs(want)
+
+    seq = np.concatenate(([BOS], rng.integers(0, 1024, size=12), [EOS])).astype(np.int64)
+    weights = rng.normal(size=want.shape)
+    grads = []
+    for encode in (_encode_condition_t, ref.encode_condition_t):
+        p = params.as_tensors()
+        cond = encode(prepared, p, config)
+        logprob = _sequence_logprobs_t([seq], cond, p, config)[0]
+        ad.backward(ad.add(logprob, ad.sum_all(ad.mul(cond, weights))))
+        grads.append({k: t.grad for k, t in p.items() if k.startswith("enc.") or k == "embed.cond_pos"})
+    got, want = grads
+    # one scale for the whole gradient: where the true gradient of an array
+    # is zero (all keys equal when every point is), both sides are rounding
+    scale = max(_max_abs(g) for g in want.values())
+    for name, g in want.items():
+        assert _max_abs(got[name] - g) <= ENCODER_RTOL * scale, name
