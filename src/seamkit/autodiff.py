@@ -369,12 +369,27 @@ def log_softmax_pick(a, cols) -> Tensor | np.ndarray:
 
 
 def gelu(a) -> Tensor | np.ndarray:
+    """x * Phi(x) with Phi(x) = 0.5 * (1 + erf(x / sqrt 2)); the slope is
+    Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi).
+
+    Both are computed in place in two arrays, by the same operations in the
+    same order as the composed expressions (IEEE + and * commute exactly), so
+    the values are those of the formulas bit for bit.
+    """
     x = _value(a)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    out = np.multiply(x, _INV_SQRT2)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5  # Phi(x)
     if _plain(a):
-        return out
-    slope = cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+        return np.multiply(out, x, out=out)
+    slope = np.multiply(x, -0.5)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= x
+    slope += out
+    np.multiply(out, x, out=out)
     return _node(out, (a,), (lambda g: np.multiply(g, slope, out=slope),))
 
 

@@ -230,10 +230,9 @@ def _seam_edges_for(mesh_norm: IndexedMesh, args) -> SeamEdgeSet:
             edges = SeamEdgeSet.from_text(_read_file(args.edges))
         except MeshError as exc:
             raise InputError(f"{args.edges}: {exc}") from exc
-        pairs = edges.sorted_edges()
-        missing = np.flatnonzero(mesh_norm.edge_ids(pairs) < 0)
+        missing = np.flatnonzero(mesh_norm.edge_ids(edges.pairs) < 0)
         if len(missing):
-            a, b = pairs[missing[0]]
+            a, b = edges.pairs[missing[0]].tolist()
             raise InputError(f"{args.edges}: pair {a} {b} is not an edge of the mesh")
         return edges
     if args.seams:

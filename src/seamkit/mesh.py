@@ -9,6 +9,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,50 +174,120 @@ class NormalizationTransform:
         return (np.asarray(points, dtype=np.float64) - self.center) * self.scale
 
 
-@dataclass(frozen=True)
 class SeamEdgeSet:
     """Mesh edges marked as seams, with optional per-edge provenance.
 
-    ``edges`` holds undirected vertex-index pairs stored as ``(min, max)``.
-    ``provenance[edge]`` lists the indices of the seam segments that
-    contributed the edge (empty for seams extracted from UVs).
+    Stored form: ``pairs``, an (E, 2) int64 array of undirected vertex-index
+    pairs, each row ``(min, max)``, rows sorted ascending and duplicate-free.
+    Provenance is two more int64 arrays: the indices of the seam segments
+    that contributed edge ``pairs[e]`` are
+    ``provenance_ids[provenance_offsets[e]:provenance_offsets[e + 1]]``, in
+    ascending order (none for seams extracted from UVs or read from text).
+    All three arrays are read-only.
+
+    ``edges`` (a frozenset of ``(min, max)`` tuples) and ``provenance`` (a
+    mapping from each edge with at least one contributing segment to the
+    tuple of their indices) are read-only views, built on first access.  The
+    tests read both; the benchmark's traced pass reads ``provenance`` for
+    ``projection.useful_ratio``.
+
+    ``SeamEdgeSet(edges=..., provenance=...)`` takes vertex pairs in either
+    order and a dict of that form, keyed by edges in ``edges``;
+    ``from_pairs`` takes the arrays.
     """
 
-    edges: frozenset
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, edges, provenance=None):
+        rows = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        provenance = provenance or {}
+        keys = np.array(list(provenance), dtype=np.int64).reshape(-1, 2)
+        counts = [len(v) for v in provenance.values()]
+        ids = [i for v in provenance.values() for i in v]
+        # -1 stands for "no contributing segment" and is dropped after grouping
+        self._store(
+            np.concatenate([rows, np.repeat(keys, counts, axis=0)]),
+            np.concatenate([np.full(len(rows), -1), np.array(ids, dtype=np.int64)]),
+        )
 
-    def __post_init__(self):
-        norm = frozenset((int(min(a, b)), int(max(a, b))) for a, b in self.edges)
-        object.__setattr__(self, "edges", norm)
+    @classmethod
+    def from_pairs(cls, pairs, segment_ids=None) -> "SeamEdgeSet":
+        """The set of (n, 2) vertex pairs in either order, duplicates allowed.
+
+        ``segment_ids[i]``, when given, is the seam segment that contributed
+        row ``i``.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        out = cls.__new__(cls)
+        out._store(pairs, np.full(len(pairs), -1) if segment_ids is None else segment_ids)
+        return out
+
+    def _store(self, pairs: np.ndarray, ids) -> None:
+        """Sort and group (pair, segment id) rows; an id of -1 adds only the pair."""
+        pairs = np.sort(pairs, axis=1)
+        ids = np.asarray(ids, dtype=np.int64)
+        order = np.lexsort((ids, pairs[:, 1], pairs[:, 0]))
+        pairs, ids = pairs[order], ids[order]
+        first = np.ones(len(pairs), dtype=bool)
+        first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+        edge = np.cumsum(first) - 1
+        given = ids >= 0
+        self.pairs = pairs[first]
+        self.provenance_ids = ids[given]
+        self.provenance_offsets = np.searchsorted(edge[given], np.arange(len(self.pairs) + 1))
+        for a in (self.pairs, self.provenance_ids, self.provenance_offsets):
+            a.flags.writeable = False
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset(map(tuple, self.pairs.tolist()))
+
+    @cached_property
+    def provenance(self) -> MappingProxyType:
+        ids, off = self.provenance_ids.tolist(), self.provenance_offsets.tolist()
+        return MappingProxyType({
+            edge: tuple(ids[off[e] : off[e + 1]])
+            for e, edge in enumerate(map(tuple, self.pairs.tolist()))
+            if off[e] < off[e + 1]
+        })
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     def __contains__(self, edge) -> bool:
         a, b = edge
         return (min(a, b), max(a, b)) in self.edges
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SeamEdgeSet):
+            return NotImplemented
+        return all(
+            np.array_equal(x, y)
+            for x, y in (
+                (self.pairs, other.pairs),
+                (self.provenance_ids, other.provenance_ids),
+                (self.provenance_offsets, other.provenance_offsets),
+            )
+        )
+
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(map(tuple, self.pairs.tolist()))
 
     def to_text(self) -> str:
         """One edge per line, ``%d %d`` (smaller vertex index first), in
         ascending order."""
-        return format_records("%d %d\n", np.reshape(self.sorted_edges(), (-1, 2)))
+        return format_records("%d %d\n", self.pairs)
 
     @classmethod
     def from_text(cls, text: str) -> "SeamEdgeSet":
-        edges = set()
+        values = []
         for line_no, line in content_lines(text):
             parts = line.split()
             if len(parts) != 2:
                 raise MeshError(f"seam edge line {line_no}: expected two indices")
             try:
-                a, b = int64(parts[0]), int64(parts[1])
+                values += (int64(parts[0]), int64(parts[1]))
             except ValueError as exc:
                 raise MeshError(f"seam edge line {line_no}: {exc}") from exc
-            edges.add((min(a, b), max(a, b)))
-        return cls(edges=frozenset(edges))
+        return cls.from_pairs(values)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +733,7 @@ def extract_uv_seams(mesh: IndexedMesh) -> SeamEdgeSet:
     uv = mesh.uv_corners
     # a pair disagrees when either shared vertex differs by more than the tolerance
     disagree = (np.abs(uv[a] - uv[b]).max(axis=2) > UV_SEAM_TOL).any(axis=1)
-    seams = mesh.edges[np.unique(edge[disagree])].tolist()
-    return SeamEdgeSet(edges=frozenset(map(tuple, seams)))
+    return SeamEdgeSet.from_pairs(mesh.edges[np.unique(edge[disagree])])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 
 import numpy as np
@@ -195,8 +196,10 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     mesh's own); the shortest edge path between them in the mesh's edge
     graph (``build_edge_graph``, built once per call) is marked.  Segments
     collapsing to one vertex add nothing; segments across disconnected
-    components are skipped with a logged diagnostic.  Provenance records
-    contributing segment indices per edge.
+    components are skipped with a logged diagnostic.  The paths' edges and
+    their segment indices go to ``SeamEdgeSet.from_pairs`` as one array pair,
+    so the provenance lists each edge's contributing segments in ascending
+    order.
 
     Each ``shortest_path`` call gets the straight-line distance between its
     two vertices as the lower bound on their distance (all segments' in one
@@ -212,12 +215,12 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     snap = IndexedMesh(vertices=mesh.vertices[linked], triangles=np.empty((0, 3), np.int64))
     ends = linked[nearest_vertex(snap, seams.segments.reshape(-1, 3))].reshape(-1, 2)
     bounds = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
-    edges: dict[tuple[int, int], list[int]] = {}
+    paths, owners = [], []
     for i, ((va, vb), bound) in enumerate(zip(ends.tolist(), bounds.tolist())):
         if va == vb:
             continue
         try:
-            path = shortest_path(graph, va, vb, bound)
+            paths.append(shortest_path(graph, va, vb, bound))
         except UnreachableError:
             logger.warning(
                 "segment %d skipped: vertices %d and %d are in different components",
@@ -226,17 +229,16 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
                 vb,
             )
             continue
-        for u, v in zip(path, path[1:]):
-            key = (min(u, v), max(u, v))
-            edges.setdefault(key, []).append(i)
-    return SeamEdgeSet(
-        edges=frozenset(edges),
-        provenance={k: tuple(v) for k, v in edges.items()},
-    )
+        owners.append(i)
+    verts = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.int64)
+    sizes = np.array([len(p) for p in paths], dtype=np.int64)
+    # consecutive vertices of the concatenated paths, less each step from one
+    # path's last vertex to the next path's first
+    pairs = np.delete(np.stack([verts[:-1], verts[1:]], axis=1), np.cumsum(sizes)[:-1] - 1, axis=0)
+    segment_ids = np.repeat(np.array(owners, dtype=np.int64), sizes - 1)
+    return SeamEdgeSet.from_pairs(pairs, segment_ids)
 
 
 def seam_edges_to_segments(mesh: IndexedMesh, edge_set: SeamEdgeSet) -> SeamSet:
     """Each marked mesh edge becomes one seam segment with its endpoint coordinates."""
-    if len(edge_set) == 0:
-        return SeamSet.empty()
-    return SeamSet(segments=mesh.vertices[np.array(edge_set.sorted_edges())])
+    return SeamSet(segments=mesh.vertices[edge_set.pairs])

@@ -34,18 +34,32 @@ def fps_anchors(points: np.ndarray, k: int) -> np.ndarray:
 
     The first anchor is index 0; each following anchor maximizes the minimum
     Euclidean distance to the chosen set, ties broken by lowest index.
+
+    The coordinates are held as contiguous (3, N) rows and each anchor's
+    distances are computed in place in one buffer as
+    ``sqrt((dx*dx + dy*dy) + dz*dz)``, the sum order of
+    ``np.linalg.norm(axis=1)``, so the distances, and the picks, are those of
+    the norm bit for bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if not (1 <= k <= n):
         raise ValueError(f"k={k} out of range [1, {n}]")
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = 0
-    dist = np.linalg.norm(pts - pts[0], axis=1)
+    rows = np.ascontiguousarray(pts.T)
+    dist = np.full(n, np.inf)
+    d, t = np.empty(n), np.empty(n)
+    chosen = np.zeros(k, dtype=np.int64)
     for i in range(1, k):
-        nxt = int(np.argmax(dist))  # argmax takes the first (lowest) index on ties
-        chosen[i] = nxt
-        dist = np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1))
+        last = chosen[i - 1]
+        np.subtract(rows[0], rows[0, last], out=d)
+        d *= d
+        for axis in (1, 2):
+            np.subtract(rows[axis], rows[axis, last], out=t)
+            t *= t
+            d += t
+        np.sqrt(d, out=d)
+        np.minimum(dist, d, out=dist)
+        chosen[i] = np.argmax(dist)  # argmax takes the first (lowest) index on ties
     return chosen
 
 

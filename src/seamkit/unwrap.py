@@ -81,10 +81,9 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
 
 def cut_mesh(mesh: IndexedMesh, seams: SeamEdgeSet) -> CutMesh:
     """Split the mesh along the given seam edges and label islands."""
-    pairs = np.array(list(seams.edges), dtype=np.int64).reshape(-1, 2)
-    seam_ids = mesh.edge_ids(pairs)
+    seam_ids = mesh.edge_ids(seams.pairs)
     if (seam_ids < 0).any():
-        a, b = min(map(tuple, pairs[seam_ids < 0].tolist()))
+        a, b = seams.pairs[seam_ids < 0][0].tolist()
         raise CutContractError(f"seam edge ({a}, {b}) is not a mesh edge")
     is_seam = np.zeros(len(mesh.edges), dtype=bool)
     is_seam[seam_ids] = True

@@ -29,6 +29,11 @@ replaced by one backward pass per group with accumulated gradients.
 ``test_dpo.py`` and ``test_model.py`` require the accumulated gradients to
 match this graph's to 1e-10 of their largest entry.
 
+``fps_anchors`` is the farthest-point selection that recomputed every
+distance with ``np.linalg.norm`` over (N, 3) rows and a new minimum array
+per anchor; ``sampling.fps_anchors`` updates one buffer in place over
+(3, N) coordinate rows.  ``test_sampling.py`` requires the same indices.
+
 ``sample_next`` is the one-row top-p draw that ``model._sample_rows``
 replaced: a stable argsort of the probabilities per candidate per step.
 ``test_model.py`` requires ``_sample_rows`` to draw the same tokens.
@@ -790,6 +795,25 @@ def batch_nll_t(batch, p, config):
 
 
 # ---------------------------------------------------------------------------
+# Farthest-point anchors
+
+
+def fps_anchors(points: np.ndarray, k: int) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} out of range [1, {n}]")
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = 0
+    dist = np.linalg.norm(pts - pts[0], axis=1)
+    for i in range(1, k):
+        nxt = int(np.argmax(dist))  # argmax takes the first (lowest) index on ties
+        chosen[i] = nxt
+        dist = np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1))
+    return chosen
+
+
+# ---------------------------------------------------------------------------
 # Per-row top-p sampling
 
 
@@ -1072,7 +1096,7 @@ def save_obj(mesh: IndexedMesh) -> str:
 
 
 def seam_edge_text(edges: SeamEdgeSet) -> str:
-    return "".join(f"{a} {b}\n" for a, b in edges.sorted_edges())
+    return "".join(f"{a} {b}\n" for a, b in sorted(edges.edges))
 
 
 def layout_uv(atlas: UVAtlas) -> np.ndarray:

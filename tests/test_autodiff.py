@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from seamkit import autodiff as ad
 from tests import loop_reference as ref
@@ -266,6 +267,22 @@ def test_backward_releases_the_graph():
     np.testing.assert_allclose(x.grad, 2 * x.value + 1)
     for node in (y, loss):
         assert node.grad is None and node.vertex.parents == () and node.vertex.vjps == ()
+
+
+def test_gelu_and_its_slope_equal_the_composed_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    x = np.concatenate(
+        [rng.normal(size=(5, 49, 256)).ravel() * 3, [0.0, -0.0, 1e-300, -1e-300, -40.0, 40.0, 1e10]]
+    )
+    cdf = 0.5 * (1.0 + erf(x * ad._INV_SQRT2))
+    want_out = x * cdf
+    want_slope = cdf + x * (ad._INV_SQRT_2PI * np.exp(-0.5 * x * x))
+    t = ad.gelu(ad.parameter(x))
+    # the vjp writes g * slope into the saved slope; with g = 1 that is the slope itself
+    slope = t.vertex.vjps[0](np.ones_like(x))
+    for got, want in ((ad.gelu(x), want_out), (t.value, want_out), (slope, want_slope)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_graph_keeps_only_the_arrays_its_vjps_read():

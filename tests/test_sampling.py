@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seamkit.mesh import DegenerateInputError, IndexedMesh
 from seamkit.sampling import (
@@ -13,6 +15,7 @@ from seamkit.sampling import (
 )
 from seamkit.shapes import make_grid, make_perturbed_grid
 
+from tests import loop_reference as ref
 from tests.util import read_xyz
 
 
@@ -126,6 +129,40 @@ def test_fps_trivial_cases():
         fps_anchors(pts, 0)
     with pytest.raises(ValueError):
         fps_anchors(pts, 11)
+
+
+@st.composite
+def _fps_cases(draw):
+    """A cloud (random, with repeated points, or collinear) and a k in 1..n."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "duplicates", "collinear"]))
+    if kind == "random":
+        pts = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3)
+    elif kind == "duplicates":
+        distinct = max(n // 4, 1)
+        pts = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, n)]
+    else:
+        pts = rng.normal(size=3) + rng.normal(size=(n, 1)) * rng.normal(size=3)
+    return pts, draw(st.integers(1, n))
+
+
+# points 1 and 2 swap x and y, so the norm's sum order gives them equal
+# distances from point 0 (index 1 wins the tie); (dx^2 + dz^2) + dy^2 makes
+# point 2 farther
+_SWAPPED_XY = [
+    [0.0, 0.0, 0.0],
+    [0.9673037855604738, 0.23547234737905975, 0.533991149379403],
+    [0.23547234737905975, 0.9673037855604738, 0.533991149379403],
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fps_cases())
+@example((np.array(_SWAPPED_XY), 2))
+def test_fps_picks_the_reference_indices(case):
+    pts, k = case
+    np.testing.assert_array_equal(fps_anchors(pts, k), ref.fps_anchors(pts, k))
 
 
 def _greedy_consistent_radii(pts, k):

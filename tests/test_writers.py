@@ -156,11 +156,26 @@ def test_write_seam_text_matches_loop_reference(rows):
     assert write_seam_text(seams) == ref.write_seam_text(seams)
 
 
+# a few small indices, so that lists repeat pairs in both orders
+_vertex = st.one_of(st.integers(0, 4), st.integers(-(2**63), 2**63 - 1))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=20))
-def test_seam_edge_text_matches_loop_reference(pairs):
-    edges = SeamEdgeSet(edges=frozenset(pairs))
-    assert edges.to_text() == ref.seam_edge_text(edges)
+@given(st.lists(st.tuples(_vertex, _vertex, st.integers(0, 3)), max_size=20))
+def test_seam_edge_text_matches_loop_reference(rows):
+    pairs = [(a, b) for a, b, _ in rows]
+    want = {}
+    for a, b, segment in rows:
+        want.setdefault((min(a, b), max(a, b)), []).append(segment)
+    arrays = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    traced = SeamEdgeSet.from_pairs(arrays, [segment for _, _, segment in rows])
+    assert traced.provenance == {edge: tuple(sorted(v)) for edge, v in want.items()}
+    for edges in (SeamEdgeSet(edges=pairs), SeamEdgeSet.from_pairs(arrays), traced):
+        assert edges.edges == frozenset(want)
+        assert edges.to_text() == ref.seam_edge_text(edges)
+        read = SeamEdgeSet.from_text(edges.to_text())
+        assert read == SeamEdgeSet.from_pairs(edges.pairs) and read.provenance == {}
+        assert read.pairs.dtype == np.int64 and read.pairs.shape == (len(want), 2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
