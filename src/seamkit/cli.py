@@ -119,13 +119,26 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path: str | None, seed_override: int | None) -> Config:
-    cfg = parse_config("" if path is None else _read_file(path))
+    """The config file at ``path`` (defaults when None), its seed replaced by
+    ``seed_override`` when given; every value checked against its range.
+
+    An error in a file line or key names ``path``.  So does a value out of
+    range, except the override seed: every default is in range, so any
+    other failing value was set by the file or tested against one it set.
+    """
+    text = "" if path is None else _read_file(path)
+    try:
+        cfg = parse_config(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if seed_override is not None:
         cfg["seed"] = seed_override
     for key, (_, _, allowed, description) in CONFIG_KEYS.items():
         if not allowed(cfg[key], cfg):
+            by_flag = key == "seed" and seed_override is not None
+            where = "" if path is None or by_flag else f"{path}: "
             raise InputError(
-                f"config key {key} = {cfg[key]!r} is out of range: allowed {description}"
+                f"{where}config key {key} = {cfg[key]!r} is out of range: allowed {description}"
             )
     return cfg
 
@@ -545,9 +558,9 @@ def cmd_dpo(args) -> int:
         records = dpo_mod.read_pair_records(text)
     except dpo_mod.DPOError as exc:
         raise InputError(f"{args.pairs}: {exc}") from exc
-    # the policy and its reference, one read-only store: dpo_train never
+    # the starting policy, which is also DPO's reference; dpo_train never
     # modifies it, so no copy
-    stores = [_policy_store(cfg)] * 2
+    stores = [_policy_store(cfg)]
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
@@ -555,8 +568,11 @@ def cmd_dpo(args) -> int:
     pairs = _pairs_from_records(records, cand_dir, cfg)
     dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
     t1 = time.perf_counter()
-    # popped into the call, the store keeps no name here and is freed after step 0
-    trained, history = dpo_mod.dpo_train(stores.pop(), stores.pop(), pairs, dpo_config)
+    # popped into the call, the store keeps no name here and is freed after
+    # step 0.  dataset and config go by keyword: the benchmark's traced pass
+    # (perfbench/worker.py, _observe_dpo) reads a third positional argument
+    # as the dataset.
+    trained, history = dpo_mod.dpo_train(stores.pop(), dataset=pairs, config=dpo_config)
     timings = {"pairs": t1 - t0, "train": time.perf_counter() - t1}
     _write_atomic(args.output, model_mod.save_checkpoint(trained))
     log_path = os.path.splitext(args.output)[0] + ".log.jsonl"

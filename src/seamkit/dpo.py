@@ -8,10 +8,10 @@ one place the pair rules are checked.
 Training sees no metrics: a pair is the item ``(clouds, (chosen_tokens,
 rejected_tokens))`` of ``model._group_conditions``, scored on the grouped
 path NLL pretraining also uses.  The objective is the standard pairwise
-logistic loss on scaled policy/reference log-ratio margins; at policy ==
-reference it equals ln 2 exactly.  The reference log-probabilities come
-from the same path under the reference store, read off step 0's policy
-pass when the reference is the policy object itself.
+logistic loss on scaled policy/reference log-ratio margins.  The reference
+is the starting policy (Rafailov et al. 2023): its log-probabilities are
+read off step 0's policy pass, where every margin is 0 and the loss is ln 2
+exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from seamkit.model import (
     _backward_per_group,
     _ConditionBatch,
     _group_conditions,
-    _group_logprobs_t,
     _sgd_step,
 )
 
@@ -107,22 +106,6 @@ def build_pairs(metrics, mode: str = "joint") -> list[tuple[int, int]]:
 # Loss
 
 
-def _pair_logprobs(batch: _ConditionBatch, lps) -> list[tuple]:
-    """Per pair, the (chosen, rejected) entries of ``_group_logprobs_t``
-    output ``lps``."""
-    return [(lps[g][chosen], lps[g][rejected]) for g, chosen, rejected in batch.index]
-
-
-def _reference_logprobs(batch: _ConditionBatch, reference: ParameterStore) -> list[tuple]:
-    """Per pair, the reference log-probabilities (arrays) of (chosen, rejected).
-
-    Runs the policy's code path on the store's arrays, which builds no graph
-    and gives the Tensor path's values bit for bit, so at policy == reference
-    every margin is exactly 0.
-    """
-    return _pair_logprobs(batch, _group_logprobs_t(batch, reference.arrays, reference.config))
-
-
 def _pair_term(k: int, logprobs, ref_logprobs, beta: float) -> tuple:
     """-log sigma(beta * margin) of pair ``k``, where margin is (log pi - log
     ref) of the chosen minus that of the rejected.
@@ -147,7 +130,7 @@ def _policy_pass(batch: _ConditionBatch, policy: ParameterStore, refs, beta: flo
     pairs' terms over the number of pairs.
 
     ``refs`` holds each pair's reference (chosen, rejected)
-    log-probabilities, or is None when the reference is the policy itself;
+    log-probabilities, or is None at step 0, whose policy is the reference;
     the pass then fills them in from its own values, so every margin is
     exactly 0.  Returns (parameter tensors holding the gradient, refs, per
     pair (term, chosen log-ratio, rejected log-ratio, margin) floats).
@@ -199,7 +182,6 @@ class DPOStepLog:
 
 def dpo_train(
     policy: ParameterStore,
-    reference: ParameterStore,
     dataset,
     config: DPOConfig,
 ) -> tuple[ParameterStore, list[DPOStepLog]]:
@@ -211,16 +193,11 @@ def dpo_train(
     chosen one preferred (``PairRecord`` checks why).  The items are grouped
     and checked once, up front (``model._group_conditions``); each condition
     is prepared at its first pass, so a run of zero steps prepares none.
-    Both stores are read-only, so the reference may be the policy object
-    itself, which saves a copy of every array.  When it is, the reference
-    log-probabilities are those of step 0's policy pass; any other store
-    gets one pass of its own before step 0 (``_reference_logprobs``, which
-    gives the policy pass's values bit for bit), and none when there are no
-    steps.  The reference is dropped
-    once its log-probabilities are read and the starting policy at step 0's
-    update, so when the caller keeps no name for them either (as ``seamkit
-    dpo`` does; CPython 3.11 and later move a call's arguments to the
-    callee) the starting store is released after step 0 and later steps
+    The reference is the starting policy: its log-probabilities are those
+    of step 0's policy pass.  ``policy`` is read-only and dropped at step
+    0's update, so when the caller keeps no name for it either (as
+    ``seamkit dpo`` does; CPython 3.11 and later move a call's arguments to
+    the callee) the starting store is released after step 0 and later steps
     hold one parameter store.  Each step runs forward and
     backward once per condition group and accumulates the gradients before
     its one update (``_policy_pass``), so peak memory is set by the largest
@@ -241,10 +218,7 @@ def dpo_train(
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
     batch = _group_conditions(dataset, policy.config)
-    # a run with no steps reads no reference log-probabilities
-    own_pass = reference is not policy and config.steps > 0
-    refs = _reference_logprobs(batch, reference) if own_pass else None
-    del reference  # read: from here on only `policy` names a store
+    refs = None  # filled in by step 0's pass
     history: list[DPOStepLog] = []
     bad_streak = 0
     for step in range(config.steps):

@@ -177,6 +177,10 @@ class NormalizationTransform:
 class SeamEdgeSet:
     """Mesh edges marked as seams, with optional per-edge provenance.
 
+    ``SeamEdgeSet(pairs, segment_ids)`` takes an (n, 2) array-like of vertex
+    pairs in either order, duplicates allowed, and optionally ``segment_ids``,
+    the seam segment that contributed each row.
+
     Stored form: ``pairs``, an (E, 2) int64 array of undirected vertex-index
     pairs, each row ``(min, max)``, rows sorted ascending and duplicate-free.
     Provenance is two more int64 arrays: the indices of the seam segments
@@ -185,45 +189,18 @@ class SeamEdgeSet:
     ascending order (none for seams extracted from UVs or read from text).
     All three arrays are read-only.
 
-    ``edges`` (a frozenset of ``(min, max)`` tuples) and ``provenance`` (a
-    mapping from each edge with at least one contributing segment to the
-    tuple of their indices) are read-only views, built on first access.  The
-    tests read both; the benchmark's traced pass reads ``provenance`` for
-    ``projection.useful_ratio``.
-
-    ``SeamEdgeSet(edges=..., provenance=...)`` takes vertex pairs in either
-    order and a dict of that form, keyed by edges in ``edges``;
-    ``from_pairs`` takes the arrays.
+    ``provenance`` (a mapping from each edge with at least one contributing
+    segment to the tuple of their indices) is a read-only view, built on
+    first access.  The tests and the benchmark's traced pass (for
+    ``projection.useful_ratio``) read it.
     """
 
-    def __init__(self, edges, provenance=None):
-        rows = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        provenance = provenance or {}
-        keys = np.array(list(provenance), dtype=np.int64).reshape(-1, 2)
-        counts = [len(v) for v in provenance.values()]
-        ids = [i for v in provenance.values() for i in v]
-        # -1 stands for "no contributing segment" and is dropped after grouping
-        self._store(
-            np.concatenate([rows, np.repeat(keys, counts, axis=0)]),
-            np.concatenate([np.full(len(rows), -1), np.array(ids, dtype=np.int64)]),
-        )
-
-    @classmethod
-    def from_pairs(cls, pairs, segment_ids=None) -> "SeamEdgeSet":
-        """The set of (n, 2) vertex pairs in either order, duplicates allowed.
-
-        ``segment_ids[i]``, when given, is the seam segment that contributed
-        row ``i``.
-        """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        out = cls.__new__(cls)
-        out._store(pairs, np.full(len(pairs), -1) if segment_ids is None else segment_ids)
-        return out
-
-    def _store(self, pairs: np.ndarray, ids) -> None:
-        """Sort and group (pair, segment id) rows; an id of -1 adds only the pair."""
-        pairs = np.sort(pairs, axis=1)
-        ids = np.asarray(ids, dtype=np.int64)
+    def __init__(self, pairs=(), segment_ids=None):
+        # sort and group (pair, segment id) rows; an id of -1 adds only the pair
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        if segment_ids is None:
+            segment_ids = np.full(len(pairs), -1)
+        ids = np.asarray(segment_ids, dtype=np.int64)
         order = np.lexsort((ids, pairs[:, 1], pairs[:, 0]))
         pairs, ids = pairs[order], ids[order]
         first = np.ones(len(pairs), dtype=bool)
@@ -237,10 +214,6 @@ class SeamEdgeSet:
             a.flags.writeable = False
 
     @cached_property
-    def edges(self) -> frozenset:
-        return frozenset(map(tuple, self.pairs.tolist()))
-
-    @cached_property
     def provenance(self) -> MappingProxyType:
         ids, off = self.provenance_ids.tolist(), self.provenance_offsets.tolist()
         return MappingProxyType({
@@ -251,10 +224,6 @@ class SeamEdgeSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __contains__(self, edge) -> bool:
-        a, b = edge
-        return (min(a, b), max(a, b)) in self.edges
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeamEdgeSet):
@@ -267,9 +236,6 @@ class SeamEdgeSet:
                 (self.provenance_offsets, other.provenance_offsets),
             )
         )
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.pairs.tolist()))
 
     def to_text(self) -> str:
         """One edge per line, ``%d %d`` (smaller vertex index first), in
@@ -287,7 +253,7 @@ class SeamEdgeSet:
                 values += (int64(parts[0]), int64(parts[1]))
             except ValueError as exc:
                 raise MeshError(f"seam edge line {line_no}: {exc}") from exc
-        return cls.from_pairs(values)
+        return cls(values)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +699,7 @@ def extract_uv_seams(mesh: IndexedMesh) -> SeamEdgeSet:
     uv = mesh.uv_corners
     # a pair disagrees when either shared vertex differs by more than the tolerance
     disagree = (np.abs(uv[a] - uv[b]).max(axis=2) > UV_SEAM_TOL).any(axis=1)
-    return SeamEdgeSet.from_pairs(mesh.edges[np.unique(edge[disagree])])
+    return SeamEdgeSet(mesh.edges[np.unique(edge[disagree])])
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,9 @@ class ParameterStore:
 
     def as_tensors(self) -> dict:
         """Name -> ``autodiff.parameter`` of every array, for a training
-        graph: each one requires a gradient.  Inference and the DPO
-        reference pass run on ``arrays`` directly and build no graph."""
+        graph: each one requires a gradient.  Inference and graph-free
+        scoring (``sequence_logprob``, ``_group_logprobs_t``) run on
+        ``arrays`` directly and build no graph."""
         return {k: ad.parameter(v) for k, v in self.arrays.items()}
 
 
@@ -732,7 +733,10 @@ def _condition_logprobs_t(prepared: tuple, seqs: dict, p, config: ModelConfig) -
 
 
 def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[dict]:
-    """Per group, ``_condition_logprobs_t`` of its sequences."""
+    """Per group, ``_condition_logprobs_t`` of its sequences.
+
+    On a store's ``arrays`` it builds no graph and gives the Tensor path's
+    values bit for bit: the tests score DPO references with it."""
     return [
         _condition_logprobs_t(batch.condition(g), seqs, p, config)
         for g, (_, seqs) in enumerate(batch.groups)
@@ -852,11 +856,12 @@ def load_checkpoint(data: bytes) -> ParameterStore:
 
     Raises ``CheckpointError`` for a wrong magic; a header without its
     terminating newline, not JSON, or whose keys are not exactly ``config``
-    and ``arrays``; unknown or invalid config keys; a shape that is not a
-    list of integers; parameter names or shapes that differ from the
-    configuration's; a truncated buffer; a non-finite weight; or bytes after
-    the last buffer.  An unknown header or config key, such as one a former
-    format carried, is named.
+    and ``arrays``; unknown, missing or invalid config keys; a shape that
+    is not a list of integers; parameter names or shapes that differ from
+    the configuration's; a truncated buffer; a non-finite weight; or bytes
+    after the last buffer.  An unknown header or config key, such as one a
+    former format carried, is named, and so is every missing config key: a
+    header without ``seed`` would otherwise load with the default seed.
     """
     if not data.startswith(_CKPT_MAGIC):
         raise CheckpointError("not a seamkit checkpoint")
@@ -870,9 +875,13 @@ def load_checkpoint(data: bytes) -> ParameterStore:
         specs = [(str(a["name"]), _header_shape(a["shape"])) for a in header["arrays"]]
     except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {exc!r}") from exc
-    unknown = sorted(set(config_keys) - {f.name for f in fields(ModelConfig)})
+    names = {f.name for f in fields(ModelConfig)}
+    unknown = sorted(set(config_keys) - names)
     if unknown:
         raise CheckpointError(f"unknown config keys: {', '.join(unknown)}")
+    missing = sorted(names - set(config_keys))
+    if missing:
+        raise CheckpointError(f"missing config keys: {', '.join(missing)}")
     unknown = sorted(set(header) - {"config", "arrays"})
     if unknown:
         raise CheckpointError(f"unknown header keys: {', '.join(unknown)}")

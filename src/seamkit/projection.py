@@ -197,9 +197,8 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     graph (``build_edge_graph``, built once per call) is marked.  Segments
     collapsing to one vertex add nothing; segments across disconnected
     components are skipped with a logged diagnostic.  The paths' edges and
-    their segment indices go to ``SeamEdgeSet.from_pairs`` as one array pair,
-    so the provenance lists each edge's contributing segments in ascending
-    order.
+    their segment indices go to ``SeamEdgeSet`` as one array pair, so the
+    provenance lists each edge's contributing segments in ascending order.
 
     Each ``shortest_path`` call gets the straight-line distance between its
     two vertices as the lower bound on their distance (all segments' in one
@@ -236,7 +235,7 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     # path's last vertex to the next path's first
     pairs = np.delete(np.stack([verts[:-1], verts[1:]], axis=1), np.cumsum(sizes)[:-1] - 1, axis=0)
     segment_ids = np.repeat(np.array(owners, dtype=np.int64), sizes - 1)
-    return SeamEdgeSet.from_pairs(pairs, segment_ids)
+    return SeamEdgeSet(pairs, segment_ids)
 
 
 def seam_edges_to_segments(mesh: IndexedMesh, edge_set: SeamEdgeSet) -> SeamSet:

@@ -57,7 +57,7 @@ def quad_cutout_loops(mesh, k: int) -> SeamEdgeSet:
         loops += 1
     if loops < k:
         raise ValueError(f"only found {loops} disjoint quad loops, wanted {k}")
-    return SeamEdgeSet(edges=frozenset(edges))
+    return SeamEdgeSet(list(edges))
 
 
 def developable_cut_edges(mesh, angle_deg: float = 30.0) -> SeamEdgeSet:
@@ -133,7 +133,7 @@ def developable_cut_edges(mesh, angle_deg: float = 30.0) -> SeamEdgeSet:
         for eid in eids:
             a, b = (int(x) for x in mesh.edges[eid])
             cut.add((a, b))
-    return SeamEdgeSet(edges=frozenset(cut))
+    return SeamEdgeSet(list(cut))
 
 
 def corpus_meshes():

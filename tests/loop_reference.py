@@ -236,7 +236,7 @@ def extract_uv_seams(mesh, tol=UV_SEAM_TOL):
                 break
         if mismatch:
             seams.add((int(a), int(b)))
-    return SeamEdgeSet(edges=frozenset(seams))
+    return SeamEdgeSet(list(seams))
 
 
 class UnionFind:
@@ -259,7 +259,7 @@ def cut_mesh(mesh, seams):
     edges, faces_per_edge = edge_faces(mesh)
     edge_ids = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
     seam_ids = set()
-    for a, b in seams.edges:
+    for a, b in seams.pairs.tolist():
         eid = edge_ids.get((a, b) if a < b else (b, a))
         if eid is None:
             raise CutContractError(f"seam edge ({a}, {b}) is not a mesh edge")
@@ -592,8 +592,10 @@ def nearest_vertex(mesh: IndexedMesh, p) -> int:
 
 
 def project_seams(mesh, seams):
-    """(edges, provenance) of the seam segments' shortest paths, per segment in
-    order; endpoints snap only to vertices with at least one edge."""
+    """{(min, max) edge: segment indices} of the seam segments' shortest
+    paths, per segment in order; endpoints snap only to vertices with at
+    least one edge.  Built as a plain dict, not through ``SeamEdgeSet``, so
+    that the class under test is compared against an independent result."""
     graph = build_edge_graph(mesh)
     linked = np.flatnonzero([len(nbrs) > 0 for nbrs in graph.adjacency])
     snap = IndexedMesh(vertices=mesh.vertices[linked], triangles=np.zeros((0, 3), dtype=np.int64))
@@ -609,7 +611,7 @@ def project_seams(mesh, seams):
             continue
         for u, v in zip(path, path[1:]):
             edges.setdefault((min(u, v), max(u, v)), []).append(i)
-    return SeamEdgeSet(edges=frozenset(edges), provenance={k: tuple(v) for k, v in edges.items()})
+    return {k: tuple(v) for k, v in edges.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +1098,7 @@ def save_obj(mesh: IndexedMesh) -> str:
 
 
 def seam_edge_text(edges: SeamEdgeSet) -> str:
-    return "".join(f"{a} {b}\n" for a, b in sorted(edges.edges))
+    return "".join(f"{a} {b}\n" for a, b in sorted(map(tuple, edges.pairs.tolist())))
 
 
 def layout_uv(atlas: UVAtlas) -> np.ndarray:

@@ -612,6 +612,25 @@ def test_unknown_config_key_exit_2(grid_obj, tmp_path):
     assert main(["sample-points", str(grid_obj), str(prefix), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("heads = two\n", [], "{cfg}: config line 1: invalid literal for int()"),
+        ("bogus = 1\n", [], "{cfg}: unknown config keys: bogus"),
+        ("heads = 3\n", [], "{cfg}: config key heads = 3 is out of range: allowed a divisor of d"),
+        # the seed comes from the flag, not the file
+        ("seed = 3\n", ["--seed", "-1"], "config key seed = -1 is out of range"),
+    ],
+    ids=["bad-line", "unknown-key", "out-of-range", "seed-flag"],
+)
+def test_config_errors_name_the_config_file(grid_obj, tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    argv = ["sample-points", str(grid_obj), str(tmp_path / "c"), "--config", str(cfg), *flags]
+    assert main(argv) == 2
+    assert f"error: {message.format(cfg=cfg)}" in capsys.readouterr().err
+
+
 def test_console_entry_point_smoke(grid_obj, tmp_path):
     seams = tmp_path / "empty.seams"
     seams.write_text("")
@@ -706,6 +725,27 @@ def test_dpo_frees_the_starting_store_after_step_0(grid_obj, tmp_path, monkeypat
     assert alive == [[True], [False], [False]]
 
 
+def test_dpo_passes_dataset_and_config_by_keyword(grid_obj, tmp_path, monkeypatch):
+    # the benchmark's traced pass observes dpo_train through
+    # perfbench/worker.py's _observe_dpo, which reads a third positional
+    # argument as the dataset: a positional call would fail every traced dpo op
+    from seamkit import dpo
+
+    calls = []
+    dpo_train = dpo.dpo_train
+
+    def recorded(*args, **kwargs):
+        calls.append((len(args), sorted(kwargs)))
+        return dpo_train(*args, **kwargs)
+
+    monkeypatch.setattr(dpo, "dpo_train", recorded)
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\nlr = 0.001\n")
+    assert main(["dpo", str(pairs), str(tmp_path / "out.ckpt"), "--config", str(cfg)]) == 0
+    assert calls == [(1, ["config", "dataset"])]
+
+
 def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path, monkeypatch):
     from seamkit import cli, sampling, tokenizer
     from seamkit.dpo import DPOConfig, dpo_train
@@ -741,7 +781,7 @@ def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path,
     items = [(clouds[0], (tokens[0], tokens[1 + k % 2])) for k in range(3)]
     items += [(clouds[1], (tokens[0], tokens[1 + k % 2])) for k in range(2)]
     policy = init_parameters(model_config_from(parse_config(cfg_text)))
-    trained, _ = dpo_train(policy, policy.copy(), items, DPOConfig(beta=0.5, learning_rate=0.01, steps=2))
+    trained, _ = dpo_train(policy, items, DPOConfig(beta=0.5, learning_rate=0.01, steps=2))
     assert save_checkpoint(trained) == ckpt.read_bytes()
 
 
@@ -1118,8 +1158,9 @@ def test_config_key_differing_from_checkpoint_exit_2(cube_obj, tmp_path, capsys,
             lambda d: d["config"].update(train_topo_encoder="no"),
             "unknown config keys: train_topo_encoder",
         ),
+        (lambda d: d["config"].pop("seed"), "missing config keys: seed"),
     ],
-    ids=["former-header", "nan-weight", "zero-heads", "string-flag"],
+    ids=["former-header", "nan-weight", "zero-heads", "string-flag", "missing-seed"],
 )
 def test_sample_rejected_checkpoint_exit_2(cube_obj, tmp_path, capsys, edit, message):
     ckpt = _desk_checkpoint(tmp_path)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from seamkit.dpo import (
     DPOConfig,
     DPOError,
     LN2,
-    _pair_logprobs,
-    _reference_logprobs,
     build_pairs,
     dominates,
     dpo_train,
@@ -180,16 +177,26 @@ def make_pairs(rng, config, n_pairs):
     return pairs
 
 
+def pair_logprobs(batch, lps):
+    """Per pair, the (chosen, rejected) entries of ``_group_logprobs_t``
+    output ``lps``."""
+    return [(lps[g][chosen], lps[g][rejected]) for g, chosen, rejected in batch.index]
+
+
 def dpo_loss_t(pairs, p, config, refs, beta):
     """The batch objective of the items over parameters ``p`` (Tensors give
     a graph, arrays a value); returns (loss, margin floats)."""
     batch = _group_conditions(pairs, config)
-    loss, _, margins = _objective(_pair_logprobs(batch, _group_logprobs_t(batch, p, config)), refs, beta)
+    loss, _, margins = _objective(pair_logprobs(batch, _group_logprobs_t(batch, p, config)), refs, beta)
     return loss, margins
 
 
 def reference_logprobs(pairs, reference):
-    return _reference_logprobs(_group_conditions(pairs, reference.config), reference)
+    """Per pair, the (chosen, rejected) log-probabilities (arrays) under the
+    store ``reference``: ``_group_logprobs_t`` on its arrays, which builds
+    no graph."""
+    batch = _group_conditions(pairs, reference.config)
+    return pair_logprobs(batch, _group_logprobs_t(batch, reference.arrays, reference.config))
 
 
 def dpo_loss(policy, reference, pairs, beta):
@@ -254,26 +261,24 @@ def test_dpo_gradient_matches_finite_differences():
 def test_dpo_train_single_pair_converges():
     rng = np.random.default_rng(5)
     reference = init_parameters(TINY_CONFIG).copy()
-    policy = reference.copy()
     ref_blob = save_checkpoint(reference)
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=1)
     config = DPOConfig(beta=0.5, learning_rate=0.05, steps=300)
-    trained, history = dpo_train(policy, reference, pairs, config)
+    trained, history = dpo_train(reference, pairs, config)
     assert len(history) == 300
     final = dpo_loss(trained, reference, pairs, beta=config.beta)
     assert final < LN2
     assert history[-1].accuracy == 1.0
-    # reference untouched, byte-for-byte
+    # the starting policy, the reference, untouched byte for byte
     assert save_checkpoint(reference) == ref_blob
 
 
 def test_dpo_first_step_increases_margin():
     rng = np.random.default_rng(6)
     reference = init_parameters(TINY_CONFIG).copy()
-    policy = reference.copy()
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=1)
     config = DPOConfig(beta=0.5, learning_rate=1e-3, steps=1)
-    trained, history = dpo_train(policy, reference, pairs, config)
+    trained, history = dpo_train(reference, pairs, config)
     assert history[0].loss == pytest.approx(LN2, abs=1e-9)
     refs = reference_logprobs(pairs, reference)
     _, margins = dpo_loss_t(pairs, trained.as_tensors(), trained.config, refs, config.beta)
@@ -282,8 +287,7 @@ def test_dpo_first_step_increases_margin():
 
 def test_dpo_train_empty_dataset_is_noop():
     policy = init_parameters(TINY_CONFIG)
-    reference = policy.copy()
-    trained, history = dpo_train(policy, reference, [], DPOConfig(steps=10))
+    trained, history = dpo_train(policy, [], DPOConfig(steps=10))
     assert history == []
     assert save_checkpoint(trained) == save_checkpoint(policy)
 
@@ -295,7 +299,7 @@ def test_dpo_train_rejects_an_incomplete_sequence():
     policy = init_parameters(TINY_CONFIG)
     (clouds, (chosen, rejected)), = make_pairs(rng, TINY_CONFIG, n_pairs=1)
     with pytest.raises(ModelError, match="must start with BOS and end with EOS"):
-        dpo_train(policy, policy.copy(), [(clouds, (chosen, rejected[:-1]))], DPOConfig(steps=1))
+        dpo_train(policy, [(clouds, (chosen, rejected[:-1]))], DPOConfig(steps=1))
 
 
 def test_pair_records_round_trip():
@@ -393,7 +397,7 @@ def test_reference_logprobs_match_per_pair_loop(config):
     pairs = two_condition_pairs(rng, config)
     batch = _group_conditions(pairs, config)
     assert [len(seqs) for _, seqs in batch.groups] == [3, 3]
-    got = _reference_logprobs(batch, params)
+    got = reference_logprobs(pairs, params)
     expected = per_pair_logprobs_t(pairs, params.as_tensors(), config)
     for (pos, neg), (lp_pos, lp_neg) in zip(got, expected):
         assert pos == pytest.approx(float(lp_pos.value), rel=1e-12, abs=0)
@@ -457,9 +461,11 @@ def count_passes(monkeypatch):
     return calls
 
 
-def composed_separate_pass_losses(policy, reference, pairs, config):
-    """Per-step losses of DPO with one reference pass before step 0 (whatever
-    the reference) on the composed ops of ``loop_reference``."""
+def composed_separate_pass_losses(policy, pairs, config):
+    """Per-step losses of DPO on the composed ops of ``loop_reference``, with
+    the reference log-probabilities read by a separate array pass over the
+    starting policy before step 0 (``reference_logprobs``), not off step 0's
+    own pass as ``dpo_train`` reads them."""
     from seamkit.model import _sgd_step
 
     losses = []
@@ -467,11 +473,11 @@ def composed_separate_pass_losses(policy, reference, pairs, config):
         for name, fn in ref.COMPOSED_OPS.items():
             mp.setattr(ad, name, fn)
         batch = _group_conditions(pairs, policy.config)
-        refs = _reference_logprobs(batch, reference)
+        refs = reference_logprobs(pairs, policy)
         for _ in range(config.steps):
             p = policy.as_tensors()
             lps = _group_logprobs_t(batch, p, policy.config)
-            loss, _, _ = _objective(_pair_logprobs(batch, lps), refs, config.beta)
+            loss, _, _ = _objective(pair_logprobs(batch, lps), refs, config.beta)
             losses.append(float(loss.value))
             ad.backward(loss)
             policy = _sgd_step(policy, p, config.learning_rate)
@@ -483,37 +489,20 @@ def test_dpo_pass_encodes_and_decodes_once_per_condition(monkeypatch):
     rng = np.random.default_rng(9)
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
-    dpo_train(policy, policy, pairs, DPOConfig(learning_rate=1e-3, steps=2))
-    # two steps, each over two conditions; the reference is the policy
-    # object, so step 0's pass gives its log-probabilities; each condition's
+    dpo_train(policy, pairs, DPOConfig(learning_rate=1e-3, steps=2))
+    # two steps, each over two conditions; the reference is the starting
+    # policy, so step 0's pass gives its log-probabilities; each condition's
     # two branches pick their FPS anchors once per dpo_train
     assert calls == {"encode": 4, "decode": 4, "fps": 4}
 
 
-def test_reference_off_the_policy_runs_its_own_pass(monkeypatch):
-    rng = np.random.default_rng(12)
-    policy = init_parameters(TINY_CONFIG)
-    reference = policy.copy()
-    reference.arrays["head.b"] = reference.arrays["head.b"].copy()
-    reference.arrays["head.b"][5] += 1e-3
-    pairs = two_condition_pairs(rng, TINY_CONFIG)
-    config = DPOConfig(beta=0.5, learning_rate=0.05, steps=2)
-    expected = composed_separate_pass_losses(policy, reference, pairs, config)
-    calls = count_passes(monkeypatch)
-    _, history = dpo_train(policy, reference, pairs, config)
-    # the reference pass plus two steps, each over two conditions
-    assert calls == {"encode": 6, "decode": 6, "fps": 4}
-    assert history[0].loss != LN2
-    np.testing.assert_allclose([h.loss for h in history], expected, rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("separate_reference", [False, True], ids=["policy reference", "own reference"])
-def test_conditions_are_prepared_at_their_first_pass(monkeypatch, separate_reference):
+# one case: the reference is the starting policy, as the id says
+@pytest.mark.parametrize("reference", ["policy"], ids=["policy reference"])
+def test_conditions_are_prepared_at_their_first_pass(monkeypatch, reference):
     from seamkit import model
 
     rng = np.random.default_rng(14)
     policy = init_parameters(TINY_CONFIG)
-    reference = policy.copy() if separate_reference else policy
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     prepared = []
     original = model._prepare_condition
@@ -523,11 +512,11 @@ def test_conditions_are_prepared_at_their_first_pass(monkeypatch, separate_refer
         return original(clouds, config)
 
     monkeypatch.setattr(model, "_prepare_condition", counted)
-    # a zero-step run scores nothing, under either reference
-    dpo_train(policy, reference, pairs, DPOConfig(steps=0))
+    # a zero-step run scores nothing
+    dpo_train(policy, pairs, DPOConfig(steps=0))
     assert prepared == []
-    dpo_train(policy, reference, pairs, DPOConfig(learning_rate=1e-3, steps=2))
-    # two conditions, each prepared once over the reference pass and both steps
+    dpo_train(policy, pairs, DPOConfig(learning_rate=1e-3, steps=2))
+    # two conditions, each prepared once over both steps
     assert len(prepared) == 2
 
 
@@ -536,7 +525,7 @@ def test_dpo_train_matches_composed_ops():
     policy = init_parameters(TINY_CONFIG)
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     config = DPOConfig(beta=0.5, learning_rate=0.05, steps=20)
-    _, history = dpo_train(policy, policy.copy(), pairs, config)
+    _, history = dpo_train(policy, pairs, config)
     losses = [h.loss for h in history]
     # step 0: every margin is exactly 0, so the loss is the mean of ln 2 terms
     first = history[0]
@@ -544,7 +533,7 @@ def test_dpo_train_matches_composed_ops():
     zero = ad.Tensor(0.0)
     at_zero = float(_objective([(zero, zero)] * len(pairs), [(0.0, 0.0)] * len(pairs), config.beta)[0].value)
     assert losses[0] == at_zero == pytest.approx(LN2, rel=1e-15)
-    expected = composed_separate_pass_losses(policy, policy.copy(), pairs, config)
+    expected = composed_separate_pass_losses(policy, pairs, config)
     assert expected[0] == at_zero
     np.testing.assert_allclose(losses, expected, rtol=1e-10, atol=0)
     assert losses[-1] < 0.5 * LN2
@@ -558,7 +547,7 @@ def test_every_parameter_trains():
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=2)
     nll_batch = [(clouds, chosen) for clouds, (chosen, _) in pairs]
     stepped, _ = nll_train_step(nll_batch, params, lr=0.1)
-    trained, _ = dpo_train(params, params, pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1))
+    trained, _ = dpo_train(params, pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1))
     for after in (stepped, trained):
         assert list(after.arrays) == list(params.arrays)
         for name, start in params.arrays.items():
@@ -570,7 +559,7 @@ def test_dpo_step_log_diagnostics():
     reference = init_parameters(TINY_CONFIG).copy()
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     config = DPOConfig(beta=0.5, learning_rate=0.05, steps=3)
-    trained, history = dpo_train(reference.copy(), reference, pairs, config)
+    trained, history = dpo_train(reference, pairs, config)
     first = history[0]
     assert first.loss == pytest.approx(LN2, abs=1e-12) and first.accuracy == 0.0
     assert (first.reward_chosen, first.reward_rejected) == (0.0, 0.0)
@@ -658,9 +647,9 @@ def test_dpo_train_aborts_when_the_loss_stays_high(monkeypatch):
     pairs = two_condition_pairs(rng, TINY_CONFIG)
     config = DPOConfig(beta=0.5, learning_rate=1e-3, steps=5)
     with pytest.raises(TrainingError, match=r"DPO diverged: .* above 0.5 \* ln2 for 2 steps"):
-        dpo_train(policy, policy.copy(), pairs, config)
+        dpo_train(policy, pairs, config)
     # one step is within the patience
-    _, history = dpo_train(policy, policy.copy(), pairs, DPOConfig(beta=0.5, learning_rate=1e-3, steps=1))
+    _, history = dpo_train(policy, pairs, DPOConfig(beta=0.5, learning_rate=1e-3, steps=1))
     assert [h.loss for h in history] == [pytest.approx(LN2, rel=1e-15)]
 
 
@@ -685,26 +674,26 @@ def test_accumulated_dpo_gradients_match_one_graph(config, monkeypatch):
 
     rng = np.random.default_rng(14)
     reference = init_parameters(config)
-    policy = reference.copy()
-    for name in policy.arrays:
-        policy.arrays[name] = policy.arrays[name] + 0.01 * rng.normal(size=policy.arrays[name].shape)
     pairs = three_condition_pairs(rng, config)
     beta = 0.5
 
+    # step 1, where the margins are no longer 0: the policy after one step
+    # against the starting policy, as one graph over every condition group
+    policy, _ = dpo_train(reference, pairs, DPOConfig(beta=beta, learning_rate=0.1, steps=1))
     batch = _group_conditions(pairs, config)
     assert len(batch.groups) == 3
     q = policy.as_tensors()
-    lps = _pair_logprobs(batch, _group_logprobs_t(batch, q, config))
-    loss, _, margins = _objective(lps, _reference_logprobs(batch, reference), beta)
+    lps = pair_logprobs(batch, _group_logprobs_t(batch, q, config))
+    loss, _, margins = _objective(lps, reference_logprobs(pairs, reference), beta)
     ad.backward(loss)
 
     seen = stepped_gradients(monkeypatch, dpo)
-    _, history = dpo_train(policy, reference, pairs, DPOConfig(beta=beta, learning_rate=0.1, steps=1))
-    (grads,) = seen
+    _, history = dpo_train(reference, pairs, DPOConfig(beta=beta, learning_rate=0.1, steps=2))
+    _, grads = seen
     # the logged loss sums the per-pair terms in pair order, as the one graph does
-    assert history[0].loss == float(loss.value)
-    assert history[0].accuracy == np.mean([m > 0 for m in margins]) > 0
-    assert history[0].margin_min == pytest.approx(beta * min(margins), rel=1e-9)
+    assert history[1].loss == float(loss.value)
+    assert history[1].accuracy == np.mean([m > 0 for m in margins]) > 0
+    assert history[1].margin_min == pytest.approx(beta * min(margins), rel=1e-9)
     for name in policy.arrays:
         g, g_ref = grads[name], q[name].grad
         assert (g is None) == (g_ref is None), name
@@ -727,7 +716,7 @@ def test_dpo_step_peak_memory_is_set_by_one_condition_group():
 
     def peak(n_conditions):
         pairs = distinct_condition_pairs(n_conditions)
-        return traced_peak(lambda: dpo_train(policy, policy, pairs, config))
+        return traced_peak(lambda: dpo_train(policy, pairs, config))
 
     one, eight = peak(1), peak(8)
     # one graph over all eight conditions would peak near 7x the one-condition step
@@ -739,20 +728,10 @@ def test_dpo_train_frees_a_starting_store_its_caller_does_not_hold(monkeypatch):
     track, alive = stores_alive_per_pass(monkeypatch)
     pairs = distinct_condition_pairs(2)
     config = DPOConfig(beta=0.5, learning_rate=0.1, steps=3)
-    stores = [track(init_parameters(TINY_CONFIG))] * 2
-    dpo_train(stores.pop(), stores.pop(), pairs, config)
-    # step 0 reads the one store as policy and reference; no later step holds it
+    stores = [track(init_parameters(TINY_CONFIG))]
+    dpo_train(stores.pop(), pairs, config)
+    # step 0 reads the store as policy and reference; no later step holds it
     assert alive == [[True], [False], [False]]
-
-    monkeypatch.undo()
-    track, alive = stores_alive_per_pass(monkeypatch)
-
-    def fresh():
-        return track(init_parameters(TINY_CONFIG))
-
-    dpo_train(fresh(), fresh(), pairs, config)
-    # a separate reference is released once its log-probabilities are read
-    assert alive == [[True, False], [False, False], [False, False]]
 
 
 def test_dpo_train_reads_the_policy_as_its_own_reference():
@@ -761,10 +740,9 @@ def test_dpo_train_reads_the_policy_as_its_own_reference():
     before = policy.copy()
     pairs = three_condition_pairs(rng, DESK_CONFIG)
     config = DPOConfig(beta=0.5, learning_rate=0.1, steps=2)
-    trained, history = dpo_train(policy, policy, pairs, config)
-    # both stores are read-only, so the CLI passes the policy uncopied
-    assert save_checkpoint(policy) == save_checkpoint(before)
-    trained_copy, history_copy = dpo_train(policy, policy.copy(), pairs, config)
-    # the log lines the CLI writes
-    assert [json.dumps(asdict(h)) for h in history] == [json.dumps(asdict(h)) for h in history_copy]
-    assert save_checkpoint(trained) == save_checkpoint(trained_copy) != save_checkpoint(before)
+    trained, history = dpo_train(policy, pairs, config)
+    # the starting policy is read-only, so the CLI passes it uncopied
+    assert save_checkpoint(policy) == save_checkpoint(before) != save_checkpoint(trained)
+    # step 0 reads its own log-probabilities as the reference: every margin is 0
+    assert (history[0].margin_mean, history[0].margin_min) == (0.0, 0.0)
+    assert history[0].loss == pytest.approx(LN2, rel=1e-15)

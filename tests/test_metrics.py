@@ -97,14 +97,14 @@ def test_distortion_undefined_when_all_excluded():
 
 def test_fragmentation_trivial_and_oracle():
     sphere = make_sphere(6, 8)
-    atlas = unwrap_atlas(cut_mesh(sphere, SeamEdgeSet(edges=frozenset())))
+    atlas = unwrap_atlas(cut_mesh(sphere, SeamEdgeSet()))
     assert atlas.island_count == 1
 
     two = IndexedMesh(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float),
         triangles=np.array([[0, 1, 2], [1, 3, 2]]),
     )
-    atlas2 = unwrap_atlas(cut_mesh(two, SeamEdgeSet(edges=frozenset({(1, 2)}))))
+    atlas2 = unwrap_atlas(cut_mesh(two, SeamEdgeSet([(1, 2)])))
     assert atlas2.island_count == 2
 
     rng = np.random.default_rng(0)
@@ -178,7 +178,7 @@ def test_evaluate_is_deterministic_apart_from_runtime():
 
 def test_stage_error_names_stage():
     mesh = make_grid(2, 2)
-    bad = SeamEdgeSet(edges=frozenset({(0, 99)}))
+    bad = SeamEdgeSet([(0, 99)])
     with pytest.raises(StageError) as err:
         evaluate_edges(mesh, bad)
     assert err.value.stage == "cut"

@@ -703,6 +703,12 @@ def _with_header(blob, edit):
         (lambda blob: blob + b"\0\0", "2 trailing bytes"),
         (lambda blob: _with_header(blob, lambda d: d.update(role="policy")), "unknown header keys: role"),
         (lambda blob: blob[:-8] + np.float64(np.nan).tobytes(), "non-finite weights in head.b"),
+        # a header without its seed would otherwise load with seed 0
+        (lambda blob: _with_header(blob, lambda d: d["config"].pop("seed")), "missing config keys: seed"),
+        (
+            lambda blob: _with_header(blob, lambda d: [d["config"].pop(k) for k in ("seed", "n_heads")]),
+            "missing config keys: n_heads, seed",
+        ),
     ],
 )
 def test_corrupt_checkpoint_raises(corrupt, message):

@@ -168,13 +168,13 @@ def test_seam_edge_text_matches_loop_reference(rows):
     for a, b, segment in rows:
         want.setdefault((min(a, b), max(a, b)), []).append(segment)
     arrays = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    traced = SeamEdgeSet.from_pairs(arrays, [segment for _, _, segment in rows])
+    traced = SeamEdgeSet(arrays, [segment for _, _, segment in rows])
     assert traced.provenance == {edge: tuple(sorted(v)) for edge, v in want.items()}
-    for edges in (SeamEdgeSet(edges=pairs), SeamEdgeSet.from_pairs(arrays), traced):
-        assert edges.edges == frozenset(want)
+    for edges in (SeamEdgeSet(pairs), SeamEdgeSet(arrays), traced):
+        assert edges.pairs.tolist() == sorted(map(list, want))
         assert edges.to_text() == ref.seam_edge_text(edges)
         read = SeamEdgeSet.from_text(edges.to_text())
-        assert read == SeamEdgeSet.from_pairs(edges.pairs) and read.provenance == {}
+        assert read == SeamEdgeSet(edges.pairs) and read.provenance == {}
         assert read.pairs.dtype == np.int64 and read.pairs.shape == (len(want), 2)
 
 
@@ -200,8 +200,7 @@ def _uv_atlas(mesh):
 
 
 def _every_kth_edge_atlas(mesh, k):
-    seams = frozenset(map(tuple, mesh.edges[::k].tolist()))
-    return unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(edges=seams)))
+    return unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(mesh.edges[::k])))
 
 
 # atlases built when a test first asks for one

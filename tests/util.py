@@ -55,7 +55,7 @@ def sliver_grid_atlas():
     grid = make_grid(3, 3)
     sliver = [grid_vertex(3, 0, 0), grid_vertex(3, 1, 0), grid_vertex(3, 2, 0)]
     mesh = IndexedMesh(vertices=grid.vertices, triangles=np.vstack([grid.triangles, [sliver]]))
-    atlas = unwrap_atlas(cut_mesh(mesh, SeamEdgeSet(edges=frozenset())))
+    atlas = unwrap_atlas(cut_mesh(mesh, SeamEdgeSet()))
     assert atlas.excluded.tolist() == [False] * grid.n_triangles + [True]
     return atlas
 
