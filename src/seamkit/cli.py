@@ -91,9 +91,11 @@ CHECKPOINT_KEYS = {
 
 
 class Config(dict):
-    """Config values by key; ``file_keys`` are the keys the config file set."""
+    """Config values by key; ``file_keys`` are the keys the config file set,
+    and ``path`` names that file (None for the defaults)."""
 
     file_keys: frozenset = frozenset()
+    path: str | None = None
 
 
 def parse_config(text: str) -> Config:
@@ -131,6 +133,7 @@ def load_config(path: str | None, seed_override: int | None) -> Config:
         cfg = parse_config(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    cfg.path = path
     if seed_override is not None:
         cfg["seed"] = seed_override
     for key, (_, _, allowed, description) in CONFIG_KEYS.items():
@@ -349,8 +352,10 @@ def _policy_store(cfg: Config) -> model_mod.ParameterStore:
     The cloud sizes must reach the model's ``tokens_per_branch``: the
     config's ``l`` (checked before a fresh model is allocated) or the
     checkpoint's.  A ``CHECKPOINT_KEYS`` key that the config file sets
-    must equal the checkpoint's value.
+    must equal the checkpoint's value.  Either error names the config file
+    when there is one, as ``load_config``'s do.
     """
+    where = "" if cfg.path is None else f"{cfg.path}: "
     path = cfg["init_checkpoint"]
     if path:
         try:
@@ -364,7 +369,7 @@ def _policy_store(cfg: Config) -> model_mod.ParameterStore:
     for key in ("n_topo", "n_geom"):
         if cfg[key] < l:
             raise InputError(
-                f"config key {key} = {cfg[key]} is out of range: allowed >= "
+                f"{where}config key {key} = {cfg[key]} is out of range: allowed >= "
                 f"tokens_per_branch = {l} {source}"
             )
     if not path:
@@ -373,7 +378,7 @@ def _policy_store(cfg: Config) -> model_mod.ParameterStore:
         value = getattr(config, field)
         if key in cfg.file_keys and cfg[key] != value:
             raise InputError(
-                f"config key {key} = {cfg[key]} differs from {field} = {value} {source}"
+                f"{where}config key {key} = {cfg[key]} differs from {field} = {value} {source}"
             )
     return store
 

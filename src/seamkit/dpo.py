@@ -6,12 +6,13 @@ the single-metric ablation modes).  ``PairRecord``, the stored pair, is the
 one place the pair rules are checked.
 
 Training sees no metrics: a pair is the item ``(clouds, (chosen_tokens,
-rejected_tokens))`` of ``model._group_conditions``, scored on the grouped
-path NLL pretraining also uses.  The objective is the standard pairwise
-logistic loss on scaled policy/reference log-ratio margins.  The reference
-is the starting policy (Rafailov et al. 2023): its log-probabilities are
-read off step 0's policy pass, where every margin is 0 and the loss is ln 2
-exactly.
+rejected_tokens))`` of ``model._group_conditions``, and ``dpo_train`` runs
+the training loop NLL pretraining also runs (``model.train``), supplying
+only the per-pair term and the step log.  The objective is the standard
+pairwise logistic loss on scaled policy/reference log-ratio margins.  The
+reference is the starting policy (Rafailov et al. 2023): its
+log-probabilities are read off step 0's pass, where every margin is 0 and
+the loss is ln 2 exactly.
 """
 
 from __future__ import annotations
@@ -19,22 +20,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from seamkit import autodiff as ad
 from seamkit.metrics import SeamMetrics, json_field
-from seamkit.model import (
-    ParameterStore,
-    TrainingError,
-    _backward_per_group,
-    _ConditionBatch,
-    _group_conditions,
-    _sgd_step,
-)
+from seamkit.model import ParameterStore, TrainingError, _group_conditions, train
 
 logger = logging.getLogger(__name__)
 
@@ -123,38 +115,6 @@ def _pair_term(k: int, logprobs, ref_logprobs, beta: float) -> tuple:
     return term, *(float(ad._value(x)) for x in (chosen, rejected, margin))
 
 
-def _policy_pass(batch: _ConditionBatch, policy: ParameterStore, refs, beta: float) -> tuple:
-    """One forward and backward pass of the objective, the mean over pairs of
-    ``_pair_term``, one condition group at a time
-    (``model._backward_per_group``): a group's share is the sum of its
-    pairs' terms over the number of pairs.
-
-    ``refs`` holds each pair's reference (chosen, rejected)
-    log-probabilities, or is None at step 0, whose policy is the reference;
-    the pass then fills them in from its own values, so every margin is
-    exactly 0.  Returns (parameter tensors holding the gradient, refs, per
-    pair (term, chosen log-ratio, rejected log-ratio, margin) floats).
-    """
-    n_pairs = len(batch.index)
-    own_refs = refs is None
-    refs = [None] * n_pairs if own_refs else refs
-    values: list = [None] * n_pairs
-
-    def share(items, logprobs):
-        terms = []
-        for k in items:
-            _, chosen, rejected = batch.index[k]
-            lps = (logprobs[chosen], logprobs[rejected])
-            if own_refs:
-                refs[k] = (lps[0].value, lps[1].value)
-            term, *ratios_and_margin = _pair_term(k, lps, refs[k], beta)
-            terms.append(term)
-            values[k] = (float(term.value), *ratios_and_margin)
-        return ad.scale(reduce(ad.add, terms), 1.0 / n_pairs)
-
-    return _backward_per_group(batch, policy, share), refs, values
-
-
 # ---------------------------------------------------------------------------
 # Training
 
@@ -186,26 +146,22 @@ def dpo_train(
     config: DPOConfig,
 ) -> tuple[ParameterStore, list[DPOStepLog]]:
     """Run config.steps SGD steps on the preference objective, each moving
-    every parameter array (``model._sgd_step``).
+    every parameter array, in the one training loop (``model.train``).
 
     ``dataset`` is a list of ``(clouds, (chosen_tokens, rejected_tokens))``
     items: ``ConditioningClouds`` and two complete int64 token arrays, the
     chosen one preferred (``PairRecord`` checks why).  The items are grouped
     and checked once, up front (``model._group_conditions``); each condition
     is prepared at its first pass, so a run of zero steps prepares none.
-    The reference is the starting policy: its log-probabilities are those
-    of step 0's policy pass.  ``policy`` is read-only and dropped at step
-    0's update, so when the caller keeps no name for it either (as
-    ``seamkit dpo`` does; CPython 3.11 and later move a call's arguments to
-    the callee) the starting store is released after step 0 and later steps
-    hold one parameter store.  Each step runs forward and
-    backward once per condition group and accumulates the gradients before
-    its one update (``_policy_pass``), so peak memory is set by the largest
-    condition group, not by the dataset.  Logs loss, preference accuracy
-    (fraction of pairs with positive margin) and the ``DPOStepLog`` reward
-    diagnostics per step, each computed from per-pair floats in pair order.
-    Aborts when the loss stays above DIVERGENCE_FACTOR * ln 2 for
-    DIVERGENCE_PATIENCE consecutive steps.
+    The objective is the mean over pairs of ``_pair_term``.  The reference
+    is the starting policy: its log-probabilities are those of step 0's
+    pass.  ``policy`` is read-only and goes to ``model.train`` with no name
+    kept here, so when the caller keeps none either (as ``seamkit dpo``
+    does) the starting store is released at step 0's update.  Logs loss,
+    preference accuracy (fraction of pairs with positive margin) and the
+    ``DPOStepLog`` reward diagnostics per step, each computed from per-pair
+    floats in pair order.  Aborts when the loss stays above
+    DIVERGENCE_FACTOR * ln 2 for DIVERGENCE_PATIENCE consecutive steps.
 
     The log and the trained store are reproducible byte for byte only at a
     fixed BLAS thread count: the thread count changes the summation order
@@ -218,41 +174,43 @@ def dpo_train(
         logger.info("empty preference dataset: policy returned unchanged")
         return policy.copy(), []
     batch = _group_conditions(dataset, policy.config)
-    refs = None  # filled in by step 0's pass
+    refs: list = [None] * len(batch.index)  # filled in by step 0's pass
+    ratios: list = [None] * len(batch.index)  # per pair (chosen, rejected, margin)
     history: list[DPOStepLog] = []
-    bad_streak = 0
-    for step in range(config.steps):
-        p, refs, values = _policy_pass(batch, policy, refs, config.beta)
-        value = reduce(operator.add, (term for term, *_ in values)) * (1.0 / len(values))
-        if not np.isfinite(value):
-            raise TrainingError(f"non-finite DPO loss at step {step}")
-        grads = [t.grad for t in p.values()]
-        rewards = config.beta * np.array([[chosen, rejected] for _, chosen, rejected, _ in values])
+
+    def term(k, logprobs):
+        if refs[k] is None:  # step 0: the policy is the reference
+            refs[k] = tuple(lp.value for lp in logprobs)
+        value, *ratios[k] = _pair_term(k, logprobs, refs[k], config.beta)
+        return value
+
+    def on_step(step, loss, grads):
+        rewards = config.beta * np.array([[chosen, rejected] for chosen, rejected, _ in ratios])
         reward_margins = rewards[:, 0] - rewards[:, 1]
         history.append(
             DPOStepLog(
                 step=step,
-                loss=value,
-                accuracy=float(np.mean([margin > 0 for *_, margin in values])),
+                loss=loss,
+                accuracy=float(np.mean([margin > 0 for *_, margin in ratios])),
                 reward_chosen=float(rewards[:, 0].mean()),
                 reward_rejected=float(rewards[:, 1].mean()),
                 margin_mean=float(reward_margins.mean()),
                 margin_min=float(reward_margins.min()),
-                grad_norm=float(np.sqrt(sum(np.sum(g * g) for g in grads if g is not None))),
+                grad_norm=float(np.sqrt(sum(np.sum(g * g) for g in grads.values() if g is not None))),
             )
         )
-        if value > DIVERGENCE_FACTOR * LN2:
-            bad_streak += 1
-            if bad_streak >= DIVERGENCE_PATIENCE:
-                raise TrainingError(
-                    f"DPO diverged: loss {value:.3f} above "
-                    f"{DIVERGENCE_FACTOR} * ln2 for {bad_streak} steps"
-                )
-        else:
-            bad_streak = 0
-        policy = _sgd_step(policy, p, config.learning_rate)
-        del p, grads  # spent: free this step's gradients before the next pass
-    return policy, history
+        recent = history[-DIVERGENCE_PATIENCE:]
+        if len(recent) == DIVERGENCE_PATIENCE and all(h.loss > DIVERGENCE_FACTOR * LN2 for h in recent):
+            raise TrainingError(
+                f"DPO diverged: loss {loss:.3f} above "
+                f"{DIVERGENCE_FACTOR} * ln2 for {DIVERGENCE_PATIENCE} steps"
+            )
+
+    # no name left here: the starting store is freed at step 0's update
+    stores = [policy]
+    del policy
+    weight = 1.0 / len(batch.index)
+    return train(stores.pop(), batch, term, weight, config.steps, config.learning_rate, on_step), history
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,12 @@ decode of it alone up to float rounding, so a batch gives the samples of one
 ``sample`` call per seed.
 
 The forward code is written once over ``autodiff`` ops.  Training runs it on
-``ParameterStore.as_tensors()`` and differentiates the graph one condition
-group at a time (``_backward_per_group``), accumulating the gradients;
+``ParameterStore.as_tensors()`` in one loop, ``train``, for both stages:
+each step differentiates the graph one condition group at a time,
+accumulating the gradients, and updates by plain SGD.  A stage supplies
+only a per-item term and a constant weight (``nll_train``: each sequence's
+log-probability; ``dpo.dpo_train``: each pair's logistic loss).
+``nll`` reads the NLL with no graph;
 inference (``encode_condition``, ``sequence_logprob``, ``sample_batch``)
 runs it on ``params.arrays``, where every op returns a plain ndarray before
 any graph bookkeeping, and a decode appends no row by concatenation.
@@ -743,80 +747,98 @@ def _group_logprobs_t(batch: _ConditionBatch, p, config: ModelConfig) -> list[di
     ]
 
 
-def _backward_per_group(batch: _ConditionBatch, params: ParameterStore, share) -> dict:
-    """Gradient of an objective that is a sum of per-group shares, built and
-    differentiated one condition group at a time; returns
-    ``params.as_tensors()``, whose ``.grad`` hold the gradient.
+def train(
+    params: ParameterStore, batch: _ConditionBatch, term, weight: float, steps: int, lr: float, on_step=None
+) -> ParameterStore:
+    """``steps`` SGD steps on ``weight`` times the sum of ``term`` over
+    ``batch``'s items (at least one); returns the trained store.  The one
+    training loop: ``nll_train`` and ``dpo.dpo_train`` supply only the term
+    and the weight.
 
-    For each group in turn, its condition is encoded and its sequences
-    scored (``_condition_logprobs_t``); ``share(items, logprobs)`` returns
-    the group's Tensor share of the objective, given the positions in
-    ``batch.index`` of the group's items and the group's {key:
-    log-probability}; ``autodiff.backward`` then runs on that share.  Leaf
-    gradients accumulate over the passes, so peak memory is set by the
-    largest condition group, not by the batch.  ``share`` must keep only
-    plain floats or arrays past its call, so that each group's graph is
-    freed before the next one is built.
+    Each step builds and differentiates the objective one condition group
+    at a time: the group's condition is encoded and its sequences scored
+    (``_condition_logprobs_t``), ``term(i, logprobs)`` gives item i's Tensor
+    term from its sequences' log-probabilities (in ``batch.index[i]``'s
+    order), and ``autodiff.backward`` runs on the group's weighted sum.
+    Leaf gradients accumulate, so peak memory is set by the largest
+    condition group, not by the batch, as long as ``term`` keeps only plain
+    floats or arrays past its call.  The loss is the per-item term floats
+    summed in item order, times ``weight``; a non-finite loss raises
+    ``TrainingError``.  ``on_step(step, loss, grads)`` (name -> gradient,
+    None where no path reached) runs before the update and may raise.  The
+    update is ``old - lr * grad``, a copy where there is no gradient.
+    ``params`` is read-only and dropped at step 0's update, and each step's
+    gradients before the next pass, so when the caller keeps no name for
+    ``params`` (CPython 3.11 and later move a call's arguments to the
+    callee) later steps hold one store.
     """
-    p = params.as_tensors()
     members: list[list[int]] = [[] for _ in batch.groups]
     for i, (g, *_) in enumerate(batch.index):
         members[g].append(i)
-    for g, ((_, seqs), items) in enumerate(zip(batch.groups, members)):
-        logprobs = _condition_logprobs_t(batch.condition(g), seqs, p, params.config)
-        ad.backward(share(items, logprobs))
-    return p
+    values = [0.0] * len(batch.index)
+    for step in range(steps):
+        p = params.as_tensors()
+        for g, ((_, seqs), items) in enumerate(zip(batch.groups, members)):
+            logprobs = _condition_logprobs_t(batch.condition(g), seqs, p, params.config)
+            terms = [term(i, [logprobs[k] for k in batch.index[i][1:]]) for i in items]
+            for i, t in zip(items, terms):
+                values[i] = float(t.value)
+            ad.backward(ad.scale(reduce(ad.add, terms), weight))
+        loss = reduce(operator.add, values) * weight
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at step {step}")
+        grads = {name: t.grad for name, t in p.items()}
+        if on_step is not None:
+            on_step(step, loss, grads)
+        params = ParameterStore(
+            arrays={
+                name: old.copy() if grads[name] is None else old - lr * grads[name]
+                for name, old in params.arrays.items()
+            },
+            config=params.config,
+        )
+        del p, grads  # spent: free this step's gradients before the next pass
+    return params
 
 
-def _nll_batch(batch, config: ModelConfig) -> _ConditionBatch:
-    """(clouds, tokens) examples as one-sequence items of ``_group_conditions``;
-    a batch passes through, so a training loop can group its data once."""
-    if isinstance(batch, _ConditionBatch):
-        return batch
-    return _group_conditions([(c, (_token_array(t),)) for c, t in batch], config)
-
-
-def _sgd_step(params: ParameterStore, tensors: dict, lr: float) -> ParameterStore:
-    """A copy of ``params`` with every array that has a gradient in
-    ``tensors`` moved to ``old - lr * grad``; an array that no path reached
-    is copied as it is."""
-    arrays = {}
-    for name, old in params.arrays.items():
-        g = tensors[name].grad
-        arrays[name] = old.copy() if g is None else old - lr * g
-    return ParameterStore(arrays=arrays, config=params.config)
-
-
-def nll_train_step(batch, params: ParameterStore, lr: float) -> tuple[ParameterStore, float]:
-    """One SGD step on mean next-token NLL; returns (updated params, loss).
-
-    ``batch`` is a list of (clouds, tokens) examples or their ``_nll_batch``.
-    The loss is minus the sum of the examples' log-probabilities over the
-    number of predicted positions, so it splits exactly by condition group:
-    gradients accumulate over one backward pass per group
-    (``_backward_per_group``), and peak memory is set by the largest
-    condition group, not by the batch.  The returned loss is summed from
-    the per-example floats in example order.
-    """
-    batch = _nll_batch(batch, params.config)
+def _nll_objective(examples, config: ModelConfig) -> tuple[_ConditionBatch, float]:
+    """(clouds, tokens) examples as one-sequence items of ``_group_conditions``,
+    and the NLL weight: minus one over the number of predicted positions."""
+    batch = _group_conditions([(c, (_token_array(t),)) for c, t in examples], config)
     if not batch.index:
         raise TrainingError("empty batch")
     n_predicted = sum(len(batch.groups[g][1][k]) - 1 for g, k in batch.index)
-    item_logprobs = [0.0] * len(batch.index)
+    return batch, -1.0 / n_predicted
 
-    def share(items, logprobs):
-        lps = [logprobs[batch.index[i][1]] for i in items]
-        for i, lp in zip(items, lps):
-            item_logprobs[i] = float(lp.value)
-        return ad.scale(reduce(ad.add, lps), -1.0 / n_predicted)
 
-    p = _backward_per_group(batch, params, share)
-    value = reduce(operator.add, item_logprobs) * (-1.0 / n_predicted)
-    if not np.isfinite(value):
-        raise TrainingError(f"non-finite NLL loss {value!r}")
-    if lr == 0.0:
-        return params.copy(), value
-    return _sgd_step(params, p, lr), value
+def nll(params: ParameterStore, examples) -> float:
+    """Mean next-token NLL of the (clouds, tokens) examples: minus the sum of
+    their log-probabilities, in example order, over the number of predicted
+    positions.  Scored on ``params.arrays`` (``_group_logprobs_t``), so it
+    builds no graph and equals ``nll_train``'s loss at the same store bit
+    for bit."""
+    batch, weight = _nll_objective(examples, params.config)
+    lps = _group_logprobs_t(batch, params.arrays, params.config)
+    return reduce(operator.add, (float(lps[g][k]) for g, k in batch.index)) * weight
+
+
+def nll_train(
+    params: ParameterStore, examples, steps: int, lr: float, on_step=None
+) -> tuple[ParameterStore, list]:
+    """``steps`` SGD steps (``train``) on the mean next-token NLL of the
+    (clouds, tokens) examples (``nll``), grouped once, so each condition is
+    prepared once per call: each item's term is its sequence
+    log-probability.  Returns (trained store, each step's loss before its
+    update)."""
+    batch, weight = _nll_objective(examples, params.config)
+    losses: list = []
+
+    def record(step, loss, grads):
+        losses.append(loss)
+        if on_step is not None:
+            on_step(step, loss, grads)
+
+    return train(params, batch, lambda i, lps: lps[0], weight, steps, lr, record), losses
 
 
 # ---------------------------------------------------------------------------

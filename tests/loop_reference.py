@@ -24,10 +24,16 @@ factored encoder's values, and the gradients of every encoder parameter and
 of the condition positions, to match it to 1e-12 of their largest entry.
 
 ``dpo_objective`` and ``batch_nll_t`` are the training objectives as one
-graph over every condition group, which ``dpo_train`` and ``nll_train_step``
-replaced by one backward pass per group with accumulated gradients.
-``test_dpo.py`` and ``test_model.py`` require the accumulated gradients to
-match this graph's to 1e-10 of their largest entry.
+graph over every condition group, which ``model.train`` replaced by one
+backward pass per group with accumulated gradients.  ``test_dpo.py`` and
+``test_model.py`` require the accumulated gradients to match this graph's to
+1e-10 of their largest entry.
+
+``nll_step`` and ``dpo_train`` are the two training steps that
+``model.train`` made one loop: a loop-less NLL step and DPO's own step loop,
+each over ``backward_per_group`` and the SGD update ``sgd_update``.
+``test_equivalence.py`` requires ``model.nll_train`` and ``dpo.dpo_train``
+to give the same arrays, loss floats and step logs, bit for bit.
 
 ``fps_anchors`` is the farthest-point selection that recomputed every
 distance with ``np.linalg.norm`` over (N, 3) rows and a new minimum array
@@ -60,6 +66,7 @@ tests build their arbitrary graphs with it.
 
 import heapq
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -94,14 +101,25 @@ from seamkit.unwrap import (
     UVAtlas,
     _local_frames,
 )
-from seamkit.dpo import DPOError
+from seamkit.dpo import (
+    DIVERGENCE_FACTOR,
+    DIVERGENCE_PATIENCE,
+    LN2,
+    DPOError,
+    DPOStepLog,
+    _pair_term,
+)
 from seamkit.model import (
+    ParameterStore,
+    TrainingError,
     _attention,
+    _condition_logprobs_t,
     _ff,
+    _group_conditions,
     _group_logprobs_t,
     _layer_norm,
-    _nll_batch,
     _project_kv,
+    _token_array,
 )
 from seamkit.projection import ProjectionError, UnreachableError
 from seamkit.shapes import _CUBE_FACES
@@ -785,15 +803,133 @@ def dpo_objective(logprobs, ref_logprobs, beta: float):
     return ad.scale(reduce(ad.add, terms), 1.0 / len(terms)), ratios, margins
 
 
-def batch_nll_t(batch, p, config):
+def nll_items(examples, config):
+    """(clouds, tokens) examples as one-sequence items of ``_group_conditions``."""
+    return _group_conditions([(c, (_token_array(t),)) for c, t in examples], config)
+
+
+def batch_nll_t(examples, p, config):
     """Mean next-token NLL over all predicted positions of the (clouds,
-    tokens) examples or their ``_nll_batch``, as one expression over every
-    condition group."""
-    grouped = _nll_batch(batch, config)
+    tokens) examples, as one expression over every condition group."""
+    grouped = nll_items(examples, config)
     lps = _group_logprobs_t(grouped, p, config)
     total = reduce(ad.add, (lps[g][k] for g, k in grouped.index))
     n_predicted = sum(len(grouped.groups[g][1][k]) - 1 for g, k in grouped.index)
     return ad.scale(total, -1.0 / n_predicted)
+
+
+# ---------------------------------------------------------------------------
+# The two training steps that model.train replaced
+
+
+def backward_per_group(batch, params, share):
+    """Gradient of a sum of per-group shares, one condition group at a time;
+    returns ``params.as_tensors()``, whose ``.grad`` hold the gradient.
+    ``share(items, logprobs)`` is the group's Tensor share."""
+    p = params.as_tensors()
+    members = [[] for _ in batch.groups]
+    for i, (g, *_) in enumerate(batch.index):
+        members[g].append(i)
+    for g, ((_, seqs), items) in enumerate(zip(batch.groups, members)):
+        logprobs = _condition_logprobs_t(batch.condition(g), seqs, p, params.config)
+        ad.backward(share(items, logprobs))
+    return p
+
+
+def sgd_update(params, tensors, lr):
+    """A copy of ``params`` with every array that has a gradient in
+    ``tensors`` moved to ``old - lr * grad``; the others copied."""
+    arrays = {}
+    for name, old in params.arrays.items():
+        g = tensors[name].grad
+        arrays[name] = old.copy() if g is None else old - lr * g
+    return ParameterStore(arrays=arrays, config=params.config)
+
+
+def nll_step(batch, params, lr):
+    """One SGD step on mean next-token NLL; returns (updated params, loss).
+    ``batch`` is the ``nll_items`` of (clouds, tokens) examples."""
+    if not batch.index:
+        raise TrainingError("empty batch")
+    n_predicted = sum(len(batch.groups[g][1][k]) - 1 for g, k in batch.index)
+    item_logprobs = [0.0] * len(batch.index)
+
+    def share(items, logprobs):
+        lps = [logprobs[batch.index[i][1]] for i in items]
+        for i, lp in zip(items, lps):
+            item_logprobs[i] = float(lp.value)
+        return ad.scale(reduce(ad.add, lps), -1.0 / n_predicted)
+
+    p = backward_per_group(batch, params, share)
+    value = reduce(operator.add, item_logprobs) * (-1.0 / n_predicted)
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite NLL loss {value!r}")
+    return sgd_update(params, p, lr), value
+
+
+def dpo_pass(batch, policy, refs, beta):
+    """One DPO forward and backward pass, the mean over pairs of
+    ``_pair_term``; ``refs`` None at step 0, whose own values fill it in.
+    Returns (parameter tensors, refs, per pair (term, chosen log-ratio,
+    rejected log-ratio, margin) floats)."""
+    n_pairs = len(batch.index)
+    own_refs = refs is None
+    refs = [None] * n_pairs if own_refs else refs
+    values = [None] * n_pairs
+
+    def share(items, logprobs):
+        terms = []
+        for k in items:
+            _, chosen, rejected = batch.index[k]
+            lps = (logprobs[chosen], logprobs[rejected])
+            if own_refs:
+                refs[k] = (lps[0].value, lps[1].value)
+            term, *ratios_and_margin = _pair_term(k, lps, refs[k], beta)
+            terms.append(term)
+            values[k] = (float(term.value), *ratios_and_margin)
+        return ad.scale(reduce(ad.add, terms), 1.0 / n_pairs)
+
+    return backward_per_group(batch, policy, share), refs, values
+
+
+def dpo_train(policy, dataset, config):
+    """DPO's own step loop: ``dpo_pass``, the finite check, the step log,
+    the divergence streak and ``sgd_update``."""
+    if not dataset:
+        return policy.copy(), []
+    batch = _group_conditions(dataset, policy.config)
+    refs = None
+    history = []
+    bad_streak = 0
+    for step in range(config.steps):
+        p, refs, values = dpo_pass(batch, policy, refs, config.beta)
+        value = reduce(operator.add, (term for term, *_ in values)) * (1.0 / len(values))
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite DPO loss at step {step}")
+        grads = [t.grad for t in p.values()]
+        rewards = config.beta * np.array([[chosen, rejected] for _, chosen, rejected, _ in values])
+        reward_margins = rewards[:, 0] - rewards[:, 1]
+        history.append(
+            DPOStepLog(
+                step=step,
+                loss=value,
+                accuracy=float(np.mean([margin > 0 for *_, margin in values])),
+                reward_chosen=float(rewards[:, 0].mean()),
+                reward_rejected=float(rewards[:, 1].mean()),
+                margin_mean=float(reward_margins.mean()),
+                margin_min=float(reward_margins.min()),
+                grad_norm=float(np.sqrt(sum(np.sum(g * g) for g in grads if g is not None))),
+            )
+        )
+        if value > DIVERGENCE_FACTOR * LN2:
+            bad_streak += 1
+            if bad_streak >= DIVERGENCE_PATIENCE:
+                raise TrainingError(f"DPO diverged: loss {value:.3f}")
+        else:
+            bad_streak = 0
+        policy = sgd_update(policy, p, config.learning_rate)
+        del p, grads
+    return policy, history
 
 
 # ---------------------------------------------------------------------------

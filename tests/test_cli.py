@@ -1099,7 +1099,7 @@ def test_checkpoint_tokens_per_branch_above_cloud_size_exit_2(cube_obj, tmp_path
     out_dir = tmp_path / "cands"
     assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "config key n_topo = 16" in err and "tokens_per_branch = 32" in err
+    assert f"error: {cfg}: config key n_topo = 16" in err and "tokens_per_branch = 32" in err
     assert not out_dir.exists()
 
 
@@ -1140,7 +1140,21 @@ def test_config_key_differing_from_checkpoint_exit_2(cube_obj, tmp_path, capsys,
     assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     (key, value), = override.items()
-    assert f"config key {key} = {value} differs from {field} of checkpoint {ckpt}" in err
+    assert f"error: {cfg}: config key {key} = {value} differs from {field} of checkpoint {ckpt}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["n_topo", "n_geom"])
+def test_cloud_size_below_l_names_the_config_file_exit_2(cube_obj, tmp_path, capsys, key):
+    cfg = tmp_path / "found.cfg"
+    cfg.write_text(desk_config_text(l=32, **{key: 16}))
+    out_dir = tmp_path / "cands"
+    assert main(["sample", str(cube_obj), str(out_dir), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"error: {cfg}: config key {key} = 16 is out of range: allowed >= tokens_per_branch = 32 "
+        "(config key l)"
+    ) in err
     assert not out_dir.exists()
 
 

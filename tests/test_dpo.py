@@ -465,9 +465,8 @@ def composed_separate_pass_losses(policy, pairs, config):
     """Per-step losses of DPO on the composed ops of ``loop_reference``, with
     the reference log-probabilities read by a separate array pass over the
     starting policy before step 0 (``reference_logprobs``), not off step 0's
-    own pass as ``dpo_train`` reads them."""
-    from seamkit.model import _sgd_step
-
+    own pass as ``dpo_train`` reads them, and the SGD update of the step
+    loop ``dpo_train`` replaced (``loop_reference.sgd_update``)."""
     losses = []
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in ref.COMPOSED_OPS.items():
@@ -480,7 +479,7 @@ def composed_separate_pass_losses(policy, pairs, config):
             loss, _, _ = _objective(pair_logprobs(batch, lps), refs, config.beta)
             losses.append(float(loss.value))
             ad.backward(loss)
-            policy = _sgd_step(policy, p, config.learning_rate)
+            policy = ref.sgd_update(policy, p, config.learning_rate)
     return losses
 
 
@@ -540,13 +539,13 @@ def test_dpo_train_matches_composed_ops():
 
 
 def test_every_parameter_trains():
-    from seamkit.model import nll_train_step
+    from seamkit.model import nll_train
 
     rng = np.random.default_rng(11)
     params = init_parameters(TINY_CONFIG)
     pairs = make_pairs(rng, TINY_CONFIG, n_pairs=2)
     nll_batch = [(clouds, chosen) for clouds, (chosen, _) in pairs]
-    stepped, _ = nll_train_step(nll_batch, params, lr=0.1)
+    stepped, _ = nll_train(params, nll_batch, steps=1, lr=0.1)
     trained, _ = dpo_train(params, pairs, DPOConfig(beta=0.5, learning_rate=0.1, steps=1))
     for after in (stepped, trained):
         assert list(after.arrays) == list(params.arrays)

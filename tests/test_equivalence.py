@@ -1,12 +1,14 @@
-"""The array-native geometry core, and the factored point encoder, against
-the references in loop_reference.py.
+"""The array-native geometry core, the factored point encoder and the one
+training loop against the references in loop_reference.py.
 
 Discrete outputs (projected seam edges and their provenance, seam edge sets,
 islands, cut triangles and vertices, pins, non-disk flags) must match
 exactly.  UVs come from a different factorization order of the same normal
 equations, so they match to UV_ATOL.  The encoder's values and gradients
 come from a different order of the same arithmetic, so they match to
-ENCODER_RTOL of their largest entry.
+ENCODER_RTOL of their largest entry.  The training loop runs the same
+arithmetic in the same order, so its arrays, losses and step logs match bit
+for bit.
 """
 
 import logging
@@ -25,11 +27,14 @@ from seamkit.mesh import (
 )
 from seamkit import autodiff as ad
 from seamkit import projection
+from seamkit.dpo import DPOConfig, dpo_train
 from seamkit.model import (
     _encode_condition_t,
     _prepare_condition,
     _sequence_logprobs_t,
     init_parameters,
+    nll,
+    nll_train,
 )
 from seamkit.projection import UnreachableError, nearest_vertex, project_seams, shortest_path
 from seamkit.shapes import (
@@ -55,7 +60,7 @@ from seamkit.unwrap import (
 
 from tests import loop_reference as ref
 from tests.corpus import corpus_meshes, quad_cutout_loops
-from tests.util import TINY_CONFIG
+from tests.util import DESK_CONFIG, TINY_CONFIG
 
 UV_ATOL = 1e-9
 ENCODER_RTOL = 1e-12
@@ -496,3 +501,51 @@ def test_factored_encoder_matches_composed_reference(case):
     scale = max(_max_abs(g) for g in want.values())
     for name, g in want.items():
         assert _max_abs(got[name] - g) <= ENCODER_RTOL * scale, name
+
+
+def training_items(config):
+    """DPO pairs over three conditions, with one pair repeated and one
+    sequence under two conditions, and their chosen sides as NLL examples."""
+    rng = np.random.default_rng(31)
+    k = 2 * config.tokens_per_branch
+    a, b, c = (
+        ConditioningClouds(
+            topo_points=rng.normal(size=(k, 3)) * 0.2, geom_points=rng.normal(size=(k, 3)) * 0.2, seed=0
+        )
+        for _ in range(3)
+    )
+
+    def seq(n_segments):
+        return np.concatenate(([BOS], rng.integers(0, 1024, size=6 * n_segments), [EOS])).astype(np.int64)
+
+    shared = seq(2)
+    repeated = (a, (seq(1), shared))
+    pairs = [repeated, (b, (seq(3), shared)), (c, (seq(2), seq(4))), repeated]
+    return pairs, [(clouds, chosen) for clouds, (chosen, _) in pairs]
+
+
+def _assert_same_arrays(got, want):
+    assert list(got.arrays) == list(want.arrays)
+    for name, value in want.arrays.items():
+        np.testing.assert_array_equal(got.arrays[name], value, err_msg=name)
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
+def test_one_training_loop_matches_the_two_steps_it_replaced(config):
+    pairs, examples = training_items(config)
+    dpo_config = DPOConfig(beta=0.5, learning_rate=0.1, steps=3)
+    trained, history = dpo_train(init_parameters(config), pairs, dpo_config)
+    want, want_history = ref.dpo_train(init_parameters(config), pairs, dpo_config)
+    assert len(history) == 3 and history == want_history
+    _assert_same_arrays(trained, want)
+
+    stepped, losses = nll_train(init_parameters(config), examples, steps=3, lr=0.1)
+    want, want_losses = init_parameters(config), []
+    batch = ref.nll_items(examples, config)
+    for _ in range(3):
+        want, loss = ref.nll_step(batch, want, lr=0.1)
+        want_losses.append(loss)
+    assert losses == want_losses
+    _assert_same_arrays(stepped, want)
+    # read with no graph, the NLL is the loop's step-0 loss bit for bit
+    assert nll(init_parameters(config), examples) == losses[0]

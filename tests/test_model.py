@@ -23,7 +23,8 @@ from seamkit.model import (
     encode_condition,
     init_parameters,
     load_checkpoint,
-    nll_train_step,
+    nll,
+    nll_train,
     sample,
     sample_batch,
     save_checkpoint,
@@ -445,17 +446,21 @@ def test_sample_top_p_restricts_support():
     assert seen <= {0, 1}
 
 
-def test_nll_train_step_zero_lr_and_descent():
+def test_nll_reads_the_step_0_loss_and_a_step_descends():
     mesh = make_cube(n=1, with_uv=True)
     clouds, tokens = training_example(mesh, DESK_CONFIG, seed=0)
     params = init_parameters(DESK_CONFIG)
+    before = save_checkpoint(params)
     batch = [(clouds, tokens)]
-    same, loss0 = nll_train_step(batch, params, lr=0.0)
-    for name in params.arrays:
-        np.testing.assert_array_equal(same.arrays[name], params.arrays[name])
-    stepped, _ = nll_train_step(batch, params, lr=0.1)
-    _, loss1 = nll_train_step(batch, stepped, lr=0.0)
-    assert loss1 < loss0
+    loss0 = nll(params, batch)
+    stepped, losses = nll_train(params, batch, steps=1, lr=0.1)
+    # read with no graph, the loss is the training loop's step-0 loss bit for bit
+    assert losses == [loss0]
+    # the starting store is read-only
+    assert save_checkpoint(params) == before
+    assert nll(stepped, batch) < loss0
+    with pytest.raises(ModelError, match="empty batch"):
+        nll(params, [])
 
 
 def test_nll_gradient_matches_finite_differences():
@@ -561,7 +566,6 @@ def test_grouped_nll_matches_per_example_loop(config, monkeypatch):
 
 def test_nll_steps_over_a_grouped_batch_match_raw_examples(monkeypatch):
     from seamkit import model
-    from seamkit.model import _nll_batch
 
     mesh = make_cube(n=1, with_uv=True)
     clouds, tokens = training_example(mesh, TINY_CONFIG, seed=0)
@@ -576,24 +580,21 @@ def test_nll_steps_over_a_grouped_batch_match_raw_examples(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(model, "fps_anchors", counted)
-
-    def three_steps(batch):
-        params, losses = init_parameters(TINY_CONFIG), []
-        for _ in range(3):
-            params, loss = nll_train_step(batch, params, lr=0.1)
-            losses.append(loss)
-        return params, losses
-
-    from_raw, raw_losses = three_steps(raw)
+    params, losses = init_parameters(TINY_CONFIG), []
+    for _ in range(3):
+        params, (loss,) = nll_train(params, raw, steps=1, lr=0.1)
+        losses.append(loss)
+    # three calls group the examples, and prepare the condition, three times
     assert calls["fps"] == 6
     calls["fps"] = 0
-    from_grouped, grouped_losses = three_steps(_nll_batch(raw, TINY_CONFIG))
+    grouped, grouped_losses = nll_train(init_parameters(TINY_CONFIG), raw, steps=3, lr=0.1)
+    # one call groups them once: two FPS branches of one condition
     assert calls["fps"] == 2
-    assert grouped_losses == raw_losses
-    for name in from_raw.arrays:
-        np.testing.assert_array_equal(from_grouped.arrays[name], from_raw.arrays[name])
+    assert grouped_losses == losses
+    for name in params.arrays:
+        np.testing.assert_array_equal(grouped.arrays[name], params.arrays[name])
     with pytest.raises(model.TrainingError, match="empty batch"):
-        nll_train_step([], from_raw, lr=0.1)
+        nll_train(params, [], steps=1, lr=0.1)
 
 
 @pytest.mark.parametrize("config", [TINY_CONFIG, DESK_CONFIG], ids=["tiny", "desk"])
@@ -611,7 +612,7 @@ def test_accumulated_nll_gradients_match_one_graph(config, monkeypatch):
     ad.backward(expected)
 
     seen = stepped_gradients(monkeypatch, model)
-    _, loss = nll_train_step(batch, params, lr=0.1)
+    _, (loss,) = nll_train(params, batch, steps=1, lr=0.1)
     (grads,) = seen
     # the loss sums the per-example log-probabilities in example order
     assert loss == float(expected.value)
@@ -623,8 +624,6 @@ def test_accumulated_nll_gradients_match_one_graph(config, monkeypatch):
 
 
 def test_nll_step_peak_memory_is_set_by_one_condition_group():
-    from seamkit.model import _nll_batch
-
     params = init_parameters(TINY_CONFIG)
 
     def peak(n_conditions):
@@ -633,8 +632,7 @@ def test_nll_step_peak_memory_is_set_by_one_condition_group():
             (rand_clouds(rng, 16, TINY_CONFIG), complete_sequence(rng, 4))
             for _ in range(n_conditions)
         ]
-        batch = _nll_batch(examples, TINY_CONFIG)
-        return traced_peak(lambda: nll_train_step(batch, params, lr=0.1))
+        return traced_peak(lambda: nll_train(params, examples, steps=1, lr=0.1))
 
     one, eight = peak(1), peak(8)
     # one graph over all eight conditions would peak near 7x the one-condition step
@@ -646,11 +644,8 @@ def test_overfit_single_mesh():
     clouds, tokens = training_example(mesh, DESK_CONFIG, seed=0)
     params = init_parameters(DESK_CONFIG)
     batch = [(clouds, tokens)]
-    _, initial = nll_train_step(batch, params, lr=0.0)
-    losses = []
-    for _ in range(500):
-        params, loss = nll_train_step(batch, params, lr=0.5)
-        losses.append(loss)
+    initial = nll(params, batch)
+    _, losses = nll_train(params, batch, steps=500, lr=0.5)
     assert losses[-1] < 0.2 * initial, f"final {losses[-1]:.4f} vs initial {initial:.4f}"
 
 

@@ -11,6 +11,7 @@ every name they use.
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -60,3 +61,30 @@ def test_traced_name_is_a_seamkit_function(key):
 def test_workload_name_resolves_in_seamkit(name):
     module, _, attr = name.rpartition(".")
     assert hasattr(importlib.import_module(module), attr) or importlib.util.find_spec(name), name
+
+
+def _kwargs_read_by(function):
+    """The string keys ``function`` in perfbench/worker.py reads from its
+    ``kwargs`` argument."""
+    for node in ast.walk(_tree("worker.py")):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                sub.slice.value
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "kwargs"
+                and isinstance(sub.slice, ast.Constant)
+            }
+    raise AssertionError(f"perfbench/worker.py has no {function}")
+
+
+def test_dpo_train_binds_dataset_and_config_by_keyword():
+    # the traced pass reads dpo_train's dataset through _observe_dpo, which
+    # takes it by keyword, and seamkit dpo passes dataset= and config=
+    from seamkit import dpo
+
+    signature = inspect.signature(dpo.dpo_train)
+    assert _kwargs_read_by("_observe_dpo") == {"dataset"}
+    bound = signature.bind("policy", dataset="pairs", config="config")
+    assert bound.arguments == {"policy": "policy", "dataset": "pairs", "config": "config"}

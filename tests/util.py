@@ -90,36 +90,41 @@ HANDS_OVER_ARGUMENTS = pytest.mark.skipif(
 
 def stores_alive_per_pass(monkeypatch):
     """(track, alive): ``track(store)`` returns the store after taking weak
-    references to it and its arrays; from now on each ``dpo._policy_pass``
-    call appends to ``alive`` whether each tracked store, or any of its
-    arrays, is still alive when the pass starts."""
-    from seamkit import dpo
+    references to it and its arrays; from now on each step of
+    ``model.train`` appends to ``alive``, as its pass starts
+    (``ParameterStore.as_tensors``), whether each tracked store, or any of
+    its arrays, is still alive."""
+    from seamkit.model import ParameterStore
 
     tracked: list = []
     alive: list = []
-    policy_pass = dpo._policy_pass
+    as_tensors = ParameterStore.as_tensors
 
-    def watched(*args):
+    def watched(store):
         alive.append([any(ref() is not None for ref in refs) for refs in tracked])
-        return policy_pass(*args)
+        return as_tensors(store)
 
     def track(store):
         tracked.append([weakref.ref(store), *map(weakref.ref, store.arrays.values())])
         return store
 
-    monkeypatch.setattr(dpo, "_policy_pass", watched)
+    monkeypatch.setattr(ParameterStore, "as_tensors", watched)
     return track, alive
 
 
 def stepped_gradients(monkeypatch, module):
-    """Gradients ``module._sgd_step`` is handed from now on, one dict of
-    parameter name -> gradient per step."""
+    """Gradients that ``model.train``, called through ``module``, hands its
+    ``on_step`` from now on, one dict of parameter name -> gradient per step."""
     seen = []
-    sgd_step = module._sgd_step
+    train = module.train
 
-    def capture(params, tensors, lr):
-        seen.append({name: tensors[name].grad for name in params.arrays})
-        return sgd_step(params, tensors, lr)
+    def capture(params, batch, term, weight, steps, lr, on_step=None):
+        def record(step, loss, grads):
+            seen.append(dict(grads))
+            if on_step is not None:
+                on_step(step, loss, grads)
 
-    monkeypatch.setattr(module, "_sgd_step", capture)
+        return train(params, batch, term, weight, steps, lr, record)
+
+    monkeypatch.setattr(module, "train", capture)
     return seen
