@@ -28,6 +28,11 @@ in the forward pass once the array path has returned.  ``backward`` runs
 each VJP once, so a VJP may overwrite an array that only it holds:
 ``gelu``'s slope and ``log_softmax_pick``'s exponentials are multiplied
 in place into the gradient they return, with no second array of their size.
+
+``gelu``'s ``erf`` (``scipy.special.erf``) is imported at ``gelu``'s first
+call and kept in a module global, not imported with this module: a process
+that never runs the model (evaluate, project, unwrap, tokenize, prefpairs)
+then never pays the start-up time and memory of loading ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from __future__ import annotations
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import erf
 
+_erf = None  # scipy.special.erf, bound by gelu's first call
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -375,10 +380,17 @@ def gelu(a) -> Tensor | np.ndarray:
     Both are computed in place in two arrays, by the same operations in the
     same order as the composed expressions (IEEE + and * commute exactly), so
     the values are those of the formulas bit for bit.
+
+    ``erf`` is imported here at the first call, and kept in ``_erf`` for
+    the later ones, so that a process that never runs the model never
+    imports ``scipy.special``.
     """
+    global _erf
+    if _erf is None:
+        from scipy.special import erf as _erf
     x = _value(a)
     out = np.multiply(x, _INV_SQRT2)
-    erf(out, out=out)
+    _erf(out, out=out)
     out += 1.0
     out *= 0.5  # Phi(x)
     if _plain(a):

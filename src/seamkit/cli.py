@@ -257,7 +257,14 @@ def _seam_edges_for(mesh_norm: IndexedMesh, args) -> SeamEdgeSet:
     raise InputError("no seam source: pass a seam file, --edges, or --from-uv")
 
 
+# Environment variables that set the BLAS thread count, which can change the
+# last bits of a matmul; a manifest records them with the CPU count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _manifest(command: str, inputs, outputs, seed: int, cfg: dict, timings: dict) -> str:
+    environment = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    environment["cpu_count"] = os.cpu_count()
     doc = {
         "command": command,
         "inputs": [str(p) for p in inputs],
@@ -265,6 +272,7 @@ def _manifest(command: str, inputs, outputs, seed: int, cfg: dict, timings: dict
         "seed": int(seed),
         "config_hash": config_hash(cfg),
         "timings_s": {k: float(v) for k, v in timings.items()},
+        "environment": environment,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -503,10 +511,12 @@ def cmd_prefpairs(args) -> int:
     return EXIT_OK
 
 
-def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
+def _pairs_from_records(records, cand_dir: str, cfg: dict, model_config) -> list:
     """The records as ``dpo_train`` items, (clouds, (chosen tokens, rejected
     tokens)); each mesh is loaded once, each ``(mesh, seed)`` condition
-    built once, and each candidate file parsed and tokenized once."""
+    built once, and each candidate file parsed and tokenized once.  A
+    candidate longer than the policy's ``model_config.max_seq_len`` tokens
+    raises ``InputError`` naming its file."""
     meshes: dict = {}
     clouds: dict = {}
     tokens: dict = {}
@@ -523,8 +533,15 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict) -> list:
 
     def candidate(index):
         if index not in tokens:
-            seams = _load_seams(os.path.join(cand_dir, f"cand_{index}.seams"))
+            path = os.path.join(cand_dir, f"cand_{index}.seams")
+            seams = _load_seams(path)
             tokens[index] = tokenizer.encode(seams).tokens
+            if len(tokens[index]) > model_config.max_seq_len:
+                n_segments = (len(tokens[index]) - 2) // 6  # BOS, 6 per segment, EOS
+                raise InputError(
+                    f"{path}: {n_segments} canonical seam segments, more than the "
+                    f"model's max_segments = {model_config.max_segments}"
+                )
         return tokens[index]
 
     return [
@@ -570,7 +587,7 @@ def cmd_dpo(args) -> int:
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
     _check_record_metrics(records, line_nos, args.pairs, cand_dir)
-    pairs = _pairs_from_records(records, cand_dir, cfg)
+    pairs = _pairs_from_records(records, cand_dir, cfg, stores[0].config)
     dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
     t1 = time.perf_counter()
     # popped into the call, the store keeps no name here and is freed after

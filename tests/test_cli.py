@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from seamkit.cli import main, model_config_from, parse_config, InputError
+from seamkit.cli import BLAS_THREAD_VARS, InputError, main, model_config_from, parse_config
 from seamkit.mesh import extract_uv_seams, load_obj, normalize, save_obj
 from seamkit.model import init_parameters, load_checkpoint, save_checkpoint
 from seamkit.projection import seam_edges_to_segments
@@ -416,7 +416,7 @@ def test_evaluate_degenerate_face_names_file_and_line(tmp_path, capsys):
     ids=["no-faces", "empty", "zero-extent", "zero-area"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "project", "unwrap", "sample-points"])
-def test_mesh_without_faces_or_extent_names_the_file_exit_2(tmp_path, capsys, text, message, command):
+def test_mesh_without_faces_extent_or_area_names_the_file_exit_2(tmp_path, capsys, text, message, command):
     mesh = tmp_path / "bad.obj"
     mesh.write_text(text)
     seams = tmp_path / "one.seams"
@@ -500,6 +500,10 @@ def test_sample_prefpairs_dpo_pipeline(cube_obj, tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
     assert set(manifest["timings_s"]) == {"encode", "decode", "metrics"}
+    assert manifest["environment"] == {
+        **{name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
     for rel in manifest["outputs"]:
         assert os.path.exists(rel)
     run = json.loads((out_dir / "run.json").read_text())
@@ -644,6 +648,75 @@ def test_console_entry_point_smoke(grid_obj, tmp_path):
     assert payload["fragments"] == 1
 
 
+# Run in a fresh interpreter: this test process has imported scipy.special
+# already.  It imports what the benchmark's workers import, runs every command
+# that does not run the model, then a sample, and prints whether
+# scipy.special was loaded after each step.
+_IMPORT_GRAPH_SCRIPT = """
+import json, os, sys
+from seamkit import cli, model
+from seamkit.mesh import extract_uv_seams, normalize, load_obj
+from seamkit.projection import seam_edges_to_segments
+from seamkit.tokenizer import SeamSet, write_seam_text
+
+mesh, work = sys.argv[1], sys.argv[2]
+norm, _ = normalize(load_obj(open(mesh, "rb").read()))
+segments = seam_edges_to_segments(norm, extract_uv_seams(norm)).segments
+cands = os.path.join(work, "cands")
+os.makedirs(cands)
+with open(os.path.join(cands, "run.json"), "w") as fh:
+    json.dump({"mesh": mesh, "seed": 0}, fh)
+for i, seams in enumerate((segments[:1], segments)):
+    with open(os.path.join(cands, f"cand_{i}.seams"), "w") as fh:
+        fh.write(write_seam_text(SeamSet(segments=seams)))
+loaded = {"import": "scipy.special" in sys.modules}
+cand = os.path.join(cands, "cand_1.seams")
+steps = {
+    "evaluate": [["evaluate", mesh, os.path.join(cands, f"cand_{i}.seams"), "--json-out",
+                  os.path.join(cands, f"cand_{i}.json")] for i in range(2)],
+    "project": [["project", mesh, cand, os.path.join(work, "edges.txt")]],
+    "unwrap": [["unwrap", mesh, "--seams", cand, "--obj-out", os.path.join(work, "atlas.obj"),
+                "--svg", os.path.join(work, "atlas.svg")]],
+    "tokenize": [["tokenize", cand, os.path.join(work, "tokens.txt")]],
+    "detokenize": [["detokenize", os.path.join(work, "tokens.txt"), os.path.join(work, "back.seams")]],
+    "prefpairs": [["prefpairs", cands, os.path.join(work, "pairs.jsonl")]],
+    "sample": [["sample", mesh, os.path.join(work, "sampled"), "--config", sys.argv[3]]],
+}
+for name, runs in steps.items():
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+    loaded[name] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_model_imports_scipy_special(cube_obj, tmp_path):
+    import seamkit
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text(n_candidates=1, max_segments=2))
+    src = os.path.dirname(os.path.dirname(seamkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(cube_obj), str(tmp_path), str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the last line; evaluate writes its metrics to stdout before it
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": False,
+        "evaluate": False,
+        "project": False,
+        "unwrap": False,
+        "tokenize": False,
+        "detokenize": False,
+        "prefpairs": False,
+        "sample": True,
+    }
+
+
 def _dpo_inputs(tmp_path, meshes):
     """Three random candidate seam files and the pair records of ``meshes``,
     (mesh path, seed, pair count) triples; every pair prefers candidate 0."""
@@ -691,9 +764,12 @@ def test_dpo_builds_each_condition_once(grid_obj, cube_obj, tmp_path, monkeypatc
     assert set(manifest["timings_s"]) == {"pairs", "train"}
 
 
-def test_dpo_zero_steps_after_a_trained_run_leaves_no_stale_artifacts(grid_obj, tmp_path):
+def test_dpo_zero_steps_after_a_trained_run_leaves_no_stale_artifacts(grid_obj, tmp_path, monkeypatch):
     from seamkit.cli import config_hash
 
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
     ckpt = tmp_path / "out.ckpt"
     for steps in (2, 0):
@@ -706,6 +782,12 @@ def test_dpo_zero_steps_after_a_trained_run_leaves_no_stale_artifacts(grid_obj, 
     jsonschema.validate(manifest, _schema("manifest.schema.json"))
     config = parse_config(cfg.read_text())
     assert manifest["config_hash"] == config_hash(config)
+    assert manifest["environment"] == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "2",
+        "MKL_NUM_THREADS": None,
+        "cpu_count": os.cpu_count(),
+    }
     # zero steps write the starting policy
     assert ckpt.read_bytes() == save_checkpoint(init_parameters(model_config_from(config)))
 
@@ -922,6 +1004,30 @@ def test_dpo_malformed_pair_record_exit_2(grid_obj, tmp_path, capsys, line, mess
     out = tmp_path / "out.ckpt"
     assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
     assert f"{pairs}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "checkpoint"])
+def test_dpo_candidate_longer_than_the_model_names_the_file_exit_2(grid_obj, tmp_path, capsys, source):
+    # every record pairs candidate 0 against 1 or 2; candidate 2 has 3
+    # segments, 20 tokens, and a model of 2 segments scores at most 14
+    pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 2)])
+    cfg = tmp_path / "cfg.txt"
+    if source == "config":
+        cfg.write_text(desk_config_text(max_segments=2) + "steps = 1\n")
+    else:
+        ckpt = tmp_path / "init.ckpt"
+        store = init_parameters(model_config_from(parse_config(desk_config_text(max_segments=2))))
+        ckpt.write_bytes(save_checkpoint(store))
+        # the config file leaves max_segments to the checkpoint (its default is 64)
+        lines = desk_config_text().splitlines(keepends=True)
+        text = "".join(x for x in lines if not x.startswith("max_segments"))
+        cfg.write_text(text + f"steps = 1\ninit_checkpoint = {ckpt}\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    far = pairs.parent / "cand_2.seams"
+    message = f"error: {far}: 3 canonical seam segments, more than the model's max_segments = 2"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
