@@ -226,35 +226,35 @@ def _load_seams(path: str) -> tokenizer.SeamSet:
     return seams
 
 
-def _one_seam_source(sources: dict) -> None:
-    """Reject arguments that give more than one seam source, naming them;
-    ``sources`` maps each source's name to its argument value."""
-    given = [name for name, value in sources.items() if value]
+def _evaluate_source(args, names: dict, missing: str) -> tuple:
+    """Metrics and atlas of the mesh ``args.mesh``, normalized, cut along
+    the one seam source ``args`` gives.  ``names`` maps each source the
+    command takes (``from_uv``, ``edges``, ``seams``) to its name in the
+    conflict message, in the command's order; no source raises ``missing``.
+    UV seams and an edge file are measured by ``evaluate_edges``, a seam file
+    by ``evaluate_with_atlas``, which also times and names its projection."""
+    given = [attr for attr in names if getattr(args, attr)]
     if len(given) > 1:
-        raise InputError(f"conflicting seam sources {' and '.join(given)}: pass only one")
-
-
-def _seam_edges_for(mesh_norm: IndexedMesh, args) -> SeamEdgeSet:
-    """Resolve seam edges from --from-uv / --edges / a seam segment file."""
-    if args.from_uv:
-        try:
-            return extract_uv_seams(mesh_norm)
-        except MeshError as exc:
-            raise InputError(f"--from-uv: {exc}") from exc
-    if args.edges:
+        named = " and ".join(names[attr] for attr in given)
+        raise InputError(f"conflicting seam sources {named}: pass only one")
+    norm = _load_normalized(args.mesh)
+    if given == ["from_uv"]:
+        if not norm.has_uvs:
+            raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
+        return metrics_mod.evaluate_edges(norm, extract_uv_seams(norm))
+    if given == ["edges"]:
         try:
             edges = SeamEdgeSet.from_text(_read_file(args.edges))
         except MeshError as exc:
             raise InputError(f"{args.edges}: {exc}") from exc
-        missing = np.flatnonzero(mesh_norm.edge_ids(edges.pairs) < 0)
-        if len(missing):
-            a, b = edges.pairs[missing[0]].tolist()
+        off_mesh = np.flatnonzero(norm.edge_ids(edges.pairs) < 0)
+        if len(off_mesh):
+            a, b = edges.pairs[off_mesh[0]].tolist()
             raise InputError(f"{args.edges}: pair {a} {b} is not an edge of the mesh")
-        return edges
-    if args.seams:
-        seams = _load_seams(args.seams)
-        return projection.project_seams(mesh_norm, seams)
-    raise InputError("no seam source: pass a seam file, --edges, or --from-uv")
+        return metrics_mod.evaluate_edges(norm, edges)
+    if given == ["seams"]:
+        return metrics_mod.evaluate_with_atlas(norm, _load_seams(args.seams))
+    raise InputError(missing)
 
 
 # Environment variables that set the BLAS thread count, which can change the
@@ -282,18 +282,8 @@ def _manifest(command: str, inputs, outputs, seed: int, cfg: dict, timings: dict
 
 
 def cmd_evaluate(args) -> int:
-    _one_seam_source({f"seam file {args.seams}": args.seams, "--from-uv": args.from_uv})
-    norm = _load_normalized(args.mesh)
-    if args.from_uv and not norm.has_uvs:
-        raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
-    if args.from_uv:
-        edges = extract_uv_seams(norm)
-        metrics, atlas = metrics_mod.evaluate_edges(norm, edges)
-    else:
-        if not args.seams:
-            raise InputError("evaluate needs a seam file or --from-uv")
-        seams = _load_seams(args.seams)
-        metrics, atlas = metrics_mod.evaluate_with_atlas(norm, seams)
+    sources = {"seams": f"seam file {args.seams}", "from_uv": "--from-uv"}
+    metrics, atlas = _evaluate_source(args, sources, "evaluate needs a seam file or --from-uv")
     payload = metrics.to_json()
     sys.stdout.write(payload)
     if args.json_out:
@@ -328,11 +318,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_unwrap(args) -> int:
-    _one_seam_source({"--from-uv": args.from_uv, "--edges": args.edges, "--seams": args.seams})
-    norm = _load_normalized(args.mesh)
-    if args.from_uv and not norm.has_uvs:
-        raise InputError(f"{args.mesh} has no vt records; --from-uv needs them")
-    metrics, atlas = metrics_mod.evaluate_edges(norm, _seam_edges_for(norm, args))
+    sources = {"from_uv": "--from-uv", "edges": "--edges", "seams": "--seams"}
+    missing = "no seam source: pass a seam file, --edges, or --from-uv"
+    metrics, atlas = _evaluate_source(args, sources, missing)
     _write_atomic(args.obj_out, unwrap.atlas_to_obj(atlas))
     if args.svg:
         _write_atomic(args.svg, unwrap.atlas_to_svg(atlas))
@@ -417,10 +405,9 @@ def cmd_sample(args) -> int:
     outputs = []
     for i, result in enumerate(results):
         seams = tokenizer.decode(result.tokens)
-        seam_path = os.path.join(args.out_dir, f"cand_{i}.seams")
+        seam_path, json_path = _candidate_paths(args.out_dir, i)
         _write_atomic(seam_path, tokenizer.write_seam_text(seams))
         metrics, _ = metrics_mod.evaluate_with_atlas(norm, seams)
-        json_path = os.path.join(args.out_dir, f"cand_{i}.json")
         _write_atomic(json_path, metrics.to_json())
         outputs.extend([seam_path, json_path])
     timings = {"encode": t1 - t0, "decode": t2 - t1, "metrics": time.perf_counter() - t2}
@@ -443,6 +430,12 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _candidate_paths(cand_dir: str, index: int) -> tuple[str, str]:
+    """The seam file and metrics file of candidate ``index`` in a
+    ``seamkit sample`` directory."""
+    return tuple(os.path.join(cand_dir, f"cand_{index}.{ext}") for ext in ("seams", "json"))
+
+
 def _read_json(path: str, parse):
     """``parse`` applied to the JSON object in ``path``; a file that is not
     JSON, or lacks a key ``parse`` reads, raises ``InputError`` naming it."""
@@ -454,24 +447,28 @@ def _read_json(path: str, parse):
         raise InputError(f"{path}: malformed JSON record ({exc})") from exc
 
 
+def _read_candidate(seam_path: str, json_path: str) -> tuple:
+    """(seams, metrics) of one candidate's files (``_candidate_paths``): the
+    seams as ``_load_seams`` reads them, the metrics as
+    ``SeamMetrics.from_dict`` reads them, or None without a metrics file."""
+    seams = _load_seams(seam_path)
+    if not os.path.exists(json_path):
+        return seams, None
+    return seams, _read_json(json_path, metrics_mod.SeamMetrics.from_dict)
+
+
 def _read_candidates(cand_dir: str):
-    """(mesh, seed) of the run and its candidates' metrics; each candidate's
-    seam file must tokenize, as ``seamkit dpo`` will tokenize it, and
-    ``prefpairs`` needs two candidates."""
+    """(mesh, seed) of the run and its candidates' metrics, read up to the
+    first index without both files; each candidate's seam file must
+    tokenize, as ``seamkit dpo`` will tokenize it, and ``prefpairs`` needs
+    two candidates."""
     run_info = _read_json(
         os.path.join(cand_dir, "run.json"),
         lambda d: (metrics_mod.json_field(d, "mesh", str), metrics_mod.json_field(d, "seed", int)),
     )
     cands = []
-    i = 0
-    while True:
-        seam_path = os.path.join(cand_dir, f"cand_{i}.seams")
-        json_path = os.path.join(cand_dir, f"cand_{i}.json")
-        if not (os.path.exists(seam_path) and os.path.exists(json_path)):
-            break
-        _load_seams(seam_path)
-        cands.append(_read_json(json_path, metrics_mod.SeamMetrics.from_dict))
-        i += 1
+    while all(map(os.path.exists, paths := _candidate_paths(cand_dir, len(cands)))):
+        cands.append(_read_candidate(*paths)[1])
     if len(cands) < 2:
         raise InputError(
             f"{cand_dir}: {len(cands)} cand_*.seams/.json candidates; pairs need at least 2"
@@ -511,15 +508,19 @@ def cmd_prefpairs(args) -> int:
     return EXIT_OK
 
 
-def _pairs_from_records(records, cand_dir: str, cfg: dict, model_config) -> list:
-    """The records as ``dpo_train`` items, (clouds, (chosen tokens, rejected
-    tokens)); each mesh is loaded once, each ``(mesh, seed)`` condition
-    built once, and each candidate file parsed and tokenized once.  A
-    candidate longer than the policy's ``model_config.max_seq_len`` tokens
-    raises ``InputError`` naming its file."""
+def _pairs_from_records(
+    records, line_nos, pairs_path: str, cand_dir: str, cfg: dict, model_config
+) -> list:
+    """The records (from the ``line_nos`` of ``pairs_path``) as ``dpo_train``
+    items, (clouds, (chosen tokens, rejected tokens)), in one pass: each mesh
+    loaded once, each ``(mesh, seed)`` condition built once, each candidate
+    read (``_read_candidate``) and tokenized once.  ``InputError`` names the
+    line whose side's metrics differ from its candidate's metrics file, if
+    any (``runtime_s``, a wall-clock timing that a re-run changes, aside),
+    and the seam file of a candidate over ``model_config.max_seq_len``."""
     meshes: dict = {}
     clouds: dict = {}
-    tokens: dict = {}
+    cands: dict = {}
 
     def condition(rec):
         key = (rec.mesh_path, rec.seed)
@@ -531,46 +532,30 @@ def _pairs_from_records(records, cand_dir: str, cfg: dict, model_config) -> list
             )
         return clouds[key]
 
-    def candidate(index):
-        if index not in tokens:
-            path = os.path.join(cand_dir, f"cand_{index}.seams")
-            seams = _load_seams(path)
-            tokens[index] = tokenizer.encode(seams).tokens
-            if len(tokens[index]) > model_config.max_seq_len:
-                n_segments = (len(tokens[index]) - 2) // 6  # BOS, 6 per segment, EOS
+    def candidate(rec, line_no, side):
+        index, recorded = getattr(rec, f"{side}_index"), getattr(rec, f"{side}_metrics")
+        if index not in cands:
+            seam_path, json_path = paths = _candidate_paths(cand_dir, index)
+            seams, metrics = _read_candidate(*paths)
+            tokens = tokenizer.encode(seams).tokens
+            if len(tokens) > model_config.max_seq_len:
+                n_segments = (len(tokens) - 2) // 6  # BOS, 6 per segment, EOS
                 raise InputError(
-                    f"{path}: {n_segments} canonical seam segments, more than the "
+                    f"{seam_path}: {n_segments} canonical seam segments, more than the "
                     f"model's max_segments = {model_config.max_segments}"
                 )
-        return tokens[index]
+            cands[index] = tokens, json_path, metrics
+        tokens, json_path, metrics = cands[index]
+        if metrics is not None and replace(metrics, runtime_s=recorded.runtime_s) != recorded:
+            raise InputError(
+                f"{pairs_path}: line {line_no}: {side} metrics differ from those in {json_path}"
+            )
+        return tokens
 
     return [
-        (condition(rec), (candidate(rec.positive_index), candidate(rec.negative_index)))
-        for rec in records
+        (condition(rec), (candidate(rec, n, "positive"), candidate(rec, n, "negative")))
+        for rec, n in zip(records, line_nos)
     ]
-
-
-def _check_record_metrics(records, line_nos, pairs_path: str, cand_dir: str) -> None:
-    """Each record's positive and negative metrics must equal the
-    ``cand_i.json`` of their candidate, where that file exists (each is read
-    once); else ``InputError`` naming the pairs file line and the file.  Not
-    compared: ``runtime_s``, a wall-clock timing that a re-run changes."""
-    evaluated: dict = {}
-    for rec, line_no in zip(records, line_nos):
-        for side, index, recorded in (
-            ("positive", rec.positive_index, rec.positive_metrics),
-            ("negative", rec.negative_index, rec.negative_metrics),
-        ):
-            path = os.path.join(cand_dir, f"cand_{index}.json")
-            if path not in evaluated:
-                evaluated[path] = (
-                    _read_json(path, metrics_mod.SeamMetrics.from_dict) if os.path.exists(path) else None
-                )
-            found = evaluated[path]
-            if found is not None and replace(found, runtime_s=recorded.runtime_s) != recorded:
-                raise InputError(
-                    f"{pairs_path}: line {line_no}: {side} metrics differ from those in {path}"
-                )
 
 
 def cmd_dpo(args) -> int:
@@ -586,8 +571,7 @@ def cmd_dpo(args) -> int:
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
-    _check_record_metrics(records, line_nos, args.pairs, cand_dir)
-    pairs = _pairs_from_records(records, cand_dir, cfg, stores[0].config)
+    pairs = _pairs_from_records(records, line_nos, args.pairs, cand_dir, cfg, stores[0].config)
     dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
     t1 = time.perf_counter()
     # popped into the call, the store keeps no name here and is freed after

@@ -34,7 +34,13 @@ class StageError(MetricsError):
 
 @dataclass(frozen=True)
 class SeamMetrics:
-    """Evaluation record for one seam set on one mesh."""
+    """Evaluation record for one seam set on one mesh.
+
+    ``runtime_s`` is the wall-clock time of the evaluation: projection
+    through measurement for a seam file (``evaluate_with_atlas``), the cut
+    through measurement for marked edges (``evaluate_edges``: UV seams or an
+    edge file).  Neither includes file I/O or normalization.
+    """
 
     distortion: float
     fragments: int
@@ -49,9 +55,11 @@ class SeamMetrics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeamMetrics":
+        """The record in parsed JSON ``d``, checked as ``metrics.schema.json``
+        checks it: errors as ``json_field`` raises them."""
         return cls(
             distortion=json_field(d, "distortion", float),
-            fragments=json_field(d, "fragments", int),
+            fragments=json_field(d, "fragments", int, minimum=1),
             runtime_s=json_field(d, "runtime_s", float),
             excluded_triangles=json_field(d, "excluded_triangles", int),
         )
@@ -60,18 +68,19 @@ class SeamMetrics:
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def json_field(d: dict, key: str, kind: type):
-    """``d[key]`` of a parsed JSON object as ``kind`` (int >= 0, finite float
-    or str; a bool is no number): KeyError if missing, TypeError for another
-    type, ValueError out of range, each naming the key."""
+def json_field(d: dict, key: str, kind: type, minimum=0):
+    """``d[key]`` of a parsed JSON object as ``kind`` (int or finite float
+    no less than ``minimum``, or str; a bool is no number): KeyError if
+    missing, TypeError for another type, ValueError out of range, each
+    naming the key."""
     value = d[key]
     types, name = _JSON_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise TypeError(f"{key} must be {name}, got {value!r}")
-    if kind is int and value < 0:
-        raise ValueError(f"{key} must be >= 0, got {value}")
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be finite, got {value!r}")
+    if kind is not str and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
     return kind(value)
 
 
@@ -121,7 +130,7 @@ def evaluate_with_atlas(mesh: IndexedMesh, seams: SeamSet) -> tuple[SeamMetrics,
     ``mesh`` must already be in the canonical cube (``mesh.normalize``), as
     must the seam segments; the metrics are then invariant to uniform
     rescaling of the original input.  Runtime covers projection through
-    parameterization, excluding any file I/O and the normalization.
+    measurement, excluding any file I/O and the normalization.
     """
     t0 = time.perf_counter()
     try:

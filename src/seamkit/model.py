@@ -614,8 +614,8 @@ def sample_batch(
     A finished candidate leaves the batch: ``_DecodeState.keep_batch`` copies
     the filled rows of the others.
     """
-    if temperature < 0:
-        raise ModelError("temperature must be >= 0")
+    if not 0 <= temperature < math.inf:
+        raise ModelError(f"temperature must be >= 0 and finite, got {temperature!r}")
     if not (0 < top_p <= 1):
         raise ModelError("top_p must be in (0, 1]")
     config = params.config

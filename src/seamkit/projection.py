@@ -28,8 +28,9 @@ class UnreachableError(ProjectionError):
 _SNAP_BLOCK_ENTRIES = 1 << 22
 
 
-def nearest_vertex(mesh: IndexedMesh, points):
-    """Index of the closest mesh vertex to each point; ties break to the lowest index.
+def nearest_vertex(verts: np.ndarray, points):
+    """Index of the closest of the (m, 3) ``verts`` to each point; ties break
+    to the lowest index.
 
     ``points`` is an (n, 3) array; the result is an int64 array of n
     indices.  Non-finite coordinates raise ProjectionError.
@@ -48,9 +49,8 @@ def nearest_vertex(mesh: IndexedMesh, points):
     overflow) keeps every vertex.  Blocks hold at most
     ``_SNAP_BLOCK_ENTRIES`` point-vertex pairs.
     """
-    verts = mesh.vertices
     if len(verts) == 0:
-        raise ProjectionError("empty mesh")
+        raise ProjectionError("no vertices to snap to")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
@@ -211,8 +211,8 @@ def project_seams(mesh: IndexedMesh, seams: SeamSet) -> SeamEdgeSet:
     """
     graph = build_edge_graph(mesh)
     linked = np.flatnonzero(np.diff(graph.indptr))
-    snap = IndexedMesh(vertices=mesh.vertices[linked], triangles=np.empty((0, 3), np.int64))
-    ends = linked[nearest_vertex(snap, seams.segments.reshape(-1, 3))].reshape(-1, 2)
+    snapped = nearest_vertex(mesh.vertices[linked], seams.segments.reshape(-1, 3))
+    ends = linked[snapped].reshape(-1, 2)
     bounds = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
     paths, owners = [], []
     for i, ((va, vb), bound) in enumerate(zip(ends.tolist(), bounds.tolist())):

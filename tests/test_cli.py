@@ -344,6 +344,46 @@ def test_unwrap_json_out_solves_once(cube_obj, tmp_path, monkeypatch):
     assert load_obj(out.read_text()).has_uvs
 
 
+def test_unwrap_projection_failure_names_the_stage_exit_3(cube_obj, tmp_path, monkeypatch, capsys):
+    from seamkit import metrics, projection
+
+    def fail(mesh, seams):
+        raise projection.ProjectionError("no path")
+
+    for mod in (projection, metrics):
+        monkeypatch.setattr(mod, "project_seams", fail)
+    seams = tmp_path / "in.seams"
+    seams.write_text("0 0 0 0.1 0.1 0.1\n")
+    out = tmp_path / "atlas.obj"
+    assert main(["unwrap", str(cube_obj), "--seams", str(seams), "--obj-out", str(out)]) == 3
+    assert "pipeline error in stage 'project': no path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _without_runtime(path):
+    doc = json.loads(path.read_text())
+    del doc["runtime_s"]
+    return doc
+
+
+@pytest.mark.parametrize("source", ["seam file", "--from-uv"])
+def test_evaluate_and_unwrap_write_the_same_metrics(cube_obj, tmp_path, source):
+    norm, _ = normalize(load_obj(cube_obj.read_text()))
+    seams = tmp_path / "uv.seams"
+    seams.write_text(write_seam_text(seam_edges_to_segments(norm, extract_uv_seams(norm))))
+    evaluate_args, unwrap_args = {
+        "seam file": ([str(seams)], ["--seams", str(seams)]),
+        "--from-uv": (["--from-uv"], ["--from-uv"]),
+    }[source]
+    evaluated, unwrapped = tmp_path / "evaluate.json", tmp_path / "unwrap.json"
+    assert main(["evaluate", str(cube_obj), *evaluate_args, "--json-out", str(evaluated)]) == 0
+    obj = tmp_path / "atlas.obj"
+    argv = ["unwrap", str(cube_obj), *unwrap_args, "--obj-out", str(obj), "--json-out", str(unwrapped)]
+    assert main(argv) == 0
+    assert _without_runtime(evaluated) == _without_runtime(unwrapped)
+    assert _without_runtime(evaluated)["fragments"] == 6
+
+
 def test_evaluate_normalizes_once(grid_obj, tmp_path, monkeypatch):
     from seamkit import cli
     from seamkit import mesh as mesh_mod
@@ -917,6 +957,25 @@ def test_dpo_candidate_files_differing_only_in_runtime_exit_0(cube_obj, tmp_path
     out = tmp_path / "out.ckpt"
     assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("distortion", -1.0), ("fragments", 0), ("runtime_s", -5.0)])
+def test_prefpairs_and_dpo_reject_the_same_out_of_schema_candidate_exit_2(cube_obj, tmp_path, capsys, key, value):
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    index = json.loads(pairs.read_text().splitlines()[0])["positive_index"]
+    cand_json = pairs.parent / f"cand_{index}.json"
+    doc = json.loads(cand_json.read_text())
+    doc[key] = value
+    cand_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    message = f"error: {cand_json}: malformed JSON record ({key} must be >= "
+    again = tmp_path / "again.jsonl"
+    assert main(["prefpairs", str(pairs.parent), str(again), "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    ckpt = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(ckpt), "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not again.exists() and not ckpt.exists()
 
 
 def test_sample_removes_candidates_an_earlier_run_left(cube_obj, tmp_path):

@@ -317,7 +317,8 @@ def test_pair_records_round_trip():
     assert back == [rec, rec]
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+# the ranges of metrics.schema.json, which reading a record enforces
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
 _count = st.integers(0, 2**40)
 
 
@@ -326,15 +327,15 @@ def _pair_records(draw):
     """A readable record in any pairing mode: the positive's metrics are
     strictly lower in what the mode compares, and drawn freely otherwise."""
     mode = draw(st.sampled_from(PAIRING_MODES))
-    d = sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
-    f = sorted(draw(st.lists(_count, min_size=2, max_size=2, unique=True)))
+    d = sorted(draw(st.lists(_non_negative, min_size=2, max_size=2, unique=True)))
+    f = sorted(draw(st.lists(st.integers(1, 2**40), min_size=2, max_size=2, unique=True)))
     if mode == "density-only":
         d = draw(st.permutations(d))
     if mode == "distortion-only":
         f = draw(st.permutations(f))
     pos, neg = draw(st.lists(_count, min_size=2, max_size=2, unique=True))
     positive, negative = (
-        SeamMetrics(distortion=d[i], fragments=f[i], runtime_s=draw(_finite), excluded_triangles=draw(_count))
+        SeamMetrics(distortion=d[i], fragments=f[i], runtime_s=draw(_non_negative), excluded_triangles=draw(_count))
         for i in (0, 1)
     )
     return PairRecord(
@@ -624,6 +625,22 @@ def test_read_pair_records_rejects_a_non_dominating_pair(mode, positive, negativ
         negative_metrics=negative.to_dict(),
     )
     with pytest.raises(DPOError, match=f"line 2: malformed record .*in mode '{mode}'"):
+        read_pair_records(write_pair_records([good]) + bad)
+
+
+@pytest.mark.parametrize(
+    "side, key, value, message",
+    [
+        ("positive", "distortion", -1.0, "distortion must be >= 0, got -1.0"),
+        ("negative", "fragments", 0, "fragments must be >= 1, got 0"),
+        ("positive", "runtime_s", -5.0, "runtime_s must be >= 0, got -5.0"),
+    ],
+)
+def test_read_pair_records_rejects_metrics_outside_the_schema(side, key, value, message):
+    good = PairRecord("m.obj", 0, 0, 1, metrics(0.5, 3), metrics(1.5, 6))
+    field = f"{side}_metrics"
+    bad = edited_record(good, **{field: {**getattr(good, field).to_dict(), key: value}})
+    with pytest.raises(DPOError, match=f"line 2: malformed record \\({message}\\)"):
         read_pair_records(write_pair_records([good]) + bad)
 
 

@@ -319,7 +319,7 @@ def test_unreachable_segments_skipped_like_heap_reference(caplog):
     seams = _segments(64, seed=8)
     half = mesh.n_vertices // 2
     ends = [
-        [nearest_vertex(mesh, [p])[0] >= half for p in seg] for seg in seams.segments
+        [nearest_vertex(mesh.vertices, [p])[0] >= half for p in seg] for seg in seams.segments
     ]
     crossing = sum(a != b for a, b in ends)
     assert crossing > 0
@@ -363,7 +363,7 @@ def test_nearest_vertex_batch_matches_per_point_scan(case):
     mesh = IndexedMesh(vertices=verts, triangles=np.zeros((0, 3), dtype=np.int64))
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(projection, "_SNAP_BLOCK_ENTRIES", entries)  # 1 and 7: one row per block
-        got = nearest_vertex(mesh, pts)
+        got = nearest_vertex(verts, pts)
         want = [ref.nearest_vertex(mesh, p) for p in pts]
     assert got.dtype == np.int64
     assert got.tolist() == want

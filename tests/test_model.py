@@ -360,6 +360,15 @@ def test_sample_stays_within_the_model_segment_cap():
     assert sample(cond, params, 0.0, 1.0).n_steps <= 6 * cap + 1
 
 
+@pytest.mark.parametrize("temperature", [-1.0, float("inf"), float("nan")])
+def test_sample_batch_rejects_a_temperature_not_finite_and_non_negative(temperature):
+    # inf would draw uniformly and NaN fail deep inside the draw
+    params = init_parameters(TINY_CONFIG)
+    cond = encode_condition(rand_clouds(np.random.default_rng(18), 16, TINY_CONFIG), params)
+    with pytest.raises(ModelError, match="temperature must be >= 0 and finite"):
+        sample_batch(cond, params, temperature=temperature, seeds=(0, 1))
+
+
 def eos_biased(params):
     """A copy of ``params`` whose head makes EOS likely enough that
     candidates stop at different steps."""

@@ -21,22 +21,15 @@ from tests import loop_reference as ref
 def test_nearest_vertex_exact_and_tie():
     mesh = make_grid(3, 3)
     for v in (0, 7, 11):
-        assert nearest_vertex(mesh, [mesh.vertices[v]])[0] == v
+        assert nearest_vertex(mesh.vertices, [mesh.vertices[v]])[0] == v
     # equidistant between vertex 2 and 5: tie resolves to the lower index
     verts = np.array([[0, 0, 0], [9, 9, 9], [1, 0, 0], [9, 9, 8], [9, 8, 9], [-1, 0, 0]], dtype=float)
-    mesh2 = IndexedMesh(vertices=verts, triangles=np.array([[0, 1, 2], [3, 4, 5]]))
-    assert nearest_vertex(mesh2, [[0.0, 0.0, 0.0]])[0] == 0
-    assert nearest_vertex(mesh2, [[0.0, 0.5, 0.0]])[0] == 0
+    assert nearest_vertex(verts, [[0.0, 0.0, 0.0]])[0] == 0
+    assert nearest_vertex(verts, [[0.0, 0.5, 0.0]])[0] == 0
     # midpoint of vertices 2 and 5
-    assert nearest_vertex(mesh2, [[0.0, 0.0, 0.0]])[0] == 0
-    mesh3 = IndexedMesh(
-        vertices=np.array(
-            [[5, 5, 5], [6, 6, 6], [1, 0, 0], [7, 7, 7], [8, 8, 8], [-1, 0, 0]],
-            dtype=float,
-        ),
-        triangles=np.array([[0, 1, 2], [3, 4, 5]]),
-    )
-    assert nearest_vertex(mesh3, [[0.0, 0.0, 0.0]])[0] == 2  # 2 and 5 tie, 2 wins
+    assert nearest_vertex(verts, [[0.0, 0.0, 0.0]])[0] == 0
+    verts3 = np.array([[5, 5, 5], [6, 6, 6], [1, 0, 0], [7, 7, 7], [8, 8, 8], [-1, 0, 0]], dtype=float)
+    assert nearest_vertex(verts3, [[0.0, 0.0, 0.0]])[0] == 2  # 2 and 5 tie, 2 wins
 
 
 def test_nearest_vertex_matches_bruteforce():
@@ -47,18 +40,18 @@ def test_nearest_vertex_matches_bruteforce():
     for p in points:
         d = [float(np.linalg.norm(v - p)) for v in mesh.vertices]
         expected.append(min(range(len(d)), key=lambda i: (d[i], i)))
-        assert nearest_vertex(mesh, [p])[0] == expected[-1]
-    assert nearest_vertex(mesh, points).tolist() == expected
-    assert nearest_vertex(mesh, np.zeros((0, 3))).tolist() == []
+        assert nearest_vertex(mesh.vertices, [p])[0] == expected[-1]
+    assert nearest_vertex(mesh.vertices, points).tolist() == expected
+    assert nearest_vertex(mesh.vertices, np.zeros((0, 3))).tolist() == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nearest_vertex_rejects_non_finite_points(bad):
     mesh = make_grid(3, 3)
     with pytest.raises(ProjectionError, match="non-finite point 1"):
-        nearest_vertex(mesh, [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+        nearest_vertex(mesh.vertices, [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
     with pytest.raises(ProjectionError):
-        nearest_vertex(mesh, [[0.0, bad, 0.0]])
+        nearest_vertex(mesh.vertices, [[0.0, bad, 0.0]])
     seg = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, bad]]])
     with pytest.raises(ProjectionError):
         project_seams(mesh, SeamSet(segments=seg))
