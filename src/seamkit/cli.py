@@ -53,15 +53,17 @@ class InputError(Exception):
 # Every config key: key -> (type, default, test of the value against the
 # whole config, the allowed range).  Values are checked in this order, so a
 # test may read an earlier key.  The cloud sizes must also reach the model's
-# tokens_per_branch, which _policy_store checks once the model is known.
+# tokens_per_branch, which _policy_store checks once the model is known.  The
+# model and DPO keys take their defaults from ModelConfig and DPOConfig.
+_MODEL, _DPO = model_mod.ModelConfig, dpo_mod.DPOConfig
 CONFIG_KEYS = {
     # model dimensions
-    "l": (int, 32, lambda v, c: v >= 1, ">= 1"),
-    "d": (int, 64, lambda v, c: v >= 1, ">= 1"),
-    "layers": (int, 8, lambda v, c: v >= 4, ">= 4"),
-    "heads": (int, 2, lambda v, c: v >= 1 and c["d"] % v == 0, "a divisor of d"),
-    "max_segments": (int, 64, lambda v, c: v >= 1, ">= 1"),
-    "model_seed": (int, 0, lambda v, c: v >= 0, ">= 0"),
+    "l": (int, _MODEL.tokens_per_branch, lambda v, c: v >= 1, ">= 1"),
+    "d": (int, _MODEL.d_model, lambda v, c: v >= 1, ">= 1"),
+    "layers": (int, _MODEL.n_layers, lambda v, c: v >= 4, ">= 4"),
+    "heads": (int, _MODEL.n_heads, lambda v, c: v >= 1 and c["d"] % v == 0, "a divisor of d"),
+    "max_segments": (int, _MODEL.max_segments, lambda v, c: v >= 1, ">= 1"),
+    "model_seed": (int, _MODEL.seed, lambda v, c: v >= 0, ">= 0"),
     # conditioning clouds
     "n_topo": (int, sampling.DEFAULT_N_TOPO, lambda v, c: v >= 1, ">= 1"),
     "n_geom": (int, sampling.DEFAULT_N_GEOM, lambda v, c: v >= 1, ">= 1"),
@@ -70,9 +72,9 @@ CONFIG_KEYS = {
     "temperature": (float, 1.0, lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
     "top_p": (float, 1.0, lambda v, c: 0 < v <= 1, "in (0, 1]"),
     # dpo
-    "beta": (float, 0.1, lambda v, c: 0 < v < math.inf, "> 0 and finite"),
-    "lr": (float, 1e-6, lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
-    "steps": (int, 2500, lambda v, c: v >= 0, ">= 0"),
+    "beta": (float, _DPO.beta, lambda v, c: 0 < v < math.inf, "> 0 and finite"),
+    "lr": (float, _DPO.learning_rate, lambda v, c: 0 <= v < math.inf, ">= 0 and finite"),
+    "steps": (int, _DPO.steps, lambda v, c: v >= 0, ">= 0"),
     "mode": (str, "joint", lambda v, c: v in dpo_mod.PAIRING_MODES, "one of " + ", ".join(dpo_mod.PAIRING_MODES)),
     # misc
     "seed": (int, 0, lambda v, c: v >= 0, ">= 0"),
@@ -154,6 +156,10 @@ def config_hash(cfg: dict) -> str:
 def model_config_from(cfg: Config) -> model_mod.ModelConfig:
     fields = {field: cfg[key] for key, field in CHECKPOINT_KEYS.items()}
     return model_mod.ModelConfig(**fields, seed=cfg["model_seed"])
+
+
+def dpo_config_from(cfg: Config) -> dpo_mod.DPOConfig:
+    return dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +268,31 @@ def _evaluate_source(args, names: dict, missing: str) -> tuple:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _manifest(command: str, inputs, outputs, seed: int, cfg: dict, timings: dict) -> str:
+def _manifest(path: str, command: str, inputs, outputs, cfg: dict, timings: dict) -> None:
+    """Write the manifest of a ``command`` run with config ``cfg`` to ``path``."""
     environment = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     environment["cpu_count"] = os.cpu_count()
     doc = {
         "command": command,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "seed": int(seed),
+        "seed": int(cfg["seed"]),
         "config_hash": config_hash(cfg),
         "timings_s": {k: float(v) for k, v in timings.items()},
         "environment": environment,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _clouds(mesh: IndexedMesh, cfg: dict, seed: int) -> sampling.ConditioningClouds:
+    """The conditioning clouds of ``mesh`` for ``seed``, sized by the config's
+    ``n_topo`` and ``n_geom``.  ``dpo`` rebuilds each pair's condition from
+    its own config's sizes, so they must match those of the ``sample`` run
+    that drew the candidates: neither ``run.json`` nor a pair record stores
+    them."""
+    return sampling.build_conditioning_clouds(
+        mesh, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +349,7 @@ def cmd_unwrap(args) -> int:
 
 def cmd_sample_points(args) -> int:
     cfg = load_config(args.config, args.seed)
-    norm = _load_normalized(args.mesh)
-    clouds = sampling.build_conditioning_clouds(
-        norm, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=cfg["seed"]
-    )
+    clouds = _clouds(_load_normalized(args.mesh), cfg, cfg["seed"])
     topo_path = f"{args.out_prefix}.topo.xyz"
     geom_path = f"{args.out_prefix}.geom.xyz"
     _write_atomic(topo_path, sampling.write_xyz(clouds.topo_points))
@@ -384,10 +399,7 @@ def cmd_sample(args) -> int:
     norm = _load_normalized(args.mesh)
     t0 = time.perf_counter()
     params = _policy_store(cfg)
-    clouds = sampling.build_conditioning_clouds(
-        norm, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=cfg["seed"]
-    )
-    cond = model_mod.encode_condition(clouds, params)
+    cond = model_mod.encode_condition(_clouds(norm, cfg, cfg["seed"]), params)
     t1 = time.perf_counter()
     results = model_mod.sample_batch(
         cond,
@@ -422,11 +434,7 @@ def cmd_sample(args) -> int:
     info_path = os.path.join(args.out_dir, "run.json")
     _write_atomic(info_path, json.dumps(run_info, sort_keys=True) + "\n")
     outputs.append(info_path)
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
-    _write_atomic(
-        manifest_path,
-        _manifest("sample", [args.mesh], outputs, cfg["seed"], cfg, timings),
-    )
+    _manifest(os.path.join(args.out_dir, "manifest.json"), "sample", [args.mesh], outputs, cfg, timings)
     return EXIT_OK
 
 
@@ -493,18 +501,9 @@ def cmd_prefpairs(args) -> int:
         for i, j in dpo_mod.build_pairs(metrics, mode=cfg["mode"])
     ]
     _write_atomic(args.output, dpo_mod.write_pair_records(records))
-    manifest_path = os.path.splitext(args.output)[0] + ".manifest.json"
-    _write_atomic(
-        manifest_path,
-        _manifest(
-            "prefpairs",
-            [args.candidates],
-            [args.output],
-            cfg["seed"],
-            cfg,
-            {"build": time.perf_counter() - t0},
-        ),
-    )
+    timings = {"build": time.perf_counter() - t0}
+    stem = os.path.splitext(args.output)[0]
+    _manifest(f"{stem}.manifest.json", "prefpairs", [args.candidates], [args.output], cfg, timings)
     return EXIT_OK
 
 
@@ -518,34 +517,25 @@ def _pairs_from_records(
     line whose side's metrics differ from its candidate's metrics file, if
     any (``runtime_s``, a wall-clock timing that a re-run changes, aside),
     and the seam file of a candidate over ``model_config.max_seq_len``."""
-    meshes: dict = {}
-    clouds: dict = {}
-    cands: dict = {}
+    mesh = functools.cache(_load_normalized)
+    condition = functools.cache(lambda path, seed: _clouds(mesh(path), cfg, seed))
 
-    def condition(rec):
-        key = (rec.mesh_path, rec.seed)
-        if key not in clouds:
-            if rec.mesh_path not in meshes:
-                meshes[rec.mesh_path] = _load_normalized(rec.mesh_path)
-            clouds[key] = sampling.build_conditioning_clouds(
-                meshes[rec.mesh_path], n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=rec.seed
+    @functools.cache
+    def candidate(index):
+        seam_path, json_path = paths = _candidate_paths(cand_dir, index)
+        seams, metrics = _read_candidate(*paths)
+        tokens = tokenizer.encode(seams).tokens
+        if len(tokens) > model_config.max_seq_len:
+            n_segments = (len(tokens) - 2) // 6  # BOS, 6 per segment, EOS
+            raise InputError(
+                f"{seam_path}: {n_segments} canonical seam segments, more than the "
+                f"model's max_segments = {model_config.max_segments}"
             )
-        return clouds[key]
+        return tokens, json_path, metrics
 
-    def candidate(rec, line_no, side):
-        index, recorded = getattr(rec, f"{side}_index"), getattr(rec, f"{side}_metrics")
-        if index not in cands:
-            seam_path, json_path = paths = _candidate_paths(cand_dir, index)
-            seams, metrics = _read_candidate(*paths)
-            tokens = tokenizer.encode(seams).tokens
-            if len(tokens) > model_config.max_seq_len:
-                n_segments = (len(tokens) - 2) // 6  # BOS, 6 per segment, EOS
-                raise InputError(
-                    f"{seam_path}: {n_segments} canonical seam segments, more than the "
-                    f"model's max_segments = {model_config.max_segments}"
-                )
-            cands[index] = tokens, json_path, metrics
-        tokens, json_path, metrics = cands[index]
+    def side_tokens(rec, line_no, side):
+        tokens, json_path, metrics = candidate(getattr(rec, f"{side}_index"))
+        recorded = getattr(rec, f"{side}_metrics")
         if metrics is not None and replace(metrics, runtime_s=recorded.runtime_s) != recorded:
             raise InputError(
                 f"{pairs_path}: line {line_no}: {side} metrics differ from those in {json_path}"
@@ -553,7 +543,10 @@ def _pairs_from_records(
         return tokens
 
     return [
-        (condition(rec), (candidate(rec, n, "positive"), candidate(rec, n, "negative")))
+        (
+            condition(rec.mesh_path, rec.seed),
+            (side_tokens(rec, n, "positive"), side_tokens(rec, n, "negative")),
+        )
         for rec, n in zip(records, line_nos)
     ]
 
@@ -572,7 +565,7 @@ def cmd_dpo(args) -> int:
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
     pairs = _pairs_from_records(records, line_nos, args.pairs, cand_dir, cfg, stores[0].config)
-    dpo_config = dpo_mod.DPOConfig(beta=cfg["beta"], learning_rate=cfg["lr"], steps=cfg["steps"])
+    dpo_config = dpo_config_from(cfg)
     t1 = time.perf_counter()
     # popped into the call, the store keeps no name here and is freed after
     # step 0.  dataset and config go by keyword: the benchmark's traced pass
@@ -581,13 +574,10 @@ def cmd_dpo(args) -> int:
     trained, history = dpo_mod.dpo_train(stores.pop(), dataset=pairs, config=dpo_config)
     timings = {"pairs": t1 - t0, "train": time.perf_counter() - t1}
     _write_atomic(args.output, model_mod.save_checkpoint(trained))
-    log_path = os.path.splitext(args.output)[0] + ".log.jsonl"
+    stem = os.path.splitext(args.output)[0]
+    log_path = f"{stem}.log.jsonl"
     _write_atomic(log_path, "".join(json.dumps(asdict(h)) + "\n" for h in history))
-    manifest_path = os.path.splitext(args.output)[0] + ".manifest.json"
-    _write_atomic(
-        manifest_path,
-        _manifest("dpo", [args.pairs], [args.output, log_path], cfg["seed"], cfg, timings),
-    )
+    _manifest(f"{stem}.manifest.json", "dpo", [args.pairs], [args.output, log_path], cfg, timings)
     return EXIT_OK
 
 

@@ -97,22 +97,22 @@ def distortion(atlas: UVAtlas) -> float:
     return float(np.sum(areas * terms) / np.sum(areas))
 
 
+def _stage(name: str, fn, *args):
+    """``fn(*args)``; any exception it raises becomes a ``StageError`` naming
+    the pipeline stage ``name``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def evaluate_edges(mesh: IndexedMesh, seam_edges: SeamEdgeSet) -> tuple[SeamMetrics, UVAtlas]:
     """Cut along marked edges, parameterize, and measure; runtime covers the
     cut through the measurement."""
     t0 = time.perf_counter()
-    try:
-        cut = cut_mesh(mesh, seam_edges)
-    except Exception as exc:
-        raise StageError("cut", exc) from exc
-    try:
-        atlas = unwrap_atlas(cut)
-    except Exception as exc:
-        raise StageError("parameterize", exc) from exc
-    try:
-        dist = distortion(atlas)
-    except Exception as exc:
-        raise StageError("metrics", exc) from exc
+    cut = _stage("cut", cut_mesh, mesh, seam_edges)
+    atlas = _stage("parameterize", unwrap_atlas, cut)
+    dist = _stage("metrics", distortion, atlas)
     return (
         SeamMetrics(
             distortion=dist,
@@ -133,9 +133,5 @@ def evaluate_with_atlas(mesh: IndexedMesh, seams: SeamSet) -> tuple[SeamMetrics,
     measurement, excluding any file I/O and the normalization.
     """
     t0 = time.perf_counter()
-    try:
-        edges = project_seams(mesh, seams)
-    except Exception as exc:
-        raise StageError("project", exc) from exc
-    metrics, atlas = evaluate_edges(mesh, edges)
+    metrics, atlas = evaluate_edges(mesh, _stage("project", project_seams, mesh, seams))
     return replace(metrics, runtime_s=time.perf_counter() - t0), atlas

@@ -110,7 +110,7 @@ class ModelConfig:
     d_model: int = 64
     n_layers: int = 8
     n_heads: int = 2
-    max_segments: int = 512
+    max_segments: int = 64
     seed: int = 0
 
     def __post_init__(self):

@@ -7,9 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from seamkit.cli import BLAS_THREAD_VARS, InputError, main, model_config_from, parse_config
+from seamkit.cli import (
+    BLAS_THREAD_VARS,
+    InputError,
+    dpo_config_from,
+    main,
+    model_config_from,
+    parse_config,
+)
 from seamkit.mesh import extract_uv_seams, load_obj, normalize, save_obj
-from seamkit.model import init_parameters, load_checkpoint, save_checkpoint
+from seamkit.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 from seamkit.projection import seam_edges_to_segments
 from seamkit.shapes import grid_vertex, make_cube, make_grid
 from seamkit.tokenizer import (
@@ -23,7 +30,7 @@ from seamkit.tokenizer import (
     write_seam_text,
 )
 
-from tests.util import DESK_CONFIG, HANDS_OVER_ARGUMENTS, read_xyz, stores_alive_per_pass
+from tests.util import HANDS_OVER_ARGUMENTS, read_xyz, stores_alive_per_pass
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -73,6 +80,14 @@ def test_config_parsing_and_unknown_keys():
     with pytest.raises(InputError) as err:
         parse_config("l = 16\nbogus = 1\nwat = 2\n")
     assert "bogus" in str(err.value) and "wat" in str(err.value)
+
+
+def test_config_defaults_are_the_model_and_dpo_defaults():
+    from seamkit.dpo import DPOConfig
+
+    cfg = parse_config("")
+    assert model_config_from(cfg) == ModelConfig()
+    assert dpo_config_from(cfg) == DPOConfig()
 
 
 def test_evaluate_planar_grid_empty_seams(grid_obj, tmp_path, capsys):
@@ -881,6 +896,8 @@ def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path,
 
     monkeypatch.setattr(cli, "_load_seams", counted_load)
     encodes = _count_calls(monkeypatch, tokenizer.encode, tokenizer)
+    meshes = _count_calls(monkeypatch, cli._load_normalized, cli)
+    conditions = _count_calls(monkeypatch, sampling.build_conditioning_clouds, sampling)
     # five records over two conditions, all sharing candidates 0, 1 and 2
     pairs = _dpo_inputs(tmp_path, [(grid_obj, 0, 3), (grid_obj, 1, 2)])
     cfg_text = desk_config_text() + "steps = 2\nlr = 0.01\nbeta = 0.5\n"
@@ -891,6 +908,7 @@ def test_dpo_reads_each_candidate_once_and_matches_dpo_train(grid_obj, tmp_path,
     cand_dir = pairs.parent
     assert sorted(parsed) == [os.path.join(cand_dir, f"cand_{i}.seams") for i in range(3)]
     assert len(encodes) == 3
+    assert (len(meshes), len(conditions)) == (1, 2)  # one mesh, seeds 0 and 1
 
     # the same run on hand-built (clouds, (chosen, rejected)) items
     monkeypatch.undo()
@@ -925,6 +943,33 @@ def test_dpo_on_unedited_prefpairs_output_exit_0(cube_obj, tmp_path):
     out = tmp_path / "out.ckpt"
     assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "prefpairs", "dpo"])
+def test_each_run_writes_its_manifest(command, cube_obj, tmp_path):
+    # each command runs after those it reads from, all with --seed 7
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(desk_config_text() + "steps = 1\nlr = 0.001\n")
+    cands, pairs, ckpt = tmp_path / "cands", tmp_path / "pairs.jsonl", tmp_path / "out.ckpt"
+    cand_files = [cands / f"cand_{i}.{ext}" for i in range(5) for ext in ("seams", "json")]
+    log = tmp_path / "out.log.jsonl"
+    runs = {  # command: (arguments, manifest, inputs, outputs)
+        "sample": ([cube_obj, cands], cands / "manifest.json", [cube_obj], [*cand_files, cands / "run.json"]),
+        "prefpairs": ([cands, pairs], tmp_path / "pairs.manifest.json", [cands], [pairs]),
+        "dpo": ([pairs, ckpt, "--candidates", cands], tmp_path / "out.manifest.json", [pairs], [ckpt, log]),
+    }
+    for name, (arguments, *_) in runs.items():
+        argv = [name, *map(str, arguments), "--config", str(cfg), "--seed", "7"]
+        assert main(argv) == 0
+        if name == command:
+            break
+    _, path, inputs, outputs = runs[command]
+    manifest = json.loads(path.read_text())
+    jsonschema.validate(manifest, _schema("manifest.schema.json"))
+    assert (manifest["command"], manifest["seed"]) == (command, 7)
+    assert manifest["inputs"] == [str(p) for p in inputs]
+    assert manifest["outputs"] == [str(p) for p in outputs]
+    assert all(os.path.exists(p) for p in outputs)
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,28 @@ def test_stage_error_names_stage():
     assert err.value.stage == "cut"
 
 
+@pytest.mark.parametrize(
+    "stage, name",
+    [
+        ("project", "project_seams"),
+        ("cut", "cut_mesh"),
+        ("parameterize", "unwrap_atlas"),
+        ("metrics", "distortion"),
+    ],
+)
+def test_each_stage_error_names_its_stage(stage, name, monkeypatch):
+    cause = RuntimeError("boom")
+
+    def fail(*args):
+        raise cause
+
+    monkeypatch.setattr(f"seamkit.metrics.{name}", fail)
+    with pytest.raises(StageError) as err:
+        evaluate_with_atlas(make_grid(2, 2), SeamSet.empty())
+    assert (err.value.stage, err.value.cause) == (stage, cause)
+    assert str(err.value) == f"stage '{stage}': boom"
+
+
 def test_metrics_json_round_trip():
     m = SeamMetrics(distortion=1.25, fragments=3, runtime_s=0.5, excluded_triangles=0)
     d = json.loads(m.to_json())

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from seamkit.mesh import IndexedMesh, build_edge_graph, extract_uv_seams, load_obj, normalize
+from seamkit.mesh import IndexedMesh, extract_uv_seams, load_obj, normalize
 from seamkit.projection import (
     ProjectionError,
     UnreachableError,
