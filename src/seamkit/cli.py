@@ -286,10 +286,7 @@ def _manifest(path: str, command: str, inputs, outputs, cfg: dict, timings: dict
 
 def _clouds(mesh: IndexedMesh, cfg: dict, seed: int) -> sampling.ConditioningClouds:
     """The conditioning clouds of ``mesh`` for ``seed``, sized by the config's
-    ``n_topo`` and ``n_geom``.  ``dpo`` rebuilds each pair's condition from
-    its own config's sizes, so they must match those of the ``sample`` run
-    that drew the candidates: neither ``run.json`` nor a pair record stores
-    them."""
+    ``n_topo`` and ``n_geom``; ``sample`` records both in ``run.json``."""
     return sampling.build_conditioning_clouds(
         mesh, n_topo=cfg["n_topo"], n_geom=cfg["n_geom"], seed=seed
     )
@@ -426,6 +423,8 @@ def cmd_sample(args) -> int:
     run_info = {
         "mesh": os.path.abspath(args.mesh),
         "seed": cfg["seed"],
+        "n_topo": cfg["n_topo"],
+        "n_geom": cfg["n_geom"],
         "candidates": [
             {"index": i, "n_steps": r.n_steps, "malformed": r.malformed}
             for i, r in enumerate(results)
@@ -563,6 +562,18 @@ def cmd_dpo(args) -> int:
     stores = [_policy_store(cfg)]
     t0 = time.perf_counter()
     cand_dir = args.candidates or os.path.dirname(os.path.abspath(args.pairs))
+    # conditions are rebuilt at this config's cloud sizes: sample's, if recorded
+    run_path = os.path.join(cand_dir, "run.json")
+    if os.path.exists(run_path):
+        recorded = _read_json(run_path, lambda d: {
+            key: metrics_mod.json_field(d, key, int, minimum=1) for key in ("n_topo", "n_geom") if key in d
+        })
+        for key, value in recorded.items():
+            if value != cfg[key]:
+                raise InputError(
+                    f"{run_path}: sample drew the candidates with {key} = {value}, "
+                    f"but the config has {key} = {cfg[key]}"
+                )
     line_nos = [line_no for line_no, _ in dpo_mod.record_lines(text)]
     pairs = _pairs_from_records(records, line_nos, args.pairs, cand_dir, cfg, stores[0].config)
     dpo_config = dpo_config_from(cfg)

@@ -54,8 +54,7 @@ class IndexedMesh:
     vertex pairs in lexicographic order and ``edge_lengths[e]`` the Euclidean
     length.  ``face_edges[f, k]`` is the edge id of side ``k`` of face ``f``,
     the side from corner ``k`` to corner ``(k + 1) % 3``; it is the one
-    incidence array that edge lookups, ``edge_faces``, UV seams and cutting
-    derive from.
+    incidence array that edge lookups, UV seams and cutting derive from.
     """
 
     vertices: np.ndarray
@@ -126,14 +125,6 @@ class IndexedMesh:
     @property
     def has_uvs(self) -> bool:
         return self.uv_corners is not None
-
-    @cached_property
-    def edge_faces(self) -> tuple:
-        """Incident face ids of each edge, ascending."""
-        side_edge = self.face_edges.ravel()
-        faces = (np.argsort(side_edge, kind="stable") // 3).tolist()
-        ends = np.cumsum(np.bincount(side_edge, minlength=len(self.edges))).tolist()
-        return tuple(tuple(faces[s:e]) for s, e in zip([0] + ends, ends))
 
     @property
     def nonmanifold_edges(self) -> tuple[int, ...]:

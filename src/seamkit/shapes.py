@@ -1,12 +1,12 @@
 """Synthetic test meshes: grids, cubes, cylinders, spheres, L-extrusions.
 
-The vertex, triangle and UV order of every generator is a contract, not an
-implementation detail: the ``perfbench`` seed-0 references and the meshes
-of ``tests/corpus.py`` pin seams, fragments and tokens to vertex and face
-numbers.  The generators are built with array operations and must give the
-same arrays, bit for bit, as the per-element loops kept in
-``tests/loop_reference.py``.  Every generator checks its sizes first and
-raises ``ValueError`` naming the argument.
+The vertex, triangle and UV order of every generator is a contract: the
+``perfbench`` seed-0 references and ``tests/corpus.py`` pin seams,
+fragments and tokens to vertex and face numbers.  ``make_grid``,
+``make_cube``, ``make_cylinder``, ``make_sphere`` and ``make_random_hull``
+are array-built, bit-equal to the loops in ``tests/loop_reference.py``;
+``tests/test_corpus.py`` pins ``make_l_extrusion``'s dict-welded numbering.
+Every generator checks its sizes first and raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -241,6 +241,7 @@ def make_l_extrusion(height: float = 1.0, side: float = 0.5) -> IndexedMesh:
 
 def make_random_hull(n_points: int = 30, seed: int = 0, scale: float = 1.0) -> IndexedMesh:
     """Closed triangulated surface: convex hull of random points."""
+    _check_sizes(n_points=(n_points, 4))
     from scipy.spatial import ConvexHull
 
     rng = np.random.default_rng(seed)

@@ -7,133 +7,82 @@ small quad loops out of the surface: every cutout adds an island, and the
 leftover shell keeps its corners and curvature with no unrolling cuts, so it
 flattens with large distortion.  The joint strict-dominance rule would
 therefore pair them deterministically.
+
+Both cuts read the one incidence array, ``mesh.face_edges``, through
+``matched_corners``.  The developable cut is two ``scipy.sparse.csgraph``
+calls: ``connected_components`` of the dual graph restricted to flat face
+pairs gives the flat groups, numbered by their lowest face, and
+``breadth_first_order`` from group 0 over the symmetric group-adjacency graph
+gives the hinge tree, visiting each group's neighbours in ascending order.
 """
 
-from collections import deque
-
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from seamkit.mesh import SeamEdgeSet, extract_uv_seams
+from seamkit.mesh import SeamEdgeSet, extract_uv_seams, matched_corners, triangle_normals
 from seamkit.shapes import make_cube, make_cylinder, make_l_extrusion
 
 
-def _tri_edges(tri):
-    return ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
+def _two_face_edges(mesh):
+    """``(edge, f1, f2)`` with ``f1 < f2`` for every edge with exactly two faces, in edge order."""
+    edge, a, b = matched_corners(mesh.triangles, mesh.face_edges)
+    two = np.bincount(mesh.face_edges.ravel())[edge] == 2
+    return edge[two], a[two, 0] // 3, b[two, 0] // 3
 
 
 def quad_cutout_loops(mesh, k: int) -> SeamEdgeSet:
     """Seam edges forming k disjoint quad-boundary loops.
 
     Each loop is the 4-edge boundary of two triangles sharing an interior
-    edge; cutting it separates that quad into its own island.
+    edge; cutting it separates that quad into its own island.  Interior edges
+    are tried in id order; a loop is taken when all four boundary edges are
+    interior, none is already cut, and no face on them is already used.
     """
-    edges: set = set()
-    used_faces: set[int] = set()
+    edge, f1, f2 = _two_face_edges(mesh)
+    faces = np.full((len(mesh.edges), 2), -1)
+    faces[edge] = np.stack([f1, f2], axis=1)
+    used_face = np.zeros(mesh.n_triangles, dtype=bool)
+    used_edge = np.zeros(len(mesh.edges), dtype=bool)
     loops = 0
-    for eid in range(len(mesh.edges)):
+    for a, b in zip(f1.tolist(), f2.tolist()):
         if loops >= k:
             break
-        faces = mesh.edge_faces[eid]
-        if len(faces) != 2 or any(f in used_faces for f in faces):
+        boundary = np.setxor1d(mesh.face_edges[a], mesh.face_edges[b])
+        ring = faces[boundary]  # the quad's faces and its neighbours
+        if len(boundary) != 4 or (ring < 0).any() or used_edge[boundary].any() or used_face[ring].any():
             continue
-        f1, f2 = faces
-        t1 = {tuple(sorted((int(a), int(b)))) for a, b in _tri_edges(mesh.triangles[f1])}
-        t2 = {tuple(sorted((int(a), int(b)))) for a, b in _tri_edges(mesh.triangles[f2])}
-        boundary = t1 ^ t2
-        if len(boundary) != 4:
-            continue
-        boundary_ids = mesh.edge_ids(sorted(boundary))
-        if any(len(mesh.edge_faces[eid]) != 2 for eid in boundary_ids):
-            continue  # keep loops away from the surface boundary
-        if edges & boundary:
-            continue
-        neighbors = set()
-        for eid in boundary_ids:
-            neighbors.update(mesh.edge_faces[eid])
-        if neighbors & used_faces:
-            continue
-        edges.update(boundary)
-        used_faces.update(neighbors)
+        used_edge[boundary] = True
+        used_face[ring] = True
         loops += 1
     if loops < k:
         raise ValueError(f"only found {loops} disjoint quad loops, wanted {k}")
-    return SeamEdgeSet(list(edges))
+    return SeamEdgeSet(mesh.edges[used_edge])
 
 
 def developable_cut_edges(mesh, angle_deg: float = 30.0) -> SeamEdgeSet:
     """Single-island developable cut for piecewise-planar meshes.
 
     Groups coplanar faces, spans the group-adjacency graph with a tree, and
-    cuts every crease chain that is not a tree hinge.  The cut surface is a
-    tree of flat patches, so it unrolls with zero distortion.
+    cuts every crease edge whose two groups the tree does not join.  The cut
+    surface is a tree of flat patches, so it unrolls with zero distortion.
     """
-    p = mesh.vertices[mesh.triangles]
-    normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    normals, _ = triangle_normals(mesh.vertices[mesh.triangles])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cos_thresh = np.cos(np.deg2rad(angle_deg))
+    edge, f1, f2 = _two_face_edges(mesh)
+    # matmul rounds each dot product as ``n[f1] @ n[f2]`` does; einsum or a row
+    # sum may not, and faces meeting at the threshold would then cut otherwise
+    cos = np.matmul(normals[f1][:, None, :], normals[f2][:, :, None]).ravel()
+    crease = cos < np.cos(np.deg2rad(angle_deg))
 
-    crease = []
-    flat_pairs = []
-    for eid, faces in enumerate(mesh.edge_faces):
-        if len(faces) != 2:
-            continue
-        f1, f2 = faces
-        if normals[f1] @ normals[f2] < cos_thresh:
-            crease.append(eid)
-        else:
-            flat_pairs.append((f1, f2))
-
-    group = np.full(mesh.n_triangles, -1, dtype=np.int64)
-    adj = [[] for _ in range(mesh.n_triangles)]
-    for f1, f2 in flat_pairs:
-        adj[f1].append(f2)
-        adj[f2].append(f1)
-    n_groups = 0
-    for start in range(mesh.n_triangles):
-        if group[start] != -1:
-            continue
-        queue = deque([start])
-        group[start] = n_groups
-        while queue:
-            f = queue.popleft()
-            for g in adj[f]:
-                if group[g] == -1:
-                    group[g] = n_groups
-                    queue.append(g)
-        n_groups += 1
-
-    # one chain per unordered group pair; a chain is kept (uncut) iff it is
-    # the hinge selected by the spanning tree
-    chains: dict[tuple[int, int], list[int]] = {}
-    for eid in crease:
-        f1, f2 = mesh.edge_faces[eid]
-        key = (min(group[f1], group[f2]), max(group[f1], group[f2]))
-        chains.setdefault(key, []).append(eid)
-
-    tree_edges = set()
-    seen = {0}
-    queue = deque([0])
-    group_adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for key in chains:
-        a, b = key
-        group_adj.setdefault(a, []).append((b, key))
-        group_adj.setdefault(b, []).append((a, key))
-    while queue:
-        g = queue.popleft()
-        for other, key in sorted(group_adj.get(g, [])):
-            if other not in seen:
-                seen.add(other)
-                tree_edges.add(key)
-                queue.append(other)
-
-    cut = set()
-    for key, eids in chains.items():
-        if key in tree_edges:
-            continue
-        for eid in eids:
-            a, b = (int(x) for x in mesh.edges[eid])
-            cut.add((a, b))
-    return SeamEdgeSet(list(cut))
+    n, flat = mesh.n_triangles, ~crease
+    dual = sp.coo_matrix((np.ones(flat.sum()), (f1[flat], f2[flat])), shape=(n, n))
+    n_groups, group = connected_components(dual, directed=False)
+    g1, g2 = group[f1[crease]], group[f2[crease]]
+    adjacent = sp.coo_matrix((np.ones(len(g1)), (g1, g2)), shape=(n_groups, n_groups)).tocsr()
+    _, parent = breadth_first_order(adjacent + adjacent.T, 0, directed=False, return_predecessors=True)
+    hinge = (parent[g1] == g2) | (parent[g2] == g1)
+    return SeamEdgeSet(mesh.edges[edge[crease][~hinge]])
 
 
 def corpus_meshes():

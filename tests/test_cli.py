@@ -1004,6 +1004,52 @@ def test_dpo_candidate_files_differing_only_in_runtime_exit_0(cube_obj, tmp_path
     assert out.exists()
 
 
+@pytest.mark.parametrize("key, no_records", [("n_topo", False), ("n_geom", False), ("n_geom", True)])
+def test_dpo_config_with_other_cloud_sizes_than_sample_exit_2(cube_obj, tmp_path, capsys, key, no_records):
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    run_json = pairs.parent / "run.json"
+    run = json.loads(run_json.read_text())
+    assert (run["n_topo"], run["n_geom"]) == (64, 64)
+    if no_records:  # the sizes are checked before any record is read
+        pairs.write_text("")
+    dpo_cfg = tmp_path / "dpo.txt"
+    dpo_cfg.write_text(desk_config_text(**{key: 128}) + "steps = 1\nlr = 0.001\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(dpo_cfg)]) == 2
+    message = f"{run_json}: sample drew the candidates with {key} = 64, but the config has {key} = 128"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dpo_run_json_without_cloud_sizes_is_not_checked_exit_0(cube_obj, tmp_path):
+    # a run.json written before sample recorded the sizes
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    run_json = pairs.parent / "run.json"
+    run = json.loads(run_json.read_text())
+    del run["n_topo"], run["n_geom"]
+    run_json.write_text(json.dumps(run))
+    dpo_cfg = tmp_path / "dpo.txt"
+    dpo_cfg.write_text(desk_config_text(n_topo=128) + "steps = 1\nlr = 0.001\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(dpo_cfg)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(64.5, "n_geom must be an integer, got 64.5"), (0, "n_geom must be >= 1, got 0")],
+    ids=["float", "zero"],
+)
+def test_dpo_recorded_cloud_size_out_of_schema_names_run_json_exit_2(cube_obj, tmp_path, capsys, value, message):
+    cfg, pairs = _sampled_pairs(cube_obj, tmp_path)
+    run_json = pairs.parent / "run.json"
+    run_json.write_text(json.dumps({**json.loads(run_json.read_text()), "n_geom": value}))
+    out = tmp_path / "out.ckpt"
+    assert main(["dpo", str(pairs), str(out), "--config", str(cfg)]) == 2
+    assert f"{run_json}: malformed JSON record ({message})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("distortion", -1.0), ("fragments", 0), ("runtime_s", -5.0)])
 def test_prefpairs_and_dpo_reject_the_same_out_of_schema_candidate_exit_2(cube_obj, tmp_path, capsys, key, value):
     cfg, pairs = _sampled_pairs(cube_obj, tmp_path)

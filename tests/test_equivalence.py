@@ -208,7 +208,6 @@ def test_nonmanifold_fan_matches_loop_reference(caplog):
     assert "1 non-manifold edges" in caplog.text
     (fan_edge,) = mesh.edge_ids([(0, 1)]).tolist()
     assert mesh.nonmanifold_edges == (fan_edge,)
-    assert mesh.edge_faces[fan_edge] == (0, 1, 2)
     seams = extract_uv_seams(mesh)
     assert seams.pairs.tolist() == ref.extract_uv_seams(mesh).pairs.tolist() == [[0, 1]]
     for cut_seams in (SeamEdgeSet(), seams):

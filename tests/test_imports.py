@@ -1,8 +1,12 @@
-"""Every module-level import in ``src/seamkit`` and ``tests`` is read.
+"""Every module-level import in ``src/seamkit`` and ``tests`` is read, and
+none of those modules walks a graph with ``collections.deque``.
 
 No linter runs on this repository, so an import that a change left behind
 would stay unnoticed; this test parses each module with ``ast`` and names
-the imports it binds at module level but never reads.
+the imports it binds at module level but never reads.  Graph walks are
+``scipy.sparse.csgraph`` calls, so a ``deque`` marks a hand-rolled BFS; only
+``tests/loop_reference.py`` keeps its loops, on purpose, as the reference
+the array code is checked against.
 """
 
 import ast
@@ -53,3 +57,35 @@ def test_unused_imports_finds_what_nothing_reads():
 def test_every_module_level_import_is_read(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def deque_uses(source: str) -> list[str]:
+    """Lines of ``source`` that import ``deque`` from ``collections`` or read
+    ``collections.deque``."""
+
+    def uses(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "collections" and any(alias.name == "deque" for alias in node.names)
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "deque"
+            and getattr(node.value, "id", None) == "collections"
+        )
+
+    return [f"line {line}" for line in sorted(n.lineno for n in ast.walk(ast.parse(source)) if uses(n))]
+
+
+def test_deque_uses_finds_both_spellings():
+    source = "import collections\nfrom collections import Counter\ndef f():\n    from collections import deque\nq = collections.deque()\n"
+    assert deque_uses(source) == ["line 4", "line 5"]
+    assert deque_uses("from collections import Counter\nx.deque\n") == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if os.path.basename(p) != "loop_reference.py"],
+    ids=lambda p: os.path.relpath(p, ROOT),
+)
+def test_no_module_walks_a_graph_with_deque(path):
+    with open(path, encoding="utf-8") as fh:
+        assert deque_uses(fh.read()) == []

@@ -15,6 +15,8 @@ from seamkit.mesh import (
 )
 from seamkit.shapes import make_cube, make_grid, make_perturbed_grid, make_random_hull, make_tetrahedron
 
+from tests import loop_reference
+
 MINIMAL_OBJ = """
 v 0 0 0
 v 1 0 0
@@ -221,7 +223,7 @@ def test_uv_seams_requires_uvs():
 def _uv_seams_bruteforce(mesh):
     """Independent per-edge scan used as the oracle."""
     seams = set()
-    for e, faces in enumerate(mesh.edge_faces):
+    for e, faces in enumerate(loop_reference.edge_faces(mesh)[1]):
         if len(faces) < 2:
             continue
         a, b = (int(x) for x in mesh.edges[e])

@@ -30,6 +30,7 @@ from seamkit.unwrap import (
     unwrap_atlas,
 )
 
+from tests import loop_reference
 from tests.util import sliver_grid_atlas
 
 
@@ -54,7 +55,7 @@ class UnionFindOracle:
 def island_count_oracle(mesh, seams):
     uf = UnionFindOracle(mesh.n_triangles)
     marked = set(map(tuple, seams.pairs.tolist()))
-    for eid, faces in enumerate(mesh.edge_faces):
+    for eid, faces in enumerate(loop_reference.edge_faces(mesh)[1]):
         a, b = (int(x) for x in mesh.edges[eid])
         if (a, b) in marked:
             continue

@@ -97,9 +97,10 @@ def test_generator_matches_loop_reference(case):
         (shapes.make_cylinder, (8, 0), "n_z must be at least 1, got 0"),
         (shapes.make_sphere, (1, 8), "n_lat must be at least 2, got 1"),
         (shapes.make_sphere, (4, 2), "n_lon must be at least 3, got 2"),
+        (shapes.make_random_hull, (3,), "n_points must be at least 4, got 3"),
     ],
     ids=["grid-nx", "grid-ny", "perturbed-nx", "cube-n", "cylinder-n_theta",
-         "cylinder-n_z", "sphere-n_lat", "sphere-n_lon"],
+         "cylinder-n_z", "sphere-n_lat", "sphere-n_lon", "hull-n_points"],
 )
 def test_generator_rejects_bad_size(make, args, message):
     with pytest.raises(ValueError, match=message):
