@@ -445,9 +445,13 @@ def _candidate_paths(cand_dir: str, index: int) -> tuple[str, str]:
 
 def _read_json(path: str, parse):
     """``parse`` applied to the JSON object in ``path``; a file that is not
-    JSON, or lacks a key ``parse`` reads, raises ``InputError`` naming it."""
+    JSON, not an object, or lacks a key ``parse`` reads, raises
+    ``InputError`` naming it."""
     try:
-        return parse(json.loads(_read_file(path)))
+        doc = json.loads(_read_file(path))
+        if not isinstance(doc, dict):
+            raise InputError(f"{path}: not a JSON object")
+        return parse(doc)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError

@@ -189,21 +189,6 @@ class IslandParam:
     residual: float
 
 
-def _island_chi(cut: CutMesh, edges: np.ndarray) -> np.ndarray:
-    """Euler characteristic V - E + F of every island's submesh.
-
-    ``edges`` is ``index_edges`` of the cut mesh's triangles.
-    """
-    vertex_island = np.empty(len(cut.vertices), dtype=np.int64)
-    vertex_island[cut.triangles] = cut.face_island[:, None]
-    n = cut.n_islands
-    return (
-        np.bincount(vertex_island, minlength=n)
-        - np.bincount(vertex_island[edges[:, 0]], minlength=n)
-        + np.bincount(cut.face_island, minlength=n)
-    )
-
-
 def parameterize_island(
     cut: CutMesh,
     island: int,
@@ -221,15 +206,10 @@ def parameterize_island(
     faces = np.flatnonzero(cut.face_island == island)
     if len(faces) == 0:
         raise UnwrapError(f"island {island} has no faces")
-    edges, face_edges, _ = index_edges(cut.triangles, len(cut.vertices))
-    chi = _island_chi(cut, edges)
-    if chi[island] != 1:
-        logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi[island])
     active = faces if excluded is None else faces[~excluded[faces]]
     if len(active) == 0:
         raise DegenerateIslandError(f"island {island} has only degenerate triangles")
-    frames = _local_frames(cut.vertices[cut.triangles[active]])
-    uv, _, residuals, pins = _lscm(cut, active, face_edges[active], chi != 1, frames)
+    uv, chi, _, residuals, pins = _lscm(cut, active, _local_frames(cut.vertices[cut.triangles]))
     verts = np.unique(cut.triangles[faces])
     return IslandParam(
         vertex_ids=verts,
@@ -269,12 +249,13 @@ def _pick_pins(node: np.ndarray, node_comp: np.ndarray, nondisk: np.ndarray) -> 
     return pins
 
 
-def _solve_blocks(A, c: np.ndarray, col_comp: np.ndarray, n_comp: int):
-    """Least-squares solution of the complex system A z = c through one
-    factorization of the normal matrix K = A^H A.
+def _solve_blocks(K, rhs: np.ndarray, col_comp: np.ndarray, n_comp: int):
+    """Least-squares solution of a complex system A z = c through one
+    factorization of its normal equations K z = rhs, K = A^H A (CSC) and
+    rhs = A^H c.
 
     Returns ``(z, residual)`` with the relative normal-equation residual
-    |K z - A^H c| / |A^H c| of each block of columns (``col_comp`` names the
+    |K z - rhs| / |rhs| of each block of columns (``col_comp`` names the
     block of each column); blocks above SOLVE_RESIDUAL_REL get one refinement
     pass with the same factor, and a block still above it raises SolveError.
     The complex norm |r|^2 = sum(Re r^2 + Im r^2) is the norm of the same
@@ -289,12 +270,6 @@ def _solve_blocks(A, c: np.ndarray, col_comp: np.ndarray, n_comp: int):
     factor-and-solve from 0.53 s to 0.19 s (2-vCPU Xeon, scipy 1.17), with the
     relative residual ~5e-14 either way.
     """
-    AH = A.conj().T
-    K = (AH @ A).tocsc()
-    rhs = AH @ c
-    # spent: only K and the right-hand side reach the factorization, so A is
-    # freed before it when the caller holds no name for it
-    del A, AH
     try:
         with np.errstate(all="ignore"):
             lu = spla.splu(
@@ -325,74 +300,100 @@ def _solve_blocks(A, c: np.ndarray, col_comp: np.ndarray, n_comp: int):
     return z, res / scale
 
 
-def _lscm_system(
-    cut: CutMesh, faces: np.ndarray, face_edges: np.ndarray, nondisk_island: np.ndarray, frames
-):
-    """The complex least-squares system of ``_lscm`` and the node data its
-    solution is read back through.
-
-    Returns ``(A, c, col_comp, free, node_z, node_vertex, comp_island,
-    pins)``: the system A z = c over the free nodes, the component of each
-    unknown, the free-node mask, every node's z (the pins' values set), each
-    node's cut vertex, each component's island, and the pinned vertices in
-    component order.  Kept apart from the solve, so the assembly's
-    temporaries are freed before the factorization runs.
+def _cut_topology(cut: CutMesh, faces: np.ndarray):
+    """``(n_comp, comp, chi)``: the connected components of ``faces`` under
+    shared cut edges, numbered by their lowest face, the component of each
+    face, and the Euler characteristic V - E + F of every island's submesh.
     """
-    n_vertices = len(cut.vertices)
-    tris = cut.triangles[faces]
-    _, a, b = matched_corners(tris, face_edges)
+    edges, face_edges = index_edges(cut.triangles, len(cut.vertices))[:2]
+    _, a, b = matched_corners(cut.triangles[faces], face_edges[faces])
     n_comp, comp = _components(len(faces), a[:, 0] // 3, b[:, 0] // 3)
-    comp_island = cut.face_island[faces[np.unique(comp, return_index=True)[1]]]
+    vertex_island = np.empty(len(cut.vertices), dtype=np.int64)
+    vertex_island[cut.triangles] = cut.face_island[:, None]
+    n = cut.n_islands
+    chi = (
+        np.bincount(vertex_island, minlength=n)
+        - np.bincount(vertex_island[edges[:, 0]], minlength=n)
+        + np.bincount(cut.face_island, minlength=n)
+    )
+    return n_comp, comp, chi
 
-    # one node per (component, vertex), ordered by component, then vertex
-    keys, node = np.unique(comp[:, None] * n_vertices + tris, return_inverse=True)
-    node = node.reshape(-1, 3)
-    node_vertex = keys % n_vertices
-    node_comp = keys // n_vertices
 
-    pin_nodes = _pick_pins(node, node_comp, nondisk_island[comp_island])
-    pinned = np.zeros(len(keys), dtype=bool)
-    pinned[pin_nodes[pin_nodes >= 0]] = True
-    node_z = np.zeros(len(keys), dtype=np.complex128)
-    node_z[pin_nodes[:, 1]] = 1.0
-    node_z[pin_nodes[pin_nodes[:, 2] >= 0, 2]] = 0.5 + 1.0j
+def _lscm_equations(frames, faces, comp, n_comp: int, node, free, node_z):
+    """``(A, c)``: one complex equation per positive-area face, rows grouped
+    by component, over the free nodes' unknowns.
 
-    # unknowns: the free nodes, so grouped by component like the nodes
-    free = ~pinned
-    col = np.cumsum(free) - 1
-    col_comp = node_comp[free]
-
-    # one complex equation per positive-area face, rows grouped by component
+    ``node`` is the (len(faces), 3) node of each corner, ``free`` the
+    free-node mask and ``node_z`` every node's z, read for the pins.
+    """
     E, areas, good = frames
-    live = good & (areas > 0)
+    live = good[faces] & (areas[faces] > 0)
     if (np.bincount(comp[live], minlength=n_comp) == 0).any():
         raise DegenerateIslandError("no positive-area triangles in component")
-    eq_faces = np.flatnonzero(live)[np.argsort(comp[live], kind="stable")]
+    eq = np.flatnonzero(live)[np.argsort(comp[live], kind="stable")]
+    eq_faces = faces[eq]
     w = 1.0 / np.sqrt(areas[eq_faces])
     e00, e01, e11 = E[eq_faces, 0, 0], E[eq_faces, 0, 1], E[eq_faces, 1, 1]
     # per-corner weights (x3 - x2, x1 - x3, x2 - x1) + i (y3 - y2, ...) in the local frame
     W = w[:, None] * np.stack([e01 - e00 + 1j * e11, -e01 - 1j * e11, e00 + 0j], axis=1)
-    corner = node[eq_faces]
-    fixed = pinned[corner]
+    corner = node[eq]
+    fixed = ~free[corner]
     # pinned corners move to the right-hand side
     c = -np.where(fixed, W * node_z[corner], 0.0).sum(axis=1)
-    row = np.broadcast_to(np.arange(len(eq_faces))[:, None], corner.shape)[~fixed]
-    A = sp.csr_matrix((W[~fixed], (row, col[corner][~fixed])), shape=(len(c), len(col_comp)))
+    row = np.broadcast_to(np.arange(len(eq))[:, None], corner.shape)[~fixed]
+    # unknowns: the free nodes, so grouped by component like the nodes
+    col = np.cumsum(free) - 1
+    A = sp.csr_matrix((W[~fixed], (row, col[corner][~fixed])), shape=(len(c), free.sum()))
+    return A, c
+
+
+def _lscm_system(cut: CutMesh, faces: np.ndarray, frames):
+    """The normal equations of ``_lscm``'s least-squares system and the node
+    data its solution is read back through.
+
+    ``frames`` is ``_local_frames`` of every cut triangle.  Returns ``(K,
+    rhs, col_comp, free, node_z, node_vertex, comp_island, pins, chi)``:
+    K = A^H A (CSC) and rhs = A^H c of the system A z = c over the free
+    nodes, the component of each unknown, the free-node mask, every node's z
+    (the pins' values set), each node's cut vertex, each component's island,
+    the pinned vertices in component order, and every island's Euler
+    characteristic.  The edge index and the assembly's temporaries are
+    locals of ``_cut_topology`` and ``_lscm_equations``, so they are freed
+    before K is formed, and A is freed before the factorization.
+    """
+    n_vertices = len(cut.vertices)
+    n_comp, comp, chi = _cut_topology(cut, faces)
+    comp_island = cut.face_island[faces[np.unique(comp, return_index=True)[1]]]
+
+    # one node per (component, vertex), ordered by component, then vertex
+    keys, node = np.unique(comp[:, None] * n_vertices + cut.triangles[faces], return_inverse=True)
+    node = node.reshape(-1, 3)
+    node_vertex = keys % n_vertices
+    node_comp = keys // n_vertices
+
+    pin_nodes = _pick_pins(node, node_comp, chi[comp_island] != 1)
+    free = np.ones(len(keys), dtype=bool)
+    free[pin_nodes[pin_nodes >= 0]] = False
+    node_z = np.zeros(len(keys), dtype=np.complex128)
+    node_z[pin_nodes[:, 1]] = 1.0
+    node_z[pin_nodes[pin_nodes[:, 2] >= 0, 2]] = 0.5 + 1.0j
+
+    A, c = _lscm_equations(frames, faces, comp, n_comp, node, free, node_z)
+    AH = A.conj().T
     pins = node_vertex[pin_nodes[pin_nodes >= 0]]
-    return A, c, col_comp, free, node_z, node_vertex, comp_island, pins
+    K = (AH @ A).tocsc()
+    return K, AH @ c, node_comp[free], free, node_z, node_vertex, comp_island, pins, chi
 
 
-def _lscm(
-    cut: CutMesh, faces: np.ndarray, face_edges: np.ndarray, nondisk_island: np.ndarray, frames
-):
+def _lscm(cut: CutMesh, faces: np.ndarray, frames):
     """Least-squares conformal maps of the given faces, solved as one system.
 
-    ``face_edges`` and ``frames`` are the faces' rows of ``index_edges`` of
-    the cut mesh and of ``_local_frames``.  The faces split into connected
-    components under shared cut edges, numbered by their lowest face.  Each
-    component has its own unknowns and pins (see ``_pick_pins``; the extra
-    pin goes to components of islands flagged in ``nondisk_island``), so the
-    normal equations are block diagonal and one factorization solves them all.
+    ``frames`` is ``_local_frames`` of every cut triangle.  The faces split
+    into connected components under shared cut edges, numbered by their
+    lowest face.  Each component has its own unknowns and pins (see
+    ``_pick_pins``; the extra pin goes to components of non-disk islands,
+    each logged once as a warning), so the normal equations are block
+    diagonal and one factorization solves them all.
 
     LSCM is a complex least-squares problem in z = u + iv (Levy et al. 2002):
     each positive-area face contributes one complex equation
@@ -400,31 +401,27 @@ def _lscm(
     corners' local-frame coordinates and w = 1 / sqrt(area).  There is one
     complex unknown per free node; the pins are fixed at z = 0 and z = 1 (and
     0.5 + i for the extra pin), and their terms move to the right-hand side.
-    ``_lscm_system`` assembles it; ``face_edges`` and ``frames`` are dropped
-    here, and A is handed to ``_solve_blocks`` with no name left here, so
-    rows a caller hands over unnamed, and A, are freed before the
-    factorization.
 
-    Returns ``(uv, comp_island, comp_residual, pins)``: (V, 2) coordinates
-    for the cut vertices (a vertex in several components keeps the value of
-    the last one), the island and the relative residual of each component,
-    and the pinned vertices in component order.
+    Returns ``(uv, chi, comp_island, comp_residual, pins)``: (V, 2)
+    coordinates for the cut vertices (a vertex in several components keeps
+    the value of the last one), every island's Euler characteristic, the
+    island and the relative residual of each component, and the pinned
+    vertices in component order.
     """
-    A, c, col_comp, free, node_z, node_vertex, comp_island, pins = _lscm_system(
-        cut, faces, face_edges, nondisk_island, frames
+    K, rhs, col_comp, free, node_z, node_vertex, comp_island, pins, chi = _lscm_system(
+        cut, faces, frames
     )
-    del face_edges, frames
+    for island in np.unique(comp_island[chi[comp_island] != 1]):
+        logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi[island])
     residual = np.zeros(len(comp_island))
     if len(col_comp):
-        system = [A]  # popped into the call, so no name here holds A during the solve
-        del A
-        node_z[free], residual = _solve_blocks(system.pop(), c, col_comp, len(comp_island))
+        node_z[free], residual = _solve_blocks(K, rhs, col_comp, len(comp_island))
 
     uv = np.zeros((len(cut.vertices), 2))
     last = len(node_vertex) - 1 - np.unique(node_vertex[::-1], return_index=True)[1]
     uv[node_vertex[last], 0] = node_z[last].real
     uv[node_vertex[last], 1] = node_z[last].imag
-    return uv, comp_island, residual, pins
+    return uv, chi, comp_island, residual, pins
 
 
 # ---------------------------------------------------------------------------
@@ -462,34 +459,18 @@ class UVAtlas:
 def unwrap_atlas(cut: CutMesh) -> UVAtlas:
     """Parameterize every island and assemble deformation data.
 
-    The triangle frames and the cut mesh's edge index are computed once; the
-    Euler characteristics, the solve and the deformation gradients read them.
+    The triangle frames are computed once; the solve and the deformation
+    gradients read them.
     """
     E, areas, good = _local_frames(cut.vertices[cut.triangles])
     excluded = areas < AREA_EXCLUDE_REL * max(areas.sum(), np.finfo(float).tiny)
     live = ~excluded
-
-    edges, face_edges, _ = index_edges(cut.triangles, len(cut.vertices))
-    chi = _island_chi(cut, edges)
-    del edges  # spent: the solve reads only the live faces' edge rows
-    nondisk = np.flatnonzero(chi != 1)
-    for island in nondisk:
-        logger.warning("island %d is not a disk (chi=%d); adding an extra pin", island, chi[island])
     empty = np.flatnonzero(np.bincount(cut.face_island[live], minlength=cut.n_islands) == 0)
     if len(empty):
         raise DegenerateIslandError(f"island {empty[0]} has only degenerate triangles")
+    uv, chi, comp_island, comp_residual, _ = _lscm(cut, np.flatnonzero(live), (E, areas, good))
     residuals = np.zeros(cut.n_islands)
-    uv = np.zeros((len(cut.vertices), 2))
-    if cut.n_islands:
-        faces = np.flatnonzero(live)
-        # the live rows go over with no name left here, and the full index
-        # is dropped, so _lscm frees both before its solve
-        rows = [face_edges[faces]]
-        del face_edges
-        uv, comp_island, comp_residual, _ = _lscm(
-            cut, faces, rows.pop(), chi != 1, (E[live], areas[live], good[live])
-        )
-        np.maximum.at(residuals, comp_island, comp_residual)
+    np.maximum.at(residuals, comp_island, comp_residual)
 
     sigma = np.full((len(cut.triangles), 2), np.nan)
     if live.any():
@@ -504,7 +485,7 @@ def unwrap_atlas(cut: CutMesh) -> UVAtlas:
         sigma=sigma,
         area3d=areas,
         excluded=excluded,
-        nondisk_islands=tuple(nondisk.tolist()),
+        nondisk_islands=tuple(np.flatnonzero(chi != 1).tolist()),
         residuals=tuple(residuals.tolist()),
     )
 

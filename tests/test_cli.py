@@ -1323,6 +1323,26 @@ def test_prefpairs_bad_candidate_dir_exit_2(tmp_path, capsys, n, name, content, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["prefpairs", "dpo"])
+@pytest.mark.parametrize("content", ['"x"', "[1, 2]", "null"], ids=["string", "list", "null"])
+def test_run_json_not_an_object_names_run_json_exit_2(tmp_path, capsys, command, content):
+    cand_dir = _candidate_dir(tmp_path, 2)
+    run_json = cand_dir / "run.json"
+    run_json.write_text(content)
+    out = tmp_path / "out"
+    if command == "prefpairs":
+        argv = ["prefpairs", str(cand_dir), str(out)]
+    else:  # run.json is read before any pair record
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(desk_config_text() + "steps = 1\nlr = 0.001\n")
+        pairs = cand_dir / "pairs.jsonl"
+        pairs.write_text("")
+        argv = ["dpo", str(pairs), str(out), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert f"{run_json}: not a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prefpairs_candidate_coordinate_outside_cube_names_file_and_line(tmp_path, capsys):
     cand_dir = _candidate_dir(tmp_path, 2)
     far = cand_dir / "cand_0.seams"

@@ -1,3 +1,5 @@
+import logging
+import weakref
 import xml.etree.ElementTree as ET
 from decimal import Decimal, localcontext
 
@@ -16,6 +18,8 @@ from seamkit.shapes import (
     make_sphere,
 )
 from seamkit import unwrap
+from seamkit.projection import project_seams
+from seamkit.tokenizer import SeamSet
 from seamkit.unwrap import (
     CutContractError,
     SolveError,
@@ -319,6 +323,73 @@ def test_lscm_nondisk_island_flagged():
     assert terms.max() > 0
 
 
+def test_unwrap_atlas_of_empty_cut_is_empty():
+    mesh = IndexedMesh(vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3), dtype=np.int64))
+    atlas = unwrap_atlas(cut_mesh(mesh, SeamEdgeSet()))
+    assert atlas.island_count == 0 and atlas.uv.shape == (0, 2) and atlas.sigma.shape == (0, 2)
+    assert atlas.nondisk_islands == () and atlas.residuals == ()
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [unwrap_atlas, lambda cut: parameterize_island(cut, 0)],
+    ids=["unwrap_atlas", "parameterize_island"],
+)
+def test_nondisk_island_warned_once(caplog, solve):
+    # perfbench's log.warnings counts these records
+    cut = cut_mesh(make_sphere(6, 8), SeamEdgeSet())
+    with caplog.at_level(logging.WARNING, logger="seamkit.unwrap"):
+        solve(cut)
+    assert [r.getMessage() for r in caplog.records if "is not a disk" in r.getMessage()] == [
+        "island 0 is not a disk (chi=2); adding an extra pin"
+    ]
+
+
+@pytest.mark.parametrize(
+    "mesh", [make_sphere(16, 32), make_cylinder(32, 16, with_uv=False)], ids=["sphere", "cylinder"]
+)
+def test_parameterize_island_is_unwrap_atlas_restricted_to_one_island(mesh):
+    mesh, _ = normalize(mesh)
+    segments = np.random.default_rng(0).uniform(-0.5, 0.5, size=(24, 2, 3))
+    cut = cut_mesh(mesh, project_seams(mesh, SeamSet(segments=segments)))
+    atlas = unwrap_atlas(cut)
+    assert cut.n_islands > 1
+    for island in range(cut.n_islands):
+        param = parameterize_island(cut, island, excluded=atlas.excluded)
+        np.testing.assert_array_equal(
+            param.vertex_ids, np.unique(atlas.triangles[atlas.face_island == island])
+        )
+        np.testing.assert_allclose(param.uv, atlas.uv[param.vertex_ids], rtol=0, atol=1e-9)
+
+
+def test_edge_index_and_assembly_are_freed_before_factorization(monkeypatch):
+    mesh, _ = normalize(make_cylinder(32, 16))
+    cut = cut_mesh(mesh, extract_uv_seams(mesh))
+    refs, alive = [], []
+    index_edges, csr_matrix, splu = unwrap.index_edges, sp.csr_matrix, unwrap.spla.splu
+
+    def traced_index_edges(*args):
+        arrays = index_edges(*args)
+        refs.extend(weakref.ref(a) for a in arrays)
+        return arrays
+
+    def traced_csr_matrix(*args, **kw):
+        A = csr_matrix(*args, **kw)
+        refs.append(weakref.ref(A))
+        return A
+
+    def traced_splu(K, **kw):
+        alive.append([r() is not None for r in refs])
+        return splu(K, **kw)
+
+    monkeypatch.setattr(unwrap, "index_edges", traced_index_edges)
+    monkeypatch.setattr(unwrap.sp, "csr_matrix", traced_csr_matrix)
+    monkeypatch.setattr(unwrap.spla, "splu", traced_splu)
+    unwrap_atlas(cut)
+    # the edges, face edges and keys of one edge index, and the assembled A
+    assert alive == [[False] * 4]
+
+
 def _block_system(seed=0, shapes=((7, 3), (5, 2))):
     """A complex block-diagonal least-squares system: (A, c, col_comp)."""
     rng = np.random.default_rng(seed)
@@ -329,14 +400,20 @@ def _block_system(seed=0, shapes=((7, 3), (5, 2))):
     return A, c, col_comp
 
 
+def _normal(A, c):
+    """The normal equations ``_solve_blocks`` factors: (A^H A as CSC, A^H c)."""
+    AH = A.conj().T
+    return (AH @ A).tocsc(), AH @ c
+
+
 def test_solve_blocks_matches_realified_system():
     A, c, col_comp = _block_system()
-    z, res = unwrap._solve_blocks(A, c, col_comp, 2)
+    z, res = unwrap._solve_blocks(*_normal(A, c), col_comp, 2)
     # the same problem in (Re z, Im z): [[Re, -Im], [Im, Re]] [x; y] = [Re c; Im c]
     R = sp.bmat([[A.real, -A.imag], [A.imag, A.real]], format="csr")
     n = A.shape[1]
     x, res_real = unwrap._solve_blocks(
-        R, np.concatenate([c.real, c.imag]), np.concatenate([col_comp, col_comp]), 2
+        *_normal(R, np.concatenate([c.real, c.imag])), np.concatenate([col_comp, col_comp]), 2
     )
     np.testing.assert_allclose(z, x[:n] + 1j * x[n:], rtol=1e-12, atol=0)
     np.testing.assert_allclose(z, np.linalg.lstsq(A.toarray(), c, rcond=None)[0], rtol=1e-12)
@@ -350,7 +427,7 @@ def test_solve_blocks_rank_deficient_block_raises():
     A = A.tolil()
     A[:, 4] = 0  # the second block's first column
     with pytest.raises(SolveError, match="singular"):
-        unwrap._solve_blocks(A.tocsr(), c, col_comp, 2)
+        unwrap._solve_blocks(*_normal(A.tocsr(), c), col_comp, 2)
 
 
 def test_solve_blocks_refines_once_then_raises(monkeypatch):
@@ -367,12 +444,12 @@ def test_solve_blocks_refines_once_then_raises(monkeypatch):
             return self.lu.solve(rhs)
 
     monkeypatch.setattr(unwrap.spla, "splu", lambda K, **kw: CountingLU(splu(K, **kw)))
-    _, res = unwrap._solve_blocks(A, c, col_comp, 2)
+    _, res = unwrap._solve_blocks(*_normal(A, c), col_comp, 2)
     assert len(solves) == 1 and res.min() > 0
     solves.clear()
     monkeypatch.setattr(unwrap, "SOLVE_RESIDUAL_REL", res.min() / 1e6)
     with pytest.raises(SolveError, match=r"normal-system residual \d\.\d\de-\d+ above"):
-        unwrap._solve_blocks(A, c, col_comp, 2)
+        unwrap._solve_blocks(*_normal(A, c), col_comp, 2)
     assert len(solves) == 2
 
 
